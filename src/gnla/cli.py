@@ -155,7 +155,12 @@ def parse_algebra(text: str) -> GNLA:
                     raise GradingViolation(
                         "%s has degree %d but [%s,%s] must land in degree %d"
                         % (lbl, basis[k][1], la, lb, want), lineno)
-                terms.append((k, sign * Fraction(coeff)))
+                try:
+                    c = Fraction(coeff)
+                except ZeroDivisionError:
+                    raise SyntaxError("zero denominator in %r" % piece,
+                                      lineno) from None
+                terms.append((k, sign * c))
             brackets[(i, j)] = terms
         else:
             raise SyntaxError("unknown directive %r" % head, lineno)
@@ -219,7 +224,7 @@ def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
             try:
                 t = int(jtxt)
                 c = Fraction(ctxt)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise SyntaxError("bad number in %r" % line, lineno) from None
             if not 1 <= t <= s:
                 raise SyntaxError("module index %d outside 1..%d" % (t, s),
@@ -239,7 +244,7 @@ def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
             try:
                 t = int(ktxt)
                 c = Fraction(ctxt)
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise SyntaxError("bad number in %r" % line, lineno) from None
             if not 1 <= t <= s:
                 raise SyntaxError("module index %d outside 1..%d" % (t, s),

@@ -456,13 +456,8 @@ def h2_0(base: GNLA, w: Subspace, s: int) -> Tuple[int, List[Cochain2]]:
     if n2 == 0:
         return 0, []
     rank_d1 = Matrix(d1_rows).rank() if d1_rows else 0
-    if d2_rows:
-        kernel = kernel_basis(Matrix(d2_rows))
-        rank_d2 = Matrix(d2_rows).rank()
-    else:
-        kernel = Subspace.full(n2)
-        rank_d2 = 0
-    dim = n2 - rank_d2 - rank_d1
+    kernel = kernel_basis(Matrix(d2_rows)) if d2_rows else Subspace.full(n2)
+    dim = kernel.dim - rank_d1
 
     cols = []
     if d1_rows:
@@ -720,27 +715,35 @@ def algebra_from_pencil_spec(spec: Union[PencilSpec, str],
 
 
 def pfaffian(b: Matrix) -> Fraction:
-    """Pfaffian of a skew matrix; zero for odd side, Pf^2 = det."""
+    """Pfaffian of a skew matrix; zero for odd side, Pf^2 = det.
+
+    Skew elimination on 2x2 blocks, O(side^3): with p = A[0][1] != 0,
+    Pf(A) = p Pf(C + (b1^t b0 - b0^t b1) / p), where b0, b1 are rows 0
+    and 1 beyond column 1 and C is the trailing block.  A swap of the
+    indices 1 and j, rows and columns alike, changes the sign.
+    """
     if b.nrows != b.ncols or not b.is_skew():
         raise NotSkew("pfaffian needs a skew-symmetric matrix")
     if b.nrows % 2 == 1:
         return Fraction(0)
-
-    def pf(indices: Tuple[int, ...]) -> Fraction:
-        if not indices:
-            return Fraction(1)
-        s0 = indices[0]
-        rest = indices[1:]
-        total = Fraction(0)
-        for r, sr in enumerate(rest):
-            c = b[s0, sr]
-            if c != 0:
-                sub = rest[:r] + rest[r + 1:]
-                term = c * pf(sub)
-                total += term if r % 2 == 0 else -term
-        return total
-
-    return pf(tuple(range(b.nrows)))
+    a = [list(r) for r in b.rows]
+    pf = Fraction(1)
+    while a:
+        j = next((j for j in range(1, len(a)) if a[0][j] != 0), None)
+        if j is None:
+            return Fraction(0)
+        if j != 1:
+            for r in a:
+                r[1], r[j] = r[j], r[1]
+            a[1], a[j] = a[j], a[1]
+            pf = -pf
+        p = a[0][1]
+        pf *= p
+        b0, b1 = a[0][2:], a[1][2:]
+        a = [[c + (b1[i] * b0[k] - b0[i] * b1[k]) / p
+              for k, c in enumerate(r[2:])]
+             for i, r in enumerate(a[2:])]
+    return pf
 
 
 @dataclass(frozen=True)

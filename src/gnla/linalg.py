@@ -1,15 +1,20 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra on one integer elimination core.
 
 Scalars are fractions.Fraction throughout.  Ranks, kernels and echelon
 forms feed classification verdicts downstream, so every elimination step
-must be exact; floats are rejected at the door.  Subspaces are stored by
-their reduced row echelon basis, which is unique, so equal subspaces
-compare equal and every derived basis is reproducible.
+must be exact; floats are rejected at the door.  Every rank, RREF,
+kernel, solve, inverse, intersection and determinant runs on one core:
+each row is scaled to integers and kept sparse as {column: int}, then
+reduced fraction-free with row content reduction (Bareiss 1968), forward
+and back.  Its output is the unique RREF, so subspaces are stored by
+their reduced row echelon basis, equal subspaces compare equal and every
+derived basis is reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Tuple
 
 Scalar = Fraction
@@ -55,38 +60,101 @@ def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
-def _rref(rows):
-    """Row reduce a list of row lists in place; return (rows, pivot columns).
+def _integer_row(row):
+    """A row as ({col: int} without zeros, s): the dict is s times the row,
+    s the lcm of its denominators."""
+    entries = [(j, e) for j, e in enumerate(row) if e]
+    if not entries:
+        return {}, 1
+    s = lcm(*[e.denominator for _, e in entries])
+    return {j: e.numerator * (s // e.denominator) for j, e in entries}, s
 
-    Leftmost pivot, rows processed top down; the output rows (zero rows
-    dropped) are the unique RREF of the input row space.
+
+def _eliminate(p, c, r):
+    """r <- (b/g) r - (a/g) p for a = r[c], b = p[c], g = gcd(a, b), then
+    divided by the gcd of its entries; returns (r, b/g, that gcd)."""
+    a, b = r[c], p[c]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if b != 1:
+        r = {j: b * v for j, v in r.items()}
+    for j, v in p.items():
+        w = r.get(j, 0) - a * v
+        if w:
+            r[j] = w
+        else:
+            del r[j]
+    content = gcd(*r.values()) if r else 1
+    if content != 1:
+        r = {j: v // content for j, v in r.items()}
+    return r, b, content
+
+
+def _echelon(rows):
+    """Fraction-free forward elimination (Bareiss 1968, with row content
+    reduction) on sparse integer rows.
+
+    Each input row is scaled to integers and reduced by the pivot rows of
+    the rows before it until its leading column is new or it vanishes.
+    Returns ({pivot column: integer row}, trail), where trail holds one
+    (pivot column or None, num, den) per input row: its final row is
+    num/den times the input row plus a combination of the rows before it.
     """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
+    pivots = {}
+    trail = []
+    for row in rows:
+        r, num = _integer_row(row)
+        den = 1
+        c = None
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = r
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [e / inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+            r, b, content = _eliminate(p, c, r)
+            if b != 1:
+                num *= b
+            if content != 1:
+                den *= content
+        trail.append((c if r else None, num, den))
+    return pivots, trail
+
+
+def _reduced(rows):
+    """The integer RREF of a list of rows: (pivot columns in increasing
+    order, {pivot column: integer row}).
+
+    This is the package's one elimination: the forward pass of _echelon,
+    then back-substitution the same way from the highest pivot down.
+    Divided by its pivot entry, each row is a row of the unique RREF.
+    """
+    pivots, _ = _echelon(rows)
+    cols = sorted(pivots)
+    for c in reversed(cols):
+        r = pivots[c]
+        for c2 in [j for j in r if j != c and j in pivots]:
+            r, _, _ = _eliminate(pivots[c2], c2, r)
+        pivots[c] = r
+    return cols, pivots
+
+
+def _rref(rows):
+    """The unique RREF of the row space of a list of rows, as
+    (rows, pivot columns): dense Fraction rows, zero rows dropped."""
+    ncols = len(rows[0]) if rows else 0
+    cols, reduced = _reduced(rows)
+    zero = Fraction(0)
+    out = []
+    for c in cols:
+        r = reduced[c]
+        lead = r[c]
+        dense = [zero] * ncols
+        for j, v in r.items():
+            dense[j] = Fraction(v, lead)
+        out.append(dense)
+    return out, cols
 
 
 class Matrix:
@@ -197,33 +265,23 @@ class Matrix:
         return Matrix(rows), tuple(pivots)
 
     def rank(self) -> int:
-        _, pivots = _rref(self.rows)
-        return len(pivots)
+        return len(_echelon(self.rows)[0])
 
     def det(self) -> Fraction:
+        """From the forward pass: the sign of the row order times the
+        product of the pivots, over the row scales the pass applied."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        rows = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                det = -det
-            det *= rows[c][c]
-            inv = rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] / inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+        pivots, trail = _echelon(self.rows)
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        order = [c for c, _, _ in trail]
+        inversions = sum(1 for i in range(len(order)) for j in range(i)
+                         if order[j] > order[i])
+        num = prod(r[c] for c, r in pivots.items())
+        num *= prod(d for _, _, d in trail)
+        den = prod(n for _, n, _ in trail)
+        return Fraction(-num if inversions % 2 else num, den)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -324,18 +382,18 @@ class Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """The solution space {v : Mv = 0} with its RREF basis."""
-    reduced, pivots = _rref(m.rows)
+    _, reduced = _reduced(m.rows)
     n = m.ncols
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    vectors = []
-    for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][j]
-        vectors.append(v)
-    return Subspace(n, vectors)
+    zero, one = Fraction(0), Fraction(1)
+    free = {j: [zero] * n for j in range(n) if j not in reduced}
+    for j, v in free.items():
+        v[j] = one
+    for c, r in reduced.items():
+        lead = r[c]
+        for j, w in r.items():
+            if j != c:
+                free[j][c] = Fraction(-w, lead)
+    return Subspace(n, list(free.values()))
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:

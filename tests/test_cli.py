@@ -345,6 +345,28 @@ def test_run_document_error_exit(tmp_path, capsys):
     assert "line" in capsys.readouterr().err or True
 
 
+def test_zero_denominator_in_bracket_is_a_located_error(tmp_path, capsys):
+    doc = "algebra a\nbasis X:-1 Y:-1 Z:-2\nbracket [X,Y] = 1/0 Z\n"
+    with pytest.raises(DocSyntaxError) as exc:
+        parse_algebra(doc)
+    assert exc.value.line == 3
+    f = write(tmp_path, "z.alg", doc)
+    assert run(["classify", f]) == 1
+    assert "gnla: line 3: zero denominator" in capsys.readouterr().err
+
+
+def test_zero_denominator_in_cocycle_is_a_located_error(tmp_path, capsys):
+    base = catalog("heisenberg", dim=3)
+    for text in ("a Y 1 = 1/0\n", "a Y 1 = 1\nb Y Z 3 = -2/0\n"):
+        with pytest.raises(DocSyntaxError) as exc:
+            parse_cocycle(text, base, 3)
+        assert exc.value.line == text.count("\n")
+    f = write(tmp_path, "h.alg", HEIS3_DOC)
+    coc = write(tmp_path, "z.coc", "b Y Z 3 = 1\na Y 2 = 1/0\n")
+    assert run(["extend", f, "--s", "3", "--cocycle", coc]) == 1
+    assert "gnla: line 2: bad number" in capsys.readouterr().err
+
+
 def test_run_usage_errors(capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2

@@ -374,6 +374,10 @@ def test_pfaffian_squares_to_determinant():
         n = rng.choice((2, 4, 6))
         b = random_skew(rng, n)
         assert pfaffian(b) ** 2 == b.det()
+    # (side - 1)!! terms: a term-by-term expansion would not finish here
+    for n in (20, 24):
+        b = random_skew(rng, n)
+        assert pfaffian(b) ** 2 == b.det() != 0
 
 
 def test_det_pencil_m_block_is_identically_zero():

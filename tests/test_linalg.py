@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from gnla import catalog, prolong_layer, prolongation
 from gnla.linalg import (
     Matrix,
     Subspace,
+    _rref,
     add_vectors,
     frac,
     intersect,
@@ -39,6 +41,96 @@ def det_naive(m):
         sign = -1 if j % 2 else 1
         total += sign * m[0, j] * det_naive(minor)
     return total
+
+
+def reference_rref(rows):
+    """Dense Fraction Gauss-Jordan: leftmost pivot, rows top down.  The
+    elimination gnla used before its integer core; an oracle only."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        if inv != 1:
+            rows[r] = [e / inv for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
+def random_rational_rows(rng, nrows, ncols, max_den, density):
+    """Sparse rational rows; some repeat or combine earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        pick = rng.random()
+        if rows and pick < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) >= 2 and pick < 0.3:
+            u, v = rng.sample(rows, 2)
+            a = Fraction(rng.randint(-9, 9), rng.randint(1, max_den))
+            rows.append([x + a * y for x, y in zip(u, v)])
+        else:
+            rows.append([Fraction(rng.randint(-max_den, max_den),
+                                  rng.randint(1, max_den))
+                         if rng.random() < density else Fraction(0)
+                         for _ in range(ncols)])
+    return rows
+
+
+def test_rref_core_matches_reference_gauss_jordan():
+    rng = random.Random(29)
+    assert _rref([]) == reference_rref([]) == ([], [])
+    assert _rref([[Fraction(0)] * 4] * 3) == ([], [])
+    for nrows, ncols in [(1, 1), (1, 6), (6, 1), (3, 9), (9, 3), (12, 12),
+                         (25, 8), (8, 25), (30, 30)]:
+        for max_den in (1, 7, 10 ** 6):
+            for density in (0.1, 0.4, 1.0):
+                rows = random_rational_rows(rng, nrows, ncols, max_den,
+                                            density)
+                got, pivots = _rref(rows)
+                want, want_pivots = reference_rref(rows)
+                assert (got, list(pivots)) == (want, want_pivots)
+
+
+def test_rref_of_a_prolongation_system_matches_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    systems = []
+    kernel = prolongation.kernel_basis
+
+    def capture(m):
+        systems.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(prolongation, "kernel_basis", capture)
+    a = catalog("heisenberg", dim=5)
+    g0 = prolong_layer(a, 0, [])
+    systems.clear()
+    prolong_layer(a, 1, [g0])
+    (m,) = systems
+    assert (m.nrows, m.ncols) == (28, 48)
+    reduced, pivots = m.rref()
+    oracle, oracle_pivots = sympy.Matrix(
+        [[sympy.Rational(e.numerator, e.denominator) for e in row]
+         for row in m.rows]).rref()
+    assert pivots == oracle_pivots
+    assert [[Fraction(int(e.p), int(e.q)) for e in oracle.row(i)]
+            for i in range(m.nrows)] == [list(r) for r in reduced.rows]
 
 
 def test_frac_accepts_common_inputs():
@@ -134,6 +226,21 @@ def test_det_against_laplace():
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n)
         assert m.det() == det_naive(m)
+
+
+def test_det_against_sympy_and_laplace():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(37)
+    for n in (0, 1, 2, 3, 5, 6, 9):
+        for max_den in (1, 1000):
+            rows = random_rational_rows(rng, n, n, max_den, 0.6)
+            m = Matrix(rows)
+            want = sympy.Matrix(n, n, [sympy.Rational(e.numerator,
+                                                      e.denominator)
+                                       for row in rows for e in row]).det()
+            assert m.det() == Fraction(int(want.p), int(want.q))
+            if 1 <= n <= 6:
+                assert m.det() == det_naive(m)
 
 
 def test_det_multiplicative():
