@@ -254,11 +254,11 @@ def validate(a: GNLA) -> ValidationReport:
             ej = a.basis_vector(j)
             for k in range(j + 1, n):
                 ek = a.basis_vector(k)
-                total = bracket(a, bracket(a, ei, ej), ek)
+                total = bracket(a, a.pair_bracket(i, j), ek)
                 total = tuple(x + y for x, y in zip(
-                    total, bracket(a, bracket(a, ej, ek), ei)))
+                    total, bracket(a, a.pair_bracket(j, k), ei)))
                 total = tuple(x + y for x, y in zip(
-                    total, bracket(a, bracket(a, ek, ei), ej)))
+                    total, bracket(a, a.pair_bracket(k, i), ej)))
                 if not is_zero_vector(total):
                     jacobi_ok = False
                     failures.append(
@@ -267,7 +267,7 @@ def validate(a: GNLA) -> ValidationReport:
     generated_ok = True
     for i in range(1, a.depth):
         spanned = Subspace(n, [
-            bracket(a, a.basis_vector(p), a.basis_vector(q))
+            a.pair_bracket(p, q)
             for p in a.layer_positions(1)
             for q in a.layer_positions(i)])
         if spanned != layer(a, i + 1):

@@ -8,6 +8,11 @@ prolongation layer certifies finite type; and when neither rational
 search nor iteration settles it, the quadratic ideal of 2x2 minors of
 the generic adjoint matrix decides the existence of a rank 1 point over
 the algebraic closure.
+
+Both questions about a span of matrices, a rational rank 1 element and
+a rank 1 point over the closure, have one implementation each:
+rank1_in_span and _minors.  The degree -1 ad span (rank1_witness,
+minor_ideal) and an h0 span (spencer_subspace_check) share them.
 """
 
 from __future__ import annotations
@@ -20,15 +25,15 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     GNLA,
+    AdMatrix,
     ad_matrix,
     bracket,
-    center,
     change_basis,
     layer,
     quotient,
     validate,
 )
-from .constructions import Cochain2
+from .constructions import Cochain2, _module_covector
 from .groebner import CapExceeded, Polynomial, PolynomialIdeal, only_trivial_zero
 from .linalg import (
     Matrix,
@@ -43,6 +48,7 @@ from .prolongation import (
     GradedMap,
     MatrixSubspace,
     classify_by_iteration,
+    h0_as_graded_map,
     leibniz_failures,
 )
 
@@ -69,58 +75,63 @@ class TypeVerdict:
     cap_exceeded: bool = False
 
 
+def _minors(mats: Sequence[Matrix],
+            prefix: str) -> Tuple[Tuple[str, ...], List[Polynomial]]:
+    """The variables v1.. and the distinct nonzero 2x2 minors of
+    sum v_k mats[k], each with a positive leading coefficient.
+
+    Rows and columns that are zero in every matrix are skipped; the
+    minors come in the order of their row pairs, then column pairs.
+    """
+    t = len(mats)
+    variables = tuple("%s%d" % (prefix, k + 1) for k in range(t))
+    rows = sorted({r for m in mats for r, row in enumerate(m.rows) if any(row)})
+    cols = sorted({c for m in mats for row in m.rows
+                   for c, e in enumerate(row) if e})
+
+    def entry(r: int, c: int) -> Polynomial:
+        terms = {}
+        for k, m in enumerate(mats):
+            if m[r, c] != 0:
+                exp = [0] * t
+                exp[k] = 1
+                terms[tuple(exp)] = m[r, c]
+        return Polynomial(variables, terms)
+
+    entries = {(r, c): entry(r, c) for r in rows for c in cols}
+    seen = set()
+    gens: List[Polynomial] = []
+    for r1, r2 in itertools.combinations(rows, 2):
+        for c1, c2 in itertools.combinations(cols, 2):
+            m = (entries[r1, c1] * entries[r2, c2]
+                 - entries[r1, c2] * entries[r2, c1])
+            if m.is_zero():
+                continue
+            if m.leading()[1] < 0:
+                m = -m
+            key = m.key()
+            if key not in seen:
+                seen.add(key)
+                gens.append(m)
+    return variables, gens
+
+
 def minor_ideal(a: GNLA) -> PolynomialIdeal:
     """The ideal of 2x2 minors of ad(sum y_i e_i), e_i the degree -1 basis.
 
     Its nontrivial zeros over the closure are exactly the rank 1
     directions, so for a nondegenerate algebra the zero set decides the
-    type.  All generators are homogeneous quadratics in y_1..y_n.
+    type.  All generators are homogeneous quadratics in y_1..y_n, built
+    by the same minor builder as spencer_subspace_check.
     """
-    pos1 = a.layer_positions(1)
-    nvars = len(pos1)
-    variables = tuple("y%d" % (i + 1) for i in range(nvars))
-    n = a.dim
-
-    def entry(row: int, col: int) -> Polynomial:
-        terms = {}
-        for v_idx, p in enumerate(pos1):
-            c = a.pair_bracket(p, col)[row]
-            if c != 0:
-                exp = [0] * nvars
-                exp[v_idx] = 1
-                terms[tuple(exp)] = c
-        return Polynomial(variables, terms)
-
-    entries = [[entry(r, c) for c in range(n)] for r in range(n)]
-    nonzero_rows = [r for r in range(n) if any(not e.is_zero() for e in entries[r])]
-    nonzero_cols = [c for c in range(n) if any(not entries[r][c].is_zero() for r in range(n))]
-    seen = set()
-    gens: List[Polynomial] = []
-    for r1, r2 in itertools.combinations(nonzero_rows, 2):
-        for c1, c2 in itertools.combinations(nonzero_cols, 2):
-            m = (entries[r1][c1] * entries[r2][c2]
-                 - entries[r1][c2] * entries[r2][c1])
-            if m.is_zero():
-                continue
-            m = _sign_normalized(m)
-            key = m.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            gens.append(m)
+    variables, gens = _minors(
+        [ad_matrix(a, a.basis_vector(p)).matrix
+         for p in a.layer_positions(1)], "y")
     if not gens:
         # keep the ambient variables visible: the zero ideal in n >= 1
         # variables vanishes everywhere, so only_trivial_zero says False
         gens = [Polynomial.zero(variables)]
     return PolynomialIdeal(gens)
-
-
-def _sign_normalized(p: Polynomial) -> Polynomial:
-    if p.is_zero():
-        return p
-    if p.leading()[1] < 0:
-        return -p
-    return p
 
 
 def _rational_ladder(height: int) -> List[Fraction]:
@@ -136,27 +147,22 @@ def _rational_ladder(height: int) -> List[Fraction]:
 def rank1_witness(a: GNLA, height_bound: int = 3) -> Optional[Vector]:
     """Search for a rational y in the degree -1 layer with rank ad y = 1.
 
-    Candidates are the basis vectors (last declared first, which matches
-    the catalog conventions), then e_p + q e_q over basis pairs with the
-    rational q of bounded height.  The enumeration is deterministic; a
-    None answer is not a proof of absence.
+    ad is linear, so this is rank1_in_span over the ad matrices of the
+    degree -1 basis, last declared first (which matches the catalog
+    conventions): the basis vectors, then e_p + q e_q over basis pairs
+    with the rational q of bounded height.  The enumeration is
+    deterministic; a None answer is not a proof of absence.
     """
     pos1 = list(reversed(a.layer_positions(1)))
-    n = a.dim
-    for p in pos1:
-        y = a.basis_vector(p)
-        if ad_matrix(a, y).rank == 1:
-            return y
-    ladder = _rational_ladder(height_bound)
-    for i, p in enumerate(pos1):
-        for q in pos1[i + 1:]:
-            base = a.basis_vector(p)
-            other = a.basis_vector(q)
-            for t in ladder:
-                y = tuple(x + t * z for x, z in zip(base, other))
-                if ad_matrix(a, y).rank == 1:
-                    return y
-    return None
+    coeffs = rank1_in_span(
+        [ad_matrix(a, a.basis_vector(p)).matrix for p in pos1],
+        height_bound=height_bound, combo_budget=0)
+    if coeffs is None:
+        return None
+    y = [Fraction(0)] * a.dim
+    for p, c in zip(pos1, coeffs):
+        y[p] = c
+    return tuple(y)
 
 
 def rank1_in_span(mats: Sequence[Matrix],
@@ -211,39 +217,30 @@ def spencer_subspace_check(a_space: MatrixSubspace) -> bool:
         return False
     if rank1_in_span(a_space.basis) is not None:
         return True
-    t = a_space.dim
-    side = a_space.side
-    variables = tuple("c%d" % (k + 1) for k in range(t))
-
-    def entry(i: int, j: int) -> Polynomial:
-        terms = {}
-        for k, m in enumerate(a_space.basis):
-            c = m[i, j]
-            if c != 0:
-                exp = [0] * t
-                exp[k] = 1
-                terms[tuple(exp)] = c
-        return Polynomial(variables, terms)
-
-    entries = [[entry(i, j) for j in range(side)] for i in range(side)]
-    seen = set()
-    gens = []
-    for r1, r2 in itertools.combinations(range(side), 2):
-        for c1, c2 in itertools.combinations(range(side), 2):
-            m = (entries[r1][c1] * entries[r2][c2]
-                 - entries[r1][c2] * entries[r2][c1])
-            if m.is_zero():
-                continue
-            m = _sign_normalized(m)
-            if m.key() in seen:
-                continue
-            seen.add(m.key())
-            gens.append(m)
+    _, gens = _minors(a_space.basis, "c")
     if not gens:
         # every 2x2 minor of the generic combination vanishes, so any
         # nonzero combination already has rank at most 1
         return True
     return not only_trivial_zero(PolynomialIdeal(gens))
+
+
+def _moved_transversal(a: GNLA, y: Vector) -> Tuple[AdMatrix, int]:
+    """ad y and the first degree -1 basis position that y moves.
+
+    Raises WitnessInvalid unless rank ad y = 1 on a nondegenerate
+    algebra.
+    """
+    ad_y = ad_matrix(a, y)
+    if ad_y.rank != 1:
+        raise WitnessInvalid("rank ad y is %d, not 1" % ad_y.rank)
+    rep = validate(a)
+    if not rep.checks["nondegenerate"]:
+        raise WitnessInvalid("the algebra is degenerate")
+    for p in a.layer_positions(1):
+        if not is_zero_vector(ad_y.matrix.column(p)):
+            return ad_y, p
+    raise WitnessInvalid("no degree -1 basis vector moves the witness")
 
 
 def rank1_derivation_from_witness(a: GNLA, y: Sequence) -> GradedMap:
@@ -254,36 +251,13 @@ def rank1_derivation_from_witness(a: GNLA, y: Sequence) -> GradedMap:
     WitnessInvalid unless rank ad y = 1.
     """
     y = vector(y)
-    ad_y = ad_matrix(a, y)
-    if ad_y.rank != 1:
-        raise WitnessInvalid("rank ad y is %d, not 1" % ad_y.rank)
-    rep = validate(a)
-    if not rep.checks["nondegenerate"]:
-        raise WitnessInvalid("the algebra is degenerate")
-    pos1 = a.layer_positions(1)
-    x_pos = None
-    for p in pos1:
-        if not is_zero_vector(bracket(a, a.basis_vector(p), y)):
-            x_pos = p
-            break
-    if x_pos is None:
-        raise WitnessInvalid("no degree -1 basis vector moves the witness")
-    w_full = kernel_basis(ad_y.matrix)
-    w_deg1 = w_full.intersect(layer(a, 1))
-    n1 = len(pos1)
-    rows = [a.layer_coordinates(1, w) for w in w_deg1.basis]
-    rows.append(a.layer_coordinates(1, a.basis_vector(x_pos)))
-    rhs = [Fraction(0)] * w_deg1.dim + [Fraction(1)]
-    xi = solve(Matrix(rows), rhs)
-    if xi is None:
-        raise WitnessInvalid("kernel and transversal do not span")
+    ad_y, x_pos = _moved_transversal(a, y)
+    w_deg1 = kernel_basis(ad_y.matrix).intersect(layer(a, 1))
+    xi = a.layer_coordinates(
+        1, _module_covector(a, w_deg1, a.basis_vector(x_pos)))
     y1 = a.layer_coordinates(1, y)
-    block1 = Matrix([[y1[r] * xi[c] for c in range(n1)] for r in range(n1)])
-    blocks = {1: block1}
-    for i in range(2, a.depth + 1):
-        ni = a.layer_dim(i)
-        blocks[i] = Matrix.zero(ni, ni)
-    d = GradedMap(degree=0, blocks=blocks)
+    block1 = Matrix([[y_r * xi_c for xi_c in xi] for y_r in y1])
+    d = h0_as_graded_map(a, block1)
     if block1.rank() != 1:
         raise WitnessInvalid("constructed map does not have rank 1")
     bad = leibniz_failures(a, [], d)
@@ -320,21 +294,9 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
     read off.
     """
     y = vector(y)
-    ad_y = ad_matrix(a, y)
-    if ad_y.rank != 1:
-        raise WitnessInvalid("rank ad y is %d, not 1" % ad_y.rank)
-    rep = validate(a)
-    if not rep.checks["nondegenerate"]:
-        raise WitnessInvalid("the algebra is degenerate")
+    ad_y, x_pos = _moved_transversal(a, y)
     n = a.dim
-    pos1 = a.layer_positions(1)
-    x_vec = None
-    for p in pos1:
-        if not is_zero_vector(bracket(a, a.basis_vector(p), y)):
-            x_vec = a.basis_vector(p)
-            break
-    if x_vec is None:
-        raise WitnessInvalid("no degree -1 basis vector moves the witness")
+    x_vec = a.basis_vector(x_pos)
 
     chain: List[Vector] = [y]
     while True:
@@ -420,9 +382,9 @@ def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
         raise ValueError("algebra does not validate: %r" % (rep.failures[:3],))
 
     if not rep.checks["nondegenerate"]:
-        central = center(a).intersect(layer(a, 1))
+        # validate records a central degree -1 vector with the failure
         return TypeVerdict(kind="degenerate_infinite",
-                           witness=central.basis[0],
+                           witness=dict(rep.failures)["nondegenerate"][0],
                            certificate="central_witness")
 
     w = rank1_witness(a, height_bound=height_bound)
@@ -435,8 +397,7 @@ def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
         return TypeVerdict(kind="finite", total_dim=it.total_dim,
                            layer_dims=it.layer_dims)
 
-    ideal = minor_ideal(a)
-    ideal.degree_cap = degree_cap
+    ideal = PolynomialIdeal(minor_ideal(a).generators, degree_cap=degree_cap)
     try:
         trivial = only_trivial_zero(ideal)
     except CapExceeded as exc:

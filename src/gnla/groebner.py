@@ -341,17 +341,13 @@ def _interreduce(basis: List[Polynomial]) -> List[Polynomial]:
 class PolynomialIdeal:
     """An ideal with a lazily computed reduced Groebner basis."""
     generators: Tuple[Polynomial, ...]
-    order: str = "grevlex"
     degree_cap: int = 12
     _groebner: Optional[Tuple[Polynomial, ...]] = field(
         default=None, repr=False, compare=False)
 
     def __init__(self, generators: Iterable[Polynomial],
-                 order: str = "grevlex", degree_cap: int = 12):
+                 degree_cap: int = 12):
         self.generators = tuple(generators)
-        if order != "grevlex":
-            raise ValueError("only grevlex order is supported")
-        self.order = order
         self.degree_cap = degree_cap
         self._groebner = None
 

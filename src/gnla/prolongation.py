@@ -169,7 +169,7 @@ def prolong_layer(a: GNLA, k: int,
         if d < 0:
             src_layer = -d
             for p in a.layer_positions(src_layer):
-                val = bracket(a, a.basis_vector(p), a.basis_vector(q_pos))
+                val = a.pair_bracket(p, q_pos)
                 cols.append(a.layer_coordinates(j - d, val)
                             if tgt else ())
         else:
@@ -319,50 +319,25 @@ def h0(a: GNLA) -> MatrixSubspace:
     """Degree 0 derivations vanishing on every layer below the first,
     identified with a matrix subspace of End(m_{-1}).
 
-    The constraints are [Ax, y] + [x, Ay] = 0 for x, y of degree -1
-    (the derivation kills the bracket target) and [Ax, w] = 0 for any
-    deeper basis vector w.
+    These are the combinations of der0 whose blocks on the deeper
+    layers cancel: the kernel of the matrix with one column of
+    flattened deeper blocks per derivation.  The first blocks of those
+    combinations span the space, returned in its RREF basis.
     """
     n1 = a.layer_dim(1)
-    pos1 = a.layer_positions(1)
-    total = n1 * n1
-    rows: List[List[Fraction]] = []
-
-    def image_rows(p_idx: int, other_pos: int, sign: int,
-                   out_rows: List[List[Fraction]], tgt_layer: int):
-        # contribution of [A e_p, e_other] to the target layer rows;
-        # A e_p = sum_r A[r][p_idx] e_{pos1[r]}
-        for r in range(n1):
-            val = a.layer_coordinates(
-                tgt_layer, a.pair_bracket(pos1[r], other_pos))
-            for t, v in enumerate(val):
-                if v != 0:
-                    out_rows[t][r * n1 + p_idx] += sign * v
-
-    for x_idx in range(n1):
-        for y_idx in range(x_idx + 1, n1):
-            tdim = a.layer_dim(2)
-            if tdim == 0:
-                continue
-            block = [[Fraction(0)] * total for _ in range(tdim)]
-            image_rows(x_idx, pos1[y_idx], 1, block, 2)
-            image_rows(y_idx, pos1[x_idx], -1, block, 2)
-            rows.extend(r for r in block if any(c != 0 for c in r))
-        for i in range(2, a.depth + 1):
-            for w in a.layer_positions(i):
-                tdim = a.layer_dim(i + 1)
-                if tdim == 0:
-                    continue
-                block = [[Fraction(0)] * total for _ in range(tdim)]
-                image_rows(x_idx, w, 1, block, i + 1)
-                rows.extend(r for r in block if any(c != 0 for c in r))
-
-    if rows:
-        sol = kernel_basis(Matrix(rows))
+    maps = der0(a)
+    deeper = [tuple(e for i in range(2, a.depth + 1) if i in g.blocks
+                    for e in g.blocks[i].flatten()) for g in maps]
+    if maps and deeper[0]:
+        combos = kernel_basis(Matrix.from_columns(deeper)).basis
     else:
-        sol = Subspace.full(total)
-    mats = [Matrix([row[i * n1:(i + 1) * n1] for i in range(n1)])
-            for row in sol.basis]
+        combos = Subspace.full(len(maps)).basis
+    firsts = [g.blocks[1].flatten() for g in maps if 1 in g.blocks]
+    mats = []
+    for c in combos:
+        flat = [sum(ck * f[e] for ck, f in zip(c, firsts) if ck)
+                for e in range(n1 * n1)]
+        mats.append(Matrix([flat[r * n1:(r + 1) * n1] for r in range(n1)]))
     return MatrixSubspace.from_matrices(n1, mats)
 
 

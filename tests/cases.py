@@ -1,0 +1,47 @@
+"""Algebras shared by the reference-oracle tests.
+
+Every catalog family at growing parameters, the skew pencils with
+pinned h0 dimensions, and a seeded generator of random nondegenerate
+2-step algebras.
+"""
+
+from fractions import Fraction
+
+from gnla import GNLA, catalog, validate
+
+CATALOG_CASES = (
+    [("goursat", {"n": n}) for n in range(2, 9)]
+    + [("heisenberg", {"dim": d}) for d in (3, 5, 7, 9)]
+    + [("mixedjet", {"k": k}) for k in range(2, 7)]
+    + [("nontrivial6", {}), ("free2step3", {})]
+    + [("kgen", {"k": k}) for k in range(3, 8)]
+)
+
+PENCIL_BLOCKS = (
+    "M:1", "M:2", "M:3", "F:1", "F:2", "F:3", "E:1:a=0", "E:2:a=1",
+    "M:1,F:2", "M:2,F:2", "M:1,M:2", "E:1:a=0,E:1:a=1,F:1",
+)
+
+
+def catalog_algebras():
+    return ([catalog(name, **params) for name, params in CATALOG_CASES]
+            + [catalog("from_pencil", blocks=b) for b in PENCIL_BLOCKS])
+
+
+def random_two_step(rng, n1):
+    """A random nondegenerate 2-step algebra with n1 generators and a
+    two-dimensional degree -2 layer, coefficients in [-3, 3]."""
+    while True:
+        basis = [("X%d" % (i + 1), -1) for i in range(n1)]
+        basis += [("W1", -2), ("W2", -2)]
+        brackets = {}
+        for i in range(n1):
+            for j in range(i + 1, n1):
+                terms = [(n1, Fraction(rng.randint(-3, 3))),
+                         (n1 + 1, Fraction(rng.randint(-3, 3)))]
+                terms = [(k, c) for k, c in terms if c != 0]
+                if terms:
+                    brackets[(i, j)] = terms
+        a = GNLA("rand2step", basis, brackets)
+        if validate(a).all_passed:
+            return a

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from cases import catalog_algebras, random_two_step
 from gnla import (
     GNLA,
     Matrix,
@@ -46,6 +48,63 @@ def degenerate_example():
     # X3 is central of degree -1
     return GNLA("degen", [("X1", -1), ("X2", -1), ("X3", -1), ("W", -2)],
                 {(0, 1): [(3, 1)]})
+
+
+def reference_rank1_witness(a, height_bound=3):
+    """The degree -1 basis vectors, last declared first, then e_p + t e_q
+    over basis pairs with t on the rational ladder, each tested by
+    building ad y.  The loop rank1_witness ran before it went through
+    rank1_in_span; an oracle only."""
+    pos1 = list(reversed(a.layer_positions(1)))
+    for p in pos1:
+        y = a.basis_vector(p)
+        if ad_matrix(a, y).rank == 1:
+            return y
+    ladder = []
+    for d in range(1, height_bound + 1):
+        for n in range(1, height_bound + 1):
+            if gcd(n, d) == 1:
+                ladder += [Fraction(n, d), Fraction(-n, d)]
+    for i, p in enumerate(pos1):
+        for q in pos1[i + 1:]:
+            base = a.basis_vector(p)
+            other = a.basis_vector(q)
+            for t in ladder:
+                y = tuple(x + t * z for x, z in zip(base, other))
+                if ad_matrix(a, y).rank == 1:
+                    return y
+    return None
+
+
+def test_rank1_witness_matches_reference_loop():
+    """The same witness as the direct loop on every catalog algebra,
+    every pencil and seeded random 2-step algebras, at two heights."""
+    rng = random.Random(4247)
+    algebras = catalog_algebras() + [closure_example()]
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 3]
+    for a in algebras:
+        for height in (1, 3):
+            assert (rank1_witness(a, height_bound=height)
+                    == reference_rank1_witness(a, height)), (a.name, height)
+
+
+def test_spencer_check_of_ad_span_agrees_with_minor_ideal():
+    """Both rank 1 questions share one minor builder: for a nondegenerate
+    algebra the span of ad e_p over the degree -1 basis has a rank 1
+    point over the closure exactly when the minor ideal has a nontrivial
+    zero."""
+    checked = 0
+    for a in catalog_algebras():
+        if a.layer_dim(1) > 5 or not validate(a).checks["nondegenerate"]:
+            continue
+        span = MatrixSubspace.from_matrices(
+            a.dim, [ad_matrix(a, a.basis_vector(p)).matrix
+                    for p in a.layer_positions(1)])
+        assert span.dim == a.layer_dim(1), a.name
+        assert (spencer_subspace_check(span)
+                == (not only_trivial_zero(minor_ideal(a)))), a.name
+        checked += 1
+    assert checked >= 20
 
 
 def test_rank1_witness_pinned_values():

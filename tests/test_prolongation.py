@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from cases import catalog_algebras, random_two_step
 from gnla import (
     Matrix,
     MatrixSubspace,
+    Subspace,
     catalog,
     classify_by_iteration,
     der0,
     h0,
     h0_as_graded_map,
+    kernel_basis,
     leibniz_failures,
     prolong_layer,
 )
@@ -20,6 +23,48 @@ def contact_layer_oracle(k):
     """Monomial count #{(a,b,c) >= 0 : a + b + 2c = k + 2}."""
     return sum(1 for a in range(k + 3) for b in range(k + 3)
                for c in range(k + 3) if a + b + 2 * c == k + 2)
+
+
+def reference_h0(a):
+    """h0 from its own Leibniz system on End(m_{-1}): [Ax, y] + [x, Ay] = 0
+    for x, y of degree -1 and [Ax, w] = 0 for deeper w.  The route gnla
+    took before h0 was read off der0; an oracle only."""
+    n1 = a.layer_dim(1)
+    pos1 = a.layer_positions(1)
+    total = n1 * n1
+    rows = []
+
+    def image_rows(p_idx, other_pos, sign, out_rows, tgt_layer):
+        # [A e_p, e_other] with A e_p = sum_r A[r][p_idx] e_{pos1[r]}
+        for r in range(n1):
+            val = a.layer_coordinates(
+                tgt_layer, a.pair_bracket(pos1[r], other_pos))
+            for t, v in enumerate(val):
+                if v != 0:
+                    out_rows[t][r * n1 + p_idx] += sign * v
+
+    for x_idx in range(n1):
+        for y_idx in range(x_idx + 1, n1):
+            tdim = a.layer_dim(2)
+            if tdim == 0:
+                continue
+            block = [[Fraction(0)] * total for _ in range(tdim)]
+            image_rows(x_idx, pos1[y_idx], 1, block, 2)
+            image_rows(y_idx, pos1[x_idx], -1, block, 2)
+            rows.extend(r for r in block if any(c != 0 for c in r))
+        for i in range(2, a.depth + 1):
+            for w in a.layer_positions(i):
+                tdim = a.layer_dim(i + 1)
+                if tdim == 0:
+                    continue
+                block = [[Fraction(0)] * total for _ in range(tdim)]
+                image_rows(x_idx, w, 1, block, i + 1)
+                rows.extend(r for r in block if any(c != 0 for c in r))
+
+    sol = kernel_basis(Matrix(rows)) if rows else Subspace.full(total)
+    mats = [Matrix([row[i * n1:(i + 1) * n1] for i in range(n1)])
+            for row in sol.basis]
+    return MatrixSubspace.from_matrices(n1, mats)
 
 
 def test_prolong_layer_argument_checks():
@@ -117,6 +162,16 @@ def test_h0_lies_inside_der0_first_blocks():
         a.layer_dim(1), [g.block(1) for g in der0(a)])
     for b in h0(a).basis:
         assert first_blocks.contains(b)
+
+
+def test_h0_matches_reference_system():
+    """Same RREF basis as the hand-built system on every catalog algebra,
+    every pencil and seeded random 2-step algebras."""
+    rng = random.Random(4243)
+    algebras = catalog_algebras()
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 3]
+    for a in algebras:
+        assert h0(a).basis == reference_h0(a).basis, a.name
 
 
 def test_matrix_subspace_basics():
