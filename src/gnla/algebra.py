@@ -9,7 +9,7 @@ report downstream is expressed in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -309,10 +309,11 @@ def change_basis(a: GNLA, vectors: Sequence[Sequence], labels: Sequence[str],
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = p_inv.apply(bracket(a, vecs[i], vecs[j]))
-            entries = [(k, c) for k, c in enumerate(w) if c != 0]
-            if entries:
-                brackets[(i, j)] = entries
+            w = bracket(a, vecs[i], vecs[j])
+            if is_zero_vector(w):
+                continue
+            brackets[(i, j)] = [(k, c) for k, c in enumerate(p_inv.apply(w))
+                                if c != 0]
     return GNLA(name or a.name,
                 list(zip(labels, degrees)), brackets)
 

@@ -28,9 +28,9 @@ from .algebra import (
     AdMatrix,
     ad_matrix,
     bracket,
+    center,
     change_basis,
     layer,
-    quotient,
     validate,
 )
 from .constructions import Cochain2, _module_covector
@@ -39,9 +39,9 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    independent_rows,
     is_zero_vector,
     kernel_basis,
-    solve,
     vector,
 )
 from .prolongation import (
@@ -234,8 +234,7 @@ def _moved_transversal(a: GNLA, y: Vector) -> Tuple[AdMatrix, int]:
     ad_y = ad_matrix(a, y)
     if ad_y.rank != 1:
         raise WitnessInvalid("rank ad y is %d, not 1" % ad_y.rank)
-    rep = validate(a)
-    if not rep.checks["nondegenerate"]:
+    if center(a).intersect(layer(a, 1)).dim:
         raise WitnessInvalid("the algebra is degenerate")
     for p in a.layer_positions(1):
         if not is_zero_vector(ad_y.matrix.column(p)):
@@ -289,9 +288,12 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
     Starting from y with rank ad y = 1, pick the first degree -1 basis
     vector x moved past y and iterate y_{i+1} = [x, y_i] until zero.
     The span V of the chain is checked to be a commutative ideal killed
-    by ker ad y; the algebra is then rewritten in the adapted basis
-    (x, chain, completion) and the quotient plus degree 0 cocycle are
-    read off.
+    by ker ad y.  The algebra is then rewritten in the adapted basis X,
+    Y_1..Y_s (the chain), Z_1.. (the degree -1 part of ker ad y, then the
+    deeper basis vectors, each kept when independent of those before
+    it).  A bracket of two base elements X, Z_j splits there in two: its
+    X/Z components are the quotient bracket and its Y components the
+    degree 0 cocycle value.
     """
     y = vector(y)
     ad_y, x_pos = _moved_transversal(a, y)
@@ -323,42 +325,31 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
             if not is_zero_vector(bracket(a, w, yi)):
                 raise WitnessInvalid("kernel of ad y does not centralize the chain")
 
-    # complete the chain to an adapted basis: x, the chain, then degree
-    # -1 directions of ker ad y and the original deeper basis vectors
-    z_vectors: List[Vector] = []
-    acc = Subspace(n, [x_vec] + chain)
-    w_deg1 = w_full.intersect(layer(a, 1))
-    for cand in w_deg1.basis:
-        grown = Subspace(n, list(acc.basis) + list(z_vectors) + [cand])
-        if grown.dim > acc.dim + len(z_vectors):
-            z_vectors.append(cand)
-    for i in range(2, a.depth + 1):
-        for p in a.layer_positions(i):
-            cand = a.basis_vector(p)
-            grown = Subspace(n, list(acc.basis) + list(z_vectors) + [cand])
-            if grown.dim > acc.dim + len(z_vectors):
-                z_vectors.append(cand)
-    if 1 + s + len(z_vectors) != n:
+    rows = [x_vec] + chain + list(w_full.intersect(layer(a, 1)).basis)
+    rows += [a.basis_vector(p) for i in range(2, a.depth + 1)
+             for p in a.layer_positions(i)]
+    adapted_vectors = [rows[i] for i in independent_rows(rows)]
+    if len(adapted_vectors) != n:
         raise WitnessInvalid("adapted basis does not span")
-
     labels = (["X"] + ["Y%d" % (i + 1) for i in range(s)]
-              + ["Z%d" % (i + 1) for i in range(len(z_vectors))])
-    adapted = change_basis(a, [x_vec] + chain + z_vectors, labels,
+              + ["Z%d" % (i + 1) for i in range(n - 1 - s)])
+    adapted = change_basis(a, adapted_vectors, labels,
                            name=a.name + "_adapted")
 
-    reps = [x_vec] + z_vectors
-    rep_labels = ["X"] + ["Z%d" % (i + 1) for i in range(len(z_vectors))]
-    base = quotient(a, v_space, reps, rep_labels, name=a.name + "_base")
-
-    decomp = Matrix.from_columns(reps + chain)
-    cocycle_values = {}
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            w = solve(decomp, bracket(a, reps[i], reps[j]))
-            val = tuple(w[len(reps):])
-            if not is_zero_vector(val):
-                cocycle_values[(i, j)] = val
-    cocycle = Cochain2.from_dict(s, cocycle_values)
+    reps = [0] + list(range(1 + s, n))
+    index = {p: i for i, p in enumerate(reps)}
+    brackets = {}
+    values = {}
+    for (p, q), terms in adapted.brackets.items():
+        if p in index and q in index:
+            terms = dict(terms)
+            pair = (index[p], index[q])
+            brackets[pair] = [(index[k], c) for k, c in terms.items()
+                              if k in index]
+            values[pair] = [terms.get(k, 0) for k in range(1, s + 1)]
+    base = GNLA(a.name + "_base",
+                [(labels[p], adapted.degrees[p]) for p in reps], brackets)
+    cocycle = Cochain2.from_dict(s, values)
 
     return DecompositionResult(
         quotient=base,

@@ -54,8 +54,8 @@ class DocumentError(Exception):
         self.line = line
 
 
-class SyntaxError(DocumentError):  # shadows the builtin on purpose:
-    """Malformed line."""           # parse errors here are document errors
+class DocumentSyntaxError(DocumentError):
+    """Malformed line."""
 
 
 class UnknownLabel(DocumentError):
@@ -92,38 +92,38 @@ def parse_algebra(text: str) -> GNLA:
         head = line.split(None, 1)[0]
         if head == "algebra":
             if name is not None:
-                raise SyntaxError("repeated algebra line", lineno)
+                raise DocumentSyntaxError("repeated algebra line", lineno)
             parts = line.split()
             if len(parts) != 2:
-                raise SyntaxError("expected: algebra NAME", lineno)
+                raise DocumentSyntaxError("expected: algebra NAME", lineno)
             name = parts[1]
         elif head == "basis":
             if name is None:
-                raise SyntaxError("basis line before the algebra line", lineno)
+                raise DocumentSyntaxError("basis line before the algebra line", lineno)
             if basis is not None:
-                raise SyntaxError("repeated basis line", lineno)
+                raise DocumentSyntaxError("repeated basis line", lineno)
             tokens = line.split()[1:]
             if not tokens:
-                raise SyntaxError("empty basis line", lineno)
+                raise DocumentSyntaxError("empty basis line", lineno)
             basis = []
             for tok in tokens:
                 m = _BASIS_RE.match(tok)
                 if not m:
-                    raise SyntaxError("bad basis entry %r" % tok, lineno)
+                    raise DocumentSyntaxError("bad basis entry %r" % tok, lineno)
                 lbl, d = m.group(1), int(m.group(2))
                 if d >= 0:
-                    raise SyntaxError("degree of %r must be negative" % lbl,
+                    raise DocumentSyntaxError("degree of %r must be negative" % lbl,
                                       lineno)
                 if lbl in index:
-                    raise SyntaxError("duplicate label %r" % lbl, lineno)
+                    raise DocumentSyntaxError("duplicate label %r" % lbl, lineno)
                 index[lbl] = len(basis)
                 basis.append((lbl, d))
         elif head == "bracket":
             if basis is None:
-                raise SyntaxError("bracket line before the basis line", lineno)
+                raise DocumentSyntaxError("bracket line before the basis line", lineno)
             m = _BRACKET_RE.match(line)
             if not m:
-                raise SyntaxError(
+                raise DocumentSyntaxError(
                     "expected: bracket [A,B] = c1 C + c2 D", lineno)
             la, lb, rhs = m.groups()
             for lbl in (la, lb):
@@ -131,7 +131,7 @@ def parse_algebra(text: str) -> GNLA:
                     raise UnknownLabel("unknown label %r" % lbl, lineno)
             i, j = index[la], index[lb]
             if i == j:
-                raise SyntaxError("bracket of %r with itself" % la, lineno)
+                raise DocumentSyntaxError("bracket of %r with itself" % la, lineno)
             sign = 1
             if i > j:
                 i, j, sign = j, i, -1
@@ -146,7 +146,7 @@ def parse_algebra(text: str) -> GNLA:
                 piece = piece.strip()
                 tm = _TERM_RE.match(piece)
                 if not tm:
-                    raise SyntaxError("bad term %r" % piece, lineno)
+                    raise DocumentSyntaxError("bad term %r" % piece, lineno)
                 coeff, lbl = tm.groups()
                 if lbl not in index:
                     raise UnknownLabel("unknown label %r" % lbl, lineno)
@@ -158,17 +158,17 @@ def parse_algebra(text: str) -> GNLA:
                 try:
                     c = Fraction(coeff)
                 except ZeroDivisionError:
-                    raise SyntaxError("zero denominator in %r" % piece,
+                    raise DocumentSyntaxError("zero denominator in %r" % piece,
                                       lineno) from None
                 terms.append((k, sign * c))
             brackets[(i, j)] = terms
         else:
-            raise SyntaxError("unknown directive %r" % head, lineno)
+            raise DocumentSyntaxError("unknown directive %r" % head, lineno)
 
     if name is None:
-        raise SyntaxError("missing algebra line", 1)
+        raise DocumentSyntaxError("missing algebra line", 1)
     if basis is None:
-        raise SyntaxError("missing basis line", 1)
+        raise DocumentSyntaxError("missing basis line", 1)
     return GNLA(name, basis, brackets)
 
 
@@ -220,14 +220,14 @@ def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
             if lbl not in index:
                 raise UnknownLabel("unknown label %r" % lbl, lineno)
             if index[lbl] == xpos:
-                raise SyntaxError("transversal paired with itself", lineno)
+                raise DocumentSyntaxError("transversal paired with itself", lineno)
             try:
                 t = int(jtxt)
                 c = Fraction(ctxt)
             except (ValueError, ZeroDivisionError):
-                raise SyntaxError("bad number in %r" % line, lineno) from None
+                raise DocumentSyntaxError("bad number in %r" % line, lineno) from None
             if not 1 <= t <= s:
-                raise SyntaxError("module index %d outside 1..%d" % (t, s),
+                raise DocumentSyntaxError("module index %d outside 1..%d" % (t, s),
                                   lineno)
             put(xpos, index[lbl], t - 1, c, lineno)
         elif parts[0] == "b" and len(parts) == 6 and parts[4] == "=":
@@ -236,22 +236,22 @@ def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
                 if lbl not in index:
                     raise UnknownLabel("unknown label %r" % lbl, lineno)
                 if index[lbl] == xpos:
-                    raise SyntaxError(
+                    raise DocumentSyntaxError(
                         "use an `a` line for pairs with the transversal",
                         lineno)
             if l1 == l2:
-                raise SyntaxError("pair of %r with itself" % l1, lineno)
+                raise DocumentSyntaxError("pair of %r with itself" % l1, lineno)
             try:
                 t = int(ktxt)
                 c = Fraction(ctxt)
             except (ValueError, ZeroDivisionError):
-                raise SyntaxError("bad number in %r" % line, lineno) from None
+                raise DocumentSyntaxError("bad number in %r" % line, lineno) from None
             if not 1 <= t <= s:
-                raise SyntaxError("module index %d outside 1..%d" % (t, s),
+                raise DocumentSyntaxError("module index %d outside 1..%d" % (t, s),
                                   lineno)
             put(index[l1], index[l2], t - 1, c, lineno)
         else:
-            raise SyntaxError(
+            raise DocumentSyntaxError(
                 "expected `a L j = c` or `b L1 L2 k = c`", lineno)
 
     return Cochain2.from_dict(s, {k: tuple(v) for k, v in values.items()})

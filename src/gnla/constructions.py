@@ -24,9 +24,11 @@ from .linalg import (
     Subspace,
     Vector,
     frac,
+    independent_rows,
     is_zero_vector,
     kernel_basis,
     solve,
+    unit_vector,
     vector,
     zero_vector,
 )
@@ -341,10 +343,16 @@ def special_extension(data: ExtensionData) -> GNLA:
 
     X is the transversal, the Y_i span the attached commutative ideal
     with deg Y_i = -i, and the Z_j run through the remaining base basis
-    (hyperplane directions first, then the deeper layers).  Brackets:
-    [X, Y_i] = Y_{i+1}, the Y_i commute with each other and with every
-    Z_j, and base brackets pick up the cocycle's V-component.  The
-    Jacobi identity of the result is checked exhaustively.
+    (the RREF basis of the hyperplane, then the deeper layers).  The
+    extension is first written in the base coordinates followed by
+    Y_1..Y_s: a base bracket of degree -k picks up the cocycle's value
+    on Y_k, and e_p acts on the module by alpha(e_p) times the shift
+    Y_i -> Y_{i+1}, alpha the covector with kernel W and alpha(X) = 1.
+    change_basis then moves it to the adapted basis, so [X, Y_i] =
+    Y_{i+1} and the Y_i commute with each other and with every Z_j.
+    The cocycle is checked in the base as given, so a DegreeViolation
+    names the caller's labels.  The Jacobi identity of the result is
+    checked exhaustively.
 
     Note the constraint tying the hyperplane part of the cocycle to the
     module length: a component on a pair (Z_i, Z_j) with value in Y_k
@@ -358,82 +366,36 @@ def special_extension(data: ExtensionData) -> GNLA:
     the exhaustive Jacobi computation this function always runs.
     """
     base, w, s = data.base, data.covector_kernel, data.s
-    x = data.transversal
     n = base.dim
-
-    adapted_vectors = [x] + list(w.basis)
-    for i in range(2, base.depth + 1):
-        adapted_vectors.extend(base.basis_vector(p)
-                               for p in base.layer_positions(i))
-    identity = all(v == base.basis_vector(i)
-                   for i, v in enumerate(adapted_vectors))
-    if identity:
-        inner = base
-        cocycle = data.cocycle
-    else:
-        labels = ["X"] + ["Z%d" % i for i in range(1, n)]
-        inner = change_basis(base, adapted_vectors, labels)
-        pulled = {}
-        for p in range(n):
-            vp = adapted_vectors[p]
-            for q in range(p + 1, n):
-                vq = adapted_vectors[q]
-                acc = [Fraction(0)] * s
-                for i in range(n):
-                    if vp[i] == 0 and vq[i] == 0:
-                        continue
-                    for j in range(i + 1, n):
-                        m = vp[i] * vq[j] - vp[j] * vq[i]
-                        if m == 0:
-                            continue
-                        val = data.cocycle.value(i, j)
-                        for t, c in enumerate(val):
-                            acc[t] += m * c
-                if any(c != 0 for c in acc):
-                    pulled[(p, q)] = tuple(acc)
-        cocycle = Cochain2.from_dict(s, pulled)
-
-    r = n - 1
-    deg = base.degrees if identity else inner.degrees
+    deg = base.degrees
     c2 = [(p, q) for p in range(n) for q in range(p + 1, n)
           if -(deg[p] + deg[q]) <= s]
-    slot_vec = _cocycle_slot_vector(inner, s, cocycle, c2)
-    slot = {pq: c for pq, c in zip(c2, slot_vec)}
+    slots = _cocycle_slot_vector(base, s, data.cocycle, c2)
 
-    basis = [("X", -1)] + [("Y%d" % i, -i) for i in range(1, s + 1)]
-    basis += [("Z%d" % j, deg[j]) for j in range(1, n)]
+    # base positions, then Y_1..Y_s at n..n+s-1; labels need only differ
+    basis = [("e%d" % p, d) for p, d in enumerate(deg)]
+    basis += [("e%d" % (n + i), -(i + 1)) for i in range(s)]
+    brackets = {pq: list(terms) for pq, terms in base.brackets.items()}
+    for (p, q), c in zip(c2, slots):
+        if c != 0:
+            brackets.setdefault((p, q), []).append(
+                (n - deg[p] - deg[q] - 1, c))
+    alpha = _module_covector(base, w, data.transversal)
+    for p in range(n):
+        if alpha[p] != 0:
+            for i in range(n, n + s - 1):
+                brackets[(p, i)] = [(i + 1, alpha[p])]
 
-    def zpos(j: int) -> int:
-        return s + j  # inner position j >= 1 lands after X and the Y's
-
-    brackets: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
-    for i in range(1, s):
-        brackets[(0, i)] = [(i + 1, Fraction(1))]
-
-    def base_terms(p: int, q: int) -> List[Tuple[int, Fraction]]:
-        out = []
-        for t, c in enumerate(inner.pair_bracket(p, q)):
-            if c != 0:
-                if t == 0:
-                    raise ValueError("base bracket has a transversal component")
-                out.append((zpos(t), c))
-        k = -(deg[p] + deg[q])
-        cval = slot.get((p, q), Fraction(0))
-        if cval != 0 and k <= s:
-            out.append((k, cval))
-        return sorted(out)
-
-    for j in range(1, n):
-        terms = base_terms(0, j)
-        if terms:
-            brackets[(0, zpos(j))] = terms
-    for p in range(1, n):
-        for q in range(p + 1, n):
-            terms = base_terms(p, q)
-            if terms:
-                brackets[(zpos(p), zpos(q))] = terms
-
-    out = GNLA(base.name + "_ext", basis, brackets)
+    pad = zero_vector(s)
+    vectors = [data.transversal + pad]
+    vectors += [unit_vector(n + s, n + i) for i in range(s)]
+    vectors += [v + pad for v in w.basis]
+    vectors += [base.basis_vector(p) + pad for i in range(2, base.depth + 1)
+                for p in base.layer_positions(i)]
+    labels = (["X"] + ["Y%d" % i for i in range(1, s + 1)]
+              + ["Z%d" % j for j in range(1, n)])
+    out = change_basis(GNLA(base.name + "_ext", basis, brackets), vectors,
+                       labels)
     rep = validate(out)
     if not rep.checks["jacobi"]:
         triple = next(wit for kind, wit in rep.failures if kind == "jacobi")
@@ -446,8 +408,11 @@ def h2_0(base: GNLA, w: Subspace, s: int) -> Tuple[int, List[Cochain2]]:
     module of length s.
 
     Returns its dimension together with representative cocycles spanning
-    a complement of the coboundaries inside the cocycles.  The dimension
-    counts the essentially different special extensions for this (W, s).
+    a complement of the coboundaries inside the cocycles: the kernel
+    basis vectors of d2 outside the span of the coboundaries and of the
+    kernel vectors before them, read off one forward elimination.  The
+    dimension counts the essentially different special extensions for
+    this (W, s).
     """
     if s < 2:
         raise ValueError("module length s must be at least 2")
@@ -459,17 +424,10 @@ def h2_0(base: GNLA, w: Subspace, s: int) -> Tuple[int, List[Cochain2]]:
     kernel = kernel_basis(Matrix(d2_rows)) if d2_rows else Subspace.full(n2)
     dim = kernel.dim - rank_d1
 
-    cols = []
-    if d1_rows:
-        for j in range(len(d1_rows[0])):
-            cols.append(tuple(row[j] for row in d1_rows))
-    acc = Subspace(n2, cols)
-    reps: List[Cochain2] = []
-    for v in kernel.basis:
-        grown = Subspace(n2, list(acc.basis) + [v])
-        if grown.dim > acc.dim:
-            reps.append(_cochain_from_slots(base, s, c2, v))
-            acc = grown
+    cols = list(zip(*d1_rows))
+    rows = cols + list(kernel.basis)
+    reps = [_cochain_from_slots(base, s, c2, rows[i])
+            for i in independent_rows(rows) if i >= len(cols)]
     if len(reps) != dim:
         raise AssertionError("representative count %d does not match dim %d"
                              % (len(reps), dim))
@@ -698,14 +656,8 @@ def algebra_from_pencil_spec(spec: Union[PencilSpec, str],
     if isinstance(spec, str):
         spec = PencilSpec.parse(spec)
     (b1, b2), labels = assemble_pencil(spec)
-    mats: List[Matrix] = []
-    span = Subspace(b1.nrows * b1.ncols, [])
-    for m in (b1, b2):
-        grown = Subspace(b1.nrows * b1.ncols,
-                         [x.flatten() for x in mats] + [m.flatten()])
-        if grown.dim > span.dim:
-            mats.append(m)
-            span = grown
+    mats = [(b1, b2)[i]
+            for i in independent_rows([b1.flatten(), b2.flatten()])]
     if not mats:
         raise ValueError("pencil spans the zero space")
     if name is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Scalar = Fraction
 
@@ -120,6 +120,13 @@ def _echelon(rows):
                 den *= content
         trail.append((c if r else None, num, den))
     return pivots, trail
+
+
+def independent_rows(rows) -> List[int]:
+    """Positions of the rows that are not in the span of the rows before
+    them, read off the trail of one forward pass."""
+    _, trail = _echelon(rows)
+    return [i for i, (c, _, _) in enumerate(trail) if c is not None]
 
 
 def _reduced(rows):

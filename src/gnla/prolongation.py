@@ -22,9 +22,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    is_zero_vector,
     kernel_basis,
-    vector,
     zero_vector,
 )
 

@@ -1,13 +1,15 @@
 """Algebras shared by the reference-oracle tests.
 
 Every catalog family at growing parameters, the skew pencils with
-pinned h0 dimensions, and a seeded generator of random nondegenerate
-2-step algebras.
+pinned h0 dimensions, a seeded generator of random nondegenerate 2-step
+algebras, seeded signed permutations of a basis, and the algebras of
+all three kinds that carry a rational rank 1 witness.
 """
 
+import random
 from fractions import Fraction
 
-from gnla import GNLA, catalog, validate
+from gnla import GNLA, catalog, change_basis, rank1_witness, validate
 
 CATALOG_CASES = (
     [("goursat", {"n": n}) for n in range(2, 9)]
@@ -45,3 +47,34 @@ def random_two_step(rng, n1):
         a = GNLA("rand2step", basis, brackets)
         if validate(a).all_passed:
             return a
+
+
+def signed_permutation(rng, a):
+    """The same algebra in a shuffled basis, each vector negated with
+    probability 1/2; the layers interleave."""
+    order = list(range(a.dim))
+    rng.shuffle(order)
+    vectors = []
+    for p in order:
+        v = [Fraction(0)] * a.dim
+        v[p] = Fraction(rng.choice((1, -1)))
+        vectors.append(v)
+    return change_basis(a, vectors, [a.labels[p] for p in order],
+                        name=a.name + "_signed")
+
+
+def witness_cases(seed):
+    """(algebra, rational rank 1 witness) for every catalog algebra that
+    has one, a signed permutation of each, and seeded random 2-step
+    algebras."""
+    rng = random.Random(seed)
+    algebras = catalog_algebras()
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5) * 4]
+    cases = []
+    for a in algebras:
+        if validate(a).checks["nondegenerate"]:
+            w = rank1_witness(a)
+            if w is not None:
+                cases.append((a, w))
+    return cases

@@ -20,7 +20,7 @@ from gnla import (
     serialize_cocycle,
     validate,
 )
-from gnla.cli import SyntaxError as DocSyntaxError
+from gnla.cli import DocumentSyntaxError as DocSyntaxError
 
 HEIS3_DOC = """\
 algebra heis3

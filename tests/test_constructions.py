@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cases import witness_cases
 from gnla import (
     CATALOG_NAMES,
     Cochain2,
@@ -29,6 +30,7 @@ from gnla import (
     h0,
     h0_elementary,
     h2_0,
+    kernel_basis,
     metabelian_from_pencil,
     p_y_subspace,
     pencil_block,
@@ -38,10 +40,99 @@ from gnla import (
     spencer_subspace_check,
     validate,
 )
+from gnla.constructions import _cocycle_slot_vector
 
 
 def heis3():
     return catalog("heisenberg", dim=3)
+
+
+def reference_special_extension(data):
+    """special_extension as it was built before it went through
+    change_basis: the base is moved to the adapted basis X, Z_1.. first
+    (skipped when that basis is the identity), the cocycle is pulled
+    back pair by pair, and the brackets are written out directly.  An
+    oracle only."""
+    base, w, s = data.base, data.covector_kernel, data.s
+    x = data.transversal
+    n = base.dim
+
+    adapted_vectors = [x] + list(w.basis)
+    for i in range(2, base.depth + 1):
+        adapted_vectors.extend(base.basis_vector(p)
+                               for p in base.layer_positions(i))
+    identity = all(v == base.basis_vector(i)
+                   for i, v in enumerate(adapted_vectors))
+    if identity:
+        inner = base
+        cocycle = data.cocycle
+    else:
+        labels = ["X"] + ["Z%d" % i for i in range(1, n)]
+        inner = change_basis(base, adapted_vectors, labels)
+        pulled = {}
+        for p in range(n):
+            vp = adapted_vectors[p]
+            for q in range(p + 1, n):
+                vq = adapted_vectors[q]
+                acc = [Fraction(0)] * s
+                for i in range(n):
+                    if vp[i] == 0 and vq[i] == 0:
+                        continue
+                    for j in range(i + 1, n):
+                        m = vp[i] * vq[j] - vp[j] * vq[i]
+                        if m == 0:
+                            continue
+                        val = data.cocycle.value(i, j)
+                        for t, c in enumerate(val):
+                            acc[t] += m * c
+                if any(c != 0 for c in acc):
+                    pulled[(p, q)] = tuple(acc)
+        cocycle = Cochain2.from_dict(s, pulled)
+
+    deg = inner.degrees
+    c2 = [(p, q) for p in range(n) for q in range(p + 1, n)
+          if -(deg[p] + deg[q]) <= s]
+    slot = dict(zip(c2, _cocycle_slot_vector(inner, s, cocycle, c2)))
+
+    basis = [("X", -1)] + [("Y%d" % i, -i) for i in range(1, s + 1)]
+    basis += [("Z%d" % j, deg[j]) for j in range(1, n)]
+    brackets = {(0, i): [(i + 1, Fraction(1))] for i in range(1, s)}
+
+    def base_terms(p, q):
+        out = []
+        for t, c in enumerate(inner.pair_bracket(p, q)):
+            if c != 0:
+                if t == 0:
+                    raise ValueError("base bracket has a transversal component")
+                out.append((s + t, c))
+        k = -(deg[p] + deg[q])
+        cval = slot.get((p, q), Fraction(0))
+        if cval != 0 and k <= s:
+            out.append((k, cval))
+        return sorted(out)
+
+    for p in range(n):
+        for q in range(p + 1, n):
+            terms = base_terms(p, q)
+            if terms:
+                brackets[(s + p if p else 0, s + q)] = terms
+
+    out = GNLA(base.name + "_ext", basis, brackets)
+    rep = validate(out)
+    if not rep.checks["jacobi"]:
+        triple = next(wit for kind, wit in rep.failures if kind == "jacobi")
+        raise JacobiViolation(triple)
+    return out
+
+
+def extension_outcome(build, data):
+    """The built algebra, or the exception type and Jacobi triple."""
+    try:
+        return build(data)
+    except JacobiViolation as exc:
+        return ("JacobiViolation", exc.triple)
+    except (DegreeViolation, ValueError) as exc:
+        return (type(exc).__name__,)
 
 
 def point():
@@ -162,6 +253,111 @@ def test_extension_internal_adaptation():
     assert built.labels[0] == "X"
     assert validate(built).structural_ok
     assert built.layer_dims() == (3, 2)
+
+
+def test_degree_violation_names_the_callers_labels():
+    """The slots are checked on the base as given, so a moved adapted
+    basis does not leak its internal labels into the message."""
+    a = heis3()
+    data = ExtensionData(base=a, covector_kernel=Subspace(3, [(1, 1, 0)]),
+                         transversal=(1, 0, 0), s=3,
+                         cocycle=Cochain2.from_dict(3, {(0, 1): (1, 0, 0)}))
+    with pytest.raises(DegreeViolation) as exc:
+        special_extension(data)
+    assert str(exc.value) == (
+        "value at (X, Y) must lie in the component of degree -2")
+
+
+def test_cocycle_pair_outside_the_base_is_rejected_on_a_moved_basis():
+    data = ExtensionData(base=heis3(),
+                         covector_kernel=Subspace(3, [(1, 1, 0)]),
+                         transversal=(1, 0, 0), s=3,
+                         cocycle=Cochain2.from_dict(3, {(1, 5): (0, 0, 1)}))
+    with pytest.raises(ValueError, match="outside the base"):
+        special_extension(data)
+
+
+def test_special_extension_matches_reference_on_decompositions():
+    """Rebuilding every decomposition of a catalog algebra, a signed
+    permutation of it or a random 2-step algebra gives the reference
+    extension, which is the adapted algebra."""
+    for a, w in witness_cases(9001):
+        d = decompose_special_extension(a, w)
+        data = ExtensionData.from_adapted_base(
+            d.quotient, len(d.ideal_basis), d.cocycle)
+        built = special_extension(data)
+        assert built == reference_special_extension(data) == d.adapted, a.name
+
+
+def random_moved_extension_data(rng, base):
+    """ExtensionData on a random hyperplane and transversal whose adapted
+    basis is not the identity.  The cocycle is an h2_0 combination plus
+    a coboundary, or random values that now and then sit in the wrong
+    component or below the module."""
+    n1 = base.layer_dim(1)
+    while True:
+        alpha = [rng.randint(-2, 2) for _ in range(n1)]
+        x = [rng.randint(-2, 2) for _ in range(n1)]
+        if any(alpha) and sum(u * v for u, v in zip(alpha, x)) != 0:
+            break
+    w = Subspace(base.dim, [base.embed_layer(1, v) for v in
+                            kernel_basis(Matrix([alpha])).basis])
+    x = base.embed_layer(1, x)
+    s = rng.choice((2, 3, 4))
+    deg = base.degrees
+    values = {}
+    if rng.random() < 0.5:
+        for rep in h2_0(base, w, s)[1]:
+            c = rng.randint(-2, 2)
+            for pq, val in rep.values:
+                old = values.get(pq, (0,) * s)
+                values[pq] = tuple(u + c * v for u, v in zip(old, val))
+        f = {p: rng.randint(-3, 3) for p in range(base.dim)
+             if -deg[p] <= s and rng.random() < 0.5}
+        for pq, val in coboundary(base, w, s, f, x).values:
+            old = values.get(pq, (0,) * s)
+            values[pq] = tuple(u + v for u, v in zip(old, val))
+    else:
+        for p in range(base.dim):
+            for q in range(p + 1, base.dim):
+                if rng.random() < 0.3:
+                    k = -(deg[p] + deg[q])
+                    if rng.random() < 0.1:
+                        k = rng.randint(1, s)
+                    if k <= s or rng.random() < 0.1:
+                        val = [0] * s
+                        val[min(k, s) - 1] = Fraction(rng.randint(-3, 3),
+                                                      rng.randint(1, 2))
+                        values[(p, q)] = val
+    return ExtensionData(base=base, covector_kernel=w, transversal=x, s=s,
+                         cocycle=Cochain2.from_dict(s, values))
+
+
+def test_special_extension_matches_reference_on_moved_bases():
+    """On random hyperplanes and transversals, built or rejected alike:
+    the same algebra, or the same exception and Jacobi triple."""
+    rng = random.Random(6007)
+    bases = [heis3(), catalog("heisenberg", dim=5), catalog("goursat", n=4),
+             catalog("mixedjet", k=2), catalog("nontrivial6"),
+             catalog("free2step3"), catalog("kgen", k=3),
+             catalog("from_pencil", blocks="M:1")]
+    kinds = {}
+    moved = 0
+    while moved < 120:
+        base = rng.choice(bases)
+        data = random_moved_extension_data(rng, base)
+        adapted = [data.transversal] + list(data.covector_kernel.basis)
+        if adapted == [base.basis_vector(p)
+                       for p in base.layer_positions(1)]:
+            continue
+        moved += 1
+        got = extension_outcome(special_extension, data)
+        assert got == extension_outcome(reference_special_extension, data)
+        kind = got[0] if isinstance(got, tuple) else "built"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.get("built", 0) >= 20, kinds
+    assert kinds.get("JacobiViolation", 0) >= 20, kinds
+    assert kinds.get("DegreeViolation", 0) >= 5, kinds
 
 
 def test_canonicalized_removes_coboundary_part():

@@ -10,6 +10,7 @@ from gnla.linalg import (
     _rref,
     add_vectors,
     frac,
+    independent_rows,
     intersect,
     kernel_basis,
     scale_vector,
@@ -106,6 +107,37 @@ def test_rref_core_matches_reference_gauss_jordan():
                 got, pivots = _rref(rows)
                 want, want_pivots = reference_rref(rows)
                 assert (got, list(pivots)) == (want, want_pivots)
+
+
+def reference_independent_rows(rows):
+    """Grow a Subspace one row at a time and keep the rows that raise
+    its dimension; the loop the basis completions ran before
+    independent_rows.  An oracle only."""
+    keep = []
+    acc = Subspace(len(rows[0]) if rows else 0, [])
+    for i, row in enumerate(rows):
+        grown = Subspace(acc.ambient_dim, list(acc.basis) + [row])
+        if grown.dim > acc.dim:
+            keep.append(i)
+            acc = grown
+    return keep
+
+
+def test_independent_rows_matches_growing_a_subspace():
+    rng = random.Random(31)
+    assert independent_rows([]) == []
+    assert independent_rows([[Fraction(0)] * 3] * 2) == []
+    for nrows, ncols in [(1, 1), (1, 5), (5, 1), (4, 9), (9, 4), (12, 12),
+                         (20, 6)]:
+        for max_den in (1, 7, 10 ** 6):
+            for density in (0.1, 0.4, 1.0):
+                rows = random_rational_rows(rng, nrows, ncols, max_den,
+                                            density)
+                if rng.random() < 0.3:
+                    rows.insert(rng.randrange(len(rows) + 1),
+                                [Fraction(0)] * ncols)
+                assert (independent_rows(rows)
+                        == reference_independent_rows(rows))
 
 
 def test_rref_of_a_prolongation_system_matches_sympy(monkeypatch):
