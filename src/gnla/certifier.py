@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd
+from math import gcd as _gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -165,6 +165,22 @@ def rank1_witness(a: GNLA, height_bound: int = 3) -> Optional[Vector]:
     return tuple(y)
 
 
+def _rank_one(rows) -> bool:
+    """Whether integer rows, produced one at a time, form a rank 1
+    matrix: some row is nonzero and every row is proportional to the
+    first nonzero one.  Stops at the first row that is not."""
+    first = None
+    for row in rows:
+        if first is None:
+            for p, lead in enumerate(row):
+                if lead:
+                    first = row
+                    break
+        elif any(x * lead != row[p] * f for x, f in zip(row, first)):
+            return False
+    return first is not None
+
+
 def rank1_in_span(mats: Sequence[Matrix],
                   height_bound: int = 2,
                   combo_budget: int = 30000) -> Optional[Vector]:
@@ -172,11 +188,20 @@ def rank1_in_span(mats: Sequence[Matrix],
 
     Tries single basis matrices, then pairs with small rational weights,
     then all {-1,0,1} combinations while the budget allows.  Returns the
-    coefficient vector or None (not a proof of absence).
+    coefficient vector or None (not a proof of absence).  The matrices
+    are scaled to integers by one common denominator and cut to the rows
+    and columns some matrix uses, so mats[i] + (n/d) mats[j] is tested
+    as the proportional d A_i + n A_j, one row at a time.
     """
     t = len(mats)
-    for i, m in enumerate(mats):
-        if m.rank() == 1:
+    den = lcm(*(x.denominator for m in mats for row in m.rows for x in row))
+    rows = sorted({r for m in mats for r, row in enumerate(m.rows) if any(row)})
+    cols = sorted({c for m in mats for row in m.rows
+                   for c, x in enumerate(row) if x})
+    ints = [[[m.rows[r][c].numerator * (den // m.rows[r][c].denominator)
+              for c in cols] for r in rows] for m in mats]
+    for i, m in enumerate(ints):
+        if _rank_one(m):
             coeffs = [Fraction(0)] * t
             coeffs[i] = Fraction(1)
             return tuple(coeffs)
@@ -184,8 +209,9 @@ def rank1_in_span(mats: Sequence[Matrix],
     for i in range(t):
         for j in range(i + 1, t):
             for q in ladder:
-                m = mats[i] + mats[j].scale(q)
-                if m.rank() == 1:
+                d, n = q.denominator, q.numerator
+                if _rank_one([d * x + n * y for x, y in zip(ri, rj)]
+                             for ri, rj in zip(ints[i], ints[j])):
                     coeffs = [Fraction(0)] * t
                     coeffs[i] = Fraction(1)
                     coeffs[j] = q
@@ -195,11 +221,10 @@ def rank1_in_span(mats: Sequence[Matrix],
             if all(s == 0 for s in signs) or next(
                     s for s in signs if s != 0) < 0:
                 continue
-            m = Matrix.zero(mats[0].nrows, mats[0].ncols)
-            for s, mat in zip(signs, mats):
-                if s:
-                    m = m + (mat if s > 0 else -mat)
-            if m.rank() == 1:
+            used = [(s, m) for s, m in zip(signs, ints) if s]
+            if _rank_one([sum(s * m[r][c] for s, m in used)
+                          for c in range(len(cols))]
+                         for r in range(len(rows))):
                 return tuple(Fraction(s) for s in signs)
     return None
 

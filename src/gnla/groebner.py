@@ -2,17 +2,20 @@
 
 Monomial order is graded reverse lexicographic throughout.  The reduced
 Groebner basis of an ideal is unique for a fixed order, so every verdict
-derived from it is reproducible.  Computation aborts with CapExceeded
-once an S-pair's lcm exceeds the degree cap; callers turn that into an
-inconclusive answer instead of a wrong one.
+derived from it is reproducible.  S-pairs wait in a heap, smallest lcm
+first, and pass the Gebauer-Moeller criteria (J. Symb. Comp. 6, 1988).
+Computation aborts with CapExceeded once a pair that survived them has
+an lcm beyond the degree cap; callers turn that into an inconclusive
+answer instead of a wrong one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import frac
@@ -37,7 +40,7 @@ class CapExceeded(Exception):
 class Polynomial:
     """A polynomial with Fraction coefficients in named variables."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_lead")
 
     def __init__(self, variables: Sequence[str],
                  terms: Optional[Dict[Exponent, object]] = None):
@@ -48,11 +51,13 @@ class Polynomial:
             if len(exp) != len(variables) or any(e < 0 for e in exp):
                 raise ValueError("bad exponent vector %r" % (exp,))
             c = frac(c)
-            if c != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
+            if exp in clean:
+                c += clean[exp]
+            clean[exp] = c
         clean = {e: c for e, c in clean.items() if c != 0}
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_lead", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -85,21 +90,32 @@ class Polynomial:
         return len(degrees) <= 1
 
     def leading(self) -> Tuple[Exponent, Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=grevlex_key)
-        return exp, self.terms[exp]
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            exp = max(self.terms, key=grevlex_key)
+            object.__setattr__(self, "_lead", (exp, self.terms[exp]))
+        return self._lead
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """The value at a point n_i/d, summed in integers: a term C/D of
+        degree k adds C * prod n_i^e_i * d^(top - k), over D * d^top."""
         point = [frac(p) for p in point]
-        total = Fraction(0)
+        d = lcm(*(x.denominator for x in point))
+        nums = [x.numerator * (d // x.denominator) for x in point]
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        top = self.total_degree()
+        powers = [d ** k for k in range(top, -1, -1)]
+        total = 0
         for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exp):
+            v = c.numerator * (den // c.denominator)
+            k = 0
+            for n, e in zip(nums, exp):
                 if e:
-                    v *= x ** e
-            total += v
-        return total
+                    v *= n ** e
+                    k += e
+            total += v * powers[k]
+        return Fraction(total, den * powers[0])
 
     def _binop(self, other, sign):
         if isinstance(other, Polynomial):
@@ -173,56 +189,61 @@ class Polynomial:
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+def _exp_add(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(map(add, a, b))
 
 
 def _exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _mul_monomial(p: Polynomial, exp: Exponent, coeff: Fraction) -> Polynomial:
-    return Polynomial(p.variables, {
-        tuple(a + b for a, b in zip(e, exp)): c * coeff
-        for e, c in p.terms.items()})
+    return tuple(map(max, a, b))
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Full multivariate division remainder of f by the given basis."""
+    """Full multivariate division remainder of f by the given basis.
+
+    Terms wait in a heap keyed by (-degree, reversed exponent), largest
+    in grevlex first; a key whose term has cancelled since is skipped.
+    """
     if f.is_zero():
         return f
-    leads = [(g.leading()[0], g.leading()[1], g) for g in basis
-             if not g.is_zero()]
+    leads = [g.leading() + (g.terms,) for g in basis if g.terms]
     work = dict(f.terms)
+    heap = [(-sum(e), e[::-1], e) for e in work]
+    heapify(heap)
     remainder: Dict[Exponent, Fraction] = {}
-    while work:
-        exp = max(work, key=grevlex_key)
-        coeff = work.pop(exp)
-        if coeff == 0:
+    while heap:
+        exp = heappop(heap)[2]
+        coeff = work.pop(exp, None)
+        if coeff is None:
             continue
-        hit = None
-        for lexp, lc, g in leads:
+        for lexp, lc, terms in leads:
             if _divides(lexp, exp):
-                hit = (lexp, lc, g)
                 break
-        if hit is None:
-            remainder[exp] = remainder.get(exp, Fraction(0)) + coeff
+        else:
+            remainder[exp] = coeff
             continue
-        lexp, lc, g = hit
         factor_exp = _exp_sub(exp, lexp)
         factor_coeff = coeff / lc
-        for e, c in g.terms.items():
+        for e, c in terms.items():
             if e == lexp:
                 continue
-            te = tuple(a + b for a, b in zip(e, factor_exp))
-            nv = work.get(te, Fraction(0)) - factor_coeff * c
-            if nv == 0:
-                work.pop(te, None)
+            te = _exp_add(e, factor_exp)
+            old = work.get(te)
+            if old is None:
+                work[te] = -factor_coeff * c
+                heappush(heap, (-sum(te), te[::-1], te))
             else:
-                work[te] = nv
+                nv = old - factor_coeff * c
+                if nv:
+                    work[te] = nv
+                else:
+                    del work[te]
     return Polynomial(f.variables, remainder)
 
 
@@ -249,19 +270,52 @@ def _primitive(p: Polynomial) -> Polynomial:
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     fe, fc = f.leading()
     ge, gc = g.leading()
-    lcm = _exp_lcm(fe, ge)
-    return (_mul_monomial(f, _exp_sub(lcm, fe), 1 / fc)
-            - _mul_monomial(g, _exp_sub(lcm, ge), 1 / gc))
+    m = _exp_lcm(fe, ge)
+    terms: Dict[Exponent, Fraction] = {}
+    for p, lexp, c in ((f, fe, 1 / fc), (g, ge, -1 / gc)):
+        shift = _exp_sub(m, lexp)
+        for e, v in p.terms.items():
+            te = _exp_add(e, shift)
+            terms[te] = terms.get(te, 0) + c * v
+    return Polynomial(f.variables, terms)
+
+
+def _update(pairs: list, leads: List[Exponent], t: Exponent) -> None:
+    """Add the pairs of a new element with leading exponent t to the
+    heap under the Gebauer-Moeller criteria, then append t to leads.
+    M: drop a new pair whose lcm is a proper multiple of another new lcm.
+    F: keep one new pair per lcm, none if one of them is coprime.
+    B: drop a queued pair when t divides its lcm and neither of its
+    elements has that same lcm with t."""
+    new = len(leads)
+    lcms = [_exp_lcm(s, t) for s in leads]
+    by_lcm: Dict[Exponent, List[int]] = {}
+    for i, m in enumerate(lcms):
+        by_lcm.setdefault(m, []).append(i)
+    survivors = []
+    for m, idx in by_lcm.items():
+        if any(sum(m) == sum(leads[i]) + sum(t) for i in idx):
+            continue
+        if any(o != m and _divides(o, m) for o in by_lcm):
+            continue
+        survivors.append((grevlex_key(m), idx[0], new, m))
+    pairs[:] = [p for p in pairs
+                if not (_divides(t, p[3]) and lcms[p[1]] != p[3]
+                        and lcms[p[2]] != p[3])] + survivors
+    heapify(pairs)
+    leads.append(t)
 
 
 def buchberger(generators: Sequence[Polynomial],
                degree_cap: int = 12) -> List[Polynomial]:
     """The reduced Groebner basis in grevlex order.
 
-    Normal selection strategy (smallest lcm first) with the coprime
-    leading term criterion; every new remainder is reduced to a
-    primitive integer form.  Raises CapExceeded when a surviving pair's
-    lcm degree passes degree_cap.
+    The generators, made primitive, enter one at a time through the
+    Gebauer-Moeller update, and so does every nonzero remainder.  Pairs
+    leave a heap smallest lcm first (ties by index); each S-polynomial
+    is reduced by the whole basis and a nonzero remainder is reduced to
+    a primitive integer form.  Raises CapExceeded when a pair that
+    survived the criteria comes out with an lcm degree past degree_cap.
     """
     basis = [_primitive(g) for g in generators if not g.is_zero()]
     if not basis:
@@ -270,69 +324,36 @@ def buchberger(generators: Sequence[Polynomial],
     if any(g.variables != variables for g in basis):
         raise ValueError("generators over different variable sets")
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    pairs: list = []
+    leads: List[Exponent] = []
+    for g in basis:
+        _update(pairs, leads, g.leading()[0])
     while pairs:
-        def pair_key(ij):
-            i, j = ij
-            lcm = _exp_lcm(basis[i].leading()[0], basis[j].leading()[0])
-            return (grevlex_key(lcm), i, j)
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        fe = basis[i].leading()[0]
-        ge = basis[j].leading()[0]
-        lcm = _exp_lcm(fe, ge)
-        if all(min(a, b) == 0 for a, b in zip(fe, ge)):
-            continue  # coprime leading terms reduce to zero
-        if sum(lcm) > degree_cap:
-            raise CapExceeded(sum(lcm))
+        _, i, j, m = heappop(pairs)
+        if sum(m) > degree_cap:
+            raise CapExceeded(sum(m))
         rem = normal_form(_spoly(basis[i], basis[j]), basis)
         if rem.is_zero():
             continue
         rem = _primitive(rem)
-        new_index = len(basis)
         basis.append(rem)
-        pairs.update((t, new_index) for t in range(new_index))
+        _update(pairs, leads, rem.leading()[0])
 
     return _interreduce(basis)
 
 
 def _interreduce(basis: List[Polynomial]) -> List[Polynomial]:
     # minimal: drop any element whose leading term another one divides
-    basis = [g for g in basis if not g.is_zero()]
-    keep: List[Polynomial] = []
     leads = [g.leading()[0] for g in basis]
-    for idx, g in enumerate(basis):
-        lt = leads[idx]
-        dominated = False
-        for jdx, other in enumerate(basis):
-            if jdx == idx:
-                continue
-            lo = leads[jdx]
-            if _divides(lo, lt) and (lo != lt or jdx < idx):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(g)
-    # reduced: every element fully reduced against the others
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(keep)):
-            rest = keep[:idx] + keep[idx + 1:]
-            red = normal_form(keep[idx], rest)
-            if red.is_zero():
-                keep.pop(idx)
-                changed = True
-                break
-            red = _primitive(red)
-            if red != keep[idx]:
-                keep[idx] = red
-                changed = True
-                break
+    keep = [g for idx, (g, lt) in enumerate(zip(basis, leads)) if not any(
+        _divides(lo, lt) and (lo != lt or jdx < idx)
+        for jdx, lo in enumerate(leads) if jdx != idx)]
+    # reduced: the leading terms of a minimal basis stay put under
+    # reduction by the others, so one pass reduces every tail fully
     out = []
-    for g in keep:
-        _, lc = g.leading()
-        out.append(g * (1 / lc))
+    for idx, g in enumerate(keep):
+        red = normal_form(g, keep[:idx] + keep[idx + 1:])
+        out.append(red * (1 / red.leading()[1]))
     out.sort(key=lambda g: grevlex_key(g.leading()[0]))
     return out
 

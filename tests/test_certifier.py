@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -94,6 +95,61 @@ def test_rank1_witness_matches_reference_loop():
         for height in (1, 3):
             assert (rank1_witness(a, height_bound=height)
                     == reference_rank1_witness(a, height)), (a.name, height)
+
+
+def reference_rank1_in_span(mats, height_bound=2, combo_budget=30000):
+    """Every candidate summed as a Fraction Matrix and tested by rank():
+    the loop rank1_in_span ran before its integer row test; an oracle
+    only."""
+    t = len(mats)
+    ladder = []
+    for d in range(1, height_bound + 1):
+        for n in range(1, height_bound + 1):
+            if gcd(n, d) == 1:
+                ladder += [Fraction(n, d), Fraction(-n, d)]
+    candidates = [(m, {i: 1}) for i, m in enumerate(mats)]
+    candidates += [(mats[i] + mats[j].scale(q), {i: 1, j: q})
+                   for i in range(t) for j in range(i + 1, t) for q in ladder]
+    for m, coeffs in candidates:
+        if m.rank() == 1:
+            return tuple(Fraction(coeffs.get(k, 0)) for k in range(t))
+    if t and 3 ** t <= combo_budget:
+        for signs in itertools.product((-1, 0, 1), repeat=t):
+            if any(signs) and next(s for s in signs if s) > 0:
+                m = Matrix.zero(mats[0].nrows, mats[0].ncols)
+                for s, mat in zip(signs, mats):
+                    m = m + mat.scale(s)
+                if m.rank() == 1:
+                    return tuple(Fraction(s) for s in signs)
+    return None
+
+
+def test_rank1_in_span_matches_reference_loop():
+    """Seeded spans of rational matrices with a rank 1 element planted
+    as a single matrix, as a pair with a rational weight, as a signed
+    sum of three, or not at all."""
+    rng = random.Random(6143)
+    values = [Fraction(0)] * 4 + [Fraction(n, d) for n in (-3, -1, 1, 2)
+                                  for d in (1, 2, 5)]
+    found = set()
+    for trial in range(160):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+
+        def rand():
+            return Matrix([[rng.choice(values) for _ in range(ncols)]
+                           for _ in range(nrows)])
+        u = [rng.choice(values) for _ in range(nrows)]
+        v = [rng.choice(values) for _ in range(ncols)]
+        r = Matrix([[x * y for y in v] for x in u])
+        b, c = rand(), rand()
+        q = Fraction(rng.choice((1, -1, 2, -2)), rng.choice((1, 2)))
+        mats = [[rand(), rand()], [rand(), r, rand()], [r - b.scale(q), b],
+                [b, c, r - b - c], [b, c, rand(), r + b - c]][trial % 5]
+        budget = rng.choice((0, 30000))
+        got = rank1_in_span(mats, height_bound=2, combo_budget=budget)
+        assert got == reference_rank1_in_span(mats, 2, budget), trial
+        found.add(None if got is None else sum(1 for x in got if x))
+    assert found >= {None, 1, 2, 3}
 
 
 def test_spencer_check_of_ad_span_agrees_with_minor_ideal():

@@ -3,16 +3,22 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
 
+import gnla.groebner
+from cases import catalog_algebras, random_two_step
 from gnla import (
     CapExceeded,
     Polynomial,
     PolynomialIdeal,
     buchberger,
     grevlex_key,
+    minor_ideal,
     normal_form,
     only_trivial_zero,
+    validate,
 )
+from gnla.groebner import _primitive
 
 VARS = ("x", "y", "z", "w")
 
@@ -237,3 +243,228 @@ def test_only_trivial_zero_against_point_search():
             checked += 1
             assert not otz, (gens, found)
     assert checked > 0
+
+
+def reference_normal_form(f, basis):
+    """Division remainder that finds the largest term left by a max()
+    over all of them at each step; an oracle only."""
+    leads = [g.leading() + (g,) for g in basis if not g.is_zero()]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        exp = max(work, key=grevlex_key)
+        coeff = work.pop(exp)
+        hit = next((h for h in leads
+                    if all(a <= b for a, b in zip(h[0], exp))), None)
+        if hit is None:
+            remainder[exp] = coeff
+            continue
+        lexp, lc, g = hit
+        shift = tuple(a - b for a, b in zip(exp, lexp))
+        for e, c in g.terms.items():
+            if e != lexp:
+                te = tuple(a + b for a, b in zip(e, shift))
+                work[te] = work.get(te, Fraction(0)) - coeff / lc * c
+                if work[te] == 0:
+                    del work[te]
+    return Polynomial(f.variables, remainder)
+
+
+def reference_buchberger(generators, degree_cap=12):
+    """The engine buchberger ran before its pair heap and the
+    Gebauer-Moeller criteria: every step scans all queued pairs for the
+    smallest lcm, skips a coprime pair, raises CapExceeded on any other
+    pair past the cap, and the interreduction repeats until nothing
+    changes.  An oracle only."""
+    basis = [_primitive(g) for g in generators if not g.is_zero()]
+
+    def lcm_of(i, j):
+        return tuple(max(a, b) for a, b in
+                     zip(basis[i].leading()[0], basis[j].leading()[0]))
+
+    def monomial(exp, c):
+        return Polynomial(basis[0].variables, {exp: c})
+
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (grevlex_key(lcm_of(*ij)),) + ij)
+        pairs.discard((i, j))
+        (fe, fc), (ge, gc) = basis[i].leading(), basis[j].leading()
+        lcm = lcm_of(i, j)
+        if sum(lcm) == sum(fe) + sum(ge):
+            continue
+        if sum(lcm) > degree_cap:
+            raise CapExceeded(sum(lcm))
+        s = (monomial(tuple(a - b for a, b in zip(lcm, fe)), 1 / fc)
+             * basis[i]
+             - monomial(tuple(a - b for a, b in zip(lcm, ge)), 1 / gc)
+             * basis[j])
+        rem = reference_normal_form(s, basis)
+        if not rem.is_zero():
+            basis.append(_primitive(rem))
+            pairs.update((t, len(basis) - 1) for t in range(len(basis) - 1))
+    keep = [g for k, g in enumerate(basis) if not any(
+        all(a <= b for a, b in zip(h.leading()[0], g.leading()[0]))
+        and (h.leading()[0] != g.leading()[0] or m < k)
+        for m, h in enumerate(basis) if m != k)]
+    changed = True
+    while changed:
+        changed = False
+        for k, g in enumerate(keep):
+            red = _primitive(reference_normal_form(g, keep[:k] + keep[k + 1:]))
+            if red != g:
+                keep[k] = red
+                changed = True
+                break
+    return sorted((g * (1 / g.leading()[1]) for g in keep),
+                  key=lambda g: grevlex_key(g.leading()[0]))
+
+
+def sympy_basis(gens):
+    """The reduced grevlex basis by sympy, each element divided by its
+    grevlex leading coefficient, as a set of term tuples."""
+    symbols = sympy.symbols(gens[0].variables)
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.Mul(*(v ** e for v, e in zip(symbols, exp)))
+                 for exp, c in g.terms.items()) for g in gens]
+    out = set()
+    for p in sympy.groebner(exprs, *symbols, order="grevlex",
+                            domain="QQ").polys:
+        lc = p.LC(order="grevlex")
+        out.add(tuple(sorted(
+            (exp, Fraction(int((c / lc).p), int((c / lc).q)))
+            for exp, c in p.terms(order="grevlex"))))
+    return out
+
+
+def assert_matches_sympy(gens, label, degree_cap=12):
+    gb = buchberger(gens, degree_cap=degree_cap)
+    assert {tuple(sorted(g.terms.items())) for g in gb} == sympy_basis(
+        gens), label
+    assert all(g.leading()[1] == 1 for g in gb), label
+
+
+def criterion9_ideals():
+    """The 20 random quadratic ideals of acceptance criterion 9: the
+    same seed and the same draws."""
+    rng = random.Random(97)
+    ideals = []
+    for _ in range(20):
+        nvars = rng.randint(1, 4)
+        variables = VARS[:nvars]
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for e in combinations_with_repetition(nvars):
+                c = rng.randint(-3, 3)
+                if c and rng.random() < 0.6:
+                    terms[e] = Fraction(c)
+            if terms:
+                gens.append(Polynomial(variables, terms))
+        if not gens:
+            x = Polynomial.variable(variables, 0)
+            gens = [x * x]
+        ideals.append(gens)
+    return ideals
+
+
+def test_buchberger_matches_sympy_on_random_ideals():
+    for t, gens in enumerate(criterion9_ideals()):
+        assert_matches_sympy(gens, t, degree_cap=20)
+
+
+def test_buchberger_matches_sympy_on_catalog_minor_ideals():
+    """Every nondegenerate catalog algebra and pencil with n1 <= 5."""
+    checked = 0
+    for a in catalog_algebras():
+        if a.layer_dim(1) > 5 or not validate(a).checks["nondegenerate"]:
+            continue
+        gens = [g for g in minor_ideal(a).generators if not g.is_zero()]
+        if gens:
+            assert_matches_sympy(gens, a.name)
+            checked += 1
+    assert checked >= 19
+
+
+def test_buchberger_matches_sympy_and_reference_on_random_two_step():
+    """Seeded random 2-step minor ideals: sympy's basis at the default
+    cap, and the old engine's basis or its CapExceeded at every cap."""
+    rng = random.Random(5003)
+    for k, n1 in enumerate((3, 4, 5) * 4):
+        gens = list(minor_ideal(random_two_step(rng, n1)).generators)
+        assert_matches_sympy(gens, k)
+        for cap in (2, 3, 4, 12):
+            try:
+                expected = reference_buchberger(gens, degree_cap=cap)
+            except CapExceeded as exc:
+                with pytest.raises(CapExceeded) as got:
+                    buchberger(gens, degree_cap=cap)
+                assert got.value.degree == exc.degree, (k, cap)
+            else:
+                assert buchberger(gens, degree_cap=cap) == expected, (k, cap)
+
+
+def test_buchberger_reduces_through_the_module_normal_form(monkeypatch):
+    """bench/tracer.py counts reductions by rebinding
+    gnla.groebner.normal_form; the pair loop and the interreduction
+    (one call per basis element) must both look that name up."""
+    calls = []
+
+    def counting(f, basis):
+        calls.append(len(basis))
+        return reference_normal_form(f, basis)
+
+    gens = criterion9_ideals()[3]
+    expected = buchberger(gens, degree_cap=20)
+    monkeypatch.setattr(gnla.groebner, "normal_form", counting)
+    assert buchberger(gens, degree_cap=20) == expected
+    assert len(calls) > len(expected)
+
+
+def test_leading_term_of_results_built_from_a_cached_polynomial():
+    x, y, z = (Polynomial.variable(VARS[:3], i) for i in range(3))
+    p = Fraction(1, 2) * x * y - 3 * z * z + y
+    q = -Fraction(1, 2) * x * y + x * x
+    assert p.leading() == ((1, 1, 0), Fraction(1, 2))
+    assert (-p).leading() == ((1, 1, 0), Fraction(-1, 2))
+    assert (p * 4).leading() == ((1, 1, 0), Fraction(2))
+    assert (p + q).leading() == ((2, 0, 0), Fraction(1))
+    assert _primitive(p).leading() == ((1, 1, 0), Fraction(1))
+    assert _primitive(-p).leading() == ((1, 1, 0), Fraction(1))
+    assert p == Polynomial(p.variables, dict(p.terms))
+    assert hash(p) == hash(Polynomial(p.variables, dict(p.terms)))
+
+
+def reference_evaluate(p, point):
+    """Term by term in Fractions; an oracle only."""
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        v = c
+        for x, e in zip(point, exp):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def test_evaluate_matches_fraction_loop():
+    rng = random.Random(61)
+    for nvars in (1, 2, 3, 4):
+        variables = VARS[:nvars]
+        polys = [Polynomial.zero(variables),
+                 Polynomial.constant(variables, Fraction(-7, 3))]
+        for _ in range(6):
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                e = tuple(rng.randint(0, 3) for _ in range(nvars))
+                terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            polys.append(Polynomial(variables, terms))
+        for p in polys:
+            for _ in range(8):
+                pt = tuple(Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                    rng.choice((1, 2, 7, rng.randint(1, 10 ** 6))))
+                           for _ in range(nvars))
+                assert p.evaluate(pt) == reference_evaluate(p, pt), (p, pt)
+            assert p.evaluate((0,) * nvars) == reference_evaluate(
+                p, (0,) * nvars)
+            assert p.evaluate(("1/2",) * nvars) == reference_evaluate(
+                p, (Fraction(1, 2),) * nvars)
