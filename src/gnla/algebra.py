@@ -247,19 +247,22 @@ def validate(a: GNLA) -> ValidationReport:
             grading_ok = False
             failures.append(("grading", (a.labels[i], a.labels[j])))
 
+    # [e_p, e_q] for every ordered pair, as stored terms with the sign
+    # of the order; a triple sums c * d over [e_p, e_q] = sum c e_m and
+    # [e_m, e_r] = sum d e_l
+    terms_of = dict(a.brackets)
+    for (i, j), terms in a.brackets.items():
+        terms_of[j, i] = tuple((k, -c) for k, c in terms)
     jacobi_ok = True
     for i in range(n):
-        ei = a.basis_vector(i)
         for j in range(i + 1, n):
-            ej = a.basis_vector(j)
             for k in range(j + 1, n):
-                ek = a.basis_vector(k)
-                total = bracket(a, a.pair_bracket(i, j), ek)
-                total = tuple(x + y for x, y in zip(
-                    total, bracket(a, a.pair_bracket(j, k), ei)))
-                total = tuple(x + y for x, y in zip(
-                    total, bracket(a, a.pair_bracket(k, i), ej)))
-                if not is_zero_vector(total):
+                total: Dict[int, Fraction] = {}
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, c in terms_of.get((p, q), ()):
+                        for l, d in terms_of.get((m, r), ()):
+                            total[l] = total.get(l, 0) + c * d
+                if any(total.values()):
                     jacobi_ok = False
                     failures.append(
                         ("jacobi", (a.labels[i], a.labels[j], a.labels[k])))

@@ -1,13 +1,16 @@
 """Finite versus infinite type certificates.
 
-The decision pipeline combines four routes, ordered so that cheap and
-checkable certificates come first: a degenerate algebra is infinite
+The decision pipeline follows the criterion of Doubrov-Radko (after
+Tanaka): a nondegenerate algebra has an infinite prolongation exactly
+when some nonzero x in the complexified degree -1 layer has rank ad x
+= 1.  The routes run in this order: a degenerate algebra is infinite
 outright (a central degree -1 witness is attached); a rational element
-y with rank ad y = 1 certifies infinite type constructively; a vanishing
-prolongation layer certifies finite type; and when neither rational
-search nor iteration settles it, the quadratic ideal of 2x2 minors of
-the generic adjoint matrix decides the existence of a rank 1 point over
-the algebraic closure.
+y with rank ad y = 1 certifies infinite type constructively; the
+quadratic ideal of 2x2 minors of the generic adjoint matrix decides the
+existence of a rank 1 point over the algebraic closure; and only when
+that ideal says finite (or hit its degree cap) does the prolongation
+iteration run, whose vanishing layer certifies finite type and gives
+the layer dimensions.
 
 Both questions about a span of matrices, a rational rank 1 element and
 a rank 1 point over the closure, have one implementation each:
@@ -89,24 +92,29 @@ def _minors(mats: Sequence[Matrix],
     cols = sorted({c for m in mats for row in m.rows
                    for c, e in enumerate(row) if e})
 
-    def entry(r: int, c: int) -> Polynomial:
-        terms = {}
-        for k, m in enumerate(mats):
-            if m[r, c] != 0:
-                exp = [0] * t
-                exp[k] = 1
-                terms[tuple(exp)] = m[r, c]
-        return Polynomial(variables, terms)
-
-    entries = {(r, c): entry(r, c) for r in rows for c in cols}
+    # entry (r, c) of the generic matrix as its linear terms (k, m_k[r, c]);
+    # the product of v_k and v_l has exponent monos[k][l]
+    entries = {(r, c): [(k, m.rows[r][c]) for k, m in enumerate(mats)
+                        if m.rows[r][c]]
+               for r in rows for c in cols}
+    monos = [[tuple(int(i == k) + int(i == l) for i in range(t))
+              for l in range(t)] for k in range(t)]
     seen = set()
     gens: List[Polynomial] = []
     for r1, r2 in itertools.combinations(rows, 2):
         for c1, c2 in itertools.combinations(cols, 2):
-            m = (entries[r1, c1] * entries[r2, c2]
-                 - entries[r1, c2] * entries[r2, c1])
-            if m.is_zero():
+            terms = {}
+            for left, right, sign in (
+                    (entries[r1, c1], entries[r2, c2], 1),
+                    (entries[r1, c2], entries[r2, c1], -1)):
+                for k, x in left:
+                    for l, y in right:
+                        e = monos[k][l]
+                        terms[e] = terms.get(e, 0) + sign * x * y
+            terms = {e: c for e, c in terms.items() if c}
+            if not terms:
                 continue
+            m = Polynomial._trusted(variables, terms)
             if m.leading()[1] < 0:
                 m = -m
             key = m.key()
@@ -389,9 +397,14 @@ def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
              degree_cap: int = 12) -> TypeVerdict:
     """Decide finite or infinite type, or report an honest inconclusive.
 
-    Pipeline: degenerate short-circuit, rational rank 1 witness search,
-    prolongation iteration, then the minor ideal over the closure.  A
-    Groebner cap abort surfaces as inconclusive with the reason noted.
+    Pipeline, in the order of the criterion that decides the type:
+    degenerate short-circuit, rational rank 1 witness search, then the
+    minor ideal over the closure, whose nontrivial zero means infinite
+    type (layer_dims stays None).  Only when the ideal has the trivial
+    zero alone, or hit its Groebner degree cap, does the prolongation
+    iteration run: to size the finite prolongation, or as the fallback
+    that a vanishing layer still settles.  A cap abort that the
+    iteration does not settle is inconclusive with the reason noted.
     """
     rep = validate(a)
     if not rep.structural_ok:
@@ -408,22 +421,23 @@ def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
         return TypeVerdict(kind="infinite", witness=w,
                            certificate="rational_witness")
 
+    ideal = PolynomialIdeal(minor_ideal(a).generators, degree_cap=degree_cap)
+    cap = None
+    try:
+        if not only_trivial_zero(ideal):
+            return TypeVerdict(kind="infinite", certificate="closure")
+    except CapExceeded as exc:
+        cap = exc.degree
+
     it = classify_by_iteration(a, max_degree=max_degree)
     if it.kind == "finite":
         return TypeVerdict(kind="finite", total_dim=it.total_dim,
                            layer_dims=it.layer_dims)
-
-    ideal = PolynomialIdeal(minor_ideal(a).generators, degree_cap=degree_cap)
-    try:
-        trivial = only_trivial_zero(ideal)
-    except CapExceeded as exc:
+    if cap is not None:
         return TypeVerdict(kind="inconclusive", layer_dims=it.layer_dims,
                            note="groebner degree cap exceeded at degree %d"
-                                % exc.degree,
+                                % cap,
                            cap_exceeded=True)
-    if not trivial:
-        return TypeVerdict(kind="infinite", certificate="closure",
-                           layer_dims=it.layer_dims)
     return TypeVerdict(
         kind="inconclusive", layer_dims=it.layer_dims,
         note="minor ideal certifies finite type over the closure, but no "

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import frac
+from .linalg import _reduced, frac
 
 Exponent = Tuple[int, ...]
 
@@ -61,6 +61,18 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _trusted(cls, variables: Tuple[str, ...],
+                 terms: Dict[Exponent, Fraction]) -> "Polynomial":
+        """A polynomial over terms the engine built clean: variables a
+        tuple, exponents tuples of its length, values nonzero Fractions.
+        Skips the validation of the public constructor."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_lead", None)
+        return p
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Polynomial":
@@ -123,8 +135,9 @@ class Polynomial:
                 raise ValueError("variable sets differ")
             terms = dict(self.terms)
             for e, c in other.terms.items():
-                terms[e] = terms.get(e, Fraction(0)) + sign * c
-            return Polynomial(self.variables, terms)
+                terms[e] = terms.get(e, 0) + sign * c
+            return Polynomial._trusted(
+                self.variables, {e: c for e, c in terms.items() if c})
         return self._binop(Polynomial.constant(self.variables, other), sign)
 
     def __add__(self, other):
@@ -134,7 +147,8 @@ class Polynomial:
         return self._binop(other, -1)
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(
+            self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -143,12 +157,13 @@ class Polynomial:
             terms: Dict[Exponent, Fraction] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-            return Polynomial(self.variables, terms)
+                    e = _exp_add(e1, e2)
+                    terms[e] = terms.get(e, 0) + c1 * c2
+            return Polynomial._trusted(
+                self.variables, {e: c for e, c in terms.items() if c})
         c = frac(other)
-        return Polynomial(self.variables,
-                          {e: c * v for e, v in self.terms.items()})
+        terms = {e: c * v for e, v in self.terms.items()} if c else {}
+        return Polynomial._trusted(self.variables, terms)
 
     def __rmul__(self, other):
         return self * other
@@ -244,7 +259,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
                     work[te] = nv
                 else:
                     del work[te]
-    return Polynomial(f.variables, remainder)
+    return Polynomial._trusted(f.variables, remainder)
 
 
 def _primitive(p: Polynomial) -> Polynomial:
@@ -277,7 +292,8 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
         for e, v in p.terms.items():
             te = _exp_add(e, shift)
             terms[te] = terms.get(te, 0) + c * v
-    return Polynomial(f.variables, terms)
+    return Polynomial._trusted(f.variables,
+                               {e: c for e, c in terms.items() if c})
 
 
 def _update(pairs: list, leads: List[Exponent], t: Exponent) -> None:
@@ -306,23 +322,37 @@ def _update(pairs: list, leads: List[Exponent], t: Exponent) -> None:
     leads.append(t)
 
 
+def _row_reduced(gens: List[Polynomial]) -> List[Polynomial]:
+    """The reduced row echelon basis of the span of the generators, with
+    the monomials as columns, largest in grevlex first: the same ideal,
+    with distinct leading terms, and no generator that is a linear
+    combination of the others."""
+    monos = sorted({e for g in gens for e in g.terms},
+                   key=grevlex_key, reverse=True)
+    cols, rows = _reduced([[g.terms.get(e, 0) for e in monos] for g in gens])
+    return [Polynomial._trusted(gens[0].variables, {
+        monos[j]: Fraction(v) for j, v in rows[c].items()}) for c in cols]
+
+
 def buchberger(generators: Sequence[Polynomial],
                degree_cap: int = 12) -> List[Polynomial]:
     """The reduced Groebner basis in grevlex order.
 
-    The generators, made primitive, enter one at a time through the
-    Gebauer-Moeller update, and so does every nonzero remainder.  Pairs
+    The generators are row reduced as vectors over the monomials; made
+    primitive, the rows enter one at a time through the Gebauer-Moeller
+    update, and so does every nonzero remainder.  Pairs
     leave a heap smallest lcm first (ties by index); each S-polynomial
     is reduced by the whole basis and a nonzero remainder is reduced to
     a primitive integer form.  Raises CapExceeded when a pair that
     survived the criteria comes out with an lcm degree past degree_cap.
     """
-    basis = [_primitive(g) for g in generators if not g.is_zero()]
-    if not basis:
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
         return []
-    variables = basis[0].variables
-    if any(g.variables != variables for g in basis):
+    variables = gens[0].variables
+    if any(g.variables != variables for g in gens):
         raise ValueError("generators over different variable sets")
+    basis = [_primitive(g) for g in _row_reduced(gens)]
 
     pairs: list = []
     leads: List[Exponent] = []

@@ -2,14 +2,15 @@
 
 Every catalog family at growing parameters, the skew pencils with
 pinned h0 dimensions, a seeded generator of random nondegenerate 2-step
-algebras, seeded signed permutations of a basis, and the algebras of
-all three kinds that carry a rational rank 1 witness.
+algebras, seeded signed permutations of a basis, the algebras of all
+three kinds that carry a rational rank 1 witness, and seeded random
+block basis changes.
 """
 
 import random
 from fractions import Fraction
 
-from gnla import GNLA, catalog, change_basis, rank1_witness, validate
+from gnla import GNLA, Matrix, catalog, change_basis, rank1_witness, validate
 
 CATALOG_CASES = (
     [("goursat", {"n": n}) for n in range(2, 9)]
@@ -78,3 +79,18 @@ def witness_cases(seed):
             if w is not None:
                 cases.append((a, w))
     return cases
+
+
+def full_block_change(rng, a):
+    """a in a random homogeneous basis: one random invertible block per
+    layer, entries in [-2, 2], with no row forced to be a witness."""
+    vecs = []
+    for i in range(1, a.depth + 1):
+        k = a.layer_dim(i)
+        while True:
+            block = [[Fraction(rng.randint(-2, 2)) for _ in range(k)]
+                     for _ in range(k)]
+            if Matrix(block).det() != 0:
+                break
+        vecs += [a.embed_layer(i, row) for row in block]
+    return change_basis(a, vecs, ["U%d" % p for p in range(a.dim)])

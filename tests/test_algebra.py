@@ -3,6 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from cases import (
+    catalog_algebras,
+    full_block_change,
+    random_two_step,
+    signed_permutation,
+)
 from gnla import (
     GNLA,
     Subspace,
@@ -245,3 +251,58 @@ def test_quotient_needs_complement():
     ideal = Subspace(3, [(0, 0, 1)])
     with pytest.raises(ValueError):
         quotient(a, ideal, [(1, 0, 0)], ["X"])
+
+
+def reference_jacobi_failures(a):
+    """The dense Jacobi loop of validate before the sparse one: three
+    bracket calls over full vectors per basis triple."""
+    n = a.dim
+    out = []
+    for i in range(n):
+        ei = a.basis_vector(i)
+        for j in range(i + 1, n):
+            ej = a.basis_vector(j)
+            for k in range(j + 1, n):
+                ek = a.basis_vector(k)
+                total = bracket(a, a.pair_bracket(i, j), ek)
+                total = tuple(x + y for x, y in zip(
+                    total, bracket(a, a.pair_bracket(j, k), ei)))
+                total = tuple(x + y for x, y in zip(
+                    total, bracket(a, a.pair_bracket(k, i), ej)))
+                if any(total):
+                    out.append(
+                        ("jacobi", (a.labels[i], a.labels[j], a.labels[k])))
+    return out
+
+
+def perturbed(rng, a):
+    """a with one stored coefficient moved by 1: same grading, and in a
+    dense basis of a deep algebra Jacobi breaks on many triples."""
+    brackets = dict(a.brackets)
+    (i, j), terms = rng.choice(sorted(brackets.items()))
+    brackets[i, j] = [(k, c + (n == 0)) for n, (k, c) in enumerate(terms)]
+    return GNLA(a.name + "_perturbed", list(zip(a.labels, a.degrees)),
+                brackets)
+
+
+def test_sparse_jacobi_matches_reference_loop():
+    rng = random.Random(83)
+    algebras = catalog_algebras()
+    algebras += [signed_permutation(rng, a) for a in algebras[:20]]
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 4]
+    # in a dense basis every cyclic term of a deep algebra is nonzero
+    deep = [full_block_change(rng, a) for a in algebras[:23]
+            if a.depth >= 3 and a.dim <= 12]
+    algebras += deep + [perturbed(rng, a) for a in deep]
+    algebras.append(GNLA("bad", [("X", -1), ("Z1", -1), ("Z2", -2),
+                                 ("Z3", -3), ("Z4", -4)],
+                         {(0, 1): [(2, 1)], (0, 2): [(3, 1)],
+                          (0, 3): [(4, 1)], (1, 2): [(3, 1)]}))
+    broken = 0
+    for a in algebras:
+        rep = validate(a)
+        want = reference_jacobi_failures(a)
+        assert [f for f in rep.failures if f[0] == "jacobi"] == want, a.name
+        assert rep.checks["jacobi"] == (not want), a.name
+        broken += bool(want)
+    assert broken >= len(deep) // 2

@@ -5,13 +5,21 @@ from math import gcd
 
 import pytest
 
-from cases import catalog_algebras, random_two_step, witness_cases
+from cases import (
+    PENCIL_BLOCKS,
+    catalog_algebras,
+    full_block_change,
+    random_two_step,
+    signed_permutation,
+    witness_cases,
+)
 from gnla import (
     GNLA,
     Cochain2,
     ExtensionData,
     Matrix,
     MatrixSubspace,
+    Polynomial,
     Subspace,
     WitnessInvalid,
     ad_matrix,
@@ -20,6 +28,7 @@ from gnla import (
     change_basis,
     classify,
     decompose_special_extension,
+    h0,
     kernel_basis,
     layer,
     leibniz_failures,
@@ -34,6 +43,7 @@ from gnla import (
     spencer_subspace_check,
     validate,
 )
+from gnla.certifier import _minors
 
 
 def closure_example():
@@ -494,3 +504,90 @@ def test_classify_is_stable_under_basis_change_on_the_catalog():
             assert d.adapted.layer_dims() == a.layer_dims(), a.name
         checked += 1
     assert checked >= 25
+
+
+def reference_minors(mats, prefix):
+    """The minor builder before the direct one: each 2x2 minor as a
+    product of linear Polynomials."""
+    t = len(mats)
+    variables = tuple("%s%d" % (prefix, k + 1) for k in range(t))
+    rows = sorted({r for m in mats for r, row in enumerate(m.rows) if any(row)})
+    cols = sorted({c for m in mats for row in m.rows
+                   for c, e in enumerate(row) if e})
+
+    def entry(r, c):
+        terms = {}
+        for k, m in enumerate(mats):
+            if m[r, c] != 0:
+                exp = [0] * t
+                exp[k] = 1
+                terms[tuple(exp)] = m[r, c]
+        return Polynomial(variables, terms)
+
+    entries = {(r, c): entry(r, c) for r in rows for c in cols}
+    seen = set()
+    gens = []
+    for r1, r2 in itertools.combinations(rows, 2):
+        for c1, c2 in itertools.combinations(cols, 2):
+            m = (entries[r1, c1] * entries[r2, c2]
+                 - entries[r1, c2] * entries[r2, c1])
+            if m.is_zero():
+                continue
+            if m.leading()[1] < 0:
+                m = -m
+            if m.key() not in seen:
+                seen.add(m.key())
+                gens.append(m)
+    return variables, gens
+
+
+def test_minors_match_reference_builder():
+    """Same variables, same generators in the same order, on the degree
+    -1 ad spans of the catalog, the pencils, their signed permutations
+    and seeded random 2-step algebras, and on a few h0 spans."""
+    rng = random.Random(89)
+    algebras = catalog_algebras()
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 4]
+    spans = [[ad_matrix(a, a.basis_vector(p)).matrix
+              for p in a.layer_positions(1)] for a in algebras]
+    spans += [h0(catalog(name, **params)).basis for name, params in (
+        ("heisenberg", {"dim": 3}), ("goursat", {"n": 4}),
+        ("free2step3", {}), ("from_pencil", {"blocks": "F:2"}))]
+    for mats in spans:
+        want_vars, want = reference_minors(mats, "y")
+        got_vars, got = _minors(mats, "y")
+        assert got_vars == want_vars
+        assert [g.terms for g in got] == [g.terms for g in want]
+        assert [str(g) for g in got] == [str(g) for g in want]
+
+
+def test_classify_closure_example_at_default_budgets():
+    """The minor ideal settles the closure verdict before any layer is
+    built, so no layer dims come with it."""
+    v = classify(closure_example())
+    assert (v.kind, v.certificate) == ("infinite", "closure")
+    assert v.layer_dims is None
+    assert v.total_dim is None and v.witness is None
+
+
+def test_pencils_stay_infinite_under_full_block_changes():
+    """Every catalog pencil with dim <= 12 is infinite (the paper's
+    metabelian theorem), whatever rank 1 directions a dense basis hides
+    from the rational search; a rational witness has rank 1."""
+    rng = random.Random(97)
+    closure = 0
+    for blocks in PENCIL_BLOCKS:
+        a = catalog("from_pencil", blocks=blocks)
+        if a.dim > 12:
+            continue
+        b = full_block_change(rng, a)
+        v = classify(b)
+        assert v.kind == "infinite", blocks
+        if v.certificate == "rational_witness":
+            assert ad_matrix(b, v.witness).rank == 1, blocks
+        else:
+            assert v.certificate == "closure", blocks
+            assert v.layer_dims is None, blocks
+            closure += 1
+    assert closure >= 6

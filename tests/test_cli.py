@@ -376,3 +376,28 @@ def test_run_usage_errors(capsys):
 def test_run_version(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out.startswith("gnla ")
+
+
+CLOSURE_DOC = """\
+algebra closure_example
+basis X1:-1 X2:-1 X3:-1 X4:-1 W1:-2 W2:-2
+bracket [X1,X2] = 3 W1 + 3 W2
+bracket [X1,X3] = -3 W1 + -3 W2
+bracket [X1,X4] = -3 W1 + -1 W2
+bracket [X2,X3] = 3 W1 + -2 W2
+bracket [X2,X4] = 2 W1 + 3 W2
+bracket [X3,X4] = 2 W1 + 3 W2
+"""
+
+
+def test_run_classify_closure_verdict_has_no_layers(tmp_path, capsys):
+    f = write(tmp_path, "closure.alg", CLOSURE_DOC)
+    assert run(["classify", f]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: infinite" in out
+    assert "layers:" not in out
+    assert run(["classify", f, "--json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["verdict"]["kind"] == "infinite"
+    assert d["verdict"]["witness"] is None
+    assert d["verdict"]["layers"] is None

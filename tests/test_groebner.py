@@ -468,3 +468,33 @@ def test_evaluate_matches_fraction_loop():
                 p, (0,) * nvars)
             assert p.evaluate(("1/2",) * nvars) == reference_evaluate(
                 p, (Fraction(1, 2),) * nvars)
+
+
+def test_engine_builds_only_clean_terms(monkeypatch):
+    """Every polynomial built past the validating constructor (sums,
+    products, S-polynomials, remainders, primitive forms, row reduction,
+    minors) is what Polynomial(...) makes of the same terms: no zero
+    coefficient, Fraction values, exponents of the right length."""
+    made = []
+    trusted = Polynomial._trusted.__func__
+
+    def recording(cls, variables, terms):
+        p = trusted(cls, variables, terms)
+        made.append(p)
+        return p
+
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(recording))
+    rng = random.Random(101)
+    for gens in criterion9_ideals():
+        buchberger(gens, degree_cap=20)
+    for n1 in (3, 4, 5):
+        buchberger(minor_ideal(random_two_step(rng, n1)).generators)
+    for _ in range(10):
+        f, g = random_quadratic(rng, 3), random_quadratic(rng, 3)
+        f * g, f + g, f - f, -f, f * 0, 2 * f
+    assert len(made) > 400
+    for p in made:
+        assert isinstance(p.variables, tuple)
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert all(len(e) == len(p.variables) for e in p.terms)
+        assert p.terms == Polynomial(p.variables, p.terms).terms
