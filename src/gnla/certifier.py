@@ -124,6 +124,22 @@ def _minors(mats: Sequence[Matrix],
     return variables, gens
 
 
+def _degree1_ads(a: GNLA) -> List[Matrix]:
+    """The ad matrices of the degree -1 basis vectors, declaration order."""
+    return [ad_matrix(a, a.basis_vector(p)).matrix
+            for p in a.layer_positions(1)]
+
+
+def _minor_generators(ads: Sequence[Matrix]) -> List[Polynomial]:
+    """The generators of the minor ideal of the degree -1 ad matrices."""
+    variables, gens = _minors(ads, "y")
+    if not gens:
+        # keep the ambient variables visible: the zero ideal in n >= 1
+        # variables vanishes everywhere, so only_trivial_zero says False
+        gens = [Polynomial.zero(variables)]
+    return gens
+
+
 def minor_ideal(a: GNLA) -> PolynomialIdeal:
     """The ideal of 2x2 minors of ad(sum y_i e_i), e_i the degree -1 basis.
 
@@ -132,14 +148,7 @@ def minor_ideal(a: GNLA) -> PolynomialIdeal:
     type.  All generators are homogeneous quadratics in y_1..y_n, built
     by the same minor builder as spencer_subspace_check.
     """
-    variables, gens = _minors(
-        [ad_matrix(a, a.basis_vector(p)).matrix
-         for p in a.layer_positions(1)], "y")
-    if not gens:
-        # keep the ambient variables visible: the zero ideal in n >= 1
-        # variables vanishes everywhere, so only_trivial_zero says False
-        gens = [Polynomial.zero(variables)]
-    return PolynomialIdeal(gens)
+    return PolynomialIdeal(_minor_generators(_degree1_ads(a)))
 
 
 def _rational_ladder(height: int) -> List[Fraction]:
@@ -161,14 +170,18 @@ def rank1_witness(a: GNLA, height_bound: int = 3) -> Optional[Vector]:
     with the rational q of bounded height.  The enumeration is
     deterministic; a None answer is not a proof of absence.
     """
-    pos1 = list(reversed(a.layer_positions(1)))
-    coeffs = rank1_in_span(
-        [ad_matrix(a, a.basis_vector(p)).matrix for p in pos1],
-        height_bound=height_bound, combo_budget=0)
+    return _rank1_witness(a, _degree1_ads(a), height_bound)
+
+
+def _rank1_witness(a: GNLA, ads: Sequence[Matrix],
+                   height_bound: int) -> Optional[Vector]:
+    """rank1_witness over the given degree -1 ad matrices."""
+    coeffs = rank1_in_span(ads[::-1], height_bound=height_bound,
+                           combo_budget=0)
     if coeffs is None:
         return None
     y = [Fraction(0)] * a.dim
-    for p, c in zip(pos1, coeffs):
+    for p, c in zip(reversed(a.layer_positions(1)), coeffs):
         y[p] = c
     return tuple(y)
 
@@ -416,12 +429,14 @@ def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
                            witness=dict(rep.failures)["nondegenerate"][0],
                            certificate="central_witness")
 
-    w = rank1_witness(a, height_bound=height_bound)
+    # the witness search and the minor ideal read the same ad matrices
+    ads = _degree1_ads(a)
+    w = _rank1_witness(a, ads, height_bound)
     if w is not None:
         return TypeVerdict(kind="infinite", witness=w,
                            certificate="rational_witness")
 
-    ideal = PolynomialIdeal(minor_ideal(a).generators, degree_cap=degree_cap)
+    ideal = PolynomialIdeal(_minor_generators(ads), degree_cap=degree_cap)
     cap = None
     try:
         if not only_trivial_zero(ideal):

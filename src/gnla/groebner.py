@@ -425,6 +425,12 @@ def only_trivial_zero(ideal: PolynomialIdeal) -> bool:
     finite exactly when it is contained in {0}.  Decided by the standard
     criterion: the ideal is zero-dimensional iff every variable appears
     as a pure power among the leading terms of the Groebner basis.
+
+    The leading terms of the row-reduced generators lie in the leading
+    term ideal already, so when they hold a pure power of every variable
+    the answer is True without the S-pair loop.  That shortcut works in
+    the generators' own degrees and is taken only when those are within
+    the degree cap.
     """
     gens = [g for g in ideal.generators if not g.is_zero()]
     for g in gens:
@@ -433,11 +439,19 @@ def only_trivial_zero(ideal: PolynomialIdeal) -> bool:
     nvars = len(ideal.variables)
     if not gens:
         return nvars == 0
+    if (max(g.total_degree() for g in gens) <= ideal.degree_cap
+            and _covers_every_variable(_row_reduced(gens), nvars)):
+        return True
     gb = ideal.groebner()
     if any(g.is_constant() for g in gb):
         return True  # unit ideal, empty zero set
+    return _covers_every_variable(gb, nvars)
+
+
+def _covers_every_variable(polys: Sequence[Polynomial], nvars: int) -> bool:
+    """Whether the leading terms include a pure power of every variable."""
     covered = set()
-    for g in gb:
+    for g in polys:
         exp, _ = g.leading()
         support = [i for i, e in enumerate(exp) if e > 0]
         if len(support) == 1:

@@ -61,9 +61,10 @@ def is_zero_vector(v: Vector) -> bool:
 
 
 def _integer_row(row):
-    """A row as ({col: int} without zeros, s): the dict is s times the row,
-    s the lcm of its denominators."""
-    entries = [(j, e) for j, e in enumerate(row) if e]
+    """A row, dense or {col: value}, as ({col: int} without zeros, s): the
+    dict is s times the row, s the lcm of its denominators."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    entries = [(j, e) for j, e in items if e]
     if not entries:
         return {}, 1
     s = lcm(*[e.denominator for _, e in entries])
@@ -147,10 +148,12 @@ def _reduced(rows):
     return cols, pivots
 
 
-def _rref(rows):
-    """The unique RREF of the row space of a list of rows, as
-    (rows, pivot columns): dense Fraction rows, zero rows dropped."""
-    ncols = len(rows[0]) if rows else 0
+def _rref(rows, ncols=None):
+    """The unique RREF of the row space of a list of rows, dense or
+    {col: value}, as (rows, pivot columns): dense Fraction rows of ncols
+    entries (by default the width of the first row), zero rows dropped."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     cols, reduced = _reduced(rows)
     zero = Fraction(0)
     out = []
@@ -181,6 +184,15 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def _trusted(cls, rows: Tuple[Vector, ...]) -> "Matrix":
+        """A matrix from equal-length tuples of Fractions, taken as is."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", len(rows[0]) if rows else 0)
+        return m
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
@@ -336,6 +348,14 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
+    def _trusted(cls, ambient_dim: int, rref_rows) -> "Subspace":
+        """A subspace from the rows of an RREF, Fractions already."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient_dim", ambient_dim)
+        object.__setattr__(s, "basis", tuple(tuple(r) for r in rref_rows))
+        return s
+
+    @classmethod
     def zero(cls, n: int) -> "Subspace":
         return cls(n, ())
 
@@ -387,20 +407,28 @@ class Subspace:
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """The solution space {v : Mv = 0} with its RREF basis."""
-    _, reduced = _reduced(m.rows)
-    n = m.ncols
-    zero, one = Fraction(0), Fraction(1)
-    free = {j: [zero] * n for j in range(n) if j not in reduced}
-    for j, v in free.items():
-        v[j] = one
+def _kernel(rows, ncols: int) -> Subspace:
+    """The solution space of a system in ncols unknowns, rows dense or
+    {col: value}, with its RREF basis.
+
+    Each free column j gives the kernel vector e_j - sum_c (r_c[j] / lead)
+    e_c over the reduced rows r_c; those vectors go back through the core,
+    as sparse rows, to reach the RREF of their span.
+    """
+    _, reduced = _reduced(rows)
+    free = {j: {j: 1} for j in range(ncols) if j not in reduced}
     for c, r in reduced.items():
         lead = r[c]
         for j, w in r.items():
             if j != c:
                 free[j][c] = Fraction(-w, lead)
-    return Subspace(n, list(free.values()))
+    basis, _ = _rref(list(free.values()), ncols)
+    return Subspace._trusted(ncols, basis)
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """The solution space {v : Mv = 0} with its RREF basis."""
+    return _kernel(m.rows, m.ncols)
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:

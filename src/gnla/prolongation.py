@@ -8,7 +8,10 @@ identity phi([x,y]) = [phi(x), y] + [x, phi(y)] over all basis pairs,
 where a bracket whose left slot sits in a non-negative layer is map
 application.  Each layer is the kernel of one global linear system over
 the flattened block entries, normalized to RREF so that dimensions and
-bases are reproducible.
+bases are reproducible.  The system stays sparse from assembly to the
+layer basis: its rows are {unknown: value} dicts, built from action
+columns cached once per (degree, basis vector), and go straight into the
+elimination core of linalg, which hands back the kernel's RREF rows.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _kernel,
     kernel_basis,
-    zero_vector,
 )
 
 
@@ -135,7 +138,9 @@ def prolong_layer(a: GNLA, k: int,
     The unknowns are the entries of all blocks of a candidate map; each
     basis pair (e_p, e_q) contributes the rows of
     phi([e_p,e_q]) - [phi(e_p), e_q] - [e_p, phi(e_q)] = 0
-    expressed in the target of degree k - deg_p - deg_q.
+    expressed in the target of degree k - deg_p - deg_q.  Each row is a
+    sparse {unknown: value} dict; the three terms never write the same
+    unknown of a row, since they read different blocks or columns.
     """
     if k < 0:
         raise ValueError("prolongation layers start at degree 0")
@@ -145,42 +150,51 @@ def prolong_layer(a: GNLA, k: int,
     mu = a.depth
     shapes = _block_shapes(a, lower, k)
     offsets = {}
+    srcs = {}
     total = 0
     for i, tgt, src in shapes:
         offsets[i] = total
+        srcs[i] = src
         total += tgt * src
-    shape_by_layer = {i: (tgt, src) for i, tgt, src in shapes}
+    if total == 0:
+        return ProlongationLayer(degree=k, maps=())
+    # the coordinate of each basis position within its layer
+    index = {p: x for i in range(1, mu + 1)
+             for x, p in enumerate(a.layer_positions(i))}
 
-    def unknown_index(i: int, r: int, c: int) -> int:
-        tgt, src = shape_by_layer[i]
-        return offsets[i] + r * src + c
+    def bracket_terms(p: int, q: int, t: int) -> List[Tuple[int, Fraction]]:
+        """[e_p, e_q] as nonzero (coordinate, value) pairs in layer t."""
+        if p < q:
+            terms, sign = a.brackets.get((p, q), ()), 1
+        else:
+            terms, sign = a.brackets.get((q, p), ()), -1
+        return [(index[r], sign * c) for r, c in terms if a.degrees[r] == -t]
 
     # For [phi(e_p), e_q] with phi(e_p) in the graded piece of degree d,
-    # the action on e_q is linear in the coordinates of phi(e_p); its
-    # matrix has one column per coordinate of that piece.
-    def action_matrix(d: int, q_pos: int) -> List[Vector]:
-        """Columns: image of e_q under the r-th coordinate direction of
-        the degree d piece, written in the degree d - deg(e_q) target."""
-        j = -a.degrees[q_pos]
-        tgt = _target_dim(a, lower, d - j)
-        cols = []
-        if d < 0:
-            src_layer = -d
-            for p in a.layer_positions(src_layer):
-                val = a.pair_bracket(p, q_pos)
-                cols.append(a.layer_coordinates(j - d, val)
-                            if tgt else ())
-        else:
-            q_idx = a.layer_positions(j).index(q_pos)
-            for psi in lower[d].maps:
-                b = psi.block(j)
-                if b is None or b.nrows == 0:
-                    cols.append(zero_vector(tgt))
-                else:
-                    cols.append(b.column(q_idx))
+    # the action on e_q is linear in the coordinates of phi(e_p).
+    actions: Dict[Tuple[int, int], List[List[Tuple[int, Fraction]]]] = {}
+
+    def action(d: int, q: int) -> List[List[Tuple[int, Fraction]]]:
+        """One column per coordinate direction of the degree d piece: the
+        image of e_q, as nonzero (row, value) pairs in the degree
+        d - deg(e_q) target."""
+        cols = actions.get((d, q))
+        if cols is None:
+            j = -a.degrees[q]
+            if d < 0:
+                cols = [bracket_terms(p, q, j - d)
+                        for p in a.layer_positions(-d)]
+            else:
+                cols = []
+                x = index[q]
+                for psi in lower[d].maps:
+                    b = psi.block(j)
+                    cols.append([] if b is None else [
+                        (r, row[x]) for r, row in enumerate(b.rows) if row[x]])
+            actions[d, q] = cols
         return cols
 
-    rows: List[List[Fraction]] = []
+    rows: List[Dict[int, Fraction]] = []
     for p in range(n):
         i = -a.degrees[p]
         for q in range(p + 1, n):
@@ -191,58 +205,40 @@ def prolong_layer(a: GNLA, k: int,
             tdim = _target_dim(a, lower, tdeg)
             if tdim == 0:
                 continue
-            block_rows = [[Fraction(0)] * total for _ in range(tdim)]
-            touched = False
+            block: List[Dict[int, Fraction]] = [{} for _ in range(tdim)]
 
             # phi([e_p, e_q]) term
-            if i + j <= mu and (i + j) in shape_by_layer:
-                w = a.layer_coordinates(i + j, a.pair_bracket(p, q))
-                for c_idx, wc in enumerate(w):
-                    if wc == 0:
-                        continue
-                    touched = True
+            if i + j in offsets:
+                off, src = offsets[i + j], srcs[i + j]
+                for c, w in bracket_terms(p, q, i + j):
                     for r in range(tdim):
-                        block_rows[r][unknown_index(i + j, r, c_idx)] += wc
+                        block[r][off + r * src + c] = w
 
             # -[phi(e_p), e_q] term: phi(e_p) is the p-column of block i
-            if i in shape_by_layer:
-                d = k - i
-                cols = action_matrix(d, q)
-                p_idx = a.layer_positions(i).index(p)
-                for r_src, col in enumerate(cols):
-                    for r, v in enumerate(col):
-                        if v != 0:
-                            touched = True
-                            block_rows[r][unknown_index(i, r_src, p_idx)] -= v
+            if i in offsets:
+                off, src = offsets[i] + index[p], srcs[i]
+                for r_src, col in enumerate(action(k - i, q)):
+                    for r, v in col:
+                        block[r][off + r_src * src] = -v
 
             # -[e_p, phi(e_q)] = +[phi(e_q), e_p] term
-            if j in shape_by_layer:
-                d = k - j
-                cols = action_matrix(d, p)
-                q_idx = a.layer_positions(j).index(q)
-                for r_src, col in enumerate(cols):
-                    for r, v in enumerate(col):
-                        if v != 0:
-                            touched = True
-                            block_rows[r][unknown_index(j, r_src, q_idx)] += v
+            if j in offsets:
+                off, src = offsets[j] + index[q], srcs[j]
+                for r_src, col in enumerate(action(k - j, p)):
+                    for r, v in col:
+                        block[r][off + r_src * src] = v
 
-            if touched:
-                rows.extend(block_rows)
+            if any(block):
+                rows.extend(block)
 
-    if total == 0:
-        return ProlongationLayer(degree=k, maps=())
-    if rows:
-        sol = kernel_basis(Matrix(rows))
-    else:
-        sol = Subspace.full(total)
-
+    sol = _kernel(rows, total)
     maps = []
     for flat in sol.basis:
         blocks = {}
         for i, tgt, src in shapes:
             off = offsets[i]
-            blocks[i] = Matrix([flat[off + r * src: off + (r + 1) * src]
-                                for r in range(tgt)])
+            blocks[i] = Matrix._trusted(tuple(
+                flat[off + r * src: off + (r + 1) * src] for r in range(tgt)))
         maps.append(GradedMap(degree=k, blocks=blocks))
     return ProlongationLayer(degree=k, maps=tuple(maps))
 

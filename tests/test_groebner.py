@@ -12,6 +12,7 @@ from gnla import (
     Polynomial,
     PolynomialIdeal,
     buchberger,
+    catalog,
     grevlex_key,
     minor_ideal,
     normal_form,
@@ -243,6 +244,68 @@ def test_only_trivial_zero_against_point_search():
             checked += 1
             assert not otz, (gens, found)
     assert checked > 0
+
+
+def reference_only_trivial_zero(ideal):
+    """The verdict read off the full Buchberger basis alone, with no
+    shortcut on the row-reduced generators; an oracle only."""
+    gens = [g for g in ideal.generators if not g.is_zero()]
+    nvars = len(ideal.variables)
+    if not gens:
+        return nvars == 0
+    gb = ideal.groebner()
+    if any(g.is_constant() for g in gb):
+        return True
+    covered = set()
+    for g in gb:
+        exp, _ = g.leading()
+        support = [i for i, e in enumerate(exp) if e > 0]
+        if len(support) == 1:
+            covered.add(support[0])
+    return len(covered) == nvars
+
+
+def test_only_trivial_zero_matches_the_full_basis_on_minor_ideals(
+        monkeypatch):
+    """The same answer as the full Buchberger basis on every catalog,
+    pencil and seeded random 2-step minor ideal where that basis does not
+    raise; the finite catalog verdicts take the shortcut."""
+    rng = random.Random(5011)
+    algebras = catalog_algebras()
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5) * 4]
+    runs = []
+    engine = gnla.groebner.buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(gnla.groebner, "buchberger", counted)
+    shortcut = set()
+    for a in algebras:
+        gens = minor_ideal(a).generators
+        try:
+            want = reference_only_trivial_zero(PolynomialIdeal(gens))
+        except CapExceeded:
+            continue
+        runs.clear()
+        assert only_trivial_zero(PolynomialIdeal(gens)) == want, a.name
+        if not runs:
+            shortcut.add(a.name)
+    assert {"free2step3", "kgen3", "kgen4", "kgen5", "kgen6",
+            "kgen7"} <= shortcut
+
+
+def test_only_trivial_zero_shortcut_stays_within_the_degree_cap():
+    """Quadric generators within the cap answer from their leading terms
+    even where the pair loop would pass the cap; past the cap the pair
+    loop runs and raises."""
+    gens = minor_ideal(catalog("free2step3")).generators
+    with pytest.raises(CapExceeded):
+        buchberger(gens, degree_cap=2)
+    assert only_trivial_zero(PolynomialIdeal(gens, degree_cap=2))
+    with pytest.raises(CapExceeded):
+        only_trivial_zero(PolynomialIdeal(gens, degree_cap=1))
 
 
 def reference_normal_form(f, basis):

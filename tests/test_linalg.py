@@ -7,6 +7,8 @@ from gnla import catalog, prolong_layer, prolongation
 from gnla.linalg import (
     Matrix,
     Subspace,
+    _kernel,
+    _reduced,
     _rref,
     add_vectors,
     frac,
@@ -143,18 +145,19 @@ def test_independent_rows_matches_growing_a_subspace():
 def test_rref_of_a_prolongation_system_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     systems = []
-    kernel = prolongation.kernel_basis
+    kernel = prolongation._kernel
 
-    def capture(m):
-        systems.append(m)
-        return kernel(m)
+    def capture(rows, ncols):
+        systems.append((rows, ncols))
+        return kernel(rows, ncols)
 
-    monkeypatch.setattr(prolongation, "kernel_basis", capture)
+    monkeypatch.setattr(prolongation, "_kernel", capture)
     a = catalog("heisenberg", dim=5)
     g0 = prolong_layer(a, 0, [])
     systems.clear()
     prolong_layer(a, 1, [g0])
-    (m,) = systems
+    ((rows, ncols),) = systems
+    m = Matrix([[row.get(j, 0) for j in range(ncols)] for row in rows])
     assert (m.nrows, m.ncols) == (28, 48)
     reduced, pivots = m.rref()
     oracle, oracle_pivots = sympy.Matrix(
@@ -322,6 +325,81 @@ def test_kernel_vectors_are_killed():
         assert ker.dim == m.ncols - m.rank()
         for v in ker.basis:
             assert all(x == 0 for x in m.apply(v))
+
+
+def reference_kernel_basis(m):
+    """Dense kernel vectors read off the integer RREF, then coerced and
+    reduced again by Subspace(...): the kernel path before the sparse
+    kernel routine.  An oracle only."""
+    _, reduced = _reduced(m.rows)
+    n = m.ncols
+    zero, one = Fraction(0), Fraction(1)
+    free = {j: [zero] * n for j in range(n) if j not in reduced}
+    for j, v in free.items():
+        v[j] = one
+    for c, r in reduced.items():
+        lead = r[c]
+        for j, w in r.items():
+            if j != c:
+                free[j][c] = Fraction(-w, lead)
+    return Subspace(n, list(free.values()))
+
+
+def kernel_cases(rng):
+    """Seeded rational matrices: zero matrices (every column free), zero
+    rows among others, full column rank, wide and tall shapes, and
+    denominators up to 10**6."""
+    cases = [Matrix([[0] * 5] * 3), Matrix([[0]]), Matrix.identity(4)]
+    for nrows, ncols in [(1, 1), (1, 6), (6, 1), (3, 9), (9, 3), (8, 8),
+                         (12, 20), (20, 12)]:
+        for max_den in (1, 7, 10 ** 6):
+            for density in (0.15, 0.5, 1.0):
+                rows = random_rational_rows(rng, nrows, ncols, max_den,
+                                            density)
+                for _ in range(rng.randint(0, 2)):
+                    rows.insert(rng.randrange(len(rows) + 1),
+                                [Fraction(0)] * ncols)
+                cases.append(Matrix(rows))
+        # full column rank: the unit rows in a shuffled order, mixed with
+        # random ones
+        rows = [list(unit_vector(ncols, j)) for j in range(ncols)]
+        rows += random_rational_rows(rng, nrows, ncols, 10 ** 6, 0.5)
+        rng.shuffle(rows)
+        cases.append(Matrix(rows))
+    return cases
+
+
+def test_kernel_basis_matches_sympy_nullspace_and_the_dense_path():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    dims = set()
+    for m in kernel_cases(rng):
+        got = kernel_basis(m)
+        assert got == reference_kernel_basis(m)
+        assert all(type(e) is Fraction for v in got.basis for e in v)
+        null = sympy.Matrix(m.nrows, m.ncols, [
+            sympy.Rational(e.numerator, e.denominator)
+            for row in m.rows for e in row]).nullspace()
+        want = []
+        if null:
+            span, _ = sympy.Matrix.hstack(*null).T.rref()
+            want = [tuple(Fraction(int(e.p), int(e.q)) for e in span.row(i))
+                    for i in range(len(null))]
+        assert got.basis == tuple(want)
+        dims.add(got.dim == 0 or got.dim == m.ncols)
+    assert dims == {True, False}
+
+
+def test_kernel_takes_dict_rows_like_dense_rows():
+    rng = random.Random(47)
+    for m in kernel_cases(rng):
+        sparse = [{j: e for j, e in enumerate(row) if e} for row in m.rows]
+        if sparse:
+            # an explicit zero entry is no entry
+            sparse[0][m.ncols - 1] = sparse[0].get(m.ncols - 1, Fraction(0))
+        assert _kernel(sparse, m.ncols) == _kernel(m.rows, m.ncols)
+        assert _kernel(sparse, m.ncols) == kernel_basis(m)
+    assert _kernel([], 4) == _kernel([{}, {}], 4) == Subspace.full(4)
 
 
 def test_solve_consistent_and_inconsistent():
