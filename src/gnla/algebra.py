@@ -2,9 +2,11 @@
 
 An algebra is stored as an ordered basis of (label, degree) pairs with
 negative degrees, together with the nonzero brackets [e_i, e_j] for
-i < j.  Antisymmetry is implied by the storage convention.  Basis order
-is the declaration order of the input; every matrix, witness vector and
-report downstream is expressed in it.
+i < j.  Antisymmetry is implied by that storage convention, and it lives
+in one place: GNLA builds once a signed table of [e_i, e_j] for both
+orders, and every reader of the structure constants asks it through
+GNLA.bracket_terms.  Basis order is the declaration order of the input;
+every matrix, witness vector and report downstream is expressed in it.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _kernel,
     frac,
     is_zero_vector,
-    kernel_basis,
     solve,
     unit_vector,
     vector,
-    zero_vector,
 )
 
 
@@ -31,11 +32,12 @@ class GNLA:
     """A graded nilpotent Lie algebra given by structure constants.
 
     brackets maps a pair (i, j) with i < j to a tuple of (k, coefficient)
-    entries meaning [e_i, e_j] = sum_k c e_k.  Instances are immutable;
-    validation is a separate, side-effect-free pass (see validate).
+    entries meaning [e_i, e_j] = sum_k c e_k; bracket_terms reads it for
+    either order.  Instances are immutable; validation is a separate,
+    side-effect-free pass (see validate).
     """
 
-    __slots__ = ("name", "labels", "degrees", "brackets",
+    __slots__ = ("name", "labels", "degrees", "brackets", "_terms",
                  "_layer_positions", "_depth")
 
     def __init__(self, name: str, basis: Sequence[Tuple[str, int]],
@@ -65,6 +67,10 @@ class GNLA:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "brackets", normalized)
+        terms = dict(normalized)
+        for (i, j), entries in normalized.items():
+            terms[j, i] = tuple((k, -c) for k, c in entries)
+        object.__setattr__(self, "_terms", terms)
         by_layer: Dict[int, List[int]] = {}
         for pos, d in enumerate(degrees):
             by_layer.setdefault(-d, []).append(pos)
@@ -103,18 +109,15 @@ class GNLA:
     def basis_vector(self, pos: int) -> Vector:
         return unit_vector(self.dim, pos)
 
+    def bracket_terms(self, i: int, j: int) -> Tuple[Tuple[int, Fraction], ...]:
+        """The nonzero (k, c) terms of [e_i, e_j] = sum c e_k, any i, j."""
+        return self._terms.get((i, j), ())
+
     def pair_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a full coordinate vector, any i, j."""
-        n = self.dim
-        if i == j:
-            return zero_vector(n)
-        sign = 1
-        if i > j:
-            i, j = j, i
-            sign = -1
-        out = [Fraction(0)] * n
-        for k, c in self.brackets.get((i, j), ()):
-            out[k] = sign * c
+        out = [Fraction(0)] * self.dim
+        for k, c in self.bracket_terms(i, j):
+            out[k] = c
         return tuple(out)
 
     def layer_coordinates(self, i: int, v: Sequence) -> Vector:
@@ -154,15 +157,10 @@ def bracket(a: GNLA, x: Sequence, y: Sequence) -> Vector:
         if xi == 0:
             continue
         for j, yj in enumerate(y):
-            if yj == 0 or i == j:
+            if yj == 0:
                 continue
-            if i < j:
-                terms = a.brackets.get((i, j), ())
-                s = xi * yj
-            else:
-                terms = a.brackets.get((j, i), ())
-                s = -xi * yj
-            for k, c in terms:
+            s = xi * yj
+            for k, c in a.bracket_terms(i, j):
                 out[k] += s * c
     return tuple(out)
 
@@ -190,18 +188,17 @@ def ad_matrix(a: GNLA, y: Sequence) -> AdMatrix:
 
 
 def center(a: GNLA) -> Subspace:
-    """{x : [x, e_j] = 0 for every j}, as a kernel of stacked ad columns."""
+    """{x : [x, e_j] = 0 for every j}: one sparse row {i: c} per (j, k),
+    c the e_k coefficient of [e_i, e_j]."""
     n = a.dim
     rows = []
     for j in range(n):
-        cols = [a.pair_bracket(i, j) for i in range(n)]
-        for k in range(n):
-            row = [cols[i][k] for i in range(n)]
-            if any(c != 0 for c in row):
-                rows.append(row)
-    if not rows:
-        return Subspace.full(n)
-    return kernel_basis(Matrix(rows))
+        by_target: Dict[int, Dict[int, Fraction]] = {}
+        for i in range(n):
+            for k, c in a.bracket_terms(i, j):
+                by_target.setdefault(k, {})[i] = c
+        rows.extend(by_target.values())
+    return _kernel(rows, n)
 
 
 def layer(a: GNLA, i: int) -> Subspace:
@@ -247,20 +244,16 @@ def validate(a: GNLA) -> ValidationReport:
             grading_ok = False
             failures.append(("grading", (a.labels[i], a.labels[j])))
 
-    # [e_p, e_q] for every ordered pair, as stored terms with the sign
-    # of the order; a triple sums c * d over [e_p, e_q] = sum c e_m and
+    # a triple sums c * d over [e_p, e_q] = sum c e_m and
     # [e_m, e_r] = sum d e_l
-    terms_of = dict(a.brackets)
-    for (i, j), terms in a.brackets.items():
-        terms_of[j, i] = tuple((k, -c) for k, c in terms)
     jacobi_ok = True
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 total: Dict[int, Fraction] = {}
                 for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, c in terms_of.get((p, q), ()):
-                        for l, d in terms_of.get((m, r), ()):
+                    for m, c in a.bracket_terms(p, q):
+                        for l, d in a.bracket_terms(m, r):
                             total[l] = total.get(l, 0) + c * d
                 if any(total.values()):
                     jacobi_ok = False

@@ -110,7 +110,13 @@ def parse_algebra(text: str) -> GNLA:
                 m = _BASIS_RE.match(tok)
                 if not m:
                     raise DocumentSyntaxError("bad basis entry %r" % tok, lineno)
-                lbl, d = m.group(1), int(m.group(2))
+                lbl = m.group(1)
+                try:
+                    d = int(m.group(2))
+                except ValueError:  # past the int conversion digit limit
+                    raise DocumentSyntaxError(
+                        "degree of %r has too many digits" % lbl,
+                        lineno) from None
                 if d >= 0:
                     raise DocumentSyntaxError("degree of %r must be negative" % lbl,
                                       lineno)
@@ -160,6 +166,10 @@ def parse_algebra(text: str) -> GNLA:
                 except ZeroDivisionError:
                     raise DocumentSyntaxError("zero denominator in %r" % piece,
                                       lineno) from None
+                except ValueError:  # past the int conversion digit limit
+                    raise DocumentSyntaxError(
+                        "coefficient of %s has too many digits" % lbl,
+                        lineno) from None
                 terms.append((k, sign * c))
             brackets[(i, j)] = terms
         else:
@@ -198,7 +208,37 @@ def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
     values: Dict[Tuple[int, int], List[Fraction]] = {}
     taken: Dict[Tuple[int, int, int], int] = {}
 
-    def put(i: int, j: int, t: int, c: Fraction, lineno: int):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "a" and len(parts) == 5 and parts[3] == "=":
+            labels, with_x = parts[1:2], "transversal paired with itself"
+        elif parts[0] == "b" and len(parts) == 6 and parts[4] == "=":
+            labels = parts[1:3]
+            with_x = "use an `a` line for pairs with the transversal"
+        else:
+            raise DocumentSyntaxError(
+                "expected `a L j = c` or `b L1 L2 k = c`", lineno)
+        for lbl in labels:
+            if lbl not in index:
+                raise UnknownLabel("unknown label %r" % lbl, lineno)
+            if index[lbl] == xpos:
+                raise DocumentSyntaxError(with_x, lineno)
+        if len(labels) == 2 and labels[0] == labels[1]:
+            raise DocumentSyntaxError("pair of %r with itself" % labels[0],
+                                      lineno)
+        try:
+            t = int(parts[-3]) - 1
+            c = Fraction(parts[-1])
+        except (ValueError, ZeroDivisionError):
+            raise DocumentSyntaxError("bad number in %r" % line, lineno) from None
+        if not 0 <= t < s:
+            raise DocumentSyntaxError("module index %d outside 1..%d"
+                                      % (t + 1, s), lineno)
+        pair = [index[lbl] for lbl in labels]
+        i, j = pair if len(pair) == 2 else [xpos] + pair
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
@@ -207,52 +247,7 @@ def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
                 "component already declared on line %d" % taken[(i, j, t)],
                 lineno)
         taken[(i, j, t)] = lineno
-        vec = values.setdefault((i, j), [Fraction(0)] * s)
-        vec[t] = sign * c
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "a" and len(parts) == 5 and parts[3] == "=":
-            lbl, jtxt, ctxt = parts[1], parts[2], parts[4]
-            if lbl not in index:
-                raise UnknownLabel("unknown label %r" % lbl, lineno)
-            if index[lbl] == xpos:
-                raise DocumentSyntaxError("transversal paired with itself", lineno)
-            try:
-                t = int(jtxt)
-                c = Fraction(ctxt)
-            except (ValueError, ZeroDivisionError):
-                raise DocumentSyntaxError("bad number in %r" % line, lineno) from None
-            if not 1 <= t <= s:
-                raise DocumentSyntaxError("module index %d outside 1..%d" % (t, s),
-                                  lineno)
-            put(xpos, index[lbl], t - 1, c, lineno)
-        elif parts[0] == "b" and len(parts) == 6 and parts[4] == "=":
-            l1, l2, ktxt, ctxt = parts[1], parts[2], parts[3], parts[5]
-            for lbl in (l1, l2):
-                if lbl not in index:
-                    raise UnknownLabel("unknown label %r" % lbl, lineno)
-                if index[lbl] == xpos:
-                    raise DocumentSyntaxError(
-                        "use an `a` line for pairs with the transversal",
-                        lineno)
-            if l1 == l2:
-                raise DocumentSyntaxError("pair of %r with itself" % l1, lineno)
-            try:
-                t = int(ktxt)
-                c = Fraction(ctxt)
-            except (ValueError, ZeroDivisionError):
-                raise DocumentSyntaxError("bad number in %r" % line, lineno) from None
-            if not 1 <= t <= s:
-                raise DocumentSyntaxError("module index %d outside 1..%d" % (t, s),
-                                  lineno)
-            put(index[l1], index[l2], t - 1, c, lineno)
-        else:
-            raise DocumentSyntaxError(
-                "expected `a L j = c` or `b L1 L2 k = c`", lineno)
+        values.setdefault((i, j), [Fraction(0)] * s)[t] = sign * c
 
     return Cochain2.from_dict(s, {k: tuple(v) for k, v in values.items()})
 

@@ -23,6 +23,8 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _kernel,
+    _rref,
     frac,
     independent_rows,
     is_zero_vector,
@@ -147,6 +149,11 @@ def _degree0_complex(base: GNLA, w: Subspace, s: int,
     Y_j -> Y_{j+1} (zero past s), everything else acts by zero.  A
     degree 0 q-cochain assigns to a basis tuple of total degree -k a
     multiple of Y_k, so each slot carries one rational coefficient.
+
+    Returns (c1, c2, image, d2): the 1- and 2-cochain slots, image[i]
+    the coboundary of the unit 1-cochain on slot c1[i] as a sparse
+    {c2 slot: value} row, and d2 as the nonzero sparse rows of its
+    matrix over the c2 slots.
     """
     _check_hyperplane(base, w)
     if x_vec is None:
@@ -158,24 +165,23 @@ def _degree0_complex(base: GNLA, w: Subspace, s: int,
     c1 = [p for p in range(n) if -deg[p] <= s]
     c2 = [(p, q) for p in range(n) for q in range(p + 1, n)
           if -(deg[p] + deg[q]) <= s]
-    c3 = [(p, q, r) for p in range(n) for q in range(p + 1, n)
-          for r in range(q + 1, n) if -(deg[p] + deg[q] + deg[r]) <= s]
     c1_index = {p: i for i, p in enumerate(c1)}
     c2_index = {pq: i for i, pq in enumerate(c2)}
 
-    d1_rows: List[List[Fraction]] = []
-    for (p, q) in c2:
-        row = [Fraction(0)] * len(c1)
-        if alpha[p] != 0 and q in c1_index:
-            row[c1_index[q]] += alpha[p]
-        if alpha[q] != 0 and p in c1_index:
-            row[c1_index[p]] -= alpha[q]
-        for t, c in enumerate(base.pair_bracket(p, q)):
-            if c != 0 and t in c1_index:
-                row[c1_index[t]] -= c
-        d1_rows.append(row)
+    # (d1 f)(e_p, e_q) = alpha(e_p) f(e_q) - alpha(e_q) f(e_p)
+    # - f([e_p, e_q])
+    image: List[Dict[int, Fraction]] = [{} for _ in c1]
+    for idx, (p, q) in enumerate(c2):
+        if alpha[p] != 0:
+            image[c1_index[q]][idx] = alpha[p]
+        if alpha[q] != 0:
+            image[c1_index[p]][idx] = -alpha[q]
+        for t, c in base.bracket_terms(p, q):
+            if t in c1_index:
+                row = image[c1_index[t]]
+                row[idx] = row.get(idx, 0) - c
 
-    def add_pair(row: List[Fraction], u: int, v: int, coeff: Fraction):
+    def add_pair(row: Dict[int, Fraction], u: int, v: int, coeff: Fraction):
         if coeff == 0 or u == v:
             return
         if u > v:
@@ -183,24 +189,28 @@ def _degree0_complex(base: GNLA, w: Subspace, s: int,
             coeff = -coeff
         idx = c2_index.get((u, v))
         if idx is not None:
-            row[idx] += coeff
+            row[idx] = row.get(idx, 0) + coeff
 
-    d2_rows: List[List[Fraction]] = []
-    for (p, q, r) in c3:
-        row = [Fraction(0)] * len(c2)
-        add_pair(row, q, r, alpha[p])
-        add_pair(row, p, r, -alpha[q])
-        add_pair(row, p, q, alpha[r])
-        for t, c in enumerate(base.pair_bracket(p, q)):
-            add_pair(row, t, r, -c)
-        for t, c in enumerate(base.pair_bracket(p, r)):
-            add_pair(row, t, q, c)
-        for t, c in enumerate(base.pair_bracket(q, r)):
-            add_pair(row, t, p, -c)
-        if any(c != 0 for c in row):
-            d2_rows.append(row)
+    d2: List[Dict[int, Fraction]] = []
+    for p in range(n):
+        for q in range(p + 1, n):
+            for r in range(q + 1, n):
+                if -(deg[p] + deg[q] + deg[r]) > s:
+                    continue
+                row: Dict[int, Fraction] = {}
+                add_pair(row, q, r, alpha[p])
+                add_pair(row, p, r, -alpha[q])
+                add_pair(row, p, q, alpha[r])
+                for t, c in base.bracket_terms(p, q):
+                    add_pair(row, t, r, -c)
+                for t, c in base.bracket_terms(p, r):
+                    add_pair(row, t, q, c)
+                for t, c in base.bracket_terms(q, r):
+                    add_pair(row, t, p, -c)
+                if any(row.values()):
+                    d2.append(row)
 
-    return alpha, c1, c2, c3, d1_rows, d2_rows
+    return c1, c2, image, d2
 
 
 def _cochain_from_slots(base: GNLA, s: int, c2: Sequence[Tuple[int, int]],
@@ -250,15 +260,15 @@ def coboundary(base: GNLA, w: Subspace, s: int, f: Dict[int, object],
     are rejected.  Useful for building extensions that are guaranteed
     trivial up to the recorded basis change.
     """
-    _, c1, c2, _, d1_rows, _ = _degree0_complex(base, w, s, x_vec)
+    c1, c2, image, _ = _degree0_complex(base, w, s, x_vec)
     c1_index = {p: i for i, p in enumerate(c1)}
-    fv = [Fraction(0)] * len(c1)
+    coeffs = [Fraction(0)] * len(c2)
     for p, c in f.items():
         if p not in c1_index:
             raise ValueError("position %d is too deep for the module" % p)
-        fv[c1_index[p]] = frac(c)
-    coeffs = [sum((row[i] * fv[i] for i in range(len(fv))), Fraction(0))
-              for row in d1_rows]
+        c = frac(c)
+        for idx, v in image[c1_index[p]].items():
+            coeffs[idx] += c * v
     return _cochain_from_slots(base, s, c2, coeffs)
 
 
@@ -318,16 +328,11 @@ class ExtensionData:
         eliminates the coefficients on the pivot slots of the coboundary
         space, which absorbs every removable constant.
         """
-        _, _, c2, _, d1_rows, _ = _degree0_complex(
+        _, c2, image, _ = _degree0_complex(
             self.base, self.covector_kernel, self.s, self.transversal)
         vec = _cocycle_slot_vector(self.base, self.s, self.cocycle, c2)
-        cols = []
-        if d1_rows and d1_rows[0]:
-            for j in range(len(d1_rows[0])):
-                cols.append(tuple(row[j] for row in d1_rows))
-        image = Subspace(len(c2), cols)
-        for b in image.basis:
-            pivot = next(i for i, c in enumerate(b) if c != 0)
+        basis, pivots = _rref(image, len(c2))
+        for b, pivot in zip(basis, pivots):
             factor = vec[pivot]
             if factor != 0:
                 vec = [v - factor * c for v, c in zip(vec, b)]
@@ -416,22 +421,17 @@ def h2_0(base: GNLA, w: Subspace, s: int) -> Tuple[int, List[Cochain2]]:
     """
     if s < 2:
         raise ValueError("module length s must be at least 2")
-    _, _, c2, _, d1_rows, d2_rows = _degree0_complex(base, w, s)
-    n2 = len(c2)
-    if n2 == 0:
+    _, c2, image, d2 = _degree0_complex(base, w, s)
+    if not c2:
         return 0, []
-    rank_d1 = Matrix(d1_rows).rank() if d1_rows else 0
-    kernel = kernel_basis(Matrix(d2_rows)) if d2_rows else Subspace.full(n2)
-    dim = kernel.dim - rank_d1
-
-    cols = list(zip(*d1_rows))
-    rows = cols + list(kernel.basis)
-    reps = [_cochain_from_slots(base, s, c2, rows[i])
-            for i in independent_rows(rows) if i >= len(cols)]
-    if len(reps) != dim:
-        raise AssertionError("representative count %d does not match dim %d"
-                             % (len(reps), dim))
-    return dim, reps
+    kernel = _kernel(d2, len(c2))
+    picked = independent_rows(image + list(kernel.basis))
+    if len(picked) != kernel.dim:
+        raise AssertionError("d2 d1 != 0: coboundaries and cocycles span "
+                             "%d > %d dimensions" % (len(picked), kernel.dim))
+    reps = [_cochain_from_slots(base, s, c2, kernel.basis[i - len(image)])
+            for i in picked if i >= len(image)]
+    return len(reps), reps
 
 
 # ---------------------------------------------------------------------------

@@ -322,11 +322,17 @@ def _update(pairs: list, leads: List[Exponent], t: Exponent) -> None:
     leads.append(t)
 
 
-def _row_reduced(gens: List[Polynomial]) -> List[Polynomial]:
+def _row_reduced(generators: Sequence[Polynomial]) -> List[Polynomial]:
     """The reduced row echelon basis of the span of the generators, with
     the monomials as columns, largest in grevlex first: the same ideal,
     with distinct leading terms, and no generator that is a linear
     combination of the others."""
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return []
+    variables = gens[0].variables
+    if any(g.variables != variables for g in gens):
+        raise ValueError("generators over different variable sets")
     monos = sorted({e for g in gens for e in g.terms},
                    key=grevlex_key, reverse=True)
     cols, rows = _reduced([[g.terms.get(e, 0) for e in monos] for g in gens])
@@ -346,14 +352,13 @@ def buchberger(generators: Sequence[Polynomial],
     a primitive integer form.  Raises CapExceeded when a pair that
     survived the criteria comes out with an lcm degree past degree_cap.
     """
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        return []
-    variables = gens[0].variables
-    if any(g.variables != variables for g in gens):
-        raise ValueError("generators over different variable sets")
-    basis = [_primitive(g) for g in _row_reduced(gens)]
+    return _completed(_row_reduced(generators), degree_cap)
 
+
+def _completed(reduced: List[Polynomial],
+               degree_cap: int) -> List[Polynomial]:
+    """buchberger from the row-reduced generators on."""
+    basis = [_primitive(g) for g in reduced]
     pairs: list = []
     leads: List[Exponent] = []
     for g in basis:
@@ -430,7 +435,9 @@ def only_trivial_zero(ideal: PolynomialIdeal) -> bool:
     term ideal already, so when they hold a pure power of every variable
     the answer is True without the S-pair loop.  That shortcut works in
     the generators' own degrees and is taken only when those are within
-    the degree cap.
+    the degree cap.  The generators are row reduced once, and the S-pair
+    loop, when it runs, starts from that reduction and fills the ideal's
+    cached basis.
     """
     gens = [g for g in ideal.generators if not g.is_zero()]
     for g in gens:
@@ -439,10 +446,13 @@ def only_trivial_zero(ideal: PolynomialIdeal) -> bool:
     nvars = len(ideal.variables)
     if not gens:
         return nvars == 0
-    if (max(g.total_degree() for g in gens) <= ideal.degree_cap
-            and _covers_every_variable(_row_reduced(gens), nvars)):
-        return True
-    gb = ideal.groebner()
+    if ideal._groebner is None:
+        reduced = _row_reduced(gens)
+        if (max(g.total_degree() for g in gens) <= ideal.degree_cap
+                and _covers_every_variable(reduced, nvars)):
+            return True
+        ideal._groebner = tuple(_completed(reduced, ideal.degree_cap))
+    gb = ideal._groebner
     if any(g.is_constant() for g in gb):
         return True  # unit ideal, empty zero set
     return _covers_every_variable(gb, nvars)

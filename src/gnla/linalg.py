@@ -43,19 +43,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-def add_vectors(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def sub_vectors(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def scale_vector(c, v: Vector) -> Vector:
-    c = frac(c)
-    return tuple(c * a for a in v)
-
-
 def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
@@ -321,13 +308,6 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%r)" % (self.rows,)
-
-
-def stack_rows(matrices: Sequence[Matrix]) -> Matrix:
-    rows = []
-    for m in matrices:
-        rows.extend(m.rows)
-    return Matrix(rows)
 
 
 class Subspace:

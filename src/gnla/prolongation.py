@@ -164,11 +164,8 @@ def prolong_layer(a: GNLA, k: int,
 
     def bracket_terms(p: int, q: int, t: int) -> List[Tuple[int, Fraction]]:
         """[e_p, e_q] as nonzero (coordinate, value) pairs in layer t."""
-        if p < q:
-            terms, sign = a.brackets.get((p, q), ()), 1
-        else:
-            terms, sign = a.brackets.get((q, p), ()), -1
-        return [(index[r], sign * c) for r, c in terms if a.degrees[r] == -t]
+        return [(index[r], c) for r, c in a.bracket_terms(p, q)
+                if a.degrees[r] == -t]
 
     # For [phi(e_p), e_q] with phi(e_p) in the graded piece of degree d,
     # the action on e_q is linear in the coordinates of phi(e_p).

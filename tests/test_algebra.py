@@ -11,12 +11,14 @@ from cases import (
 )
 from gnla import (
     GNLA,
+    Matrix,
     Subspace,
     ad_matrix,
     bracket,
     catalog,
     center,
     change_basis,
+    kernel_basis,
     layer,
     quotient,
     validate,
@@ -306,3 +308,69 @@ def test_sparse_jacobi_matches_reference_loop():
         assert rep.checks["jacobi"] == (not want), a.name
         broken += bool(want)
     assert broken >= len(deep) // 2
+
+
+def reference_center(a):
+    """The center as center computed it before the signed table: dense
+    pair_bracket columns stacked into a Fraction matrix; an oracle only."""
+    n = a.dim
+    rows = []
+    for j in range(n):
+        cols = [a.pair_bracket(i, j) for i in range(n)]
+        for k in range(n):
+            row = [cols[i][k] for i in range(n)]
+            if any(c != 0 for c in row):
+                rows.append(row)
+    if not rows:
+        return Subspace.full(n)
+    return kernel_basis(Matrix(rows))
+
+
+def table_cases(seed):
+    """The catalog, the pencils, seeded random 2-step algebras, a signed
+    permutation of each, dense basis changes of the deep ones, and
+    algebras that break Jacobi, the grading or nondegeneracy."""
+    rng = random.Random(seed)
+    algebras = catalog_algebras()
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 2]
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    deep = [full_block_change(rng, a) for a in algebras[:23]
+            if a.depth >= 3 and a.dim <= 12]
+    algebras += deep + [perturbed(rng, a) for a in deep]
+    algebras += [
+        GNLA("bad", [("X", -1), ("Z1", -1), ("Z2", -2), ("Z3", -3),
+                     ("Z4", -4)],
+             {(0, 1): [(2, 1)], (0, 2): [(3, 1)], (0, 3): [(4, 1)],
+              (1, 2): [(3, 1)]}),
+        GNLA("ungraded", [("A", -1), ("B", -1), ("C", -2)],
+             {(0, 1): [(0, 2), (2, -1)], (0, 2): [(1, 3)]}),
+        GNLA("abelian", [("A", -1), ("B", -1)], {}),
+        GNLA("central", [("A", -1), ("B", -1), ("C", -1), ("D", -2)],
+             {(0, 1): [(3, 1)]}),
+    ]
+    return algebras
+
+
+def test_bracket_terms_is_the_signed_table():
+    """bracket_terms(j, i) is bracket_terms(i, j) negated, empty on the
+    diagonal, and the stored terms for i < j, on every algebra, including
+    ones that break Jacobi or the grading."""
+    for a in table_cases(8101):
+        for i in range(a.dim):
+            assert a.bracket_terms(i, i) == ()
+            for j in range(i + 1, a.dim):
+                terms = a.bracket_terms(i, j)
+                assert terms == a.brackets.get((i, j), ())
+                assert a.bracket_terms(j, i) == tuple(
+                    (k, -c) for k, c in terms)
+                assert all(c != 0 for _, c in terms)
+
+
+def test_center_matches_reference():
+    """The sparse center equals the dense reference, basis for basis."""
+    for a in table_cases(8102):
+        got = center(a)
+        assert got.basis == reference_center(a).basis, a.name
+        for z in got.basis:
+            assert all(not any(bracket(a, z, a.basis_vector(j)))
+                       for j in range(a.dim))

@@ -6,6 +6,7 @@ import pytest
 from gnla import (
     DocumentError,
     DuplicateBracket,
+    GNLA,
     GradingViolation,
     Report,
     UnknownLabel,
@@ -136,19 +137,50 @@ def test_parse_cocycle_lines():
 
 
 def test_parse_cocycle_errors():
-    base = catalog("heisenberg", dim=3)
-    with pytest.raises(UnknownLabel):
-        parse_cocycle("a Q 1 = 1\n", base, 2)
-    with pytest.raises(DocSyntaxError):
-        parse_cocycle("a X 1 = 1\n", base, 2)  # transversal with itself
-    with pytest.raises(DocSyntaxError):
-        parse_cocycle("b X Y 1 = 1\n", base, 2)  # transversal in a b line
-    with pytest.raises(DocSyntaxError):
-        parse_cocycle("a Y 5 = 1\n", base, 2)  # module index out of range
-    with pytest.raises(DuplicateBracket):
-        parse_cocycle("a Y 1 = 1\na Y 1 = 2\n", base, 2)
-    with pytest.raises(DocSyntaxError):
-        parse_cocycle("q lines\n", base, 2)
+    """Every message, its line and its class, for both line kinds, and
+    the order of the checks: label, transversal, self pair, number,
+    module index, repeated component."""
+    base = catalog("heisenberg", dim=5)
+    cases = [
+        ("a Q 1 = 1", UnknownLabel, "unknown label 'Q'"),
+        ("b Q X1 1 = 1/0", UnknownLabel, "unknown label 'Q'"),
+        ("b Y1 Q 1 = 1", UnknownLabel, "unknown label 'Q'"),
+        ("a X1 9 = 1/0", DocSyntaxError, "transversal paired with itself"),
+        ("b X1 Y1 1 = 1", DocSyntaxError,
+         "use an `a` line for pairs with the transversal"),
+        ("b Y1 X1 x = 1", DocSyntaxError,
+         "use an `a` line for pairs with the transversal"),
+        ("b Y1 Y1 9 = x", DocSyntaxError, "pair of 'Y1' with itself"),
+        ("a Y1 x = 1", DocSyntaxError, "bad number in 'a Y1 x = 1'"),
+        ("a Y1 9 = 1/0", DocSyntaxError, "bad number in 'a Y1 9 = 1/0'"),
+        ("b Y1 Y2 1 = 1/0", DocSyntaxError,
+         "bad number in 'b Y1 Y2 1 = 1/0'"),
+        ("a Y1 5 = 1", DocSyntaxError, "module index 5 outside 1..2"),
+        ("b Y1 Y2 0 = 1", DocSyntaxError, "module index 0 outside 1..2"),
+        ("q lines", DocSyntaxError, "expected `a L j = c` or `b L1 L2 k = c`"),
+        ("a Y1 1 1 = 1", DocSyntaxError,
+         "expected `a L j = c` or `b L1 L2 k = c`"),
+        ("b Y1 Y2 1 1", DocSyntaxError,
+         "expected `a L j = c` or `b L1 L2 k = c`"),
+    ]
+    lead = "# comment\n\na X2 1 = 1\n"
+    for line, cls, message in cases:
+        with pytest.raises(cls) as err:
+            parse_cocycle(lead + line + "  # tail\n", base, 2)
+        assert type(err.value) is cls, line
+        assert err.value.line == 4, line
+        assert str(err.value) == "line 4: " + message, line
+    for text, first in [("a Y1 1 = 1\na Y1 1 = 2\n", 1),
+                        ("b Y1 Y2 2 = 1\n\nb Y2 Y1 2 = 3\n", 1),
+                        ("a Y1 1 = 1\na Y1 2 = 1\na Y1 1 = 1\n", 1)]:
+        with pytest.raises(DuplicateBracket) as err:
+            parse_cocycle(text, base, 2)
+        last = len(text.splitlines())
+        assert err.value.line == last
+        assert str(err.value) == ("line %d: component already declared on "
+                                  "line %d" % (last, first))
+    with pytest.raises(ValueError, match="base has no degree -1 layer"):
+        parse_cocycle("", GNLA("deep", [("A", -2)], {}), 2)
 
 
 def test_cocycle_round_trip():
@@ -353,6 +385,30 @@ def test_zero_denominator_in_bracket_is_a_located_error(tmp_path, capsys):
     f = write(tmp_path, "z.alg", doc)
     assert run(["classify", f]) == 1
     assert "gnla: line 3: zero denominator" in capsys.readouterr().err
+
+
+def test_numerals_past_the_int_digit_limit_are_located_errors(tmp_path,
+                                                              capsys):
+    """Python refuses int conversion past 4300 digits; a degree or a
+    coefficient that long is a located error, not a traceback (found by
+    the hostile-numeral fuzz test)."""
+    huge = "9" * 4301
+    for doc, message in [
+            ("algebra a\nbasis X:-%s\n" % huge,
+             "line 2: degree of 'X' has too many digits"),
+            ("algebra a\nbasis X:-1 Y:-1 Z:-2\nbracket [X,Y] = %s Z\n" % huge,
+             "line 3: coefficient of Z has too many digits"),
+            ("algebra a\nbasis X:-1 Y:-1 Z:-2\nbracket [X,Y] = 1/%s Z\n"
+             % huge, "line 3: coefficient of Z has too many digits")]:
+        with pytest.raises(DocSyntaxError) as exc:
+            parse_algebra(doc)
+        assert str(exc.value) == message
+        f = write(tmp_path, "h.alg", doc)
+        assert run(["check", f]) == 1
+        assert "gnla: " + message in capsys.readouterr().err
+    base = catalog("heisenberg", dim=3)
+    with pytest.raises(DocSyntaxError, match="line 1: bad number"):
+        parse_cocycle("a Y 1 = %s\n" % huge, base, 3)
 
 
 def test_zero_denominator_in_cocycle_is_a_located_error(tmp_path, capsys):

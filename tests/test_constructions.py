@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from cases import witness_cases
+from cases import (
+    catalog_algebras,
+    random_two_step,
+    signed_permutation,
+    witness_cases,
+)
 from gnla import (
     CATALOG_NAMES,
     Cochain2,
@@ -40,7 +45,14 @@ from gnla import (
     spencer_subspace_check,
     validate,
 )
-from gnla.constructions import _cocycle_slot_vector
+from gnla.constructions import (
+    _check_hyperplane,
+    _cochain_from_slots,
+    _cocycle_slot_vector,
+    _default_transversal,
+    _module_covector,
+)
+from gnla.linalg import independent_rows
 
 
 def heis3():
@@ -335,8 +347,10 @@ def random_moved_extension_data(rng, base):
 
 def test_special_extension_matches_reference_on_moved_bases():
     """On random hyperplanes and transversals, built or rejected alike:
-    the same algebra, or the same exception and Jacobi triple."""
+    the same algebra, or the same exception and Jacobi triple; and the
+    degree 0 complex of each case matches its dense reference."""
     rng = random.Random(6007)
+    complex_rng = random.Random(6011)
     bases = [heis3(), catalog("heisenberg", dim=5), catalog("goursat", n=4),
              catalog("mixedjet", k=2), catalog("nontrivial6"),
              catalog("free2step3"), catalog("kgen", k=3),
@@ -353,6 +367,7 @@ def test_special_extension_matches_reference_on_moved_bases():
         moved += 1
         got = extension_outcome(special_extension, data)
         assert got == extension_outcome(reference_special_extension, data)
+        assert_complex_matches_reference(complex_rng, data)
         kind = got[0] if isinstance(got, tuple) else "built"
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds.get("built", 0) >= 20, kinds
@@ -726,3 +741,185 @@ def test_catalog_from_pencil_accepts_spec_objects():
     spec = PencilSpec.parse("M:1")
     assert catalog("from_pencil", blocks=spec) == catalog(
         "from_pencil", blocks="M:1")
+
+
+# --- the degree 0 complex against its dense reference ---------------------
+
+def reference_degree0_complex(base, w, s, x_vec=None):
+    """The degree 0 complex as it was built before the signed table:
+    dense Fraction rows of d1 (one per C^2 slot, columns over C^1) and
+    of d2, from dense pair_bracket vectors; an oracle only."""
+    _check_hyperplane(base, w)
+    if x_vec is None:
+        x_vec = _default_transversal(base, w)
+    alpha = _module_covector(base, w, x_vec)
+    n = base.dim
+    deg = base.degrees
+    c1 = [p for p in range(n) if -deg[p] <= s]
+    c2 = [(p, q) for p in range(n) for q in range(p + 1, n)
+          if -(deg[p] + deg[q]) <= s]
+    c3 = [(p, q, r) for p in range(n) for q in range(p + 1, n)
+          for r in range(q + 1, n) if -(deg[p] + deg[q] + deg[r]) <= s]
+    c1_index = {p: i for i, p in enumerate(c1)}
+    c2_index = {pq: i for i, pq in enumerate(c2)}
+    d1_rows = []
+    for (p, q) in c2:
+        row = [Fraction(0)] * len(c1)
+        if alpha[p] != 0 and q in c1_index:
+            row[c1_index[q]] += alpha[p]
+        if alpha[q] != 0 and p in c1_index:
+            row[c1_index[p]] -= alpha[q]
+        for t, c in enumerate(base.pair_bracket(p, q)):
+            if c != 0 and t in c1_index:
+                row[c1_index[t]] -= c
+        d1_rows.append(row)
+
+    def add_pair(row, u, v, coeff):
+        if coeff == 0 or u == v:
+            return
+        if u > v:
+            u, v = v, u
+            coeff = -coeff
+        idx = c2_index.get((u, v))
+        if idx is not None:
+            row[idx] += coeff
+
+    d2_rows = []
+    for (p, q, r) in c3:
+        row = [Fraction(0)] * len(c2)
+        add_pair(row, q, r, alpha[p])
+        add_pair(row, p, r, -alpha[q])
+        add_pair(row, p, q, alpha[r])
+        for t, c in enumerate(base.pair_bracket(p, q)):
+            add_pair(row, t, r, -c)
+        for t, c in enumerate(base.pair_bracket(p, r)):
+            add_pair(row, t, q, c)
+        for t, c in enumerate(base.pair_bracket(q, r)):
+            add_pair(row, t, p, -c)
+        if any(c != 0 for c in row):
+            d2_rows.append(row)
+    return c1, c2, d1_rows, d2_rows
+
+
+def reference_h2_0(base, w, s):
+    _, c2, d1_rows, d2_rows = reference_degree0_complex(base, w, s)
+    n2 = len(c2)
+    if n2 == 0:
+        return 0, []
+    rank_d1 = Matrix(d1_rows).rank() if d1_rows else 0
+    kernel = kernel_basis(Matrix(d2_rows)) if d2_rows else Subspace.full(n2)
+    dim = kernel.dim - rank_d1
+    cols = list(zip(*d1_rows))
+    rows = cols + list(kernel.basis)
+    reps = [_cochain_from_slots(base, s, c2, rows[i])
+            for i in independent_rows(rows) if i >= len(cols)]
+    assert len(reps) == dim
+    return dim, reps
+
+
+def reference_coboundary(base, w, s, f, x_vec=None):
+    c1, c2, d1_rows, _ = reference_degree0_complex(base, w, s, x_vec)
+    c1_index = {p: i for i, p in enumerate(c1)}
+    fv = [Fraction(0)] * len(c1)
+    for p, c in f.items():
+        if p not in c1_index:
+            raise ValueError("position %d is too deep for the module" % p)
+        fv[c1_index[p]] = Fraction(c)
+    coeffs = [sum((row[i] * fv[i] for i in range(len(fv))), Fraction(0))
+              for row in d1_rows]
+    return _cochain_from_slots(base, s, c2, coeffs)
+
+
+def reference_canonicalized(data):
+    """The reduced cocycle, reduced against the RREF of the transposed
+    dense d1."""
+    _, c2, d1_rows, _ = reference_degree0_complex(
+        data.base, data.covector_kernel, data.s, data.transversal)
+    vec = _cocycle_slot_vector(data.base, data.s, data.cocycle, c2)
+    cols = []
+    if d1_rows and d1_rows[0]:
+        for j in range(len(d1_rows[0])):
+            cols.append(tuple(row[j] for row in d1_rows))
+    for b in Subspace(len(c2), cols).basis:
+        pivot = next(i for i, c in enumerate(b) if c != 0)
+        factor = vec[pivot]
+        if factor != 0:
+            vec = [v - factor * c for v, c in zip(vec, b)]
+    return _cochain_from_slots(data.base, data.s, c2, vec)
+
+
+def outcome(call, *args):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except (ValueError, DegreeViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_complex_matches_reference(rng, data):
+    """h2_0, coboundary and canonicalized of one ExtensionData against
+    the dense reference."""
+    base, w, s, x = (data.base, data.covector_kernel, data.s,
+                     data.transversal)
+    got = h2_0(base, w, s)
+    assert got == reference_h2_0(base, w, s), base.name
+    f = {p: rng.randint(-3, 3) for p in range(base.dim)
+         if rng.random() < 0.6}
+    assert (outcome(coboundary, base, w, s, f, x)
+            == outcome(reference_coboundary, base, w, s, f, x)), base.name
+    assert (outcome(lambda: data.canonicalized().cocycle)
+            == outcome(reference_canonicalized, data)), base.name
+    return got[0]
+
+
+def test_degree0_complex_matches_reference():
+    """The catalog, the 12 pencils, seeded random 2-step algebras and a
+    signed permutation of each: for s = 2..4 on the adapted hyperplane
+    with an h2_0 plus coboundary cocycle, and on one random moved
+    hyperplane."""
+    rng = random.Random(7019)
+    algebras = catalog_algebras()
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5) * 2]
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    positive = 0
+    for a in algebras:
+        for s in (2, 3, 4):
+            data = ExtensionData.from_adapted_base(a, s)
+            reps = h2_0(a, data.covector_kernel, s)[1]
+            values = {}
+            for rep in reps + [coboundary(a, data.covector_kernel, s, {
+                    p: rng.randint(-2, 2) for p in range(a.dim)
+                    if -a.degrees[p] <= s})]:
+                c = rng.randint(-2, 2)
+                for pq, val in rep.values:
+                    old = values.get(pq, (0,) * s)
+                    values[pq] = tuple(u + c * v for u, v in zip(old, val))
+            data = ExtensionData.from_adapted_base(
+                a, s, Cochain2.from_dict(s, values))
+            positive += assert_complex_matches_reference(rng, data) > 0
+        assert_complex_matches_reference(
+            rng, random_moved_extension_data(rng, a))
+    assert positive >= 10
+
+
+def test_degree0_complex_matches_reference_off_the_grading():
+    """A bracket with a term on one of its own slots makes d1 write one
+    C^2 slot twice; ExtensionData refuses such a base, h2_0 and
+    coboundary do not, and both sides of h2_0 see d2 d1 != 0 alike."""
+    a = GNLA("ungraded", [("A", -1), ("B", -1), ("C", -2)],
+             {(0, 1): [(0, 2), (1, 1), (2, -1)]})
+    w = Subspace(3, [a.basis_vector(1)])
+
+    def h2_0_outcome(h2, s):
+        try:
+            return h2(a, w, s)
+        except AssertionError:
+            return "d2 d1 != 0"
+
+    for x in (a.basis_vector(0), (1, 1, 0)):
+        for s in (2, 3, 4):
+            assert h2_0_outcome(h2_0, s) == h2_0_outcome(reference_h2_0, s)
+            f = {0: 2, 1: -1, 2: 3}
+            assert (coboundary(a, w, s, f, x)
+                    == reference_coboundary(a, w, s, f, x))
+            assert coboundary(a, w, s, f, x).as_dict()[(0, 1)] != (0,) * s

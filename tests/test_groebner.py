@@ -269,18 +269,19 @@ def test_only_trivial_zero_matches_the_full_basis_on_minor_ideals(
         monkeypatch):
     """The same answer as the full Buchberger basis on every catalog,
     pencil and seeded random 2-step minor ideal where that basis does not
-    raise; the finite catalog verdicts take the shortcut."""
+    raise; the finite catalog verdicts take the shortcut and never enter
+    the S-pair loop."""
     rng = random.Random(5011)
     algebras = catalog_algebras()
     algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5) * 4]
     runs = []
-    engine = gnla.groebner.buchberger
+    engine = gnla.groebner._completed
 
     def counted(*args, **kwargs):
         runs.append(1)
         return engine(*args, **kwargs)
 
-    monkeypatch.setattr(gnla.groebner, "buchberger", counted)
+    monkeypatch.setattr(gnla.groebner, "_completed", counted)
     shortcut = set()
     for a in algebras:
         gens = minor_ideal(a).generators
@@ -294,6 +295,36 @@ def test_only_trivial_zero_matches_the_full_basis_on_minor_ideals(
             shortcut.add(a.name)
     assert {"free2step3", "kgen3", "kgen4", "kgen5", "kgen6",
             "kgen7"} <= shortcut
+
+
+def test_only_trivial_zero_row_reduces_once(monkeypatch):
+    """One row reduction per call, whether the shortcut answers or the
+    S-pair loop runs; the loop's basis is buchberger's and is cached on
+    the ideal, and a call on a cached ideal reduces nothing."""
+    rng = random.Random(5023)
+    calls = []
+    engine = gnla.groebner._row_reduced
+
+    def counted(gens):
+        calls.append(len(gens))
+        return engine(gens)
+
+    monkeypatch.setattr(gnla.groebner, "_row_reduced", counted)
+    looped = 0
+    for a in [catalog("free2step3"), catalog("kgen", k=4)] + [
+            random_two_step(rng, n1) for n1 in (3, 4, 4, 5)]:
+        gens = minor_ideal(a).generators
+        ideal = PolynomialIdeal(gens)
+        calls.clear()
+        answer = only_trivial_zero(ideal)
+        assert len(calls) == 1, a.name
+        if ideal._groebner is not None:
+            looped += 1
+            assert list(ideal._groebner) == buchberger(gens), a.name
+            calls.clear()
+            assert only_trivial_zero(ideal) == answer
+            assert calls == []
+    assert looped >= 3
 
 
 def test_only_trivial_zero_shortcut_stays_within_the_degree_cap():

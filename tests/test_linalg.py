@@ -10,15 +10,11 @@ from gnla.linalg import (
     _kernel,
     _reduced,
     _rref,
-    add_vectors,
     frac,
     independent_rows,
     intersect,
     kernel_basis,
-    scale_vector,
     solve,
-    stack_rows,
-    sub_vectors,
     unit_vector,
     vector,
     zero_vector,
@@ -180,11 +176,7 @@ def test_frac_rejects_floats():
 
 
 def test_vector_helpers():
-    u = vector([1, 2, 3])
-    v = vector(["1/2", 0, -1])
-    assert add_vectors(u, v) == (Fraction(3, 2), Fraction(2), Fraction(2))
-    assert sub_vectors(u, v) == (Fraction(1, 2), Fraction(2), Fraction(4))
-    assert scale_vector(Fraction(2), v) == (Fraction(1), Fraction(0), Fraction(-2))
+    assert vector(["1/2", 0, -1]) == (Fraction(1, 2), Fraction(0), Fraction(-1))
     assert zero_vector(3) == (Fraction(0),) * 3
     assert unit_vector(4, 2) == (0, 0, 1, 0)
 
@@ -308,12 +300,6 @@ def test_inverse():
 def test_inverse_singular_raises():
     with pytest.raises(ValueError):
         Matrix([[1, 2], [2, 4]]).inverse()
-
-
-def test_stack_rows():
-    a = Matrix([[1, 2]])
-    b = Matrix([[3, 4], [5, 6]])
-    assert stack_rows([a, b]).rows == ((1, 2), (3, 4), (5, 6))
 
 
 def test_kernel_vectors_are_killed():
