@@ -7,6 +7,11 @@ in one place: GNLA builds once a signed table of [e_i, e_j] for both
 orders, and every reader of the structure constants asks it through
 GNLA.bracket_terms.  Basis order is the declaration order of the input;
 every matrix, witness vector and report downstream is expressed in it.
+
+Vectors stay dense tuples of Fractions at the API, but the structure
+constants are read sparsely: bracket, ad_matrix, change_basis and the
+checks of validate visit only the nonzero coordinates of their inputs
+and ask bracket_terms for those pairs alone.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .linalg import (
     Vector,
     _kernel,
     frac,
-    is_zero_vector,
+    independent_rows,
     solve,
     unit_vector,
     vector,
@@ -115,10 +120,7 @@ class GNLA:
 
     def pair_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a full coordinate vector, any i, j."""
-        out = [Fraction(0)] * self.dim
-        for k, c in self.bracket_terms(i, j):
-            out[k] = c
-        return tuple(out)
+        return _dense(self.dim, self.bracket_terms(i, j))
 
     def layer_coordinates(self, i: int, v: Sequence) -> Vector:
         """Restrict a full vector to the degree -i coordinate block."""
@@ -145,6 +147,31 @@ class GNLA:
         return "GNLA(%r, dim=%d, depth=%d)" % (self.name, self.dim, self.depth)
 
 
+def _dense(n: int, terms) -> Vector:
+    """The length n vector with the given (position, coordinate) terms."""
+    out = [Fraction(0)] * n
+    for k, c in terms:
+        out[k] = c
+    return tuple(out)
+
+
+def _support(v: Vector) -> List[Tuple[int, Fraction]]:
+    """The nonzero (position, coordinate) pairs of a vector."""
+    return [(i, c) for i, c in enumerate(v) if c]
+
+
+def _bracket_support(a: GNLA, xs, ys) -> Dict[int, Fraction]:
+    """[x, y] as {k: coefficient} from the supports of x and y; entries
+    that cancel stay in the dict as zeros."""
+    out: Dict[int, Fraction] = {}
+    for i, xi in xs:
+        for j, yj in ys:
+            s = xi * yj
+            for k, c in a.bracket_terms(i, j):
+                out[k] = out.get(k, 0) + s * c
+    return out
+
+
 def bracket(a: GNLA, x: Sequence, y: Sequence) -> Vector:
     """Bilinear extension of the structure constants to coordinate vectors."""
     x = vector(x)
@@ -152,17 +179,7 @@ def bracket(a: GNLA, x: Sequence, y: Sequence) -> Vector:
     n = a.dim
     if len(x) != n or len(y) != n:
         raise ValueError("coordinate vectors must have the full dimension")
-    out = [Fraction(0)] * n
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            s = xi * yj
-            for k, c in a.bracket_terms(i, j):
-                out[k] += s * c
-    return tuple(out)
+    return _dense(n, _bracket_support(a, _support(x), _support(y)).items())
 
 
 @dataclass(frozen=True)
@@ -183,29 +200,49 @@ def ad_matrix(a: GNLA, y: Sequence) -> AdMatrix:
     deg1 = set(a.layer_positions(1))
     if any(c != 0 and p not in deg1 for p, c in enumerate(y)):
         raise ValueError("element is not supported on the degree -1 layer")
-    cols = [bracket(a, y, a.basis_vector(j)) for j in range(a.dim)]
-    return AdMatrix(element=y, matrix=Matrix.from_columns(cols))
+    n = a.dim
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, yi in _support(y):
+        for j in range(n):
+            for k, c in a.bracket_terms(i, j):
+                rows[k][j] += yi * c
+    return AdMatrix(element=y,
+                    matrix=Matrix._trusted(tuple(map(tuple, rows))))
 
 
-def center(a: GNLA) -> Subspace:
-    """{x : [x, e_j] = 0 for every j}: one sparse row {i: c} per (j, k),
-    c the e_k coefficient of [e_i, e_j]."""
+def _kernel_within(rows, n: int, positions: Sequence[int]) -> Subspace:
+    """The solutions in n unknowns, rows dense or {col: value}, that
+    vanish off the given positions: one more row {q: 1} per q outside."""
+    return _kernel(list(rows) + [{q: 1} for q in range(n)
+                                 if q not in positions], n)
+
+
+def _central_part(a: GNLA, positions: Sequence[int]) -> Subspace:
+    """{x in span(e_p : p in positions) : [x, e_j] = 0 for every j}: one
+    sparse row {p: c} per (j, k), c the e_k coefficient of [e_p, e_j]."""
     n = a.dim
     rows = []
     for j in range(n):
         by_target: Dict[int, Dict[int, Fraction]] = {}
-        for i in range(n):
-            for k, c in a.bracket_terms(i, j):
-                by_target.setdefault(k, {})[i] = c
+        for p in positions:
+            for k, c in a.bracket_terms(p, j):
+                by_target.setdefault(k, {})[p] = c
         rows.extend(by_target.values())
-    return _kernel(rows, n)
+    return _kernel_within(rows, n, positions)
+
+
+def center(a: GNLA) -> Subspace:
+    """{x : [x, e_j] = 0 for every j}."""
+    return _central_part(a, range(a.dim))
 
 
 def layer(a: GNLA, i: int) -> Subspace:
     """The coordinate subspace spanned by the degree -i basis elements."""
     if i <= 0:
         raise ValueError("layer index must be positive")
-    return Subspace(a.dim, [a.basis_vector(p) for p in a.layer_positions(i)])
+    # unit vectors in increasing position order are already an RREF
+    return Subspace._trusted(
+        a.dim, [a.basis_vector(p) for p in a.layer_positions(i)])
 
 
 @dataclass(frozen=True)
@@ -260,17 +297,20 @@ def validate(a: GNLA) -> ValidationReport:
                     failures.append(
                         ("jacobi", (a.labels[i], a.labels[j], a.labels[k])))
 
+    # [m_{-1}, m_{-i}] spans the coordinate space m_{-i-1} exactly when
+    # every bracket lies in it and their rank is its dimension
     generated_ok = True
     for i in range(1, a.depth):
-        spanned = Subspace(n, [
-            a.pair_bracket(p, q)
-            for p in a.layer_positions(1)
-            for q in a.layer_positions(i)])
-        if spanned != layer(a, i + 1):
+        target = a.layer_positions(i + 1)
+        spanned = [dict(a.bracket_terms(p, q))
+                   for p in a.layer_positions(1)
+                   for q in a.layer_positions(i)]
+        if (any(k not in target for r in spanned for k in r)
+                or len(independent_rows(spanned)) != len(target)):
             generated_ok = False
             failures.append(("generated", (i + 1,)))
 
-    central_line = center(a).intersect(layer(a, 1))
+    central_line = _central_part(a, a.layer_positions(1))
     nondegenerate_ok = central_line.dim == 0
     if not nondegenerate_ok:
         failures.append(("nondegenerate", (central_line.basis[0],)))
@@ -294,22 +334,30 @@ def change_basis(a: GNLA, vectors: Sequence[Sequence], labels: Sequence[str],
     vecs = [vector(v) for v in vectors]
     if len(vecs) != n or len(labels) != n:
         raise ValueError("need exactly dim basis vectors and labels")
+    supports = [_support(v) for v in vecs]
     degrees = []
-    for v in vecs:
-        degs = {a.degrees[p] for p, c in enumerate(v) if c != 0}
+    for sup in supports:
+        degs = {a.degrees[p] for p, _ in sup}
         if len(degs) != 1:
             raise ValueError("new basis vectors must be homogeneous")
         degrees.append(degs.pop())
-    p_mat = Matrix.from_columns(vecs)
-    p_inv = p_mat.inverse()
+    p_inv = Matrix.from_columns(vecs).inverse()
+    # column k of P^-1 holds the new coordinates of the old e_k
+    inv_cols = [[] for _ in range(n)]
+    for r, row in enumerate(p_inv.rows):
+        for k, c in enumerate(row):
+            if c:
+                inv_cols[k].append((r, c))
+    # GNLA sorts the terms and drops the ones that cancel
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = bracket(a, vecs[i], vecs[j])
-            if is_zero_vector(w):
-                continue
-            brackets[(i, j)] = [(k, c) for k, c in enumerate(p_inv.apply(w))
-                                if c != 0]
+            new: Dict[int, Fraction] = {}
+            for k, w in _bracket_support(a, supports[i], supports[j]).items():
+                for r, c in inv_cols[k]:
+                    new[r] = new.get(r, 0) + w * c
+            if new:
+                brackets[(i, j)] = new.items()
     return GNLA(name or a.name,
                 list(zip(labels, degrees)), brackets)
 

@@ -29,18 +29,19 @@ from typing import List, Optional, Sequence, Tuple
 from .algebra import (
     GNLA,
     AdMatrix,
+    _bracket_support,
+    _central_part,
+    _kernel_within,
+    _support,
     ad_matrix,
     bracket,
-    center,
     change_basis,
-    layer,
     validate,
 )
 from .constructions import Cochain2, _module_covector
 from .groebner import CapExceeded, Polynomial, PolynomialIdeal, only_trivial_zero
 from .linalg import (
     Matrix,
-    Subspace,
     Vector,
     independent_rows,
     is_zero_vector,
@@ -280,7 +281,7 @@ def _moved_transversal(a: GNLA, y: Vector) -> Tuple[AdMatrix, int]:
     ad_y = ad_matrix(a, y)
     if ad_y.rank != 1:
         raise WitnessInvalid("rank ad y is %d, not 1" % ad_y.rank)
-    if center(a).intersect(layer(a, 1)).dim:
+    if _central_part(a, a.layer_positions(1)).dim:
         raise WitnessInvalid("the algebra is degenerate")
     for p in a.layer_positions(1):
         if not is_zero_vector(ad_y.matrix.column(p)):
@@ -297,7 +298,7 @@ def rank1_derivation_from_witness(a: GNLA, y: Sequence) -> GradedMap:
     """
     y = vector(y)
     ad_y, x_pos = _moved_transversal(a, y)
-    w_deg1 = kernel_basis(ad_y.matrix).intersect(layer(a, 1))
+    w_deg1 = _kernel_within(ad_y.matrix.rows, a.dim, a.layer_positions(1))
     xi = a.layer_coordinates(
         1, _module_covector(a, w_deg1, a.basis_vector(x_pos)))
     y1 = a.layer_coordinates(1, y)
@@ -353,25 +354,27 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
             break
         chain.append(nxt)
     s = len(chain)
-    v_space = Subspace(n, chain)
-    if v_space.dim != s:
+    if len(independent_rows(chain)) != s:
         raise WitnessInvalid("chain vectors are dependent")
-    for j in range(n):
-        ej = a.basis_vector(j)
-        for yi in chain:
-            if not v_space.contains(bracket(a, ej, yi)):
-                raise WitnessInvalid("chain span is not an ideal")
-    for yi in chain:
-        for yj in chain:
-            if not is_zero_vector(bracket(a, yi, yj)):
+    # the span V of the chain is an ideal when no [e_j, y_i] raises its rank
+    supports = [_support(yi) for yi in chain]
+    if len(independent_rows(chain + [_bracket_support(a, [(j, 1)], ys)
+                                     for j in range(n)
+                                     for ys in supports])) != s:
+        raise WitnessInvalid("chain span is not an ideal")
+    for xs in supports:
+        for ys in supports:
+            if any(_bracket_support(a, xs, ys).values()):
                 raise WitnessInvalid("chain span is not commutative")
     w_full = kernel_basis(ad_y.matrix)
     for w in w_full.basis:
-        for yi in chain:
-            if not is_zero_vector(bracket(a, w, yi)):
+        ws = _support(w)
+        for ys in supports:
+            if any(_bracket_support(a, ws, ys).values()):
                 raise WitnessInvalid("kernel of ad y does not centralize the chain")
 
-    rows = [x_vec] + chain + list(w_full.intersect(layer(a, 1)).basis)
+    w_deg1 = _kernel_within(ad_y.matrix.rows, n, a.layer_positions(1))
+    rows = [x_vec] + chain + list(w_deg1.basis)
     rows += [a.basis_vector(p) for i in range(2, a.depth + 1)
              for p in a.layer_positions(i)]
     adapted_vectors = [rows[i] for i in independent_rows(rows)]

@@ -74,7 +74,9 @@ _LABEL = r"[A-Za-z_][A-Za-z0-9_]*"
 _BASIS_RE = re.compile(r"^(%s):(-?\d+)$" % _LABEL)
 _BRACKET_RE = re.compile(
     r"^bracket\s+\[\s*(%s)\s*,\s*(%s)\s*\]\s*=\s*(.+)$" % (_LABEL, _LABEL))
-_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)\s+(%s)$" % _LABEL)
+_NUMERAL = r"-?\d+(?:/\d+)?"
+_TERM_RE = re.compile(r"^(%s)\s+(%s)$" % (_NUMERAL, _LABEL))
+_NUMERAL_RE = re.compile(_NUMERAL)
 
 
 def parse_algebra(text: str) -> GNLA:
@@ -229,11 +231,15 @@ def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
         if len(labels) == 2 and labels[0] == labels[1]:
             raise DocumentSyntaxError("pair of %r with itself" % labels[0],
                                       lineno)
+        bad_number = DocumentSyntaxError("bad number in %r" % line, lineno)
+        # the .alg numeral only: Fraction also takes 1e999999999
+        if not _NUMERAL_RE.fullmatch(parts[-1]):
+            raise bad_number
         try:
             t = int(parts[-3]) - 1
             c = Fraction(parts[-1])
         except (ValueError, ZeroDivisionError):
-            raise DocumentSyntaxError("bad number in %r" % line, lineno) from None
+            raise bad_number from None
         if not 0 <= t < s:
             raise DocumentSyntaxError("module index %d outside 1..%d"
                                       % (t + 1, s), lineno)

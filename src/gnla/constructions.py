@@ -12,6 +12,7 @@ and the CLI.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -336,11 +337,11 @@ class ExtensionData:
             factor = vec[pivot]
             if factor != 0:
                 vec = [v - factor * c for v, c in zip(vec, b)]
-        reduced = _cochain_from_slots(self.base, self.s, c2, vec)
-        return ExtensionData(base=self.base,
-                             covector_kernel=self.covector_kernel,
-                             transversal=self.transversal,
-                             s=self.s, cocycle=reduced)
+        # only the cocycle changes, at the same s: a copy, not re-checked
+        out = copy.copy(self)
+        object.__setattr__(out, "cocycle",
+                           _cochain_from_slots(self.base, self.s, c2, vec))
+        return out
 
 
 def special_extension(data: ExtensionData) -> GNLA:

@@ -323,12 +323,17 @@ def h0(a: GNLA) -> MatrixSubspace:
         combos = kernel_basis(Matrix.from_columns(deeper)).basis
     else:
         combos = Subspace.full(len(maps)).basis
-    firsts = [g.blocks[1].flatten() for g in maps if 1 in g.blocks]
+    firsts = [[(e, v) for e, v in enumerate(g.blocks[1].flatten()) if v]
+              for g in maps if 1 in g.blocks]
     mats = []
     for c in combos:
-        flat = [sum(ck * f[e] for ck, f in zip(c, firsts) if ck)
-                for e in range(n1 * n1)]
-        mats.append(Matrix([flat[r * n1:(r + 1) * n1] for r in range(n1)]))
+        flat = [Fraction(0)] * (n1 * n1)
+        for ck, f in zip(c, firsts):
+            if ck:
+                for e, v in f:
+                    flat[e] += ck * v
+        mats.append(Matrix._trusted(
+            tuple(tuple(flat[r * n1:(r + 1) * n1]) for r in range(n1))))
     return MatrixSubspace.from_matrices(n1, mats)
 
 

@@ -3,8 +3,9 @@
 Every catalog family at growing parameters, the skew pencils with
 pinned h0 dimensions, a seeded generator of random nondegenerate 2-step
 algebras, seeded signed permutations of a basis, the algebras of all
-three kinds that carry a rational rank 1 witness, and seeded random
-block basis changes.
+three kinds that carry a rational rank 1 witness, seeded random
+block basis changes, and algebras that break Jacobi, the grading,
+generation or nondegeneracy.
 """
 
 import random
@@ -94,3 +95,38 @@ def full_block_change(rng, a):
                 break
         vecs += [a.embed_layer(i, row) for row in block]
     return change_basis(a, vecs, ["U%d" % p for p in range(a.dim)])
+
+
+def perturbed(rng, a):
+    """a with one stored coefficient moved by 1: same grading, and in a
+    dense basis of a deep algebra Jacobi breaks on many triples."""
+    brackets = dict(a.brackets)
+    (i, j), terms = rng.choice(sorted(brackets.items()))
+    brackets[i, j] = [(k, c + (n == 0)) for n, (k, c) in enumerate(terms)]
+    return GNLA(a.name + "_perturbed", list(zip(a.labels, a.degrees)),
+                brackets)
+
+
+def table_cases(seed):
+    """The catalog, the pencils, seeded random 2-step algebras, a signed
+    permutation of each, dense basis changes of the deep ones, and
+    algebras that break Jacobi, the grading or nondegeneracy."""
+    rng = random.Random(seed)
+    algebras = catalog_algebras()
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 2]
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    deep = [full_block_change(rng, a) for a in algebras[:23]
+            if a.depth >= 3 and a.dim <= 12]
+    algebras += deep + [perturbed(rng, a) for a in deep]
+    algebras += [
+        GNLA("bad", [("X", -1), ("Z1", -1), ("Z2", -2), ("Z3", -3),
+                     ("Z4", -4)],
+             {(0, 1): [(2, 1)], (0, 2): [(3, 1)], (0, 3): [(4, 1)],
+              (1, 2): [(3, 1)]}),
+        GNLA("ungraded", [("A", -1), ("B", -1), ("C", -2)],
+             {(0, 1): [(0, 2), (2, -1)], (0, 2): [(1, 3)]}),
+        GNLA("abelian", [("A", -1), ("B", -1)], {}),
+        GNLA("central", [("A", -1), ("B", -1), ("C", -1), ("D", -2)],
+             {(0, 1): [(3, 1)]}),
+    ]
+    return algebras

@@ -6,11 +6,14 @@ import pytest
 from cases import (
     catalog_algebras,
     full_block_change,
+    perturbed,
     random_two_step,
     signed_permutation,
+    table_cases,
 )
 from gnla import (
     GNLA,
+    AdMatrix,
     Matrix,
     Subspace,
     ad_matrix,
@@ -277,16 +280,6 @@ def reference_jacobi_failures(a):
     return out
 
 
-def perturbed(rng, a):
-    """a with one stored coefficient moved by 1: same grading, and in a
-    dense basis of a deep algebra Jacobi breaks on many triples."""
-    brackets = dict(a.brackets)
-    (i, j), terms = rng.choice(sorted(brackets.items()))
-    brackets[i, j] = [(k, c + (n == 0)) for n, (k, c) in enumerate(terms)]
-    return GNLA(a.name + "_perturbed", list(zip(a.labels, a.degrees)),
-                brackets)
-
-
 def test_sparse_jacobi_matches_reference_loop():
     rng = random.Random(83)
     algebras = catalog_algebras()
@@ -326,31 +319,6 @@ def reference_center(a):
     return kernel_basis(Matrix(rows))
 
 
-def table_cases(seed):
-    """The catalog, the pencils, seeded random 2-step algebras, a signed
-    permutation of each, dense basis changes of the deep ones, and
-    algebras that break Jacobi, the grading or nondegeneracy."""
-    rng = random.Random(seed)
-    algebras = catalog_algebras()
-    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 2]
-    algebras += [signed_permutation(rng, a) for a in algebras]
-    deep = [full_block_change(rng, a) for a in algebras[:23]
-            if a.depth >= 3 and a.dim <= 12]
-    algebras += deep + [perturbed(rng, a) for a in deep]
-    algebras += [
-        GNLA("bad", [("X", -1), ("Z1", -1), ("Z2", -2), ("Z3", -3),
-                     ("Z4", -4)],
-             {(0, 1): [(2, 1)], (0, 2): [(3, 1)], (0, 3): [(4, 1)],
-              (1, 2): [(3, 1)]}),
-        GNLA("ungraded", [("A", -1), ("B", -1), ("C", -2)],
-             {(0, 1): [(0, 2), (2, -1)], (0, 2): [(1, 3)]}),
-        GNLA("abelian", [("A", -1), ("B", -1)], {}),
-        GNLA("central", [("A", -1), ("B", -1), ("C", -1), ("D", -2)],
-             {(0, 1): [(3, 1)]}),
-    ]
-    return algebras
-
-
 def test_bracket_terms_is_the_signed_table():
     """bracket_terms(j, i) is bracket_terms(i, j) negated, empty on the
     diagonal, and the stored terms for i < j, on every algebra, including
@@ -374,3 +342,203 @@ def test_center_matches_reference():
         for z in got.basis:
             assert all(not any(bracket(a, z, a.basis_vector(j)))
                        for j in range(a.dim))
+
+
+def reference_bracket(a, x, y):
+    """bracket as it read the structure constants before the sparse
+    reads: both dense vectors scanned in full; an oracle only."""
+    x = tuple(Fraction(c) for c in x)
+    y = tuple(Fraction(c) for c in y)
+    out = [Fraction(0)] * a.dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            for k, c in a.bracket_terms(i, j):
+                out[k] += xi * yj * c
+    return tuple(out)
+
+
+def reference_ad_matrix(a, y):
+    """ad y from n dense reference_bracket columns."""
+    y = tuple(Fraction(c) for c in y)
+    cols = [reference_bracket(a, y, a.basis_vector(j)) for j in range(a.dim)]
+    return AdMatrix(element=y, matrix=Matrix.from_columns(cols))
+
+
+def reference_change_basis(a, vectors, labels, name=None):
+    """change_basis before the sparse reads: dense brackets of the new
+    vectors, each mapped back by a dense P^-1 product."""
+    n = a.dim
+    vecs = [tuple(Fraction(c) for c in v) for v in vectors]
+    if len(vecs) != n or len(labels) != n:
+        raise ValueError("need exactly dim basis vectors and labels")
+    degrees = []
+    for v in vecs:
+        degs = {a.degrees[p] for p, c in enumerate(v) if c != 0}
+        if len(degs) != 1:
+            raise ValueError("new basis vectors must be homogeneous")
+        degrees.append(degs.pop())
+    p_inv = Matrix.from_columns(vecs).inverse()
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = reference_bracket(a, vecs[i], vecs[j])
+            if any(w):
+                brackets[(i, j)] = [(k, c) for k, c in
+                                    enumerate(p_inv.apply(w)) if c != 0]
+    return GNLA(name or a.name, list(zip(labels, degrees)), brackets)
+
+
+def reference_layer(a, i):
+    return Subspace(a.dim, [a.basis_vector(p) for p in a.layer_positions(i)])
+
+
+def reference_validate(a):
+    """validate before the sparse reads: the generated check compares
+    dense Subspaces of pair_bracket vectors, and the central line is the
+    dense center intersected with the dense degree -1 layer."""
+    failures = []
+    grading_ok = True
+    for (i, j), terms in sorted(a.brackets.items()):
+        want = a.degrees[i] + a.degrees[j]
+        if any(a.degrees[k] != want for k, _ in terms):
+            grading_ok = False
+            failures.append(("grading", (a.labels[i], a.labels[j])))
+    jacobi = reference_jacobi_failures(a)
+    failures += jacobi
+    generated_ok = True
+    for i in range(1, a.depth):
+        spanned = Subspace(a.dim, [
+            a.pair_bracket(p, q)
+            for p in a.layer_positions(1)
+            for q in a.layer_positions(i)])
+        if spanned != reference_layer(a, i + 1):
+            generated_ok = False
+            failures.append(("generated", (i + 1,)))
+    central_line = reference_center(a).intersect(reference_layer(a, 1))
+    if central_line.dim:
+        failures.append(("nondegenerate", (central_line.basis[0],)))
+    checks = {"grading": grading_ok, "jacobi": not jacobi,
+              "generated": generated_ok,
+              "nondegenerate": central_line.dim == 0}
+    return checks, tuple(failures)
+
+
+def random_vector(rng, n, density):
+    return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 if rng.random() < density else Fraction(0)
+                 for _ in range(n))
+
+
+def random_homogeneous_basis(rng, a):
+    """One random invertible block per layer, entries in [-2, 2], the
+    layers shuffled so that new degrees interleave."""
+    vecs = []
+    for i in range(1, a.depth + 1):
+        k = a.layer_dim(i)
+        while True:
+            block = [[Fraction(rng.randint(-2, 2)) for _ in range(k)]
+                     for _ in range(k)]
+            if Matrix(block).det() != 0:
+                break
+        vecs += [a.embed_layer(i, row) for row in block]
+    rng.shuffle(vecs)
+    return vecs
+
+
+def test_bracket_matches_reference():
+    """Random dense and sparse vectors, and every basis pair, on the
+    catalog, the pencils, random 2-step algebras, their signed
+    permutations and dense copies, Jacobi-broken and degenerate ones."""
+    rng = random.Random(9101)
+    for a in table_cases(9101):
+        n = a.dim
+        for density in (1.0, 0.5, 0.2):
+            x = random_vector(rng, n, density)
+            y = random_vector(rng, n, density)
+            assert bracket(a, x, y) == reference_bracket(a, x, y), a.name
+        for i in range(n):
+            for j in range(n):
+                ei, ej = a.basis_vector(i), a.basis_vector(j)
+                assert bracket(a, ei, ej) == reference_bracket(a, ei, ej)
+    with pytest.raises(ValueError):
+        bracket(heis3(), (1, 0), (0, 1, 0))
+
+
+def test_ad_matrix_matches_reference():
+    rng = random.Random(9102)
+    for a in table_cases(9102):
+        ys = [a.basis_vector(p) for p in a.layer_positions(1)]
+        ys.append(a.embed_layer(1, random_vector(rng, a.layer_dim(1), 0.7)))
+        for y in ys:
+            got = ad_matrix(a, y)
+            assert got == reference_ad_matrix(a, y), a.name
+            assert got.matrix.rows == reference_ad_matrix(a, y).matrix.rows
+
+
+def test_change_basis_matches_reference():
+    """Equal algebras, names and stored terms in random homogeneous
+    bases, and the same errors on an inhomogeneous or singular basis."""
+    rng = random.Random(9103)
+
+    def outcome(*args):
+        try:
+            b = change_basis(*args)
+        except ValueError as exc:
+            return str(exc)
+        return b.name, b.labels, b.degrees, sorted(b.brackets.items())
+
+    def reference_outcome(*args):
+        try:
+            b = reference_change_basis(*args)
+        except ValueError as exc:
+            return str(exc)
+        return b.name, b.labels, b.degrees, sorted(b.brackets.items())
+
+    errors = set()
+    for a in table_cases(9103):
+        n = a.dim
+        labels = ["U%d" % p for p in range(n)]
+        cases = [random_homogeneous_basis(rng, a) for _ in range(2)]
+        inhomogeneous = [a.basis_vector(p) for p in range(n)]
+        inhomogeneous[0] = tuple(Fraction(1) for _ in range(n))
+        cases.append(inhomogeneous)
+        pos1 = a.layer_positions(1)
+        if len(pos1) >= 2:
+            singular = [a.basis_vector(p) for p in range(n)]
+            singular[pos1[1]] = singular[pos1[0]]
+            cases.append(singular)
+        for vecs in cases:
+            got = outcome(a, vecs, labels, "moved")
+            assert got == reference_outcome(a, vecs, labels, "moved"), a.name
+            if isinstance(got, str):
+                errors.add(got)
+    assert errors == {"new basis vectors must be homogeneous",
+                      "matrix is singular"}
+
+
+def test_layer_is_the_coordinate_subspace():
+    for a in table_cases(9104):
+        for i in range(1, a.depth + 2):
+            got = layer(a, i)
+            assert got == reference_layer(a, i), (a.name, i)
+            assert got.basis == reference_layer(a, i).basis
+        with pytest.raises(ValueError):
+            layer(a, 0)
+
+
+def test_validate_matches_reference():
+    """Same checks and the same failures, the central vector included,
+    on clean, Jacobi-broken, ungraded, degenerate and non-generated
+    algebras."""
+    kinds = set()
+    for a in table_cases(9105):
+        rep = validate(a)
+        checks, failures = reference_validate(a)
+        assert rep.checks == checks, a.name
+        assert rep.failures == failures, a.name
+        kinds.update(kind for kind, _ in failures)
+    assert kinds == {"grading", "jacobi", "generated", "nondegenerate"}

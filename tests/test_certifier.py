@@ -389,6 +389,28 @@ def test_witness_on_a_degenerate_algebra_is_rejected():
         assert str(exc.value) == "the algebra is degenerate"
 
 
+def test_decompose_names_the_failed_ideal_condition():
+    """Algebras that break Jacobi, where rank ad Y = 1 but the chain Y,
+    [X, Y], ... is not an ideal, not commutative, or not centralized by
+    ker ad Y."""
+    basis = [("X", -1), ("Y", -1), ("A", -1), ("Z", -2), ("T", -3)]
+    for name, a in [
+            ("chain span is not an ideal", GNLA("a", basis, {
+                (0, 1): [(3, 1)], (1, 2): [(3, -1)], (2, 3): [(4, 1)]})),
+            ("chain span is not commutative", GNLA("c", [
+                ("X", -1), ("Y", -1), ("Z", -2), ("T", -3), ("U", -4),
+                ("V", -5)], {(0, 1): [(2, 1)], (0, 2): [(3, 1)],
+                             (0, 3): [(4, 1)], (0, 4): [(5, 1)],
+                             (2, 3): [(5, 1)]})),
+            ("kernel of ad y does not centralize the chain", GNLA("z", basis, {
+                (0, 1): [(3, 1)], (0, 3): [(4, 1)], (2, 3): [(4, 1)]}))]:
+        y = a.basis_vector(1)
+        assert ad_matrix(a, y).rank == 1
+        with pytest.raises(WitnessInvalid) as exc:
+            decompose_special_extension(a, y)
+        assert str(exc.value) == name
+
+
 def test_decompose_rejects_rank_two():
     a = catalog("free2step3")
     with pytest.raises(WitnessInvalid):

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -409,6 +410,28 @@ def test_numerals_past_the_int_digit_limit_are_located_errors(tmp_path,
     base = catalog("heisenberg", dim=3)
     with pytest.raises(DocSyntaxError, match="line 1: bad number"):
         parse_cocycle("a Y 1 = %s\n" % huge, base, 3)
+
+
+def test_cocycle_values_take_only_the_alg_numeral(tmp_path, capsys):
+    """Fraction alone would also read decimal and exponent forms, and
+    expand 1e999999999 without bound; such values are located errors
+    that return at once."""
+    base = catalog("heisenberg", dim=3)
+    for value in ("1e1000000", "1e999999999", "2.5", "1E3", "+1", "1_0",
+                  "1/2/3"):
+        text = "a Y 1 = 1\nb Y Z 3 = %s\n" % value
+        start = time.perf_counter()
+        with pytest.raises(DocSyntaxError) as exc:
+            parse_cocycle(text, base, 3)
+        assert time.perf_counter() - start < 0.5, value
+        assert exc.value.line == 2
+        assert str(exc.value).startswith("line 2: bad number"), value
+    c = parse_cocycle("a Y 1 = -3/4\nb Y Z 3 = 12\n", base, 3)
+    assert c == parse_cocycle(serialize_cocycle(c, base), base, 3)
+    f = write(tmp_path, "h.alg", HEIS3_DOC)
+    coc = write(tmp_path, "e.coc", "a Y 2 = 1e999999999\n")
+    assert run(["extend", f, "--s", "3", "--cocycle", coc]) == 1
+    assert "gnla: line 1: bad number" in capsys.readouterr().err
 
 
 def test_zero_denominator_in_cocycle_is_a_located_error(tmp_path, capsys):

@@ -52,6 +52,7 @@ from gnla.constructions import (
     _default_transversal,
     _module_covector,
 )
+from gnla import constructions
 from gnla.linalg import independent_rows
 
 
@@ -900,6 +901,47 @@ def test_degree0_complex_matches_reference():
         assert_complex_matches_reference(
             rng, random_moved_extension_data(rng, a))
     assert positive >= 10
+
+
+def test_canonicalized_copies_without_revalidating(monkeypatch):
+    """canonicalized keeps the checked base, hyperplane, transversal and
+    s, and changes only the cocycle: no validate call, and the cocycle of
+    the dense reference."""
+    rng = random.Random(7020)
+    algebras = catalog_algebras()
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5)]
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    cases = []
+    for a in algebras:
+        data = ExtensionData.from_adapted_base(a, 3)
+        values = {}
+        for rep in h2_0(a, data.covector_kernel, 3)[1] + [coboundary(
+                a, data.covector_kernel, 3, {
+                    p: rng.randint(-2, 2) for p in range(a.dim)
+                    if -a.degrees[p] <= 3})]:
+            for pq, val in rep.values:
+                old = values.get(pq, (0,) * 3)
+                values[pq] = tuple(u + v for u, v in zip(old, val))
+        cases.append(ExtensionData.from_adapted_base(
+            a, 3, Cochain2.from_dict(3, values)))
+        cases.append(random_moved_extension_data(rng, a))
+    calls = []
+    real = constructions.validate
+    monkeypatch.setattr(constructions, "validate",
+                        lambda a: calls.append(a) or real(a))
+    changed = 0
+    for data in cases:
+        red = outcome(data.canonicalized)
+        want = outcome(reference_canonicalized, data)
+        if not isinstance(red, ExtensionData):
+            assert red == want, data.base.name
+            continue
+        assert red.cocycle == want, data.base.name
+        assert (red.base, red.covector_kernel, red.transversal, red.s) == (
+            data.base, data.covector_kernel, data.transversal, data.s)
+        changed += red.cocycle != data.cocycle
+    assert calls == []
+    assert changed >= 10
 
 
 def test_degree0_complex_matches_reference_off_the_grading():

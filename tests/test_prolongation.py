@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cases import catalog_algebras, random_two_step, signed_permutation
+from cases import (
+    catalog_algebras,
+    random_two_step,
+    signed_permutation,
+    table_cases,
+)
 from gnla import (
     GNLA,
     Matrix,
@@ -337,6 +342,40 @@ def test_h0_matches_reference_system():
     algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 3]
     for a in algebras:
         assert h0(a).basis == reference_h0(a).basis, a.name
+
+
+def reference_h0_combination(a):
+    """h0 with the dense combination of first blocks it used before the
+    sparse one: every entry summed over every combination coefficient."""
+    n1 = a.layer_dim(1)
+    maps = der0(a)
+    deeper = [tuple(e for i in range(2, a.depth + 1) if i in g.blocks
+                    for e in g.blocks[i].flatten()) for g in maps]
+    if maps and deeper[0]:
+        combos = kernel_basis(Matrix.from_columns(deeper)).basis
+    else:
+        combos = Subspace.full(len(maps)).basis
+    firsts = [g.blocks[1].flatten() for g in maps if 1 in g.blocks]
+    mats = []
+    for c in combos:
+        flat = [sum(ck * f[e] for ck, f in zip(c, firsts) if ck)
+                for e in range(n1 * n1)]
+        mats.append(Matrix([flat[r * n1:(r + 1) * n1] for r in range(n1)]))
+    return MatrixSubspace.from_matrices(n1, mats)
+
+
+def test_h0_matches_dense_combination():
+    """The sparse combination of first blocks gives the same basis on the
+    catalog, the pencils, random 2-step algebras, their signed
+    permutations and dense copies, and Jacobi-broken and degenerate
+    algebras."""
+    nonzero = 0
+    for a in table_cases(9106):
+        got = h0(a)
+        assert got.basis == reference_h0_combination(a).basis, a.name
+        assert got.span == reference_h0_combination(a).span
+        nonzero += got.dim > 0
+    assert nonzero >= 20
 
 
 def test_matrix_subspace_basics():
