@@ -39,7 +39,13 @@ from .algebra import (
     validate,
 )
 from .constructions import Cochain2, _module_covector
-from .groebner import CapExceeded, Polynomial, PolynomialIdeal, only_trivial_zero
+from .groebner import (
+    CapExceeded,
+    Polynomial,
+    PolynomialIdeal,
+    grevlex_key,
+    only_trivial_zero,
+)
 from .linalg import (
     Matrix,
     Vector,
@@ -85,18 +91,22 @@ def _minors(mats: Sequence[Matrix],
     sum v_k mats[k], each with a positive leading coefficient.
 
     Rows and columns that are zero in every matrix are skipped; the
-    minors come in the order of their row pairs, then column pairs.
+    minors come in the order of their row pairs, then column pairs.  The
+    entries are scaled to integers by one common denominator den, as in
+    rank1_in_span, and each minor is divided by den^2 on output.
     """
     t = len(mats)
     variables = tuple("%s%d" % (prefix, k + 1) for k in range(t))
     rows = sorted({r for m in mats for r, row in enumerate(m.rows) if any(row)})
     cols = sorted({c for m in mats for row in m.rows
                    for c, e in enumerate(row) if e})
+    den = lcm(*(x.denominator for m in mats for row in m.rows for x in row))
+    ints = [[[x.numerator * (den // x.denominator) for x in row]
+             for row in m.rows] for m in mats]
 
-    # entry (r, c) of the generic matrix as its linear terms (k, m_k[r, c]);
+    # entry (r, c) of the generic matrix as its linear terms (k, den m_k[r, c]);
     # the product of v_k and v_l has exponent monos[k][l]
-    entries = {(r, c): [(k, m.rows[r][c]) for k, m in enumerate(mats)
-                        if m.rows[r][c]]
+    entries = {(r, c): [(k, m[r][c]) for k, m in enumerate(ints) if m[r][c]]
                for r in rows for c in cols}
     monos = [[tuple(int(i == k) + int(i == l) for i in range(t))
               for l in range(t)] for k in range(t)]
@@ -115,13 +125,14 @@ def _minors(mats: Sequence[Matrix],
             terms = {e: c for e, c in terms.items() if c}
             if not terms:
                 continue
-            m = Polynomial._trusted(variables, terms)
-            if m.leading()[1] < 0:
-                m = -m
-            key = m.key()
+            lead = max(terms, key=grevlex_key)
+            if terms[lead] < 0:
+                terms = {e: -c for e, c in terms.items()}
+            key = tuple(sorted(terms.items()))
             if key not in seen:
                 seen.add(key)
-                gens.append(m)
+                gens.append(Polynomial._from_integers(
+                    variables, den * den, terms, lead))
     return variables, gens
 
 
@@ -333,25 +344,30 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
     """Split the algebra along a rank 1 witness.
 
     Starting from y with rank ad y = 1, pick the first degree -1 basis
-    vector x moved past y and iterate y_{i+1} = [x, y_i] until zero.
-    The span V of the chain is checked to be a commutative ideal killed
-    by ker ad y.  The algebra is then rewritten in the adapted basis X,
-    Y_1..Y_s (the chain), Z_1.. (the degree -1 part of ker ad y, then the
-    deeper basis vectors, each kept when independent of those before
-    it).  A bracket of two base elements X, Z_j splits there in two: its
-    X/Z components are the quotient bracket and its Y components the
-    degree 0 cocycle value.
+    vector x moved past y and iterate y_{i+1} = [x, y_i] until zero; a
+    chain longer than the dimension raises WitnessInvalid.  The span V
+    of the chain is checked to be a commutative ideal killed by ker ad
+    y.  The algebra is then rewritten in the adapted basis X, Y_1..Y_s
+    (the chain), Z_1.. (the degree -1 part of ker ad y, then the deeper
+    basis vectors, each kept when independent of those before it).  A
+    bracket of two base elements X, Z_j splits there in two: its X/Z
+    components are the quotient bracket and its Y components the degree
+    0 cocycle value.
     """
     y = vector(y)
     ad_y, x_pos = _moved_transversal(a, y)
     n = a.dim
     x_vec = a.basis_vector(x_pos)
 
+    # the grading ends the chain within dim steps; without it, a chain
+    # longer than the dimension is dependent
     chain: List[Vector] = [y]
     while True:
         nxt = bracket(a, x_vec, chain[-1])
         if is_zero_vector(nxt):
             break
+        if len(chain) == n:
+            raise WitnessInvalid("chain vectors are dependent")
         chain.append(nxt)
     s = len(chain)
     if len(independent_rows(chain)) != s:

@@ -16,7 +16,7 @@ import copy
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import GNLA, change_basis, layer, validate
@@ -24,6 +24,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _det,
     _kernel,
     _rref,
     frac,
@@ -738,7 +739,15 @@ def det_pencil(b1: Matrix, b2: Matrix) -> PencilForm:
     n = b1.nrows
     if (b1.nrows, b1.ncols) != (b2.nrows, b2.ncols) or b1.nrows != b1.ncols:
         raise ValueError("pencil matrices must be square of one side")
-    dets = [(b1 + b2.scale(Fraction(t))).det() for t in range(n + 1)]
+    # over one common denominator den, det(B1 + t B2) is
+    # det(P + t Q) / den^n for the integer matrices P = den B1, Q = den B2
+    den = lcm(*(x.denominator for m in (b1, b2) for row in m.rows
+                for x in row))
+    int1, int2 = ([[x.numerator * (den // x.denominator) for x in row]
+                   for row in m.rows] for m in (b1, b2))
+    dets = [_det([[x + t * y for x, y in zip(r1, r2)]
+                  for r1, r2 in zip(int1, int2)]) / den ** n
+            for t in range(n + 1)]
     vrows = [[Fraction(t) ** k for k in range(n + 1)] for t in range(n + 1)]
     coeffs = solve(Matrix(vrows), dets)
     if coeffs is None:
@@ -755,10 +764,7 @@ def det_pencil(b1: Matrix, b2: Matrix) -> PencilForm:
     if v > 0:
         finite.append(Fraction(0))
     if w > v:
-        denom_lcm = 1
-        for k in range(v, w + 1):
-            d = coeffs[k].denominator
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
+        denom_lcm = lcm(*(coeffs[k].denominator for k in range(v, w + 1)))
         ints = [int(coeffs[k] * denom_lcm) for k in range(v, w + 1)]
         for p in _divisors(ints[0]):
             for q in _divisors(ints[-1]):

@@ -7,6 +7,13 @@ first, and pass the Gebauer-Moeller criteria (J. Symb. Comp. 6, 1988).
 Computation aborts with CapExceeded once a pair that survived them has
 an lcm beyond the degree cap; callers turn that into an inconclusive
 answer instead of a wrong one.
+
+Coefficients are reduced fraction-free, in the style of the package's
+elimination core (Bareiss 1968): every polynomial caches its integral
+form, the integer terms over the lcm of its denominators, and
+S-polynomials, normal forms and primitive parts are computed on those
+integers with gcd cofactors.  Fractions appear only in the terms a
+Polynomial exposes, so normal_form still returns the exact remainder.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import _reduced, frac
+from .linalg import _integer_row, _reduced, frac
 
 Exponent = Tuple[int, ...]
 
@@ -40,7 +47,7 @@ class CapExceeded(Exception):
 class Polynomial:
     """A polynomial with Fraction coefficients in named variables."""
 
-    __slots__ = ("variables", "terms", "_lead")
+    __slots__ = ("variables", "terms", "_lead", "_integral")
 
     def __init__(self, variables: Sequence[str],
                  terms: Optional[Dict[Exponent, object]] = None):
@@ -58,6 +65,7 @@ class Polynomial:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_lead", None)
+        object.__setattr__(self, "_integral", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -72,6 +80,28 @@ class Polynomial:
         object.__setattr__(p, "variables", variables)
         object.__setattr__(p, "terms", terms)
         object.__setattr__(p, "_lead", None)
+        object.__setattr__(p, "_integral", None)
+        return p
+
+    @classmethod
+    def _from_integers(cls, variables: Tuple[str, ...], scale: int,
+                       ints: Dict[Exponent, int],
+                       lead: Optional[Exponent] = None) -> "Polynomial":
+        """The polynomial with terms ints[e] / scale, for nonzero ints and
+        a positive scale, with its integral form cached (and its leading
+        term, when its exponent is given)."""
+        g = gcd(scale, *ints.values())
+        if g != 1:
+            scale //= g
+            ints = {e: v // g for e, v in ints.items()}
+        if scale == 1:
+            p = cls._trusted(variables, {e: Fraction(v) for e, v in ints.items()})
+        else:
+            p = cls._trusted(variables, {e: Fraction(v, scale)
+                                         for e, v in ints.items()})
+        object.__setattr__(p, "_integral", (scale, ints))
+        if lead is not None:
+            object.__setattr__(p, "_lead", (lead, p.terms[lead]))
         return p
 
     @classmethod
@@ -95,7 +125,8 @@ class Polynomial:
         return all(sum(e) == 0 for e in self.terms)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        # grevlex compares total degrees first
+        return sum(self.leading()[0]) if self.terms else 0
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
@@ -109,25 +140,31 @@ class Polynomial:
             object.__setattr__(self, "_lead", (exp, self.terms[exp]))
         return self._lead
 
+    def _integral_form(self) -> Tuple[int, Dict[Exponent, int]]:
+        """(scale, {exp: int}): the terms times scale, the lcm of their
+        denominators, computed once."""
+        if self._integral is None:
+            ints, scale = _integer_row(self.terms)
+            object.__setattr__(self, "_integral", (scale, ints))
+        return self._integral
+
     def evaluate(self, point: Sequence) -> Fraction:
         """The value at a point n_i/d, summed in integers: a term C/D of
         degree k adds C * prod n_i^e_i * d^(top - k), over D * d^top."""
         point = [frac(p) for p in point]
         d = lcm(*(x.denominator for x in point))
         nums = [x.numerator * (d // x.denominator) for x in point]
-        den = lcm(*(c.denominator for c in self.terms.values()))
+        den, ints = self._integral_form()
         top = self.total_degree()
-        powers = [d ** k for k in range(top, -1, -1)]
         total = 0
-        for exp, c in self.terms.items():
-            v = c.numerator * (den // c.denominator)
-            k = 0
+        for exp, v in ints.items():
+            k = top
             for n, e in zip(nums, exp):
                 if e:
                     v *= n ** e
-                    k += e
-            total += v * powers[k]
-        return Fraction(total, den * powers[0])
+                    k -= e
+            total += v * d ** k if k else v
+        return Fraction(total, den * d ** top)
 
     def _binop(self, other, sign):
         if isinstance(other, Polynomial):
@@ -224,14 +261,25 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
     Terms wait in a heap keyed by (-degree, reversed exponent), largest
     in grevlex first; a key whose term has cancelled since is skipped.
+    The division runs on the integral forms: with c the term's integer,
+    l the divisor's leading integer and d = gcd(c, l) signed like l, the
+    work and the remainder are multiplied by l/d and (c/d) x^a times the
+    divisor is subtracted.  The running scale turns the integer remainder
+    back into the exact one.
     """
     if f.is_zero():
         return f
-    leads = [g.leading() + (g.terms,) for g in basis if g.terms]
-    work = dict(f.terms)
+    leads = []
+    for g in basis:
+        if g.terms:
+            lexp = g.leading()[0]
+            ints = g._integral_form()[1]
+            leads.append((lexp, ints[lexp], ints))
+    scale, work = f._integral_form()
+    work = dict(work)
     heap = [(-sum(e), e[::-1], e) for e in work]
     heapify(heap)
-    remainder: Dict[Exponent, Fraction] = {}
+    remainder: Dict[Exponent, int] = {}
     while heap:
         exp = heappop(heap)[2]
         coeff = work.pop(exp, None)
@@ -243,57 +291,64 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
         else:
             remainder[exp] = coeff
             continue
+        d = gcd(coeff, lc)
+        if lc < 0:
+            d = -d
+        b = lc // d
+        if b != 1:
+            work = {e: b * v for e, v in work.items()}
+            remainder = {e: b * v for e, v in remainder.items()}
+            scale *= b
+        a = coeff // d
         factor_exp = _exp_sub(exp, lexp)
-        factor_coeff = coeff / lc
         for e, c in terms.items():
             if e == lexp:
                 continue
             te = _exp_add(e, factor_exp)
             old = work.get(te)
             if old is None:
-                work[te] = -factor_coeff * c
+                work[te] = -a * c
                 heappush(heap, (-sum(te), te[::-1], te))
             else:
-                nv = old - factor_coeff * c
+                nv = old - a * c
                 if nv:
                     work[te] = nv
                 else:
                     del work[te]
-    return Polynomial._trusted(f.variables, remainder)
+    return Polynomial._from_integers(f.variables, scale, remainder)
 
 
 def _primitive(p: Polynomial) -> Polynomial:
-    """Clear denominators, divide by the integer content, fix the sign
-    of the leading coefficient.  Keeps Buchberger's intermediate
-    coefficients small without leaving exact arithmetic."""
+    """The integral form divided by its content, with a positive leading
+    coefficient.  Keeps Buchberger's intermediate coefficients small
+    without leaving exact arithmetic."""
     if p.is_zero():
         return p
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    nums = [int(c * denom_lcm) for c in p.terms.values()]
-    g = 0
-    for v in nums:
-        g = gcd(g, abs(v))
-    scale = Fraction(denom_lcm, g)
-    out = p * scale
-    if out.leading()[1] < 0:
-        out = -out
-    return out
+    lexp = p.leading()[0]
+    ints = p._integral_form()[1]
+    g = gcd(*ints.values())
+    if ints[lexp] < 0:
+        g = -g
+    return Polynomial._from_integers(
+        p.variables, 1, {e: v // g for e, v in ints.items()}, lexp)
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    fe, fc = f.leading()
-    ge, gc = g.leading()
+    """The S-polynomial of f and g times l_f l_g / d, for the leading
+    integers l_f, l_g of their integral forms and d = gcd(l_f, l_g): the
+    cofactors l_g/d and l_f/d cancel the leading terms."""
+    fe, ge = f.leading()[0], g.leading()[0]
+    fi, gi = f._integral_form()[1], g._integral_form()[1]
+    d = gcd(fi[fe], gi[ge])
     m = _exp_lcm(fe, ge)
-    terms: Dict[Exponent, Fraction] = {}
-    for p, lexp, c in ((f, fe, 1 / fc), (g, ge, -1 / gc)):
+    terms: Dict[Exponent, int] = {}
+    for ints, lexp, c in ((fi, fe, gi[ge] // d), (gi, ge, -(fi[fe] // d))):
         shift = _exp_sub(m, lexp)
-        for e, v in p.terms.items():
+        for e, v in ints.items():
             te = _exp_add(e, shift)
             terms[te] = terms.get(te, 0) + c * v
-    return Polynomial._trusted(f.variables,
-                               {e: c for e, c in terms.items() if c})
+    return Polynomial._from_integers(
+        f.variables, 1, {e: c for e, c in terms.items() if c})
 
 
 def _update(pairs: list, leads: List[Exponent], t: Exponent) -> None:
@@ -335,9 +390,12 @@ def _row_reduced(generators: Sequence[Polynomial]) -> List[Polynomial]:
         raise ValueError("generators over different variable sets")
     monos = sorted({e for g in gens for e in g.terms},
                    key=grevlex_key, reverse=True)
-    cols, rows = _reduced([[g.terms.get(e, 0) for e in monos] for g in gens])
-    return [Polynomial._trusted(gens[0].variables, {
-        monos[j]: Fraction(v) for j, v in rows[c].items()}) for c in cols]
+    column = {e: j for j, e in enumerate(monos)}
+    cols, rows = _reduced([{column[e]: v for e, v in
+                            g._integral_form()[1].items()} for g in gens])
+    # the pivot of a row is its largest monomial, so its leading term
+    return [Polynomial._from_integers(variables, 1, {
+        monos[j]: v for j, v in rows[c].items()}, monos[c]) for c in cols]
 
 
 def buchberger(generators: Sequence[Polynomial],

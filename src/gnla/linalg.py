@@ -135,6 +135,22 @@ def _reduced(rows):
     return cols, pivots
 
 
+def _det(rows) -> Fraction:
+    """The determinant of square rows, Fraction or int entries, from the
+    forward pass: the sign of the row order times the product of the
+    pivots, over the row scales the pass applied."""
+    pivots, trail = _echelon(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    order = [c for c, _, _ in trail]
+    inversions = sum(1 for i in range(len(order)) for j in range(i)
+                     if order[j] > order[i])
+    num = prod(r[c] for c, r in pivots.items())
+    num *= prod(d for _, _, d in trail)
+    den = prod(n for _, n, _ in trail)
+    return Fraction(-num if inversions % 2 else num, den)
+
+
 def _rref(rows, ncols=None):
     """The unique RREF of the row space of a list of rows, dense or
     {col: value}, as (rows, pivot columns): dense Fraction rows of ncols
@@ -274,20 +290,9 @@ class Matrix:
         return len(_echelon(self.rows)[0])
 
     def det(self) -> Fraction:
-        """From the forward pass: the sign of the row order times the
-        product of the pivots, over the row scales the pass applied."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, trail = _echelon(self.rows)
-        if len(pivots) < self.nrows:
-            return Fraction(0)
-        order = [c for c, _, _ in trail]
-        inversions = sum(1 for i in range(len(order)) for j in range(i)
-                         if order[j] > order[i])
-        num = prod(r[c] for c, r in pivots.items())
-        num *= prod(d for _, _, d in trail)
-        den = prod(n for _, n, _ in trail)
-        return Fraction(-num if inversions % 2 else num, den)
+        return _det(self.rows)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 from fractions import Fraction
 from math import gcd
 
@@ -411,6 +412,30 @@ def test_decompose_names_the_failed_ideal_condition():
         assert str(exc.value) == name
 
 
+def test_decompose_rejects_an_ungraded_chain_promptly():
+    """[A, B] = 2A - C and [A, C] = 3B break the grading: y = B has rank
+    ad y = 1 and no central degree -1 vector, but the chain B, 2A - C,
+    -3B, ... never reaches zero.  It is cut at the dimension, so the
+    call returns at once."""
+    a = GNLA("ungraded", [("A", -1), ("B", -1), ("C", -2)],
+             {(0, 1): [(0, 2), (2, -1)], (0, 2): [(1, 3)]})
+    y = a.basis_vector(1)
+    assert ad_matrix(a, y).rank == 1
+
+    def timeout(signum, frame):
+        raise TimeoutError("decompose_special_extension did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        with pytest.raises(WitnessInvalid) as exc:
+            decompose_special_extension(a, y)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == "chain vectors are dependent"
+
+
 def test_decompose_rejects_rank_two():
     a = catalog("free2step3")
     with pytest.raises(WitnessInvalid):
@@ -565,23 +590,34 @@ def reference_minors(mats, prefix):
 
 def test_minors_match_reference_builder():
     """Same variables, same generators in the same order, on the degree
-    -1 ad spans of the catalog, the pencils, their signed permutations
-    and seeded random 2-step algebras, and on a few h0 spans."""
+    -1 ad spans of the catalog, the pencils, their signed permutations,
+    seeded random 2-step algebras and the pencils in a dense rational
+    basis, on a few h0 spans, and on spans scaled by unequal rational
+    weights, so that the common denominator of the integer builder is
+    not 1 on several of them."""
     rng = random.Random(89)
     algebras = catalog_algebras()
     algebras += [signed_permutation(rng, a) for a in algebras]
     algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 4]
+    algebras += [full_block_change(rng, catalog("from_pencil", blocks=b))
+                 for b in ("M:1", "F:2", "E:2:a=1", "M:1,M:2")]
     spans = [[ad_matrix(a, a.basis_vector(p)).matrix
               for p in a.layer_positions(1)] for a in algebras]
     spans += [h0(catalog(name, **params)).basis for name, params in (
         ("heisenberg", {"dim": 3}), ("goursat", {"n": 4}),
         ("free2step3", {}), ("from_pencil", {"blocks": "F:2"}))]
+    spans += [[m.scale(Fraction(k + 1, 2 * k + 3)) for k, m in
+               enumerate(mats)] for mats in spans[:40:4]]
+    rational = 0
     for mats in spans:
         want_vars, want = reference_minors(mats, "y")
         got_vars, got = _minors(mats, "y")
         assert got_vars == want_vars
         assert [g.terms for g in got] == [g.terms for g in want]
         assert [str(g) for g in got] == [str(g) for g in want]
+        rational += any(c.denominator != 1 for g in got
+                        for c in g.terms.values())
+    assert rational >= 10
 
 
 def test_classify_closure_example_at_default_budgets():

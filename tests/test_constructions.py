@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cases import (
+    PENCIL_BLOCKS,
     catalog_algebras,
     random_two_step,
     signed_permutation,
@@ -41,6 +42,7 @@ from gnla import (
     pencil_block,
     pfaffian,
     rank1_witness,
+    solve,
     special_extension,
     spencer_subspace_check,
     validate,
@@ -627,6 +629,31 @@ def test_det_pencil_matches_direct_determinant():
             total = sum(c * t ** (n - k) for k, c in
                         enumerate(form.coefficients))
             assert total == direct
+
+
+def reference_det_pencil(b1, b2):
+    """The coefficients of det(l1 B1 + l2 B2) as det_pencil composed them
+    before it worked on integer rows: one Matrix B1 + t B2 per sample
+    point, each cell coerced by scale and by +, then interpolated."""
+    n = b1.nrows
+    dets = [(b1 + b2.scale(Fraction(t))).det() for t in range(n + 1)]
+    vrows = [[Fraction(t) ** k for k in range(n + 1)] for t in range(n + 1)]
+    return tuple(solve(Matrix(vrows), dets))
+
+
+def test_det_pencil_matches_reference_composition():
+    """Every catalog pencil, and random skew pairs with rational entries
+    of unequal denominators, including the empty side."""
+    rng = random.Random(71)
+    pairs = [assemble_pencil(PencilSpec.parse(b))[0] for b in PENCIL_BLOCKS]
+    for _ in range(12):
+        n = rng.choice((2, 3, 4, 6))
+        b1, b2 = random_skew(rng, n), random_skew(rng, n, -2, 2)
+        pairs.append((b1.scale(Fraction(rng.randint(1, 5), rng.randint(1, 7))),
+                      b2.scale(Fraction(rng.randint(-5, 5), rng.randint(1, 7)))))
+    pairs.append((Matrix([]), Matrix([])))
+    for b1, b2 in pairs:
+        assert det_pencil(b1, b2).coefficients == reference_det_pencil(b1, b2)
 
 
 def test_p_y_subspace():

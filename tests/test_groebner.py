@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -592,3 +593,124 @@ def test_engine_builds_only_clean_terms(monkeypatch):
         assert all(type(c) is Fraction for c in p.terms.values())
         assert all(len(e) == len(p.variables) for e in p.terms)
         assert p.terms == Polynomial(p.variables, p.terms).terms
+
+
+def random_rational(rng, nvars, degree, nterms):
+    """A polynomial of at most nterms terms of degree <= degree whose
+    coefficients have unequal denominators, neither monic nor primitive."""
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = Fraction(rng.choice((-6, -4, -3, 2, 3, 9, 10)),
+                                   rng.choice((1, 2, 3, 4, 9)))
+    return Polynomial(VARS[:nvars], terms)
+
+
+def test_normal_form_is_the_exact_remainder_of_the_reference_division():
+    """Rational, non-monic, non-primitive f and bases, some with negative
+    leading coefficients: the integer division returns the remainder of
+    the Fraction division exactly, not a multiple of it."""
+    rng = random.Random(113)
+    negative = nonzero = 0
+    for _ in range(400):
+        nvars = rng.randint(1, 4)
+        basis = [random_rational(rng, nvars, 3, rng.randint(1, 5))
+                 for _ in range(rng.randint(1, 4))]
+        basis = [g for g in basis if not g.is_zero()]
+        f = random_rational(rng, nvars, 4, rng.randint(1, 8))
+        got = normal_form(f, basis)
+        assert got == reference_normal_form(f, basis), (f, basis)
+        negative += any(g.leading()[1] < 0 for g in basis)
+        nonzero += not got.is_zero()
+    assert negative > 100 and nonzero > 100
+    gb = buchberger([random_rational(rng, 3, 2, 4) for _ in range(3)])
+    for _ in range(50):
+        f = random_rational(rng, 3, 4, 6)
+        assert normal_form(f, gb) == reference_normal_form(f, gb)
+
+
+def test_primitive_is_the_content_free_integer_multiple():
+    """Integer coefficients with gcd 1, a positive leading one, and a
+    rational multiple of the input, whatever its denominators and sign."""
+    rng = random.Random(137)
+    assert _primitive(poly({(2, 0, 0, 0): 6, (1, 1, 0, 0): -4,
+                            (0, 2, 0, 0): Fraction(2, 3)})) == poly(
+        {(2, 0, 0, 0): 9, (1, 1, 0, 0): -6, (0, 2, 0, 0): 1})
+    for _ in range(100):
+        p = random_rational(rng, rng.randint(1, 4), 3, rng.randint(1, 6))
+        q = _primitive(p)
+        assert all(c.denominator == 1 for c in q.terms.values())
+        assert gcd(*(c.numerator for c in q.terms.values())) == 1
+        assert q.leading()[1] > 0
+        assert len({q.terms[e] / c for e, c in p.terms.items()}) == 1
+
+
+def test_spoly_is_a_multiple_of_the_textbook_s_polynomial():
+    """The cofactors l_g/d and l_f/d give a nonzero rational multiple of
+    x^(m - lm f) f / lc f - x^(m - lm g) g / lc g, m the lcm of the
+    leading monomials, whatever the signs of the leading coefficients."""
+    rng = random.Random(127)
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        f, g = (random_rational(rng, nvars, 3, rng.randint(1, 5))
+                for _ in range(2))
+        (fe, fc), (ge, gc) = f.leading(), g.leading()
+        m = tuple(max(a, b) for a, b in zip(fe, ge))
+
+        def shifted(p, lexp, c):
+            return Polynomial(p.variables, {tuple(
+                a - b for a, b in zip(m, lexp)): c}) * p
+
+        want = shifted(f, fe, 1 / fc) - shifted(g, ge, 1 / gc)
+        got = gnla.groebner._spoly(f, g)
+        assert set(got.terms) == set(want.terms)
+        assert len({got.terms[e] / c for e, c in want.terms.items()}) <= 1
+
+
+def assert_integral_form(p):
+    """The cached integral form, when present, is (s, {exp: s * c}) for
+    the lcm s of the denominators; the cached leading term, when present,
+    is the grevlex largest term."""
+    if p._integral is not None:
+        scale, ints = p._integral
+        assert scale == lcm(*(c.denominator for c in p.terms.values()))
+        assert ints == {e: c * scale for e, c in p.terms.items()}
+        assert all(type(v) is int for v in ints.values())
+    if p._lead is not None:
+        exp = max(p.terms, key=grevlex_key)
+        assert p._lead == (exp, p.terms[exp])
+
+
+def test_integral_cache_agrees_with_terms(monkeypatch):
+    """On every polynomial the engine and the minor builder make, and on
+    public ones after the engine or evaluate filled their caches."""
+    made = []
+    trusted = Polynomial._trusted.__func__
+
+    def recording(cls, variables, terms):
+        p = trusted(cls, variables, terms)
+        made.append(p)
+        return p
+
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(recording))
+    rng = random.Random(131)
+    public = []
+    for gens in criterion9_ideals():
+        buchberger(gens, degree_cap=20)
+        public += gens
+    for n1 in (3, 4, 5):
+        buchberger(minor_ideal(random_two_step(rng, n1)).generators)
+    for _ in range(40):
+        basis = [random_rational(rng, 3, 3, 4) for _ in range(3)]
+        f = random_rational(rng, 3, 4, 6)
+        normal_form(f, basis)
+        gnla.groebner._primitive(f)
+        f.evaluate((Fraction(1, 2), 3, Fraction(-2, 7)))
+        public += basis + [f, -f, f * Fraction(-3, 2), f + basis[0]]
+    cached = [p for p in made + public if p._integral is not None]
+    assert len(cached) > 500
+    assert any(p._integral[0] != 1 for p in cached)
+    for p in made + public:
+        assert_integral_form(p)
