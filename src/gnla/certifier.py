@@ -12,6 +12,17 @@ that ideal says finite (or hit its degree cap) does the prolongation
 iteration run, whose vanishing layer certifies finite type and gives
 the layer dimensions.
 
+The rational search is exact.  On the paper's metabelian class, a
+nondegenerate algebra of depth 2 whose degree -2 layer is 2-dimensional,
+rank ad y = 1 iff y is in the kernel of a member sB_1 + tB_2 of the
+pencil of bracket forms, so the search takes the kernels at the rational
+zeros of the pfaffian form and is complete: a miss goes straight to the
+minor ideal.  Elsewhere it tries the basis matrices of the span, then
+the rational points of the line through each pair, read off the first
+2x2 minor of the line that is not identically zero (a binary
+quadratic).  Roots of integer polynomials come from the one helper
+constructions._rational_roots.
+
 Both questions about a span of matrices, a rational rank 1 element and
 a rank 1 point over the closure, have one implementation each:
 rank1_in_span and _minors.  The degree -1 ad span (rank1_witness,
@@ -23,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _gcd, lcm
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -38,7 +49,13 @@ from .algebra import (
     change_basis,
     validate,
 )
-from .constructions import Cochain2, _module_covector
+from .constructions import (
+    Cochain2,
+    _interpolated,
+    _module_covector,
+    _rational_roots,
+    pfaffian,
+)
 from .groebner import (
     CapExceeded,
     Polynomial,
@@ -49,6 +66,8 @@ from .groebner import (
 from .linalg import (
     Matrix,
     Vector,
+    _integer_row,
+    _kernel,
     independent_rows,
     is_zero_vector,
     kernel_basis,
@@ -163,39 +182,97 @@ def minor_ideal(a: GNLA) -> PolynomialIdeal:
     return PolynomialIdeal(_minor_generators(_degree1_ads(a)))
 
 
-def _rational_ladder(height: int) -> List[Fraction]:
-    out = []
-    for d in range(1, height + 1):
-        for n in range(1, height + 1):
-            if _gcd(n, d) == 1:
-                out.append(Fraction(n, d))
-                out.append(Fraction(-n, d))
-    return out
-
-
 def rank1_witness(a: GNLA, height_bound: int = 3) -> Optional[Vector]:
     """Search for a rational y in the degree -1 layer with rank ad y = 1.
 
-    ad is linear, so this is rank1_in_span over the ad matrices of the
-    degree -1 basis, last declared first (which matches the catalog
-    conventions): the basis vectors, then e_p + q e_q over basis pairs
-    with the rational q of bounded height.  The enumeration is
-    deterministic; a None answer is not a proof of absence.
+    The degree -1 basis vectors come first, last declared first (which
+    matches the catalog conventions).  On the paper's metabelian class,
+    a valid nondegenerate algebra of depth 2 with dim g_-2 = 2, the
+    pencil stage of _pencil_witness follows; it is complete there, so
+    None proves that no rational witness exists.  Elsewhere this is
+    rank1_in_span over the degree -1 ad matrices: the basis vectors, then
+    the exact rational points of the line through each pair, so a None
+    answer is not a proof of absence.  height_bound is kept for callers
+    and no longer limits the search.
     """
-    return _rank1_witness(a, _degree1_ads(a), height_bound)
+    pencil = a.depth == 2 and a.layer_dim(2) == 2
+    if pencil:
+        rep = validate(a)
+        pencil = rep.structural_ok and rep.checks["nondegenerate"]
+    return _rank1_witness(a, pencil)[0]
 
 
-def _rank1_witness(a: GNLA, ads: Sequence[Matrix],
-                   height_bound: int) -> Optional[Vector]:
-    """rank1_witness over the given degree -1 ad matrices."""
-    coeffs = rank1_in_span(ads[::-1], height_bound=height_bound,
-                           combo_budget=0)
+def _rank1_witness(a: GNLA, pencil: bool
+                   ) -> Tuple[Optional[Vector], Optional[List[Matrix]]]:
+    """rank1_witness, told whether the algebra is in the pencil class
+    (valid, nondegenerate, depth 2, dim g_-2 = 2), with the degree -1 ad
+    matrices the search built (None where the pencil stage decided
+    without them)."""
+    if pencil:
+        return _pencil_witness(a), None
+    ads = _degree1_ads(a)
+    coeffs = rank1_in_span(ads[::-1], combo_budget=0)
     if coeffs is None:
-        return None
+        return None, ads
     y = [Fraction(0)] * a.dim
     for p, c in zip(reversed(a.layer_positions(1)), coeffs):
         y[p] = c
-    return tuple(y)
+    return tuple(y), ads
+
+
+def _pencil_witness(a: GNLA) -> Optional[Vector]:
+    """The rational rank 1 witness of a valid nondegenerate algebra of
+    depth 2 with dim g_-2 = 2, or None when it has none.
+
+    With P = den B_1 and Q = den B_2 the integer bracket forms on g_-1,
+    the rows of ad y are P^t y and Q^t y, so rank ad y = 1 iff y lies in
+    the kernel of sP + tQ for some (s:t), and that (s:t) is rational
+    when y is.  The basis vectors come first, last declared first: e_i
+    is a witness iff rows i of P and Q are dependent.  Then the pencil:
+    sP + tQ is singular at (1:0) for odd n_1; for even n_1 the pfaffian
+    form Pf(P + tQ), interpolated at t = 0..n_1/2, is identically zero
+    (take (1:0)) or has its rational roots, plus (0:1) when its degree
+    drops.  Nondegeneracy makes every nonzero kernel vector a witness,
+    so the first RREF kernel vector at the first candidate is one; each
+    is still checked to give rank 1.
+    """
+    pos1 = a.layer_positions(1)
+    n = len(pos1)
+    w1, w2 = a.layer_positions(2)
+    forms = {w1: [[0] * n for _ in range(n)], w2: [[0] * n for _ in range(n)]}
+    for i, p in enumerate(pos1):
+        for j in range(i + 1, n):
+            for k, c in a.bracket_terms(p, pos1[j]):
+                forms[k][i][j] = c
+                forms[k][j][i] = -c
+    den = lcm(*(c.denominator for m in forms.values() for row in m
+                for c in row))
+    big_p, big_q = ([[c.numerator * (den // c.denominator) for c in row]
+                     for row in forms[w]] for w in (w1, w2))
+    for i in reversed(range(n)):
+        if _rank_one([big_p[i], big_q[i]]):
+            return a.basis_vector(pos1[i])
+
+    def member(s, t):
+        return [[s * x + t * z for x, z in zip(rp, rq)]
+                for rp, rq in zip(big_p, big_q)]
+
+    candidates = [(1, 0)]
+    if n % 2 == 0:
+        pf = _interpolated([pfaffian(Matrix(member(1, t)))
+                            for t in range(n // 2 + 1)])
+        if any(pf):
+            candidates = [(t.denominator, t.numerator)
+                          for t in _rational_roots(pf)]
+            if pf[-1] == 0:
+                candidates.append((0, 1))
+    for s, t in candidates:
+        y = _kernel(member(s, t), n).basis[0]
+        ints, _ = _integer_row(y)
+        if _rank_one([sum(v * m[i][j] for i, v in ints.items())
+                      for j in range(n)] for m in (big_p, big_q)):
+            return a.embed_layer(1, y)
+    return None
 
 
 def _rank_one(rows) -> bool:
@@ -214,17 +291,56 @@ def _rank_one(rows) -> bool:
     return first is not None
 
 
+def _line_point(a: List[List[int]], b: List[List[int]]) -> Optional[Fraction]:
+    """The first nonzero rational q with rank (A + qB) = 1, for integer
+    matrices A and B of which neither has rank 1, or None.
+
+    Every 2x2 minor of dA + nB is a binary quadratic in (d:n) and must
+    vanish where the rank is at most 1, so the first minor that is not
+    identically zero leaves at most two candidates q = n/d.  They are
+    tried by denominator, then |numerator|, positive first, the order in
+    which a search by height meets them.  If every minor vanishes on the
+    line, A and B have rank at most 1, so both are zero and so is the
+    line.
+    """
+    support = [[c for c, (x, y) in enumerate(zip(ra, rb)) if x or y]
+                for ra, rb in zip(a, b)]
+    for r1, r2 in itertools.combinations(range(len(a)), 2):
+        a1, a2, b1, b2 = a[r1], a[r2], b[r1], b[r2]
+        for c1 in support[r1]:
+            for c2 in support[r2]:
+                quadratic = (
+                    a1[c1] * a2[c2] - a1[c2] * a2[c1],
+                    a1[c1] * b2[c2] + b1[c1] * a2[c2]
+                    - a1[c2] * b2[c1] - b1[c2] * a2[c1],
+                    b1[c1] * b2[c2] - b1[c2] * b2[c1])
+                if not any(quadratic):
+                    continue
+                roots = sorted((q for q in _rational_roots(quadratic) if q),
+                               key=lambda q: (q.denominator, abs(q.numerator),
+                                              q < 0))
+                for q in roots:
+                    d, n = q.denominator, q.numerator
+                    if _rank_one([d * x + n * y for x, y in zip(ra, rb)]
+                                 for ra, rb in zip(a, b)):
+                        return q
+                return None
+    return None
+
+
 def rank1_in_span(mats: Sequence[Matrix],
                   height_bound: int = 2,
                   combo_budget: int = 30000) -> Optional[Vector]:
     """Search the span of the given matrices for a rank 1 element.
 
-    Tries single basis matrices, then pairs with small rational weights,
-    then all {-1,0,1} combinations while the budget allows.  Returns the
+    Tries single basis matrices, then the exact rational points of the
+    line through each pair (mats[i] + q mats[j], by _line_point), then
+    all {-1,0,1} combinations while the budget allows.  Returns the
     coefficient vector or None (not a proof of absence).  The matrices
     are scaled to integers by one common denominator and cut to the rows
     and columns some matrix uses, so mats[i] + (n/d) mats[j] is tested
-    as the proportional d A_i + n A_j, one row at a time.
+    as the proportional d A_i + n A_j, one row at a time.  height_bound
+    is kept for callers and no longer limits the search.
     """
     t = len(mats)
     den = lcm(*(x.denominator for m in mats for row in m.rows for x in row))
@@ -238,17 +354,14 @@ def rank1_in_span(mats: Sequence[Matrix],
             coeffs = [Fraction(0)] * t
             coeffs[i] = Fraction(1)
             return tuple(coeffs)
-    ladder = _rational_ladder(height_bound)
     for i in range(t):
         for j in range(i + 1, t):
-            for q in ladder:
-                d, n = q.denominator, q.numerator
-                if _rank_one([d * x + n * y for x, y in zip(ri, rj)]
-                             for ri, rj in zip(ints[i], ints[j])):
-                    coeffs = [Fraction(0)] * t
-                    coeffs[i] = Fraction(1)
-                    coeffs[j] = q
-                    return tuple(coeffs)
+            q = _line_point(ints[i], ints[j])
+            if q is not None:
+                coeffs = [Fraction(0)] * t
+                coeffs[i] = Fraction(1)
+                coeffs[j] = q
+                return tuple(coeffs)
     if t and 3 ** t <= combo_budget:
         for signs in itertools.product((-1, 0, 1), repeat=t):
             if all(s == 0 for s in signs) or next(
@@ -430,13 +543,15 @@ def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
     """Decide finite or infinite type, or report an honest inconclusive.
 
     Pipeline, in the order of the criterion that decides the type:
-    degenerate short-circuit, rational rank 1 witness search, then the
-    minor ideal over the closure, whose nontrivial zero means infinite
-    type (layer_dims stays None).  Only when the ideal has the trivial
-    zero alone, or hit its Groebner degree cap, does the prolongation
-    iteration run: to size the finite prolongation, or as the fallback
-    that a vanishing layer still settles.  A cap abort that the
+    degenerate short-circuit, rational rank 1 witness search (complete
+    on the pencil class, see rank1_witness), then the minor ideal over
+    the closure, whose nontrivial zero means infinite type (layer_dims
+    stays None).  Only when the ideal has the trivial zero alone, or hit
+    its Groebner degree cap, does the prolongation iteration run: to
+    size the finite prolongation, or as the fallback that a vanishing
+    layer still settles.  A cap abort that the
     iteration does not settle is inconclusive with the reason noted.
+    height_bound is kept for callers and no longer limits the search.
     """
     rep = validate(a)
     if not rep.structural_ok:
@@ -448,13 +563,15 @@ def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
                            witness=dict(rep.failures)["nondegenerate"][0],
                            certificate="central_witness")
 
-    # the witness search and the minor ideal read the same ad matrices
-    ads = _degree1_ads(a)
-    w = _rank1_witness(a, ads, height_bound)
+    # outside the pencil class the witness search and the minor ideal
+    # read the same ad matrices
+    w, ads = _rank1_witness(a, a.depth == 2 and a.layer_dim(2) == 2)
     if w is not None:
         return TypeVerdict(kind="infinite", witness=w,
                            certificate="rational_witness")
 
+    if ads is None:
+        ads = _degree1_ads(a)
     ideal = PolynomialIdeal(_minor_generators(ads), degree_cap=degree_cap)
     cap = None
     try:

@@ -31,6 +31,8 @@ from .constructions import (
     NotGenerated,
     NotSkew,
     PencilSpec,
+    _NUMERAL,
+    _NUMERAL_RE,
     algebra_from_pencil_spec,
     catalog,
     h2_0,
@@ -74,9 +76,7 @@ _LABEL = r"[A-Za-z_][A-Za-z0-9_]*"
 _BASIS_RE = re.compile(r"^(%s):(-?\d+)$" % _LABEL)
 _BRACKET_RE = re.compile(
     r"^bracket\s+\[\s*(%s)\s*,\s*(%s)\s*\]\s*=\s*(.+)$" % (_LABEL, _LABEL))
-_NUMERAL = r"-?\d+(?:/\d+)?"
 _TERM_RE = re.compile(r"^(%s)\s+(%s)$" % (_NUMERAL, _LABEL))
-_NUMERAL_RE = re.compile(_NUMERAL)
 
 
 def parse_algebra(text: str) -> GNLA:
@@ -565,7 +565,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("file")
     c.add_argument("--max-degree", type=int, default=10)
     c.add_argument("--height", type=int, default=3,
-                   help="height bound for the rational witness search")
+                   help="accepted for compatibility; the rational witness "
+                        "search is exact and this bound no longer limits it")
     c.add_argument("--degree-cap", type=int, default=12,
                    help="Groebner degree cap before giving up")
     c.add_argument("--json", action="store_true")

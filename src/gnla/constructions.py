@@ -13,10 +13,11 @@ and the CLI.
 from __future__ import annotations
 
 import copy
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import GNLA, change_basis, layer, validate
@@ -37,6 +38,10 @@ from .linalg import (
     zero_vector,
 )
 from .prolongation import MatrixSubspace
+
+# a rational numeral of the document grammars: an integer or a fraction
+_NUMERAL = r"-?\d+(?:/\d+)?"
+_NUMERAL_RE = re.compile(_NUMERAL)
 
 
 class JacobiViolation(Exception):
@@ -589,9 +594,15 @@ class PencilSpec:
                 a = Fraction(0)
                 if len(parts) == 3:
                     tail = parts[2].strip()
-                    if not tail.startswith("a="):
+                    # the .alg numeral only: Fraction also takes 1e999999999
+                    if not (tail.startswith("a=")
+                            and _NUMERAL_RE.fullmatch(tail[2:])):
                         raise ValueError("bad E parameter in %r" % token)
-                    a = Fraction(tail[2:])
+                    try:
+                        a = Fraction(tail[2:])
+                    except (ValueError, ZeroDivisionError):
+                        raise ValueError(
+                            "bad E parameter in %r" % token) from None
                 elif len(parts) > 3:
                     raise ValueError("bad pencil block %r" % token)
                 blocks.append(("E", (size, a)))
@@ -715,25 +726,132 @@ class PencilForm:
     rational_roots: Tuple[Tuple[Fraction, Fraction], ...]
 
 
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+def _interpolated(values: Sequence) -> Tuple[Fraction, ...]:
+    """The coefficients, constant term first, of the polynomial of degree
+    below len(values) that takes values[t] at t = 0, 1, ...: one
+    Vandermonde solve, in rational arithmetic throughout."""
+    m = len(values)
+    vrows = [[Fraction(t) ** k for k in range(m)] for t in range(m)]
+    coeffs = solve(Matrix(vrows), values)
+    if coeffs is None:
+        raise AssertionError("interpolation system must be solvable")
+    return coeffs
+
+
+def _poly_divmod(f: Sequence, g: Sequence):
+    """Quotient and remainder of coefficient lists, constant term first,
+    as Fractions; g has a nonzero last entry and the remainder no
+    trailing zeros."""
+    f = [Fraction(c) for c in f]
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g):
+        c = f[-1] / g[-1]
+        shift = len(f) - len(g)
+        q[shift] = c
+        for k, x in enumerate(g):
+            f[shift + k] -= c * x
+        while f and f[-1] == 0:
+            f.pop()
+    return q, f
+
+
+def _poly_value(f: Sequence, x: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(f):
+        out = out * x + c
+    return out
+
+
+def _sign_changes(seq: Sequence[Sequence], x: Fraction) -> int:
+    signs = [v > 0 for v in (_poly_value(f, x) for f in seq) if v]
+    return sum(1 for u, w in zip(signs, signs[1:]) if u != w)
+
+
+def _rational_roots(coeffs: Sequence) -> List[Fraction]:
+    """The distinct rational roots, increasing, of the nonzero polynomial
+    sum coeffs[k] t^k with rational coefficients, found without
+    factoring an integer.
+
+    A root 0 is read off the low coefficients, and the rest is scaled to
+    a primitive integer polynomial.  Up to degree 2 the roots come from
+    math.isqrt of the discriminant.  Past it, the real roots of the
+    squarefree part f are isolated exactly by a Sturm sequence, and each
+    isolating interval is bisected below width 1/(2 lc^2), lc the
+    leading coefficient of f.  A rational root p/q of f has q | lc, and
+    two fractions with denominators at most |lc| lie 1/lc^2 apart or
+    more, so limit_denominator(|lc|) of the midpoint is the only
+    candidate and one exact evaluation decides it.
+    """
+    f = [Fraction(c) for c in coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    low = next(k for k, c in enumerate(f) if c)
+    roots = [Fraction(0)] if low else []
+    f = f[low:]
+    if len(f) > 3:
+        # divide out gcd(f, f'), the last nonzero Euclidean remainder
+        g, r = f, [k * c for k, c in enumerate(f)][1:]
+        while r:
+            g, r = r, _poly_divmod(g, r)[1]
+        f = _poly_divmod(f, g)[0]
+    den = lcm(*(c.denominator for c in f))
+    f = [c.numerator * (den // c.denominator) for c in f]
+    content = gcd(*f)
+    f = [c // content for c in f]
+    if len(f) == 2:
+        roots.append(Fraction(-f[0], f[1]))
+    elif len(f) == 3:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:
+            roots += {Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)}
+    elif len(f) > 3:
+        roots += _isolated_rational_roots(f)
+    return sorted(set(roots))
+
+
+def _isolated_rational_roots(f: List[int]) -> List[Fraction]:
+    """The rational roots of a squarefree integer polynomial of degree 3
+    or more, by Sturm isolation and bisection (see _rational_roots)."""
+    seq = [f, [k * c for k, c in enumerate(f)][1:]]
+    while True:
+        r = _poly_divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append([-c for c in r])
+    lc = abs(f[-1])
+    # Cauchy: every root lies strictly inside (-bound, bound)
+    bound = Fraction(2 + max(abs(c) for c in f[:-1]) // lc)
+    width = Fraction(1, 2 * lc * lc)
+    roots = []
+    # (lo, hi, changes at lo, changes at hi): the interval (lo, hi] holds
+    # exactly changes(lo) - changes(hi) distinct roots
+    todo = [(-bound, bound, _sign_changes(seq, -bound),
+             _sign_changes(seq, bound))]
+    while todo:
+        lo, hi, vlo, vhi = todo.pop()
+        if vlo == vhi:
+            continue
+        mid = (lo + hi) / 2
+        if vlo - vhi == 1 and hi - lo < width:
+            x = mid.limit_denominator(lc)
+            if _poly_value(f, x) == 0:
+                roots.append(x)
+            continue
+        vmid = _sign_changes(seq, mid)
+        todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return roots
 
 
 def det_pencil(b1: Matrix, b2: Matrix) -> PencilForm:
     """Exact coefficients of det(l1 B1 + l2 B2) plus its rational roots.
 
     The form is recovered by interpolation at l1 = 1, l2 = 0..n, which
-    stays in rational arithmetic throughout; roots come from the
-    rational root theorem on the dehomogenized polynomial, with (0, 1)
+    stays in rational arithmetic throughout; roots come from
+    _rational_roots of the dehomogenized polynomial, with (0, 1)
     appended when l1 divides the form.
     """
     n = b1.nrows
@@ -748,34 +866,12 @@ def det_pencil(b1: Matrix, b2: Matrix) -> PencilForm:
     dets = [_det([[x + t * y for x, y in zip(r1, r2)]
                   for r1, r2 in zip(int1, int2)]) / den ** n
             for t in range(n + 1)]
-    vrows = [[Fraction(t) ** k for k in range(n + 1)] for t in range(n + 1)]
-    coeffs = solve(Matrix(vrows), dets)
-    if coeffs is None:
-        raise AssertionError("interpolation system must be solvable")
-    coeffs = tuple(coeffs)
-
+    coeffs = _interpolated(dets)
     if all(c == 0 for c in coeffs):
         return PencilForm(side=n, coefficients=coeffs,
                           identically_zero=True, rational_roots=())
-
-    v = min(k for k, c in enumerate(coeffs) if c != 0)
-    w = max(k for k, c in enumerate(coeffs) if c != 0)
-    finite: List[Fraction] = []
-    if v > 0:
-        finite.append(Fraction(0))
-    if w > v:
-        denom_lcm = lcm(*(coeffs[k].denominator for k in range(v, w + 1)))
-        ints = [int(coeffs[k] * denom_lcm) for k in range(v, w + 1)]
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                if gcd(p, q) != 1:
-                    continue
-                for t in (Fraction(p, q), Fraction(-p, q)):
-                    if sum(c * t ** j for j, c in enumerate(ints)) == 0:
-                        if t not in finite:
-                            finite.append(t)
-    roots = [(Fraction(1), t) for t in sorted(finite)]
-    if w < n:
+    roots = [(Fraction(1), t) for t in _rational_roots(coeffs)]
+    if coeffs[-1] == 0:
         roots.append((Fraction(0), Fraction(1)))
     return PencilForm(side=n, coefficients=coeffs,
                       identically_zero=False, rational_roots=tuple(roots))

@@ -410,12 +410,13 @@ def buchberger(generators: Sequence[Polynomial],
     a primitive integer form.  Raises CapExceeded when a pair that
     survived the criteria comes out with an lcm degree past degree_cap.
     """
-    return _completed(_row_reduced(generators), degree_cap)
+    return _interreduce(_completed(_row_reduced(generators), degree_cap))
 
 
 def _completed(reduced: List[Polynomial],
                degree_cap: int) -> List[Polynomial]:
-    """buchberger from the row-reduced generators on."""
+    """The pair loop of buchberger from the row-reduced generators on: a
+    Groebner basis, not yet interreduced."""
     basis = [_primitive(g) for g in reduced]
     pairs: list = []
     leads: List[Exponent] = []
@@ -431,8 +432,7 @@ def _completed(reduced: List[Polynomial],
         rem = _primitive(rem)
         basis.append(rem)
         _update(pairs, leads, rem.leading()[0])
-
-    return _interreduce(basis)
+    return basis
 
 
 def _interreduce(basis: List[Polynomial]) -> List[Polynomial]:
@@ -494,8 +494,10 @@ def only_trivial_zero(ideal: PolynomialIdeal) -> bool:
     the answer is True without the S-pair loop.  That shortcut works in
     the generators' own degrees and is taken only when those are within
     the degree cap.  The generators are row reduced once, and the S-pair
-    loop, when it runs, starts from that reduction and fills the ideal's
-    cached basis.
+    loop, when it runs, starts from that reduction.  Any Groebner basis
+    gives the answer through its leading terms, so the loop's basis
+    decides before interreduction, and the ideal's cache is left for
+    groebner() to fill with the reduced basis.
     """
     gens = [g for g in ideal.generators if not g.is_zero()]
     for g in gens:
@@ -504,13 +506,13 @@ def only_trivial_zero(ideal: PolynomialIdeal) -> bool:
     nvars = len(ideal.variables)
     if not gens:
         return nvars == 0
-    if ideal._groebner is None:
+    gb = ideal._groebner
+    if gb is None:
         reduced = _row_reduced(gens)
         if (max(g.total_degree() for g in gens) <= ideal.degree_cap
                 and _covers_every_variable(reduced, nvars)):
             return True
-        ideal._groebner = tuple(_completed(reduced, ideal.degree_cap))
-    gb = ideal._groebner
+        gb = _completed(reduced, ideal.degree_cap)
     if any(g.is_constant() for g in gb):
         return True  # unit ideal, empty zero set
     return _covers_every_variable(gb, nvars)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 
 from cases import (
     PENCIL_BLOCKS,
@@ -21,7 +22,9 @@ from gnla import (
     Matrix,
     MatrixSubspace,
     Polynomial,
+    Report,
     Subspace,
+    TypeVerdict,
     WitnessInvalid,
     ad_matrix,
     bracket,
@@ -29,16 +32,20 @@ from gnla import (
     change_basis,
     classify,
     decompose_special_extension,
+    emit_report,
     h0,
     kernel_basis,
     layer,
     leibniz_failures,
+    metabelian_from_pencil,
     minor_ideal,
     only_trivial_zero,
     quotient,
     rank1_derivation_from_witness,
     rank1_in_span,
     rank1_witness,
+    run,
+    serialize_algebra,
     solve,
     special_extension,
     spencer_subspace_check,
@@ -96,16 +103,132 @@ def reference_rank1_witness(a, height_bound=3):
     return None
 
 
+def ladder_key(q):
+    """The order of the old height ladder: denominator, then |numerator|,
+    positive first."""
+    return (q.denominator, abs(q.numerator), q < 0)
+
+
+def sympy_rank(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in m.rows]).rank()
+
+
+def sympy_line_points(m1, m2):
+    """The nonzero rational q with rank(m1 + q m2) = 1, in ladder order:
+    sympy's rational roots of the gcd of the 2x2 minors of m1 + q m2,
+    each confirmed by a sympy rank.  On a line where every minor
+    vanishes, the ladder values of height 3 are the candidates."""
+    q = sympy.Symbol("q")
+    rows = [r for r in range(m1.nrows) if any(m1.rows[r]) or any(m2.rows[r])]
+    cols = [c for c in range(m1.ncols)
+            if any(m1[r, c] or m2[r, c] for r in range(m1.nrows))]
+
+    def entry(r, c):
+        x, y = m1[r, c], m2[r, c]
+        return sympy.Poly(sympy.Rational(x.numerator, x.denominator)
+                          + q * sympy.Rational(y.numerator, y.denominator),
+                          q, domain="QQ")
+    g = sympy.Poly(0, q, domain="QQ")
+    for r1, r2 in itertools.combinations(rows, 2):
+        for c1, c2 in itertools.combinations(cols, 2):
+            g = g.gcd(entry(r1, c1) * entry(r2, c2)
+                      - entry(r1, c2) * entry(r2, c1))
+            if not g.is_zero and g.degree() == 0:
+                return []
+    if g.is_zero:
+        candidates = [Fraction(n, d) * s for d in (1, 2, 3) for n in (1, 2, 3)
+                      if gcd(n, d) == 1 for s in (1, -1)]
+    else:
+        candidates = [Fraction(int(r.p), int(r.q)) for r in g.ground_roots()
+                      if r != 0]
+    return sorted((c for c in candidates
+                   if sympy_rank(m1 + m2.scale(c)) == 1), key=ladder_key)
+
+
+def sympy_span_point(mats):
+    """rank1_in_span's single and pair stages by sympy: a single rank 1
+    matrix, else the first pair whose line has a rational rank 1 point,
+    at its first point in ladder order, else None."""
+    t = len(mats)
+    for i, m in enumerate(mats):
+        if sympy_rank(m) == 1:
+            return tuple(Fraction(int(k == i)) for k in range(t))
+    for i in range(t):
+        for j in range(i + 1, t):
+            points = sympy_line_points(mats[i], mats[j])
+            if points:
+                return tuple(Fraction(1) if k == i else points[0] if k == j
+                             else Fraction(0) for k in range(t))
+    return None
+
+
+def earlier_pairs_have_no_point(mats, coeffs):
+    """Whether no pair before the one coeffs uses has a rational rank 1
+    point on its line, by sympy."""
+    i, j = [k for k, c in enumerate(coeffs) if c]
+    return not any(sympy_line_points(mats[k], mats[l])
+                   for k in range(len(mats)) for l in range(k + 1, len(mats))
+                   if (k, l) < (i, j))
+
+
+def in_pencil_class(a):
+    rep = validate(a)
+    return (rep.structural_ok and rep.checks["nondegenerate"]
+            and a.depth == 2 and a.layer_dim(2) == 2)
+
+
+def sympy_pencil_has_rational_point(a):
+    """Whether det(s B_1 + t B_2) has a rational zero (s:t) != 0, by
+    sympy: the form, interpolated from sympy determinants, is
+    identically zero, has a rational root in t, or vanishes at (0:1)."""
+    t = sympy.Symbol("t")
+    pos1 = a.layer_positions(1)
+    forms = [sympy.Matrix([[sympy.Rational(a.pair_bracket(p, q)[w])
+                            for q in pos1] for p in pos1])
+             for w in a.layer_positions(2)]
+    det = sympy.Poly(sympy.interpolate(
+        [(k, (forms[0] + k * forms[1]).det()) for k in range(len(pos1) + 1)],
+        t), t)
+    return det.is_zero or bool(det.ground_roots()) or forms[1].det() == 0
+
+
 def test_rank1_witness_matches_reference_loop():
-    """The same witness as the direct loop on every catalog algebra,
-    every pencil and seeded random 2-step algebras, at two heights."""
+    """Against the ladder loop of the old search, on every catalog
+    algebra, every pencil and seeded random 2-step algebras, at two
+    heights: every ladder hit is still a hit, a basis vector hit is the
+    same vector, and every witness has rank 1.  On the pencil class a
+    witness exists exactly when sympy finds a rational zero of the
+    pencil's determinant form; elsewhere the witness is the first
+    rational point of the first pair line with one, as sympy finds it,
+    and the ladder's vector wherever no earlier pair has such a point."""
     rng = random.Random(4247)
     algebras = catalog_algebras() + [closure_example()]
     algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 3]
+    new_hits = 0
     for a in algebras:
+        got = rank1_witness(a)
+        assert rank1_witness(a, height_bound=1) == got, a.name
         for height in (1, 3):
-            assert (rank1_witness(a, height_bound=height)
-                    == reference_rank1_witness(a, height)), (a.name, height)
+            ref = reference_rank1_witness(a, height)
+            if ref is not None:
+                assert got is not None, (a.name, height)
+                if sum(1 for x in ref if x) == 1:
+                    assert got == ref, (a.name, height)
+            elif got is not None:
+                new_hits += 1
+        if got is not None:
+            assert ad_matrix(a, got).matrix.rank() == 1, a.name
+        if in_pencil_class(a):
+            assert (got is not None) == sympy_pencil_has_rational_point(a)
+            continue
+        pos1 = list(reversed(a.layer_positions(1)))
+        ads = [ad_matrix(a, a.basis_vector(p)).matrix for p in pos1]
+        want = sympy_span_point(ads)
+        assert got == (None if want is None else tuple(
+            sum(c * a.basis_vector(p)[k] for c, p in zip(want, pos1))
+            for k in range(a.dim))), a.name
+    assert new_hits > 0
 
 
 def reference_rank1_in_span(mats, height_bound=2, combo_budget=30000):
@@ -138,7 +261,10 @@ def reference_rank1_in_span(mats, height_bound=2, combo_budget=30000):
 def test_rank1_in_span_matches_reference_loop():
     """Seeded spans of rational matrices with a rank 1 element planted
     as a single matrix, as a pair with a rational weight, as a signed
-    sum of three, or not at all."""
+    sum of three, or not at all.  Against the ladder loop of the old
+    search: every ladder hit is still a hit, the same vector wherever no
+    earlier pair has a rational rank 1 point, and every answer has rank
+    1.  The single and pair stages give sympy's first point exactly."""
     rng = random.Random(6143)
     values = [Fraction(0)] * 4 + [Fraction(n, d) for n in (-3, -1, 1, 2)
                                   for d in (1, 2, 5)]
@@ -158,7 +284,19 @@ def test_rank1_in_span_matches_reference_loop():
                 [b, c, r - b - c], [b, c, rand(), r + b - c]][trial % 5]
         budget = rng.choice((0, 30000))
         got = rank1_in_span(mats, height_bound=2, combo_budget=budget)
-        assert got == reference_rank1_in_span(mats, 2, budget), trial
+        ref = reference_rank1_in_span(mats, 2, budget)
+        if ref is not None:
+            assert got is not None, trial
+            support = sum(1 for x in ref if x)
+            if support == 1 or (support == 2 and earlier_pairs_have_no_point(
+                    mats, ref)):
+                assert got == ref, trial
+        if got is not None:
+            combo = Matrix.zero(nrows, ncols)
+            for x, m in zip(got, mats):
+                combo = combo + m.scale(x)
+            assert combo.rank() == 1, trial
+        assert got == (sympy_span_point(mats) or ref), trial
         found.add(None if got is None else sum(1 for x in got if x))
     assert found >= {None, 1, 2, 3}
 
@@ -232,6 +370,129 @@ def test_closure_example_splits_the_certificates():
     v = classify(a, max_degree=1)
     assert v.kind == "infinite"
     assert v.certificate == "closure"
+
+
+def test_pencil_stage_is_complete_on_random_two_step_algebras():
+    """Seeded random 2-step algebras with dim g_-2 = 2: for odd n_1 every
+    one classifies rational_witness with rank 1.  Where the pencil stage
+    misses (even n_1), sympy finds no rational zero of the pencil's
+    determinant form, the square of the pfaffian form, and the minor
+    ideal still has a nontrivial zero."""
+    rng = random.Random(7211)
+    missed = 0
+    for n1 in (3, 4, 5, 6, 7) * 4:
+        a = random_two_step(rng, n1)
+        v = classify(a, max_degree=1)
+        assert v.kind == "infinite", n1
+        if n1 % 2:
+            assert v.certificate == "rational_witness", n1
+        if v.certificate == "rational_witness":
+            assert ad_matrix(a, v.witness).matrix.rank() == 1, n1
+        else:
+            assert v.certificate == "closure", n1
+            assert not sympy_pencil_has_rational_point(a), n1
+            assert not only_trivial_zero(minor_ideal(a)), n1
+            missed += 1
+    assert missed > 0
+
+
+def test_pencil_stage_takes_the_zero_at_infinity():
+    """B_1 = J_2 + J_4 and B_2 = 0 + [[0, C], [-C^t, 0]], C the companion
+    of x^2 + 1: Pf(B_1 + t B_2) = -(1 + t^2) has degree 2 < 3 and no
+    rational root, so (0:1) is the one rational zero of the pencil.  In
+    a dense degree -1 basis no basis vector is a witness; the pencil
+    stage finds one in the kernel of B_2."""
+    z = Fraction(0)
+    b1 = [[z] * 6 for _ in range(6)]
+    b2 = [[z] * 6 for _ in range(6)]
+    for i, j in ((0, 1), (2, 4), (3, 5)):
+        b1[i][j], b1[j][i] = Fraction(1), Fraction(-1)
+    for i, j, c in ((2, 5, -1), (3, 4, 1)):
+        b2[i][j], b2[j][i] = Fraction(c), Fraction(-c)
+    a = metabelian_from_pencil([Matrix(b1), Matrix(b2)])
+    # a dense degree -1 basis; a change of the degree -2 basis would move
+    # the zero at infinity to a finite root
+    rng = random.Random(7237)
+    while True:
+        block = [[Fraction(rng.randint(-2, 2)) for _ in range(6)]
+                 for _ in range(6)]
+        if Matrix(block).det() != 0:
+            break
+    b = change_basis(a, [a.embed_layer(1, row) for row in block]
+                     + [a.basis_vector(p) for p in a.layer_positions(2)],
+                     ["U%d" % p for p in range(a.dim)])
+    assert all(ad_matrix(b, b.basis_vector(p)).rank == 2
+               for p in b.layer_positions(1))
+    t = sympy.Symbol("t")
+    det = (sympy.Matrix(b1) + t * sympy.Matrix(b2)).det()
+    assert sympy.expand(det - (t ** 2 + 1) ** 2) == 0
+    v = classify(b)
+    assert (v.kind, v.certificate) == ("infinite", "rational_witness")
+    assert ad_matrix(b, v.witness).rank == 1
+
+
+def test_closure_example_stays_closure_at_default_budgets():
+    # det(B1 + t B2) = (20t^2 + 33t + 3)^2 has irrational roots only
+    v = classify(closure_example())
+    assert (v.kind, v.certificate, v.witness) == ("infinite", "closure", None)
+
+
+def test_catalog_verdicts_and_cli_bytes_are_the_ladder_witnesses(
+        tmp_path, capsys):
+    """On every catalog algebra and pencil, and a signed permutation of
+    each, a witness of the old ladder loop is a basis vector, and
+    classify returns exactly it; `gnla classify --json` prints the
+    report of that verdict byte for byte.  Where the loop found none,
+    the search still finds none."""
+    rng = random.Random(7229)
+    algebras = catalog_algebras()
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    witnessed = 0
+    for a in algebras:
+        if not validate(a).checks["nondegenerate"]:
+            continue
+        ref = reference_rank1_witness(a)
+        if ref is None:
+            assert rank1_witness(a) is None, a.name
+            continue
+        assert sum(1 for x in ref if x) == 1, a.name
+        assert classify(a) == TypeVerdict(
+            kind="infinite", witness=ref, certificate="rational_witness")
+        path = tmp_path / "a.alg"
+        path.write_text(serialize_algebra(a), encoding="utf-8")
+        assert run(["classify", str(path), "--json"]) == 0
+        want = emit_report(Report(algebra=a.name, dims=a.layer_dims(),
+                                  depth=a.depth, kind="infinite",
+                                  witness=ref), "json").decode("utf-8")
+        assert capsys.readouterr().out == want, a.name
+        witnessed += 1
+    assert witnessed >= 50
+
+
+def test_classify_is_prompt_on_pencils_with_huge_eigenvalues():
+    """Eigenvalues of 20 to 40 digits: classify of the pencil algebra,
+    in its catalog basis and in a dense one where no basis vector is a
+    witness and the pencil stage finds the roots, returns at once."""
+    def timeout(signum, frame):
+        raise TimeoutError("pencil with a huge eigenvalue did not return")
+
+    rng = random.Random(7247)
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for blocks in ("E:1:a=%d,F:1" % (10 ** 20 + 39),
+                       "E:1:a=%d,E:1:a=-1/%d,M:1" % (10 ** 40 + 1, 10 ** 21),
+                       "E:2:a=%d,F:2" % (10 ** 25 + 13)):
+            a = catalog("from_pencil", blocks=blocks)
+            for b in (a, full_block_change(rng, a)):
+                v = classify(b)
+                assert (v.kind, v.certificate) == ("infinite",
+                                                   "rational_witness")
+                assert ad_matrix(b, v.witness).rank == 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_rank1_in_span():
@@ -631,21 +892,20 @@ def test_classify_closure_example_at_default_budgets():
 
 def test_pencils_stay_infinite_under_full_block_changes():
     """Every catalog pencil with dim <= 12 is infinite (the paper's
-    metabelian theorem), whatever rank 1 directions a dense basis hides
-    from the rational search; a rational witness has rank 1."""
+    metabelian theorem) in a dense basis too.  Each has a rational
+    witness in its catalog basis, and the pencil stage finds one in any
+    basis, of rank 1; the minor ideal agrees that a rank 1 point
+    exists."""
     rng = random.Random(97)
-    closure = 0
+    checked = 0
     for blocks in PENCIL_BLOCKS:
         a = catalog("from_pencil", blocks=blocks)
         if a.dim > 12:
             continue
         b = full_block_change(rng, a)
         v = classify(b)
-        assert v.kind == "infinite", blocks
-        if v.certificate == "rational_witness":
-            assert ad_matrix(b, v.witness).rank == 1, blocks
-        else:
-            assert v.certificate == "closure", blocks
-            assert v.layer_dims is None, blocks
-            closure += 1
-    assert closure >= 6
+        assert (v.kind, v.certificate) == ("infinite", "rational_witness")
+        assert ad_matrix(b, v.witness).rank == 1, blocks
+        assert not only_trivial_zero(minor_ideal(b)), blocks
+        checked += 1
+    assert checked >= 10

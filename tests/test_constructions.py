@@ -1,8 +1,10 @@
 import random
+import signal
 import warnings
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from cases import (
     PENCIL_BLOCKS,
@@ -654,6 +656,96 @@ def test_det_pencil_matches_reference_composition():
     pairs.append((Matrix([]), Matrix([])))
     for b1, b2 in pairs:
         assert det_pencil(b1, b2).coefficients == reference_det_pencil(b1, b2)
+
+
+def sympy_rational_roots(coeffs):
+    """The distinct rational roots, increasing, of sum coeffs[k] t^k by
+    sympy's ground_roots."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * t ** k
+                          for k, c in enumerate(map(Fraction, coeffs))), t)
+    return sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+
+
+def test_det_pencil_roots_match_sympy_on_the_reference_form():
+    """Every catalog pencil and random skew pairs: the rational roots are
+    sympy's roots of the reference form, as (1, t), then (0, 1) when the
+    top coefficient vanishes."""
+    rng = random.Random(73)
+    pairs = [assemble_pencil(PencilSpec.parse(b))[0] for b in PENCIL_BLOCKS]
+    pairs += [assemble_pencil(PencilSpec.parse(b))[0] for b in (
+        "E:1:a=3/2,E:2:a=-5,F:1", "E:1:a=1/3,E:1:a=1/3,E:1:a=-7/2",
+        "E:3:a=2,M:1")]
+    for _ in range(12):
+        n = rng.choice((2, 4, 6))
+        pairs.append((random_skew(rng, n), random_skew(rng, n, -2, 2)))
+    rooted = 0
+    for b1, b2 in pairs:
+        want = reference_det_pencil(b1, b2)
+        form = det_pencil(b1, b2)
+        assert form.coefficients == want
+        if not any(want):
+            assert form.identically_zero and form.rational_roots == ()
+            continue
+        roots = [(1, t) for t in sympy_rational_roots(want)]
+        if want[-1] == 0:
+            roots.append((0, 1))
+        assert form.rational_roots == tuple(roots)
+        rooted += bool(roots)
+    assert rooted >= 8
+
+
+def test_rational_roots_match_sympy():
+    """Seeded integer polynomials of degree 1 to 6 built from linear
+    factors, squared linear factors, irreducible quadratics with real or
+    complex roots, and leading coefficients up to 10^30."""
+    rng = random.Random(79)
+    for trial in range(120):
+        coeffs = [rng.choice((1, -1, 3, 10 ** 30 + 7,
+                              rng.randint(1, 10 ** 30)))]
+        while len(coeffs) < rng.randint(2, 7):
+            kind = rng.choice(("linear", "linear", "double", "real",
+                               "complex"))
+            if kind == "linear":
+                factor = [-rng.randint(-9, 9), rng.randint(1, 9)]
+            elif kind == "double":
+                r, d = rng.randint(-4, 4), rng.randint(1, 4)
+                factor = [r * r, -2 * r * d, d * d]
+            elif kind == "real":
+                factor = [-rng.choice((2, 3, 5, 7)), 0, 1]
+            else:
+                factor = [rng.randint(1, 5), rng.randint(-1, 1), 1]
+            if len(coeffs) + len(factor) - 1 > 7:
+                break
+            coeffs = [sum(coeffs[i] * factor[k - i]
+                          for i in range(len(coeffs))
+                          if 0 <= k - i < len(factor))
+                      for k in range(len(coeffs) + len(factor) - 1)]
+        if len(coeffs) < 2:
+            continue
+        assert (constructions._rational_roots(coeffs)
+                == sympy_rational_roots(coeffs)), coeffs
+    assert constructions._rational_roots([5]) == []
+    with pytest.raises(ValueError):
+        constructions._rational_roots([0, 0])
+
+
+def test_det_pencil_is_prompt_on_huge_eigenvalues():
+    """det_pencil of E:1:a=P,F:1 for P of 8 to 40 digits returns at once,
+    with the root (1, -1/P) and the double root (1, 0)."""
+    def timeout(signum, frame):
+        raise TimeoutError("det_pencil did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        for p in (10000019, 1000000000039, 10 ** 20 + 39, 10 ** 40 + 1):
+            (b1, b2), _ = assemble_pencil(PencilSpec.parse("E:1:a=%d,F:1" % p))
+            form = det_pencil(b1, b2)
+            assert form.rational_roots == ((1, Fraction(-1, p)), (1, 0))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_p_y_subspace():

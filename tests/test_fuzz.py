@@ -1,12 +1,15 @@
-"""Property and mutation fuzzing of the two document parsers.
+"""Property and mutation fuzzing of the two document parsers and of run().
 
 Generated algebras and cochains must survive serialize then parse
 unchanged, and line-level mutations of valid `.alg` and `.coc` documents
-must either parse or raise a located DocumentError.  Runs are
-derandomized and bounded, so the suite stays deterministic.
+must either parse or raise a located DocumentError.  `gnla classify` and
+`gnla pencil` on hostile input end with a documented exit code, under a
+time bound.  Runs are derandomized and bounded, so the suite stays
+deterministic.
 """
 
 import re
+import signal
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +25,7 @@ from gnla import (
     h2_0,
     parse_algebra,
     parse_cocycle,
+    run,
     serialize_algebra,
     serialize_cocycle,
 )
@@ -184,3 +188,102 @@ def test_mutated_cocycle_documents_parse_or_raise_located(data):
         parse_cocycle(doc, base, s)
     except DocumentError as exc:
         assert exc.line >= 1
+
+
+# Eigenvalues and coefficients with 40-digit parts, and in one draw of
+# four a hostile numeral of the parsers: an exponent form that Fraction
+# would expand, zero denominators, a decimal, a numeral past the digit
+# limit.
+BIG = 10 ** 40 + 1
+BIG_NUMERALS = [str(BIG), "-%d" % BIG, "%d/%d" % (BIG, BIG + 2),
+                "1/%d" % (BIG - 2)]
+CLI_NUMERALS = st.sampled_from(
+    ["-3", "-2", "-1", "0", "1", "1", "2", "3", "3/2", "-5/7"] * 2
+    + BIG_NUMERALS * 2
+    + ["1e999999999", "1/0", "0/0", "2.5", "-", "9" * 4301])
+
+
+@st.composite
+def pencil_specs(draw):
+    """A block list of one to three small M, F and E blocks, half the
+    eigenvalues of 40 digits and the rest drawn from CLI_NUMERALS."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from("MFEE"))
+        size = draw(st.integers(1, 2))
+        if kind == "E":
+            blocks.append("E:%d:a=%s" % (size, draw(st.one_of(
+                st.sampled_from(BIG_NUMERALS), CLI_NUMERALS))))
+        else:
+            blocks.append("%s:%d" % (kind, size))
+    return ",".join(blocks)
+
+
+@st.composite
+def two_step_documents(draw):
+    """A 2-step `.alg` document with two to five generators and a degree
+    -2 layer of dimension 1 to 3, its coefficients drawn from
+    CLI_NUMERALS; one pair bracket in five is left out."""
+    n1 = draw(st.integers(2, 5))
+    n2 = draw(st.integers(1, 3))
+    gens = ["X%d" % (i + 1) for i in range(n1)]
+    tops = ["W%d" % (k + 1) for k in range(n2)]
+    lines = ["algebra hostile",
+             "basis " + " ".join(["%s:-1" % x for x in gens]
+                                 + ["%s:-2" % w for w in tops])]
+    for i in range(n1):
+        for j in range(i + 1, n1):
+            if draw(st.integers(0, 4)):
+                terms = " + ".join("%s %s" % (draw(CLI_NUMERALS), w)
+                                   for w in tops)
+                lines.append("bracket [%s,%s] = %s" % (gens[i], gens[j],
+                                                        terms))
+    return "\n".join(lines) + "\n"
+
+
+def bounded_run(argv, seconds=10):
+    """run(argv) under a SIGALRM bound; its exit code."""
+    def timeout(signum, frame):
+        raise TimeoutError("gnla %s did not return" % " ".join(argv)[:80])
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+CLI_FUZZ = settings(FUZZ, max_examples=40, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+
+@CLI_FUZZ
+@given(pencil_specs())
+def test_run_pencil_then_classify_ends_with_an_exit_code(tmp_path, capsys,
+                                                         spec):
+    """`gnla pencil` on a hostile block list exits 0 to 3; a document it
+    writes classifies infinite, as every pencil of M, F and rational E
+    blocks has a rational rank 1 witness."""
+    code = bounded_run(["pencil", "--blocks", spec])
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2, 3), spec
+    if code != 0:
+        return
+    path = tmp_path / "pencil.alg"
+    path.write_text(out, encoding="utf-8")
+    assert bounded_run(["classify", str(path), "--json"]) == 0, spec
+    assert '"kind": "infinite"' in capsys.readouterr().out, spec
+
+
+@CLI_FUZZ
+@given(two_step_documents())
+def test_run_classify_on_hostile_two_step_documents(tmp_path, capsys, doc):
+    """`gnla classify` on 2-step documents with 40-digit and hostile
+    coefficients exits 0 to 3 within the bound."""
+    path = tmp_path / "doc.alg"
+    path.write_text(doc, encoding="utf-8")
+    code = bounded_run(["classify", str(path), "--max-degree", "2"])
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), doc

@@ -300,32 +300,58 @@ def test_only_trivial_zero_matches_the_full_basis_on_minor_ideals(
 
 def test_only_trivial_zero_row_reduces_once(monkeypatch):
     """One row reduction per call, whether the shortcut answers or the
-    S-pair loop runs; the loop's basis is buchberger's and is cached on
-    the ideal, and a call on a cached ideal reduces nothing."""
+    S-pair loop runs; the loop's basis decides without being cached, and
+    a call on an ideal whose reduced basis is cached reduces nothing."""
     rng = random.Random(5023)
     calls = []
+    runs = []
     engine = gnla.groebner._row_reduced
+    loop = gnla.groebner._completed
 
     def counted(gens):
         calls.append(len(gens))
         return engine(gens)
 
+    def counted_loop(*args):
+        runs.append(1)
+        return loop(*args)
+
     monkeypatch.setattr(gnla.groebner, "_row_reduced", counted)
+    monkeypatch.setattr(gnla.groebner, "_completed", counted_loop)
     looped = 0
     for a in [catalog("free2step3"), catalog("kgen", k=4)] + [
             random_two_step(rng, n1) for n1 in (3, 4, 4, 5)]:
         gens = minor_ideal(a).generators
         ideal = PolynomialIdeal(gens)
         calls.clear()
+        runs.clear()
         answer = only_trivial_zero(ideal)
         assert len(calls) == 1, a.name
-        if ideal._groebner is not None:
+        assert ideal._groebner is None, a.name
+        if runs:
             looped += 1
-            assert list(ideal._groebner) == buchberger(gens), a.name
+            ideal.groebner()
             calls.clear()
             assert only_trivial_zero(ideal) == answer
             assert calls == []
     assert looped >= 3
+
+
+def test_only_trivial_zero_leaves_the_reduced_basis_to_groebner():
+    """The pair loop's basis is not interreduced, so only_trivial_zero
+    does not cache it: groebner() afterwards is buchberger's reduced
+    basis, and the answer agrees with the one read from that basis."""
+    rng = random.Random(5039)
+    algebras = [catalog("free2step3"), catalog("kgen", k=4)]
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 4, 5, 5)]
+    for a in algebras:
+        gens = minor_ideal(a).generators
+        ideal = PolynomialIdeal(gens)
+        answer = only_trivial_zero(ideal)
+        assert ideal._groebner is None, a.name
+        assert list(ideal.groebner()) == buchberger(gens), a.name
+        assert answer == reference_only_trivial_zero(PolynomialIdeal(gens))
+        assert only_trivial_zero(ideal) == answer, a.name
 
 
 def test_only_trivial_zero_shortcut_stays_within_the_degree_cap():
