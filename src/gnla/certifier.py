@@ -24,9 +24,10 @@ quadratic).  Roots of integer polynomials come from the one helper
 constructions._rational_roots.
 
 Both questions about a span of matrices, a rational rank 1 element and
-a rank 1 point over the closure, have one implementation each:
-rank1_in_span and _minors.  The degree -1 ad span (rank1_witness,
-minor_ideal) and an h0 span (spencer_subspace_check) share them.
+a rank 1 point over the closure, read the one integer form (den, ints)
+of _integer_span, built for the degree -1 ad span straight from the
+bracket table.  classify and spencer_subspace_check ask them in one
+order: _span_point (or the pencil stage on its two rows), then _minors.
 """
 
 from __future__ import annotations
@@ -104,35 +105,60 @@ class TypeVerdict:
     cap_exceeded: bool = False
 
 
-def _minors(mats: Sequence[Matrix],
-            prefix: str) -> Tuple[Tuple[str, ...], List[Polynomial]]:
-    """The variables v1.. and the distinct nonzero 2x2 minors of
-    sum v_k mats[k], each with a positive leading coefficient.
+Ints = List[List[List[int]]]
 
-    Rows and columns that are zero in every matrix are skipped; the
-    minors come in the order of their row pairs, then column pairs.  The
-    entries are scaled to integers by one common denominator den, as in
-    rank1_in_span, and each minor is divided by den^2 on output.
-    """
-    t = len(mats)
+
+def _integer_span(t: int, entries) -> Tuple[int, Ints]:
+    """(den, ints) for t matrices with nonzero entries {(k, r, c): x}:
+    den is the lcm of the denominators and ints[k] is den times matrix
+    k, cut to the rows and columns that some matrix uses, in order."""
+    den = lcm(*{x.denominator for x in entries.values()})
+    rows = {r: i for i, r in enumerate(sorted({r for _, r, _ in entries}))}
+    cols = {c: i for i, c in enumerate(sorted({c for _, _, c in entries}))}
+    ints = [[[0] * len(cols) for _ in rows] for _ in range(t)]
+    for (k, r, c), x in entries.items():
+        ints[k][rows[r]][cols[c]] = x.numerator * (den // x.denominator)
+    return den, ints
+
+
+def _matrix_span(mats: Sequence[Matrix]) -> Tuple[int, Ints]:
+    """The integer span of a list of matrices."""
+    return _integer_span(len(mats), {
+        (k, r, c): x for k, m in enumerate(mats)
+        for r, row in enumerate(m.rows) for c, x in enumerate(row) if x})
+
+
+def _degree1_span(a: GNLA) -> Tuple[int, Ints]:
+    """The integer span of ad e_p over the degree -1 basis, declaration
+    order: entry (k, j) of ad e_p is the e_k coefficient of [e_p, e_j]."""
+    return _integer_span(a.layer_dim(1), {
+        (i, k, j): c for i, p in enumerate(a.layer_positions(1))
+        for j in range(a.dim) for k, c in a.bracket_terms(p, j)})
+
+
+def _minors(span: Tuple[int, Ints], prefix: str) -> List[Polynomial]:
+    """The distinct nonzero 2x2 minors of sum v_k M_k in the variables
+    v1.., span = (den, ints) the integer span of the M_k, each with a
+    positive leading coefficient, in the order of their row pairs, then
+    column pairs, and divided by den^2.  If every minor vanishes it is
+    the zero polynomial alone: that keeps the variables visible, and the
+    zero ideal in n >= 1 variables has a nontrivial zero."""
+    den, ints = span
+    t = len(ints)
     variables = tuple("%s%d" % (prefix, k + 1) for k in range(t))
-    rows = sorted({r for m in mats for r, row in enumerate(m.rows) if any(row)})
-    cols = sorted({c for m in mats for row in m.rows
-                   for c, e in enumerate(row) if e})
-    den = lcm(*(x.denominator for m in mats for row in m.rows for x in row))
-    ints = [[[x.numerator * (den // x.denominator) for x in row]
-             for row in m.rows] for m in mats]
+    nrows = len(ints[0]) if ints else 0
+    ncols = len(ints[0][0]) if nrows else 0
 
     # entry (r, c) of the generic matrix as its linear terms (k, den m_k[r, c]);
     # the product of v_k and v_l has exponent monos[k][l]
     entries = {(r, c): [(k, m[r][c]) for k, m in enumerate(ints) if m[r][c]]
-               for r in rows for c in cols}
+               for r in range(nrows) for c in range(ncols)}
     monos = [[tuple(int(i == k) + int(i == l) for i in range(t))
               for l in range(t)] for k in range(t)]
     seen = set()
     gens: List[Polynomial] = []
-    for r1, r2 in itertools.combinations(rows, 2):
-        for c1, c2 in itertools.combinations(cols, 2):
+    for r1, r2 in itertools.combinations(range(nrows), 2):
+        for c1, c2 in itertools.combinations(range(ncols), 2):
             terms = {}
             for left, right, sign in (
                     (entries[r1, c1], entries[r2, c2], 1),
@@ -152,23 +178,7 @@ def _minors(mats: Sequence[Matrix],
                 seen.add(key)
                 gens.append(Polynomial._from_integers(
                     variables, den * den, terms, lead))
-    return variables, gens
-
-
-def _degree1_ads(a: GNLA) -> List[Matrix]:
-    """The ad matrices of the degree -1 basis vectors, declaration order."""
-    return [ad_matrix(a, a.basis_vector(p)).matrix
-            for p in a.layer_positions(1)]
-
-
-def _minor_generators(ads: Sequence[Matrix]) -> List[Polynomial]:
-    """The generators of the minor ideal of the degree -1 ad matrices."""
-    variables, gens = _minors(ads, "y")
-    if not gens:
-        # keep the ambient variables visible: the zero ideal in n >= 1
-        # variables vanishes everywhere, so only_trivial_zero says False
-        gens = [Polynomial.zero(variables)]
-    return gens
+    return gens or [Polynomial.zero(variables)]
 
 
 def minor_ideal(a: GNLA) -> PolynomialIdeal:
@@ -179,7 +189,7 @@ def minor_ideal(a: GNLA) -> PolynomialIdeal:
     type.  All generators are homogeneous quadratics in y_1..y_n, built
     by the same minor builder as spencer_subspace_check.
     """
-    return PolynomialIdeal(_minor_generators(_degree1_ads(a)))
+    return PolynomialIdeal(_minors(_degree1_span(a), "y"))
 
 
 def rank1_witness(a: GNLA, height_bound: int = 3) -> Optional[Vector]:
@@ -189,66 +199,50 @@ def rank1_witness(a: GNLA, height_bound: int = 3) -> Optional[Vector]:
     matches the catalog conventions).  On the paper's metabelian class,
     a valid nondegenerate algebra of depth 2 with dim g_-2 = 2, the
     pencil stage of _pencil_witness follows; it is complete there, so
-    None proves that no rational witness exists.  Elsewhere this is
-    rank1_in_span over the degree -1 ad matrices: the basis vectors, then
-    the exact rational points of the line through each pair, so a None
-    answer is not a proof of absence.  height_bound is kept for callers
-    and no longer limits the search.
+    None proves that no rational witness exists.  Elsewhere it is
+    _span_point over the degree -1 ad matrices, so a None answer is not
+    a proof of absence.  height_bound is kept for callers and no longer
+    limits the search.
     """
     pencil = a.depth == 2 and a.layer_dim(2) == 2
     if pencil:
         rep = validate(a)
         pencil = rep.structural_ok and rep.checks["nondegenerate"]
-    return _rank1_witness(a, pencil)[0]
+    return _rank1_witness(a, _degree1_span(a)[1], pencil)
 
 
-def _rank1_witness(a: GNLA, pencil: bool
-                   ) -> Tuple[Optional[Vector], Optional[List[Matrix]]]:
-    """rank1_witness, told whether the algebra is in the pencil class
-    (valid, nondegenerate, depth 2, dim g_-2 = 2), with the degree -1 ad
-    matrices the search built (None where the pencil stage decided
-    without them)."""
+def _rank1_witness(a: GNLA, ints: Ints, pencil: bool) -> Optional[Vector]:
+    """rank1_witness on the integer degree -1 ad matrices, told whether
+    the algebra is in the pencil class (valid, nondegenerate, depth 2,
+    dim g_-2 = 2)."""
     if pencil:
-        return _pencil_witness(a), None
-    ads = _degree1_ads(a)
-    coeffs = rank1_in_span(ads[::-1], combo_budget=0)
-    if coeffs is None:
-        return None, ads
-    y = [Fraction(0)] * a.dim
-    for p, c in zip(reversed(a.layer_positions(1)), coeffs):
-        y[p] = c
-    return tuple(y), ads
+        return _pencil_witness(a, ints)
+    coeffs = _span_point(ints[::-1])
+    return None if coeffs is None else a.embed_layer(1, coeffs[::-1])
 
 
-def _pencil_witness(a: GNLA) -> Optional[Vector]:
+def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
     """The rational rank 1 witness of a valid nondegenerate algebra of
     depth 2 with dim g_-2 = 2, or None when it has none.
 
-    With P = den B_1 and Q = den B_2 the integer bracket forms on g_-1,
-    the rows of ad y are P^t y and Q^t y, so rank ad y = 1 iff y lies in
-    the kernel of sP + tQ for some (s:t), and that (s:t) is rational
-    when y is.  The basis vectors come first, last declared first: e_i
-    is a witness iff rows i of P and Q are dependent.  Then the pencil:
-    sP + tQ is singular at (1:0) for odd n_1; for even n_1 the pfaffian
-    form Pf(P + tQ), interpolated at t = 0..n_1/2, is identically zero
-    (take (1:0)) or has its rational roots, plus (0:1) when its degree
-    drops.  Nondegeneracy makes every nonzero kernel vector a witness,
-    so the first RREF kernel vector at the first candidate is one; each
-    is still checked to give rank 1.
+    The integer ad matrices are cut to the 2 rows of g_-2 and the n_1
+    columns of g_-1, so their rows give P = den B_1 and Q = den B_2, the
+    integer bracket forms on g_-1.  The rows of ad y are P^t y and Q^t y,
+    so rank ad y = 1 iff y lies in the kernel of sP + tQ for some (s:t),
+    and that (s:t) is rational when y is.  The basis vectors come first,
+    last declared first: e_i is a witness iff rows i of P and Q are
+    dependent.  Then the pencil: sP + tQ is singular at (1:0) for odd
+    n_1; for even n_1 the pfaffian form Pf(P + tQ), interpolated at
+    t = 0..n_1/2, is identically zero (take (1:0)) or has its rational
+    roots, plus (0:1) when its degree drops.  Nondegeneracy makes every
+    nonzero kernel vector a witness, so the first RREF kernel vector at
+    the first candidate is one; each is still checked to give rank 1.
     """
     pos1 = a.layer_positions(1)
     n = len(pos1)
-    w1, w2 = a.layer_positions(2)
-    forms = {w1: [[0] * n for _ in range(n)], w2: [[0] * n for _ in range(n)]}
-    for i, p in enumerate(pos1):
-        for j in range(i + 1, n):
-            for k, c in a.bracket_terms(p, pos1[j]):
-                forms[k][i][j] = c
-                forms[k][j][i] = -c
-    den = lcm(*(c.denominator for m in forms.values() for row in m
-                for c in row))
-    big_p, big_q = ([[c.numerator * (den // c.denominator) for c in row]
-                     for row in forms[w]] for w in (w1, w2))
+    assert len(ints) == n and all(len(m) == 2 and len(m[0]) == n
+                                  for m in ints), "not a 2 x n_1 pencil span"
+    big_p, big_q = ([m[r] for m in ints] for r in (0, 1))
     for i in reversed(range(n)):
         if _rank_one([big_p[i], big_q[i]]):
             return a.basis_vector(pos1[i])
@@ -268,8 +262,8 @@ def _pencil_witness(a: GNLA) -> Optional[Vector]:
                 candidates.append((0, 1))
     for s, t in candidates:
         y = _kernel(member(s, t), n).basis[0]
-        ints, _ = _integer_row(y)
-        if _rank_one([sum(v * m[i][j] for i, v in ints.items())
+        coords, _ = _integer_row(y)
+        if _rank_one([sum(v * m[i][j] for i, v in coords.items())
                       for j in range(n)] for m in (big_p, big_q)):
             return a.embed_layer(1, y)
     return None
@@ -328,72 +322,59 @@ def _line_point(a: List[List[int]], b: List[List[int]]) -> Optional[Fraction]:
     return None
 
 
+def _span_point(ints: Ints, combo_budget: int = 0) -> Optional[Vector]:
+    """The coefficients of a rank 1 element of the span of integer
+    matrices A_k, or None: a single matrix, then the first rational
+    point A_i + q A_j of the line through each pair (by _line_point),
+    then, if 3^t <= combo_budget, the {-1,0,1} combinations."""
+    t = len(ints)
+    for i, m in enumerate(ints):
+        if _rank_one(m):
+            return tuple(Fraction(int(k == i)) for k in range(t))
+    for i, j in itertools.combinations(range(t), 2):
+        q = _line_point(ints[i], ints[j])
+        if q is not None:
+            return tuple(Fraction(1) if k == i else q if k == j
+                         else Fraction(0) for k in range(t))
+    if t and 3 ** t <= combo_budget:
+        for signs in itertools.product((-1, 0, 1), repeat=t):
+            if not any(signs) or next(s for s in signs if s) < 0:
+                continue
+            used = [(s, m) for s, m in zip(signs, ints) if s]
+            if _rank_one([sum(s * m[r][c] for s, m in used)
+                          for c in range(len(row))]
+                         for r, row in enumerate(ints[0])):
+                return tuple(Fraction(s) for s in signs)
+    return None
+
+
 def rank1_in_span(mats: Sequence[Matrix],
                   height_bound: int = 2,
                   combo_budget: int = 30000) -> Optional[Vector]:
     """Search the span of the given matrices for a rank 1 element.
 
-    Tries single basis matrices, then the exact rational points of the
-    line through each pair (mats[i] + q mats[j], by _line_point), then
-    all {-1,0,1} combinations while the budget allows.  Returns the
-    coefficient vector or None (not a proof of absence).  The matrices
-    are scaled to integers by one common denominator and cut to the rows
-    and columns some matrix uses, so mats[i] + (n/d) mats[j] is tested
-    as the proportional d A_i + n A_j, one row at a time.  height_bound
-    is kept for callers and no longer limits the search.
+    _span_point on the integer span of the matrices, with the {-1,0,1}
+    stage while the budget allows.  Returns the coefficient vector or
+    None (not a proof of absence).  height_bound is kept for callers and
+    no longer limits the search.
     """
-    t = len(mats)
-    den = lcm(*(x.denominator for m in mats for row in m.rows for x in row))
-    rows = sorted({r for m in mats for r, row in enumerate(m.rows) if any(row)})
-    cols = sorted({c for m in mats for row in m.rows
-                   for c, x in enumerate(row) if x})
-    ints = [[[m.rows[r][c].numerator * (den // m.rows[r][c].denominator)
-              for c in cols] for r in rows] for m in mats]
-    for i, m in enumerate(ints):
-        if _rank_one(m):
-            coeffs = [Fraction(0)] * t
-            coeffs[i] = Fraction(1)
-            return tuple(coeffs)
-    for i in range(t):
-        for j in range(i + 1, t):
-            q = _line_point(ints[i], ints[j])
-            if q is not None:
-                coeffs = [Fraction(0)] * t
-                coeffs[i] = Fraction(1)
-                coeffs[j] = q
-                return tuple(coeffs)
-    if t and 3 ** t <= combo_budget:
-        for signs in itertools.product((-1, 0, 1), repeat=t):
-            if all(s == 0 for s in signs) or next(
-                    s for s in signs if s != 0) < 0:
-                continue
-            used = [(s, m) for s, m in zip(signs, ints) if s]
-            if _rank_one([sum(s * m[r][c] for s, m in used)
-                          for c in range(len(cols))]
-                         for r in range(len(rows))):
-                return tuple(Fraction(s) for s in signs)
-    return None
+    return _span_point(_matrix_span(mats)[1], combo_budget)
 
 
 def spencer_subspace_check(a_space: MatrixSubspace) -> bool:
     """Whether the span contains a rank 1 matrix over the closure.
 
-    A rational rank 1 combination found by direct search settles the
-    question immediately; otherwise the 2x2 minors of a generic
-    combination are formed and the answer is the negation of their
-    only_trivial_zero test (the basis is independent, so a nonzero
-    coefficient vector cannot give the zero matrix).
+    The stages of classify on the integer span of the basis: a rational
+    point of _span_point settles it, else the answer is the negation of
+    only_trivial_zero on the minors of a generic combination (the basis
+    is independent, so a nonzero combination is not the zero matrix).
     """
     if a_space.dim == 0:
         return False
-    if rank1_in_span(a_space.basis) is not None:
+    span = _matrix_span(a_space.basis)
+    if _span_point(span[1]) is not None:
         return True
-    _, gens = _minors(a_space.basis, "c")
-    if not gens:
-        # every 2x2 minor of the generic combination vanishes, so any
-        # nonzero combination already has rank at most 1
-        return True
-    return not only_trivial_zero(PolynomialIdeal(gens))
+    return not only_trivial_zero(PolynomialIdeal(_minors(span, "c")))
 
 
 def _moved_transversal(a: GNLA, y: Vector) -> Tuple[AdMatrix, int]:
@@ -563,16 +544,14 @@ def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
                            witness=dict(rep.failures)["nondegenerate"][0],
                            certificate="central_witness")
 
-    # outside the pencil class the witness search and the minor ideal
-    # read the same ad matrices
-    w, ads = _rank1_witness(a, a.depth == 2 and a.layer_dim(2) == 2)
+    # the witness search and the minor ideal read one integer span
+    span = _degree1_span(a)
+    w = _rank1_witness(a, span[1], a.depth == 2 and a.layer_dim(2) == 2)
     if w is not None:
         return TypeVerdict(kind="infinite", witness=w,
                            certificate="rational_witness")
 
-    if ads is None:
-        ads = _degree1_ads(a)
-    ideal = PolynomialIdeal(_minor_generators(ads), degree_cap=degree_cap)
+    ideal = PolynomialIdeal(_minors(span, "y"), degree_cap=degree_cap)
     cap = None
     try:
         if not only_trivial_zero(ideal):

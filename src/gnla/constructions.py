@@ -39,6 +39,10 @@ from .linalg import (
 )
 from .prolongation import MatrixSubspace
 
+# the most basis vectors a catalog algebra or a pencil algebra may have;
+# larger inputs are rejected before anything is built
+_MAX_DIM = 256
+
 # a rational numeral of the document grammars: an integer or a fraction
 _NUMERAL = r"-?\d+(?:/\d+)?"
 _NUMERAL_RE = re.compile(_NUMERAL)
@@ -524,14 +528,10 @@ def metabelian_from_pencil(mats: Sequence[Matrix],
     if side < 2:
         raise ValueError("pencil side must be at least 2")
     t = len(mats)
-    flat = Subspace(side * side, [m.flatten() for m in mats])
-    if flat.dim != t:
+    if len(independent_rows([m.flatten() for m in mats])) != t:
         raise NotGenerated("pencil matrices are linearly dependent")
-
-    common = Subspace.full(side)
-    for m in mats:
-        common = common.intersect(kernel_basis(m))
-    if common.dim > 0:
+    # the common kernel is the kernel of the stacked matrices
+    if _kernel([row for m in mats for row in m.rows], side).dim > 0:
         warnings.warn("pencil has a common kernel vector; "
                       "the algebra is degenerate", stacklevel=2)
 
@@ -560,6 +560,18 @@ class PencilSpec:
     divisors and the F parameters the infinite ones.
     """
     blocks: Tuple[Tuple[str, object], ...]
+
+    def __post_init__(self):
+        # the algebra has the side plus at most two basis vectors; a
+        # negative size, which pencil_block rejects, counts as zero
+        try:
+            side = sum(max(2 * int(p[0] if k == "E" else p) + (k == "M"), 0)
+                       for k, p in self.blocks)
+        except (TypeError, ValueError):
+            raise ValueError("bad pencil block list") from None
+        if side + 2 > _MAX_DIM:
+            raise ValueError("pencil too large: its algebra may have more "
+                             "than %d basis vectors" % _MAX_DIM)
 
     @property
     def minimal_indices(self) -> Tuple[int, ...]:
@@ -1047,24 +1059,24 @@ def catalog(name: str, **params) -> GNLA:
             raise ValueError("missing parameter %r for %s"
                              % (missing[0], name))
 
-    if name == "goursat":
-        want("n")
-        return _goursat(int(params["n"]))
-    if name == "heisenberg":
-        want("dim")
-        return _heisenberg(int(params["dim"]))
-    if name == "mixedjet":
-        want("k")
-        return _mixedjet(int(params["k"]))
+    # family: (builder, parameter, basis size minus the parameter)
+    sized = {"goursat": (_goursat, "n", 0),
+             "heisenberg": (_heisenberg, "dim", 0),
+             "mixedjet": (_mixedjet, "k", 3), "kgen": (_kgen, "k", 3)}
+    if name in sized:
+        build, key, extra = sized[name]
+        want(key)
+        value = int(params[key])
+        if value + extra > _MAX_DIM:
+            raise ValueError("%s: %s too large, more than %d basis vectors"
+                             % (name, key, _MAX_DIM))
+        return build(value)
     if name == "nontrivial6":
         want()
         return _nontrivial6()
     if name == "free2step3":
         want()
         return _free2step3()
-    if name == "kgen":
-        want("k")
-        return _kgen(int(params["k"]))
     if name == "from_pencil":
         want("blocks")
         return algebra_from_pencil_spec(params["blocks"])

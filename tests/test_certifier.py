@@ -51,7 +51,9 @@ from gnla import (
     spencer_subspace_check,
     validate,
 )
-from gnla.certifier import _minors
+import gnla.algebra
+import gnla.certifier
+from gnla.certifier import _degree1_span, _matrix_span, _minors
 
 
 def closure_example():
@@ -855,7 +857,8 @@ def test_minors_match_reference_builder():
     seeded random 2-step algebras and the pencils in a dense rational
     basis, on a few h0 spans, and on spans scaled by unequal rational
     weights, so that the common denominator of the integer builder is
-    not 1 on several of them."""
+    not 1 on several of them.  The builder reads the integer span of the
+    matrices and keeps the zero polynomial where every minor vanishes."""
     rng = random.Random(89)
     algebras = catalog_algebras()
     algebras += [signed_permutation(rng, a) for a in algebras]
@@ -872,8 +875,9 @@ def test_minors_match_reference_builder():
     rational = 0
     for mats in spans:
         want_vars, want = reference_minors(mats, "y")
-        got_vars, got = _minors(mats, "y")
-        assert got_vars == want_vars
+        want = want or [Polynomial.zero(want_vars)]
+        got = _minors(_matrix_span(mats), "y")
+        assert all(g.variables == want_vars for g in got)
         assert [g.terms for g in got] == [g.terms for g in want]
         assert [str(g) for g in got] == [str(g) for g in want]
         rational += any(c.denominator != 1 for g in got
@@ -909,3 +913,53 @@ def test_pencils_stay_infinite_under_full_block_changes():
         assert not only_trivial_zero(minor_ideal(b)), blocks
         checked += 1
     assert checked >= 10
+
+
+def test_degree1_span_matches_the_dense_ad_matrices():
+    """The integer span read off the bracket table equals the integer
+    span of the dense ad matrices of the degree -1 basis, on the
+    catalog, the pencils, their signed permutations, seeded random
+    2-step algebras and the pencils in dense rational bases, where the
+    common denominator is not 1."""
+    rng = random.Random(4259)
+    algebras = catalog_algebras()
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 3]
+    algebras += [full_block_change(rng, catalog("from_pencil", blocks=b))
+                 for b in PENCIL_BLOCKS * 2
+                 if catalog("from_pencil", blocks=b).dim <= 12]
+    rational = 0
+    for a in algebras:
+        want = _matrix_span([ad_matrix(a, a.basis_vector(p)).matrix
+                             for p in a.layer_positions(1)])
+        assert _degree1_span(a) == want, a.name
+        rational += want[0] != 1
+    assert rational >= 5
+
+
+def test_classify_builds_no_ad_matrix(monkeypatch):
+    """classify reads the degree -1 span from the bracket table, so it
+    builds no dense ad matrix, on the pencil class and where the line
+    search finds the witness alike."""
+    calls = []
+    dense = gnla.algebra.ad_matrix
+
+    def counted(a, y):
+        calls.append(a.name)
+        return dense(a, y)
+    for module in (gnla.algebra, gnla.certifier):
+        monkeypatch.setattr(module, "ad_matrix", counted)
+    rng = random.Random(4261)
+    algebras = catalog_algebras()
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5)]
+    algebras += [full_block_change(rng, a) for a in algebras
+                 if a.dim <= 8 and not in_pencil_class(a)]
+    stages = set()
+    for a in algebras:
+        if not validate(a).checks["nondegenerate"]:
+            continue
+        v = classify(a)
+        if v.certificate == "rational_witness":
+            stages.add((in_pencil_class(a), sum(1 for x in v.witness if x)))
+    assert calls == []
+    assert {(True, 1), (False, 1), (False, 2)} <= stages

@@ -1,4 +1,5 @@
 import json
+import signal
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from gnla import (
     DuplicateBracket,
     GNLA,
     GradingViolation,
+    PencilSpec,
     Report,
     UnknownLabel,
     catalog,
@@ -316,6 +318,39 @@ def test_run_catalog_and_reparse(tmp_path, capsys):
 def test_run_catalog_unknown_name(tmp_path, capsys):
     assert run(["catalog", "nosuch"]) == 2
     assert "unknown catalog name" in capsys.readouterr().err
+
+
+def test_huge_catalog_and_pencil_sizes_are_prompt_located_errors(capsys):
+    """A catalog family or a pencil whose algebra would have more than
+    256 basis vectors is refused before anything is built, so the run
+    exits 2 at once and names the input; the largest sizes still build."""
+    def timeout(signum, frame):
+        raise TimeoutError("a huge size was not refused promptly")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for argv, named in (
+                (["pencil", "--blocks", "M:1000000"], "pencil"),
+                (["pencil", "--blocks", "M:1000000,M:-1000000"], "pencil"),
+                (["pencil", "--blocks", "F:128"], "pencil"),
+                (["catalog", "goursat", "--param", "n=100000000"], "goursat"),
+                (["catalog", "heisenberg", "--param", "dim=257"],
+                 "heisenberg"),
+                (["catalog", "mixedjet", "--param", "k=254"], "mixedjet"),
+                (["catalog", "kgen", "--param", "k=254"], "kgen")):
+            assert run(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert named in err and "256 basis vectors" in err, argv
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert catalog("goursat", n=256).dim == 256
+    assert catalog("kgen", k=253).dim == 256
+    assert catalog("from_pencil", blocks="F:127").dim == 256
+    for blocks in ((("E", 5),), (("M", "x"),)):
+        with pytest.raises(ValueError):
+            PencilSpec(blocks=blocks)
 
 
 def test_run_extend_rebuilds_nontrivial6(tmp_path, capsys):
