@@ -31,8 +31,10 @@ from .constructions import (
     NotGenerated,
     NotSkew,
     PencilSpec,
+    _MAX_DIM,
     _NUMERAL,
     _NUMERAL_RE,
+    _check_extension_size,
     algebra_from_pencil_spec,
     catalog,
     h2_0,
@@ -107,6 +109,9 @@ def parse_algebra(text: str) -> GNLA:
             tokens = line.split()[1:]
             if not tokens:
                 raise DocumentSyntaxError("empty basis line", lineno)
+            if len(tokens) > _MAX_DIM:
+                raise DocumentSyntaxError("basis line of more than %d entries"
+                                          % _MAX_DIM, lineno)
             basis = []
             for tok in tokens:
                 m = _BASIS_RE.match(tok)
@@ -202,6 +207,7 @@ def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
     degree -1 basis vector of the base; `b` lines cover pairs away from
     the transversal.  j and k index the module basis Y_1..Y_s.
     """
+    _check_extension_size(base, s)
     pos1 = base.layer_positions(1)
     if not pos1:
         raise ValueError("base has no degree -1 layer")

@@ -25,13 +25,13 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _combined,
     _det,
     _kernel,
     _rref,
     frac,
     independent_rows,
     is_zero_vector,
-    kernel_basis,
     solve,
     unit_vector,
     vector,
@@ -39,13 +39,20 @@ from .linalg import (
 )
 from .prolongation import MatrixSubspace
 
-# the most basis vectors a catalog algebra or a pencil algebra may have;
-# larger inputs are rejected before anything is built
+# the most basis vectors a catalog, pencil, parsed or extension algebra
+# may have; larger inputs are rejected before anything is built
 _MAX_DIM = 256
 
 # a rational numeral of the document grammars: an integer or a fraction
 _NUMERAL = r"-?\d+(?:/\d+)?"
 _NUMERAL_RE = re.compile(_NUMERAL)
+
+
+def _check_extension_size(base: GNLA, s: int) -> None:
+    """Refuse an extension of more than _MAX_DIM basis vectors."""
+    if base.dim + s > _MAX_DIM:
+        raise ValueError("extension of %s by s = %d has more than %d basis "
+                         "vectors" % (base.name, s, _MAX_DIM))
 
 
 class JacobiViolation(Exception):
@@ -299,6 +306,7 @@ class ExtensionData:
     cocycle: Cochain2
 
     def __post_init__(self):
+        _check_extension_size(self.base, self.s)
         rep = validate(self.base)
         if not rep.structural_ok:
             raise ValueError("base algebra does not validate: %r"
@@ -458,7 +466,7 @@ def _skew_embed(q_rows: List[List[Fraction]], p: int, q: int) -> Matrix:
             if c != 0:
                 rows[i][p + j] = c
                 rows[p + j][i] = -c
-    return Matrix(rows)
+    return Matrix._trusted(tuple(map(tuple, rows)))
 
 
 def pencil_block(kind: str, param) -> Tuple[Matrix, Matrix]:
@@ -639,14 +647,12 @@ class PencilSpec:
 
 def _block_diag(blocks: Sequence[Matrix]) -> Matrix:
     side = sum(b.nrows for b in blocks)
-    rows = [[Fraction(0)] * side for _ in range(side)]
-    off = 0
+    zero = (Fraction(0),)
+    rows = []
     for b in blocks:
-        for i in range(b.nrows):
-            for j in range(b.ncols):
-                rows[off + i][off + j] = b[i, j]
-        off += b.nrows
-    return Matrix(rows)
+        off = len(rows)
+        rows += [zero * off + r + zero * (side - off - b.ncols) for r in b.rows]
+    return Matrix._trusted(tuple(rows))
 
 
 def assemble_pencil(spec: PencilSpec) -> Tuple[Tuple[Matrix, Matrix], List[str]]:
@@ -900,19 +906,11 @@ def p_y_subspace(p_space: MatrixSubspace, y: Sequence) -> Tuple[MatrixSubspace, 
     side = p_space.side
     if len(y) != side:
         raise ValueError("vector length must equal the pencil side")
-    if p_space.dim == 0:
-        return p_space, 0
-    cols = [m.apply(y) for m in p_space.basis]
-    rows = [[cols[k][r] for k in range(p_space.dim)] for r in range(side)]
-    coeff_kernel = kernel_basis(Matrix(rows))
-    mats = []
-    for c in coeff_kernel.basis:
-        m = Matrix.zero(side, side)
-        for ck, bk in zip(c, p_space.basis):
-            if ck != 0:
-                m = m + bk.scale(ck)
-        mats.append(m)
-    sub = MatrixSubspace.from_matrices(side, mats)
+    images = [m.apply(y) for m in p_space.basis]
+    rows = [{k: w[r] for k, w in enumerate(images) if w[r]}
+            for r in range(side)]
+    sub = MatrixSubspace._from_span(side, _combined(
+        _kernel(rows, p_space.dim), p_space.span.basis, side * side))
     return sub, p_space.dim - sub.dim
 
 

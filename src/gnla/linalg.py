@@ -272,10 +272,10 @@ class Matrix:
         return all(a == 0 for r in self.rows for a in r)
 
     def is_skew(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(self.rows[i][j] == -self.rows[j][i]
-                   for i in range(self.nrows) for j in range(i, self.ncols))
+        rows = self.rows
+        return self.nrows == self.ncols and all(
+            rows[j][i] == -x if x else not rows[j][i]
+            for i, r in enumerate(rows) for j, x in enumerate(r[i:], i))
 
     def flatten(self) -> Vector:
         return tuple(a for r in self.rows for a in r)
@@ -431,25 +431,31 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     return tuple(x)
 
 
+def _combined(coeffs: Subspace, basis, n: int) -> Subspace:
+    """The span of the sums sum_k c_k basis[k] over the basis vectors c of
+    coeffs, for basis an RREF of n-vectors and each c led within it.  A
+    sum reads c_k at the pivot of basis[k], so the sums are RREF rows."""
+    sparse = [[(j, e) for j, e in enumerate(v) if e] for v in basis]
+    sums = [[Fraction(0)] * n for _ in coeffs.basis]
+    for v, c in zip(sums, coeffs.basis):
+        for ck, f in zip(c, sparse):
+            if ck:
+                for j, e in f:
+                    v[j] += ck * e
+    return Subspace._trusted(n, sums)
+
+
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
-    A vector lies in both spans iff it can be written over both bases;
-    the kernel of [A^t | -B^t] yields the matching coefficient pairs.
+    A vector lies in both spans iff it can be written over both bases:
+    the kernel of the rows {k: a_k[i]} + {dim a + l: -b_l[i]} holds the
+    matching coefficient pairs, each led in its a-part (b is independent).
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
     n = a.ambient_dim
-    cols = [list(v) for v in a.basis] + [[-e for e in v] for v in b.basis]
-    stacked = Matrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-    pairs = kernel_basis(stacked)
-    vectors = []
-    for coeffs in pairs.basis:
-        v = [Fraction(0)] * n
-        for c, row in zip(coeffs[:a.dim], a.basis):
-            if c != 0:
-                v = [x + c * y for x, y in zip(v, row)]
-        vectors.append(v)
-    return Subspace(n, vectors)
+    both = a.basis + b.basis
+    rows = [{k: v[i] if k < a.dim else -v[i] for k, v in enumerate(both)
+             if v[i]} for i in range(n)]
+    return _combined(_kernel(rows, a.dim + b.dim), a.basis, n)

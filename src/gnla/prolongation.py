@@ -12,6 +12,7 @@ bases are reproducible.  The system stays sparse from assembly to the
 layer basis: its rows are {unknown: value} dicts, built from action
 columns cached once per (degree, basis vector), and go straight into the
 elimination core of linalg, which hands back the kernel's RREF rows.
+h0 is the degree 0 system cut to the columns of its m_{-1} block.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GNLA, bracket
-from .linalg import (
-    Matrix,
-    Subspace,
-    Vector,
-    _kernel,
-    kernel_basis,
-)
+from .linalg import Matrix, Subspace, Vector, _kernel
 
 
 @dataclass(frozen=True)
@@ -76,9 +71,14 @@ class MatrixSubspace:
         for m in mats:
             if (m.nrows, m.ncols) != (side, side):
                 raise ValueError("matrix side mismatch")
-        span = Subspace(side * side, [m.flatten() for m in mats])
-        basis = tuple(
-            Matrix([row[i * side:(i + 1) * side] for i in range(side)])
+        return cls._from_span(
+            side, Subspace(side * side, [m.flatten() for m in mats]))
+
+    @classmethod
+    def _from_span(cls, side: int, span: Subspace) -> "MatrixSubspace":
+        """The subspace of the matrices flattened into the rows of span."""
+        basis = tuple(Matrix._trusted(
+            tuple(row[i * side:(i + 1) * side] for i in range(side)))
             for row in span.basis)
         return cls(side=side, basis=basis, span=span)
 
@@ -131,21 +131,17 @@ def apply_layer_element(a: GNLA, lower: Sequence[ProlongationLayer],
     return tuple(out)
 
 
-def prolong_layer(a: GNLA, k: int,
-                  lower: Sequence[ProlongationLayer]) -> ProlongationLayer:
-    """Compute the degree k layer from the layers 0 .. k-1.
+def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
+    """The degree k Leibniz system as (rows, shapes, offsets, total).
 
-    The unknowns are the entries of all blocks of a candidate map; each
-    basis pair (e_p, e_q) contributes the rows of
+    The total unknowns are the entries of all blocks of a candidate map,
+    block i row-major from offsets[i]; each basis pair (e_p, e_q)
+    contributes the rows of
     phi([e_p,e_q]) - [phi(e_p), e_q] - [e_p, phi(e_q)] = 0
     expressed in the target of degree k - deg_p - deg_q.  Each row is a
     sparse {unknown: value} dict; the three terms never write the same
     unknown of a row, since they read different blocks or columns.
     """
-    if k < 0:
-        raise ValueError("prolongation layers start at degree 0")
-    if len(lower) != k:
-        raise ValueError("need exactly the layers 0 .. k-1")
     n = a.dim
     mu = a.depth
     shapes = _block_shapes(a, lower, k)
@@ -156,8 +152,6 @@ def prolong_layer(a: GNLA, k: int,
         offsets[i] = total
         srcs[i] = src
         total += tgt * src
-    if total == 0:
-        return ProlongationLayer(degree=k, maps=())
     # the coordinate of each basis position within its layer
     index = {p: x for i in range(1, mu + 1)
              for x, p in enumerate(a.layer_positions(i))}
@@ -227,7 +221,17 @@ def prolong_layer(a: GNLA, k: int,
 
             if any(block):
                 rows.extend(block)
+    return rows, shapes, offsets, total
 
+
+def prolong_layer(a: GNLA, k: int,
+                  lower: Sequence[ProlongationLayer]) -> ProlongationLayer:
+    """The degree k layer from the layers 0 .. k-1: its system's kernel."""
+    if k < 0:
+        raise ValueError("prolongation layers start at degree 0")
+    if len(lower) != k:
+        raise ValueError("need exactly the layers 0 .. k-1")
+    rows, shapes, offsets, total = _leibniz_system(a, k, lower)
     sol = _kernel(rows, total)
     maps = []
     for flat in sol.basis:
@@ -310,31 +314,15 @@ def h0(a: GNLA) -> MatrixSubspace:
     """Degree 0 derivations vanishing on every layer below the first,
     identified with a matrix subspace of End(m_{-1}).
 
-    These are the combinations of der0 whose blocks on the deeper
-    layers cancel: the kernel of the matrix with one column of
-    flattened deeper blocks per derivation.  The first blocks of those
-    combinations span the space, returned in its RREF basis.
+    This is the degree 0 Leibniz system cut to m_{-1}.  Block 1 holds
+    the first n1^2 unknowns, row-major as Matrix.flatten stores them, so
+    deleting every later column sets the deeper blocks to zero; the
+    kernel over the n1^2 columns left is the space in its RREF basis.
     """
     n1 = a.layer_dim(1)
-    maps = der0(a)
-    deeper = [tuple(e for i in range(2, a.depth + 1) if i in g.blocks
-                    for e in g.blocks[i].flatten()) for g in maps]
-    if maps and deeper[0]:
-        combos = kernel_basis(Matrix.from_columns(deeper)).basis
-    else:
-        combos = Subspace.full(len(maps)).basis
-    firsts = [[(e, v) for e, v in enumerate(g.blocks[1].flatten()) if v]
-              for g in maps if 1 in g.blocks]
-    mats = []
-    for c in combos:
-        flat = [Fraction(0)] * (n1 * n1)
-        for ck, f in zip(c, firsts):
-            if ck:
-                for e, v in f:
-                    flat[e] += ck * v
-        mats.append(Matrix._trusted(
-            tuple(tuple(flat[r * n1:(r + 1) * n1]) for r in range(n1))))
-    return MatrixSubspace.from_matrices(n1, mats)
+    rows, _, _, _ = _leibniz_system(a, 0, [])
+    cut = [{j: v for j, v in r.items() if j < n1 * n1} for r in rows]
+    return MatrixSubspace._from_span(n1, _kernel(cut, n1 * n1))
 
 
 def h0_as_graded_map(a: GNLA, m: Matrix) -> GradedMap:

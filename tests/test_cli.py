@@ -8,6 +8,7 @@ import pytest
 from gnla import (
     DocumentError,
     DuplicateBracket,
+    ExtensionData,
     GNLA,
     GradingViolation,
     PencilSpec,
@@ -351,6 +352,41 @@ def test_huge_catalog_and_pencil_sizes_are_prompt_located_errors(capsys):
     for blocks in ((("E", 5),), (("M", "x"),)):
         with pytest.raises(ValueError):
             PencilSpec(blocks=blocks)
+
+
+def test_huge_basis_line_and_extension_length_are_prompt_errors(
+        tmp_path, capsys):
+    """A basis line of more than 256 entries is a syntax error at its
+    line (exit 1), and an extension of more than 256 basis vectors is
+    refused (exit 2) before the cocycle is read into memory; the largest
+    accepted sizes still run."""
+    def timeout(signum, frame):
+        raise TimeoutError("a huge size was not refused promptly")
+
+    labels = " ".join("X%d:-1" % i for i in range(10 ** 5))
+    wide = write(tmp_path, "wide.alg", "algebra wide\nbasis %s\n" % labels)
+    base = write(tmp_path, "h.alg", HEIS3_DOC)
+    coc = write(tmp_path, "c.coc", "b Y Z 3 = 1\n")
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        assert run(["check", wide]) == 1
+        assert "line 2: basis line of more than 256 entries" in \
+            capsys.readouterr().err
+        for s in ("100000000", "254"):
+            assert run(["extend", base, "--s", s, "--cocycle", coc]) == 2
+            err = capsys.readouterr().err
+            assert "s = %s has more than 256 basis vectors" % s in err
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    largest = "algebra w\nbasis %s\n" % " ".join(
+        "X%d:-1" % i for i in range(256))
+    assert parse_algebra(largest).dim == 256
+    with pytest.raises(ValueError, match="256 basis vectors"):
+        ExtensionData.from_adapted_base(catalog("heisenberg", dim=3), 254)
+    assert ExtensionData.from_adapted_base(
+        catalog("heisenberg", dim=3), 253).s == 253
 
 
 def test_run_extend_rebuilds_nontrivial6(tmp_path, capsys):

@@ -57,7 +57,7 @@ from gnla.constructions import (
     _module_covector,
 )
 from gnla import constructions
-from gnla.linalg import independent_rows
+from gnla.linalg import independent_rows, vector
 
 
 def heis3():
@@ -542,6 +542,17 @@ def test_assemble_pencil():
             assert b1[i, j] == 0 and b2[i, j] == 0
 
 
+def test_pencil_matrices_are_tuples_of_fractions():
+    """Blocks and block-diagonal pencils are built from Fraction rows
+    taken as they are: each equals its own coerced copy."""
+    for text in PENCIL_BLOCKS:
+        (b1, b2), _ = assemble_pencil(PencilSpec.parse(text))
+        for m in (b1, b2):
+            assert m == Matrix(m.rows) and m.is_skew()
+            assert all(type(r) is tuple for r in m.rows)
+            assert all(type(e) is Fraction for r in m.rows for e in r)
+
+
 def test_assemble_pencil_m0_warns():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -777,6 +788,56 @@ def test_p_y_codim_equals_ad_rank_on_pencils():
                 continue
             _, codim = p_y_subspace(space, y1)
             assert codim == ad_matrix(a, a.embed_layer(1, y1)).rank
+
+
+def reference_p_y_subspace(p_space, y):
+    """P_y through the dense coefficient matrix, each kernel vector summed
+    as scaled matrices and the span reduced again; an oracle only."""
+    y = vector(y)
+    side = p_space.side
+    if len(y) != side:
+        raise ValueError("vector length must equal the pencil side")
+    if p_space.dim == 0:
+        return p_space, 0
+    cols = [m.apply(y) for m in p_space.basis]
+    rows = [[cols[k][r] for k in range(p_space.dim)] for r in range(side)]
+    coeff_kernel = kernel_basis(Matrix(rows))
+    mats = []
+    for c in coeff_kernel.basis:
+        m = Matrix.zero(side, side)
+        for ck, bk in zip(c, p_space.basis):
+            if ck != 0:
+                m = m + bk.scale(ck)
+        mats.append(m)
+    sub = MatrixSubspace.from_matrices(side, mats)
+    return sub, p_space.dim - sub.dim
+
+
+def test_p_y_subspace_matches_reference():
+    """Same basis, span and codimension as the dense route on the h0
+    spaces of the catalog pencils, the zero space and the bracket forms
+    of a pencil, at seeded y including y = 0."""
+    rng = random.Random(8088)
+    spaces = [h0(algebra_from_pencil_spec(b)) for b in PENCIL_BLOCKS]
+    spaces.append(MatrixSubspace.from_matrices(3, []))
+    spaces.append(MatrixSubspace.from_matrices(
+        3, list(pencil_block("M", 1))))
+    cut = 0
+    for space in spaces:
+        for t in range(6):
+            y = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                 for _ in range(space.side)]
+            if t == 0:
+                y = [0] * space.side
+            got, codim = p_y_subspace(space, y)
+            want, want_codim = reference_p_y_subspace(space, y)
+            assert (got.basis, got.span, codim) == \
+                (want.basis, want.span, want_codim)
+            assert got.span == Subspace(space.side ** 2, got.span.basis)
+            cut += codim > 0
+    assert cut > 40
+    with pytest.raises(ValueError):
+        p_y_subspace(spaces[0], (1,))
 
 
 def test_h0_elementary_matches_direct_computation():

@@ -226,6 +226,36 @@ def test_is_skew():
     assert not Matrix([[1, 0], [0, 0]]).is_skew()
 
 
+def test_is_skew_matches_the_definition():
+    """m[i][j] == -m[j][i] for every cell, diagonal included, on seeded
+    random skew matrices with cells changed on one side only, on the
+    diagonal, or turned into their mirror."""
+    rng = random.Random(2718)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                c = Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))
+                rows[i][j], rows[j][i] = c, -c
+        i, j = rng.randrange(n), rng.randrange(n)
+        change = rng.choice(["none", "one side", "diagonal", "mirror"])
+        if change == "one side":
+            rows[i][j] += rng.choice([-1, 1])
+        elif change == "diagonal":
+            rows[i][i] = Fraction(rng.choice([-1, 1]), 2)
+        elif change == "mirror":
+            rows[i][j] = rows[j][i]
+        m = Matrix(rows)
+        expected = all(m[i, j] == -m[j, i]
+                       for i in range(n) for j in range(n))
+        assert m.is_skew() == expected
+        seen[expected] += 1
+    assert min(seen.values()) > 50
+    assert not Matrix([[0, 1, 0], [-1, 0, 0]]).is_skew()
+
+
 def test_rref_is_idempotent_and_pivots_are_unit_columns():
     rng = random.Random(7)
     for _ in range(30):
@@ -443,6 +473,55 @@ def test_subspace_sum_and_intersection_dims():
         for v in both.basis:
             assert a.contains(v) and b.contains(v)
         assert both == intersect(a, b)
+
+
+def reference_intersect(a, b):
+    """The intersection through the dense stacked matrix [A^t | -B^t],
+    each kernel vector combined over a's basis densely and the span
+    reduced again; an oracle only."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim)
+    n = a.ambient_dim
+    cols = [list(v) for v in a.basis] + [[-e for e in v] for v in b.basis]
+    stacked = Matrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+    pairs = kernel_basis(stacked)
+    vectors = []
+    for coeffs in pairs.basis:
+        v = [Fraction(0)] * n
+        for c, row in zip(coeffs[:a.dim], a.basis):
+            if c != 0:
+                v = [x + c * y for x, y in zip(v, row)]
+        vectors.append(v)
+    return Subspace(n, vectors)
+
+
+def test_intersect_matches_reference():
+    """Same RREF basis as the dense route on seeded random pairs,
+    sparse and dense, among them zero, full and equal pairs; the basis
+    read off the kernel is already reduced."""
+    rng = random.Random(5150)
+    nonzero = 0
+    for t in range(200):
+        n = rng.randint(1, 7)
+
+        def span():
+            k = rng.randint(0, n)
+            return Subspace(n, [[Fraction(rng.choice([0, 0, 0, 1, -1, 2]),
+                                          rng.randint(1, 2))
+                                 for _ in range(n)] for _ in range(k)])
+        pick = t % 5
+        a = Subspace.zero(n) if pick == 1 else span()
+        b = Subspace.full(n) if pick == 2 else a if pick == 3 else span()
+        got = intersect(a, b)
+        assert got.basis == reference_intersect(a, b).basis
+        assert got.basis == Subspace(n, got.basis).basis
+        assert got == a.intersect(b) == b.intersect(a)
+        nonzero += got.dim > 0
+    assert nonzero > 50
+    with pytest.raises(ValueError):
+        intersect(Subspace.zero(2), Subspace.zero(3))
 
 
 def test_subspace_zero_and_full():

@@ -378,6 +378,40 @@ def test_h0_matches_dense_combination():
     assert nonzero >= 20
 
 
+def test_h0_is_one_kernel_of_the_cut_system(monkeypatch):
+    """h0 solves the degree 0 system cut to m_{-1} in one elimination:
+    one _kernel call, and no call to der0, prolong_layer or kernel_basis."""
+    from gnla import linalg
+
+    calls = {"_kernel": 0, "der0": 0, "prolong_layer": 0, "kernel_basis": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    kernel = counted("_kernel", linalg._kernel)
+    monkeypatch.setattr(linalg, "_kernel", kernel)
+    monkeypatch.setattr(prolongation, "_kernel", kernel)
+    for mod in (linalg, prolongation):
+        if hasattr(mod, "kernel_basis"):
+            monkeypatch.setattr(mod, "kernel_basis",
+                                counted("kernel_basis", mod.kernel_basis))
+    for name in ("der0", "prolong_layer"):
+        monkeypatch.setattr(prolongation, name,
+                            counted(name, getattr(prolongation, name)))
+    for a in (catalog("heisenberg", dim=5), catalog("goursat", n=5),
+              catalog("mixedjet", k=3), catalog("from_pencil", blocks="M:2"),
+              catalog("free2step3")):
+        for name in calls:
+            calls[name] = 0
+        space = h0(a)
+        assert calls == {"_kernel": 1, "der0": 0, "prolong_layer": 0,
+                         "kernel_basis": 0}, a.name
+        assert space.basis == reference_h0(a).basis
+
+
 def test_matrix_subspace_basics():
     m1 = Matrix([[1, 0], [0, 0]])
     m2 = Matrix([[0, 1], [0, 0]])
