@@ -30,6 +30,7 @@ from .certifier import (
     rank1_witness,
     spencer_subspace_check,
 )
+from .cli import VERSION as __version__
 from .cli import (
     DocumentError,
     DuplicateBracket,
@@ -90,12 +91,6 @@ from .prolongation import (
     leibniz_failures,
     prolong_layer,
 )
-
-try:
-    from importlib.metadata import version as _version
-    __version__ = _version("gnla")
-except Exception:  # pragma: no cover - source tree without install
-    __version__ = "0.1.0"
 
 __all__ = [
     "GNLA", "AdMatrix", "ValidationReport", "ad_matrix", "bracket",

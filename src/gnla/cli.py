@@ -127,6 +127,10 @@ def parse_algebra(text: str) -> GNLA:
                 if d >= 0:
                     raise DocumentSyntaxError("degree of %r must be negative" % lbl,
                                       lineno)
+                # a generated algebra of at most _MAX_DIM vectors is no deeper
+                if d < -_MAX_DIM:
+                    raise DocumentSyntaxError("degree of %r is below -%d"
+                                              % (lbl, _MAX_DIM), lineno)
                 if lbl in index:
                     raise DocumentSyntaxError("duplicate label %r" % lbl, lineno)
                 index[lbl] = len(basis)

@@ -9,11 +9,11 @@ an lcm beyond the degree cap; callers turn that into an inconclusive
 answer instead of a wrong one.
 
 Coefficients are reduced fraction-free, in the style of the package's
-elimination core (Bareiss 1968): every polynomial caches its integral
-form, the integer terms over the lcm of its denominators, and
-S-polynomials, normal forms and primitive parts are computed on those
-integers with gcd cofactors.  Fractions appear only in the terms a
-Polynomial exposes, so normal_form still returns the exact remainder.
+elimination core (Bareiss 1968): a polynomial stores integer terms over
+one positive scale, and arithmetic, S-polynomials, normal forms and
+primitive parts are computed on those integers with gcd cofactors.
+Fractions are built only when a caller reads terms, leading() or the
+printed form; normal_form still returns the exact remainder.
 """
 
 from __future__ import annotations
@@ -45,63 +45,47 @@ class CapExceeded(Exception):
 
 
 class Polynomial:
-    """A polynomial with Fraction coefficients in named variables."""
+    """A polynomial with rational coefficients in named variables.
 
-    __slots__ = ("variables", "terms", "_lead", "_integral")
+    It stores integers over one scale: _ints maps each exponent to a
+    nonzero int and _scale is a positive int with gcd(scale, *ints) = 1,
+    so equal polynomials store equal forms.  The coefficient of x^e is
+    ints[e] / scale; terms shows them as Fractions, built on first read.
+    """
+
+    __slots__ = ("variables", "_scale", "_ints", "_lead", "_terms")
 
     def __init__(self, variables: Sequence[str],
                  terms: Optional[Dict[Exponent, object]] = None):
         variables = tuple(variables)
         clean: Dict[Exponent, Fraction] = {}
         for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != len(variables) or any(e < 0 for e in exp):
+            exp = tuple(exp)
+            if len(exp) != len(variables) or any(
+                    int(e) != e or e < 0 for e in exp):
                 raise ValueError("bad exponent vector %r" % (exp,))
-            c = frac(c)
-            if exp in clean:
-                c += clean[exp]
-            clean[exp] = c
-        clean = {e: c for e, c in clean.items() if c != 0}
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_lead", None)
-        object.__setattr__(self, "_integral", None)
+            exp = tuple(map(int, exp))
+            clean[exp] = clean.get(exp, 0) + frac(c)
+        # over reduced Fractions, no prime divides the lcm and every integer
+        ints, scale = _integer_row(clean)
+        _store(self, variables, scale, ints, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def _trusted(cls, variables: Tuple[str, ...],
-                 terms: Dict[Exponent, Fraction]) -> "Polynomial":
-        """A polynomial over terms the engine built clean: variables a
-        tuple, exponents tuples of its length, values nonzero Fractions.
-        Skips the validation of the public constructor."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "variables", variables)
-        object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_lead", None)
-        object.__setattr__(p, "_integral", None)
-        return p
 
     @classmethod
     def _from_integers(cls, variables: Tuple[str, ...], scale: int,
                        ints: Dict[Exponent, int],
                        lead: Optional[Exponent] = None) -> "Polynomial":
         """The polynomial with terms ints[e] / scale, for nonzero ints and
-        a positive scale, with its integral form cached (and its leading
-        term, when its exponent is given)."""
+        a positive scale, stored with their gcd divided out; lead, when
+        given, is its leading exponent."""
         g = gcd(scale, *ints.values())
         if g != 1:
             scale //= g
             ints = {e: v // g for e, v in ints.items()}
-        if scale == 1:
-            p = cls._trusted(variables, {e: Fraction(v) for e, v in ints.items()})
-        else:
-            p = cls._trusted(variables, {e: Fraction(v, scale)
-                                         for e, v in ints.items()})
-        object.__setattr__(p, "_integral", (scale, ints))
-        if lead is not None:
-            object.__setattr__(p, "_lead", (lead, p.terms[lead]))
+        p = object.__new__(cls)
+        _store(p, variables, scale, ints, lead)
         return p
 
     @classmethod
@@ -118,35 +102,38 @@ class Polynomial:
         exp[i] = 1
         return cls(variables, {tuple(exp): 1})
 
+    @property
+    def terms(self) -> Dict[Exponent, Fraction]:
+        """{exponent: Fraction coefficient}, built on first read."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", {
+                e: Fraction(v, self._scale) for e, v in self._ints.items()})
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._ints)
 
     def total_degree(self) -> int:
         # grevlex compares total degrees first
-        return sum(self.leading()[0]) if self.terms else 0
+        return sum(self._lexp()) if self._ints else 0
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        return len({sum(e) for e in self._ints}) <= 1
 
-    def leading(self) -> Tuple[Exponent, Fraction]:
+    def _lexp(self) -> Exponent:
+        """The leading exponent, found once."""
         if self._lead is None:
-            if not self.terms:
+            if not self._ints:
                 raise ValueError("zero polynomial has no leading term")
-            exp = max(self.terms, key=grevlex_key)
-            object.__setattr__(self, "_lead", (exp, self.terms[exp]))
+            object.__setattr__(self, "_lead", max(self._ints, key=grevlex_key))
         return self._lead
 
-    def _integral_form(self) -> Tuple[int, Dict[Exponent, int]]:
-        """(scale, {exp: int}): the terms times scale, the lcm of their
-        denominators, computed once."""
-        if self._integral is None:
-            ints, scale = _integer_row(self.terms)
-            object.__setattr__(self, "_integral", (scale, ints))
-        return self._integral
+    def leading(self) -> Tuple[Exponent, Fraction]:
+        exp = self._lexp()
+        return exp, Fraction(self._ints[exp], self._scale)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """The value at a point n_i/d, summed in integers: a term C/D of
@@ -154,28 +141,29 @@ class Polynomial:
         point = [frac(p) for p in point]
         d = lcm(*(x.denominator for x in point))
         nums = [x.numerator * (d // x.denominator) for x in point]
-        den, ints = self._integral_form()
         top = self.total_degree()
         total = 0
-        for exp, v in ints.items():
+        for exp, v in self._ints.items():
             k = top
             for n, e in zip(nums, exp):
                 if e:
                     v *= n ** e
                     k -= e
             total += v * d ** k if k else v
-        return Fraction(total, den * d ** top)
+        return Fraction(total, self._scale * d ** top)
 
     def _binop(self, other, sign):
-        if isinstance(other, Polynomial):
-            if other.variables != self.variables:
-                raise ValueError("variable sets differ")
-            terms = dict(self.terms)
-            for e, c in other.terms.items():
-                terms[e] = terms.get(e, 0) + sign * c
-            return Polynomial._trusted(
-                self.variables, {e: c for e, c in terms.items() if c})
-        return self._binop(Polynomial.constant(self.variables, other), sign)
+        if not isinstance(other, Polynomial):
+            other = Polynomial.constant(self.variables, other)
+        elif other.variables != self.variables:
+            raise ValueError("variable sets differ")
+        scale = lcm(self._scale, other._scale)
+        a, b = scale // self._scale, sign * (scale // other._scale)
+        ints = {e: a * v for e, v in self._ints.items()}
+        for e, v in other._ints.items():
+            ints[e] = ints.get(e, 0) + b * v
+        return Polynomial._from_integers(
+            self.variables, scale, {e: v for e, v in ints.items() if v})
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -184,23 +172,21 @@ class Polynomial:
         return self._binop(other, -1)
 
     def __neg__(self):
-        return Polynomial._trusted(
-            self.variables, {e: -c for e, c in self.terms.items()})
+        return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if other.variables != self.variables:
-                raise ValueError("variable sets differ")
-            terms: Dict[Exponent, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = _exp_add(e1, e2)
-                    terms[e] = terms.get(e, 0) + c1 * c2
-            return Polynomial._trusted(
-                self.variables, {e: c for e, c in terms.items() if c})
-        c = frac(other)
-        terms = {e: c * v for e, v in self.terms.items()} if c else {}
-        return Polynomial._trusted(self.variables, terms)
+        if not isinstance(other, Polynomial):
+            other = Polynomial.constant(self.variables, other)
+        elif other.variables != self.variables:
+            raise ValueError("variable sets differ")
+        ints: Dict[Exponent, int] = {}
+        for e1, c1 in self._ints.items():
+            for e2, c2 in other._ints.items():
+                e = _exp_add(e1, e2)
+                ints[e] = ints.get(e, 0) + c1 * c2
+        return Polynomial._from_integers(
+            self.variables, self._scale * other._scale,
+            {e: c for e, c in ints.items() if c})
 
     def __rmul__(self, other):
         return self * other
@@ -211,17 +197,19 @@ class Polynomial:
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.variables == other.variables
-                and self.terms == other.terms)
+                and self._scale == other._scale
+                and self._ints == other._ints)
 
     def __hash__(self):
-        return hash((self.variables, self.key()))
+        return hash((self.variables, self._scale,
+                     frozenset(self._ints.items())))
 
     def __str__(self):
-        if not self.terms:
+        if not self._ints:
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=grevlex_key, reverse=True):
-            c = self.terms[exp]
+        for exp, c in sorted(self.terms.items(), reverse=True,
+                             key=lambda t: grevlex_key(t[0])):
             mono = "*".join(
                 ("%s^%d" % (v, e) if e > 1 else v)
                 for v, e in zip(self.variables, exp) if e)
@@ -238,6 +226,12 @@ class Polynomial:
         return out
 
     __repr__ = __str__
+
+
+def _store(p: Polynomial, variables, scale, ints, lead) -> None:
+    for name, value in zip(Polynomial.__slots__,
+                           (variables, scale, ints, lead, None)):
+        object.__setattr__(p, name, value)
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -261,7 +255,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
     Terms wait in a heap keyed by (-degree, reversed exponent), largest
     in grevlex first; a key whose term has cancelled since is skipped.
-    The division runs on the integral forms: with c the term's integer,
+    The division runs on the stored integers: with c the term's integer,
     l the divisor's leading integer and d = gcd(c, l) signed like l, the
     work and the remainder are multiplied by l/d and (c/d) x^a times the
     divisor is subtracted.  The running scale turns the integer remainder
@@ -271,12 +265,10 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
         return f
     leads = []
     for g in basis:
-        if g.terms:
-            lexp = g.leading()[0]
-            ints = g._integral_form()[1]
-            leads.append((lexp, ints[lexp], ints))
-    scale, work = f._integral_form()
-    work = dict(work)
+        if g._ints:
+            lexp = g._lexp()
+            leads.append((lexp, g._ints[lexp], g._ints))
+    scale, work = f._scale, dict(f._ints)
     heap = [(-sum(e), e[::-1], e) for e in work]
     heapify(heap)
     remainder: Dict[Exponent, int] = {}
@@ -319,13 +311,12 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 
 def _primitive(p: Polynomial) -> Polynomial:
-    """The integral form divided by its content, with a positive leading
+    """The stored integers divided by their content, with a positive leading
     coefficient.  Keeps Buchberger's intermediate coefficients small
     without leaving exact arithmetic."""
     if p.is_zero():
         return p
-    lexp = p.leading()[0]
-    ints = p._integral_form()[1]
+    lexp, ints = p._lexp(), p._ints
     g = gcd(*ints.values())
     if ints[lexp] < 0:
         g = -g
@@ -335,10 +326,9 @@ def _primitive(p: Polynomial) -> Polynomial:
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial of f and g times l_f l_g / d, for the leading
-    integers l_f, l_g of their integral forms and d = gcd(l_f, l_g): the
+    integers l_f, l_g of their stored forms and d = gcd(l_f, l_g): the
     cofactors l_g/d and l_f/d cancel the leading terms."""
-    fe, ge = f.leading()[0], g.leading()[0]
-    fi, gi = f._integral_form()[1], g._integral_form()[1]
+    fe, ge, fi, gi = f._lexp(), g._lexp(), f._ints, g._ints
     d = gcd(fi[fe], gi[ge])
     m = _exp_lcm(fe, ge)
     terms: Dict[Exponent, int] = {}
@@ -388,11 +378,11 @@ def _row_reduced(generators: Sequence[Polynomial]) -> List[Polynomial]:
     variables = gens[0].variables
     if any(g.variables != variables for g in gens):
         raise ValueError("generators over different variable sets")
-    monos = sorted({e for g in gens for e in g.terms},
+    monos = sorted({e for g in gens for e in g._ints},
                    key=grevlex_key, reverse=True)
     column = {e: j for j, e in enumerate(monos)}
-    cols, rows = _reduced([{column[e]: v for e, v in
-                            g._integral_form()[1].items()} for g in gens])
+    cols, rows = _reduced([{column[e]: v for e, v in g._ints.items()}
+                           for g in gens])
     # the pivot of a row is its largest monomial, so its leading term
     return [Polynomial._from_integers(variables, 1, {
         monos[j]: v for j, v in rows[c].items()}, monos[c]) for c in cols]
@@ -421,7 +411,7 @@ def _completed(reduced: List[Polynomial],
     pairs: list = []
     leads: List[Exponent] = []
     for g in basis:
-        _update(pairs, leads, g.leading()[0])
+        _update(pairs, leads, g._lexp())
     while pairs:
         _, i, j, m = heappop(pairs)
         if sum(m) > degree_cap:
@@ -431,13 +421,13 @@ def _completed(reduced: List[Polynomial],
             continue
         rem = _primitive(rem)
         basis.append(rem)
-        _update(pairs, leads, rem.leading()[0])
+        _update(pairs, leads, rem._lexp())
     return basis
 
 
 def _interreduce(basis: List[Polynomial]) -> List[Polynomial]:
     # minimal: drop any element whose leading term another one divides
-    leads = [g.leading()[0] for g in basis]
+    leads = [g._lexp() for g in basis]
     keep = [g for idx, (g, lt) in enumerate(zip(basis, leads)) if not any(
         _divides(lo, lt) and (lo != lt or jdx < idx)
         for jdx, lo in enumerate(leads) if jdx != idx)]
@@ -447,7 +437,7 @@ def _interreduce(basis: List[Polynomial]) -> List[Polynomial]:
     for idx, g in enumerate(keep):
         red = normal_form(g, keep[:idx] + keep[idx + 1:])
         out.append(red * (1 / red.leading()[1]))
-    out.sort(key=lambda g: grevlex_key(g.leading()[0]))
+    out.sort(key=lambda g: grevlex_key(g._lexp()))
     return out
 
 
@@ -522,7 +512,7 @@ def _covers_every_variable(polys: Sequence[Polynomial], nvars: int) -> bool:
     """Whether the leading terms include a pure power of every variable."""
     covered = set()
     for g in polys:
-        exp, _ = g.leading()
+        exp = g._lexp()
         support = [i for i, e in enumerate(exp) if e > 0]
         if len(support) == 1:
             covered.add(support[0])

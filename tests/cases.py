@@ -2,7 +2,8 @@
 
 Every catalog family at growing parameters, the skew pencils with
 pinned h0 dimensions, a seeded generator of random nondegenerate 2-step
-algebras, seeded signed permutations of a basis, the algebras of all
+algebras and one whose infinite type shows only over the closure,
+seeded signed permutations of a basis, the algebras of all
 three kinds that carry a rational rank 1 witness, seeded random
 block basis changes, and algebras that break Jacobi, the grading,
 generation or nondegeneracy.
@@ -49,6 +50,23 @@ def random_two_step(rng, n1):
         a = GNLA("rand2step", basis, brackets)
         if validate(a).all_passed:
             return a
+
+
+def closure_example():
+    """Two-step algebra whose infinite type is only visible over the
+    closure: no rational rank one element at the default height, but the
+    minor ideal has a nontrivial zero."""
+    basis = [("X1", -1), ("X2", -1), ("X3", -1), ("X4", -1),
+             ("W1", -2), ("W2", -2)]
+    brackets = {
+        (0, 1): [(4, 3), (5, 3)],
+        (0, 2): [(4, -3), (5, -3)],
+        (0, 3): [(4, -3), (5, -1)],
+        (1, 2): [(4, 3), (5, -2)],
+        (1, 3): [(4, 2), (5, 3)],
+        (2, 3): [(4, 2), (5, 3)],
+    }
+    return GNLA("closure_example", basis, brackets)
 
 
 def signed_permutation(rng, a):

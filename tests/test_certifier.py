@@ -10,6 +10,7 @@ import sympy
 from cases import (
     PENCIL_BLOCKS,
     catalog_algebras,
+    closure_example,
     full_block_change,
     random_two_step,
     signed_permutation,
@@ -54,23 +55,6 @@ from gnla import (
 import gnla.algebra
 import gnla.certifier
 from gnla.certifier import _degree1_span, _matrix_span, _minors
-
-
-def closure_example():
-    """Two-step algebra whose infinite type is only visible over the
-    closure: no rational rank one element at the default height, but the
-    minor ideal has a nontrivial zero."""
-    basis = [("X1", -1), ("X2", -1), ("X3", -1), ("X4", -1),
-             ("W1", -2), ("W2", -2)]
-    brackets = {
-        (0, 1): [(4, 3), (5, 3)],
-        (0, 2): [(4, -3), (5, -3)],
-        (0, 3): [(4, -3), (5, -1)],
-        (1, 2): [(4, 3), (5, -2)],
-        (1, 3): [(4, 2), (5, 3)],
-        (2, 3): [(4, 2), (5, 3)],
-    }
-    return GNLA("closure_example", basis, brackets)
 
 
 def degenerate_example():

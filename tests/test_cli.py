@@ -2,9 +2,12 @@ import json
 import signal
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gnla
+import gnla.cli
 from gnla import (
     DocumentError,
     DuplicateBracket,
@@ -312,7 +315,7 @@ def test_run_classify_rejects_invalid_document(tmp_path, capsys):
 def test_run_catalog_and_reparse(tmp_path, capsys):
     out = str(tmp_path / "g4.alg")
     assert run(["catalog", "goursat", "--param", "n=4", "-o", out]) == 0
-    a = parse_algebra(open(out).read())
+    a = parse_algebra(Path(out).read_text())
     assert a == catalog("goursat", n=4)
 
 
@@ -356,15 +359,19 @@ def test_huge_catalog_and_pencil_sizes_are_prompt_located_errors(capsys):
 
 def test_huge_basis_line_and_extension_length_are_prompt_errors(
         tmp_path, capsys):
-    """A basis line of more than 256 entries is a syntax error at its
-    line (exit 1), and an extension of more than 256 basis vectors is
-    refused (exit 2) before the cocycle is read into memory; the largest
-    accepted sizes still run."""
+    """A basis line of more than 256 entries or a degree below -256 is a
+    syntax error at its line (exit 1), and an extension of more than 256
+    basis vectors is refused (exit 2) before the cocycle is read into
+    memory; the largest accepted sizes still run.  No generated algebra
+    on at most 256 basis vectors is deeper than -256, and the checks
+    would otherwise loop over every degree down to it."""
     def timeout(signum, frame):
         raise TimeoutError("a huge size was not refused promptly")
 
     labels = " ".join("X%d:-1" % i for i in range(10 ** 5))
     wide = write(tmp_path, "wide.alg", "algebra wide\nbasis %s\n" % labels)
+    deep = write(tmp_path, "deep.alg",
+                 "algebra deep\nbasis X:-1 Y:-1 Z:-100000000\n")
     base = write(tmp_path, "h.alg", HEIS3_DOC)
     coc = write(tmp_path, "c.coc", "b Y Z 3 = 1\n")
     previous = signal.signal(signal.SIGALRM, timeout)
@@ -373,6 +380,10 @@ def test_huge_basis_line_and_extension_length_are_prompt_errors(
         assert run(["check", wide]) == 1
         assert "line 2: basis line of more than 256 entries" in \
             capsys.readouterr().err
+        for command in ("check", "classify"):
+            assert run([command, deep]) == 1
+            assert capsys.readouterr().err.strip() == \
+                "gnla: line 2: degree of 'Z' is below -256"
         for s in ("100000000", "254"):
             assert run(["extend", base, "--s", s, "--cocycle", coc]) == 2
             err = capsys.readouterr().err
@@ -383,6 +394,9 @@ def test_huge_basis_line_and_extension_length_are_prompt_errors(
     largest = "algebra w\nbasis %s\n" % " ".join(
         "X%d:-1" % i for i in range(256))
     assert parse_algebra(largest).dim == 256
+    with pytest.raises(DocSyntaxError, match="line 2: degree of 'Z'"):
+        parse_algebra("algebra a\nbasis X:-1 Y:-1 Z:-257\n")
+    assert parse_algebra("algebra a\nbasis X:-1 Y:-1 Z:-256\n").depth == 256
     with pytest.raises(ValueError, match="256 basis vectors"):
         ExtensionData.from_adapted_base(catalog("heisenberg", dim=3), 254)
     assert ExtensionData.from_adapted_base(
@@ -395,7 +409,7 @@ def test_run_extend_rebuilds_nontrivial6(tmp_path, capsys):
     out = str(tmp_path / "ext.alg")
     assert run(["extend", base, "--s", "3", "--cocycle", coc,
                 "-o", out]) == 0
-    built = parse_algebra(open(out).read())
+    built = parse_algebra(Path(out).read_text())
     nt = catalog("nontrivial6")
     d = decompose_special_extension(nt, rank1_witness(nt))
     assert built == d.adapted
@@ -433,7 +447,7 @@ def test_run_cohomology_output_feeds_extend(tmp_path, capsys):
 def test_run_pencil(tmp_path, capsys):
     out = str(tmp_path / "m1.alg")
     assert run(["pencil", "--blocks", "M:1", "-o", out]) == 0
-    a = parse_algebra(open(out).read())
+    a = parse_algebra(Path(out).read_text())
     assert a.layer_dims() == (3, 2)
     assert validate(a).all_passed
     assert run(["pencil", "--blocks", "Q:9"]) == 2
@@ -525,7 +539,8 @@ def test_run_usage_errors(capsys):
 
 def test_run_version(capsys):
     assert run(["--version"]) == 0
-    assert capsys.readouterr().out.startswith("gnla ")
+    assert capsys.readouterr().out == "gnla %s\n" % gnla.__version__
+    assert gnla.__version__ == gnla.cli.VERSION
 
 
 CLOSURE_DOC = """\

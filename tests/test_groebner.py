@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 import sympy
 
 import gnla.groebner
-from cases import catalog_algebras, random_two_step
+from cases import catalog_algebras, closure_example, random_two_step
 from gnla import (
     CapExceeded,
     Polynomial,
     PolynomialIdeal,
     buchberger,
     catalog,
+    classify,
     grevlex_key,
     minor_ideal,
     normal_form,
@@ -591,36 +592,6 @@ def test_evaluate_matches_fraction_loop():
                 p, (Fraction(1, 2),) * nvars)
 
 
-def test_engine_builds_only_clean_terms(monkeypatch):
-    """Every polynomial built past the validating constructor (sums,
-    products, S-polynomials, remainders, primitive forms, row reduction,
-    minors) is what Polynomial(...) makes of the same terms: no zero
-    coefficient, Fraction values, exponents of the right length."""
-    made = []
-    trusted = Polynomial._trusted.__func__
-
-    def recording(cls, variables, terms):
-        p = trusted(cls, variables, terms)
-        made.append(p)
-        return p
-
-    monkeypatch.setattr(Polynomial, "_trusted", classmethod(recording))
-    rng = random.Random(101)
-    for gens in criterion9_ideals():
-        buchberger(gens, degree_cap=20)
-    for n1 in (3, 4, 5):
-        buchberger(minor_ideal(random_two_step(rng, n1)).generators)
-    for _ in range(10):
-        f, g = random_quadratic(rng, 3), random_quadratic(rng, 3)
-        f * g, f + g, f - f, -f, f * 0, 2 * f
-    assert len(made) > 400
-    for p in made:
-        assert isinstance(p.variables, tuple)
-        assert all(type(c) is Fraction for c in p.terms.values())
-        assert all(len(e) == len(p.variables) for e in p.terms)
-        assert p.terms == Polynomial(p.variables, p.terms).terms
-
-
 def random_rational(rng, nvars, degree, nterms):
     """A polynomial of at most nterms terms of degree <= degree whose
     coefficients have unequal denominators, neither monic nor primitive."""
@@ -695,32 +666,39 @@ def test_spoly_is_a_multiple_of_the_textbook_s_polynomial():
         assert len({got.terms[e] / c for e, c in want.terms.items()}) <= 1
 
 
-def assert_integral_form(p):
-    """The cached integral form, when present, is (s, {exp: s * c}) for
-    the lcm s of the denominators; the cached leading term, when present,
-    is the grevlex largest term."""
-    if p._integral is not None:
-        scale, ints = p._integral
-        assert scale == lcm(*(c.denominator for c in p.terms.values()))
-        assert ints == {e: c * scale for e, c in p.terms.items()}
-        assert all(type(v) is int for v in ints.values())
+def assert_stored_form(p):
+    """Integers over a positive scale with no common factor, a cached
+    leading exponent that is the grevlex largest, and the form that the
+    public constructor stores for the same Fraction terms."""
+    assert isinstance(p.variables, tuple)
+    assert type(p._scale) is int and p._scale > 0
+    for e, v in p._ints.items():
+        assert type(v) is int and v != 0
+        assert type(e) is tuple and len(e) == len(p.variables)
+        assert all(type(k) is int and k >= 0 for k in e)
+    assert gcd(p._scale, *p._ints.values()) == 1
     if p._lead is not None:
-        exp = max(p.terms, key=grevlex_key)
-        assert p._lead == (exp, p.terms[exp])
+        assert p._lead == max(p._ints, key=grevlex_key)
+    assert all(type(c) is Fraction for c in p.terms.values())
+    q = Polynomial(p.variables, p.terms)
+    assert (q._scale, q._ints) == (p._scale, p._ints)
+    assert p == q and hash(p) == hash(q)
 
 
-def test_integral_cache_agrees_with_terms(monkeypatch):
-    """On every polynomial the engine and the minor builder make, and on
-    public ones after the engine or evaluate filled their caches."""
+def test_every_polynomial_stores_the_canonical_integer_form(monkeypatch):
+    """On every polynomial the engine and the minor builder make (sums,
+    products, S-polynomials, remainders, primitive forms, row reduction,
+    minors) and on public sums, differences, products, negations and
+    scalar multiples, also after the engine or evaluate ran on them."""
     made = []
-    trusted = Polynomial._trusted.__func__
+    from_integers = Polynomial._from_integers.__func__
 
-    def recording(cls, variables, terms):
-        p = trusted(cls, variables, terms)
+    def recording(cls, variables, scale, ints, lead=None):
+        p = from_integers(cls, variables, scale, ints, lead)
         made.append(p)
         return p
 
-    monkeypatch.setattr(Polynomial, "_trusted", classmethod(recording))
+    monkeypatch.setattr(Polynomial, "_from_integers", classmethod(recording))
     rng = random.Random(131)
     public = []
     for gens in criterion9_ideals():
@@ -732,11 +710,54 @@ def test_integral_cache_agrees_with_terms(monkeypatch):
         basis = [random_rational(rng, 3, 3, 4) for _ in range(3)]
         f = random_rational(rng, 3, 4, 6)
         normal_form(f, basis)
-        gnla.groebner._primitive(f)
+        _primitive(f)
         f.evaluate((Fraction(1, 2), 3, Fraction(-2, 7)))
-        public += basis + [f, -f, f * Fraction(-3, 2), f + basis[0]]
-    cached = [p for p in made + public if p._integral is not None]
-    assert len(cached) > 500
-    assert any(p._integral[0] != 1 for p in cached)
+        public += basis + [f, -f, f * Fraction(-3, 2), f + basis[0],
+                           f - basis[1], f * basis[2], f - f, f * 0,
+                           0 * f, 2 * f, Fraction(-1, 6) * f + 1]
+    assert len(made) > 500, len(made)
+    assert any(p._scale != 1 for p in made + public)
+    assert sum(p._lead is not None for p in made) > 100
     for p in made + public:
-        assert_integral_form(p)
+        assert_stored_form(p)
+    zero = Polynomial.zero(VARS[:3])
+    assert (zero._scale, zero._ints) == (1, {})
+    assert (f * 0) == (f - f) == zero
+
+
+def test_exponents_must_be_nonnegative_integers():
+    """A fractional exponent is refused like a negative one, not
+    truncated; an integral float names the same monomial."""
+    for exp in ((1.5, 0), (Fraction(1, 2), 1), (-1, 0), (1, 0, 0)):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Polynomial(["x", "y"], {exp: 1})
+    assert Polynomial(["x", "y"], {(2.0, 0): 1}) == Polynomial(
+        ["x", "y"], {(2, 0): 1})
+
+
+def test_classify_and_buchberger_never_read_fraction_terms(monkeypatch):
+    """The engine and the minor builder work on the stored integers
+    alone: classify on seeded random 2-step algebras and the catalog
+    algebras that reach the minor ideal, and buchberger on their minor
+    ideals, read Polynomial.terms zero times."""
+    reads = []
+    view = Polynomial.__dict__["terms"]
+
+    def read(p):
+        reads.append(p)
+        return view.__get__(p, Polynomial)
+
+    rng = random.Random(7)
+    algebras = [random_two_step(rng, n1) for n1 in (3, 4, 4, 4, 5, 5)]
+    algebras += [closure_example(), catalog("kgen", k=3),
+                 catalog("free2step3")]
+    # with the setter, the count also runs on a Polynomial that stores terms
+    monkeypatch.setattr(Polynomial, "terms", property(read, view.__set__))
+    ideals = 0
+    for a in algebras:
+        v = classify(a)
+        ideals += v.certificate == "closure"
+        basis = buchberger(minor_ideal(a).generators)
+        assert basis and not basis[0].is_zero(), a.name
+    assert ideals >= 1
+    assert reads == []
