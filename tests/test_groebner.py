@@ -685,11 +685,8 @@ def assert_stored_form(p):
     assert p == q and hash(p) == hash(q)
 
 
-def test_every_polynomial_stores_the_canonical_integer_form(monkeypatch):
-    """On every polynomial the engine and the minor builder make (sums,
-    products, S-polynomials, remainders, primitive forms, row reduction,
-    minors) and on public sums, differences, products, negations and
-    scalar multiples, also after the engine or evaluate ran on them."""
+def record_from_integers(monkeypatch):
+    """A list that collects every polynomial _from_integers makes."""
     made = []
     from_integers = Polynomial._from_integers.__func__
 
@@ -699,13 +696,43 @@ def test_every_polynomial_stores_the_canonical_integer_form(monkeypatch):
         return p
 
     monkeypatch.setattr(Polynomial, "_from_integers", classmethod(recording))
-    rng = random.Random(131)
+    return made
+
+
+def test_engine_builds_only_clean_terms(monkeypatch):
+    """Every polynomial the engine and the minor builder make (sums,
+    products, S-polynomials, remainders, primitive forms, row reduction,
+    minors), and public sums, differences, products, negations and scalar
+    multiples of integer polynomials, store the canonical integer form."""
+    made = record_from_integers(monkeypatch)
+    rng = random.Random(101)
     public = []
     for gens in criterion9_ideals():
         buchberger(gens, degree_cap=20)
         public += gens
     for n1 in (3, 4, 5):
         buchberger(minor_ideal(random_two_step(rng, n1)).generators)
+    for _ in range(10):
+        f, g = random_quadratic(rng, 3), random_quadratic(rng, 3)
+        public += [f, g, f * g, f + g, f - g, f - f, -f, f * 0, 0 * f, 2 * f]
+    assert len(made) > 400, len(made)
+    assert sum(p._lead is not None for p in made) > 100
+    for p in made + public:
+        assert_stored_form(p)
+    zero = Polynomial.zero(VARS[:3])
+    assert (zero._scale, zero._ints) == (1, {})
+    assert (f * 0) == (f - f) == zero
+
+
+def test_integral_cache_agrees_with_terms(monkeypatch):
+    """On rational polynomials with unequal denominators: what
+    normal_form and _primitive make, and public sums, differences,
+    products, negations and multiples by 0, 2 and negative Fractions,
+    also after normal_form, _primitive or evaluate ran on them, store
+    integers over a scale other than 1 that agree with their terms."""
+    made = record_from_integers(monkeypatch)
+    rng = random.Random(131)
+    public = []
     for _ in range(40):
         basis = [random_rational(rng, 3, 3, 4) for _ in range(3)]
         f = random_rational(rng, 3, 4, 6)
@@ -715,13 +742,14 @@ def test_every_polynomial_stores_the_canonical_integer_form(monkeypatch):
         public += basis + [f, -f, f * Fraction(-3, 2), f + basis[0],
                            f - basis[1], f * basis[2], f - f, f * 0,
                            0 * f, 2 * f, Fraction(-1, 6) * f + 1]
-    assert len(made) > 500, len(made)
-    assert any(p._scale != 1 for p in made + public)
-    assert sum(p._lead is not None for p in made) > 100
+    assert len(made) > 100, len(made)
+    assert sum(p._scale != 1 for p in public) > 100
+    assert any(p._scale != 1 for p in made)
     for p in made + public:
         assert_stored_form(p)
+        assert p.terms == {e: Fraction(v, p._scale)
+                           for e, v in p._ints.items()}
     zero = Polynomial.zero(VARS[:3])
-    assert (zero._scale, zero._ints) == (1, {})
     assert (f * 0) == (f - f) == zero
 
 
