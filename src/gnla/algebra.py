@@ -24,6 +24,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _echelon,
     _kernel,
     frac,
     independent_rows,
@@ -217,18 +218,23 @@ def _kernel_within(rows, n: int, positions: Sequence[int]) -> Subspace:
                                  if q not in positions], n)
 
 
-def _central_part(a: GNLA, positions: Sequence[int]) -> Subspace:
-    """{x in span(e_p : p in positions) : [x, e_j] = 0 for every j}: one
-    sparse row {p: c} per (j, k), c the e_k coefficient of [e_p, e_j]."""
-    n = a.dim
+def _central_rows(a: GNLA, positions: Sequence[int]) -> List[Dict[int, Fraction]]:
+    """The conditions [x, e_j] = 0 for every j on x in span(e_p : p in
+    positions): one sparse row {p: c} per (j, k), c the e_k coefficient
+    of [e_p, e_j]."""
     rows = []
-    for j in range(n):
+    for j in range(a.dim):
         by_target: Dict[int, Dict[int, Fraction]] = {}
         for p in positions:
             for k, c in a.bracket_terms(p, j):
                 by_target.setdefault(k, {})[p] = c
         rows.extend(by_target.values())
-    return _kernel_within(rows, n, positions)
+    return rows
+
+
+def _central_part(a: GNLA, positions: Sequence[int]) -> Subspace:
+    """{x in span(e_p : p in positions) : [x, e_j] = 0 for every j}."""
+    return _kernel_within(_central_rows(a, positions), a.dim, positions)
 
 
 def center(a: GNLA) -> Subspace:
@@ -263,6 +269,30 @@ class ValidationReport:
         return all(self.checks.values())
 
 
+def _jacobi_failures(a: GNLA) -> List[Tuple[str, str, str]]:
+    """The label triples of the basis triples i < j < k on which the
+    Jacobi sum over the cyclic (p, q, r) of (i, j, k) is nonzero, in
+    increasing (i, j, k) order.
+
+    Only nonzero compositions are visited: each term c e_m of [e_p, e_q]
+    and d e_l of [e_m, e_r], for distinct p, q, r in cyclic order, adds
+    c * d to the e_l coefficient of the sum of the sorted triple.
+    """
+    right: Dict[int, List] = {}
+    for (m, r), terms in a._terms.items():
+        right.setdefault(m, []).append((r, terms))
+    sums: Dict[Tuple[int, int, int], Dict[int, Fraction]] = {}
+    for (p, q), terms in a._terms.items():
+        for m, c in terms:
+            for r, outer in right.get(m, ()):
+                if p < q < r or q < r < p or r < p < q:
+                    total = sums.setdefault(tuple(sorted((p, q, r))), {})
+                    for l, d in outer:
+                        total[l] = total.get(l, 0) + c * d
+    return [tuple(a.labels[x] for x in triple) for triple in sorted(sums)
+            if any(sums[triple].values())]
+
+
 def validate(a: GNLA) -> ValidationReport:
     """Run the four structural checks and collect explicit witnesses.
 
@@ -281,21 +311,9 @@ def validate(a: GNLA) -> ValidationReport:
             grading_ok = False
             failures.append(("grading", (a.labels[i], a.labels[j])))
 
-    # a triple sums c * d over [e_p, e_q] = sum c e_m and
-    # [e_m, e_r] = sum d e_l
-    jacobi_ok = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total: Dict[int, Fraction] = {}
-                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, c in a.bracket_terms(p, q):
-                        for l, d in a.bracket_terms(m, r):
-                            total[l] = total.get(l, 0) + c * d
-                if any(total.values()):
-                    jacobi_ok = False
-                    failures.append(
-                        ("jacobi", (a.labels[i], a.labels[j], a.labels[k])))
+    broken = _jacobi_failures(a)
+    jacobi_ok = not broken
+    failures.extend(("jacobi", triple) for triple in broken)
 
     # [m_{-1}, m_{-i}] spans the coordinate space m_{-i-1} exactly when
     # every bracket lies in it and their rank is its dimension
@@ -310,10 +328,13 @@ def validate(a: GNLA) -> ValidationReport:
             generated_ok = False
             failures.append(("generated", (i + 1,)))
 
-    central_line = _central_part(a, a.layer_positions(1))
-    nondegenerate_ok = central_line.dim == 0
+    # the central degree -1 vectors are wanted only as a witness
+    pos1 = a.layer_positions(1)
+    rows = _central_rows(a, pos1)
+    nondegenerate_ok = len(_echelon(rows)[0]) == len(pos1)
     if not nondegenerate_ok:
-        failures.append(("nondegenerate", (central_line.basis[0],)))
+        failures.append(("nondegenerate",
+                         (_kernel_within(rows, n, pos1).basis[0],)))
 
     return ValidationReport(
         checks={"grading": grading_ok, "jacobi": jacobi_ok,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import GNLA, change_basis, layer, validate
+from .algebra import GNLA, _jacobi_failures, change_basis, layer, validate
 from .linalg import (
     Matrix,
     Subspace,
@@ -420,10 +420,9 @@ def special_extension(data: ExtensionData) -> GNLA:
               + ["Z%d" % j for j in range(1, n)])
     out = change_basis(GNLA(base.name + "_ext", basis, brackets), vectors,
                        labels)
-    rep = validate(out)
-    if not rep.checks["jacobi"]:
-        triple = next(wit for kind, wit in rep.failures if kind == "jacobi")
-        raise JacobiViolation(triple)
+    broken = _jacobi_failures(out)
+    if broken:
+        raise JacobiViolation(broken[0])
     return out
 
 

@@ -8,7 +8,9 @@ each row is scaled to integers and kept sparse as {column: int}, then
 reduced fraction-free with row content reduction (Bareiss 1968), forward
 and back.  Its output is the unique RREF, so subspaces are stored by
 their reduced row echelon basis, equal subspaces compare equal and every
-derived basis is reproducible.
+derived basis is reproducible.  A kernel takes one elimination: reduced
+with its columns reversed, each pivot row reaches only free columns below
+its pivot, so the vectors read off the free columns already are the RREF.
 """
 
 from __future__ import annotations
@@ -318,7 +320,7 @@ class Matrix:
 class Subspace:
     """A linear subspace stored by its unique RREF basis."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_rows")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         vecs = [vector(v) for v in vectors]
@@ -328,16 +330,20 @@ class Subspace:
         rows, _ = _rref(vecs)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def _trusted(cls, ambient_dim: int, rref_rows) -> "Subspace":
-        """A subspace from the rows of an RREF, Fractions already."""
+    def _trusted(cls, ambient_dim: int, rref_rows,
+                 sparse=None) -> "Subspace":
+        """A subspace from the rows of an RREF, Fractions already, and
+        optionally the same rows as [(col, value)] lists."""
         s = object.__new__(cls)
         object.__setattr__(s, "ambient_dim", ambient_dim)
         object.__setattr__(s, "basis", tuple(tuple(r) for r in rref_rows))
+        object.__setattr__(s, "_rows", sparse)
         return s
 
     @classmethod
@@ -394,21 +400,35 @@ class Subspace:
 
 def _kernel(rows, ncols: int) -> Subspace:
     """The solution space of a system in ncols unknowns, rows dense or
-    {col: value}, with its RREF basis.
+    {col: value}, with its RREF basis, one elimination of the rows.
 
-    Each free column j gives the kernel vector e_j - sum_c (r_c[j] / lead)
-    e_c over the reduced rows r_c; those vectors go back through the core,
-    as sparse rows, to reach the RREF of their span.
+    The rows are reduced with their columns reversed, so each reduced row
+    r_c is nonzero past its pivot c only at free columns j < c.  Free
+    column j then gives e_j - sum_c (r_c[j] / lead) e_c over pivots c > j:
+    led at j and zero at every other free column, so the RREF row itself.
+    The subspace keeps these rows sparse, as [(col, value)] in increasing
+    column order, in its _rows slot.
     """
-    _, reduced = _reduced(rows)
-    free = {j: {j: 1} for j in range(ncols) if j not in reduced}
-    for c, r in reduced.items():
+    last = ncols - 1
+    cols, reduced = _reduced([{last - j: e for j, e in (
+        r.items() if isinstance(r, dict) else enumerate(r)) if e}
+        for r in rows])
+    one, zero = Fraction(1), Fraction(0)
+    free = {j: [(j, one)] for j in range(ncols) if last - j not in reduced}
+    for c in reversed(cols):
+        r = reduced[c]
         lead = r[c]
         for j, w in r.items():
             if j != c:
-                free[j][c] = Fraction(-w, lead)
-    basis, _ = _rref(list(free.values()), ncols)
-    return Subspace._trusted(ncols, basis)
+                free[last - j].append((last - c, Fraction(-w, lead)))
+    sparse = list(free.values())
+    basis = []
+    for entries in sparse:
+        v = [zero] * ncols
+        for j, e in entries:
+            v[j] = e
+        basis.append(tuple(v))
+    return Subspace._trusted(ncols, basis, sparse)
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -11,7 +11,11 @@ the flattened block entries, normalized to RREF so that dimensions and
 bases are reproducible.  The system stays sparse from assembly to the
 layer basis: its rows are {unknown: value} dicts, built from action
 columns cached once per (degree, basis vector), and go straight into the
-elimination core of linalg, which hands back the kernel's RREF rows.
+elimination core of linalg, which hands back the kernel's RREF rows both
+dense and sparse.  The dense rows are cut into the blocks of the maps;
+the sparse ones give the layer's column view, for each (block, source
+column) the flat list of its nonzero (map, row, value) entries, which is
+all the next degree's system reads of the layer.
 h0 is the degree 0 system cut to the columns of its m_{-1} block.
 """
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GNLA, bracket
@@ -58,6 +63,23 @@ class ProlongationLayer:
     def dim(self) -> int:
         return len(self.maps)
 
+    @cached_property
+    def _columns(self) -> Dict[Tuple[int, int], List]:
+        """The column view: for each (block i, source column x), the
+        nonzero entries of that column over all maps, as one flat list
+        m, r, value, m, r, value, ... in (map, row) order.  prolong_layer
+        records it while cutting the blocks; a layer built from maps
+        derives it here on first read.  Not a field: equality, hash and
+        repr read the maps alone."""
+        cols: Dict[Tuple[int, int], List] = {}
+        for m, psi in enumerate(self.maps):
+            for i, b in psi.blocks.items():
+                for r, row in enumerate(b.rows):
+                    for x, v in enumerate(row):
+                        if v:
+                            cols.setdefault((i, x), []).extend((m, r, v))
+        return cols
+
 
 @dataclass(frozen=True)
 class MatrixSubspace:
@@ -77,9 +99,7 @@ class MatrixSubspace:
     @classmethod
     def _from_span(cls, side: int, span: Subspace) -> "MatrixSubspace":
         """The subspace of the matrices flattened into the rows of span."""
-        basis = tuple(Matrix._trusted(
-            tuple(row[i * side:(i + 1) * side] for i in range(side)))
-            for row in span.basis)
+        basis = tuple(_unflattened(row, side) for row in span.basis)
         return cls(side=side, basis=basis, span=span)
 
     @property
@@ -88,6 +108,11 @@ class MatrixSubspace:
 
     def contains(self, m: Matrix) -> bool:
         return self.span.contains(m.flatten())
+
+
+def _unflattened(seg: Sequence, width: int) -> Matrix:
+    """The matrix whose rows, width entries each, concatenate to seg."""
+    return Matrix._trusted(tuple(zip(*[iter(seg)] * width)))
 
 
 def _target_dim(a: GNLA, lower: Sequence[ProlongationLayer], degree: int) -> int:
@@ -163,27 +188,25 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
 
     # For [phi(e_p), e_q] with phi(e_p) in the graded piece of degree d,
     # the action on e_q is linear in the coordinates of phi(e_p).
-    actions: Dict[Tuple[int, int], List[List[Tuple[int, Fraction]]]] = {}
+    actions: Dict[Tuple[int, int], List] = {}
 
-    def action(d: int, q: int) -> List[List[Tuple[int, Fraction]]]:
-        """One column per coordinate direction of the degree d piece: the
-        image of e_q, as nonzero (row, value) pairs in the degree
-        d - deg(e_q) target."""
-        cols = actions.get((d, q))
-        if cols is None:
+    def action(d: int, q: int) -> List:
+        """The image of e_q under each coordinate direction m of the
+        degree d piece, in the degree d - deg(e_q) target, as one flat
+        list m, r, value, ... of its nonzero entries: bracket terms for
+        d < 0, the column view of the layer g_d otherwise."""
+        flat = actions.get((d, q))
+        if flat is None:
             j = -a.degrees[q]
             if d < 0:
-                cols = [bracket_terms(p, q, j - d)
-                        for p in a.layer_positions(-d)]
+                flat = []
+                for m, p in enumerate(a.layer_positions(-d)):
+                    for r, c in bracket_terms(p, q, j - d):
+                        flat += (m, r, c)
             else:
-                cols = []
-                x = index[q]
-                for psi in lower[d].maps:
-                    b = psi.block(j)
-                    cols.append([] if b is None else [
-                        (r, row[x]) for r, row in enumerate(b.rows) if row[x]])
-            actions[d, q] = cols
-        return cols
+                flat = lower[d]._columns.get((j, index[q]), [])
+            actions[d, q] = flat
+        return flat
 
     rows: List[Dict[int, Fraction]] = []
     for p in range(n):
@@ -208,16 +231,16 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
             # -[phi(e_p), e_q] term: phi(e_p) is the p-column of block i
             if i in offsets:
                 off, src = offsets[i] + index[p], srcs[i]
-                for r_src, col in enumerate(action(k - i, q)):
-                    for r, v in col:
-                        block[r][off + r_src * src] = -v
+                it = iter(action(k - i, q))
+                for m, r, v in zip(it, it, it):
+                    block[r][off + m * src] = -v
 
             # -[e_p, phi(e_q)] = +[phi(e_q), e_p] term
             if j in offsets:
                 off, src = offsets[j] + index[q], srcs[j]
-                for r_src, col in enumerate(action(k - j, p)):
-                    for r, v in col:
-                        block[r][off + r_src * src] = v
+                it = iter(action(k - j, p))
+                for m, r, v in zip(it, it, it):
+                    block[r][off + m * src] = v
 
             if any(block):
                 rows.extend(block)
@@ -226,22 +249,31 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
 
 def prolong_layer(a: GNLA, k: int,
                   lower: Sequence[ProlongationLayer]) -> ProlongationLayer:
-    """The degree k layer from the layers 0 .. k-1: its system's kernel."""
+    """The degree k layer from the layers 0 .. k-1: its system's kernel.
+
+    Each kernel vector is cut into its blocks; its sparse row gives, in
+    the same pass, the column view the next degree's system reads."""
     if k < 0:
         raise ValueError("prolongation layers start at degree 0")
     if len(lower) != k:
         raise ValueError("need exactly the layers 0 .. k-1")
     rows, shapes, offsets, total = _leibniz_system(a, k, lower)
     sol = _kernel(rows, total)
+    # the (block, source column) and the row of each unknown
+    place = [((i, x), r) for i, tgt, src in shapes
+             for r in range(tgt) for x in range(src)]
+    cols: Dict[Tuple[int, int], List] = {}
     maps = []
-    for flat in sol.basis:
-        blocks = {}
-        for i, tgt, src in shapes:
-            off = offsets[i]
-            blocks[i] = Matrix._trusted(tuple(
-                flat[off + r * src: off + (r + 1) * src] for r in range(tgt)))
-        maps.append(GradedMap(degree=k, blocks=blocks))
-    return ProlongationLayer(degree=k, maps=tuple(maps))
+    for m, (flat, entries) in enumerate(zip(sol.basis, sol._rows)):
+        maps.append(GradedMap(degree=k, blocks={
+            i: _unflattened(flat[offsets[i]:offsets[i] + tgt * src], src)
+            for i, tgt, src in shapes}))
+        for u, v in entries:
+            key, r = place[u]
+            cols.setdefault(key, []).extend((m, r, v))
+    layer = ProlongationLayer(degree=k, maps=tuple(maps))
+    object.__setattr__(layer, "_columns", cols)
+    return layer
 
 
 def leibniz_failures(a: GNLA, lower: Sequence[ProlongationLayer],

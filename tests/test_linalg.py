@@ -418,6 +418,55 @@ def test_kernel_takes_dict_rows_like_dense_rows():
     assert _kernel([], 4) == _kernel([{}, {}], 4) == Subspace.full(4)
 
 
+def test_kernel_eliminates_once(monkeypatch):
+    """One _reduced call per _kernel call, on the kernel cases and on the
+    heisenberg5 Leibniz systems of degrees 0-2, with the same basis as
+    the oracle, and the sparse rows the subspace keeps equal its basis."""
+    from gnla import linalg
+
+    systems = []
+    kernel = prolongation._kernel
+
+    def capture(rows, ncols):
+        systems.append((rows, ncols))
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(prolongation, "_kernel", capture)
+    a = catalog("heisenberg", dim=5)
+    layers = []
+    for k in range(3):
+        layers.append(prolong_layer(a, k, layers))
+    monkeypatch.undo()
+    assert len(systems) == 3
+    cases = [(m.rows, m.ncols) for m in kernel_cases(random.Random(53))]
+    cases += systems
+    calls = []
+    reduced = linalg._reduced
+
+    def counted(rows):
+        calls.append(1)
+        return reduced(rows)
+
+    monkeypatch.setattr(linalg, "_reduced", counted)
+    for rows, ncols in cases:
+        calls.clear()
+        got = _kernel(rows, ncols)
+        assert len(calls) == 1
+        m = Matrix([[row.get(j, 0) for j in range(ncols)] if isinstance(
+            row, dict) else row for row in rows])
+        if m.nrows:
+            assert got == reference_kernel_basis(m)
+        rebuilt = []
+        for entries in got._rows:
+            assert [j for j, _ in entries] == sorted(j for j, _ in entries)
+            v = [Fraction(0)] * ncols
+            for j, e in entries:
+                assert e and type(e) is Fraction
+                v[j] = e
+            rebuilt.append(tuple(v))
+        assert tuple(rebuilt) == got.basis
+
+
 def test_solve_consistent_and_inconsistent():
     rng = random.Random(19)
     checked_none = 0

@@ -237,6 +237,49 @@ def test_prolong_layer_matches_the_dense_builder(monkeypatch):
             ref_layers.append(ref)
 
 
+def dense_column_view(layer):
+    """{(block i, source column x): [m, r, value, ...]}: the nonzero
+    entries of each block column over the layer's maps, read off the
+    dense blocks in (map, row) order.  An oracle only."""
+    view = {}
+    for m, g in enumerate(layer.maps):
+        for i, b in g.blocks.items():
+            for x in range(b.ncols):
+                for r, v in enumerate(b.column(x)):
+                    if v:
+                        view.setdefault((i, x), []).extend((m, r, v))
+    return view
+
+
+def test_column_view_matches_the_dense_blocks():
+    """On every catalog algebra, the pencils and a signed permutation of
+    each, through degree 2: the column view prolong_layer records equals
+    the one read off the dense blocks and the one a layer rebuilt from
+    its maps derives; a chain fed such rebuilt layers builds equal next
+    layers; and the view is not part of equality, hashing or repr."""
+    rng = random.Random(4251)
+    algebras = catalog_algebras()
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    for a in algebras:
+        layers, copies = [], []
+        for k in range(3):
+            lay = prolong_layer(a, k, layers)
+            copy = prolong_layer(a, k, copies)
+            assert copy == lay, (a.name, k)
+            assert lay._columns == dense_column_view(lay), (a.name, k)
+            rebuilt = ProlongationLayer(k, lay.maps)
+            assert rebuilt == lay and repr(rebuilt) == repr(lay)
+            assert rebuilt._columns == lay._columns, (a.name, k)
+            layers.append(lay)
+            copies.append(ProlongationLayer(k, copy.maps))
+    # maps hold dict blocks, so layers are unhashable with or without
+    # the view, as they were before it
+    with pytest.raises(TypeError):
+        hash(layers[0])
+    with pytest.raises(TypeError):
+        hash(ProlongationLayer(0, layers[0].maps))
+
+
 def test_prolong_layer_argument_checks():
     a = catalog("heisenberg", dim=3)
     with pytest.raises(ValueError):
