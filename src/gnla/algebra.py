@@ -27,7 +27,6 @@ from .linalg import (
     _echelon,
     _kernel,
     frac,
-    independent_rows,
     solve,
     unit_vector,
     vector,
@@ -247,8 +246,9 @@ def layer(a: GNLA, i: int) -> Subspace:
     if i <= 0:
         raise ValueError("layer index must be positive")
     # unit vectors in increasing position order are already an RREF
+    one = Fraction(1)
     return Subspace._trusted(
-        a.dim, [a.basis_vector(p) for p in a.layer_positions(i)])
+        a.dim, [((p, one),) for p in a.layer_positions(i)])
 
 
 @dataclass(frozen=True)
@@ -324,14 +324,14 @@ def validate(a: GNLA) -> ValidationReport:
                    for p in a.layer_positions(1)
                    for q in a.layer_positions(i)]
         if (any(k not in target for r in spanned for k in r)
-                or len(independent_rows(spanned)) != len(target)):
+                or len(_echelon(spanned, len(target))[0]) != len(target)):
             generated_ok = False
             failures.append(("generated", (i + 1,)))
 
     # the central degree -1 vectors are wanted only as a witness
     pos1 = a.layer_positions(1)
     rows = _central_rows(a, pos1)
-    nondegenerate_ok = len(_echelon(rows)[0]) == len(pos1)
+    nondegenerate_ok = len(_echelon(rows, len(pos1))[0]) == len(pos1)
     if not nondegenerate_ok:
         failures.append(("nondegenerate",
                          (_kernel_within(rows, n, pos1).basis[0],)))

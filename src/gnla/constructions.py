@@ -909,7 +909,7 @@ def p_y_subspace(p_space: MatrixSubspace, y: Sequence) -> Tuple[MatrixSubspace, 
     rows = [{k: w[r] for k, w in enumerate(images) if w[r]}
             for r in range(side)]
     sub = MatrixSubspace._from_span(side, _combined(
-        _kernel(rows, p_space.dim), p_space.span.basis, side * side))
+        _kernel(rows, p_space.dim), p_space.span._rows, side * side))
     return sub, p_space.dim - sub.dim
 
 

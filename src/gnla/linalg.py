@@ -7,10 +7,12 @@ kernel, solve, inverse, intersection and determinant runs on one core:
 each row is scaled to integers and kept sparse as {column: int}, then
 reduced fraction-free with row content reduction (Bareiss 1968), forward
 and back.  Its output is the unique RREF, so subspaces are stored by
-their reduced row echelon basis, equal subspaces compare equal and every
-derived basis is reproducible.  A kernel takes one elimination: reduced
-with its columns reversed, each pivot row reaches only free columns below
-its pivot, so the vectors read off the free columns already are the RREF.
+their reduced row echelon basis, kept sparse as the rows' nonzero
+(column, value) entries: equal subspaces compare equal, and the dense
+basis, built only when read, is reproducible.  A kernel takes one
+elimination: reduced with its columns reversed, each pivot row reaches
+only free columns below its pivot, so the vectors read off the free
+columns already are the RREF.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _eliminate(p, c, r):
     return r, b, content
 
 
-def _echelon(rows):
+def _echelon(rows, bound=None):
     """Fraction-free forward elimination (Bareiss 1968, with row content
     reduction) on sparse integer rows.
 
@@ -90,10 +92,14 @@ def _echelon(rows):
     Returns ({pivot column: integer row}, trail), where trail holds one
     (pivot column or None, num, den) per input row: its final row is
     num/den times the input row plus a combination of the rows before it.
+    Given a bound no rank can exceed, the pass stops once the pivots reach
+    it, and the trail ends at the row that did.
     """
     pivots = {}
     trail = []
     for row in rows:
+        if len(pivots) == bound:
+            break
         r, num = _integer_row(row)
         den = 1
         c = None
@@ -153,23 +159,36 @@ def _det(rows) -> Fraction:
     return Fraction(-num if inversions % 2 else num, den)
 
 
+def _rref_rows(rows):
+    """The unique RREF of the row space of a list of rows, dense or
+    {col: value}, as a tuple of its rows, each the tuple of its nonzero
+    (col, value) entries in increasing column order."""
+    cols, reduced = _reduced(rows)
+    out = []
+    for c in cols:
+        r = reduced[c]
+        lead = r[c]
+        out.append(tuple((j, Fraction(r[j], lead)) for j in sorted(r)))
+    return tuple(out)
+
+
+def _densified(entries, n: int) -> Vector:
+    """The n-vector with the given nonzero (col, value) entries."""
+    v = [Fraction(0)] * n
+    for j, e in entries:
+        v[j] = e
+    return tuple(v)
+
+
 def _rref(rows, ncols=None):
     """The unique RREF of the row space of a list of rows, dense or
     {col: value}, as (rows, pivot columns): dense Fraction rows of ncols
     entries (by default the width of the first row), zero rows dropped."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    cols, reduced = _reduced(rows)
-    zero = Fraction(0)
-    out = []
-    for c in cols:
-        r = reduced[c]
-        lead = r[c]
-        dense = [zero] * ncols
-        for j, v in r.items():
-            dense[j] = Fraction(v, lead)
-        out.append(dense)
-    return out, cols
+    sparse = _rref_rows(rows)
+    return ([list(_densified(r, ncols)) for r in sparse],
+            [r[0][0] for r in sparse])
 
 
 class Matrix:
@@ -318,32 +337,32 @@ class Matrix:
 
 
 class Subspace:
-    """A linear subspace stored by its unique RREF basis."""
+    """A linear subspace stored by its unique RREF basis.
 
-    __slots__ = ("ambient_dim", "basis", "_rows")
+    The stored form is _rows, for each basis row the tuple of its nonzero
+    (col, value) entries in increasing column order; dimension, equality
+    and hashing read it.  The dense basis is built on first read."""
+
+    __slots__ = ("ambient_dim", "_rows", "_basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         vecs = [vector(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("ambient dimension mismatch")
-        rows, _ = _rref(vecs)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_rows", _rref_rows(vecs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def _trusted(cls, ambient_dim: int, rref_rows,
-                 sparse=None) -> "Subspace":
-        """A subspace from the rows of an RREF, Fractions already, and
-        optionally the same rows as [(col, value)] lists."""
+    def _trusted(cls, ambient_dim: int, rows) -> "Subspace":
+        """A subspace from the rows of an RREF, each a tuple of its nonzero
+        (col, Fraction) entries in increasing column order, taken as is."""
         s = object.__new__(cls)
         object.__setattr__(s, "ambient_dim", ambient_dim)
-        object.__setattr__(s, "basis", tuple(tuple(r) for r in rref_rows))
-        object.__setattr__(s, "_rows", sparse)
+        object.__setattr__(s, "_rows", tuple(rows))
         return s
 
     @classmethod
@@ -355,8 +374,18 @@ class Subspace:
         return cls(n, [unit_vector(n, i) for i in range(n)])
 
     @property
+    def basis(self) -> Tuple[Vector, ...]:
+        """The RREF basis as dense vectors, built from _rows on first read."""
+        try:
+            return self._basis
+        except AttributeError:
+            basis = tuple(_densified(r, self.ambient_dim) for r in self._rows)
+            object.__setattr__(self, "_basis", basis)
+            return basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def contains(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None
@@ -368,12 +397,12 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         residual = list(v)
         coeffs = []
-        for row in self.basis:
-            pivot = next(j for j, e in enumerate(row) if e != 0)
-            c = residual[pivot]
+        for row in self._rows:
+            c = residual[row[0][0]]
             coeffs.append(c)
             if c != 0:
-                residual = [a - c * b for a, b in zip(residual, row)]
+                for j, e in row:
+                    residual[j] -= c * e
         if any(a != 0 for a in residual):
             return None
         return tuple(coeffs)
@@ -389,10 +418,10 @@ class Subspace:
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self._rows))
 
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
@@ -405,15 +434,14 @@ def _kernel(rows, ncols: int) -> Subspace:
     The rows are reduced with their columns reversed, so each reduced row
     r_c is nonzero past its pivot c only at free columns j < c.  Free
     column j then gives e_j - sum_c (r_c[j] / lead) e_c over pivots c > j:
-    led at j and zero at every other free column, so the RREF row itself.
-    The subspace keeps these rows sparse, as [(col, value)] in increasing
-    column order, in its _rows slot.
+    led at j and zero at every other free column, so the RREF row itself,
+    its entries already in increasing column order.
     """
     last = ncols - 1
     cols, reduced = _reduced([{last - j: e for j, e in (
         r.items() if isinstance(r, dict) else enumerate(r)) if e}
         for r in rows])
-    one, zero = Fraction(1), Fraction(0)
+    one = Fraction(1)
     free = {j: [(j, one)] for j in range(ncols) if last - j not in reduced}
     for c in reversed(cols):
         r = reduced[c]
@@ -421,14 +449,7 @@ def _kernel(rows, ncols: int) -> Subspace:
         for j, w in r.items():
             if j != c:
                 free[last - j].append((last - c, Fraction(-w, lead)))
-    sparse = list(free.values())
-    basis = []
-    for entries in sparse:
-        v = [zero] * ncols
-        for j, e in entries:
-            v[j] = e
-        basis.append(tuple(v))
-    return Subspace._trusted(ncols, basis, sparse)
+    return Subspace._trusted(ncols, map(tuple, free.values()))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -453,15 +474,18 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
 
 def _combined(coeffs: Subspace, basis, n: int) -> Subspace:
     """The span of the sums sum_k c_k basis[k] over the basis vectors c of
-    coeffs, for basis an RREF of n-vectors and each c led within it.  A
-    sum reads c_k at the pivot of basis[k], so the sums are RREF rows."""
-    sparse = [[(j, e) for j, e in enumerate(v) if e] for v in basis]
-    sums = [[Fraction(0)] * n for _ in coeffs.basis]
-    for v, c in zip(sums, coeffs.basis):
-        for ck, f in zip(c, sparse):
-            if ck:
-                for j, e in f:
-                    v[j] += ck * e
+    coeffs, for basis the sparse rows of an RREF of n-vectors and each c
+    led within it.  A sum reads c_k at the pivot of basis[k], so the sums
+    are RREF rows.  Entries of c past the basis are ignored."""
+    sums = []
+    for c in coeffs._rows:
+        v = {}
+        for k, ck in c:
+            if k >= len(basis):
+                break
+            for j, e in basis[k]:
+                v[j] = v.get(j, 0) + ck * e
+        sums.append(tuple((j, v[j]) for j in sorted(v) if v[j]))
     return Subspace._trusted(n, sums)
 
 
@@ -475,7 +499,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    both = a.basis + b.basis
-    rows = [{k: v[i] if k < a.dim else -v[i] for k, v in enumerate(both)
-             if v[i]} for i in range(n)]
-    return _combined(_kernel(rows, a.dim + b.dim), a.basis, n)
+    rows = [{} for _ in range(n)]
+    for k, r in enumerate(a._rows):
+        for i, e in r:
+            rows[i][k] = e
+    for k, r in enumerate(b._rows, a.dim):
+        for i, e in r:
+            rows[i][k] = -e
+    return _combined(_kernel(rows, a.dim + b.dim), a._rows, n)

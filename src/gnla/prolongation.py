@@ -11,11 +11,12 @@ the flattened block entries, normalized to RREF so that dimensions and
 bases are reproducible.  The system stays sparse from assembly to the
 layer basis: its rows are {unknown: value} dicts, built from action
 columns cached once per (degree, basis vector), and go straight into the
-elimination core of linalg, which hands back the kernel's RREF rows both
-dense and sparse.  The dense rows are cut into the blocks of the maps;
-the sparse ones give the layer's column view, for each (block, source
-column) the flat list of its nonzero (map, row, value) entries, which is
-all the next degree's system reads of the layer.
+elimination core of linalg, which hands back the kernel's RREF rows as
+their nonzero (unknown, value) entries.  Those rows are the stored form
+of the layer's maps; a map's dense blocks are built only when read.  The
+next degree's system reads only the layer's column view, for each
+(block, source column) the flat list of its nonzero (map, row, value)
+entries, derived from the same sparse rows.
 h0 is the degree 0 system cut to the columns of its m_{-1} block.
 """
 
@@ -30,16 +31,64 @@ from .algebra import GNLA, bracket
 from .linalg import Matrix, Subspace, Vector, _kernel
 
 
-@dataclass(frozen=True)
 class GradedMap:
     """A degree k graded map given by one matrix block per source layer.
 
     blocks[i] maps degree -i layer coordinates to coordinates of the
     target of degree k - i: layer coordinates of m for k - i < 0, basis
     coefficients of the already computed layer g_{k-i} otherwise.
+
+    The stored form is the block shapes, (i, rows, columns) in increasing
+    i, and the nonzero entries of the blocks flattened in that order,
+    each block row-major, as (flat index, value) in increasing index;
+    equality and hashing read it.  The blocks dict is built on first
+    read.
     """
-    degree: int
-    blocks: Dict[int, Matrix]
+
+    __slots__ = ("degree", "_shapes", "_entries", "_blocks")
+
+    def __init__(self, degree: int, blocks: Dict[int, Matrix]):
+        ordered = sorted(blocks.items())
+        flat = (e for _, b in ordered for row in b.rows for e in row)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_shapes", tuple(
+            (i, b.nrows, b.ncols) for i, b in ordered))
+        object.__setattr__(self, "_entries",
+                           tuple((u, e) for u, e in enumerate(flat) if e))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedMap is immutable")
+
+    def __reduce__(self):
+        return GradedMap._trusted, (self.degree, self._shapes, self._entries)
+
+    @classmethod
+    def _trusted(cls, degree: int, shapes, entries) -> "GradedMap":
+        """A map from its block shapes and nonzero flat entries, taken as
+        is."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "degree", degree)
+        object.__setattr__(g, "_shapes", shapes)
+        object.__setattr__(g, "_entries", entries)
+        return g
+
+    @property
+    def blocks(self) -> Dict[int, Matrix]:
+        """The dense blocks, built from the entries on first read."""
+        try:
+            return self._blocks
+        except AttributeError:
+            pass
+        flat = [Fraction(0)] * sum(t * s for _, t, s in self._shapes)
+        for u, e in self._entries:
+            flat[u] = e
+        blocks = {}
+        off = 0
+        for i, tgt, src in self._shapes:
+            blocks[i] = _unflattened(flat[off:off + tgt * src], tgt, src)
+            off += tgt * src
+        object.__setattr__(self, "_blocks", blocks)
+        return blocks
 
     def block(self, i: int) -> Optional[Matrix]:
         return self.blocks.get(i)
@@ -51,7 +100,18 @@ class GradedMap:
         return b.apply(coords)
 
     def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks.values())
+        return not self._entries
+
+    def __eq__(self, other):
+        return (isinstance(other, GradedMap)
+                and (self.degree, self._shapes, self._entries)
+                == (other.degree, other._shapes, other._entries))
+
+    def __hash__(self):
+        return hash((self.degree, self._shapes, self._entries))
+
+    def __repr__(self):
+        return "GradedMap(degree=%r, blocks=%r)" % (self.degree, self.blocks)
 
 
 @dataclass(frozen=True)
@@ -67,17 +127,20 @@ class ProlongationLayer:
     def _columns(self) -> Dict[Tuple[int, int], List]:
         """The column view: for each (block i, source column x), the
         nonzero entries of that column over all maps, as one flat list
-        m, r, value, m, r, value, ... in (map, row) order.  prolong_layer
-        records it while cutting the blocks; a layer built from maps
-        derives it here on first read.  Not a field: equality, hash and
-        repr read the maps alone."""
+        m, r, value, m, r, value, ... in (map, row) order, read off the
+        maps' sparse entries on first read.  Not a field: equality, hash
+        and repr read the maps alone."""
         cols: Dict[Tuple[int, int], List] = {}
+        places = {}
         for m, psi in enumerate(self.maps):
-            for i, b in psi.blocks.items():
-                for r, row in enumerate(b.rows):
-                    for x, v in enumerate(row):
-                        if v:
-                            cols.setdefault((i, x), []).extend((m, r, v))
+            place = places.get(psi._shapes)
+            if place is None:
+                place = places[psi._shapes] = [
+                    (i, r, x) for i, tgt, src in psi._shapes
+                    for r in range(tgt) for x in range(src)]
+            for u, v in psi._entries:
+                i, r, x = place[u]
+                cols.setdefault((i, x), []).extend((m, r, v))
         return cols
 
 
@@ -99,7 +162,7 @@ class MatrixSubspace:
     @classmethod
     def _from_span(cls, side: int, span: Subspace) -> "MatrixSubspace":
         """The subspace of the matrices flattened into the rows of span."""
-        basis = tuple(_unflattened(row, side) for row in span.basis)
+        basis = tuple(_unflattened(row, side, side) for row in span.basis)
         return cls(side=side, basis=basis, span=span)
 
     @property
@@ -110,9 +173,10 @@ class MatrixSubspace:
         return self.span.contains(m.flatten())
 
 
-def _unflattened(seg: Sequence, width: int) -> Matrix:
-    """The matrix whose rows, width entries each, concatenate to seg."""
-    return Matrix._trusted(tuple(zip(*[iter(seg)] * width)))
+def _unflattened(seg: Sequence, nrows: int, ncols: int) -> Matrix:
+    """The nrows x ncols matrix whose rows concatenate to seg."""
+    return Matrix._trusted(tuple(tuple(seg[r * ncols:(r + 1) * ncols])
+                                 for r in range(nrows)))
 
 
 def _target_dim(a: GNLA, lower: Sequence[ProlongationLayer], degree: int) -> int:
@@ -125,7 +189,7 @@ def _target_dim(a: GNLA, lower: Sequence[ProlongationLayer], degree: int) -> int
 
 
 def _block_shapes(a: GNLA, lower: Sequence[ProlongationLayer],
-                  k: int) -> List[Tuple[int, int, int]]:
+                  k: int) -> Tuple[Tuple[int, int, int], ...]:
     """(source layer i, target dim, source dim) with both dims positive."""
     shapes = []
     for i in range(1, a.depth + 1):
@@ -133,7 +197,7 @@ def _block_shapes(a: GNLA, lower: Sequence[ProlongationLayer],
         tgt = _target_dim(a, lower, k - i)
         if src > 0 and tgt > 0:
             shapes.append((i, tgt, src))
-    return shapes
+    return tuple(shapes)
 
 
 def apply_layer_element(a: GNLA, lower: Sequence[ProlongationLayer],
@@ -157,10 +221,11 @@ def apply_layer_element(a: GNLA, lower: Sequence[ProlongationLayer],
 
 
 def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
-    """The degree k Leibniz system as (rows, shapes, offsets, total).
+    """The degree k Leibniz system as (rows, block shapes, total).
 
     The total unknowns are the entries of all blocks of a candidate map,
-    block i row-major from offsets[i]; each basis pair (e_p, e_q)
+    flattened block after block in the order of the shapes, each block
+    row-major; each basis pair (e_p, e_q)
     contributes the rows of
     phi([e_p,e_q]) - [phi(e_p), e_q] - [e_p, phi(e_q)] = 0
     expressed in the target of degree k - deg_p - deg_q.  Each row is a
@@ -244,36 +309,24 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
 
             if any(block):
                 rows.extend(block)
-    return rows, shapes, offsets, total
+    return rows, shapes, total
 
 
 def prolong_layer(a: GNLA, k: int,
                   lower: Sequence[ProlongationLayer]) -> ProlongationLayer:
     """The degree k layer from the layers 0 .. k-1: its system's kernel.
 
-    Each kernel vector is cut into its blocks; its sparse row gives, in
-    the same pass, the column view the next degree's system reads."""
+    Each sparse kernel row is the stored form of one map, shared with
+    the kernel; neither its blocks nor the kernel's dense basis is built
+    here."""
     if k < 0:
         raise ValueError("prolongation layers start at degree 0")
     if len(lower) != k:
         raise ValueError("need exactly the layers 0 .. k-1")
-    rows, shapes, offsets, total = _leibniz_system(a, k, lower)
-    sol = _kernel(rows, total)
-    # the (block, source column) and the row of each unknown
-    place = [((i, x), r) for i, tgt, src in shapes
-             for r in range(tgt) for x in range(src)]
-    cols: Dict[Tuple[int, int], List] = {}
-    maps = []
-    for m, (flat, entries) in enumerate(zip(sol.basis, sol._rows)):
-        maps.append(GradedMap(degree=k, blocks={
-            i: _unflattened(flat[offsets[i]:offsets[i] + tgt * src], src)
-            for i, tgt, src in shapes}))
-        for u, v in entries:
-            key, r = place[u]
-            cols.setdefault(key, []).extend((m, r, v))
-    layer = ProlongationLayer(degree=k, maps=tuple(maps))
-    object.__setattr__(layer, "_columns", cols)
-    return layer
+    rows, shapes, total = _leibniz_system(a, k, lower)
+    return ProlongationLayer(degree=k, maps=tuple(
+        GradedMap._trusted(k, shapes, entries)
+        for entries in _kernel(rows, total)._rows))
 
 
 def leibniz_failures(a: GNLA, lower: Sequence[ProlongationLayer],
@@ -352,7 +405,7 @@ def h0(a: GNLA) -> MatrixSubspace:
     kernel over the n1^2 columns left is the space in its RREF basis.
     """
     n1 = a.layer_dim(1)
-    rows, _, _, _ = _leibniz_system(a, 0, [])
+    rows, _, _ = _leibniz_system(a, 0, [])
     cut = [{j: v for j, v in r.items() if j < n1 * n1} for r in rows]
     return MatrixSubspace._from_span(n1, _kernel(cut, n1 * n1))
 

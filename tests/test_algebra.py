@@ -542,3 +542,29 @@ def test_validate_matches_reference():
         assert rep.failures == failures, a.name
         kinds.update(kind for kind, _ in failures)
     assert kinds == {"grading", "jacobi", "generated", "nondegenerate"}
+
+
+def test_validate_rank_checks_stop_at_their_exact_bound(monkeypatch):
+    """The generated and nondegenerate passes stop once their rank reaches
+    len(target) and len(pos1), bounds no rank can pass; the reports equal
+    those of passes that read every row, on the catalog, the pencils,
+    random 2-step, non-generated and degenerate algebras."""
+    from gnla import algebra, linalg
+
+    pivots, trail = linalg._echelon([[1, 0], [0, 1], [1, 1]], 2)
+    assert len(pivots) == len(trail) == 2
+    cases = table_cases(9107)
+    bounded = [validate(a) for a in cases]
+    bounds = []
+
+    def full_trail(rows, bound=None):
+        bounds.append(bound)
+        return linalg._echelon(rows)
+
+    monkeypatch.setattr(algebra, "_echelon", full_trail)
+    kinds = set()
+    for a, rep in zip(cases, bounded):
+        assert validate(a) == rep, a.name
+        kinds.update(kind for kind, _ in rep.failures)
+    assert {"generated", "nondegenerate"} <= kinds
+    assert bounds and None not in bounds

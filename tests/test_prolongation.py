@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -33,10 +34,13 @@ from gnla.prolongation import (
 )
 
 
-def contact_layer_oracle(k):
-    """Monomial count #{(a,b,c) >= 0 : a + b + 2c = k + 2}."""
-    return sum(1 for a in range(k + 3) for b in range(k + 3)
-               for c in range(k + 3) if a + b + 2 * c == k + 2)
+def contact_layer_oracle(k, dim=3):
+    """dim g_k of the contact algebra of dimension 2n + 1: the number of
+    monomials of weighted degree k + 2 in 2n weight-1 variables and one
+    weight-2 variable, counted by the power c of the latter."""
+    n = (dim - 1) // 2
+    return sum(math.comb(k + 2 - 2 * c + 2 * n - 1, 2 * n - 1)
+               for c in range((k + 2) // 2 + 1))
 
 
 def reference_h0(a):
@@ -253,10 +257,12 @@ def dense_column_view(layer):
 
 def test_column_view_matches_the_dense_blocks():
     """On every catalog algebra, the pencils and a signed permutation of
-    each, through degree 2: the column view prolong_layer records equals
-    the one read off the dense blocks and the one a layer rebuilt from
-    its maps derives; a chain fed such rebuilt layers builds equal next
-    layers; and the view is not part of equality, hashing or repr."""
+    each, through degree 2: the column view prolong_layer's maps give
+    equals the one read off the dense blocks; the layer rebuilt from its
+    own blocks with the public constructors equals it both ways, with the
+    same hash, repr and column view, and equals a copy whose blocks were
+    never read; a chain fed such rebuilt layers builds equal next layers;
+    and equal layers go in one set."""
     rng = random.Random(4251)
     algebras = catalog_algebras()
     algebras += [signed_permutation(rng, a) for a in algebras]
@@ -265,19 +271,46 @@ def test_column_view_matches_the_dense_blocks():
         for k in range(3):
             lay = prolong_layer(a, k, layers)
             copy = prolong_layer(a, k, copies)
+            rebuilt = ProlongationLayer(degree=k, maps=tuple(
+                GradedMap(degree=g.degree, blocks=g.blocks)
+                for g in lay.maps))
+            assert copy == rebuilt and rebuilt == copy, (a.name, k)
+            assert hash(copy) == hash(rebuilt), (a.name, k)
+            assert not any(hasattr(g, "_blocks") for g in copy.maps)
             assert copy == lay, (a.name, k)
             assert lay._columns == dense_column_view(lay), (a.name, k)
-            rebuilt = ProlongationLayer(k, lay.maps)
-            assert rebuilt == lay and repr(rebuilt) == repr(lay)
+            assert rebuilt == lay and lay == rebuilt, (a.name, k)
+            assert hash(rebuilt) == hash(lay), (a.name, k)
+            assert repr(rebuilt) == repr(lay) == repr(copy), (a.name, k)
             assert rebuilt._columns == lay._columns, (a.name, k)
+            assert len({lay, copy, rebuilt}) == 1, (a.name, k)
             layers.append(lay)
-            copies.append(ProlongationLayer(k, copy.maps))
-    # maps hold dict blocks, so layers are unhashable with or without
-    # the view, as they were before it
-    with pytest.raises(TypeError):
-        hash(layers[0])
-    with pytest.raises(TypeError):
-        hash(ProlongationLayer(0, layers[0].maps))
+            copies.append(rebuilt)
+
+
+def test_chains_build_no_dense_blocks_or_bases(monkeypatch):
+    """A classify_by_iteration chain and a prolong_layer chain leave every
+    map's blocks and every kernel's dense basis unbuilt; a read builds
+    and caches them."""
+    kernels = []
+    kernel = prolongation._kernel
+
+    def capture(rows, ncols):
+        kernels.append(kernel(rows, ncols))
+        return kernels[-1]
+
+    monkeypatch.setattr(prolongation, "_kernel", capture)
+    verdict = classify_by_iteration(catalog("kgen", k=4))
+    a = catalog("mixedjet", k=4)
+    layers = []
+    for k in range(5):
+        layers.append(prolong_layer(a, k, layers))
+    maps = [g for lay in verdict.layers + tuple(layers) for g in lay.maps]
+    assert len(kernels) == 9 and len(maps) == 77
+    assert not any(hasattr(g, "_blocks") for g in maps)
+    assert not any(hasattr(s, "_basis") for s in kernels)
+    assert maps[-1].blocks is maps[-1].blocks
+    assert kernels[-1].basis is kernels[-1].basis
 
 
 def test_prolong_layer_argument_checks():
@@ -295,6 +328,19 @@ def test_heisenberg3_layer_dims_match_monomial_count():
         lay = prolong_layer(a, k, layers)
         layers.append(lay)
         assert lay.dim == contact_layer_oracle(k)
+
+
+def test_heisenberg7_chain_through_g4_matches_monomial_count():
+    """The deepest chain of the suite: sparse layers keep it fast."""
+    a = catalog("heisenberg", dim=7)
+    layers = []
+    for k in range(5):
+        layers.append(prolong_layer(a, k, layers))
+    dims = tuple(lay.dim for lay in layers)
+    assert dims == (22, 62, 148, 314, 610)
+    assert dims == tuple(contact_layer_oracle(k, 7) for k in range(5))
+    for phi in (layers[4].maps[0], layers[4].maps[-1]):
+        assert not leibniz_failures(a, layers[:4], phi)
 
 
 def test_der0_heisenberg3_is_csp2():
