@@ -25,6 +25,7 @@ from .linalg import (
     Subspace,
     Vector,
     _echelon,
+    _integer_row,
     _kernel,
     frac,
     solve,
@@ -324,14 +325,16 @@ def validate(a: GNLA) -> ValidationReport:
                    for p in a.layer_positions(1)
                    for q in a.layer_positions(i)]
         if (any(k not in target for r in spanned for k in r)
-                or len(_echelon(spanned, len(target))[0]) != len(target)):
+                or len(_echelon((_integer_row(r)[0] for r in spanned),
+                                len(target))[0]) != len(target)):
             generated_ok = False
             failures.append(("generated", (i + 1,)))
 
     # the central degree -1 vectors are wanted only as a witness
     pos1 = a.layer_positions(1)
     rows = _central_rows(a, pos1)
-    nondegenerate_ok = len(_echelon(rows, len(pos1))[0]) == len(pos1)
+    nondegenerate_ok = len(_echelon((_integer_row(r)[0] for r in rows),
+                                    len(pos1))[0]) == len(pos1)
     if not nondegenerate_ok:
         failures.append(("nondegenerate",
                          (_kernel_within(rows, n, pos1).basis[0],)))

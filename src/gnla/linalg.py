@@ -1,18 +1,21 @@
 """Exact rational linear algebra on one integer elimination core.
 
-Scalars are fractions.Fraction throughout.  Ranks, kernels and echelon
+The public scalars are fractions.Fraction.  Ranks, kernels and echelon
 forms feed classification verdicts downstream, so every elimination step
 must be exact; floats are rejected at the door.  Every rank, RREF,
-kernel, solve, inverse, intersection and determinant runs on one core:
-each row is scaled to integers and kept sparse as {column: int}, then
-reduced fraction-free with row content reduction (Bareiss 1968), forward
-and back.  Its output is the unique RREF, so subspaces are stored by
-their reduced row echelon basis, kept sparse as the rows' nonzero
-(column, value) entries: equal subspaces compare equal, and the dense
-basis, built only when read, is reproducible.  A kernel takes one
-elimination: reduced with its columns reversed, each pivot row reaches
-only free columns below its pivot, so the vectors read off the free
-columns already are the RREF.
+kernel, solve, inverse, intersection and determinant runs on one core,
+which works on integers only: sparse {column: int} rows, reduced
+fraction-free with row content reduction (Bareiss 1968), forward and
+back.  Fraction rows are scaled to integers once, where they enter the
+core; a caller that builds its rows as integers (the Leibniz systems,
+the Groebner row reduction) hands them over as they are.  The core's
+output is the unique RREF, so subspaces are stored by their reduced row
+echelon basis, kept sparse as the rows' nonzero (column, value)
+entries: equal subspaces compare equal, and the dense basis, built only
+when read, is reproducible.  A kernel takes one elimination: reduced
+with its columns reversed, each pivot row reaches only free columns
+below its pivot, so the vectors read off the free columns already are
+the RREF.
 """
 
 from __future__ import annotations
@@ -85,10 +88,11 @@ def _eliminate(p, c, r):
 
 def _echelon(rows, bound=None):
     """Fraction-free forward elimination (Bareiss 1968, with row content
-    reduction) on sparse integer rows.
+    reduction) on sparse {col: int} rows without zero entries, which it
+    owns: a row may be changed in place or kept as a pivot row.
 
-    Each input row is scaled to integers and reduced by the pivot rows of
-    the rows before it until its leading column is new or it vanishes.
+    Each input row is reduced by the pivot rows of the rows before it
+    until its leading column is new or it vanishes.
     Returns ({pivot column: integer row}, trail), where trail holds one
     (pivot column or None, num, den) per input row: its final row is
     num/den times the input row plus a combination of the rows before it.
@@ -100,8 +104,8 @@ def _echelon(rows, bound=None):
     for row in rows:
         if len(pivots) == bound:
             break
-        r, num = _integer_row(row)
-        den = 1
+        r = row
+        num = den = 1
         c = None
         while r:
             c = min(r)
@@ -121,13 +125,13 @@ def _echelon(rows, bound=None):
 def independent_rows(rows) -> List[int]:
     """Positions of the rows that are not in the span of the rows before
     them, read off the trail of one forward pass."""
-    _, trail = _echelon(rows)
+    _, trail = _echelon([_integer_row(r)[0] for r in rows])
     return [i for i, (c, _, _) in enumerate(trail) if c is not None]
 
 
 def _reduced(rows):
-    """The integer RREF of a list of rows: (pivot columns in increasing
-    order, {pivot column: integer row}).
+    """The integer RREF of sparse {col: int} rows, which it owns: (pivot
+    columns in increasing order, {pivot column: integer row}).
 
     This is the package's one elimination: the forward pass of _echelon,
     then back-substitution the same way from the highest pivot down.
@@ -146,8 +150,10 @@ def _reduced(rows):
 def _det(rows) -> Fraction:
     """The determinant of square rows, Fraction or int entries, from the
     forward pass: the sign of the row order times the product of the
-    pivots, over the row scales the pass applied."""
-    pivots, trail = _echelon(rows)
+    pivots, over the scales that made the rows integers and the row
+    scales the pass applied."""
+    scaled = [_integer_row(r) for r in rows]
+    pivots, trail = _echelon([r for r, _ in scaled])
     if len(pivots) < len(rows):
         return Fraction(0)
     order = [c for c, _, _ in trail]
@@ -155,7 +161,7 @@ def _det(rows) -> Fraction:
                      if order[j] > order[i])
     num = prod(r[c] for c, r in pivots.items())
     num *= prod(d for _, _, d in trail)
-    den = prod(n for _, n, _ in trail)
+    den = prod(n for _, n, _ in trail) * prod(s for _, s in scaled)
     return Fraction(-num if inversions % 2 else num, den)
 
 
@@ -163,7 +169,7 @@ def _rref_rows(rows):
     """The unique RREF of the row space of a list of rows, dense or
     {col: value}, as a tuple of its rows, each the tuple of its nonzero
     (col, value) entries in increasing column order."""
-    cols, reduced = _reduced(rows)
+    cols, reduced = _reduced([_integer_row(r)[0] for r in rows])
     out = []
     for c in cols:
         r = reduced[c]
@@ -208,6 +214,9 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return Matrix._trusted, (self.rows,)
 
     @classmethod
     def _trusted(cls, rows: Tuple[Vector, ...]) -> "Matrix":
@@ -308,7 +317,7 @@ class Matrix:
         return Matrix(rows), tuple(pivots)
 
     def rank(self) -> int:
-        return len(_echelon(self.rows)[0])
+        return len(_echelon([_integer_row(r)[0] for r in self.rows])[0])
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -355,6 +364,9 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return Subspace._trusted, (self.ambient_dim, self._rows)
 
     @classmethod
     def _trusted(cls, ambient_dim: int, rows) -> "Subspace":
@@ -429,18 +441,43 @@ class Subspace:
 
 def _kernel(rows, ncols: int) -> Subspace:
     """The solution space of a system in ncols unknowns, rows dense or
-    {col: value}, with its RREF basis, one elimination of the rows.
-
-    The rows are reduced with their columns reversed, so each reduced row
-    r_c is nonzero past its pivot c only at free columns j < c.  Free
-    column j then gives e_j - sum_c (r_c[j] / lead) e_c over pivots c > j:
-    led at j and zero at every other free column, so the RREF row itself,
-    its entries already in increasing column order.
-    """
+    {col: value}, with its RREF basis: each row is scaled to integers in
+    the one pass that reverses its columns, then _reversed_kernel."""
     last = ncols - 1
-    cols, reduced = _reduced([{last - j: e for j, e in (
-        r.items() if isinstance(r, dict) else enumerate(r)) if e}
-        for r in rows])
+    reversed_rows = []
+    for row in rows:
+        entries = [(j, e) for j, e in (
+            row.items() if isinstance(row, dict) else enumerate(row)) if e]
+        if entries:
+            s = lcm(*[e.denominator for _, e in entries])
+            reversed_rows.append({last - j: e.numerator * (s // e.denominator)
+                                  for j, e in entries})
+    return _reversed_kernel(reversed_rows, ncols)
+
+
+def _integer_kernel(rows, ncols: int) -> Subspace:
+    """The solution space of sparse {col: int} rows without zero entries
+    in ncols unknowns, with its RREF basis; the rows are left unchanged."""
+    last = ncols - 1
+    return _reversed_kernel([{last - j: v for j, v in r.items()}
+                             for r in rows], ncols)
+
+
+def _reversed_kernel(rows, ncols: int) -> Subspace:
+    """The kernel of sparse integer rows given with their columns
+    reversed, column j of the system at key ncols - 1 - j, which it owns.
+    One elimination, sparsest row first: the RREF is unique, so the row
+    order changes only the work.
+
+    Reduced with its columns reversed, each row r_c led at column c of
+    the system is nonzero past its pivot only at free columns j < c.
+    Free column j then gives e_j - sum_c (r_c[j] / lead) e_c over pivots
+    c > j: led at j and zero at every other free column, so the RREF row
+    itself, its entries already in increasing column order.
+    """
+    rows.sort(key=len)
+    cols, reduced = _reduced(rows)
+    last = ncols - 1
     one = Fraction(1)
     free = {j: [(j, one)] for j in range(ncols) if last - j not in reduced}
     for c in reversed(cols):

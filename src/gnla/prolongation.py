@@ -8,15 +8,16 @@ identity phi([x,y]) = [phi(x), y] + [x, phi(y)] over all basis pairs,
 where a bracket whose left slot sits in a non-negative layer is map
 application.  Each layer is the kernel of one global linear system over
 the flattened block entries, normalized to RREF so that dimensions and
-bases are reproducible.  The system stays sparse from assembly to the
-layer basis: its rows are {unknown: value} dicts, built from action
-columns cached once per (degree, basis vector), and go straight into the
-elimination core of linalg, which hands back the kernel's RREF rows as
-their nonzero (unknown, value) entries.  Those rows are the stored form
-of the layer's maps; a map's dense blocks are built only when read.  The
-next degree's system reads only the layer's column view, for each
-(block, source column) the flat list of its nonzero (map, row, value)
-entries, derived from the same sparse rows.
+bases are reproducible.  The system stays sparse and integer from
+assembly to the elimination: each row is a {unknown: int} dict, the
+identity's row scaled by the lcm of its denominators, built from action
+groups cached once per (degree, basis vector), and goes straight into
+the integer elimination core of linalg, which hands back the kernel's
+RREF rows as their nonzero (unknown, value) entries.  Those rows are the
+stored form of the layer's maps; a map's dense blocks are built only
+when read.  The next degree's system reads only the layer's column view,
+for each (block, source column) its nonzero entries grouped by target
+row as integers over one denominator, derived from the same sparse rows.
 h0 is the degree 0 system cut to the columns of its m_{-1} block.
 """
 
@@ -25,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import GNLA, bracket
-from .linalg import Matrix, Subspace, Vector, _kernel
+from .algebra import GNLA
+from .linalg import Matrix, Subspace, Vector, _integer_kernel
 
 
 class GradedMap:
@@ -126,11 +128,11 @@ class ProlongationLayer:
     @cached_property
     def _columns(self) -> Dict[Tuple[int, int], List]:
         """The column view: for each (block i, source column x), the
-        nonzero entries of that column over all maps, as one flat list
-        m, r, value, m, r, value, ... in (map, row) order, read off the
-        maps' sparse entries on first read.  Not a field: equality, hash
-        and repr read the maps alone."""
-        cols: Dict[Tuple[int, int], List] = {}
+        nonzero entries of that column over all maps as the groups of
+        _grouped, one per target row r, read off the maps' sparse
+        entries on first read.  Not a field: equality, hash and repr read
+        the maps alone."""
+        by_row: Dict[Tuple[int, int], Dict[int, List]] = {}
         places = {}
         for m, psi in enumerate(self.maps):
             place = places.get(psi._shapes)
@@ -140,8 +142,23 @@ class ProlongationLayer:
                     for r in range(tgt) for x in range(src)]
             for u, v in psi._entries:
                 i, r, x = place[u]
-                cols.setdefault((i, x), []).extend((m, r, v))
-        return cols
+                by_row.setdefault((i, x), {}).setdefault(r, []).append((m, v))
+        return {col: _grouped(rows) for col, rows in by_row.items()}
+
+
+def _grouped(by_row: Dict[int, List]) -> List:
+    """{r: [(m, value), ...]} with nonzero values as groups (r, den,
+    [m, num, m, num, ...]) in increasing r: den is the lcm of the row's
+    denominators and num / den the value at m."""
+    groups = []
+    for r in sorted(by_row):
+        entries = by_row[r]
+        den = lcm(*[v.denominator for _, v in entries])
+        flat = []
+        for m, v in entries:
+            flat += (m, v.numerator * (den // v.denominator))
+        groups.append((r, den, flat))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -225,12 +242,15 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
 
     The total unknowns are the entries of all blocks of a candidate map,
     flattened block after block in the order of the shapes, each block
-    row-major; each basis pair (e_p, e_q)
-    contributes the rows of
+    row-major; each basis pair (e_p, e_q) contributes the rows of
     phi([e_p,e_q]) - [phi(e_p), e_q] - [e_p, phi(e_q)] = 0
-    expressed in the target of degree k - deg_p - deg_q.  Each row is a
-    sparse {unknown: value} dict; the three terms never write the same
-    unknown of a row, since they read different blocks or columns.
+    expressed in the target of degree k - deg_p - deg_q, all but those
+    with no nonzero entry.  Each row is a sparse {unknown: int} dict,
+    written once: the identity's row times its scale, the lcm of its
+    denominators.  The three terms never write the same unknown of a
+    row, since they read different blocks or columns, so the scale is
+    the lcm of at most three denominators: that of the constants of
+    [e_p, e_q], and that of the row's group in each action.
     """
     n = a.dim
     mu = a.depth
@@ -257,23 +277,24 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
 
     def action(d: int, q: int) -> List:
         """The image of e_q under each coordinate direction m of the
-        degree d piece, in the degree d - deg(e_q) target, as one flat
-        list m, r, value, ... of its nonzero entries: bracket terms for
-        d < 0, the column view of the layer g_d otherwise."""
-        flat = actions.get((d, q))
-        if flat is None:
+        degree d piece, in the degree d - deg(e_q) target, as the groups
+        (r, den, [m, num, ...]) of _grouped: from the structure constants
+        for d < 0, the column view of the layer g_d otherwise."""
+        groups = actions.get((d, q))
+        if groups is None:
             j = -a.degrees[q]
             if d < 0:
-                flat = []
+                by_row: Dict[int, List] = {}
                 for m, p in enumerate(a.layer_positions(-d)):
                     for r, c in bracket_terms(p, q, j - d):
-                        flat += (m, r, c)
+                        by_row.setdefault(r, []).append((m, c))
+                groups = _grouped(by_row)
             else:
-                flat = lower[d]._columns.get((j, index[q]), [])
-            actions[d, q] = flat
-        return flat
+                groups = lower[d]._columns.get((j, index[q]), [])
+            actions[d, q] = groups
+        return groups
 
-    rows: List[Dict[int, Fraction]] = []
+    rows: List[Dict[int, int]] = []
     for p in range(n):
         i = -a.degrees[p]
         for q in range(p + 1, n):
@@ -284,31 +305,47 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
             tdim = _target_dim(a, lower, tdeg)
             if tdim == 0:
                 continue
-            block: List[Dict[int, Fraction]] = [{} for _ in range(tdim)]
-
-            # phi([e_p, e_q]) term
-            if i + j in offsets:
-                off, src = offsets[i + j], srcs[i + j]
-                for c, w in bracket_terms(p, q, i + j):
-                    for r in range(tdim):
-                        block[r][off + r * src + c] = w
-
-            # -[phi(e_p), e_q] term: phi(e_p) is the p-column of block i
+            # phi([e_p, e_q]) term, in every row: the constants of
+            # [e_p, e_q] in layer i + j as integers over bden
+            constants = bracket_terms(p, q, i + j) if i + j in offsets else []
+            scale: Dict[int, int] = {}
+            if constants:
+                bden = lcm(*[c.denominator for _, c in constants])
+                constants = [(x, c.numerator * (bden // c.denominator))
+                             for x, c in constants]
+                scale = dict.fromkeys(range(tdim), bden)
+            # -[phi(e_p), e_q] term: phi(e_p) is the p-column of block i;
+            # -[e_p, phi(e_q)] = +[phi(e_q), e_p] term likewise
+            terms = []
             if i in offsets:
-                off, src = offsets[i] + index[p], srcs[i]
-                it = iter(action(k - i, q))
-                for m, r, v in zip(it, it, it):
-                    block[r][off + m * src] = -v
-
-            # -[e_p, phi(e_q)] = +[phi(e_q), e_p] term
+                terms.append((action(k - i, q), offsets[i] + index[p],
+                              srcs[i], -1))
             if j in offsets:
-                off, src = offsets[j] + index[q], srcs[j]
-                it = iter(action(k - j, p))
-                for m, r, v in zip(it, it, it):
-                    block[r][off + m * src] = v
+                terms.append((action(k - j, p), offsets[j] + index[q],
+                              srcs[j], 1))
+            for groups, _, _, _ in terms:
+                for r, den, _ in groups:
+                    old = scale.get(r)
+                    scale[r] = den if old is None else lcm(old, den)
+            if not scale:
+                continue
 
-            if any(block):
-                rows.extend(block)
+            block = {r: {} for r in sorted(scale)}
+            if constants:
+                off, src = offsets[i + j], srcs[i + j]
+                for r, row in block.items():
+                    f = scale[r] // bden
+                    base = off + r * src
+                    for x, w in constants:
+                        row[base + x] = w * f
+            for groups, off, src, sign in terms:
+                for r, den, flat in groups:
+                    row = block[r]
+                    f = sign * (scale[r] // den)
+                    it = iter(flat)
+                    for m, v in zip(it, it):
+                        row[off + m * src] = v * f
+            rows.extend(block.values())
     return rows, shapes, total
 
 
@@ -326,7 +363,27 @@ def prolong_layer(a: GNLA, k: int,
     rows, shapes, total = _leibniz_system(a, k, lower)
     return ProlongationLayer(degree=k, maps=tuple(
         GradedMap._trusted(k, shapes, entries)
-        for entries in _kernel(rows, total)._rows))
+        for entries in _integer_kernel(rows, total)._rows))
+
+
+def _sparse_columns(
+        g: GradedMap) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
+    """{(block i, source column x): {row r: value}}: the nonzero entries
+    of a map's blocks, read off its flat entries."""
+    cols: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    ends = []
+    off = 0
+    for i, tgt, src in g._shapes:
+        ends.append((off + tgt * src, off, i, src))
+        off += tgt * src
+    b = 0
+    for u, v in g._entries:
+        while u >= ends[b][0]:
+            b += 1
+        _, off, i, src = ends[b]
+        r, x = divmod(u - off, src)
+        cols.setdefault((i, x), {})[r] = v
+    return cols
 
 
 def leibniz_failures(a: GNLA, lower: Sequence[ProlongationLayer],
@@ -334,31 +391,37 @@ def leibniz_failures(a: GNLA, lower: Sequence[ProlongationLayer],
     """Re-check the Leibniz identity of a computed map pair by pair.
 
     Evaluates both sides on concrete basis vectors, independently of the
-    assembled solver system.  Returns the offending label pairs.
+    assembled solver system: phi and the lower maps are read column by
+    column off their sparse entries, and no dense block is built.
+    Returns the offending label pairs.
     """
     k = phi.degree
-    bad = []
     mu = a.depth
+    index = {p: x for i in range(1, mu + 1)
+             for x, p in enumerate(a.layer_positions(i))}
+    phi_cols = _sparse_columns(phi)
+    lower_cols: Dict[Tuple[int, int], Dict] = {}
 
-    def phi_value(pos: int) -> Tuple[int, Vector]:
-        i = -a.degrees[pos]
-        idx = a.layer_positions(i).index(pos)
-        b = phi.block(i)
-        if b is None or b.nrows == 0:
-            return k - i, ()
-        return k - i, b.column(idx)
-
-    def act(d: int, val: Vector, pos: int) -> Tuple[int, Vector]:
-        """[value in degree d piece, e_pos]; returns (degree, coords)."""
+    def add_action(d: int, val: Dict[int, Fraction], pos: int, sign: int,
+                   out: Dict[int, Fraction]) -> None:
+        """out += sign [v, e_pos] for v in the degree d piece with
+        coordinates val, in the degree d - deg(e_pos) target."""
         j = -a.degrees[pos]
         if d < 0:
-            full = a.embed_layer(-d, val)
-            out = bracket(a, full, a.basis_vector(pos))
-            return d - j, a.layer_coordinates(j - d, out)
-        return d - j, apply_layer_element(a, lower, d, val, j,
-                                          a.layer_coordinates(
-                                              j, a.basis_vector(pos)))
+            positions = a.layer_positions(-d)
+            for m, c in val.items():
+                for t, w in a.bracket_terms(positions[m], pos):
+                    if a.degrees[t] == d - j:
+                        out[index[t]] = out.get(index[t], 0) + sign * c * w
+            return
+        for m, c in val.items():
+            cols = lower_cols.get((d, m))
+            if cols is None:
+                cols = lower_cols[d, m] = _sparse_columns(lower[d].maps[m])
+            for r, v in cols.get((j, index[pos]), {}).items():
+                out[r] = out.get(r, 0) + sign * c * v
 
+    bad = []
     for p in range(a.dim):
         i = -a.degrees[p]
         for q in range(p + 1, a.dim):
@@ -366,26 +429,15 @@ def leibniz_failures(a: GNLA, lower: Sequence[ProlongationLayer],
             tdeg = k - i - j
             if tdeg < 0 and -tdeg > mu:
                 continue
-            tdim = _target_dim(a, lower, tdeg)
-            lhs = [Fraction(0)] * tdim
-            if i + j <= mu:
-                w = a.layer_coordinates(i + j, a.pair_bracket(p, q))
-                b = phi.block(i + j)
-                if b is not None and b.nrows > 0 and any(c != 0 for c in w):
-                    for r, v in enumerate(b.apply(w)):
-                        lhs[r] = v
-            rhs = [Fraction(0)] * tdim
-            d1, val1 = phi_value(p)
-            if val1:
-                _, out1 = act(d1, val1, q)
-                for r, v in enumerate(out1):
-                    rhs[r] += v
-            d2, val2 = phi_value(q)
-            if val2:
-                _, out2 = act(d2, val2, p)
-                for r, v in enumerate(out2):
-                    rhs[r] -= v
-            if any(x != y for x, y in zip(lhs, rhs)):
+            # phi([e_p, e_q]) - [phi(e_p), e_q] + [phi(e_q), e_p]
+            diff: Dict[int, Fraction] = {}
+            for t, w in a.bracket_terms(p, q):
+                if a.degrees[t] == -(i + j):
+                    for r, v in phi_cols.get((i + j, index[t]), {}).items():
+                        diff[r] = diff.get(r, 0) + w * v
+            add_action(k - i, phi_cols.get((i, index[p]), {}), q, -1, diff)
+            add_action(k - j, phi_cols.get((j, index[q]), {}), p, 1, diff)
+            if any(diff.values()):
                 bad.append((a.labels[p], a.labels[q]))
     return bad
 
@@ -407,7 +459,7 @@ def h0(a: GNLA) -> MatrixSubspace:
     n1 = a.layer_dim(1)
     rows, _, _ = _leibniz_system(a, 0, [])
     cut = [{j: v for j, v in r.items() if j < n1 * n1} for r in rows]
-    return MatrixSubspace._from_span(n1, _kernel(cut, n1 * n1))
+    return MatrixSubspace._from_span(n1, _integer_kernel(cut, n1 * n1))
 
 
 def h0_as_graded_map(a: GNLA, m: Matrix) -> GradedMap:

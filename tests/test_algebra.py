@@ -551,7 +551,7 @@ def test_validate_rank_checks_stop_at_their_exact_bound(monkeypatch):
     random 2-step, non-generated and degenerate algebras."""
     from gnla import algebra, linalg
 
-    pivots, trail = linalg._echelon([[1, 0], [0, 1], [1, 1]], 2)
+    pivots, trail = linalg._echelon([{0: 1}, {1: 1}, {0: 1, 1: 1}], 2)
     assert len(pivots) == len(trail) == 2
     cases = table_cases(9107)
     bounded = [validate(a) for a in cases]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ from gnla import catalog, prolong_layer, prolongation
 from gnla.linalg import (
     Matrix,
     Subspace,
+    _integer_kernel,
+    _integer_row,
     _kernel,
     _reduced,
     _rref,
@@ -141,13 +145,13 @@ def test_independent_rows_matches_growing_a_subspace():
 def test_rref_of_a_prolongation_system_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     systems = []
-    kernel = prolongation._kernel
+    kernel = prolongation._integer_kernel
 
     def capture(rows, ncols):
         systems.append((rows, ncols))
         return kernel(rows, ncols)
 
-    monkeypatch.setattr(prolongation, "_kernel", capture)
+    monkeypatch.setattr(prolongation, "_integer_kernel", capture)
     a = catalog("heisenberg", dim=5)
     g0 = prolong_layer(a, 0, [])
     systems.clear()
@@ -347,7 +351,7 @@ def reference_kernel_basis(m):
     """Dense kernel vectors read off the integer RREF, then coerced and
     reduced again by Subspace(...): the kernel path before the sparse
     kernel routine.  An oracle only."""
-    _, reduced = _reduced(m.rows)
+    _, reduced = _reduced([_integer_row(r)[0] for r in m.rows])
     n = m.ncols
     zero, one = Fraction(0), Fraction(1)
     free = {j: [zero] * n for j in range(n) if j not in reduced}
@@ -419,27 +423,31 @@ def test_kernel_takes_dict_rows_like_dense_rows():
 
 
 def test_kernel_eliminates_once(monkeypatch):
-    """One _reduced call per _kernel call, on the kernel cases and on the
-    heisenberg5 Leibniz systems of degrees 0-2, with the same basis as
-    the oracle, and the sparse rows the subspace keeps equal its basis."""
+    """One _reduced call per kernel: _kernel on the kernel cases and
+    _integer_kernel on the heisenberg5 integer Leibniz systems of degrees
+    0-2, which it leaves unchanged, with the same basis as the oracle,
+    and the sparse rows the subspace keeps equal its basis."""
     from gnla import linalg
 
     systems = []
-    kernel = prolongation._kernel
+    kernel = prolongation._integer_kernel
 
     def capture(rows, ncols):
         systems.append((rows, ncols))
         return kernel(rows, ncols)
 
-    monkeypatch.setattr(prolongation, "_kernel", capture)
+    monkeypatch.setattr(prolongation, "_integer_kernel", capture)
     a = catalog("heisenberg", dim=5)
     layers = []
     for k in range(3):
         layers.append(prolong_layer(a, k, layers))
     monkeypatch.undo()
     assert len(systems) == 3
-    cases = [(m.rows, m.ncols) for m in kernel_cases(random.Random(53))]
-    cases += systems
+    assert all(type(v) is int and v for rows, _ in systems
+               for row in rows for v in row.values())
+    cases = [(_kernel, m.rows, m.ncols)
+             for m in kernel_cases(random.Random(53))]
+    cases += [(_integer_kernel, rows, ncols) for rows, ncols in systems]
     calls = []
     reduced = linalg._reduced
 
@@ -448,10 +456,12 @@ def test_kernel_eliminates_once(monkeypatch):
         return reduced(rows)
 
     monkeypatch.setattr(linalg, "_reduced", counted)
-    for rows, ncols in cases:
+    for entry, rows, ncols in cases:
         calls.clear()
-        got = _kernel(rows, ncols)
+        before = repr(rows)
+        got = entry(rows, ncols)
         assert len(calls) == 1
+        assert repr(rows) == before
         m = Matrix([[row.get(j, 0) for j in range(ncols)] if isinstance(
             row, dict) else row for row in rows])
         if m.nrows:
@@ -465,6 +475,21 @@ def test_kernel_eliminates_once(monkeypatch):
                 v[j] = e
             rebuilt.append(tuple(v))
         assert tuple(rebuilt) == got.basis
+
+
+def test_integer_kernel_matches_kernel_in_any_row_order():
+    """_integer_kernel of the rows _kernel scales to integers gives the
+    same subspace, and so does either entry on the rows shuffled: the
+    sparsest-first sort changes only the work."""
+    rng = random.Random(59)
+    for m in kernel_cases(rng):
+        want = _kernel(m.rows, m.ncols)
+        ints = [_integer_row(r)[0] for r in m.rows]
+        assert _integer_kernel(ints, m.ncols) == want
+        order = list(range(m.nrows))
+        rng.shuffle(order)
+        assert _kernel([m.rows[i] for i in order], m.ncols) == want
+        assert _integer_kernel([ints[i] for i in order], m.ncols) == want
 
 
 def test_solve_consistent_and_inconsistent():
@@ -580,3 +605,31 @@ def test_subspace_zero_and_full():
     assert f.contains((1, 2, 3, 4))
     assert z.intersect(f) == z
     assert (z + f) == f
+
+
+def round_trips(obj):
+    return [copy.copy(obj), copy.deepcopy(obj),
+            pickle.loads(pickle.dumps(obj))]
+
+
+def test_matrix_and_subspace_copy_and_pickle():
+    """Copies, deep copies and pickle round trips are equal, still
+    immutable, and keep a subspace's RREF rows whether or not its dense
+    basis was read."""
+    for m in (Matrix([[1, Fraction(2, 3)], [0, -5]]), Matrix.identity(2),
+              Matrix([])):
+        for twin in round_trips(m):
+            assert twin == m and twin.rows == m.rows
+            assert (twin.nrows, twin.ncols) == (m.nrows, m.ncols)
+            with pytest.raises(AttributeError):
+                twin.nrows = 3
+    for read in (False, True):
+        for s in (Subspace(4, [(1, 2, 0, Fraction(1, 3)), (0, 0, 1, -1)]),
+                  Subspace.full(3), Subspace.zero(2)):
+            if read:
+                s.basis
+            for twin in round_trips(s):
+                assert twin == s and twin._rows == s._rows
+                assert twin.basis == s.basis
+                with pytest.raises(AttributeError):
+                    twin.ambient_dim = 5

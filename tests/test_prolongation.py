@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +8,8 @@ import pytest
 
 from cases import (
     catalog_algebras,
+    closure_example,
+    full_block_change,
     random_two_step,
     signed_permutation,
     table_cases,
@@ -15,7 +19,10 @@ from gnla import (
     Matrix,
     MatrixSubspace,
     Subspace,
+    apply_layer_element,
+    bracket,
     catalog,
+    change_basis,
     classify_by_iteration,
     der0,
     h0,
@@ -25,11 +32,12 @@ from gnla import (
     prolong_layer,
     prolongation,
 )
-from gnla.linalg import zero_vector
+from gnla.linalg import _integer_row, unit_vector, zero_vector
 from gnla.prolongation import (
     GradedMap,
     ProlongationLayer,
     _block_shapes,
+    _leibniz_system,
     _target_dim,
 )
 
@@ -87,7 +95,7 @@ def reference_h0(a):
 
 def reference_prolong_layer(a, k, lower):
     """The dense Leibniz system builder gnla used before its rows were
-    sparse dicts, verbatim except that it also returns the number of
+    sparse dicts, verbatim except that it also returns its dense Fraction
     system rows and drops annotations.  An oracle only.
 
     Compute the degree k layer from the layers 0 .. k-1.
@@ -190,7 +198,7 @@ def reference_prolong_layer(a, k, lower):
                 rows.extend(block_rows)
 
     if total == 0:
-        return ProlongationLayer(degree=k, maps=()), 0
+        return ProlongationLayer(degree=k, maps=()), []
     if rows:
         sol = kernel_basis(Matrix(rows))
     else:
@@ -204,22 +212,22 @@ def reference_prolong_layer(a, k, lower):
             blocks[i] = Matrix([flat[off + r * src: off + (r + 1) * src]
                                 for r in range(tgt)])
         maps.append(GradedMap(degree=k, blocks=blocks))
-    return ProlongationLayer(degree=k, maps=tuple(maps)), len(rows)
+    return ProlongationLayer(degree=k, maps=tuple(maps)), rows
 
 
 def test_prolong_layer_matches_the_dense_builder(monkeypatch):
-    """Equal maps, block by block, and the same number of system rows as
-    the dense builder, at degrees 0-2 on every catalog algebra, every
-    pencil and seeded random 2-step algebras, and on a signed permutation
-    of each; each chain is fed its own lower layers."""
+    """Equal maps, block by block, and as many system rows as the dense
+    builder has nonzero rows, at degrees 0-2 on every catalog algebra,
+    every pencil and seeded random 2-step algebras, and on a signed
+    permutation of each; each chain is fed its own lower layers."""
     rows_seen = []
-    kernel = prolongation._kernel
+    kernel = prolongation._integer_kernel
 
     def count_rows(rows, ncols):
         rows_seen.append(len(rows))
         return kernel(rows, ncols)
 
-    monkeypatch.setattr(prolongation, "_kernel", count_rows)
+    monkeypatch.setattr(prolongation, "_integer_kernel", count_rows)
     rng = random.Random(4247)
     algebras = catalog_algebras()
     algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5) * 2]
@@ -236,22 +244,33 @@ def test_prolong_layer_matches_the_dense_builder(monkeypatch):
             ref, ref_rows = reference_prolong_layer(a, k, ref_layers)
             assert [g.blocks for g in lay.maps] == [
                 g.blocks for g in ref.maps], (a.name, k)
-            assert sum(rows_seen) == ref_rows, (a.name, k)
+            assert sum(rows_seen) == sum(1 for r in ref_rows if any(r)), (
+                a.name, k)
             layers.append(lay)
             ref_layers.append(ref)
 
 
 def dense_column_view(layer):
-    """{(block i, source column x): [m, r, value, ...]}: the nonzero
-    entries of each block column over the layer's maps, read off the
-    dense blocks in (map, row) order.  An oracle only."""
-    view = {}
+    """{(block i, source column x): [(r, den, [m, num, ...]), ...]}: the
+    nonzero entries of each block column over the layer's maps, read off
+    the dense blocks, one group per row r in increasing r, each value
+    num / den for den the lcm of the row's denominators, m increasing.
+    An oracle only."""
+    entries = {}
     for m, g in enumerate(layer.maps):
         for i, b in g.blocks.items():
-            for x in range(b.ncols):
-                for r, v in enumerate(b.column(x)):
+            for r, row in enumerate(b.rows):
+                for x, v in enumerate(row):
                     if v:
-                        view.setdefault((i, x), []).extend((m, r, v))
+                        entries.setdefault((i, x), {}).setdefault(
+                            r, []).append((m, v))
+    view = {}
+    for col, by_row in entries.items():
+        view[col] = []
+        for r in sorted(by_row):
+            den = math.lcm(*(v.denominator for _, v in by_row[r]))
+            view[col].append((r, den, [e for m, v in by_row[r]
+                                       for e in (m, int(v * den))]))
     return view
 
 
@@ -293,13 +312,13 @@ def test_chains_build_no_dense_blocks_or_bases(monkeypatch):
     map's blocks and every kernel's dense basis unbuilt; a read builds
     and caches them."""
     kernels = []
-    kernel = prolongation._kernel
+    kernel = prolongation._integer_kernel
 
     def capture(rows, ncols):
         kernels.append(kernel(rows, ncols))
         return kernels[-1]
 
-    monkeypatch.setattr(prolongation, "_kernel", capture)
+    monkeypatch.setattr(prolongation, "_integer_kernel", capture)
     verdict = classify_by_iteration(catalog("kgen", k=4))
     a = catalog("mixedjet", k=4)
     layers = []
@@ -311,6 +330,201 @@ def test_chains_build_no_dense_blocks_or_bases(monkeypatch):
     assert not any(hasattr(s, "_basis") for s in kernels)
     assert maps[-1].blocks is maps[-1].blocks
     assert kernels[-1].basis is kernels[-1].basis
+
+
+def reference_leibniz_failures(a, lower, phi):
+    """The dense Leibniz check gnla used before it read maps sparsely:
+    phi's dense block columns, and the lower layers through
+    apply_layer_element, which builds their dense blocks.  An oracle
+    only.
+
+    Re-check the Leibniz identity of a computed map pair by pair.
+    """
+    k = phi.degree
+    bad = []
+    mu = a.depth
+
+    def phi_value(pos):
+        i = -a.degrees[pos]
+        idx = a.layer_positions(i).index(pos)
+        b = phi.block(i)
+        if b is None or b.nrows == 0:
+            return k - i, ()
+        return k - i, b.column(idx)
+
+    def act(d, val, pos):
+        """[value in degree d piece, e_pos]; returns (degree, coords)."""
+        j = -a.degrees[pos]
+        if d < 0:
+            full = a.embed_layer(-d, val)
+            out = bracket(a, full, a.basis_vector(pos))
+            return d - j, a.layer_coordinates(j - d, out)
+        return d - j, apply_layer_element(a, lower, d, val, j,
+                                          a.layer_coordinates(
+                                              j, a.basis_vector(pos)))
+
+    for p in range(a.dim):
+        i = -a.degrees[p]
+        for q in range(p + 1, a.dim):
+            j = -a.degrees[q]
+            tdeg = k - i - j
+            if tdeg < 0 and -tdeg > mu:
+                continue
+            tdim = _target_dim(a, lower, tdeg)
+            lhs = [Fraction(0)] * tdim
+            if i + j <= mu:
+                w = a.layer_coordinates(i + j, a.pair_bracket(p, q))
+                b = phi.block(i + j)
+                if b is not None and b.nrows > 0 and any(c != 0 for c in w):
+                    for r, v in enumerate(b.apply(w)):
+                        lhs[r] = v
+            rhs = [Fraction(0)] * tdim
+            d1, val1 = phi_value(p)
+            if val1:
+                _, out1 = act(d1, val1, q)
+                for r, v in enumerate(out1):
+                    rhs[r] += v
+            d2, val2 = phi_value(q)
+            if val2:
+                _, out2 = act(d2, val2, p)
+                for r, v in enumerate(out2):
+                    rhs[r] -= v
+            if any(x != y for x, y in zip(lhs, rhs)):
+                bad.append((a.labels[p], a.labels[q]))
+    return bad
+
+
+def test_leibniz_failures_matches_the_dense_check_and_builds_no_blocks():
+    """On every catalog chain through g2, every map passes the check,
+    which builds no dense block of phi or of any lower map; the first and
+    the last map of each layer and a random combination of up to five of
+    its maps pass the dense check too."""
+    rng = random.Random(4253)
+    for a in catalog_algebras():
+        layers = []
+        for k in range(3):
+            layers.append(prolong_layer(a, k, layers))
+        for k, lay in enumerate(layers):
+            for phi in lay.maps:
+                assert leibniz_failures(a, layers[:k], phi) == [], (a.name, k)
+        assert not any(hasattr(g, "_blocks") for lay in layers
+                       for g in lay.maps), a.name
+        for k, lay in enumerate(layers):
+            lower = layers[:k]
+            if lay.maps:
+                for phi in (lay.maps[0], lay.maps[-1]):
+                    assert reference_leibniz_failures(a, lower, phi) == []
+                combo = {}
+                for g in rng.sample(lay.maps, min(5, lay.dim)):
+                    c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for u, v in g._entries:
+                        combo[u] = combo.get(u, 0) + c * v
+                phi = GradedMap._trusted(k, lay.maps[0]._shapes, tuple(
+                    (u, v) for u, v in sorted(combo.items()) if v))
+                assert leibniz_failures(a, lower, phi) == []
+                assert reference_leibniz_failures(a, lower, phi) == []
+
+
+def test_leibniz_failures_reports_perturbed_maps():
+    """One entry of a g0 map and one of a g1 map moved by 1 at seeded
+    positions: the pairs reported equal the dense check's, and they are
+    non-empty exactly when the unit map at that entry lies outside the
+    layer, as it does at least once per layer here."""
+    rng = random.Random(4257)
+    for a in (catalog("heisenberg", dim=3), catalog("heisenberg", dim=5),
+              catalog("goursat", n=4), catalog("free2step3"),
+              catalog("kgen", k=4), catalog("mixedjet", k=3),
+              catalog("from_pencil", blocks="M:1,F:2")):
+        layers = []
+        for k in range(2):
+            lay = prolong_layer(a, k, layers)
+            phi = lay.maps[rng.randrange(lay.dim)]
+            total = sum(t * s for _, t, s in phi._shapes)
+            span = Subspace(total, [
+                [dict(g._entries).get(u, 0) for u in range(total)]
+                for g in lay.maps])
+            reported = 0
+            for u in rng.sample(range(total), min(total, 8)):
+                entries = dict(phi._entries)
+                entries[u] = entries.get(u, 0) + 1
+                moved = GradedMap._trusted(k, phi._shapes, tuple(
+                    (w, v) for w, v in sorted(entries.items()) if v))
+                got = leibniz_failures(a, layers, moved)
+                assert got == reference_leibniz_failures(a, layers, moved)
+                assert bool(got) != span.contains(unit_vector(total, u)), (
+                    a.name, k, u)
+                reported += bool(got)
+            assert reported, (a.name, k)
+            layers.append(lay)
+
+
+def rescaled(a, scales):
+    """a in the basis scales[p] e_p, the scales cycled, so that its
+    structure constants c become c s_p s_q / s_r: non-integer."""
+    vectors = []
+    for p in range(a.dim):
+        v = [Fraction(0)] * a.dim
+        v[p] = scales[p % len(scales)]
+        vectors.append(v)
+    return change_basis(a, vectors, a.labels, name=a.name + "_rescaled")
+
+
+def test_non_integer_constants_reach_the_integer_rows():
+    """Algebras rescaled by 1/2, 3/5, ... and a dense basis change have
+    non-integer structure constants, in some bracket with distinct
+    denominators.  Through g2, every Leibniz row has int values and equals
+    _integer_row of the dense builder's nonzero row in the same place,
+    the layers equal the dense builder's, the column view equals the one
+    read off the dense blocks, and every map passes the Leibniz check."""
+    scales = [Fraction(1, 2), Fraction(3, 5), Fraction(-2), Fraction(7, 3),
+              Fraction(-5, 4), Fraction(1), Fraction(2, 9)]
+    algebras = [rescaled(a, scales[s:] + scales[:s]) for s, a in enumerate([
+        catalog("heisenberg", dim=3), catalog("heisenberg", dim=5),
+        catalog("goursat", n=4), catalog("free2step3"), catalog("kgen", k=4),
+        catalog("mixedjet", k=3), catalog("from_pencil", blocks="M:1,F:2"),
+        closure_example()])]
+    algebras.append(full_block_change(random.Random(4261),
+                                      catalog("mixedjet", k=3)))
+    # a bracket whose constants have distinct denominators
+    assert any(len({c.denominator for _, c in terms}) > 1
+               for a in algebras for terms in a.brackets.values())
+    scaled_rows = 0
+    for a in algebras:
+        assert any(c.denominator > 1 for terms in a.brackets.values()
+                   for _, c in terms), a.name
+        layers, ref_layers = [], []
+        for k in range(3):
+            rows, _, _ = _leibniz_system(a, k, layers)
+            ref, ref_rows = reference_prolong_layer(a, k, ref_layers)
+            ref_rows = [r for r in ref_rows if any(r)]
+            assert all(type(v) is int and v for r in rows
+                       for v in r.values()), (a.name, k)
+            assert rows == [_integer_row(r)[0] for r in ref_rows], (a.name, k)
+            scaled_rows += sum(_integer_row(r)[1] > 1 for r in ref_rows)
+            lay = prolong_layer(a, k, layers)
+            assert [g.blocks for g in lay.maps] == [
+                g.blocks for g in ref.maps], (a.name, k)
+            assert lay._columns == dense_column_view(lay), (a.name, k)
+            for phi in lay.maps:
+                assert leibniz_failures(a, layers, phi) == [], (a.name, k)
+            layers.append(lay)
+            ref_layers.append(ref)
+    assert scaled_rows > 100
+
+
+def test_h0_and_iteration_verdicts_copy_and_pickle():
+    """h0's MatrixSubspace and an IterationVerdict survive copy, deepcopy
+    and a pickle round trip, equal to the original."""
+    space = h0(catalog("heisenberg", dim=5))
+    verdict = classify_by_iteration(catalog("kgen", k=4))
+    verdict.layers[1]._columns
+    for obj in (space, verdict):
+        for twin in (copy.copy(obj), copy.deepcopy(obj),
+                     pickle.loads(pickle.dumps(obj))):
+            assert twin == obj
+    twin = pickle.loads(pickle.dumps(space))
+    assert twin.basis == space.basis and twin.span._rows == space.span._rows
+    assert twin.contains(space.basis[-1])
 
 
 def test_prolong_layer_argument_checks():
@@ -469,10 +683,12 @@ def test_h0_matches_dense_combination():
 
 def test_h0_is_one_kernel_of_the_cut_system(monkeypatch):
     """h0 solves the degree 0 system cut to m_{-1} in one elimination:
-    one _kernel call, and no call to der0, prolong_layer or kernel_basis."""
+    one _integer_kernel call, and no call to _kernel, der0, prolong_layer
+    or kernel_basis."""
     from gnla import linalg
 
-    calls = {"_kernel": 0, "der0": 0, "prolong_layer": 0, "kernel_basis": 0}
+    calls = {"_integer_kernel": 0, "_kernel": 0, "der0": 0,
+             "prolong_layer": 0, "kernel_basis": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -480,9 +696,10 @@ def test_h0_is_one_kernel_of_the_cut_system(monkeypatch):
             return f(*args, **kwargs)
         return wrapper
 
-    kernel = counted("_kernel", linalg._kernel)
-    monkeypatch.setattr(linalg, "_kernel", kernel)
-    monkeypatch.setattr(prolongation, "_kernel", kernel)
+    monkeypatch.setattr(linalg, "_kernel",
+                        counted("_kernel", linalg._kernel))
+    monkeypatch.setattr(prolongation, "_integer_kernel", counted(
+        "_integer_kernel", prolongation._integer_kernel))
     for mod in (linalg, prolongation):
         if hasattr(mod, "kernel_basis"):
             monkeypatch.setattr(mod, "kernel_basis",
@@ -496,8 +713,8 @@ def test_h0_is_one_kernel_of_the_cut_system(monkeypatch):
         for name in calls:
             calls[name] = 0
         space = h0(a)
-        assert calls == {"_kernel": 1, "der0": 0, "prolong_layer": 0,
-                         "kernel_basis": 0}, a.name
+        assert calls == {"_integer_kernel": 1, "_kernel": 0, "der0": 0,
+                         "prolong_layer": 0, "kernel_basis": 0}, a.name
         assert space.basis == reference_h0(a).basis
 
 
