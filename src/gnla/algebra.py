@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -26,6 +27,7 @@ from .linalg import (
     Vector,
     _echelon,
     _integer_row,
+    _inverse,
     _kernel,
     frac,
     solve,
@@ -196,19 +198,32 @@ class AdMatrix:
 
 def ad_matrix(a: GNLA, y: Sequence) -> AdMatrix:
     y = vector(y)
+    n = a.dim
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for k, row in _ad_rows(a, y).items():
+        for j, c in row.items():
+            rows[k][j] = c
+    return AdMatrix(element=y,
+                    matrix=Matrix._trusted(tuple(map(tuple, rows))))
+
+
+def _ad_rows(a: GNLA, y: Vector) -> Dict[int, Dict[int, Fraction]]:
+    """The nonzero rows of ad y for y supported on the degree -1 layer, as
+    {k: {j: c}}, c the e_k coefficient of [y, e_j], read off the bracket
+    table at the support of y."""
     if len(y) != a.dim:
         raise ValueError("coordinate vector must have the full dimension")
     deg1 = set(a.layer_positions(1))
     if any(c != 0 and p not in deg1 for p, c in enumerate(y)):
         raise ValueError("element is not supported on the degree -1 layer")
-    n = a.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows: Dict[int, Dict[int, Fraction]] = {}
     for i, yi in _support(y):
-        for j in range(n):
+        for j in range(a.dim):
             for k, c in a.bracket_terms(i, j):
-                rows[k][j] += yi * c
-    return AdMatrix(element=y,
-                    matrix=Matrix._trusted(tuple(map(tuple, rows))))
+                row = rows.setdefault(k, {})
+                row[j] = row.get(j, 0) + yi * c
+    rows = {k: {j: c for j, c in row.items() if c} for k, row in rows.items()}
+    return {k: row for k, row in rows.items() if row}
 
 
 def _kernel_within(rows, n: int, positions: Sequence[int]) -> Subspace:
@@ -232,14 +247,16 @@ def _central_rows(a: GNLA, positions: Sequence[int]) -> List[Dict[int, Fraction]
     return rows
 
 
-def _central_part(a: GNLA, positions: Sequence[int]) -> Subspace:
-    """{x in span(e_p : p in positions) : [x, e_j] = 0 for every j}."""
-    return _kernel_within(_central_rows(a, positions), a.dim, positions)
+def _rank(rows, bound: Optional[int] = None) -> int:
+    """The rank of rows, dense or {col: value}, or the bound once the rank
+    reaches it: one forward pass that scales each row to integers only
+    when it gets there."""
+    return len(_echelon((_integer_row(r)[0] for r in rows), bound)[0])
 
 
 def center(a: GNLA) -> Subspace:
     """{x : [x, e_j] = 0 for every j}."""
-    return _central_part(a, range(a.dim))
+    return _kernel(_central_rows(a, range(a.dim)), a.dim)
 
 
 def layer(a: GNLA, i: int) -> Subspace:
@@ -325,16 +342,14 @@ def validate(a: GNLA) -> ValidationReport:
                    for p in a.layer_positions(1)
                    for q in a.layer_positions(i)]
         if (any(k not in target for r in spanned for k in r)
-                or len(_echelon((_integer_row(r)[0] for r in spanned),
-                                len(target))[0]) != len(target)):
+                or _rank(spanned, len(target)) != len(target)):
             generated_ok = False
             failures.append(("generated", (i + 1,)))
 
     # the central degree -1 vectors are wanted only as a witness
     pos1 = a.layer_positions(1)
     rows = _central_rows(a, pos1)
-    nondegenerate_ok = len(_echelon((_integer_row(r)[0] for r in rows),
-                                    len(pos1))[0]) == len(pos1)
+    nondegenerate_ok = _rank(rows, len(pos1)) == len(pos1)
     if not nondegenerate_ok:
         failures.append(("nondegenerate",
                          (_kernel_within(rows, n, pos1).basis[0],)))
@@ -352,36 +367,62 @@ def change_basis(a: GNLA, vectors: Sequence[Sequence], labels: Sequence[str],
     """Rewrite the algebra in a new basis given in old coordinates.
 
     Every new basis vector must be homogeneous; the new degrees are read
-    off from the supports.
+    off from the supports.  The work is on integers: each v_j is scaled
+    to its integer column u_j = d_j v_j, so P^-1 = D U^-1 comes from one
+    elimination of [U | I], and the structure constants are scaled over
+    one common denominator.  Each new bracket coefficient is one integer
+    sum over the supports, made a Fraction once.
     """
     n = a.dim
     vecs = [vector(v) for v in vectors]
     if len(vecs) != n or len(labels) != n:
         raise ValueError("need exactly dim basis vectors and labels")
-    supports = [_support(v) for v in vecs]
+    if any(len(v) != n for v in vecs):
+        raise ValueError("new basis vectors must have the full dimension")
+    columns = [_integer_row(v) for v in vecs]
     degrees = []
-    for sup in supports:
-        degs = {a.degrees[p] for p, _ in sup}
+    for u, _ in columns:
+        degs = {a.degrees[p] for p in u}
         if len(degs) != 1:
             raise ValueError("new basis vectors must be homogeneous")
         degrees.append(degs.pop())
-    p_inv = Matrix.from_columns(vecs).inverse()
-    # column k of P^-1 holds the new coordinates of the old e_k
-    inv_cols = [[] for _ in range(n)]
-    for r, row in enumerate(p_inv.rows):
-        for k, c in enumerate(row):
-            if c:
-                inv_cols[k].append((r, c))
-    # GNLA sorts the terms and drops the ones that cancel
+    rows: List[Dict[int, int]] = [{} for _ in range(n)]
+    for j, (u, _) in enumerate(columns):
+        for i, x in u.items():
+            rows[i][j] = x
+    # P^-1 = D U^-1: the new coordinates of the old e_k are d_r U^-1[r][k],
+    # over the lead of inverse row r
+    inv_cols: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    leads = []
+    for r, (row, lead) in enumerate(_inverse(rows, n)):
+        for k, v in row.items():
+            inv_cols[k].append((r, columns[r][1] * v))
+        leads.append(lead)
+    # the structure constants as integers over their common denominator e
+    e = lcm(*(c.denominator for terms in a.brackets.values()
+              for _, c in terms))
+    table = {pair: [(k, c.numerator * (e // c.denominator)) for k, c in terms]
+             for pair, terms in a._terms.items()}
+    # GNLA sorts the terms
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):
-            new: Dict[int, Fraction] = {}
-            for k, w in _bracket_support(a, supports[i], supports[j]).items():
-                for r, c in inv_cols[k]:
-                    new[r] = new.get(r, 0) + w * c
-            if new:
-                brackets[(i, j)] = new.items()
+            w: Dict[int, int] = {}
+            for p, x in columns[i][0].items():
+                for q, y in columns[j][0].items():
+                    s = x * y
+                    for k, c in table.get((p, q), ()):
+                        w[k] = w.get(k, 0) + s * c
+            new: Dict[int, int] = {}
+            for k, wk in w.items():
+                if wk:
+                    for r, v in inv_cols[k]:
+                        new[r] = new.get(r, 0) + wk * v
+            den = columns[i][1] * columns[j][1] * e
+            terms = [(r, Fraction(v, den * leads[r]))
+                     for r, v in new.items() if v]
+            if terms:
+                brackets[(i, j)] = terms
     return GNLA(name or a.name,
                 list(zip(labels, degrees)), brackets)
 

@@ -40,12 +40,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     GNLA,
-    AdMatrix,
+    _ad_rows,
     _bracket_support,
-    _central_part,
+    _central_rows,
     _kernel_within,
+    _rank,
     _support,
-    ad_matrix,
     bracket,
     change_basis,
     validate,
@@ -54,8 +54,8 @@ from .constructions import (
     Cochain2,
     _interpolated,
     _module_covector,
+    _pfaffian,
     _rational_roots,
-    pfaffian,
 )
 from .groebner import (
     CapExceeded,
@@ -67,11 +67,11 @@ from .groebner import (
 from .linalg import (
     Matrix,
     Vector,
+    _integer_kernel,
     _integer_row,
     _kernel,
     independent_rows,
     is_zero_vector,
-    kernel_basis,
     vector,
 )
 from .prolongation import (
@@ -232,11 +232,13 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
     and that (s:t) is rational when y is.  The basis vectors come first,
     last declared first: e_i is a witness iff rows i of P and Q are
     dependent.  Then the pencil: sP + tQ is singular at (1:0) for odd
-    n_1; for even n_1 the pfaffian form Pf(P + tQ), interpolated at
-    t = 0..n_1/2, is identically zero (take (1:0)) or has its rational
+    n_1; for even n_1 the pfaffian form Pf(P + tQ), the integer
+    pfaffians of P + tQ at t = 0..n_1/2 interpolated (P and Q are skew
+    by construction), is identically zero (take (1:0)) or has its rational
     roots, plus (0:1) when its degree drops.  Nondegeneracy makes every
-    nonzero kernel vector a witness, so the first RREF kernel vector at
-    the first candidate is one; each is still checked to give rank 1.
+    nonzero kernel vector a witness, so the first RREF kernel vector of
+    the integer rows at the first candidate is one; each is still
+    checked to give rank 1.
     """
     pos1 = a.layer_positions(1)
     n = len(pos1)
@@ -253,7 +255,7 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
 
     candidates = [(1, 0)]
     if n % 2 == 0:
-        pf = _interpolated([pfaffian(Matrix(member(1, t)))
+        pf = _interpolated([_pfaffian(member(1, t))
                             for t in range(n // 2 + 1)])
         if any(pf):
             candidates = [(t.denominator, t.numerator)
@@ -261,7 +263,8 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
             if pf[-1] == 0:
                 candidates.append((0, 1))
     for s, t in candidates:
-        y = _kernel(member(s, t), n).basis[0]
+        rows = [{j: x for j, x in enumerate(r) if x} for r in member(s, t)]
+        y = _integer_kernel(rows, n).basis[0]
         coords, _ = _integer_row(y)
         if _rank_one([sum(v * m[i][j] for i, v in coords.items())
                       for j in range(n)] for m in (big_p, big_q)):
@@ -377,20 +380,24 @@ def spencer_subspace_check(a_space: MatrixSubspace) -> bool:
     return not only_trivial_zero(PolynomialIdeal(_minors(span, "c")))
 
 
-def _moved_transversal(a: GNLA, y: Vector) -> Tuple[AdMatrix, int]:
-    """ad y and the first degree -1 basis position that y moves.
+def _moved_transversal(a: GNLA, y: Vector) -> Tuple[List[dict], int]:
+    """The nonzero rows of ad y, sparse, and the first degree -1 basis
+    position that y moves.
 
     Raises WitnessInvalid unless rank ad y = 1 on a nondegenerate
-    algebra.
+    algebra.  The rank check stops at rank 2; a failure is reported with
+    the full rank.
     """
-    ad_y = ad_matrix(a, y)
-    if ad_y.rank != 1:
-        raise WitnessInvalid("rank ad y is %d, not 1" % ad_y.rank)
-    if _central_part(a, a.layer_positions(1)).dim:
+    rows = list(_ad_rows(a, y).values())
+    if _rank(rows, 2) != 1:
+        raise WitnessInvalid("rank ad y is %d, not 1" % _rank(rows))
+    pos1 = a.layer_positions(1)
+    if _rank(_central_rows(a, pos1), len(pos1)) < len(pos1):
         raise WitnessInvalid("the algebra is degenerate")
-    for p in a.layer_positions(1):
-        if not is_zero_vector(ad_y.matrix.column(p)):
-            return ad_y, p
+    moved = set().union(*rows)
+    for p in pos1:
+        if p in moved:
+            return rows, p
     raise WitnessInvalid("no degree -1 basis vector moves the witness")
 
 
@@ -402,8 +409,8 @@ def rank1_derivation_from_witness(a: GNLA, y: Sequence) -> GradedMap:
     WitnessInvalid unless rank ad y = 1.
     """
     y = vector(y)
-    ad_y, x_pos = _moved_transversal(a, y)
-    w_deg1 = _kernel_within(ad_y.matrix.rows, a.dim, a.layer_positions(1))
+    ad_rows, x_pos = _moved_transversal(a, y)
+    w_deg1 = _kernel_within(ad_rows, a.dim, a.layer_positions(1))
     xi = a.layer_coordinates(
         1, _module_covector(a, w_deg1, a.basis_vector(x_pos)))
     y1 = a.layer_coordinates(1, y)
@@ -449,7 +456,7 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
     0 cocycle value.
     """
     y = vector(y)
-    ad_y, x_pos = _moved_transversal(a, y)
+    ad_rows, x_pos = _moved_transversal(a, y)
     n = a.dim
     x_vec = a.basis_vector(x_pos)
 
@@ -476,14 +483,12 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
         for ys in supports:
             if any(_bracket_support(a, xs, ys).values()):
                 raise WitnessInvalid("chain span is not commutative")
-    w_full = kernel_basis(ad_y.matrix)
-    for w in w_full.basis:
-        ws = _support(w)
+    for ws in _kernel(ad_rows, n)._rows:
         for ys in supports:
             if any(_bracket_support(a, ws, ys).values()):
                 raise WitnessInvalid("kernel of ad y does not centralize the chain")
 
-    w_deg1 = _kernel_within(ad_y.matrix.rows, n, a.layer_positions(1))
+    w_deg1 = _kernel_within(ad_rows, n, a.layer_positions(1))
     rows = [x_vec] + chain + list(w_deg1.basis)
     rows += [a.basis_vector(p) for i in range(2, a.depth + 1)
              for p in a.layer_positions(i)]

@@ -17,7 +17,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import GNLA, _jacobi_failures, change_basis, layer, validate
@@ -32,7 +32,6 @@ from .linalg import (
     frac,
     independent_rows,
     is_zero_vector,
-    solve,
     unit_vector,
     vector,
     zero_vector,
@@ -125,17 +124,19 @@ class Cochain2:
 
 def _module_covector(base: GNLA, w: Subspace, x_vec: Vector) -> Vector:
     """The functional with kernel W plus all deeper layers and value 1
-    on the transversal, as a full coordinate vector."""
+    on the transversal, as a full coordinate vector, W a hyperplane of
+    the degree -1 layer: the one kernel vector k of W's rows in degree
+    -1 coordinates, divided by k(x)."""
     pos1 = base.layer_positions(1)
-    rows = [base.layer_coordinates(1, b) for b in w.basis]
-    rows.append(base.layer_coordinates(1, x_vec))
-    rhs = [Fraction(0)] * w.dim + [Fraction(1)]
-    xi = solve(Matrix(rows), rhs)
-    if xi is None:
+    index = {p: i for i, p in enumerate(pos1)}
+    (k,) = _kernel([{index[p]: e for p, e in r} for r in w._rows],
+                   len(pos1))._rows
+    value = sum(e * x_vec[pos1[i]] for i, e in k)
+    if not value:
         raise ValueError("transversal lies in the hyperplane")
     alpha = [Fraction(0)] * base.dim
-    for idx, p in enumerate(pos1):
-        alpha[p] = xi[idx]
+    for i, e in k:
+        alpha[pos1[i]] = e / value
     return tuple(alpha)
 
 
@@ -699,33 +700,60 @@ def algebra_from_pencil_spec(spec: Union[PencilSpec, str],
 def pfaffian(b: Matrix) -> Fraction:
     """Pfaffian of a skew matrix; zero for odd side, Pf^2 = det.
 
-    Skew elimination on 2x2 blocks, O(side^3): with p = A[0][1] != 0,
-    Pf(A) = p Pf(C + (b1^t b0 - b0^t b1) / p), where b0, b1 are rows 0
-    and 1 beyond column 1 and C is the trailing block.  A swap of the
-    indices 1 and j, rows and columns alike, changes the sign.
+    The matrix is scaled once to integers over the lcm d of its
+    denominators, and Pf(dB) = d^(side/2) Pf(B) is read off _pfaffian.
     """
     if b.nrows != b.ncols or not b.is_skew():
         raise NotSkew("pfaffian needs a skew-symmetric matrix")
-    if b.nrows % 2 == 1:
-        return Fraction(0)
-    a = [list(r) for r in b.rows]
-    pf = Fraction(1)
+    d = lcm(*(x.denominator for row in b.rows for x in row))
+    rows = [[x.numerator * (d // x.denominator) for x in row]
+            for row in b.rows]
+    return Fraction(_pfaffian(rows), d ** (b.nrows // 2))
+
+
+def _pfaffian(rows: List[List[int]]) -> int:
+    """Pfaffian of a skew matrix given as dense integer rows, which it
+    owns; zero for odd side.
+
+    Fraction-free skew elimination on 2x2 blocks, O(side^3), the skew
+    analogue of Bareiss: with p = A[0][1] != 0 and q the pivot of the
+    step before (1 at the first), the trailing block becomes
+    (p C + b1^t b0 - b0^t b1) / q, b0 and b1 rows 0 and 1 beyond column
+    1.  Each new entry is the sub-pfaffian of the original rows on the
+    pivot indices so far and its own two, so the division is exact and
+    the last pivot is the pfaffian.  A swap of the indices 1 and j, rows
+    and columns alike, changes the sign; a zero row 0 makes it zero.
+    """
+    a = rows
+    if len(a) % 2:
+        return 0
+    sign, prev = 1, 1
     while a:
-        j = next((j for j in range(1, len(a)) if a[0][j] != 0), None)
+        r0 = a[0]
+        j = next((j for j in range(1, len(a)) if r0[j]), None)
         if j is None:
-            return Fraction(0)
+            return 0
         if j != 1:
             for r in a:
                 r[1], r[j] = r[j], r[1]
             a[1], a[j] = a[j], a[1]
-            pf = -pf
-        p = a[0][1]
-        pf *= p
-        b0, b1 = a[0][2:], a[1][2:]
-        a = [[c + (b1[i] * b0[k] - b0[i] * b1[k]) / p
-              for k, c in enumerate(r[2:])]
-             for i, r in enumerate(a[2:])]
-    return pf
+            sign = -sign
+        p = r0[1]
+        if len(a) == 2:
+            return sign * p
+        b0, b1 = r0[2:], a[1][2:]
+        trailing = []
+        for r, x0, x1 in zip(a[2:], b0, b1):
+            if x0 or x1:
+                row = [p * c + x1 * y0 - x0 * y1
+                       for c, y0, y1 in zip(r[2:], b0, b1)]
+            else:
+                row = [p * c for c in r[2:]]
+            if prev != 1:
+                row = [v // prev for v in row]
+            trailing.append(row)
+        a, prev = trailing, p
+    return sign
 
 
 @dataclass(frozen=True)
@@ -745,14 +773,35 @@ class PencilForm:
 
 def _interpolated(values: Sequence) -> Tuple[Fraction, ...]:
     """The coefficients, constant term first, of the polynomial of degree
-    below len(values) that takes values[t] at t = 0, 1, ...: one
-    Vandermonde solve, in rational arithmetic throughout."""
+    below len(values) that takes values[t] at t = 0, 1, ...
+
+    Newton's forward differences on integers: over the lcm d of the
+    values' denominators the differences D_k of d values are integers,
+    and with L = (m - 1)!, L d p(t) = sum_k D_k (L / k!) t (t - 1) ...
+    (t - k + 1) expands, Horner-style from the top, to integer monomial
+    coefficients, each made a Fraction over L d once.
+    """
     m = len(values)
-    vrows = [[Fraction(t) ** k for k in range(m)] for t in range(m)]
-    coeffs = solve(Matrix(vrows), values)
-    if coeffs is None:
-        raise AssertionError("interpolation system must be solvable")
-    return coeffs
+    if not m:
+        return ()
+    values = [frac(v) for v in values]
+    d = lcm(*(v.denominator for v in values))
+    diffs = [v.numerator * (d // v.denominator) for v in values]
+    newton = []
+    for k in range(m):
+        newton.append(diffs[0])
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    big_l = factorial(m - 1)
+    # q_k = D_k L / k! + (t - k) q_{k+1}, from k = m - 1 down to 0
+    poly: List[int] = []
+    for k in reversed(range(m)):
+        shifted = [0] + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= k * c
+        shifted[0] += newton[k] * (big_l // factorial(k))
+        poly = shifted
+    den = big_l * d
+    return tuple(Fraction(c, den) for c in poly)
 
 
 def _poly_divmod(f: Sequence, g: Sequence):
@@ -866,8 +915,8 @@ def _isolated_rational_roots(f: List[int]) -> List[Fraction]:
 def det_pencil(b1: Matrix, b2: Matrix) -> PencilForm:
     """Exact coefficients of det(l1 B1 + l2 B2) plus its rational roots.
 
-    The form is recovered by interpolation at l1 = 1, l2 = 0..n, which
-    stays in rational arithmetic throughout; roots come from
+    The form is recovered by interpolation at l1 = 1, l2 = 0..n, from
+    integer determinants and integer differences; roots come from
     _rational_roots of the dehomogenized polynomial, with (0, 1)
     appended when l1 divides the form.
     """

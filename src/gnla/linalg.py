@@ -8,7 +8,9 @@ which works on integers only: sparse {column: int} rows, reduced
 fraction-free with row content reduction (Bareiss 1968), forward and
 back.  Fraction rows are scaled to integers once, where they enter the
 core; a caller that builds its rows as integers (the Leibniz systems,
-the Groebner row reduction) hands them over as they are.  The core's
+the Groebner row reduction) hands them over as they are.  The inverse
+is one reduction of [U | I] for the integer rows U (_inverse), shared by
+Matrix.inverse and change_basis, which read their scales back.  The core's
 output is the unique RREF, so subspaces are stored by their reduced row
 echelon basis, kept sparse as the rows' nonzero (column, value)
 entries: equal subspaces compare equal, and the dense basis, built only
@@ -145,6 +147,20 @@ def _reduced(rows):
             r, _, _ = _eliminate(pivots[c2], c2, r)
         pivots[c] = r
     return cols, pivots
+
+
+def _inverse(rows, n: int):
+    """The inverse of the n x n integer matrix with sparse {col: int} rows
+    without zeros, which it owns, from one reduction of [U | I]: for each
+    row c of U^-1, ({k: int}, lead) with U^-1[c][k] = row[k] / lead.
+    Raises ValueError when U is singular."""
+    for i, r in enumerate(rows):
+        r[n + i] = 1
+    cols, reduced = _reduced(rows)
+    if cols != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [({k - n: v for k, v in reduced[c].items() if k >= n},
+             reduced[c][c]) for c in cols]
 
 
 def _det(rows) -> Fraction:
@@ -325,15 +341,17 @@ class Matrix:
         return _det(self.rows)
 
     def inverse(self) -> "Matrix":
+        """A^-1 = U^-1 S for the integer rows U = S A, S the row scales."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        reduced, pivots = _rref(aug)
-        if list(pivots) != list(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in reduced])
+        scaled = [_integer_row(r) for r in self.rows]
+        inv = _inverse([r for r, _ in scaled], n)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for c, (r, lead) in enumerate(inv):
+            for k, v in r.items():
+                rows[c][k] = Fraction(v * scaled[k][1], lead)
+        return Matrix._trusted(tuple(map(tuple, rows)))
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows

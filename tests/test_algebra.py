@@ -14,6 +14,7 @@ from cases import (
 from gnla import (
     GNLA,
     AdMatrix,
+    ExtensionData,
     Matrix,
     Subspace,
     ad_matrix,
@@ -21,9 +22,12 @@ from gnla import (
     catalog,
     center,
     change_basis,
+    decompose_special_extension,
     kernel_basis,
     layer,
     quotient,
+    rank1_witness,
+    special_extension,
     validate,
 )
 
@@ -433,15 +437,16 @@ def random_vector(rng, n, density):
                  for _ in range(n))
 
 
-def random_homogeneous_basis(rng, a):
-    """One random invertible block per layer, entries in [-2, 2], the
-    layers shuffled so that new degrees interleave."""
+def random_homogeneous_basis(rng, a, dens=(1,)):
+    """One random invertible block per layer, entries in [-2, 2] over the
+    given denominators, the layers shuffled so that new degrees
+    interleave."""
     vecs = []
     for i in range(1, a.depth + 1):
         k = a.layer_dim(i)
         while True:
-            block = [[Fraction(rng.randint(-2, 2)) for _ in range(k)]
-                     for _ in range(k)]
+            block = [[Fraction(rng.randint(-2, 2), rng.choice(dens))
+                      for _ in range(k)] for _ in range(k)]
             if Matrix(block).det() != 0:
                 break
         vecs += [a.embed_layer(i, row) for row in block]
@@ -479,10 +484,32 @@ def test_ad_matrix_matches_reference():
             assert got.matrix.rows == reference_ad_matrix(a, y).matrix.rows
 
 
+def rescaled(rng, a):
+    """a in the basis c_p e_p, each c_p a fraction like 1/2 or 3/5, so
+    that its structure constants are no longer integers."""
+    vecs = [tuple(Fraction(rng.choice((1, 2, 3, 5)), rng.choice((2, 3, 5, 7)))
+                  if q == p else Fraction(0) for q in range(a.dim))
+            for p in range(a.dim)]
+    return change_basis(a, vecs, list(a.labels), a.name + "_rescaled")
+
+
+def rational_cases(seed):
+    """The table algebras rescaled to non-integer structure constants;
+    those that do not validate are left out."""
+    rng = random.Random(seed)
+    return [rescaled(rng, a) for a in table_cases(seed)
+            if validate(a).structural_ok]
+
+
 def test_change_basis_matches_reference():
     """Equal algebras, names and stored terms in random homogeneous
-    bases, and the same errors on an inhomogeneous or singular basis."""
+    bases, integer and rational, of the table algebras and of their
+    rescalings with non-integer constants, and the same errors on an
+    inhomogeneous or singular basis."""
     rng = random.Random(9103)
+    rational = rational_cases(9103)
+    assert sum(any(c.denominator != 1 for terms in a.brackets.values()
+                   for _, c in terms) for a in rational) >= 40
 
     def outcome(*args):
         try:
@@ -499,10 +526,12 @@ def test_change_basis_matches_reference():
         return b.name, b.labels, b.degrees, sorted(b.brackets.items())
 
     errors = set()
-    for a in table_cases(9103):
+    for a in table_cases(9103) + rational:
         n = a.dim
         labels = ["U%d" % p for p in range(n)]
-        cases = [random_homogeneous_basis(rng, a) for _ in range(2)]
+        cases = [random_homogeneous_basis(rng, a, (1, 2, 3, 5, 7))]
+        if not a.name.endswith("_rescaled"):
+            cases += [random_homogeneous_basis(rng, a) for _ in range(2)]
         inhomogeneous = [a.basis_vector(p) for p in range(n)]
         inhomogeneous[0] = tuple(Fraction(1) for _ in range(n))
         cases.append(inhomogeneous)
@@ -518,6 +547,24 @@ def test_change_basis_matches_reference():
                 errors.add(got)
     assert errors == {"new basis vectors must be homogeneous",
                       "matrix is singular"}
+
+
+def test_rational_constants_round_trip_through_the_decomposition():
+    """On the rescaled algebras with a rational witness, the special
+    extension rebuilt from the decomposition is the adapted algebra."""
+    done = 0
+    for a in rational_cases(9103):
+        if not validate(a).checks["nondegenerate"]:
+            continue
+        y = rank1_witness(a)
+        if y is None:
+            continue
+        d = decompose_special_extension(a, y)
+        rebuilt = special_extension(ExtensionData.from_adapted_base(
+            d.quotient, len(d.ideal_basis), d.cocycle))
+        assert rebuilt == d.adapted, a.name
+        done += 1
+    assert done >= 30
 
 
 def test_layer_is_the_coordinate_subspace():

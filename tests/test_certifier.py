@@ -1,6 +1,7 @@
 import itertools
 import random
 import signal
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -931,8 +932,7 @@ def test_classify_builds_no_ad_matrix(monkeypatch):
     def counted(a, y):
         calls.append(a.name)
         return dense(a, y)
-    for module in (gnla.algebra, gnla.certifier):
-        monkeypatch.setattr(module, "ad_matrix", counted)
+    assert rebind_in_gnla(monkeypatch, dense, counted) >= 2
     rng = random.Random(4261)
     algebras = catalog_algebras()
     algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5)]
@@ -947,3 +947,71 @@ def test_classify_builds_no_ad_matrix(monkeypatch):
             stages.add((in_pencil_class(a), sum(1 for x in v.witness if x)))
     assert calls == []
     assert {(True, 1), (False, 1), (False, 2)} <= stages
+
+
+def rebind_in_gnla(monkeypatch, original, replacement):
+    """Rebind every global of a gnla module that is original, so calls
+    between modules see the replacement; returns how many were bound."""
+    bound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "gnla" or name.startswith("gnla."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+                    bound += 1
+    return bound
+
+
+def test_decomposition_round_trip_and_pencil_stage_take_no_dense_detour(
+        monkeypatch):
+    """The decomposition reads ad y as sparse rows, change_basis inverts
+    on integers, the module covector is a kernel vector and the pencil
+    stage takes integer pfaffians: none of them, nor the special
+    extension rebuilt from a decomposition, nor classify on the pencil
+    class calls ad_matrix, Matrix.inverse or solve."""
+    calls = []
+
+    def counted(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
+    assert rebind_in_gnla(monkeypatch, gnla.algebra.ad_matrix,
+                          counted("ad_matrix", gnla.algebra.ad_matrix)) >= 2
+    assert rebind_in_gnla(monkeypatch, gnla.linalg.solve,
+                          counted("solve", gnla.linalg.solve)) >= 2
+    monkeypatch.setattr(Matrix, "inverse",
+                        counted("inverse", Matrix.inverse))
+    monkeypatch.setattr(gnla.certifier, "_pfaffian",
+                        counted("_pfaffian", gnla.certifier._pfaffian))
+    for a, w in witness_cases(4263):
+        d = decompose_special_extension(a, w)
+        rebuilt = special_extension(ExtensionData.from_adapted_base(
+            d.quotient, len(d.ideal_basis), d.cocycle))
+        assert rebuilt == d.adapted, a.name
+    rng = random.Random(4263)
+    pencils = [random_two_step(rng, n1) for n1 in (3, 4, 5, 6) * 3]
+    pencils += [catalog("from_pencil", blocks=b) for b in PENCIL_BLOCKS]
+    pencils.append(closure_example())
+    kinds = set()
+    for a in pencils:
+        if in_pencil_class(a):
+            kinds.add(classify(a).certificate)
+    pfaffians = calls.count("_pfaffian")
+    assert set(calls) == {"_pfaffian"} and pfaffians >= 20
+    assert kinds == {"rational_witness", "closure"}
+
+
+def test_rank_check_reports_the_full_rank():
+    """The rank 1 check stops at rank 2, yet a failure names the rank of
+    ad y, here the sum of the degree -1 basis."""
+    for name, params, rank in (("mixedjet", {"k": 4}, 4),
+                               ("goursat", {"n": 5}, 3)):
+        a = catalog(name, **params)
+        y = a.embed_layer(1, [1] * a.layer_dim(1))
+        assert ad_matrix(a, y).rank == rank
+        for split in (decompose_special_extension,
+                      rank1_derivation_from_witness):
+            with pytest.raises(WitnessInvalid) as exc:
+                split(a, y)
+            assert str(exc.value) == "rank ad y is %d, not 1" % rank

@@ -2,6 +2,7 @@ import random
 import signal
 import warnings
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -51,6 +52,8 @@ from gnla import (
 )
 from gnla.constructions import (
     _check_hyperplane,
+    _interpolated,
+    _pfaffian,
     _cochain_from_slots,
     _cocycle_slot_vector,
     _default_transversal,
@@ -601,10 +604,90 @@ def test_pfaffian_squares_to_determinant():
         n = rng.choice((2, 4, 6))
         b = random_skew(rng, n)
         assert pfaffian(b) ** 2 == b.det()
-    # (side - 1)!! terms: a term-by-term expansion would not finish here
-    for n in (20, 24):
+    # side 40 has 39!! ~ 3e23 terms, far past a term-by-term expansion;
+    # the fraction-free elimination takes side^3/6 integer steps
+    for n in (20, 24, 40):
         b = random_skew(rng, n)
         assert pfaffian(b) ** 2 == b.det() != 0
+
+
+def reference_pfaffian(b):
+    """The pfaffian by skew elimination on 2x2 blocks in Fractions, as
+    gnla computed it before its integer elimination: with p = A[0][1],
+    Pf(A) = p Pf(C + (b1^t b0 - b0^t b1) / p).  An oracle only."""
+    if b.nrows % 2 == 1:
+        return Fraction(0)
+    a = [list(r) for r in b.rows]
+    pf = Fraction(1)
+    while a:
+        j = next((j for j in range(1, len(a)) if a[0][j] != 0), None)
+        if j is None:
+            return Fraction(0)
+        if j != 1:
+            for r in a:
+                r[1], r[j] = r[j], r[1]
+            a[1], a[j] = a[j], a[1]
+            pf = -pf
+        p = a[0][1]
+        pf *= p
+        b0, b1 = a[0][2:], a[1][2:]
+        a = [[c + (b1[i] * b0[k] - b0[i] * b1[k]) / p
+              for k, c in enumerate(r[2:])]
+             for i, r in enumerate(a[2:])]
+    return pf
+
+
+def sparse_skew(rng, n, density, dens=(1,)):
+    """A skew matrix whose upper entries are nonzero with the given
+    probability, over the given denominators."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                             rng.choice(dens))
+                rows[i][j], rows[j][i] = c, -c
+    return Matrix(rows)
+
+
+def test_pfaffian_matches_reference_elimination():
+    """Rational entries with unequal denominators, sparse matrices that
+    force column swaps and all-zero first rows, the empty side and odd
+    sides: pfaffian equals the Fraction elimination, and so does
+    _pfaffian on the integer rows of d B over d^(side/2)."""
+    rng = random.Random(613)
+    swaps = zero_rows = 0
+    for trial in range(600):
+        n = rng.choice((0, 1, 2, 3, 4, 5, 6, 8, 10))
+        b = sparse_skew(rng, n, rng.choice((0.15, 0.4, 1.0)),
+                        rng.choice(((1,), (1, 2, 3, 5), (7, 9, 10))))
+        want = reference_pfaffian(b)
+        assert pfaffian(b) == want, b
+        d = lcm(*(x.denominator for row in b.rows for x in row))
+        rows = [[int(x * d) for x in row] for row in b.rows]
+        assert Fraction(_pfaffian(rows), d ** (n // 2)) == want
+        if n and n % 2 == 0:
+            swaps += b[0, 1] == 0 and any(b.row(0))
+            zero_rows += not any(b.row(0))
+    assert swaps >= 20 and zero_rows >= 20
+    assert pfaffian(Matrix([])) == reference_pfaffian(Matrix([])) == 1
+    assert _pfaffian([]) == 1
+
+
+def test_integer_pfaffian_makes_no_fraction(monkeypatch):
+    """_pfaffian works on its integer rows alone: with Fraction removed
+    from the module it still returns the reference value, as an int."""
+    rng = random.Random(617)
+    cases = [sparse_skew(rng, n, density) for n in (2, 4, 6, 8, 12)
+             for density in (0.2, 0.6, 1.0)]
+    wants = [reference_pfaffian(b) for b in cases]
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction made inside _pfaffian")
+    monkeypatch.setattr(constructions, "Fraction", no_fraction)
+    for b, want in zip(cases, wants):
+        got = _pfaffian([[int(x) for x in row] for row in b.rows])
+        assert type(got) is int and got == want
 
 
 def test_det_pencil_m_block_is_identically_zero():
@@ -652,6 +735,37 @@ def reference_det_pencil(b1, b2):
     dets = [(b1 + b2.scale(Fraction(t))).det() for t in range(n + 1)]
     vrows = [[Fraction(t) ** k for k in range(n + 1)] for t in range(n + 1)]
     return tuple(solve(Matrix(vrows), dets))
+
+
+def reference_interpolated(values):
+    """The interpolation coefficients by one Vandermonde solve, as gnla
+    computed them before Newton's differences.  An oracle only."""
+    m = len(values)
+    vrows = [[Fraction(t) ** k for k in range(m)] for t in range(m)]
+    return tuple(solve(Matrix(vrows), values))
+
+
+def test_interpolated_matches_vandermonde_solve():
+    """Fraction values with distinct denominators, all-zero values, int
+    values, every length from 1 to 12, and the pfaffian values
+    Pf(B1 + t B2), t = 0..side/2, of every catalog pencil."""
+    rng = random.Random(619)
+    cases = [[Fraction(0)] * m for m in range(1, 13)]
+    for m in range(1, 13):
+        for _ in range(6):
+            cases.append([Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+                          for _ in range(m)])
+            cases.append([rng.randint(-10 ** 12, 10 ** 12)
+                          for _ in range(m)])
+    for blocks in PENCIL_BLOCKS:
+        (b1, b2), _ = assemble_pencil(PencilSpec.parse(blocks))
+        cases.append([pfaffian(b1 + b2.scale(t))
+                      for t in range(b1.nrows // 2 + 1)])
+    for values in cases:
+        got = _interpolated(values)
+        assert got == reference_interpolated(values), values
+        assert all(type(c) is Fraction for c in got)
+    assert _interpolated([]) == reference_interpolated([]) == ()
 
 
 def test_det_pencil_matches_reference_composition():

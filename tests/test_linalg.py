@@ -336,6 +336,30 @@ def test_inverse_singular_raises():
         Matrix([[1, 2], [2, 4]]).inverse()
 
 
+def test_inverse_matches_reference_gauss_jordan():
+    """Random sparse rational matrices, singular ones included, and the
+    empty one: the inverse is the right half of the reference RREF of
+    [A | I], and a singular matrix keeps its message."""
+    rng = random.Random(331)
+    singular = 0
+    for trial in range(150):
+        n = rng.randint(0, 8)
+        a = random_rational_rows(rng, n, n, rng.choice((1, 3, 7)),
+                                 rng.choice((0.4, 0.7, 1.0)))
+        aug = [row + [Fraction(int(i == j)) for j in range(n)]
+               for i, row in enumerate(a)]
+        reduced, pivots = reference_rref(aug)
+        if pivots != list(range(n)):
+            singular += 1
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                Matrix(a).inverse()
+            continue
+        got = Matrix(a).inverse()
+        assert got.rows == tuple(tuple(r[n:]) for r in reduced)
+        assert got * Matrix(a) == Matrix.identity(n)
+    assert 20 <= singular <= 130
+
+
 def test_kernel_vectors_are_killed():
     rng = random.Random(17)
     for _ in range(30):
