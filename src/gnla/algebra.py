@@ -22,13 +22,14 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
+    Frozen,
     Matrix,
     Subspace,
     Vector,
-    _echelon,
     _integer_row,
     _inverse,
     _kernel,
+    _rank,
     frac,
     solve,
     unit_vector,
@@ -36,7 +37,7 @@ from .linalg import (
 )
 
 
-class GNLA:
+class GNLA(Frozen):
     """A graded nilpotent Lie algebra given by structure constants.
 
     brackets maps a pair (i, j) with i < j to a tuple of (k, coefficient)
@@ -66,8 +67,8 @@ class GNLA:
                 if not 0 <= k < n:
                     raise ValueError("bracket target out of range")
                 c = frac(c)
-                if c != 0:
-                    acc[k] = acc.get(k, Fraction(0)) + c
+                if c:
+                    acc[k] = acc[k] + c if k in acc else c
             entries = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
             if entries:
                 normalized[(i, j)] = entries
@@ -86,9 +87,6 @@ class GNLA:
                            {i: tuple(ps) for i, ps in by_layer.items()})
         object.__setattr__(self, "_depth",
                            max((-d for d in degrees), default=0))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GNLA is immutable")
 
     @property
     def dim(self) -> int:
@@ -247,13 +245,6 @@ def _central_rows(a: GNLA, positions: Sequence[int]) -> List[Dict[int, Fraction]
     return rows
 
 
-def _rank(rows, bound: Optional[int] = None) -> int:
-    """The rank of rows, dense or {col: value}, or the bound once the rank
-    reaches it: one forward pass that scales each row to integers only
-    when it gets there."""
-    return len(_echelon((_integer_row(r)[0] for r in rows), bound)[0])
-
-
 def center(a: GNLA) -> Subspace:
     """{x : [x, e_j] = 0 for every j}."""
     return _kernel(_central_rows(a, range(a.dim)), a.dim)
@@ -266,7 +257,7 @@ def layer(a: GNLA, i: int) -> Subspace:
     # unit vectors in increasing position order are already an RREF
     one = Fraction(1)
     return Subspace._trusted(
-        a.dim, [((p, one),) for p in a.layer_positions(i)])
+        a.dim, tuple(((p, one),) for p in a.layer_positions(i)))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from .algebra import (
     _bracket_support,
     _central_rows,
     _kernel_within,
-    _rank,
     _support,
     bracket,
     change_basis,
@@ -70,6 +69,7 @@ from .linalg import (
     _integer_kernel,
     _integer_row,
     _kernel,
+    _rank,
     independent_rows,
     is_zero_vector,
     vector,
@@ -192,7 +192,7 @@ def minor_ideal(a: GNLA) -> PolynomialIdeal:
     return PolynomialIdeal(_minors(_degree1_span(a), "y"))
 
 
-def rank1_witness(a: GNLA, height_bound: int = 3) -> Optional[Vector]:
+def rank1_witness(a: GNLA) -> Optional[Vector]:
     """Search for a rational y in the degree -1 layer with rank ad y = 1.
 
     The degree -1 basis vectors come first, last declared first (which
@@ -201,8 +201,7 @@ def rank1_witness(a: GNLA, height_bound: int = 3) -> Optional[Vector]:
     pencil stage of _pencil_witness follows; it is complete there, so
     None proves that no rational witness exists.  Elsewhere it is
     _span_point over the degree -1 ad matrices, so a None answer is not
-    a proof of absence.  height_bound is kept for callers and no longer
-    limits the search.
+    a proof of absence.
     """
     pencil = a.depth == 2 and a.layer_dim(2) == 2
     if pencil:
@@ -351,15 +350,13 @@ def _span_point(ints: Ints, combo_budget: int = 0) -> Optional[Vector]:
     return None
 
 
-def rank1_in_span(mats: Sequence[Matrix],
-                  height_bound: int = 2,
+def rank1_in_span(mats: Sequence[Matrix], *,
                   combo_budget: int = 30000) -> Optional[Vector]:
     """Search the span of the given matrices for a rank 1 element.
 
     _span_point on the integer span of the matrices, with the {-1,0,1}
     stage while the budget allows.  Returns the coefficient vector or
-    None (not a proof of absence).  height_bound is kept for callers and
-    no longer limits the search.
+    None (not a proof of absence).
     """
     return _span_point(_matrix_span(mats)[1], combo_budget)
 
@@ -524,7 +521,7 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
         transversal=x_vec)
 
 
-def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
+def classify(a: GNLA, max_degree: int = 10, *,
              degree_cap: int = 12) -> TypeVerdict:
     """Decide finite or infinite type, or report an honest inconclusive.
 
@@ -537,7 +534,6 @@ def classify(a: GNLA, max_degree: int = 10, height_bound: int = 3,
     size the finite prolongation, or as the fallback that a vanishing
     layer still settles.  A cap abort that the
     iteration does not settle is inconclusive with the reason noted.
-    height_bound is kept for callers and no longer limits the search.
     """
     rep = validate(a)
     if not rep.structural_ok:

@@ -473,8 +473,7 @@ def cmd_classify(args) -> int:
     if bad:
         return bad
     start = time.monotonic()
-    v = classify(a, max_degree=args.max_degree, height_bound=args.height,
-                 degree_cap=args.degree_cap)
+    v = classify(a, max_degree=args.max_degree, degree_cap=args.degree_cap)
     report = _report_from_verdict(a, v, elapsed=time.monotonic() - start)
     _emit(args, report)
     return 3 if v.cap_exceeded else 0
@@ -574,9 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "coordinates of the algebra's basis line.")
     c.add_argument("file")
     c.add_argument("--max-degree", type=int, default=10)
-    c.add_argument("--height", type=int, default=3,
-                   help="accepted for compatibility; the rational witness "
-                        "search is exact and this bound no longer limits it")
     c.add_argument("--degree-cap", type=int, default=12,
                    help="Groebner degree cap before giving up")
     c.add_argument("--json", action="store_true")

@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import _integer_row, _reduced, frac
+from .linalg import Frozen, _integer_row, _reduced, frac
 
 Exponent = Tuple[int, ...]
 
@@ -44,7 +44,7 @@ class CapExceeded(Exception):
         self.degree = degree
 
 
-class Polynomial:
+class Polynomial(Frozen):
     """A polynomial with rational coefficients in named variables.
 
     It stores integers over one scale: _ints maps each exponent to a
@@ -68,10 +68,9 @@ class Polynomial:
             clean[exp] = clean.get(exp, 0) + frac(c)
         # over reduced Fractions, no prime divides the lcm and every integer
         ints, scale = _integer_row(clean)
-        _store(self, variables, scale, ints, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        for name, value in zip(Polynomial.__slots__,
+                               (variables, scale, ints, None, None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _from_integers(cls, variables: Tuple[str, ...], scale: int,
@@ -84,9 +83,7 @@ class Polynomial:
         if g != 1:
             scale //= g
             ints = {e: v // g for e, v in ints.items()}
-        p = object.__new__(cls)
-        _store(p, variables, scale, ints, lead)
-        return p
+        return cls._trusted(variables, scale, ints, lead, None)
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Polynomial":
@@ -226,12 +223,6 @@ class Polynomial:
         return out
 
     __repr__ = __str__
-
-
-def _store(p: Polynomial, variables, scale, ints, lead) -> None:
-    for name, value in zip(Polynomial.__slots__,
-                           (variables, scale, ints, lead, None)):
-        object.__setattr__(p, name, value)
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:

@@ -17,7 +17,9 @@ entries: equal subspaces compare equal, and the dense basis, built only
 when read, is reproducible.  A kernel takes one elimination: reduced
 with its columns reversed, each pivot row reaches only free columns
 below its pivot, so the vectors read off the free columns already are
-the RREF.
+the RREF.  Frozen is the one base of the package's immutable slotted
+values (Matrix, Subspace, GNLA, GradedMap and Polynomial): it refuses
+assignment, builds trusted instances and restores copied or pickled slots.
 """
 
 from __future__ import annotations
@@ -131,6 +133,13 @@ def independent_rows(rows) -> List[int]:
     return [i for i, (c, _, _) in enumerate(trail) if c is not None]
 
 
+def _rank(rows, bound: Optional[int] = None) -> int:
+    """The rank of rows, dense or {col: value}, or the bound once the rank
+    reaches it: one forward pass that scales each row to integers only
+    when it gets there."""
+    return len(_echelon((_integer_row(r)[0] for r in rows), bound)[0])
+
+
 def _reduced(rows):
     """The integer RREF of sparse {col: int} rows, which it owns: (pivot
     columns in increasing order, {pivot column: integer row}).
@@ -213,7 +222,41 @@ def _rref(rows, ncols=None):
             [r[0][0] for r in sparse])
 
 
-class Matrix:
+class Frozen:
+    """Base of the package's immutable slotted values.
+
+    Assignment raises "<class name> is immutable".  A subclass declares
+    its own __slots__; _trusted fills them in declaration order on a new
+    instance, and a lazy cache is a slot left unset (or None) until its
+    first read writes it with object.__setattr__.  Copy, deepcopy and
+    pickle take the default slot state, every slot that is set, and
+    write it back through __setstate__, so a built cache travels too.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(cls.__dict__[name].__set__
+                             for name in cls.__dict__["__slots__"])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A new instance with its first slots set to values, taken as is."""
+        obj = object.__new__(cls)
+        for put, value in zip(cls._setters, values):
+            put(obj, value)
+        return obj
+
+
+class Matrix(Frozen):
     """Immutable dense matrix over Fraction."""
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -228,20 +271,10 @@ class Matrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __reduce__(self):
-        return Matrix._trusted, (self.rows,)
-
     @classmethod
     def _trusted(cls, rows: Tuple[Vector, ...]) -> "Matrix":
         """A matrix from equal-length tuples of Fractions, taken as is."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "nrows", len(rows))
-        object.__setattr__(m, "ncols", len(rows[0]) if rows else 0)
-        return m
+        return super()._trusted(rows, len(rows), len(rows[0]) if rows else 0)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
@@ -333,7 +366,7 @@ class Matrix:
         return Matrix(rows), tuple(pivots)
 
     def rank(self) -> int:
-        return len(_echelon([_integer_row(r)[0] for r in self.rows])[0])
+        return _rank(self.rows)
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -363,12 +396,13 @@ class Matrix:
         return "Matrix(%r)" % (self.rows,)
 
 
-class Subspace:
+class Subspace(Frozen):
     """A linear subspace stored by its unique RREF basis.
 
     The stored form is _rows, for each basis row the tuple of its nonzero
     (col, value) entries in increasing column order; dimension, equality
-    and hashing read it.  The dense basis is built on first read."""
+    and hashing read it, and _trusted(ambient_dim, rows) takes a tuple of
+    such rows as is.  The dense basis is built on first read."""
 
     __slots__ = ("ambient_dim", "_rows", "_basis")
 
@@ -379,21 +413,6 @@ class Subspace:
                 raise ValueError("ambient dimension mismatch")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", _rref_rows(vecs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    def __reduce__(self):
-        return Subspace._trusted, (self.ambient_dim, self._rows)
-
-    @classmethod
-    def _trusted(cls, ambient_dim: int, rows) -> "Subspace":
-        """A subspace from the rows of an RREF, each a tuple of its nonzero
-        (col, Fraction) entries in increasing column order, taken as is."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "ambient_dim", ambient_dim)
-        object.__setattr__(s, "_rows", tuple(rows))
-        return s
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -459,18 +478,9 @@ class Subspace:
 
 def _kernel(rows, ncols: int) -> Subspace:
     """The solution space of a system in ncols unknowns, rows dense or
-    {col: value}, with its RREF basis: each row is scaled to integers in
-    the one pass that reverses its columns, then _reversed_kernel."""
-    last = ncols - 1
-    reversed_rows = []
-    for row in rows:
-        entries = [(j, e) for j, e in (
-            row.items() if isinstance(row, dict) else enumerate(row)) if e]
-        if entries:
-            s = lcm(*[e.denominator for _, e in entries])
-            reversed_rows.append({last - j: e.numerator * (s // e.denominator)
-                                  for j, e in entries})
-    return _reversed_kernel(reversed_rows, ncols)
+    {col: value}, with its RREF basis: each row is scaled to integers once
+    by _integer_row, then _integer_kernel."""
+    return _integer_kernel([_integer_row(r)[0] for r in rows], ncols)
 
 
 def _integer_kernel(rows, ncols: int) -> Subspace:
@@ -504,7 +514,7 @@ def _reversed_kernel(rows, ncols: int) -> Subspace:
         for j, w in r.items():
             if j != c:
                 free[last - j].append((last - c, Fraction(-w, lead)))
-    return Subspace._trusted(ncols, map(tuple, free.values()))
+    return Subspace._trusted(ncols, tuple(map(tuple, free.values())))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -541,7 +551,7 @@ def _combined(coeffs: Subspace, basis, n: int) -> Subspace:
             for j, e in basis[k]:
                 v[j] = v.get(j, 0) + ck * e
         sums.append(tuple((j, v[j]) for j in sorted(v) if v[j]))
-    return Subspace._trusted(n, sums)
+    return Subspace._trusted(n, tuple(sums))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -30,10 +30,10 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GNLA
-from .linalg import Matrix, Subspace, Vector, _integer_kernel
+from .linalg import Frozen, Matrix, Subspace, Vector, _integer_kernel
 
 
-class GradedMap:
+class GradedMap(Frozen):
     """A degree k graded map given by one matrix block per source layer.
 
     blocks[i] maps degree -i layer coordinates to coordinates of the
@@ -43,8 +43,8 @@ class GradedMap:
     The stored form is the block shapes, (i, rows, columns) in increasing
     i, and the nonzero entries of the blocks flattened in that order,
     each block row-major, as (flat index, value) in increasing index;
-    equality and hashing read it.  The blocks dict is built on first
-    read.
+    equality and hashing read it, and _trusted(degree, shapes, entries)
+    takes it as is.  The blocks dict is built on first read.
     """
 
     __slots__ = ("degree", "_shapes", "_entries", "_blocks")
@@ -57,22 +57,6 @@ class GradedMap:
             (i, b.nrows, b.ncols) for i, b in ordered))
         object.__setattr__(self, "_entries",
                            tuple((u, e) for u, e in enumerate(flat) if e))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedMap is immutable")
-
-    def __reduce__(self):
-        return GradedMap._trusted, (self.degree, self._shapes, self._entries)
-
-    @classmethod
-    def _trusted(cls, degree: int, shapes, entries) -> "GradedMap":
-        """A map from its block shapes and nonzero flat entries, taken as
-        is."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "degree", degree)
-        object.__setattr__(g, "_shapes", shapes)
-        object.__setattr__(g, "_entries", entries)
-        return g
 
     @property
     def blocks(self) -> Dict[int, Matrix]:

@@ -604,11 +604,11 @@ def test_validate_rank_checks_stop_at_their_exact_bound(monkeypatch):
     bounded = [validate(a) for a in cases]
     bounds = []
 
-    def full_trail(rows, bound=None):
+    def full_rank(rows, bound=None):
         bounds.append(bound)
-        return linalg._echelon(rows)
+        return linalg._rank(rows)
 
-    monkeypatch.setattr(algebra, "_echelon", full_trail)
+    monkeypatch.setattr(algebra, "_rank", full_rank)
     kinds = set()
     for a, rep in zip(cases, bounded):
         assert validate(a) == rep, a.name

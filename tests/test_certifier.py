@@ -195,7 +195,7 @@ def test_rank1_witness_matches_reference_loop():
     new_hits = 0
     for a in algebras:
         got = rank1_witness(a)
-        assert rank1_witness(a, height_bound=1) == got, a.name
+        assert rank1_witness(a) == got, a.name
         for height in (1, 3):
             ref = reference_rank1_witness(a, height)
             if ref is not None:
@@ -270,7 +270,7 @@ def test_rank1_in_span_matches_reference_loop():
         mats = [[rand(), rand()], [rand(), r, rand()], [r - b.scale(q), b],
                 [b, c, r - b - c], [b, c, rand(), r + b - c]][trial % 5]
         budget = rng.choice((0, 30000))
-        got = rank1_in_span(mats, height_bound=2, combo_budget=budget)
+        got = rank1_in_span(mats, combo_budget=budget)
         ref = reference_rank1_in_span(mats, 2, budget)
         if ref is not None:
             assert got is not None, trial

@@ -5,6 +5,8 @@ import ast
 from pathlib import Path
 
 import gnla
+from gnla import GNLA, GradedMap, Matrix, Polynomial, Subspace
+from gnla.linalg import Frozen
 
 PACKAGE = Path(gnla.__file__).parent
 
@@ -106,3 +108,52 @@ def test_package_has_no_unreferenced_definitions():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(sources, gnla.__all__) == []
+
+
+def immutability_hooks(sources):
+    """The (module, class, method) of each method named like a hook that
+    decides assignment, copying or pickling, over module file names
+    mapped to their text."""
+    hooks = {"__setattr__", "__setstate__", "__getstate__", "__reduce__",
+             "__reduce_ex__"}
+    return sorted((module, node.name, item.name)
+                  for module, source in sources.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef)
+                  for item in node.body
+                  if isinstance(item, ast.FunctionDef) and item.name in hooks)
+
+
+def test_only_the_frozen_base_decides_immutability():
+    """Assignment, copy and pickle are decided once, by linalg.Frozen: no
+    other class of the package defines their hooks, and every subclass
+    of Frozen, the five slotted values among them, declares __slots__ in
+    its own body, so its instances have no __dict__ to bypass them."""
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert immutability_hooks(sources) == [
+        ("linalg.py", "Frozen", "__setattr__"),
+        ("linalg.py", "Frozen", "__setstate__")]
+    subclasses, stack = [], list(Frozen.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        subclasses.append(cls)
+        stack.extend(cls.__subclasses__())
+    assert {GNLA, GradedMap, Matrix, Polynomial, Subspace} <= set(subclasses)
+    for cls in subclasses:
+        assert "__slots__" in vars(cls), cls.__name__
+        assert not hasattr(object.__new__(cls), "__dict__"), cls.__name__
+
+
+def test_immutability_hook_detector():
+    sources = {"a.py": ("class Base:\n"
+                        "    def __setattr__(self, n, v): pass\n"
+                        "class Value(Base):\n"
+                        "    __slots__ = ()\n"
+                        "    def __reduce__(self): pass\n"
+                        "    def method(self):\n"
+                        "        class Inner:\n"
+                        "            def __getstate__(self): pass\n")}
+    assert immutability_hooks(sources) == [
+        ("a.py", "Base", "__setattr__"), ("a.py", "Inner", "__getstate__"),
+        ("a.py", "Value", "__reduce__")]

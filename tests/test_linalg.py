@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gnla import catalog, prolong_layer, prolongation
+from gnla import Polynomial, change_basis, classify, parse_algebra
 from gnla.linalg import (
     Matrix,
     Subspace,
@@ -657,3 +658,33 @@ def test_matrix_and_subspace_copy_and_pickle():
                 assert twin.basis == s.basis
                 with pytest.raises(AttributeError):
                     twin.ambient_dim = 5
+    # algebras and polynomials share the immutable base: a catalog
+    # algebra, a parsed one and a basis change classify alike after a round
+    # trip, and a polynomial's caches travel whether or not they were read
+    parsed = parse_algebra("algebra parsed\nbasis X:-1 Y:-1 W:-2\n"
+                           "bracket [X,Y] = 3/2 W\n")
+    moved = change_basis(catalog("goursat", n=4), [
+        (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, Fraction(1, 3))],
+        ["A", "B", "C", "D"])
+    for a in (catalog("nontrivial6"), parsed, moved):
+        verdict = classify(a)
+        for twin in round_trips(a):
+            assert twin == a and twin.name == a.name
+            assert twin.brackets == a.brackets and twin._terms == a._terms
+            assert twin.layer_dims() == a.layer_dims()
+            assert classify(twin) == verdict
+            with pytest.raises(AttributeError, match="GNLA is immutable"):
+                twin.name = "renamed"
+    for read in (False, True):
+        p = Polynomial(("x", "y"), {(2, 0): Fraction(1, 2), (1, 1): -3,
+                                    (0, 0): Fraction(2, 7)})
+        if read:
+            p.terms, p._lexp()
+        for twin in round_trips(p):
+            assert (twin._lead is None, twin._terms is None) == (not read,) * 2
+            assert twin == p and hash(twin) == hash(p)
+            assert twin.terms == p.terms and twin.leading() == p.leading()
+            assert str(twin) == str(p)
+            with pytest.raises(AttributeError,
+                               match="Polynomial is immutable"):
+                twin._scale = 1

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -16,6 +17,7 @@ from cases import (
 )
 from gnla import (
     GNLA,
+    ExtensionData,
     Matrix,
     MatrixSubspace,
     Subspace,
@@ -23,14 +25,18 @@ from gnla import (
     bracket,
     catalog,
     change_basis,
+    classify,
     classify_by_iteration,
+    decompose_special_extension,
     der0,
     h0,
     h0_as_graded_map,
     kernel_basis,
     leibniz_failures,
+    minor_ideal,
     prolong_layer,
     prolongation,
+    special_extension,
 )
 from gnla.linalg import _integer_row, unit_vector, zero_vector
 from gnla.prolongation import (
@@ -525,6 +531,37 @@ def test_h0_and_iteration_verdicts_copy_and_pickle():
     twin = pickle.loads(pickle.dumps(space))
     assert twin.basis == space.basis and twin.span._rows == space.span._rows
     assert twin.contains(space.basis[-1])
+    # the values that hold algebras and polynomials: a decomposition, the
+    # extension data it rebuilds from, and minor ideals with and without
+    # their Groebner basis read
+    a = catalog("nontrivial6")
+    d = decompose_special_extension(a, classify(a).witness)
+    data = ExtensionData.from_adapted_base(d.quotient, len(d.ideal_basis),
+                                           d.cocycle)
+    read, unread = (minor_ideal(closure_example()) for _ in range(2))
+    basis = read.groebner()
+    for obj in (d, data, read, unread):
+        for twin in (copy.copy(obj), copy.deepcopy(obj),
+                     pickle.loads(pickle.dumps(obj))):
+            assert twin == obj
+            if obj is d:
+                assert special_extension(ExtensionData.from_adapted_base(
+                    twin.quotient, len(twin.ideal_basis),
+                    twin.cocycle)) == d.adapted
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    twin.quotient = a
+                with pytest.raises(AttributeError, match="GNLA is immutable"):
+                    twin.adapted.name = "renamed"
+            elif obj is data:
+                assert special_extension(twin) == special_extension(data)
+                with pytest.raises(AttributeError, match="GNLA is immutable"):
+                    twin.base.name = "renamed"
+            else:
+                assert (twin._groebner is None) == (obj is unread)
+                assert twin.groebner() == basis
+                with pytest.raises(AttributeError,
+                                   match="Polynomial is immutable"):
+                    twin.generators[0]._scale = 1
 
 
 def test_prolong_layer_argument_checks():
