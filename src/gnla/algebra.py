@@ -26,12 +26,12 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _densified,
     _integer_row,
     _inverse,
     _kernel,
     _rank,
     frac,
-    solve,
     unit_vector,
     vector,
 )
@@ -121,7 +121,7 @@ class GNLA(Frozen):
 
     def pair_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a full coordinate vector, any i, j."""
-        return _dense(self.dim, self.bracket_terms(i, j))
+        return _densified(self.bracket_terms(i, j), self.dim)
 
     def layer_coordinates(self, i: int, v: Sequence) -> Vector:
         """Restrict a full vector to the degree -i coordinate block."""
@@ -148,14 +148,6 @@ class GNLA(Frozen):
         return "GNLA(%r, dim=%d, depth=%d)" % (self.name, self.dim, self.depth)
 
 
-def _dense(n: int, terms) -> Vector:
-    """The length n vector with the given (position, coordinate) terms."""
-    out = [Fraction(0)] * n
-    for k, c in terms:
-        out[k] = c
-    return tuple(out)
-
-
 def _support(v: Vector) -> List[Tuple[int, Fraction]]:
     """The nonzero (position, coordinate) pairs of a vector."""
     return [(i, c) for i, c in enumerate(v) if c]
@@ -180,7 +172,7 @@ def bracket(a: GNLA, x: Sequence, y: Sequence) -> Vector:
     n = a.dim
     if len(x) != n or len(y) != n:
         raise ValueError("coordinate vectors must have the full dimension")
-    return _dense(n, _bracket_support(a, _support(x), _support(y)).items())
+    return _densified(_bracket_support(a, _support(x), _support(y)).items(), n)
 
 
 @dataclass(frozen=True)
@@ -418,36 +410,48 @@ def change_basis(a: GNLA, vectors: Sequence[Sequence], labels: Sequence[str],
                 list(zip(labels, degrees)), brackets)
 
 
+def _split(adapted: GNLA, kept: Sequence[int], labels: Sequence[str],
+           name: str) -> Tuple[GNLA, Dict[Tuple[int, int], list]]:
+    """Adapted cut to the basis positions kept, increasing, labelled
+    labels: the algebra with each bracket cut to its kept components, and
+    for each of its pairs the list of the components that escape, at the
+    other positions in increasing order."""
+    index = {p: i for i, p in enumerate(kept)}
+    rest = [p for p in range(adapted.dim) if p not in index]
+    brackets, escaped = {}, {}
+    for (p, q), terms in adapted.brackets.items():
+        if p in index and q in index:
+            terms = dict(terms)
+            pair = (index[p], index[q])
+            brackets[pair] = [(index[k], c) for k, c in terms.items()
+                              if k in index]
+            escaped[pair] = [terms.get(k, 0) for k in rest]
+    basis = [(lbl, adapted.degrees[p]) for lbl, p in zip(labels, kept)]
+    return GNLA(name, basis, brackets), escaped
+
+
 def quotient(a: GNLA, ideal: Subspace, representatives: Sequence[Sequence],
              labels: Sequence[str], name: Optional[str] = None) -> GNLA:
-    """The quotient algebra by a graded ideal, over chosen representatives.
-
-    representatives together with the ideal must span the whole algebra;
-    brackets of representatives are reduced modulo the ideal and read off
-    in representative coordinates.
-    """
+    """The quotient by a graded ideal over chosen representatives: the
+    algebra in the basis of the representatives, then the ideal's RREF
+    basis (homogeneous exactly when the ideal is graded), _split to the
+    representatives.  Being an ideal is left to validate on the result."""
     n = a.dim
     reps = [vector(v) for v in representatives]
-    r = len(reps)
-    if r + ideal.dim != n:
-        raise ValueError("representatives do not complement the ideal")
-    decomp = Matrix.from_columns(reps + [list(b) for b in ideal.basis])
-    if decomp.rank() != n:
-        raise ValueError("representatives do not complement the ideal")
-    degrees = []
-    for v in reps:
-        degs = {a.degrees[p] for p, c in enumerate(v) if c != 0}
-        if len(degs) != 1:
-            raise ValueError("representatives must be homogeneous")
-        degrees.append(degs.pop())
-    brackets = {}
-    for i in range(r):
-        for j in range(i + 1, r):
-            w = solve(decomp, bracket(a, reps[i], reps[j]))
-            if w is None:
-                raise ValueError("bracket escapes the span; not an ideal?")
-            entries = [(k, c) for k, c in enumerate(w[:r]) if c != 0]
-            if entries:
-                brackets[(i, j)] = entries
-    return GNLA(name or (a.name + "_quotient"),
-                list(zip(labels, degrees)), brackets)
+    if len(labels) != len(reps):
+        raise ValueError("need one label per representative")
+    if ideal.ambient_dim != n or any(len(v) != n for v in reps):
+        raise ValueError("representatives and ideal must have the full "
+                         "dimension")
+    if any(len({a.degrees[p] for p, _ in r}) != 1 for r in ideal._rows):
+        raise ValueError("ideal is not graded")
+    if any(len({a.degrees[p] for p, _ in _support(v)}) != 1 for v in reps):
+        raise ValueError("representatives must be homogeneous")
+    try:
+        # on checked vectors it fails only when they are not a basis
+        adapted = change_basis(a, reps + list(ideal.basis), range(n))
+    except ValueError:
+        raise ValueError("representatives do not complement the ideal") \
+            from None
+    return _split(adapted, range(len(reps)), labels,
+                  name or (a.name + "_quotient"))[0]

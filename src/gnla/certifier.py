@@ -44,6 +44,7 @@ from .algebra import (
     _bracket_support,
     _central_rows,
     _kernel_within,
+    _split,
     _support,
     bracket,
     change_basis,
@@ -448,9 +449,9 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
     y.  The algebra is then rewritten in the adapted basis X, Y_1..Y_s
     (the chain), Z_1.. (the degree -1 part of ker ad y, then the deeper
     basis vectors, each kept when independent of those before it).  A
-    bracket of two base elements X, Z_j splits there in two: its X/Z
-    components are the quotient bracket and its Y components the degree
-    0 cocycle value.
+    bracket of two base elements X, Z_j splits there in two (_split, as in
+    quotient): its X/Z components are the quotient bracket and its Y
+    components the degree 0 cocycle value.
     """
     y = vector(y)
     ad_rows, x_pos = _moved_transversal(a, y)
@@ -498,24 +499,13 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
                            name=a.name + "_adapted")
 
     reps = [0] + list(range(1 + s, n))
-    index = {p: i for i, p in enumerate(reps)}
-    brackets = {}
-    values = {}
-    for (p, q), terms in adapted.brackets.items():
-        if p in index and q in index:
-            terms = dict(terms)
-            pair = (index[p], index[q])
-            brackets[pair] = [(index[k], c) for k, c in terms.items()
-                              if k in index]
-            values[pair] = [terms.get(k, 0) for k in range(1, s + 1)]
-    base = GNLA(a.name + "_base",
-                [(labels[p], adapted.degrees[p]) for p in reps], brackets)
-    cocycle = Cochain2.from_dict(s, values)
+    base, escaped = _split(adapted, reps, [labels[p] for p in reps],
+                           a.name + "_base")
 
     return DecompositionResult(
         quotient=base,
         ideal_basis=tuple(chain),
-        cocycle=cocycle,
+        cocycle=Cochain2.from_dict(s, escaped),
         adapted=adapted,
         witness=y,
         transversal=x_vec)

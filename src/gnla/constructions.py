@@ -28,7 +28,7 @@ from .linalg import (
     _combined,
     _det,
     _kernel,
-    _rref,
+    _rref_rows,
     frac,
     independent_rows,
     is_zero_vector,
@@ -159,6 +159,13 @@ def _default_transversal(base: GNLA, w: Subspace) -> Vector:
     raise ValueError("no basis vector is transversal to the hyperplane")
 
 
+def _pair_slots(base: GNLA, s: int) -> List[Tuple[int, int]]:
+    """The 2-cochain slots: basis pairs p < q of degree -k with k <= s."""
+    n, deg = base.dim, base.degrees
+    return [(p, q) for p in range(n) for q in range(p + 1, n)
+            if -(deg[p] + deg[q]) <= s]
+
+
 def _degree0_complex(base: GNLA, w: Subspace, s: int,
                      x_vec: Optional[Vector] = None):
     """Slots and differentials of the degree 0 cochain complex.
@@ -182,8 +189,7 @@ def _degree0_complex(base: GNLA, w: Subspace, s: int,
     deg = base.degrees
 
     c1 = [p for p in range(n) if -deg[p] <= s]
-    c2 = [(p, q) for p in range(n) for q in range(p + 1, n)
-          if -(deg[p] + deg[q]) <= s]
+    c2 = _pair_slots(base, s)
     c1_index = {p: i for i, p in enumerate(c1)}
     c2_index = {pq: i for i, pq in enumerate(c2)}
 
@@ -351,11 +357,11 @@ class ExtensionData:
         _, c2, image, _ = _degree0_complex(
             self.base, self.covector_kernel, self.s, self.transversal)
         vec = _cocycle_slot_vector(self.base, self.s, self.cocycle, c2)
-        basis, pivots = _rref(image, len(c2))
-        for b, pivot in zip(basis, pivots):
-            factor = vec[pivot]
+        for row in _rref_rows(image):
+            factor = vec[row[0][0]]
             if factor != 0:
-                vec = [v - factor * c for v, c in zip(vec, b)]
+                for j, c in row:
+                    vec[j] -= factor * c
         # only the cocycle changes, at the same s: a copy, not re-checked
         out = copy.copy(self)
         object.__setattr__(out, "cocycle",
@@ -393,8 +399,7 @@ def special_extension(data: ExtensionData) -> GNLA:
     base, w, s = data.base, data.covector_kernel, data.s
     n = base.dim
     deg = base.degrees
-    c2 = [(p, q) for p in range(n) for q in range(p + 1, n)
-          if -(deg[p] + deg[q]) <= s]
+    c2 = _pair_slots(base, s)
     slots = _cocycle_slot_vector(base, s, data.cocycle, c2)
 
     # base positions, then Y_1..Y_s at n..n+s-1; labels need only differ

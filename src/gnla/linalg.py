@@ -11,10 +11,10 @@ core; a caller that builds its rows as integers (the Leibniz systems,
 the Groebner row reduction) hands them over as they are.  The inverse
 is one reduction of [U | I] for the integer rows U (_inverse), shared by
 Matrix.inverse and change_basis, which read their scales back.  The core's
-output is the unique RREF, so subspaces are stored by their reduced row
-echelon basis, kept sparse as the rows' nonzero (column, value)
-entries: equal subspaces compare equal, and the dense basis, built only
-when read, is reproducible.  A kernel takes one elimination: reduced
+output is the unique RREF, kept sparse as the rows' nonzero (column,
+value) entries (_rref_rows): subspaces are stored by it, so equal ones
+compare equal, and Matrix.rref, solve and Subspace.basis densify it only
+at the API boundary.  A kernel takes one elimination: reduced
 with its columns reversed, each pivot row reaches only free columns
 below its pivot, so the vectors read off the free columns already are
 the RREF.  Frozen is the one base of the package's immutable slotted
@@ -211,17 +211,6 @@ def _densified(entries, n: int) -> Vector:
     return tuple(v)
 
 
-def _rref(rows, ncols=None):
-    """The unique RREF of the row space of a list of rows, dense or
-    {col: value}, as (rows, pivot columns): dense Fraction rows of ncols
-    entries (by default the width of the first row), zero rows dropped."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    sparse = _rref_rows(rows)
-    return ([list(_densified(r, ncols)) for r in sparse],
-            [r[0][0] for r in sparse])
-
-
 class Frozen:
     """Base of the package's immutable slotted values.
 
@@ -360,10 +349,11 @@ class Matrix(Frozen):
         return tuple(a for r in self.rows for a in r)
 
     def rref(self):
-        rows, pivots = _rref(self.rows)
-        rows = rows + [[Fraction(0)] * self.ncols
-                       for _ in range(self.nrows - len(rows))]
-        return Matrix(rows), tuple(pivots)
+        """The RREF, zero rows last, and its pivots, from _rref_rows."""
+        sparse = _rref_rows(self.rows)
+        rows = [_densified(r, self.ncols) for r in sparse]
+        rows += [zero_vector(self.ncols)] * (self.nrows - len(rows))
+        return Matrix._trusted(tuple(rows)), tuple(r[0][0] for r in sparse)
 
     def rank(self) -> int:
         return _rank(self.rows)
@@ -485,27 +475,19 @@ def _kernel(rows, ncols: int) -> Subspace:
 
 def _integer_kernel(rows, ncols: int) -> Subspace:
     """The solution space of sparse {col: int} rows without zero entries
-    in ncols unknowns, with its RREF basis; the rows are left unchanged."""
-    last = ncols - 1
-    return _reversed_kernel([{last - j: v for j, v in r.items()}
-                             for r in rows], ncols)
+    in ncols unknowns, with its RREF basis; the rows are left unchanged.
 
-
-def _reversed_kernel(rows, ncols: int) -> Subspace:
-    """The kernel of sparse integer rows given with their columns
-    reversed, column j of the system at key ncols - 1 - j, which it owns.
-    One elimination, sparsest row first: the RREF is unique, so the row
-    order changes only the work.
-
-    Reduced with its columns reversed, each row r_c led at column c of
-    the system is nonzero past its pivot only at free columns j < c.
-    Free column j then gives e_j - sum_c (r_c[j] / lead) e_c over pivots
-    c > j: led at j and zero at every other free column, so the RREF row
-    itself, its entries already in increasing column order.
+    One elimination of the rows with their columns reversed, column j at
+    key ncols - 1 - j, sparsest row first: the RREF is unique, so the row
+    order changes only the work.  Reduced that way, each row r_c led at
+    column c of the system is nonzero past its pivot only at free columns
+    j < c.  Free column j then gives e_j - sum_c (r_c[j] / lead) e_c over
+    pivots c > j: led at j and zero at every other free column, so the
+    RREF row itself, its entries already in increasing column order.
     """
-    rows.sort(key=len)
-    cols, reduced = _reduced(rows)
     last = ncols - 1
+    cols, reduced = _reduced(sorted(({last - j: v for j, v in r.items()}
+                                     for r in rows), key=len))
     one = Fraction(1)
     free = {j: [(j, one)] for j in range(ncols) if last - j not in reduced}
     for c in reversed(cols):
@@ -523,17 +505,18 @@ def kernel_basis(m: Matrix) -> Subspace:
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
-    """A particular solution of Mx = b with free variables set to zero."""
+    """A particular solution of Mx = b, free variables zero, read off the
+    RREF rows of [M | b]; None when the b column is a pivot."""
     b = vector(b)
     if len(b) != m.nrows:
         raise ValueError("shape mismatch")
-    aug = [list(row) + [b[i]] for i, row in enumerate(m.rows)]
-    reduced, pivots = _rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [Fraction(0)] * m.ncols
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][m.ncols]
+    n = m.ncols
+    x = [Fraction(0)] * n
+    for r in _rref_rows([row + (b[i],) for i, row in enumerate(m.rows)]):
+        if r[0][0] == n:
+            return None
+        if r[-1][0] == n:
+            x[r[0][0]] = r[-1][1]
     return tuple(x)
 
 

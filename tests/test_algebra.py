@@ -10,6 +10,7 @@ from cases import (
     random_two_step,
     signed_permutation,
     table_cases,
+    witness_cases,
 )
 from gnla import (
     GNLA,
@@ -27,9 +28,13 @@ from gnla import (
     layer,
     quotient,
     rank1_witness,
+    serialize_algebra,
+    solve,
     special_extension,
     validate,
+    vector,
 )
+from gnla.linalg import independent_rows
 
 
 def heis3():
@@ -260,6 +265,100 @@ def test_quotient_needs_complement():
     ideal = Subspace(3, [(0, 0, 1)])
     with pytest.raises(ValueError):
         quotient(a, ideal, [(1, 0, 0)], ["X"])
+
+
+def test_quotient_names_the_malformed_input():
+    """A label count off by one, a vector of the wrong length, an ungraded
+    subspace, an inhomogeneous or dependent representative: each raises a
+    ValueError that says which input is at fault, where a quotient used
+    to drop labels or come out ill-graded."""
+    a = catalog("goursat", n=4)
+    x, z1, z2, z3 = (a.basis_vector(p) for p in range(4))
+    line = Subspace(4, [z3])
+    labels = ["X", "Z1", "Z2"]
+    cases = [
+        (line, [x, z1, z2], labels + ["W"],
+         "need one label per representative"),
+        (line, [x, z1, z2], labels[:2], "need one label per representative"),
+        (line, [x, z1, z2[:3]], labels,
+         "representatives and ideal must have the full dimension"),
+        (Subspace(3, [(0, 0, 1)]), [x, z1, z2], labels,
+         "representatives and ideal must have the full dimension"),
+        # [X, Z2] = -Z2 in the old quotient: it failed validate's grading
+        (Subspace(4, [[0, 0, 1, 1]]), [x, z1, z2], labels,
+         "ideal is not graded"),
+        (line, [x, z1, [0, 1, 1, 0]], labels,
+         "representatives must be homogeneous"),
+        (line, [x, z1, [0, 0, 0, 0]], labels,
+         "representatives must be homogeneous"),
+        (line, [x, z1, [1, 1, 0, 0]], labels,
+         "representatives do not complement the ideal"),
+        (line, [x, z1], labels[:2],
+         "representatives do not complement the ideal"),
+    ]
+    for ideal, reps, names, message in cases:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            quotient(a, ideal, reps, names)
+    assert quotient(a, line, [x, z1, z2], labels) == catalog("goursat", n=3)
+
+
+def reference_quotient(a, ideal, representatives, labels, name=None):
+    """The quotient as gnla computed it before it went through
+    change_basis: a dense matrix with the representatives and the ideal
+    basis as columns, its rank, and one dense solve of each bracket of
+    two representatives, read off in representative coordinates.  An
+    oracle only."""
+    n = a.dim
+    reps = [vector(v) for v in representatives]
+    r = len(reps)
+    if r + ideal.dim != n:
+        raise ValueError("representatives do not complement the ideal")
+    decomp = Matrix.from_columns(reps + [list(b) for b in ideal.basis])
+    if decomp.rank() != n:
+        raise ValueError("representatives do not complement the ideal")
+    degrees = []
+    for v in reps:
+        degs = {a.degrees[p] for p, c in enumerate(v) if c != 0}
+        if len(degs) != 1:
+            raise ValueError("representatives must be homogeneous")
+        degrees.append(degs.pop())
+    brackets = {}
+    for i in range(r):
+        for j in range(i + 1, r):
+            w = solve(decomp, bracket(a, reps[i], reps[j]))
+            if w is None:
+                raise ValueError("bracket escapes the span; not an ideal?")
+            entries = [(k, c) for k, c in enumerate(w[:r]) if c != 0]
+            if entries:
+                brackets[(i, j)] = entries
+    return GNLA(name or (a.name + "_quotient"),
+                list(zip(labels, degrees)), brackets)
+
+
+def test_quotient_matches_reference():
+    """Every catalog algebra modulo its deepest layer, a central ideal,
+    and every witness algebra modulo the chain of its decomposition,
+    over the transversal and the first basis vectors that complete it:
+    the same document bytes as the dense reference."""
+    quotients = []
+    for a in catalog_algebras():
+        deep = a.layer_positions(a.depth)
+        assert center(a).intersect(layer(a, a.depth)) == layer(a, a.depth)
+        reps = [a.basis_vector(p) for p in range(a.dim) if p not in deep]
+        quotients.append((a, layer(a, a.depth), reps))
+    for a, w in witness_cases(9006):
+        d = decompose_special_extension(a, w)
+        chain = list(d.ideal_basis)
+        rows = chain + [d.transversal] + [a.basis_vector(p)
+                                          for p in range(a.dim)]
+        reps = [rows[i] for i in independent_rows(rows) if i >= len(chain)]
+        quotients.append((a, Subspace(a.dim, chain), reps))
+    assert len(quotients) >= 80
+    for a, ideal, reps in quotients:
+        labels = ["R%d" % i for i in range(len(reps))]
+        got = quotient(a, ideal, reps, labels)
+        want = reference_quotient(a, ideal, reps, labels)
+        assert serialize_algebra(got) == serialize_algebra(want), a.name
 
 
 def reference_jacobi_failures(a):

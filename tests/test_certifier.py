@@ -42,7 +42,6 @@ from gnla import (
     metabelian_from_pencil,
     minor_ideal,
     only_trivial_zero,
-    quotient,
     rank1_derivation_from_witness,
     rank1_in_span,
     rank1_witness,
@@ -56,6 +55,7 @@ from gnla import (
 import gnla.algebra
 import gnla.certifier
 from gnla.certifier import _degree1_span, _matrix_span, _minors
+from test_algebra import reference_quotient
 
 
 def degenerate_example():
@@ -579,8 +579,9 @@ def reference_decomposition(a, d):
     """The adapted algebra, quotient and cocycle of a decomposition as
     decompose_special_extension read them before it split the adapted
     brackets: the chain is completed by growing a Subspace one candidate
-    at a time, the quotient comes from quotient() and the cocycle from
-    one solve per pair of representatives.  An oracle only."""
+    at a time, the quotient comes from the dense reference_quotient and
+    the cocycle from one solve per pair of representatives, so nothing is
+    shared with the split of the adapted brackets.  An oracle only."""
     n = a.dim
     x_vec, chain = d.transversal, list(d.ideal_basis)
     s = len(chain)
@@ -600,7 +601,7 @@ def reference_decomposition(a, d):
 
     reps = [x_vec] + z_vectors
     rep_labels = ["X"] + ["Z%d" % (i + 1) for i in range(len(z_vectors))]
-    base = quotient(a, Subspace(n, chain), reps, rep_labels)
+    base = reference_quotient(a, Subspace(n, chain), reps, rep_labels)
     decomp = Matrix.from_columns(reps + chain)
     values = {}
     for i in range(len(reps)):

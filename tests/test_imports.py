@@ -1,5 +1,6 @@
-"""Every name a gnla module imports with `from ... import` is used, and
-every module-level function and class is exported or used."""
+"""Every name a gnla module imports with `from ... import` is used, every
+module-level function and class is exported or used, only linalg.Frozen
+decides immutability and only linalg solves densely."""
 
 import ast
 from pathlib import Path
@@ -157,3 +158,47 @@ def test_immutability_hook_detector():
     assert immutability_hooks(sources) == [
         ("a.py", "Base", "__setattr__"), ("a.py", "Inner", "__getstate__"),
         ("a.py", "Value", "__reduce__")]
+
+
+def dense_solve_calls(sources):
+    """The (module, line, name) of each call of solve or from_columns,
+    by name or as an attribute, in a module other than linalg.py, over
+    module file names mapped to their text."""
+    found = []
+    for module, source in sources.items():
+        if module == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else getattr(f, "attr", None))
+                if name in ("solve", "from_columns"):
+                    found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def test_only_linalg_solves_densely():
+    """A dense solve is an augmented elimination per right-hand side, and
+    Matrix.from_columns builds the dense matrix it runs on; the package
+    reads its systems off the sparse core instead (a quotient, say, is a
+    change of basis and a split), so no module but linalg calls either."""
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert dense_solve_calls(sources) == []
+
+
+def test_dense_solve_call_detector():
+    sources = {
+        "linalg.py": "def solve(m, b):\n    return Matrix.from_columns(b)\n",
+        "a.py": ("from .linalg import Matrix, solve\n"
+                 "def f(m, b):\n"
+                 "    x = solve(m, b)\n"
+                 "    return Matrix.from_columns([x]), linalg.solve(m, b)\n"),
+        "b.py": ("from .linalg import solve\n"
+                 "def g(m):\n"
+                 "    return m.solve_all(), resolve(m), solve\n"),
+    }
+    assert dense_solve_calls(sources) == [
+        ("a.py", 3, "solve"), ("a.py", 4, "from_columns"),
+        ("a.py", 4, "solve")]
