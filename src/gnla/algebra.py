@@ -435,7 +435,9 @@ def quotient(a: GNLA, ideal: Subspace, representatives: Sequence[Sequence],
     """The quotient by a graded ideal over chosen representatives: the
     algebra in the basis of the representatives, then the ideal's RREF
     basis (homogeneous exactly when the ideal is graded), _split to the
-    representatives.  Being an ideal is left to validate on the result."""
+    representatives.  The subspace is an ideal when no [e_j, b], for a
+    basis vector e_j and an ideal basis vector b, raises the rank of the
+    ideal's basis: one rank, bounded one past the ideal's dimension."""
     n = a.dim
     reps = [vector(v) for v in representatives]
     if len(labels) != len(reps):
@@ -447,6 +449,11 @@ def quotient(a: GNLA, ideal: Subspace, representatives: Sequence[Sequence],
         raise ValueError("ideal is not graded")
     if any(len({a.degrees[p] for p, _ in _support(v)}) != 1 for v in reps):
         raise ValueError("representatives must be homogeneous")
+    spanned = [dict(r) for r in ideal._rows]
+    spanned += [_bracket_support(a, [(j, 1)], r)
+                for j in range(n) for r in ideal._rows]
+    if _rank(spanned, ideal.dim + 1) > ideal.dim:
+        raise ValueError("subspace is not an ideal")
     try:
         # on checked vectors it fails only when they are not a basis
         adapted = change_basis(a, reps + list(ideal.basis), range(n))

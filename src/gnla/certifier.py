@@ -67,9 +67,9 @@ from .groebner import (
 from .linalg import (
     Matrix,
     Vector,
-    _integer_kernel,
-    _integer_row,
+    _densified,
     _kernel,
+    _kernel_rows,
     _rank,
     independent_rows,
     is_zero_vector,
@@ -237,8 +237,8 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
     by construction), is identically zero (take (1:0)) or has its rational
     roots, plus (0:1) when its degree drops.  Nondegeneracy makes every
     nonzero kernel vector a witness, so the first RREF kernel vector of
-    the integer rows at the first candidate is one; each is still
-    checked to give rank 1.
+    the integer rows at the first candidate is one, read off as integers
+    over one denominator; each is still checked to give rank 1.
     """
     pos1 = a.layer_positions(1)
     n = len(pos1)
@@ -263,12 +263,13 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
             if pf[-1] == 0:
                 candidates.append((0, 1))
     for s, t in candidates:
-        rows = [{j: x for j, x in enumerate(r) if x} for r in member(s, t)]
-        y = _integer_kernel(rows, n).basis[0]
-        coords, _ = _integer_row(y)
-        if _rank_one([sum(v * m[i][j] for i, v in coords.items())
+        rows = [{n - 1 - j: x for j, x in enumerate(r) if x}
+                for r in member(s, t)]
+        coords, den = _kernel_rows(rows, n)[0]
+        if _rank_one([sum(v * m[i][j] for i, v in coords)
                       for j in range(n)] for m in (big_p, big_q)):
-            return a.embed_layer(1, y)
+            return a.embed_layer(1, _densified(
+                [(j, Fraction(v, den)) for j, v in coords], n))
     return None
 
 

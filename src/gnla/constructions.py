@@ -27,7 +27,9 @@ from .linalg import (
     Vector,
     _combined,
     _det,
+    _integer_row,
     _kernel,
+    _kernel_rows,
     _rref_rows,
     frac,
     independent_rows,
@@ -126,17 +128,18 @@ def _module_covector(base: GNLA, w: Subspace, x_vec: Vector) -> Vector:
     """The functional with kernel W plus all deeper layers and value 1
     on the transversal, as a full coordinate vector, W a hyperplane of
     the degree -1 layer: the one kernel vector k of W's rows in degree
-    -1 coordinates, divided by k(x)."""
+    -1 coordinates, read off as integers, divided by k(x)."""
     pos1 = base.layer_positions(1)
-    index = {p: i for i, p in enumerate(pos1)}
-    (k,) = _kernel([{index[p]: e for p, e in r} for r in w._rows],
-                   len(pos1))._rows
-    value = sum(e * x_vec[pos1[i]] for i, e in k)
+    last = len(pos1) - 1
+    index = {p: last - i for i, p in enumerate(pos1)}
+    ((k, _),) = _kernel_rows([_integer_row({index[p]: e for p, e in r})[0]
+                              for r in w._rows], len(pos1))
+    value = sum(v * x_vec[pos1[i]] for i, v in k)
     if not value:
         raise ValueError("transversal lies in the hyperplane")
     alpha = [Fraction(0)] * base.dim
-    for i, e in k:
-        alpha[pos1[i]] = e / value
+    for i, v in k:
+        alpha[pos1[i]] = Fraction(v) / value
     return tuple(alpha)
 
 

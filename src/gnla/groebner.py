@@ -362,7 +362,8 @@ def _row_reduced(generators: Sequence[Polynomial]) -> List[Polynomial]:
     """The reduced row echelon basis of the span of the generators, with
     the monomials as columns, largest in grevlex first: the same ideal,
     with distinct leading terms, and no generator that is a linear
-    combination of the others."""
+    combination of the others.  The pass stops once the generators span
+    every monomial they use."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
@@ -373,7 +374,7 @@ def _row_reduced(generators: Sequence[Polynomial]) -> List[Polynomial]:
                    key=grevlex_key, reverse=True)
     column = {e: j for j, e in enumerate(monos)}
     cols, rows = _reduced([{column[e]: v for e, v in g._ints.items()}
-                           for g in gens])
+                           for g in gens], len(monos))
     # the pivot of a row is its largest monomial, so its leading term
     return [Polynomial._from_integers(variables, 1, {
         monos[j]: v for j, v in rows[c].items()}, monos[c]) for c in cols]

@@ -14,12 +14,18 @@ Matrix.inverse and change_basis, which read their scales back.  The core's
 output is the unique RREF, kept sparse as the rows' nonzero (column,
 value) entries (_rref_rows): subspaces are stored by it, so equal ones
 compare equal, and Matrix.rref, solve and Subspace.basis densify it only
-at the API boundary.  A kernel takes one elimination: reduced
-with its columns reversed, each pivot row reaches only free columns
-below its pivot, so the vectors read off the free columns already are
-the RREF.  Frozen is the one base of the package's immutable slotted
-values (Matrix, Subspace, GNLA, GradedMap and Polynomial): it refuses
-assignment, builds trusted instances and restores copied or pickled slots.
+at the API boundary.  A kernel takes one elimination, with its
+unknowns keyed in reverse: so reduced, each pivot row reaches only free
+columns below its pivot, and the vectors read off the free columns
+already are the RREF.  The read-off stays integer (_kernel_rows), each
+vector its integer entries over its least positive denominator; a caller
+that numbers its unknowns in reverse (the Leibniz systems) hands its
+rows over as built, and _integer_kernel is the Fraction view of the
+read-off.  A kernel's pass stops once the pivots cover the unknowns, as
+a rank's stops at its bound.  Frozen is the one base of the package's
+immutable slotted values (Matrix, Subspace, GNLA, GradedMap and
+Polynomial): it refuses assignment, builds trusted instances and
+restores copied or pickled slots.
 """
 
 from __future__ import annotations
@@ -140,15 +146,18 @@ def _rank(rows, bound: Optional[int] = None) -> int:
     return len(_echelon((_integer_row(r)[0] for r in rows), bound)[0])
 
 
-def _reduced(rows):
+def _reduced(rows, bound=None):
     """The integer RREF of sparse {col: int} rows, which it owns: (pivot
     columns in increasing order, {pivot column: integer row}).
 
     This is the package's one elimination: the forward pass of _echelon,
     then back-substitution the same way from the highest pivot down.
     Divided by its pivot entry, each row is a row of the unique RREF.
+    Given a bound no rank can exceed, such as the number of columns, the
+    forward pass stops once the pivots reach it: the rows it leaves are
+    in the span of the pivot rows.
     """
-    pivots, _ = _echelon(rows)
+    pivots, _ = _echelon(rows, bound)
     cols = sorted(pivots)
     for c in reversed(cols):
         r = pivots[c]
@@ -466,37 +475,59 @@ class Subspace(Frozen):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient_dim)
 
 
-def _kernel(rows, ncols: int) -> Subspace:
-    """The solution space of a system in ncols unknowns, rows dense or
-    {col: value}, with its RREF basis: each row is scaled to integers once
-    by _integer_row, then _integer_kernel."""
-    return _integer_kernel([_integer_row(r)[0] for r in rows], ncols)
+def _kernel_rows(rows, ncols: int):
+    """The RREF basis of the solution space of sparse {key: int} rows
+    without zero entries, which it owns, in ncols unknowns keyed in
+    reverse, unknown j at key ncols - 1 - j, read off as integers: for
+    each basis vector in increasing lead, (entries, den), entries its
+    nonzero (unknown, int) pairs in increasing unknown and den the least
+    positive integer that makes den times the vector integral, so equal
+    vectors give equal pairs.
 
-
-def _integer_kernel(rows, ncols: int) -> Subspace:
-    """The solution space of sparse {col: int} rows without zero entries
-    in ncols unknowns, with its RREF basis; the rows are left unchanged.
-
-    One elimination of the rows with their columns reversed, column j at
-    key ncols - 1 - j, sparsest row first: the RREF is unique, so the row
-    order changes only the work.  Reduced that way, each row r_c led at
-    column c of the system is nonzero past its pivot only at free columns
-    j < c.  Free column j then gives e_j - sum_c (r_c[j] / lead) e_c over
-    pivots c > j: led at j and zero at every other free column, so the
-    RREF row itself, its entries already in increasing column order.
+    One elimination, sparsest row first (the RREF is unique, so the row
+    order changes only the work), which stops once the pivots cover the
+    unknowns.  Reduced that way, each row r_c led at unknown c is nonzero
+    past its pivot only at free unknowns j < c.  Free unknown j then
+    gives e_j - sum_c (r_c[j] / lead) e_c over pivots c > j: led at j and
+    zero at every other free unknown, so the RREF row itself, its entries
+    already in increasing order.  In lowest terms -w / lead has the
+    denominator lead / gcd(w, lead), and den is their lcm.
     """
     last = ncols - 1
-    cols, reduced = _reduced(sorted(({last - j: v for j, v in r.items()}
-                                     for r in rows), key=len))
-    one = Fraction(1)
-    free = {j: [(j, one)] for j in range(ncols) if last - j not in reduced}
+    cols, reduced = _reduced(sorted(rows, key=len), ncols)
+    free = {j: [] for j in range(ncols) if last - j not in reduced}
     for c in reversed(cols):
         r = reduced[c]
         lead = r[c]
+        at = last - c
         for j, w in r.items():
             if j != c:
-                free[last - j].append((last - c, Fraction(-w, lead)))
-    return Subspace._trusted(ncols, tuple(map(tuple, free.values())))
+                free[last - j].append((at, w, lead))
+    out = []
+    for j, terms in free.items():
+        den = lcm(*[lead // gcd(w, lead) for _, w, lead in terms])
+        out.append((((j, den),) + tuple((c, -w * den // lead)
+                                        for c, w, lead in terms), den))
+    return tuple(out)
+
+
+def _integer_kernel(rows, ncols: int) -> Subspace:
+    """The solution space of the rows of _kernel_rows, keyed in reverse
+    and owned by it, with its RREF basis: the Fraction view of that
+    read-off."""
+    return Subspace._trusted(ncols, tuple(
+        tuple((j, Fraction(v, den)) for j, v in entries)
+        for entries, den in _kernel_rows(rows, ncols)))
+
+
+def _kernel(rows, ncols: int) -> Subspace:
+    """The solution space of a system in ncols unknowns, rows dense or
+    {col: value}, with its RREF basis: each row is scaled to integers once
+    by _integer_row and keyed in reverse for _integer_kernel."""
+    last = ncols - 1
+    rows = [{last - j: v for j, v in _integer_row(r)[0].items()}
+            for r in rows]
+    return _integer_kernel(rows, ncols)
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -8,17 +8,20 @@ identity phi([x,y]) = [phi(x), y] + [x, phi(y)] over all basis pairs,
 where a bracket whose left slot sits in a non-negative layer is map
 application.  Each layer is the kernel of one global linear system over
 the flattened block entries, normalized to RREF so that dimensions and
-bases are reproducible.  The system stays sparse and integer from
-assembly to the elimination: each row is a {unknown: int} dict, the
-identity's row scaled by the lcm of its denominators, built from action
-groups cached once per (degree, basis vector), and goes straight into
-the integer elimination core of linalg, which hands back the kernel's
-RREF rows as their nonzero (unknown, value) entries.  Those rows are the
-stored form of the layer's maps; a map's dense blocks are built only
+bases are reproducible.  A layer stays sparse and integer from the
+Leibniz rows to the next degree's system, and no Fraction is made on
+the way.  Each row is a {key: int} dict with its unknowns numbered in
+reverse, the order the elimination works in, the identity's row scaled
+by the lcm of its denominators, built from action groups cached once per
+(degree, basis vector); the rows go as built into the integer kernel of
+linalg, which reads each RREF row off as integers over its least
+positive denominator.  Those integer rows are the stored form of the
+layer's maps; a map's Fraction entries and dense blocks are built only
 when read.  The next degree's system reads only the layer's column view,
 for each (block, source column) its nonzero entries grouped by target
-row as integers over one denominator, derived from the same sparse rows.
-h0 is the degree 0 system cut to the columns of its m_{-1} block.
+row as integers over one denominator in lowest terms, derived from the
+same integer rows.  h0 is the degree 0 system cut to the columns of its
+m_{-1} block.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GNLA
-from .linalg import Frozen, Matrix, Subspace, Vector, _integer_kernel
+from .linalg import (Frozen, Matrix, Subspace, Vector, _integer_kernel,
+                     _integer_row, _kernel_rows)
 
 
 class GradedMap(Frozen):
@@ -42,21 +46,32 @@ class GradedMap(Frozen):
 
     The stored form is the block shapes, (i, rows, columns) in increasing
     i, and the nonzero entries of the blocks flattened in that order,
-    each block row-major, as (flat index, value) in increasing index;
-    equality and hashing read it, and _trusted(degree, shapes, entries)
-    takes it as is.  The blocks dict is built on first read.
+    each block row-major, as integers over one denominator: _ints holds
+    (flat index, int) in increasing index and _den is the least positive
+    integer that makes den times every entry an integer, so equal maps
+    store equal forms.  Equality and hashing read it, and
+    _trusted(degree, shapes, ints, den) takes it as is.  The Fraction
+    entries are built on each read, the blocks dict on the first.
     """
 
-    __slots__ = ("degree", "_shapes", "_entries", "_blocks")
+    __slots__ = ("degree", "_shapes", "_ints", "_den", "_blocks")
 
     def __init__(self, degree: int, blocks: Dict[int, Matrix]):
         ordered = sorted(blocks.items())
-        flat = (e for _, b in ordered for row in b.rows for e in row)
+        ints, den = _integer_row(
+            [e for _, b in ordered for row in b.rows for e in row])
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_shapes", tuple(
             (i, b.nrows, b.ncols) for i, b in ordered))
-        object.__setattr__(self, "_entries",
-                           tuple((u, e) for u, e in enumerate(flat) if e))
+        object.__setattr__(self, "_ints", tuple(ints.items()))
+        object.__setattr__(self, "_den", den)
+
+    @property
+    def _entries(self) -> Tuple[Tuple[int, Fraction], ...]:
+        """The nonzero entries as (flat index, Fraction) in increasing
+        index."""
+        den = self._den
+        return tuple((u, Fraction(v, den)) for u, v in self._ints)
 
     @property
     def blocks(self) -> Dict[int, Matrix]:
@@ -86,15 +101,15 @@ class GradedMap(Frozen):
         return b.apply(coords)
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._ints
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap)
-                and (self.degree, self._shapes, self._entries)
-                == (other.degree, other._shapes, other._entries))
+                and (self.degree, self._shapes, self._den, self._ints)
+                == (other.degree, other._shapes, other._den, other._ints))
 
     def __hash__(self):
-        return hash((self.degree, self._shapes, self._entries))
+        return hash((self.degree, self._shapes, self._den, self._ints))
 
     def __repr__(self):
         return "GradedMap(degree=%r, blocks=%r)" % (self.degree, self.blocks)
@@ -113,7 +128,7 @@ class ProlongationLayer:
     def _columns(self) -> Dict[Tuple[int, int], List]:
         """The column view: for each (block i, source column x), the
         nonzero entries of that column over all maps as the groups of
-        _grouped, one per target row r, read off the maps' sparse
+        _grouped, one per target row r, read off the maps' integer
         entries on first read.  Not a field: equality, hash and repr read
         the maps alone."""
         by_row: Dict[Tuple[int, int], Dict[int, List]] = {}
@@ -124,23 +139,33 @@ class ProlongationLayer:
                 place = places[psi._shapes] = [
                     (i, r, x) for i, tgt, src in psi._shapes
                     for r in range(tgt) for x in range(src)]
-            for u, v in psi._entries:
+            den = psi._den
+            for u, v in psi._ints:
                 i, r, x = place[u]
-                by_row.setdefault((i, x), {}).setdefault(r, []).append((m, v))
+                by_row.setdefault((i, x), {}).setdefault(r, []).append(
+                    (m, v, den))
         return {col: _grouped(rows) for col, rows in by_row.items()}
 
 
 def _grouped(by_row: Dict[int, List]) -> List:
-    """{r: [(m, value), ...]} with nonzero values as groups (r, den,
-    [m, num, m, num, ...]) in increasing r: den is the lcm of the row's
-    denominators and num / den the value at m."""
+    """{r: [(m, num, den), ...]}, the value at m the nonzero num / den
+    for a positive den, as groups (r, den, [m, num, m, num, ...]) in
+    increasing r, each in lowest terms: den is the least positive integer
+    that makes den times every value of the row an integer, and num / den
+    the value at m.  Over the lcm L of the row's dens, the gcd of L and
+    the numerators is L over that least one."""
     groups = []
     for r in sorted(by_row):
         entries = by_row[r]
-        den = lcm(*[v.denominator for _, v in entries])
+        den = lcm(*[d for _, _, d in entries])
         flat = []
-        for m, v in entries:
-            flat += (m, v.numerator * (den // v.denominator))
+        for m, v, d in entries:
+            flat += (m, v * (den // d))
+        if den != 1:
+            g = gcd(den, *flat[1::2])
+            if g != 1:
+                den //= g
+                flat[1::2] = [v // g for v in flat[1::2]]
         groups.append((r, den, flat))
     return groups
 
@@ -229,9 +254,10 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
     row-major; each basis pair (e_p, e_q) contributes the rows of
     phi([e_p,e_q]) - [phi(e_p), e_q] - [e_p, phi(e_q)] = 0
     expressed in the target of degree k - deg_p - deg_q, all but those
-    with no nonzero entry.  Each row is a sparse {unknown: int} dict,
-    written once: the identity's row times its scale, the lcm of its
-    denominators.  The three terms never write the same unknown of a
+    with no nonzero entry.  Each row is a sparse {key: int} dict with
+    unknown u at key total - 1 - u, the reversed numbering _kernel_rows
+    takes, written once: the identity's row times its scale, the lcm of
+    its denominators.  The three terms never write the same unknown of a
     row, since they read different blocks or columns, so the scale is
     the lcm of at most three denominators: that of the constants of
     [e_p, e_q], and that of the row's group in each action.
@@ -271,13 +297,15 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
                 by_row: Dict[int, List] = {}
                 for m, p in enumerate(a.layer_positions(-d)):
                     for r, c in bracket_terms(p, q, j - d):
-                        by_row.setdefault(r, []).append((m, c))
+                        by_row.setdefault(r, []).append(
+                            (m, c.numerator, c.denominator))
                 groups = _grouped(by_row)
             else:
                 groups = lower[d]._columns.get((j, index[q]), [])
             actions[d, q] = groups
         return groups
 
+    last = total - 1
     rows: List[Dict[int, int]] = []
     for p in range(n):
         i = -a.degrees[p]
@@ -299,13 +327,14 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
                              for x, c in constants]
                 scale = dict.fromkeys(range(tdim), bden)
             # -[phi(e_p), e_q] term: phi(e_p) is the p-column of block i;
-            # -[e_p, phi(e_q)] = +[phi(e_q), e_p] term likewise
+            # -[e_p, phi(e_q)] = +[phi(e_q), e_p] term likewise; each with
+            # the key of its column's first unknown
             terms = []
             if i in offsets:
-                terms.append((action(k - i, q), offsets[i] + index[p],
+                terms.append((action(k - i, q), last - offsets[i] - index[p],
                               srcs[i], -1))
             if j in offsets:
-                terms.append((action(k - j, p), offsets[j] + index[q],
+                terms.append((action(k - j, p), last - offsets[j] - index[q],
                               srcs[j], 1))
             for groups, _, _, _ in terms:
                 for r, den, _ in groups:
@@ -319,16 +348,16 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
                 off, src = offsets[i + j], srcs[i + j]
                 for r, row in block.items():
                     f = scale[r] // bden
-                    base = off + r * src
+                    base = last - off - r * src
                     for x, w in constants:
-                        row[base + x] = w * f
-            for groups, off, src, sign in terms:
+                        row[base - x] = w * f
+            for groups, key, src, sign in terms:
                 for r, den, flat in groups:
                     row = block[r]
                     f = sign * (scale[r] // den)
                     it = iter(flat)
                     for m, v in zip(it, it):
-                        row[off + m * src] = v * f
+                        row[key - m * src] = v * f
             rows.extend(block.values())
     return rows, shapes, total
 
@@ -337,17 +366,17 @@ def prolong_layer(a: GNLA, k: int,
                   lower: Sequence[ProlongationLayer]) -> ProlongationLayer:
     """The degree k layer from the layers 0 .. k-1: its system's kernel.
 
-    Each sparse kernel row is the stored form of one map, shared with
-    the kernel; neither its blocks nor the kernel's dense basis is built
-    here."""
+    Each integer kernel row of _kernel_rows, with its denominator, is the
+    stored form of one map; neither its Fraction entries nor its blocks
+    are built here."""
     if k < 0:
         raise ValueError("prolongation layers start at degree 0")
     if len(lower) != k:
         raise ValueError("need exactly the layers 0 .. k-1")
     rows, shapes, total = _leibniz_system(a, k, lower)
     return ProlongationLayer(degree=k, maps=tuple(
-        GradedMap._trusted(k, shapes, entries)
-        for entries in _integer_kernel(rows, total)._rows))
+        GradedMap._trusted(k, shapes, ints, den)
+        for ints, den in _kernel_rows(rows, total)))
 
 
 def _sparse_columns(
@@ -439,10 +468,14 @@ def h0(a: GNLA) -> MatrixSubspace:
     the first n1^2 unknowns, row-major as Matrix.flatten stores them, so
     deleting every later column sets the deeper blocks to zero; the
     kernel over the n1^2 columns left is the space in its RREF basis.
+    In the system's reversed numbering those unknowns hold the last n1^2
+    keys, which shifted down by the rest are already the reversed keys of
+    the cut system.
     """
     n1 = a.layer_dim(1)
-    rows, _, _ = _leibniz_system(a, 0, [])
-    cut = [{j: v for j, v in r.items() if j < n1 * n1} for r in rows]
+    rows, _, total = _leibniz_system(a, 0, [])
+    off = total - n1 * n1
+    cut = [{j - off: v for j, v in r.items() if j >= off} for r in rows]
     return MatrixSubspace._from_span(n1, _integer_kernel(cut, n1 * n1))
 
 

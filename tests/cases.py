@@ -6,10 +6,12 @@ algebras and one whose infinite type shows only over the closure,
 seeded signed permutations of a basis, the algebras of all
 three kinds that carry a rational rank 1 witness, seeded random
 block basis changes, and algebras that break Jacobi, the grading,
-generation or nondegeneracy.
+generation or nondegeneracy; and a counter of Fraction constructions.
 """
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from gnla import GNLA, Matrix, catalog, change_basis, rank1_witness, validate
@@ -148,3 +150,27 @@ def table_cases(seed):
              {(0, 1): [(3, 1)]}),
     ]
     return algebras
+
+
+@contextmanager
+def fraction_constructions():
+    """Count the Fractions constructed inside the block: a profile hook
+    sees every call of Fraction.__new__, and of the constructor that
+    Fraction arithmetic takes where the Python version has one.  Yields
+    a one-item list that holds the count."""
+    codes = {Fraction.__new__.__code__}
+    coprime = getattr(Fraction, "_from_coprime_ints", None)
+    if coprime is not None:
+        codes.add(coprime.__func__.__code__)
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            count[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield count
+    finally:
+        sys.setprofile(previous)

@@ -252,12 +252,13 @@ def test_quotient_of_chain():
 
 def test_quotient_by_non_ideal_fails_validation():
     a = goursat_chain(4)
-    # the line through X is not an ideal: [X, Z1] = Z2 escapes, and the
-    # projected brackets no longer generate the deeper layers
+    # the line through X is not an ideal: [X, Z1] = Z2 escapes, so the
+    # quotient refuses it rather than return an algebra that fails
+    # generation and nondegeneracy
     bad = Subspace(a.dim, [a.basis_vector(0)])
     reps = [a.basis_vector(i) for i in range(1, a.dim)]
-    q = quotient(a, bad, reps, ["Z1", "Z2", "Z3"])
-    assert not validate(q).structural_ok
+    with pytest.raises(ValueError, match="subspace is not an ideal"):
+        quotient(a, bad, reps, ["Z1", "Z2", "Z3"])
 
 
 def test_quotient_needs_complement():

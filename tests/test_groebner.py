@@ -355,6 +355,37 @@ def test_only_trivial_zero_leaves_the_reduced_basis_to_groebner():
         assert only_trivial_zero(ideal) == answer, a.name
 
 
+def test_row_reduction_stops_once_the_minors_span_every_monomial(
+        monkeypatch):
+    """On kgen5 and kgen7 the minors outnumber the quadrics they use and
+    span them all: the row reduction's pass stops before the last
+    generator, and its basis equals the one of a pass over every row."""
+    from gnla import linalg
+
+    seen = []
+    echelon = linalg._echelon
+
+    def spy(rows, bound=None):
+        rows = list(rows)
+        pivots, trail = echelon(rows, bound)
+        seen.append((len(rows), len(trail), len(pivots)))
+        return pivots, trail
+
+    for k in (5, 7):
+        gens = minor_ideal(catalog("kgen", k=k)).generators
+        monos = {e for g in gens for e in g._ints}
+        monkeypatch.setattr(linalg, "_echelon", spy)
+        seen.clear()
+        got = gnla.groebner._row_reduced(gens)
+        monkeypatch.undo()
+        ((rows, passed, rank),) = seen
+        assert rank == len(monos) < rows and passed < rows, (k, seen)
+        monkeypatch.setattr(gnla.groebner, "_reduced",
+                            lambda rows, bound=None: linalg._reduced(rows))
+        assert got == gnla.groebner._row_reduced(gens), k
+        monkeypatch.undo()
+
+
 def test_only_trivial_zero_shortcut_stays_within_the_degree_cap():
     """Quadric generators within the cap answer from their leading terms
     even where the pair loop would pass the cap; past the cap the pair

@@ -13,6 +13,7 @@ from gnla.linalg import (
     _integer_kernel,
     _integer_row,
     _kernel,
+    _kernel_rows,
     _reduced,
     frac,
     independent_rows,
@@ -152,19 +153,22 @@ def test_independent_rows_matches_growing_a_subspace():
 def test_rref_of_a_prolongation_system_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     systems = []
-    kernel = prolongation._integer_kernel
+    kernel = prolongation._kernel_rows
 
     def capture(rows, ncols):
-        systems.append((rows, ncols))
+        # the kernel owns its rows: keep them as they came
+        systems.append(([dict(r) for r in rows], ncols))
         return kernel(rows, ncols)
 
-    monkeypatch.setattr(prolongation, "_integer_kernel", capture)
+    monkeypatch.setattr(prolongation, "_kernel_rows", capture)
     a = catalog("heisenberg", dim=5)
     g0 = prolong_layer(a, 0, [])
     systems.clear()
     prolong_layer(a, 1, [g0])
     ((rows, ncols),) = systems
-    m = Matrix([[row.get(j, 0) for j in range(ncols)] for row in rows])
+    # unknown j sits at key ncols - 1 - j
+    m = Matrix([[row.get(ncols - 1 - j, 0) for j in range(ncols)]
+                for row in rows])
     assert (m.nrows, m.ncols) == (28, 48)
     reduced, pivots = m.rref()
     oracle, oracle_pivots = sympy.Matrix(
@@ -454,20 +458,21 @@ def test_kernel_takes_dict_rows_like_dense_rows():
 
 
 def test_kernel_eliminates_once(monkeypatch):
-    """One _reduced call per kernel: _kernel on the kernel cases and
-    _integer_kernel on the heisenberg5 integer Leibniz systems of degrees
-    0-2, which it leaves unchanged, with the same basis as the oracle,
-    and the sparse rows the subspace keeps equal its basis."""
+    """One _reduced call per kernel: _kernel on the kernel cases, which it
+    leaves unchanged, and _integer_kernel on the heisenberg5 integer
+    Leibniz systems of degrees 0-2, which it owns and so is handed a
+    copy of, with the same basis as the oracle, and the sparse rows the
+    subspace keeps equal its basis."""
     from gnla import linalg
 
     systems = []
-    kernel = prolongation._integer_kernel
+    kernel = prolongation._kernel_rows
 
     def capture(rows, ncols):
-        systems.append((rows, ncols))
+        systems.append(([dict(r) for r in rows], ncols))
         return kernel(rows, ncols)
 
-    monkeypatch.setattr(prolongation, "_integer_kernel", capture)
+    monkeypatch.setattr(prolongation, "_kernel_rows", capture)
     a = catalog("heisenberg", dim=5)
     layers = []
     for k in range(3):
@@ -482,19 +487,21 @@ def test_kernel_eliminates_once(monkeypatch):
     calls = []
     reduced = linalg._reduced
 
-    def counted(rows):
+    def counted(rows, bound=None):
         calls.append(1)
-        return reduced(rows)
+        return reduced(rows, bound)
 
     monkeypatch.setattr(linalg, "_reduced", counted)
     for entry, rows, ncols in cases:
         calls.clear()
         before = repr(rows)
-        got = entry(rows, ncols)
+        got = entry(rows if entry is _kernel else [dict(r) for r in rows],
+                    ncols)
         assert len(calls) == 1
         assert repr(rows) == before
-        m = Matrix([[row.get(j, 0) for j in range(ncols)] if isinstance(
-            row, dict) else row for row in rows])
+        # the integer rows key unknown j at ncols - 1 - j
+        m = Matrix([[row.get(ncols - 1 - j, 0) for j in range(ncols)]
+                    if isinstance(row, dict) else row for row in rows])
         if m.nrows:
             assert got == reference_kernel_basis(m)
         rebuilt = []
@@ -508,6 +515,14 @@ def test_kernel_eliminates_once(monkeypatch):
         assert tuple(rebuilt) == got.basis
 
 
+def reversed_integer_rows(m):
+    """The rows of m scaled to integers by _integer_row, unknown j keyed
+    at ncols - 1 - j as the integer kernel takes them."""
+    last = m.ncols - 1
+    return [{last - j: v for j, v in _integer_row(r)[0].items()}
+            for r in m.rows]
+
+
 def test_integer_kernel_matches_kernel_in_any_row_order():
     """_integer_kernel of the rows _kernel scales to integers gives the
     same subspace, and so does either entry on the rows shuffled: the
@@ -515,12 +530,32 @@ def test_integer_kernel_matches_kernel_in_any_row_order():
     rng = random.Random(59)
     for m in kernel_cases(rng):
         want = _kernel(m.rows, m.ncols)
-        ints = [_integer_row(r)[0] for r in m.rows]
-        assert _integer_kernel(ints, m.ncols) == want
+        assert _integer_kernel(reversed_integer_rows(m), m.ncols) == want
         order = list(range(m.nrows))
         rng.shuffle(order)
         assert _kernel([m.rows[i] for i in order], m.ncols) == want
+        ints = reversed_integer_rows(m)
         assert _integer_kernel([ints[i] for i in order], m.ncols) == want
+
+
+def test_kernel_rows_are_the_rref_over_least_denominators():
+    """Each integer kernel row is the oracle's RREF basis vector times
+    its least positive denominator, entries in increasing unknown with
+    no zero, and _integer_kernel is its Fraction view."""
+    from math import gcd
+
+    rng = random.Random(61)
+    for m in kernel_cases(rng):
+        got = _kernel_rows(reversed_integer_rows(m), m.ncols)
+        want = reference_kernel_basis(m)
+        assert len(got) == want.dim
+        for (entries, den), v in zip(got, want.basis):
+            assert type(den) is int and den > 0
+            assert all(type(x) is int and x for _, x in entries)
+            assert [j for j, _ in entries] == sorted(j for j, _ in entries)
+            assert gcd(den, *(x for _, x in entries)) == 1
+            assert _integer_row(v) == (dict(entries), den)
+        assert _integer_kernel(reversed_integer_rows(m), m.ncols) == want
 
 
 def test_solve_consistent_and_inconsistent():

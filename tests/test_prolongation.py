@@ -10,6 +10,7 @@ import pytest
 from cases import (
     catalog_algebras,
     closure_example,
+    fraction_constructions,
     full_block_change,
     random_two_step,
     signed_permutation,
@@ -227,13 +228,13 @@ def test_prolong_layer_matches_the_dense_builder(monkeypatch):
     every pencil and seeded random 2-step algebras, and on a signed
     permutation of each; each chain is fed its own lower layers."""
     rows_seen = []
-    kernel = prolongation._integer_kernel
+    kernel = prolongation._kernel_rows
 
     def count_rows(rows, ncols):
         rows_seen.append(len(rows))
         return kernel(rows, ncols)
 
-    monkeypatch.setattr(prolongation, "_integer_kernel", count_rows)
+    monkeypatch.setattr(prolongation, "_kernel_rows", count_rows)
     rng = random.Random(4247)
     algebras = catalog_algebras()
     algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5) * 2]
@@ -315,16 +316,17 @@ def test_column_view_matches_the_dense_blocks():
 
 def test_chains_build_no_dense_blocks_or_bases(monkeypatch):
     """A classify_by_iteration chain and a prolong_layer chain leave every
-    map's blocks and every kernel's dense basis unbuilt; a read builds
-    and caches them."""
+    map's blocks unbuilt, each map storing its integer kernel row as read
+    off; a read builds and caches the blocks, and the Fraction entries
+    give the map back."""
     kernels = []
-    kernel = prolongation._integer_kernel
+    kernel = prolongation._kernel_rows
 
     def capture(rows, ncols):
         kernels.append(kernel(rows, ncols))
         return kernels[-1]
 
-    monkeypatch.setattr(prolongation, "_integer_kernel", capture)
+    monkeypatch.setattr(prolongation, "_kernel_rows", capture)
     verdict = classify_by_iteration(catalog("kgen", k=4))
     a = catalog("mixedjet", k=4)
     layers = []
@@ -333,9 +335,18 @@ def test_chains_build_no_dense_blocks_or_bases(monkeypatch):
     maps = [g for lay in verdict.layers + tuple(layers) for g in lay.maps]
     assert len(kernels) == 9 and len(maps) == 77
     assert not any(hasattr(g, "_blocks") for g in maps)
-    assert not any(hasattr(s, "_basis") for s in kernels)
+    assert all(g._ints is ints and g._den == den for g, (ints, den) in zip(
+        maps, (row for rows in kernels for row in rows)))
     assert maps[-1].blocks is maps[-1].blocks
-    assert kernels[-1].basis is kernels[-1].basis
+    g = maps[-1]
+    assert map_of_entries(g.degree, g._shapes, dict(g._entries)) == g
+
+
+def map_of_entries(k, shapes, entries):
+    """The degree k map of the given shapes with the Fraction entries
+    {flat index: value}, zeros dropped, in its stored integer form."""
+    ints, den = _integer_row(dict(sorted(entries.items())))
+    return GradedMap._trusted(k, shapes, tuple(ints.items()), den)
 
 
 def reference_leibniz_failures(a, lower, phi):
@@ -425,8 +436,7 @@ def test_leibniz_failures_matches_the_dense_check_and_builds_no_blocks():
                     c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                     for u, v in g._entries:
                         combo[u] = combo.get(u, 0) + c * v
-                phi = GradedMap._trusted(k, lay.maps[0]._shapes, tuple(
-                    (u, v) for u, v in sorted(combo.items()) if v))
+                phi = map_of_entries(k, lay.maps[0]._shapes, combo)
                 assert leibniz_failures(a, lower, phi) == []
                 assert reference_leibniz_failures(a, lower, phi) == []
 
@@ -453,8 +463,7 @@ def test_leibniz_failures_reports_perturbed_maps():
             for u in rng.sample(range(total), min(total, 8)):
                 entries = dict(phi._entries)
                 entries[u] = entries.get(u, 0) + 1
-                moved = GradedMap._trusted(k, phi._shapes, tuple(
-                    (w, v) for w, v in sorted(entries.items()) if v))
+                moved = map_of_entries(k, phi._shapes, entries)
                 got = leibniz_failures(a, layers, moved)
                 assert got == reference_leibniz_failures(a, layers, moved)
                 assert bool(got) != span.contains(unit_vector(total, u)), (
@@ -480,8 +489,9 @@ def test_non_integer_constants_reach_the_integer_rows():
     non-integer structure constants, in some bracket with distinct
     denominators.  Through g2, every Leibniz row has int values and equals
     _integer_row of the dense builder's nonzero row in the same place,
-    the layers equal the dense builder's, the column view equals the one
-    read off the dense blocks, and every map passes the Leibniz check."""
+    keyed in reverse, the layers equal the dense builder's, the column
+    view equals the one read off the dense blocks, and every map passes
+    the Leibniz check."""
     scales = [Fraction(1, 2), Fraction(3, 5), Fraction(-2), Fraction(7, 3),
               Fraction(-5, 4), Fraction(1), Fraction(2, 9)]
     algebras = [rescaled(a, scales[s:] + scales[:s]) for s, a in enumerate([
@@ -500,12 +510,14 @@ def test_non_integer_constants_reach_the_integer_rows():
                    for _, c in terms), a.name
         layers, ref_layers = [], []
         for k in range(3):
-            rows, _, _ = _leibniz_system(a, k, layers)
+            rows, _, total = _leibniz_system(a, k, layers)
             ref, ref_rows = reference_prolong_layer(a, k, ref_layers)
             ref_rows = [r for r in ref_rows if any(r)]
             assert all(type(v) is int and v for r in rows
                        for v in r.values()), (a.name, k)
-            assert rows == [_integer_row(r)[0] for r in ref_rows], (a.name, k)
+            assert rows == [
+                {total - 1 - u: v for u, v in _integer_row(r)[0].items()}
+                for r in ref_rows], (a.name, k)
             scaled_rows += sum(_integer_row(r)[1] > 1 for r in ref_rows)
             lay = prolong_layer(a, k, layers)
             assert [g.blocks for g in lay.maps] == [
@@ -518,16 +530,79 @@ def test_non_integer_constants_reach_the_integer_rows():
     assert scaled_rows > 100
 
 
+def test_chains_construct_no_fraction():
+    """The chains heisenberg5 g0-g3, mixedjet4 g0-g4 and kgen4 to its zero
+    layer construct no Fraction; every map equals the one its own blocks
+    give, with the same hash."""
+    for a, top in ((catalog("heisenberg", dim=5), 3),
+                   (catalog("mixedjet", k=4), 4),
+                   (catalog("kgen", k=4), None)):
+        layers = []
+        with fraction_constructions() as made:
+            for k in range(9):
+                layers.append(prolong_layer(a, k, layers))
+                if k == top or layers[-1].dim == 0:
+                    break
+        assert made == [0], a.name
+        if top is None:
+            assert layers[-1].dim == 0, a.name
+        else:
+            assert len(layers) == top + 1, a.name
+        for k, lay in enumerate(layers):
+            for g in lay.maps:
+                rebuilt = GradedMap(k, g.blocks)
+                assert rebuilt == g and g == rebuilt, (a.name, k)
+                assert hash(rebuilt) == hash(g), (a.name, k)
+
+
+def test_zero_layers_stop_at_full_column_rank(monkeypatch):
+    """The kernel pass of free2step3 g3, kgen4 g3 and kgen6 g1 stops once
+    its pivots cover the unknowns, before the last row, and each of those
+    layers is zero."""
+    from gnla import linalg
+
+    seen = []
+    echelon = linalg._echelon
+
+    def spy(rows, bound=None):
+        rows = list(rows)
+        pivots, trail = echelon(rows, bound)
+        seen.append((len(rows), len(trail), len(pivots), bound))
+        return pivots, trail
+
+    for a, top in ((catalog("free2step3"), 3), (catalog("kgen", k=4), 3),
+                   (catalog("kgen", k=6), 1)):
+        layers = []
+        for k in range(top):
+            layers.append(prolong_layer(a, k, layers))
+        monkeypatch.setattr(linalg, "_echelon", spy)
+        seen.clear()
+        lay = prolong_layer(a, top, layers)
+        monkeypatch.undo()
+        ((rows, passed, rank, unknowns),) = seen
+        assert lay.dim == 0 and rank == unknowns, (a.name, seen)
+        assert passed < rows, (a.name, seen)
+
+
 def test_h0_and_iteration_verdicts_copy_and_pickle():
-    """h0's MatrixSubspace and an IterationVerdict survive copy, deepcopy
-    and a pickle round trip, equal to the original."""
+    """h0's MatrixSubspace, an IterationVerdict and a prolongation layer
+    survive copy, deepcopy and a pickle round trip, equal to the
+    original; the layer's maps keep their integer entries and their
+    denominators, some of them past 1."""
     space = h0(catalog("heisenberg", dim=5))
     verdict = classify_by_iteration(catalog("kgen", k=4))
     verdict.layers[1]._columns
-    for obj in (space, verdict):
+    a = catalog("heisenberg", dim=5)
+    lay = prolong_layer(a, 1, [prolong_layer(a, 0, [])])
+    assert any(g._den > 1 for g in lay.maps)
+    for obj in (space, verdict, lay):
         for twin in (copy.copy(obj), copy.deepcopy(obj),
                      pickle.loads(pickle.dumps(obj))):
             assert twin == obj
+    for twin in (copy.deepcopy(lay), pickle.loads(pickle.dumps(lay))):
+        assert [(g._ints, g._den) for g in twin.maps] == [
+            (g._ints, g._den) for g in lay.maps]
+        assert twin._columns == lay._columns
     twin = pickle.loads(pickle.dumps(space))
     assert twin.basis == space.basis and twin.span._rows == space.span._rows
     assert twin.contains(space.basis[-1])
