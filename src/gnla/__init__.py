@@ -77,13 +77,19 @@ from .groebner import (
     normal_form,
     only_trivial_zero,
 )
-from .linalg import Matrix, Subspace, frac, kernel_basis, solve, vector
+from .linalg import (
+    Matrix,
+    MatrixSubspace,
+    Subspace,
+    frac,
+    kernel_basis,
+    solve,
+    vector,
+)
 from .prolongation import (
     GradedMap,
     IterationVerdict,
-    MatrixSubspace,
     ProlongationLayer,
-    apply_layer_element,
     classify_by_iteration,
     der0,
     h0,
@@ -110,9 +116,10 @@ __all__ = [
     "pencil_block", "pfaffian", "special_extension",
     "CapExceeded", "Polynomial", "PolynomialIdeal", "buchberger",
     "grevlex_key", "normal_form", "only_trivial_zero",
-    "Matrix", "Subspace", "frac", "kernel_basis", "solve", "vector",
-    "GradedMap", "IterationVerdict", "MatrixSubspace", "ProlongationLayer",
-    "apply_layer_element", "classify_by_iteration", "der0", "h0",
+    "Matrix", "MatrixSubspace", "Subspace", "frac", "kernel_basis", "solve",
+    "vector",
+    "GradedMap", "IterationVerdict", "ProlongationLayer",
+    "classify_by_iteration", "der0", "h0",
     "h0_as_graded_map", "leibniz_failures", "prolong_layer",
     "__version__",
 ]

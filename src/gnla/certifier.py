@@ -66,18 +66,19 @@ from .groebner import (
 )
 from .linalg import (
     Matrix,
+    MatrixSubspace,
     Vector,
     _densified,
     _kernel,
     _kernel_rows,
     _rank,
+    _reversed_rows,
     independent_rows,
     is_zero_vector,
     vector,
 )
 from .prolongation import (
     GradedMap,
-    MatrixSubspace,
     classify_by_iteration,
     h0_as_graded_map,
     leibniz_failures,
@@ -263,9 +264,7 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
             if pf[-1] == 0:
                 candidates.append((0, 1))
     for s, t in candidates:
-        rows = [{n - 1 - j: x for j, x in enumerate(r) if x}
-                for r in member(s, t)]
-        coords, den = _kernel_rows(rows, n)[0]
+        coords, den = _kernel_rows(_reversed_rows(member(s, t), n), n)[0]
         if _rank_one([sum(v * m[i][j] for i, v in coords)
                       for j in range(n)] for m in (big_p, big_q)):
             return a.embed_layer(1, _densified(

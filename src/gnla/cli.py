@@ -511,9 +511,6 @@ def cmd_cohomology(args) -> int:
     if bad:
         return bad
     pos1 = base.layer_positions(1)
-    if not pos1:
-        print("gnla: base has no degree -1 layer", file=sys.stderr)
-        return 1
     w = Subspace(base.dim, [base.basis_vector(p) for p in pos1[1:]])
     dim, reps = h2_0(base, w, args.s)
     rep_lines = [serialize_cocycle(c, base).splitlines() for c in reps]

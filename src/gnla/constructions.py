@@ -7,7 +7,10 @@ classified by the degree 0 part of H^2(n, V).  Skew matrix pencils give
 the metabelian (2-step) examples; the canonical blocks below assemble
 any such pencil from minimal indices and elementary divisors.  The
 module ends with a catalog of named algebras used throughout the tests
-and the CLI.
+and the CLI.  It imports only algebra and linalg, so its checkers
+(special_extension, _pfaffian, _interpolated, _poly_divmod and
+_rational_roots) run without the prolongation solver or the Groebner
+code.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .algebra import GNLA, _jacobi_failures, change_basis, layer, validate
 from .linalg import (
     Matrix,
+    MatrixSubspace,
     Subspace,
     Vector,
     _combined,
     _det,
-    _integer_row,
     _kernel,
     _kernel_rows,
+    _reversed_rows,
     _rref_rows,
     frac,
     independent_rows,
@@ -38,7 +42,6 @@ from .linalg import (
     vector,
     zero_vector,
 )
-from .prolongation import MatrixSubspace
 
 # the most basis vectors a catalog, pencil, parsed or extension algebra
 # may have; larger inputs are rejected before anything is built
@@ -130,10 +133,10 @@ def _module_covector(base: GNLA, w: Subspace, x_vec: Vector) -> Vector:
     the degree -1 layer: the one kernel vector k of W's rows in degree
     -1 coordinates, read off as integers, divided by k(x)."""
     pos1 = base.layer_positions(1)
-    last = len(pos1) - 1
-    index = {p: last - i for i, p in enumerate(pos1)}
-    ((k, _),) = _kernel_rows([_integer_row({index[p]: e for p, e in r})[0]
-                              for r in w._rows], len(pos1))
+    n = len(pos1)
+    index = {p: i for i, p in enumerate(pos1)}
+    ((k, _),) = _kernel_rows(_reversed_rows(
+        [{index[p]: e for p, e in r} for r in w._rows], n), n)
     value = sum(v * x_vec[pos1[i]] for i, v in k)
     if not value:
         raise ValueError("transversal lies in the hyperplane")

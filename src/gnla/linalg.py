@@ -21,15 +21,22 @@ already are the RREF.  The read-off stays integer (_kernel_rows), each
 vector its integer entries over its least positive denominator; a caller
 that numbers its unknowns in reverse (the Leibniz systems) hands its
 rows over as built, and _integer_kernel is the Fraction view of the
-read-off.  A kernel's pass stops once the pivots cover the unknowns, as
-a rank's stops at its bound.  Frozen is the one base of the package's
-immutable slotted values (Matrix, Subspace, GNLA, GradedMap and
-Polynomial): it refuses assignment, builds trusted instances and
-restores copied or pickled slots.
+read-off.  Every other caller's rows, dense or {col: value}, reach it
+through _reversed_rows, the one other place that writes the numbering.
+A kernel's pass stops once the pivots cover the unknowns, as a rank's
+stops at its bound.  Frozen is the one base of the package's immutable
+slotted values (Matrix, Subspace, GNLA, GradedMap and Polynomial): it
+refuses assignment, builds trusted instances and restores copied or
+pickled slots.  MatrixSubspace, a space of square matrices stored as the
+Subspace of their flattened entries, is h0's type and the checkers'
+input; it lives here so that the checkers need not import the
+prolongation solver.  This module imports no other module of the
+package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -520,14 +527,19 @@ def _integer_kernel(rows, ncols: int) -> Subspace:
         for entries, den in _kernel_rows(rows, ncols)))
 
 
+def _reversed_rows(rows, ncols: int):
+    """Rows in ncols unknowns, dense or {col: value}, as the rows
+    _kernel_rows takes: each scaled to integers once by _integer_row and
+    keyed in reverse, unknown j at key ncols - 1 - j."""
+    last = ncols - 1
+    return [{last - j: v for j, v in _integer_row(r)[0].items()}
+            for r in rows]
+
+
 def _kernel(rows, ncols: int) -> Subspace:
     """The solution space of a system in ncols unknowns, rows dense or
-    {col: value}, with its RREF basis: each row is scaled to integers once
-    by _integer_row and keyed in reverse for _integer_kernel."""
-    last = ncols - 1
-    rows = [{last - j: v for j, v in _integer_row(r)[0].items()}
-            for r in rows]
-    return _integer_kernel(rows, ncols)
+    {col: value}, with its RREF basis."""
+    return _integer_kernel(_reversed_rows(rows, ncols), ncols)
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -549,6 +561,41 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
         if r[-1][0] == n:
             x[r[0][0]] = r[-1][1]
     return tuple(x)
+
+
+@dataclass(frozen=True)
+class MatrixSubspace:
+    """A subspace of square matrices with an RREF basis over flat entries."""
+    side: int
+    basis: Tuple[Matrix, ...]
+    span: Subspace
+
+    @classmethod
+    def from_matrices(cls, side: int, mats: Sequence[Matrix]) -> "MatrixSubspace":
+        for m in mats:
+            if (m.nrows, m.ncols) != (side, side):
+                raise ValueError("matrix side mismatch")
+        return cls._from_span(
+            side, Subspace(side * side, [m.flatten() for m in mats]))
+
+    @classmethod
+    def _from_span(cls, side: int, span: Subspace) -> "MatrixSubspace":
+        """The subspace of the matrices flattened into the rows of span."""
+        basis = tuple(_unflattened(row, side, side) for row in span.basis)
+        return cls(side=side, basis=basis, span=span)
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def contains(self, m: Matrix) -> bool:
+        return self.span.contains(m.flatten())
+
+
+def _unflattened(seg: Sequence, nrows: int, ncols: int) -> Matrix:
+    """The nrows x ncols matrix whose rows concatenate to seg."""
+    return Matrix._trusted(tuple(tuple(seg[r * ncols:(r + 1) * ncols])
+                                 for r in range(nrows)))
 
 
 def _combined(coeffs: Subspace, basis, n: int) -> Subspace:

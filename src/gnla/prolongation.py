@@ -21,7 +21,8 @@ when read.  The next degree's system reads only the layer's column view,
 for each (block, source column) its nonzero entries grouped by target
 row as integers over one denominator in lowest terms, derived from the
 same integer rows.  h0 is the degree 0 system cut to the columns of its
-m_{-1} block.
+m_{-1} block, returned as a linalg.MatrixSubspace.  The module imports
+only algebra and linalg.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GNLA
-from .linalg import (Frozen, Matrix, Subspace, Vector, _integer_kernel,
-                     _integer_row, _kernel_rows)
+from .linalg import (Frozen, Matrix, MatrixSubspace, _integer_kernel,
+                     _integer_row, _kernel_rows, _unflattened)
 
 
 class GradedMap(Frozen):
@@ -93,12 +94,6 @@ class GradedMap(Frozen):
 
     def block(self, i: int) -> Optional[Matrix]:
         return self.blocks.get(i)
-
-    def apply_to_layer(self, i: int, coords: Sequence) -> Vector:
-        b = self.blocks.get(i)
-        if b is None or b.nrows == 0:
-            return ()
-        return b.apply(coords)
 
     def is_zero(self) -> bool:
         return not self._ints
@@ -170,41 +165,6 @@ def _grouped(by_row: Dict[int, List]) -> List:
     return groups
 
 
-@dataclass(frozen=True)
-class MatrixSubspace:
-    """A subspace of square matrices with an RREF basis over flat entries."""
-    side: int
-    basis: Tuple[Matrix, ...]
-    span: Subspace
-
-    @classmethod
-    def from_matrices(cls, side: int, mats: Sequence[Matrix]) -> "MatrixSubspace":
-        for m in mats:
-            if (m.nrows, m.ncols) != (side, side):
-                raise ValueError("matrix side mismatch")
-        return cls._from_span(
-            side, Subspace(side * side, [m.flatten() for m in mats]))
-
-    @classmethod
-    def _from_span(cls, side: int, span: Subspace) -> "MatrixSubspace":
-        """The subspace of the matrices flattened into the rows of span."""
-        basis = tuple(_unflattened(row, side, side) for row in span.basis)
-        return cls(side=side, basis=basis, span=span)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, m: Matrix) -> bool:
-        return self.span.contains(m.flatten())
-
-
-def _unflattened(seg: Sequence, nrows: int, ncols: int) -> Matrix:
-    """The nrows x ncols matrix whose rows concatenate to seg."""
-    return Matrix._trusted(tuple(tuple(seg[r * ncols:(r + 1) * ncols])
-                                 for r in range(nrows)))
-
-
 def _target_dim(a: GNLA, lower: Sequence[ProlongationLayer], degree: int) -> int:
     """Dimension of the graded piece of the prolongation at this degree."""
     if degree < 0:
@@ -224,26 +184,6 @@ def _block_shapes(a: GNLA, lower: Sequence[ProlongationLayer],
         if src > 0 and tgt > 0:
             shapes.append((i, tgt, src))
     return tuple(shapes)
-
-
-def apply_layer_element(a: GNLA, lower: Sequence[ProlongationLayer],
-                        degree: int, coeffs: Sequence,
-                        src_layer: int, src_coords: Sequence) -> Vector:
-    """Evaluate an element of g_degree (coefficients over the layer basis)
-    on an element of the degree -src_layer part of the algebra.
-
-    Returns coordinates in the target of degree degree - src_layer.
-    """
-    tgt = _target_dim(a, lower, degree - src_layer)
-    out = [Fraction(0)] * tgt
-    layer_obj = lower[degree]
-    for c, psi in zip(coeffs, layer_obj.maps):
-        if c == 0:
-            continue
-        val = psi.apply_to_layer(src_layer, src_coords)
-        for r, v in enumerate(val):
-            out[r] += c * v
-    return tuple(out)
 
 
 def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):

@@ -432,6 +432,10 @@ def test_run_cohomology(tmp_path, capsys):
     d = json.loads(capsys.readouterr().out)
     assert d["dim"] == 0
     assert d["representatives"] == []
+    # a base without a degree -1 layer is not generated by it
+    flat = write(tmp_path, "z.alg", "algebra z\nbasis Z:-2\n")
+    assert run(["cohomology", flat, "--s", "2"]) == 1
+    assert "generated check failed" in capsys.readouterr().err
 
 
 def test_run_cohomology_output_feeds_extend(tmp_path, capsys):

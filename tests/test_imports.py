@@ -1,8 +1,11 @@
 """Every name a gnla module imports with `from ... import` is used, every
 module-level function and class is exported or used, only linalg.Frozen
-decides immutability and only linalg solves densely."""
+decides immutability, only linalg solves densely, each module imports
+only the package modules below it and the package imports only the
+standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import gnla
@@ -202,3 +205,104 @@ def test_dense_solve_call_detector():
     assert dense_solve_calls(sources) == [
         ("a.py", 3, "solve"), ("a.py", 4, "from_columns"),
         ("a.py", 4, "solve")]
+
+
+# The package modules each module may import.  __init__ re-exports every
+# module and is not listed.
+ALLOWED_IMPORTS = {
+    "linalg": set(),
+    "algebra": {"linalg"},
+    "groebner": {"linalg"},
+    "prolongation": {"algebra", "linalg"},
+    "constructions": {"algebra", "linalg"},
+    "certifier": {"algebra", "constructions", "groebner", "linalg",
+                  "prolongation"},
+    "cli": {"algebra", "certifier", "constructions", "groebner", "linalg",
+            "prolongation"},
+}
+
+
+def import_graph_violations(sources, allowed):
+    """The (module, line, imported) of each relative import of a package
+    module that allowed does not list for the importing module, over
+    module file names mapped to their text; __init__.py is skipped.
+
+    `from .m import x` imports m and `from . import m` imports m.  An
+    absolute import of the package itself is not stdlib, so the
+    stdlib-only check refuses it and only relative imports are read
+    here."""
+    found = []
+    for module, source in sources.items():
+        name = module[:-len(".py")]
+        if name == "__init__":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = ([node.module] if node.module
+                           else [alias.name for alias in node.names])
+                found += [(module, node.lineno, t) for t in targets
+                          if t not in allowed[name]]
+    return sorted(found)
+
+
+def non_stdlib_imports(sources):
+    """The (module, line, imported) of each absolute import whose top
+    level name is not in sys.stdlib_module_names, over module file names
+    mapped to their text."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(module, node.lineno, n) for n in names
+                      if n.split(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
+def test_modules_import_only_the_modules_below_them():
+    """The checkers (constructions, and the linalg and algebra below it)
+    run without the prolongation solver or the Groebner code, so a
+    certificate can be checked by code that shares neither.  The guard
+    reads the sources: importing any gnla module runs __init__, which
+    loads them all, so a runtime check would prove nothing."""
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert set(sources) == {m + ".py" for m in ALLOWED_IMPORTS} | {
+        "__init__.py"}
+    assert import_graph_violations(sources, ALLOWED_IMPORTS) == []
+
+
+def test_package_imports_only_the_standard_library():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert non_stdlib_imports(sources) == []
+
+
+IMPORTING_SOURCES = {
+    "__init__.py": "from .prolongation import h0\nimport numpy\n",
+    "constructions.py": ("from __future__ import annotations\n"
+                         "from fractions import Fraction\n"
+                         "from .linalg import Matrix\n"
+                         "from .prolongation import MatrixSubspace\n"
+                         "def f():\n"
+                         "    from . import groebner, algebra\n"),
+    "linalg.py": ("import os.path, sympy\n"
+                  "from numpy.linalg import solve\n"
+                  "from collections import abc\n"),
+}
+
+
+def test_import_graph_detector():
+    assert import_graph_violations(IMPORTING_SOURCES, ALLOWED_IMPORTS) == [
+        ("constructions.py", 4, "prolongation"),
+        ("constructions.py", 6, "groebner")]
+
+
+def test_non_stdlib_import_detector():
+    assert non_stdlib_imports(IMPORTING_SOURCES) == [
+        ("__init__.py", 2, "numpy"), ("linalg.py", 1, "sympy"),
+        ("linalg.py", 2, "numpy.linalg")]

@@ -22,7 +22,6 @@ from gnla import (
     Matrix,
     MatrixSubspace,
     Subspace,
-    apply_layer_element,
     bracket,
     catalog,
     change_basis,
@@ -349,11 +348,34 @@ def map_of_entries(k, shapes, entries):
     return GradedMap._trusted(k, shapes, tuple(ints.items()), den)
 
 
+def reference_apply_layer_element(a, lower, degree, coeffs, src_layer,
+                                  src_coords):
+    """The dense evaluation gnla exported as apply_layer_element, with
+    GradedMap.apply_to_layer inlined as psi.block(i).apply(coords), which
+    builds the dense blocks.  An oracle only.
+
+    Evaluate an element of g_degree (coefficients over the layer basis)
+    on an element of the degree -src_layer part of the algebra.
+
+    Returns coordinates in the target of degree degree - src_layer.
+    """
+    out = [Fraction(0)] * _target_dim(a, lower, degree - src_layer)
+    for c, psi in zip(coeffs, lower[degree].maps):
+        if c == 0:
+            continue
+        b = psi.block(src_layer)
+        if b is None or b.nrows == 0:
+            continue
+        for r, v in enumerate(b.apply(src_coords)):
+            out[r] += c * v
+    return tuple(out)
+
+
 def reference_leibniz_failures(a, lower, phi):
     """The dense Leibniz check gnla used before it read maps sparsely:
     phi's dense block columns, and the lower layers through
-    apply_layer_element, which builds their dense blocks.  An oracle
-    only.
+    reference_apply_layer_element, which builds their dense blocks.  An
+    oracle only.
 
     Re-check the Leibniz identity of a computed map pair by pair.
     """
@@ -376,9 +398,8 @@ def reference_leibniz_failures(a, lower, phi):
             full = a.embed_layer(-d, val)
             out = bracket(a, full, a.basis_vector(pos))
             return d - j, a.layer_coordinates(j - d, out)
-        return d - j, apply_layer_element(a, lower, d, val, j,
-                                          a.layer_coordinates(
-                                              j, a.basis_vector(pos)))
+        return d - j, reference_apply_layer_element(
+            a, lower, d, val, j, a.layer_coordinates(j, a.basis_vector(pos)))
 
     for p in range(a.dim):
         i = -a.degrees[p]
