@@ -36,6 +36,11 @@ from .linalg import (
     vector,
 )
 
+__all__ = [
+    "GNLA", "AdMatrix", "ValidationReport", "ad_matrix", "bracket",
+    "center", "change_basis", "layer", "quotient", "validate",
+]
+
 
 class GNLA(Frozen):
     """A graded nilpotent Lie algebra given by structure constants.

@@ -84,6 +84,13 @@ from .prolongation import (
     leibniz_failures,
 )
 
+__all__ = [
+    "DecompositionResult", "TypeVerdict", "WitnessInvalid", "classify",
+    "decompose_special_extension", "minor_ideal",
+    "rank1_derivation_from_witness", "rank1_in_span", "rank1_witness",
+    "spencer_subspace_check",
+]
+
 
 class WitnessInvalid(Exception):
     """The supplied element does not have a rank 1 adjoint."""

@@ -44,6 +44,12 @@ from .groebner import CapExceeded
 from .linalg import Subspace
 from .prolongation import classify_by_iteration
 
+__all__ = [
+    "DocumentError", "DuplicateBracket", "GradingViolation", "Report",
+    "UnknownLabel", "emit_report", "parse_algebra", "parse_cocycle", "run",
+    "serialize_algebra", "serialize_cocycle",
+]
+
 try:
     VERSION = _pkg_version("gnla")
 except PackageNotFoundError:  # running from a source tree
@@ -541,6 +547,20 @@ def cmd_pencil(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """The argparse type of --max-degree and --degree-cap: an int that is
+    not negative, so a negative budget is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "invalid non-negative int value: %r" % text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gnla",
@@ -559,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("prolong", help="iterate prolongation layers")
     c.add_argument("file")
-    c.add_argument("--max-degree", type=int, required=True)
+    c.add_argument("--max-degree", type=_budget, required=True)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_prolong)
 
@@ -569,8 +589,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Witness vectors are reported in declaration-order "
                     "coordinates of the algebra's basis line.")
     c.add_argument("file")
-    c.add_argument("--max-degree", type=int, default=10)
-    c.add_argument("--degree-cap", type=int, default=12,
+    c.add_argument("--max-degree", type=_budget, default=10)
+    c.add_argument("--degree-cap", type=_budget, default=12,
                    help="Groebner degree cap before giving up")
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_classify)
@@ -636,7 +656,3 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

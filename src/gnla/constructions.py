@@ -43,6 +43,15 @@ from .linalg import (
     zero_vector,
 )
 
+__all__ = [
+    "CATALOG_NAMES", "Cochain2", "DegreeViolation", "ElementaryH0",
+    "ExtensionData", "JacobiViolation", "NotGenerated", "NotSkew",
+    "PencilForm", "PencilSpec", "algebra_from_pencil_spec",
+    "assemble_pencil", "catalog", "coboundary", "det_pencil",
+    "h0_elementary", "h2_0", "metabelian_from_pencil", "p_y_subspace",
+    "pencil_block", "pfaffian", "special_extension",
+]
+
 # the most basis vectors a catalog, pencil, parsed or extension algebra
 # may have; larger inputs are rejected before anything is built
 _MAX_DIM = 256
@@ -88,11 +97,10 @@ class Cochain2:
     pairs are zero.  Only storage and sign bookkeeping live here.
     """
     s: int
-    degree: int
     values: Tuple[Tuple[Tuple[int, int], Vector], ...]
 
     @classmethod
-    def from_dict(cls, s: int, mapping, degree: int = 0) -> "Cochain2":
+    def from_dict(cls, s: int, mapping) -> "Cochain2":
         items = []
         for (i, j), val in sorted(mapping.items()):
             if i >= j:
@@ -102,11 +110,11 @@ class Cochain2:
                 raise ValueError("cochain value length must equal s")
             if not is_zero_vector(val):
                 items.append(((i, j), val))
-        return cls(s=s, degree=degree, values=tuple(items))
+        return cls(s=s, values=tuple(items))
 
     @classmethod
     def zero(cls, s: int) -> "Cochain2":
-        return cls(s=s, degree=0, values=())
+        return cls(s=s, values=())
 
     def as_dict(self) -> Dict[Tuple[int, int], Vector]:
         return {pair: val for pair, val in self.values}

@@ -27,6 +27,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Frozen, _integer_row, _reduced, frac
 
+__all__ = [
+    "CapExceeded", "Polynomial", "PolynomialIdeal", "buchberger",
+    "grevlex_key", "normal_form", "only_trivial_zero",
+]
+
 Exponent = Tuple[int, ...]
 
 

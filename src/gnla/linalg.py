@@ -41,6 +41,11 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+__all__ = [
+    "Matrix", "MatrixSubspace", "Subspace", "frac", "kernel_basis",
+    "solve", "vector",
+]
+
 Scalar = Fraction
 
 Vector = Tuple[Fraction, ...]

@@ -37,6 +37,12 @@ from .algebra import GNLA
 from .linalg import (Frozen, Matrix, MatrixSubspace, _integer_kernel,
                      _integer_row, _kernel_rows, _unflattened)
 
+__all__ = [
+    "GradedMap", "IterationVerdict", "ProlongationLayer",
+    "classify_by_iteration", "der0", "h0", "h0_as_graded_map",
+    "leibniz_failures", "prolong_layer",
+]
+
 
 class GradedMap(Frozen):
     """A degree k graded map given by one matrix block per source layer.

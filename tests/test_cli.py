@@ -1,5 +1,8 @@
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -545,6 +548,47 @@ def test_run_version(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out == "gnla %s\n" % gnla.__version__
     assert gnla.__version__ == gnla.cli.VERSION
+
+
+def test_module_entry_runs_the_cli_without_warnings(tmp_path, capsys):
+    """`python -m gnla` is the command line, warning-free under -W error."""
+    src = str(Path(gnla.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def module_entry(*argv):
+        return subprocess.run([sys.executable, "-W", "error", "-m", "gnla",
+                               *argv], capture_output=True, text=True,
+                              cwd=tmp_path, env=env, timeout=60)
+
+    done = module_entry("--version")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "gnla %s\n" % gnla.__version__, "")
+    argv = ["catalog", "heisenberg", "--param", "dim=3"]
+    done = module_entry(*argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert run(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+
+
+def test_negative_budgets_are_usage_errors(tmp_path, capsys):
+    """--max-degree and --degree-cap take ints that are not negative: a
+    negative one exits 2 naming the option and computes nothing, and a
+    non-integer keeps argparse's int message."""
+    f = write(tmp_path, "free.alg", serialize_algebra(catalog("free2step3")))
+    for argv in (["prolong", f, "--max-degree", "-1"],
+                 ["classify", f, "--max-degree", "-1"],
+                 ["classify", f, "--degree-cap", "-1", "--json"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert ("argument %s: invalid non-negative int value: '-1'"
+                % argv[2]) in err
+    assert run(["prolong", f, "--max-degree", "x"]) == 2
+    assert ("argument --max-degree: invalid int value: 'x'"
+            in capsys.readouterr().err)
+    assert run(["prolong", f, "--max-degree", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]["layers"] == [9]
 
 
 CLOSURE_DOC = """\

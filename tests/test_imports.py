@@ -2,7 +2,8 @@
 module-level function and class is exported or used, only linalg.Frozen
 decides immutability, only linalg solves densely, each module imports
 only the package modules below it and the package imports only the
-standard library."""
+standard library; the package API is pinned, and each re-exported
+module's __all__ lists only names that the module itself defines."""
 
 import ast
 import sys
@@ -208,7 +209,7 @@ def test_dense_solve_call_detector():
 
 
 # The package modules each module may import.  __init__ re-exports every
-# module and is not listed.
+# module and is not listed; __main__ is the `python -m gnla` entry.
 ALLOWED_IMPORTS = {
     "linalg": set(),
     "algebra": {"linalg"},
@@ -219,6 +220,7 @@ ALLOWED_IMPORTS = {
                   "prolongation"},
     "cli": {"algebra", "certifier", "constructions", "groebner", "linalg",
             "prolongation"},
+    "__main__": {"cli"},
 }
 
 
@@ -306,3 +308,134 @@ def test_non_stdlib_import_detector():
     assert non_stdlib_imports(IMPORTING_SOURCES) == [
         ("__init__.py", 2, "numpy"), ("linalg.py", 1, "sympy"),
         ("linalg.py", 2, "numpy.linalg")]
+
+
+# gnla.__all__ as it stands; an API change edits this list in its diff.
+PUBLIC_API = [
+    "GNLA", "AdMatrix", "ValidationReport", "ad_matrix", "bracket",
+    "center", "change_basis", "layer", "quotient", "validate",
+    "DecompositionResult", "TypeVerdict", "WitnessInvalid", "classify",
+    "decompose_special_extension", "minor_ideal",
+    "rank1_derivation_from_witness", "rank1_in_span", "rank1_witness",
+    "spencer_subspace_check",
+    "DocumentError", "DuplicateBracket", "GradingViolation", "Report",
+    "UnknownLabel", "emit_report", "parse_algebra", "parse_cocycle", "run",
+    "serialize_algebra", "serialize_cocycle",
+    "CATALOG_NAMES", "Cochain2", "DegreeViolation", "ElementaryH0",
+    "ExtensionData", "JacobiViolation", "NotGenerated", "NotSkew",
+    "PencilForm", "PencilSpec", "algebra_from_pencil_spec",
+    "assemble_pencil", "catalog", "coboundary", "det_pencil",
+    "h0_elementary", "h2_0", "metabelian_from_pencil", "p_y_subspace",
+    "pencil_block", "pfaffian", "special_extension",
+    "CapExceeded", "Polynomial", "PolynomialIdeal", "buchberger",
+    "grevlex_key", "normal_form", "only_trivial_zero",
+    "Matrix", "MatrixSubspace", "Subspace", "frac", "kernel_basis", "solve",
+    "vector",
+    "GradedMap", "IterationVerdict", "ProlongationLayer",
+    "classify_by_iteration", "der0", "h0",
+    "h0_as_graded_map", "leibniz_failures", "prolong_layer",
+    "__version__",
+]
+
+
+def test_public_api_is_pinned():
+    assert gnla.__all__ == PUBLIC_API
+    assert all(hasattr(gnla, name) for name in PUBLIC_API)
+
+
+def top_level_bindings(tree):
+    """The names a module's top-level statements bind by an import, and
+    those they bind by a def, a class or an assignment, as two sets."""
+    imported, defined = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(n.id for t in node.targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+    return imported, defined
+
+
+def star_imports(source):
+    """The package modules a source star-imports, in order."""
+    return [node.module for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level
+            and node.names[0].name == "*"]
+
+
+def export_violations(sources):
+    """The (module name, listed name, fault) of each bad export of a
+    module that __init__.py star-imports, in its import order, over
+    module file names mapped to their text.
+
+    The module's top-level `__all__ = [...]` must be a list of string
+    literals (else the fault is "not literal", named "__all__"); each
+    name in it must be bound by a def, a class or an assignment
+    ("imported" if an import binds it, "unbound" if nothing does); and
+    no name may be listed twice, in one list or two ("duplicate")."""
+    found, seen = [], set()
+    for module in star_imports(sources["__init__.py"]):
+        tree = ast.parse(sources[module + ".py"])
+        values = [node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)]
+        if not (len(values) == 1 and isinstance(values[0], ast.List)
+                and all(isinstance(e, ast.Constant)
+                        and isinstance(e.value, str)
+                        for e in values[0].elts)):
+            found.append((module, "__all__", "not literal"))
+            continue
+        imported, defined = top_level_bindings(tree)
+        for e in values[0].elts:
+            name = e.value
+            if name in seen:
+                found.append((module, name, "duplicate"))
+            seen.add(name)
+            if name in imported:
+                found.append((module, name, "imported"))
+            elif name not in defined:
+                found.append((module, name, "unbound"))
+    return found
+
+
+def test_each_module_exports_only_what_it_defines():
+    """gnla re-exports the modules' __all__ lists and imports nothing else
+    by name but the modules and __version__, so each public name has one
+    home: the module that defines it (only linalg can export
+    MatrixSubspace, which prolongation imports)."""
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    modules = ["algebra", "certifier", "cli", "constructions", "groebner",
+               "linalg", "prolongation"]
+    assert star_imports(sources["__init__.py"]) == modules
+    imported, _ = top_level_bindings(ast.parse(sources["__init__.py"]))
+    assert imported == set(modules) | {"*", "__version__"}
+    assert export_violations(sources) == []
+
+
+def test_export_detector():
+    sources = {
+        "__init__.py": ("from . import a, b, c\n"
+                        "from .a import *\n"
+                        "from .b import *\n"
+                        "from .c import *\n"
+                        "from .d import x\n"),
+        "a.py": ("from .m import Imported\n"
+                 "__all__ = ['Shared', 'Imported', 'missing', 'f', 'K']\n"
+                 "class Shared: pass\n"
+                 "def f():\n"
+                 "    missing = 1\n"
+                 "K, _k = 1, 2\n"),
+        "b.py": ("__all__ = ['Shared', 'g', 'g']\n"
+                 "Shared = g = None\n"),
+        "c.py": "NAMES = ['h']\n__all__ = NAMES + []\ndef h(): pass\n",
+        "d.py": "__all__ = ['x', 'x']\n",
+    }
+    assert export_violations(sources) == [
+        ("a", "Imported", "imported"), ("a", "missing", "unbound"),
+        ("b", "Shared", "duplicate"), ("b", "g", "duplicate"),
+        ("c", "__all__", "not literal")]
