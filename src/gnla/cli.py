@@ -15,6 +15,7 @@ import json
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib.metadata import PackageNotFoundError
@@ -636,11 +637,18 @@ def run(argv: Sequence[str]) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        # a library warning is a message of the command, also under -W error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return args.func(args)
+            finally:
+                for w in caught:
+                    print("gnla: warning: %s" % w.message, file=sys.stderr)
     except DocumentError as exc:
         print("gnla: %s" % exc, file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print("gnla: %s" % exc, file=sys.stderr)
         return 2
     except CapExceeded as exc:

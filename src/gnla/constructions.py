@@ -4,13 +4,14 @@ A special extension glues a commutative graded ideal V with
 one-dimensional layers onto a base algebra n; the brackets escaping the
 base are a degree 0 two-cocycle, and inequivalent extensions are
 classified by the degree 0 part of H^2(n, V).  Skew matrix pencils give
-the metabelian (2-step) examples; the canonical blocks below assemble
-any such pencil from minimal indices and elementary divisors.  The
-module ends with a catalog of named algebras used throughout the tests
-and the CLI.  It imports only algebra and linalg, so its checkers
-(special_extension, _pfaffian, _interpolated, _poly_divmod and
-_rational_roots) run without the prolongation solver or the Groebner
-code.
+the metabelian (2-step) examples, assembled from canonical blocks (the
+minimal indices M and elementary divisors E and F): one table, _BLOCKS,
+shapes each kind's template, and one writer, _pencil_pair, skew-embeds
+templates block-diagonally.  The module ends with a catalog of named
+algebras used throughout the tests and the CLI.  It imports only
+algebra and linalg, so its checkers (special_extension, _pfaffian,
+_interpolated, _poly_divmod and _rational_roots) run without the
+prolongation solver or the Groebner code.
 """
 
 from __future__ import annotations
@@ -476,16 +477,56 @@ def h2_0(base: GNLA, w: Subspace, s: int) -> Tuple[int, List[Cochain2]]:
 # Skew pencils
 
 
-def _skew_embed(q_rows: List[List[Fraction]], p: int, q: int) -> Matrix:
-    side = p + q
-    rows = [[Fraction(0)] * side for _ in range(side)]
-    for i in range(p):
-        for j in range(q):
-            c = q_rows[i][j]
-            if c != 0:
-                rows[i][p + j] = c
-                rows[p + j][i] = -c
-    return Matrix._trusted(tuple(map(tuple, rows)))
+# per canonical block kind: the name of its size n, the least n, and the
+# offsets from n of (p, q, d_mu, d_lam), its p x q template carrying 1
+# on the anti-diagonals i + j = d_mu of mu and i + j = d_lam of lambda
+_BLOCKS = {
+    "M": ("m", 0, (1, 0, 0, -1)),
+    "E": ("e", 1, (0, 0, -1, 0)),
+    "F": ("f", 1, (0, 0, 0, -1)),
+}
+
+
+def _template(kind: str, param) -> Tuple[list, list]:
+    """The p x q mu and lambda templates of one canonical block, as
+    explicit rows; the E block's lambda adds a times its mu."""
+    if kind not in _BLOCKS:
+        raise ValueError("unknown pencil block kind %r" % kind)
+    size_name, least, offsets = _BLOCKS[kind]
+    if kind == "E":
+        try:
+            n, a = param
+        except TypeError:
+            raise ValueError("E block needs a pair (e, a)") from None
+        n, a = int(n), frac(a)
+    else:
+        n, a = int(param), 0
+    if n < least:
+        raise ValueError("%s block needs %s >= %d" % (kind, size_name, least))
+    p, q, d_mu, d_lam = (n + k for k in offsets)
+    mu = [[Fraction(int(i + j == d_mu)) for j in range(q)] for i in range(p)]
+    lam = [[Fraction(int(i + j == d_lam)) + a * c for j, c in enumerate(row)]
+           for i, row in enumerate(mu)]
+    return mu, lam
+
+
+def _pencil_pair(templates) -> Tuple[Matrix, Matrix]:
+    """The block-diagonal pair (B1, B2) whose blocks are the skew
+    embeddings [[0, T], [-T^t, 0]] of the (mu, lambda) templates, in
+    order; only nonzero template entries are written."""
+    side = sum(len(mu) + len(mu[0]) for mu, _ in templates)
+    pair = [[[Fraction(0)] * side for _ in range(side)] for _ in range(2)]
+    off = 0
+    for block in templates:
+        p = len(block[0])
+        for rows, template in zip(pair, block):
+            for i, row in enumerate(template, off):
+                for j, c in enumerate(row, off + p):
+                    if c != 0:
+                        rows[i][j] = c
+                        rows[j][i] = -c
+        off += p + len(block[0][0])
+    return tuple(Matrix._trusted(tuple(map(tuple, rows))) for rows in pair)
 
 
 def pencil_block(kind: str, param) -> Tuple[Matrix, Matrix]:
@@ -496,41 +537,7 @@ def pencil_block(kind: str, param) -> Tuple[Matrix, Matrix]:
     a (2m+1)-sided pair, "E" takes (e, a) with e >= 1, "F" takes an
     integer f >= 1; E and F have side 2e and 2f.
     """
-    if kind == "M":
-        m = int(param)
-        if m < 0:
-            raise ValueError("M block needs m >= 0")
-        p, q = m + 1, m
-        mu = [[Fraction(1) if i + j == m else Fraction(0)
-               for j in range(q)] for i in range(p)]
-        lam = [[Fraction(1) if i + j == m - 1 else Fraction(0)
-                for j in range(q)] for i in range(p)]
-        return _skew_embed(mu, p, q), _skew_embed(lam, p, q)
-    if kind == "E":
-        try:
-            e, a = param
-        except TypeError:
-            raise ValueError("E block needs a pair (e, a)") from None
-        e = int(e)
-        a = frac(a)
-        if e < 1:
-            raise ValueError("E block needs e >= 1")
-        mu = [[Fraction(1) if i + j == e - 1 else Fraction(0)
-               for j in range(e)] for i in range(e)]
-        lam = [[a if i + j == e - 1 else
-                (Fraction(1) if i + j == e else Fraction(0))
-                for j in range(e)] for i in range(e)]
-        return _skew_embed(mu, e, e), _skew_embed(lam, e, e)
-    if kind == "F":
-        f = int(param)
-        if f < 1:
-            raise ValueError("F block needs f >= 1")
-        mu = [[Fraction(1) if i + j == f else Fraction(0)
-               for j in range(f)] for i in range(f)]
-        lam = [[Fraction(1) if i + j == f - 1 else Fraction(0)
-                for j in range(f)] for i in range(f)]
-        return _skew_embed(mu, f, f), _skew_embed(lam, f, f)
-    raise ValueError("unknown pencil block kind %r" % kind)
+    return _pencil_pair([_template(kind, param)])
 
 
 def metabelian_from_pencil(mats: Sequence[Matrix],
@@ -590,10 +597,12 @@ class PencilSpec:
 
     def __post_init__(self):
         # the algebra has the side plus at most two basis vectors; a
-        # negative size, which pencil_block rejects, counts as zero
+        # negative size, which the builder rejects, and an unknown kind,
+        # which it names, count as zero
         try:
-            side = sum(max(2 * int(p[0] if k == "E" else p) + (k == "M"), 0)
-                       for k, p in self.blocks)
+            side = sum(max(2 * int(p[0] if k == "E" else p)
+                           + sum(_BLOCKS[k][2][:2]), 0)
+                       for k, p in self.blocks if k in _BLOCKS)
         except (TypeError, ValueError):
             raise ValueError("bad pencil block list") from None
         if side + 2 > _MAX_DIM:
@@ -664,35 +673,20 @@ class PencilSpec:
         return "%s%d" % (kind, param)
 
 
-def _block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    side = sum(b.nrows for b in blocks)
-    zero = (Fraction(0),)
-    rows = []
-    for b in blocks:
-        off = len(rows)
-        rows += [zero * off + r + zero * (side - off - b.ncols) for r in b.rows]
-    return Matrix._trusted(tuple(rows))
-
-
 def assemble_pencil(spec: PencilSpec) -> Tuple[Tuple[Matrix, Matrix], List[str]]:
     """Block-diagonal (B1, B2) for a block list, plus generator labels
     tagged with the block each coordinate comes from."""
-    firsts = []
-    seconds = []
-    labels: List[str] = []
-    counter = 0
+    templates = []
+    tags: List[str] = []
     for idx, (kind, param) in enumerate(spec.blocks):
-        b1, b2 = pencil_block(kind, param)
-        firsts.append(b1)
-        seconds.append(b2)
-        tag = spec.block_tag(idx)
-        for _ in range(b1.nrows):
-            counter += 1
-            labels.append("X%d_%s" % (counter, tag))
+        mu, lam = _template(kind, param)
+        templates.append((mu, lam))
+        tags += [spec.block_tag(idx)] * (len(mu) + len(mu[0]))
     if spec.minimal_indices and spec.minimal_indices[0] == 0:
         warnings.warn("minimal index 0 present; the pencil is degenerate",
                       stacklevel=2)
-    return (_block_diag(firsts), _block_diag(seconds)), labels
+    labels = ["X%d_%s" % (i + 1, tag) for i, tag in enumerate(tags)]
+    return _pencil_pair(templates), labels
 
 
 def algebra_from_pencil_spec(spec: Union[PencilSpec, str],
@@ -992,6 +986,14 @@ class ElementaryH0:
     rank1_element: Matrix
 
 
+# h0_elementary per kind: the parameter, dim h0 = times * param + plus, h0
+_H0_FORMS = {
+    "M": ("m", (2, 1), "scalar x on the diagonal blocks (x, -x) plus a "
+                       "(m+1) x m Toeplitz corner"),
+    "F": ("r", (3, 0), "three r x r upper triangular Toeplitz blocks"),
+}
+
+
 def h0_elementary(kind: str, param: int) -> ElementaryH0:
     """Closed-form h0 dimension for an elementary block, with an
     explicit rank 1 element inside it.
@@ -1005,30 +1007,17 @@ def h0_elementary(kind: str, param: int) -> ElementaryH0:
     which is what makes these algebras infinite type.
     """
     param = int(param)
-    if kind == "M":
-        if param < 1:
-            raise ValueError("M closed form needs m >= 1")
-        m = param
-        side = 2 * m + 1
-        e = Matrix([[Fraction(1) if (i, j) == (0, side - 1) else Fraction(0)
-                     for j in range(side)] for i in range(side)])
-        return ElementaryH0(
-            kind="M", param=m, side=side, dim=2 * m + 1,
-            description="scalar x on the diagonal blocks (x, -x) plus a "
-                        "(m+1) x m Toeplitz corner",
-            rank1_element=e)
-    if kind == "F":
-        if param < 1:
-            raise ValueError("F closed form needs r >= 1")
-        r = param
-        side = 2 * r
-        e = Matrix([[Fraction(1) if (i, j) == (0, side - 1) else Fraction(0)
-                     for j in range(side)] for i in range(side)])
-        return ElementaryH0(
-            kind="F", param=r, side=side, dim=3 * r,
-            description="three r x r upper triangular Toeplitz blocks",
-            rank1_element=e)
-    raise ValueError("closed forms cover kinds M and F only")
+    if kind not in _H0_FORMS:
+        raise ValueError("closed forms cover kinds M and F only")
+    name, (times, plus), description = _H0_FORMS[kind]
+    if param < 1:
+        raise ValueError("%s closed form needs %s >= 1" % (kind, name))
+    side = 2 * param + sum(_BLOCKS[kind][2][:2])
+    e = Matrix([[Fraction(1) if (i, j) == (0, side - 1) else Fraction(0)
+                 for j in range(side)] for i in range(side)])
+    return ElementaryH0(kind=kind, param=param, side=side,
+                        dim=times * param + plus, description=description,
+                        rank1_element=e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -464,6 +465,21 @@ def test_run_missing_file(capsys):
     assert run(["check", "/nonexistent/path.alg"]) == 2
 
 
+def test_run_directory_paths_are_usage_errors(tmp_path, capsys):
+    """A directory where a file is read or written is a located error
+    with the usage exit code, not a traceback."""
+    base = write(tmp_path, "h.alg", HEIS3_DOC)
+    d = str(tmp_path)
+    for argv in (["check", d],
+                 ["extend", base, "--s", "3", "--cocycle", d],
+                 ["catalog", "heisenberg", "--param", "dim=3", "-o", d]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "gnla: [Errno %d] Is a directory: %r\n" % (
+            errno.EISDIR, d), argv
+
+
 def test_run_document_error_exit(tmp_path, capsys):
     f = write(tmp_path, "e.alg", "algebra a\nbasis X:1\n")
     assert run(["check", f]) == 1
@@ -550,25 +566,43 @@ def test_run_version(capsys):
     assert gnla.__version__ == gnla.cli.VERSION
 
 
-def test_module_entry_runs_the_cli_without_warnings(tmp_path, capsys):
-    """`python -m gnla` is the command line, warning-free under -W error."""
+def module_entry(cwd, *argv):
+    """Run `python -W error -m gnla ARGV` with this package's source on
+    the path."""
     src = str(Path(gnla.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "gnla",
+                           *argv], capture_output=True, text=True,
+                          cwd=cwd, env=env, timeout=60)
 
-    def module_entry(*argv):
-        return subprocess.run([sys.executable, "-W", "error", "-m", "gnla",
-                               *argv], capture_output=True, text=True,
-                              cwd=tmp_path, env=env, timeout=60)
 
-    done = module_entry("--version")
+def test_module_entry_runs_the_cli_without_warnings(tmp_path, capsys):
+    """`python -m gnla` is the command line, warning-free under -W error."""
+    done = module_entry(tmp_path, "--version")
     assert (done.returncode, done.stdout, done.stderr) == (
         0, "gnla %s\n" % gnla.__version__, "")
     argv = ["catalog", "heisenberg", "--param", "dim=3"]
-    done = module_entry(*argv)
+    done = module_entry(tmp_path, *argv)
     assert (done.returncode, done.stderr) == (0, "")
     assert run(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+def test_library_warnings_are_cli_messages(tmp_path, capsys):
+    """A degenerate pencil warns twice; the command prints each warning
+    as one `gnla: warning:` line, also under -W error, and keeps its
+    output and exit code."""
+    argv = ["pencil", "--blocks", "M:0,F:1"]
+    done = module_entry(tmp_path, *argv)
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert (done.returncode, done.stdout) == (0, out)
+    assert done.stderr == err == (
+        "gnla: warning: minimal index 0 present; the pencil is degenerate\n"
+        "gnla: warning: pencil has a common kernel vector; the algebra is "
+        "degenerate\n")
+    assert "bracket [X2_F1,X3_F1] = 1 W1" in out
 
 
 def test_negative_budgets_are_usage_errors(tmp_path, capsys):

@@ -60,7 +60,7 @@ from gnla.constructions import (
     _module_covector,
 )
 from gnla import constructions
-from gnla.linalg import independent_rows, vector
+from gnla.linalg import frac, independent_rows, vector
 
 
 def heis3():
@@ -458,6 +458,126 @@ def test_h2_0_point_base_is_rigid():
 
 
 # --- pencils -----------------------------------------------------------------
+
+def _reference_skew_embed(q_rows, p, q):
+    side = p + q
+    rows = [[Fraction(0)] * side for _ in range(side)]
+    for i in range(p):
+        for j in range(q):
+            c = q_rows[i][j]
+            if c != 0:
+                rows[i][p + j] = c
+                rows[p + j][i] = -c
+    return Matrix._trusted(tuple(map(tuple, rows)))
+
+
+def reference_pencil_block(kind, param):
+    """pencil_block with each kind's templates written out by hand and
+    embedded one block at a time."""
+    if kind == "M":
+        m = int(param)
+        if m < 0:
+            raise ValueError("M block needs m >= 0")
+        p, q = m + 1, m
+        mu = [[Fraction(1) if i + j == m else Fraction(0)
+               for j in range(q)] for i in range(p)]
+        lam = [[Fraction(1) if i + j == m - 1 else Fraction(0)
+                for j in range(q)] for i in range(p)]
+        return _reference_skew_embed(mu, p, q), _reference_skew_embed(lam, p, q)
+    if kind == "E":
+        try:
+            e, a = param
+        except TypeError:
+            raise ValueError("E block needs a pair (e, a)") from None
+        e = int(e)
+        a = frac(a)
+        if e < 1:
+            raise ValueError("E block needs e >= 1")
+        mu = [[Fraction(1) if i + j == e - 1 else Fraction(0)
+               for j in range(e)] for i in range(e)]
+        lam = [[a if i + j == e - 1 else
+                (Fraction(1) if i + j == e else Fraction(0))
+                for j in range(e)] for i in range(e)]
+        return _reference_skew_embed(mu, e, e), _reference_skew_embed(lam, e, e)
+    if kind == "F":
+        f = int(param)
+        if f < 1:
+            raise ValueError("F block needs f >= 1")
+        mu = [[Fraction(1) if i + j == f else Fraction(0)
+               for j in range(f)] for i in range(f)]
+        lam = [[Fraction(1) if i + j == f - 1 else Fraction(0)
+                for j in range(f)] for i in range(f)]
+        return _reference_skew_embed(mu, f, f), _reference_skew_embed(lam, f, f)
+    raise ValueError("unknown pencil block kind %r" % kind)
+
+
+def _reference_block_diag(blocks):
+    side = sum(b.nrows for b in blocks)
+    zero = (Fraction(0),)
+    rows = []
+    for b in blocks:
+        off = len(rows)
+        rows += [zero * off + r + zero * (side - off - b.ncols) for r in b.rows]
+    return Matrix._trusted(tuple(rows))
+
+
+def reference_assemble_pencil(spec):
+    """assemble_pencil built from whole blocks: each pair from
+    reference_pencil_block, then the copies concatenated diagonally."""
+    firsts = []
+    seconds = []
+    labels = []
+    counter = 0
+    for idx, (kind, param) in enumerate(spec.blocks):
+        b1, b2 = reference_pencil_block(kind, param)
+        firsts.append(b1)
+        seconds.append(b2)
+        tag = spec.block_tag(idx)
+        for _ in range(b1.nrows):
+            counter += 1
+            labels.append("X%d_%s" % (counter, tag))
+    if spec.minimal_indices and spec.minimal_indices[0] == 0:
+        warnings.warn("minimal index 0 present; the pencil is degenerate",
+                      stacklevel=2)
+    return ((_reference_block_diag(firsts), _reference_block_diag(seconds)),
+            labels)
+
+
+def built(fn, *args):
+    """The repr of fn(*args) or the type and message of what it raised,
+    with the messages of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(fn(*args))
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def test_pencil_builders_match_the_reference_builders():
+    """Every kind at sizes 0-6 with rational a, invalid parameters and
+    seeded multi-block lists give the reference's matrices, labels,
+    warnings and error messages."""
+    rng = random.Random(2417)
+    rationals = [Fraction(0), Fraction(1)] + [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
+    blocks = []
+    for n in range(7):
+        blocks += [("M", n), ("F", n)] + [("E", (n, a)) for a in rationals]
+    bad = [("M", -1), ("F", -2), ("E", (-1, 1)), ("E", (2, "x")), ("Q", 1)]
+    for kind, param in blocks + bad + [
+            ("E", 3), ("E", (1, 2.5)), ("M", "x"), ("F", None), ("m", 1)]:
+        assert (built(pencil_block, kind, param)
+                == built(reference_pencil_block, kind, param)), (kind, param)
+    errors = 0
+    for _ in range(60):
+        spec = PencilSpec(blocks=tuple(rng.choice(blocks + bad)
+                                       for _ in range(rng.randint(1, 4))))
+        got = built(assemble_pencil, spec)
+        assert got == built(reference_assemble_pencil, spec), spec
+        errors += type(got[0]) is tuple
+    assert 10 < errors < 50
 
 def test_pencil_block_m1():
     b1, b2 = pencil_block("M", 1)
