@@ -53,7 +53,6 @@ from .algebra import (
 from .constructions import (
     Cochain2,
     _interpolated,
-    _module_covector,
     _pfaffian,
     _rational_roots,
 )
@@ -411,13 +410,14 @@ def rank1_derivation_from_witness(a: GNLA, y: Sequence) -> GradedMap:
 
     With W = ker ad y and x a degree -1 basis vector moved by y, the map
     sends x to y, kills W and kills every deeper layer.  Raises
-    WitnessInvalid unless rank ad y = 1.
+    WitnessInvalid unless rank ad y = 1.  Every row of ad y is then a
+    multiple of the first, so the covector xi with kernel W and xi(x) = 1
+    is that row on the degree -1 layer over its entry at x.
     """
     y = vector(y)
     ad_rows, x_pos = _moved_transversal(a, y)
-    w_deg1 = _kernel_within(ad_rows, a.dim, a.layer_positions(1))
-    xi = a.layer_coordinates(
-        1, _module_covector(a, w_deg1, a.basis_vector(x_pos)))
+    row = ad_rows[0]
+    xi = [row.get(p, 0) / row[x_pos] for p in a.layer_positions(1)]
     y1 = a.layer_coordinates(1, y)
     block1 = Matrix([[y_r * xi_c for xi_c in xi] for y_r in y1])
     d = h0_as_graded_map(a, block1)

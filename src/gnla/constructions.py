@@ -3,7 +3,9 @@
 A special extension glues a commutative graded ideal V with
 one-dimensional layers onto a base algebra n; the brackets escaping the
 base are a degree 0 two-cocycle, and inequivalent extensions are
-classified by the degree 0 part of H^2(n, V).  Skew matrix pencils give
+classified by the degree 0 part of H^2(n, V).  One slot rule, _slots,
+lists the cochain slots of every degree, and one Chevalley-Eilenberg
+formula, _differential, writes both d1 and d2.  Skew matrix pencils give
 the metabelian (2-step) examples, assembled from canonical blocks (the
 minimal indices M and elementary divisors E and F): one table, _BLOCKS,
 shapes each kind's template, and one writer, _pencil_pair, skew-embeds
@@ -19,8 +21,10 @@ from __future__ import annotations
 import copy
 import re
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -63,7 +67,9 @@ _NUMERAL_RE = re.compile(_NUMERAL)
 
 
 def _check_extension_size(base: GNLA, s: int) -> None:
-    """Refuse an extension of more than _MAX_DIM basis vectors."""
+    """Refuse s < 2 or an extension of more than _MAX_DIM basis vectors."""
+    if s < 2:
+        raise ValueError("module length s must be at least 2")
     if base.dim + s > _MAX_DIM:
         raise ValueError("extension of %s by s = %d has more than %d basis "
                          "vectors" % (base.name, s, _MAX_DIM))
@@ -174,16 +180,60 @@ def _default_transversal(base: GNLA, w: Subspace) -> Vector:
     raise ValueError("no basis vector is transversal to the hyperplane")
 
 
-def _pair_slots(base: GNLA, s: int) -> List[Tuple[int, int]]:
-    """The 2-cochain slots: basis pairs p < q of degree -k with k <= s."""
-    n, deg = base.dim, base.degrees
-    return [(p, q) for p in range(n) for q in range(p + 1, n)
-            if -(deg[p] + deg[q]) <= s]
+def _slots(base: GNLA, s: int, q: int) -> List[Tuple[int, ...]]:
+    """The degree 0 q-cochain slots: increasing q-tuples of basis
+    positions of total degree -k with k <= s."""
+    deg = base.degrees.__getitem__
+    return [t for t in combinations(range(base.dim), q)
+            if -sum(map(deg, t)) <= s]
+
+
+def _differential(base: GNLA, alpha: Vector, s: int, q: int):
+    """d_q of the degree 0 complex as (q-slots, (q+1)-slots, rows): one
+    sparse {q-slot index: value} row per (q+1)-slot t, from the
+    Chevalley-Eilenberg formula
+
+        (d f)(e_t0, .., e_tq) = sum_i (-1)^i alpha(e_ti) f(t - t_i)
+            + sum_{i<j} (-1)^(i+j) f([e_ti, e_tj], t - {t_i, t_j}),
+
+    e_ti acting on the module by alpha(e_ti) times the shift.  A slot out
+    of order is read with the sign of its sorting; a repeated slot, or
+    one deeper than s, reads as zero.
+    """
+    cols, slots = _slots(base, s, q), _slots(base, s, q + 1)
+    index = {t: i for i, t in enumerate(cols)}
+    # alpha(e_p) with its sign at an even and at an odd place of t
+    acting = {p: (a, -a) for p, a in enumerate(alpha) if a}
+    pairs = [(i, j, (i + j) % 2) for j in range(q + 1) for i in range(j)]
+    rows = []
+    for t in slots:
+        row: Dict[int, Fraction] = {}
+        # the alpha terms land on distinct slots of the empty row
+        for i, p in enumerate(t):
+            col = index.get(t[:i] + t[i + 1:]) if p in acting else None
+            if col is not None:
+                row[col] = acting[p][i % 2]
+        for i, j, odd in pairs:
+            terms = base.bracket_terms(t[i], t[j])
+            if not terms:
+                continue
+            rest = t[:i] + t[i + 1:j] + t[j + 1:]
+            for u, c in terms:
+                if u in rest:
+                    continue
+                # sorting (u, rest) moves u past m slots
+                m = bisect_left(rest, u)
+                col = index.get(rest[:m] + (u,) + rest[m:])
+                if col is not None:
+                    v = -c if (odd + m) % 2 else c
+                    row[col] = row[col] + v if col in row else v
+        rows.append(row)
+    return cols, slots, rows
 
 
 def _degree0_complex(base: GNLA, w: Subspace, s: int,
                      x_vec: Optional[Vector] = None):
-    """Slots and differentials of the degree 0 cochain complex.
+    """The module action and d1 of the degree 0 cochain complex.
 
     The module V has basis Y_1..Y_s with Y_j in degree -j; the degree -1
     part of the base acts through the covector alpha by the shift
@@ -191,66 +241,20 @@ def _degree0_complex(base: GNLA, w: Subspace, s: int,
     degree 0 q-cochain assigns to a basis tuple of total degree -k a
     multiple of Y_k, so each slot carries one rational coefficient.
 
-    Returns (c1, c2, image, d2): the 1- and 2-cochain slots, image[i]
-    the coboundary of the unit 1-cochain on slot c1[i] as a sparse
-    {c2 slot: value} row, and d2 as the nonzero sparse rows of its
-    matrix over the c2 slots.
+    Returns (alpha, c1, c2, image): the covector, the 1- and 2-cochain
+    slots, and image[i] the coboundary of the unit 1-cochain on slot
+    c1[i] as a sparse {c2 slot: value} row, d1 transposed.
     """
     _check_hyperplane(base, w)
     if x_vec is None:
         x_vec = _default_transversal(base, w)
     alpha = _module_covector(base, w, x_vec)
-    n = base.dim
-    deg = base.degrees
-
-    c1 = [p for p in range(n) if -deg[p] <= s]
-    c2 = _pair_slots(base, s)
-    c1_index = {p: i for i, p in enumerate(c1)}
-    c2_index = {pq: i for i, pq in enumerate(c2)}
-
-    # (d1 f)(e_p, e_q) = alpha(e_p) f(e_q) - alpha(e_q) f(e_p)
-    # - f([e_p, e_q])
+    c1, c2, d1 = _differential(base, alpha, s, 1)
     image: List[Dict[int, Fraction]] = [{} for _ in c1]
-    for idx, (p, q) in enumerate(c2):
-        if alpha[p] != 0:
-            image[c1_index[q]][idx] = alpha[p]
-        if alpha[q] != 0:
-            image[c1_index[p]][idx] = -alpha[q]
-        for t, c in base.bracket_terms(p, q):
-            if t in c1_index:
-                row = image[c1_index[t]]
-                row[idx] = row.get(idx, 0) - c
-
-    def add_pair(row: Dict[int, Fraction], u: int, v: int, coeff: Fraction):
-        if coeff == 0 or u == v:
-            return
-        if u > v:
-            u, v = v, u
-            coeff = -coeff
-        idx = c2_index.get((u, v))
-        if idx is not None:
-            row[idx] = row.get(idx, 0) + coeff
-
-    d2: List[Dict[int, Fraction]] = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            for r in range(q + 1, n):
-                if -(deg[p] + deg[q] + deg[r]) > s:
-                    continue
-                row: Dict[int, Fraction] = {}
-                add_pair(row, q, r, alpha[p])
-                add_pair(row, p, r, -alpha[q])
-                add_pair(row, p, q, alpha[r])
-                for t, c in base.bracket_terms(p, q):
-                    add_pair(row, t, r, -c)
-                for t, c in base.bracket_terms(p, r):
-                    add_pair(row, t, q, c)
-                for t, c in base.bracket_terms(q, r):
-                    add_pair(row, t, p, -c)
-                if any(row.values()):
-                    d2.append(row)
-
-    return c1, c2, image, d2
+    for idx, row in enumerate(d1):
+        for i, v in row.items():
+            image[i][idx] = v
+    return alpha, c1, c2, image
 
 
 def _cochain_from_slots(base: GNLA, s: int, c2: Sequence[Tuple[int, int]],
@@ -273,7 +277,7 @@ def _cocycle_slot_vector(base: GNLA, s: int, cocycle: Cochain2,
     index = {pq: i for i, pq in enumerate(c2)}
     vec = [Fraction(0)] * len(c2)
     for (p, q), val in cocycle.values:
-        if p >= base.dim or q >= base.dim:
+        if p < 0 or q >= base.dim:
             raise ValueError("cocycle pair (%d, %d) outside the base" % (p, q))
         k = -(base.degrees[p] + base.degrees[q])
         for idx, c in enumerate(val):
@@ -296,14 +300,16 @@ def coboundary(base: GNLA, w: Subspace, s: int, f: Dict[int, object],
     """The 2-cocycle d1 f of a degree 0 1-cochain.
 
     f maps a basis position p to the coefficient of f(e_p) over the
-    module vector in degree deg(e_p); positions too deep for the module
-    are rejected.  Useful for building extensions that are guaranteed
-    trivial up to the recorded basis change.
+    module vector in degree deg(e_p); positions outside the base or too
+    deep for the module are rejected.  Useful for building extensions
+    that are guaranteed trivial up to the recorded basis change.
     """
-    c1, c2, image, _ = _degree0_complex(base, w, s, x_vec)
-    c1_index = {p: i for i, p in enumerate(c1)}
+    _, c1, c2, image = _degree0_complex(base, w, s, x_vec)
+    c1_index = {p: i for i, (p,) in enumerate(c1)}
     coeffs = [Fraction(0)] * len(c2)
     for p, c in f.items():
+        if not 0 <= p < base.dim:
+            raise ValueError("position %d outside the base" % p)
         if p not in c1_index:
             raise ValueError("position %d is too deep for the module" % p)
         c = frac(c)
@@ -342,8 +348,6 @@ class ExtensionData:
         if self.covector_kernel.contains(x):
             raise ValueError("transversal lies in the hyperplane")
         object.__setattr__(self, "transversal", x)
-        if self.s < 2:
-            raise ValueError("module length s must be at least 2")
         if self.cocycle.s != self.s:
             raise ValueError("cocycle length does not match s")
 
@@ -369,7 +373,7 @@ class ExtensionData:
         eliminates the coefficients on the pivot slots of the coboundary
         space, which absorbs every removable constant.
         """
-        _, c2, image, _ = _degree0_complex(
+        _, _, c2, image = _degree0_complex(
             self.base, self.covector_kernel, self.s, self.transversal)
         vec = _cocycle_slot_vector(self.base, self.s, self.cocycle, c2)
         for row in _rref_rows(image):
@@ -414,7 +418,7 @@ def special_extension(data: ExtensionData) -> GNLA:
     base, w, s = data.base, data.covector_kernel, data.s
     n = base.dim
     deg = base.degrees
-    c2 = _pair_slots(base, s)
+    c2 = _slots(base, s, 2)
     slots = _cocycle_slot_vector(base, s, data.cocycle, c2)
 
     # base positions, then Y_1..Y_s at n..n+s-1; labels need only differ
@@ -454,16 +458,14 @@ def h2_0(base: GNLA, w: Subspace, s: int) -> Tuple[int, List[Cochain2]]:
     Returns its dimension together with representative cocycles spanning
     a complement of the coboundaries inside the cocycles: the kernel
     basis vectors of d2 outside the span of the coboundaries and of the
-    kernel vectors before them, read off one forward elimination.  The
-    dimension counts the essentially different special extensions for
-    this (W, s).
+    kernel vectors before them, read off one forward elimination.  d2 is
+    built here, its one reader.  The dimension counts the essentially
+    different special extensions for this (W, s); s is bounded as for an
+    extension.
     """
-    if s < 2:
-        raise ValueError("module length s must be at least 2")
-    _, c2, image, d2 = _degree0_complex(base, w, s)
-    if not c2:
-        return 0, []
-    kernel = _kernel(d2, len(c2))
+    _check_extension_size(base, s)
+    alpha, _, c2, image = _degree0_complex(base, w, s)
+    kernel = _kernel(_differential(base, alpha, s, 2)[2], len(c2))
     picked = independent_rows(image + list(kernel.basis))
     if len(picked) != kernel.dim:
         raise AssertionError("d2 d1 != 0: coboundaries and cocycles span "
@@ -1096,6 +1098,21 @@ def _kgen(k: int) -> GNLA:
     return GNLA("kgen%d" % k, basis, brackets)
 
 
+# family: (builder, its parameter or None, and for an integer parameter
+# the basis size minus it; None where the builder bounds its own size)
+_FAMILIES = {
+    "goursat": (_goursat, "n", 0),
+    "heisenberg": (_heisenberg, "dim", 0),
+    "mixedjet": (_mixedjet, "k", 3),
+    "nontrivial6": (_nontrivial6, None, None),
+    "free2step3": (_free2step3, None, None),
+    "kgen": (_kgen, "k", 3),
+    "from_pencil": (algebra_from_pencil_spec, "blocks", None),
+}
+
+CATALOG_NAMES = tuple(_FAMILIES)
+
+
 def catalog(name: str, **params) -> GNLA:
     """Named example algebras.
 
@@ -1103,39 +1120,21 @@ def catalog(name: str, **params) -> GNLA:
     nontrivial6, free2step3, kgen (k >= 3), and from_pencil with a
     blocks specification (a PencilSpec or a string like "M:1,F:2").
     """
-    def want(*keys):
-        extra = set(params) - set(keys)
-        if extra:
-            raise ValueError("unexpected parameters %s for %s"
-                             % (sorted(extra), name))
-        missing = [k for k in keys if k not in params]
-        if missing:
-            raise ValueError("missing parameter %r for %s"
-                             % (missing[0], name))
-
-    # family: (builder, parameter, basis size minus the parameter)
-    sized = {"goursat": (_goursat, "n", 0),
-             "heisenberg": (_heisenberg, "dim", 0),
-             "mixedjet": (_mixedjet, "k", 3), "kgen": (_kgen, "k", 3)}
-    if name in sized:
-        build, key, extra = sized[name]
-        want(key)
-        value = int(params[key])
+    if name not in _FAMILIES:
+        raise ValueError("unknown catalog name %r" % name)
+    build, key, extra = _FAMILIES[name]
+    unexpected = set(params) - {key}
+    if unexpected:
+        raise ValueError("unexpected parameters %s for %s"
+                         % (sorted(unexpected), name))
+    if key is None:
+        return build()
+    if key not in params:
+        raise ValueError("missing parameter %r for %s" % (key, name))
+    value = params[key]
+    if extra is not None:
+        value = int(value)
         if value + extra > _MAX_DIM:
             raise ValueError("%s: %s too large, more than %d basis vectors"
                              % (name, key, _MAX_DIM))
-        return build(value)
-    if name == "nontrivial6":
-        want()
-        return _nontrivial6()
-    if name == "free2step3":
-        want()
-        return _free2step3()
-    if name == "from_pencil":
-        want("blocks")
-        return algebra_from_pencil_spec(params["blocks"])
-    raise ValueError("unknown catalog name %r" % name)
-
-
-CATALOG_NAMES = ("goursat", "heisenberg", "mixedjet", "nontrivial6",
-                 "free2step3", "kgen", "from_pencil")
+    return build(value)

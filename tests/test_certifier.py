@@ -55,6 +55,7 @@ from gnla import (
 import gnla.algebra
 import gnla.certifier
 from gnla.certifier import _degree1_span, _matrix_span, _minors
+from gnla.constructions import _module_covector
 from test_algebra import reference_quotient
 
 
@@ -521,6 +522,32 @@ def test_rank1_derivation_is_a_derivation():
         assert d.degree == 0
         assert d.block(1).rank() == 1
         assert leibniz_failures(a, [], d) == []
+
+
+def reference_rank1_block(a, y):
+    """The degree -1 block of the rank 1 derivation as it was built
+    before it read xi off one row of ad y: W the degree -1 kernel of the
+    dense ad y, x the first degree -1 basis vector moved by y, and xi the
+    covector with kernel W and xi(x) = 1; an oracle only."""
+    ad = ad_matrix(a, y).matrix
+    pos1 = a.layer_positions(1)
+    w = Subspace(a.dim, [a.embed_layer(1, v) for v in kernel_basis(
+        Matrix([[row[p] for p in pos1] for row in ad.rows])).basis])
+    x = next(p for p in pos1 if any(row[p] for row in ad.rows))
+    xi = a.layer_coordinates(
+        1, _module_covector(a, w, a.basis_vector(x)))
+    return Matrix([[y_r * xi_c for xi_c in xi]
+                   for y_r in a.layer_coordinates(1, y)])
+
+
+def test_rank1_derivation_matches_reference_block():
+    """xi read off the first row of ad y gives the reference block on
+    every algebra with a rational witness."""
+    cases = witness_cases(9011)
+    assert len(cases) >= 50
+    for a, y in cases:
+        d = rank1_derivation_from_witness(a, y)
+        assert d.block(1) == reference_rank1_block(a, y), a.name
 
 
 def test_rank1_derivation_rejects_bad_witness():

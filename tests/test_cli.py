@@ -407,6 +407,34 @@ def test_huge_basis_line_and_extension_length_are_prompt_errors(
         catalog("heisenberg", dim=3), 253).s == 253
 
 
+def test_module_length_is_one_check_for_extend_and_cohomology(
+        tmp_path, capsys):
+    """s < 2 is refused with one message and exit 2 whatever the cocycle
+    file holds, and cohomology bounds s like extend: more than 256
+    basis vectors is refused promptly, the largest accepted s runs."""
+    base = write(tmp_path, "h.alg", HEIS3_DOC)
+    cocycles = [write(tmp_path, "a.coc", "a Y 1 = 1\n"),
+                write(tmp_path, "e.coc", "")]
+    for s in ("0", "1", "-3"):
+        for coc in cocycles:
+            assert run(["extend", base, "--s", s, "--cocycle", coc]) == 2
+            assert capsys.readouterr().err == (
+                "gnla: module length s must be at least 2\n")
+        assert run(["cohomology", base, "--s", s]) == 2
+        assert capsys.readouterr().err == (
+            "gnla: module length s must be at least 2\n")
+    for s in ("1000000", "254"):
+        started = time.perf_counter()
+        assert run(["cohomology", base, "--s", s, "--json"]) == 2
+        assert time.perf_counter() - started < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("gnla: extension of heis3 by s = %s has "
+                                "more than 256 basis vectors\n" % s)
+    assert run(["cohomology", base, "--s", "253", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 0
+
+
 def test_run_extend_rebuilds_nontrivial6(tmp_path, capsys):
     base = write(tmp_path, "h.alg", HEIS3_DOC)
     coc = write(tmp_path, "c.coc", "b Y Z 3 = 1\n")

@@ -57,7 +57,9 @@ from gnla.constructions import (
     _cochain_from_slots,
     _cocycle_slot_vector,
     _default_transversal,
+    _differential,
     _module_covector,
+    _slots,
 )
 from gnla import constructions
 from gnla.linalg import frac, independent_rows, vector
@@ -297,6 +299,50 @@ def test_cocycle_pair_outside_the_base_is_rejected_on_a_moved_basis():
         special_extension(data)
 
 
+def test_negative_positions_are_outside_the_base():
+    """A negative position does not wrap to the end of the basis: a
+    cocycle pair with one is outside the base in special_extension and
+    canonicalized, and so is a coboundary position outside range(dim)."""
+    a = heis3()
+    for pair in ((-1, 0), (-3, -2), (1, 3)):
+        data = ExtensionData.from_adapted_base(
+            a, 3, Cochain2.from_dict(3, {pair: (0, 1, 0)}))
+        message = "cocycle pair (%d, %d) outside the base" % pair
+        for call in (special_extension, ExtensionData.canonicalized):
+            with pytest.raises(ValueError) as exc:
+                call(data)
+            assert str(exc.value) == message
+    w = Subspace(3, [a.basis_vector(1)])
+    for p in (-1, 3, 7):
+        with pytest.raises(ValueError) as exc:
+            coboundary(a, w, 3, {p: 1})
+        assert str(exc.value) == "position %d outside the base" % p
+    with pytest.raises(ValueError, match="position 2 is too deep"):
+        coboundary(a, w, 1, {2: 1})
+
+
+def test_module_length_is_checked_before_the_base():
+    """s < 2 is refused first, before the base is validated; h2_0 bounds
+    s like an extension."""
+    broken = GNLA("broken", [("X", -1), ("Y", -1), ("Z", -2)],
+                  {(0, 1): [(2, 1)], (0, 2): [(1, 1)]})
+    w = Subspace(3, [broken.basis_vector(1)])
+    for s in (1, 0, -4):
+        with pytest.raises(ValueError, match="module length s must be at "
+                                             "least 2"):
+            ExtensionData(base=broken, covector_kernel=w,
+                          transversal=(1, 0, 0), s=s,
+                          cocycle=Cochain2.zero(s))
+        with pytest.raises(ValueError, match="at least 2"):
+            h2_0(heis3(), w, s)
+    with pytest.raises(ValueError, match="base algebra does not validate"):
+        ExtensionData(base=broken, covector_kernel=w, transversal=(1, 0, 0),
+                      s=2, cocycle=Cochain2.zero(2))
+    with pytest.raises(ValueError, match="s = 254 has more than 256"):
+        h2_0(heis3(), w, 254)
+    assert h2_0(heis3(), w, 253) == (0, [])
+
+
 def test_special_extension_matches_reference_on_decompositions():
     """Rebuilding every decomposition of a catalog algebra, a signed
     permutation of it or a random 2-step algebra gives the reference
@@ -309,11 +355,9 @@ def test_special_extension_matches_reference_on_decompositions():
         assert built == reference_special_extension(data) == d.adapted, a.name
 
 
-def random_moved_extension_data(rng, base):
-    """ExtensionData on a random hyperplane and transversal whose adapted
-    basis is not the identity.  The cocycle is an h2_0 combination plus
-    a coboundary, or random values that now and then sit in the wrong
-    component or below the module."""
+def random_hyperplane(rng, base):
+    """A random hyperplane W of the degree -1 layer and a transversal x
+    outside it, entries in [-2, 2]."""
     n1 = base.layer_dim(1)
     while True:
         alpha = [rng.randint(-2, 2) for _ in range(n1)]
@@ -322,7 +366,15 @@ def random_moved_extension_data(rng, base):
             break
     w = Subspace(base.dim, [base.embed_layer(1, v) for v in
                             kernel_basis(Matrix([alpha])).basis])
-    x = base.embed_layer(1, x)
+    return w, base.embed_layer(1, x)
+
+
+def random_moved_extension_data(rng, base):
+    """ExtensionData on a random hyperplane and transversal whose adapted
+    basis is not the identity.  The cocycle is an h2_0 combination plus
+    a coboundary, or random values that now and then sit in the wrong
+    component or below the module."""
+    w, x = random_hyperplane(rng, base)
     s = rng.choice((2, 3, 4))
     deg = base.degrees
     values = {}
@@ -1098,9 +1150,39 @@ def test_h0_elementary_rejections():
 # --- catalog ------------------------------------------------------------------
 
 def test_catalog_names_cover_the_families():
-    assert set(CATALOG_NAMES) == {"goursat", "heisenberg", "mixedjet",
-                                  "nontrivial6", "free2step3", "kgen",
-                                  "from_pencil"}
+    assert CATALOG_NAMES == ("goursat", "heisenberg", "mixedjet",
+                             "nontrivial6", "free2step3", "kgen",
+                             "from_pencil")
+
+
+def test_catalog_errors_name_the_first_failed_check():
+    """An unknown name, then unexpected, then missing parameters, then
+    the integer conversion and the size bound, then the builder."""
+    for name, params, message in [
+            ("nosuch", {"n": 3}, "unknown catalog name 'nosuch'"),
+            ("goursat", {"extra": 1},
+             "unexpected parameters ['extra'] for goursat"),
+            ("goursat", {}, "missing parameter 'n' for goursat"),
+            ("goursat", {"n": "x"},
+             "invalid literal for int() with base 10: 'x'"),
+            ("goursat", {"n": 257},
+             "goursat: n too large, more than 256 basis vectors"),
+            ("mixedjet", {"k": 254},
+             "mixedjet: k too large, more than 256 basis vectors"),
+            ("kgen", {"k": 2}, "kgen needs k >= 3"),
+            ("heisenberg", {"dim": 4},
+             "heisenberg needs an odd dimension >= 3"),
+            ("nontrivial6", {"k": 1},
+             "unexpected parameters ['k'] for nontrivial6"),
+            ("free2step3", {"a": 1, "b": 2},
+             "unexpected parameters ['a', 'b'] for free2step3"),
+            ("from_pencil", {}, "missing parameter 'blocks' for from_pencil"),
+            ("from_pencil", {"blocks": "M:1", "n": 2},
+             "unexpected parameters ['n'] for from_pencil")]:
+        with pytest.raises(ValueError) as exc:
+            catalog(name, **params)
+        assert str(exc.value) == message
+    assert catalog("goursat", n="4") == catalog("goursat", n=4)
 
 
 def test_catalog_entries_validate():
@@ -1315,6 +1397,60 @@ def test_degree0_complex_matches_reference():
         assert_complex_matches_reference(
             rng, random_moved_extension_data(rng, a))
     assert positive >= 10
+
+
+def complex_cases(seed, depths):
+    """(base, W, x, s) for every valid graded base of the reference tests
+    (the catalog, the 12 pencils, seeded random 2-step algebras and a
+    signed permutation of each) and each s in depths, on the adapted
+    hyperplane and on one random moved hyperplane."""
+    rng = random.Random(seed)
+    algebras = catalog_algebras()
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5) * 2]
+    algebras += [signed_permutation(rng, a) for a in algebras]
+    for a in algebras:
+        pos1 = a.layer_positions(1)
+        adapted = (Subspace(a.dim, [a.basis_vector(p) for p in pos1[1:]]),
+                   a.basis_vector(pos1[0]))
+        for w, x in (adapted, random_hyperplane(rng, a)):
+            for s in depths:
+                yield a, w, x, s
+
+
+def dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def test_differential_matches_reference():
+    """d1 and d2 from the one formula are the hand-written dense d1 and
+    d2 of the reference, slot for slot."""
+    for a, w, x, s in complex_cases(7031, (2, 3, 4)):
+        c1, c2, ref_d1, ref_d2 = reference_degree0_complex(a, w, s, x)
+        alpha = _module_covector(a, w, x)
+        cols, slots, d1 = _differential(a, alpha, s, 1)
+        assert cols == _slots(a, s, 1) == [(p,) for p in c1]
+        assert slots == _slots(a, s, 2) == c2
+        _, slots, d2 = _differential(a, alpha, s, 2)
+        assert slots == _slots(a, s, 3) and len(d2) == len(slots)
+        assert dense(d1, len(c1)) == ref_d1, a.name
+        assert [r for r in dense(d2, len(c2)) if any(r)] == ref_d2, a.name
+
+
+def test_d2_after_d1_is_zero():
+    """d2 d1 = 0 on every valid graded base for s = 2..5: each entry of
+    the product, summed over the C^2 slots, vanishes."""
+    nonzero = 0
+    for a, w, x, s in complex_cases(7037, (2, 3, 4, 5)):
+        alpha = _module_covector(a, w, x)
+        d1 = _differential(a, alpha, s, 1)[2]
+        for row in _differential(a, alpha, s, 2)[2]:
+            product = {}
+            for k, v in row.items():
+                for j, c in d1[k].items():
+                    product[j] = product.get(j, 0) + v * c
+            assert not any(product.values()), (a.name, s)
+            nonzero += bool(product)
+    assert nonzero > 100
 
 
 def test_canonicalized_copies_without_revalidating(monkeypatch):
