@@ -16,8 +16,13 @@ The rational search is exact.  On the paper's metabelian class, a
 nondegenerate algebra of depth 2 whose degree -2 layer is 2-dimensional,
 rank ad y = 1 iff y is in the kernel of a member sB_1 + tB_2 of the
 pencil of bracket forms, so the search takes the kernels at the rational
-zeros of the pfaffian form and is complete: a miss goes straight to the
-minor ideal.  Elsewhere it tries the basis matrices of the span, then
+zeros of the pfaffian form and is complete.  A miss leaves f(t) =
+Pf(B_1 + tB_2) with no rational zero, and classify certifies the
+paper's theorem there without Groebner: a column g(t) of the pfaffian
+adjugate, checked exactly to give (B_1 + tB_2) g = 0 mod f with
+gcd(f, g) = 1, is a nonzero kernel vector at every root of f.  Only when
+no column qualifies does the minor ideal decide.  Elsewhere the search
+tries the basis matrices of the span, then
 the rational points of the line through each pair, read off the first
 2x2 minor of the line that is not identically zero (a binary
 quadratic).  Roots of integer polynomials come from the one helper
@@ -54,6 +59,7 @@ from .constructions import (
     Cochain2,
     _interpolated,
     _pfaffian,
+    _poly_gcd,
     _rational_roots,
 )
 from .groebner import (
@@ -95,6 +101,10 @@ class WitnessInvalid(Exception):
     """The supplied element does not have a rank 1 adjoint."""
 
 
+# a polynomial in t as its coefficients, constant term first
+Poly = Tuple[Fraction, ...]
+
+
 @dataclass(frozen=True)
 class TypeVerdict:
     """Outcome of the classification pipeline.
@@ -102,7 +112,12 @@ class TypeVerdict:
     kind is one of finite, infinite, degenerate_infinite, inconclusive.
     For an infinite verdict, certificate says whether the witness is a
     rational vector (stored in witness, full coordinates) or an
-    existence statement over the algebraic closure.
+    existence statement over the algebraic closure.  A closure verdict on
+    the paper's metabelian class carries algebraic_witness = (f, g):
+    coefficient tuples over t, constant term first, of f and of each
+    full coordinate of g, such that g(alpha) is a witness at every root
+    alpha of f (see _closure_certificate); elsewhere it is None and the
+    minor ideal's nontrivial zero is the certificate.
     """
     kind: str
     total_dim: Optional[int] = None
@@ -111,6 +126,7 @@ class TypeVerdict:
     certificate: Optional[str] = None
     note: Optional[str] = None
     cap_exceeded: bool = False
+    algebraic_witness: Optional[Tuple[Poly, Tuple[Poly, ...]]] = None
 
 
 Ints = List[List[List[int]]]
@@ -215,22 +231,27 @@ def rank1_witness(a: GNLA) -> Optional[Vector]:
     if pencil:
         rep = validate(a)
         pencil = rep.structural_ok and rep.checks["nondegenerate"]
-    return _rank1_witness(a, _degree1_span(a)[1], pencil)
+    return _rank1_witness(a, _degree1_span(a)[1], pencil)[0]
 
 
-def _rank1_witness(a: GNLA, ints: Ints, pencil: bool) -> Optional[Vector]:
+def _rank1_witness(a: GNLA, ints: Ints,
+                   pencil: bool) -> Tuple[Optional[Vector], Poly]:
     """rank1_witness on the integer degree -1 ad matrices, told whether
     the algebra is in the pencil class (valid, nondegenerate, depth 2,
-    dim g_-2 = 2)."""
+    dim g_-2 = 2), with the pfaffian form the pencil stage interpolated
+    (empty where it formed none)."""
     if pencil:
         return _pencil_witness(a, ints)
     coeffs = _span_point(ints[::-1])
-    return None if coeffs is None else a.embed_layer(1, coeffs[::-1])
+    return (None if coeffs is None
+            else a.embed_layer(1, coeffs[::-1])), ()
 
 
-def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
+def _pencil_witness(a: GNLA, ints: Ints) -> Tuple[Optional[Vector], Poly]:
     """The rational rank 1 witness of a valid nondegenerate algebra of
-    depth 2 with dim g_-2 = 2, or None when it has none.
+    depth 2 with dim g_-2 = 2, or None when it has none, and the
+    pfaffian form Pf(P + tQ) when it was interpolated (even n_1 and no
+    basis vector a witness), else ().
 
     The integer ad matrices are cut to the 2 rows of g_-2 and the n_1
     columns of g_-1, so their rows give P = den B_1 and Q = den B_2, the
@@ -245,24 +266,22 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
     roots, plus (0:1) when its degree drops.  Nondegeneracy makes every
     nonzero kernel vector a witness, so the first RREF kernel vector of
     the integer rows at the first candidate is one, read off as integers
-    over one denominator; each is still checked to give rank 1.
+    over one denominator; each is still checked to give rank 1.  On a
+    miss the form is nonzero, of degree n_1/2, with no rational root.
     """
     pos1 = a.layer_positions(1)
     n = len(pos1)
     assert len(ints) == n and all(len(m) == 2 and len(m[0]) == n
                                   for m in ints), "not a 2 x n_1 pencil span"
-    big_p, big_q = ([m[r] for m in ints] for r in (0, 1))
+    big_p, big_q = _pencil_forms(ints)
     for i in reversed(range(n)):
         if _rank_one([big_p[i], big_q[i]]):
-            return a.basis_vector(pos1[i])
-
-    def member(s, t):
-        return [[s * x + t * z for x, z in zip(rp, rq)]
-                for rp, rq in zip(big_p, big_q)]
+            return a.basis_vector(pos1[i]), ()
 
     candidates = [(1, 0)]
+    pf: Poly = ()
     if n % 2 == 0:
-        pf = _interpolated([_pfaffian(member(1, t))
+        pf = _interpolated([_pfaffian(_member(big_p, big_q, 1, t))
                             for t in range(n // 2 + 1)])
         if any(pf):
             candidates = [(t.denominator, t.numerator)
@@ -270,12 +289,122 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
             if pf[-1] == 0:
                 candidates.append((0, 1))
     for s, t in candidates:
-        coords, den = _kernel_rows(_reversed_rows(member(s, t), n), n)[0]
+        coords, den = _kernel_rows(
+            _reversed_rows(_member(big_p, big_q, s, t), n), n)[0]
         if _rank_one([sum(v * m[i][j] for i, v in coords)
                       for j in range(n)] for m in (big_p, big_q)):
             return a.embed_layer(1, _densified(
-                [(j, Fraction(v, den)) for j, v in coords], n))
+                [(j, Fraction(v, den)) for j, v in coords], n)), pf
+    return None, pf
+
+
+def _pencil_forms(ints: Ints) -> Tuple[List[List[int]], List[List[int]]]:
+    """The integer bracket forms P and Q on g_-1 of a pencil span: rows
+    0 and 1 of the ad matrices of the degree -1 basis."""
+    return [m[0] for m in ints], [m[1] for m in ints]
+
+
+def _member(big_p, big_q, s: int, t: int) -> List[List[int]]:
+    """The integer rows of sP + tQ."""
+    return [[s * x + t * z for x, z in zip(rp, rq)]
+            for rp, rq in zip(big_p, big_q)]
+
+
+def _closure_certificate(a: GNLA, ints: Ints,
+                         pf: Poly) -> Optional[Tuple[Poly, Tuple[Poly, ...]]]:
+    """The algebraic witness (f, g) of a pencil algebra with no rational
+    witness, g in full coordinates, or None when no column of the
+    pfaffian adjugate qualifies.
+
+    f is the pfaffian form Pf(P + tQ) that _pencil_witness interpolated
+    (degree n_1/2, no rational root), g the first column of the pfaffian
+    adjugate that _closure_certified accepts.  Every column fails when
+    all sub-pfaffians share a root with f, as where the rank of P + tQ
+    drops by 4 at the roots of h and f = h^2.
+    """
+    big_p, big_q = _pencil_forms(ints)
+    n = len(big_p)
+    members = [_member(big_p, big_q, 1, t) for t in range(n // 2)]
+    for i in range(n):
+        g = _adjugate_column(members, i)
+        if _closure_certified(big_p, big_q, pf, g):
+            full: List[Poly] = [()] * a.dim
+            for p, gj in zip(a.layer_positions(1), g):
+                full[p] = gj
+            return pf, tuple(full)
     return None
+
+
+def _adjugate_column(members: List[List[List[int]]], i: int) -> List[Poly]:
+    """Column i of the pfaffian adjugate of P + tQ, side n_1 = 2m, from
+    its integer rows at t = 0..m-1.
+
+    The expansion of a pfaffian along row i gives (P + tQ) g = Pf e_i
+    for g_j = (-1)^(i+j+1+[j<i]) Pf(P + tQ without rows and columns i,
+    j), 0-based, and g_i = 0: row k != i expands a pfaffian with two
+    equal rows.  Each g_j has degree below m, so it is the interpolation
+    of its integer _pfaffian at the m points.
+    """
+    n = len(members[0])
+    g: List[Poly] = []
+    for j in range(n):
+        keep = [k for k in range(n) if k != i and k != j]
+        sign = (-1) ** (i + j + 1 + (j < i))
+        g.append(() if j == i else _trimmed(_interpolated(
+            [sign * _pfaffian([[m[r][c] for c in keep] for r in keep])
+             for m in members])))
+    return g
+
+
+def _closure_certified(big_p, big_q, f: Sequence,
+                       g: Sequence[Sequence]) -> bool:
+    """Whether (f, g), rational coefficient lists over t with constant
+    term first and g on the g_-1 coordinates, certifies a rank 1 point
+    of the nondegenerate pencil P + tQ over the closure.
+
+    It does when deg f >= 1, every row of (P + tQ) g is 0 mod f, and
+    gcd(f, g_1, .., g_n) = 1: at any root alpha of f, g(alpha) is then a
+    nonzero kernel vector of P + alpha Q, and nondegeneracy over Q (so
+    over C) makes its adjoint rank 1.  With f and g scaled to integers,
+    a row of degree at most deg f (the only degree accepted) is 0 mod f
+    iff lc(f) row = row[deg f] f, integer cross-multiplication with no
+    division; the gcd is Euclid's over Q by _poly_gcd.
+    """
+    f, g = _trimmed(f), [_trimmed(gj) for gj in g]
+    if len(f) < 2 or not any(g):
+        return False
+    f_ints, g_ints = _scaled(f), [_scaled(gj) for gj in g]
+    deg, lead = len(f) - 1, f_ints[-1]
+    width = max(deg, *map(len, g_ints)) + 1
+    for rp, rq in zip(big_p, big_q):
+        row = [0] * width
+        for x, z, gj in zip(rp, rq, g_ints):
+            for d, c in enumerate(gj):
+                row[d] += x * c
+                row[d + 1] += z * c
+        if any(row[deg + 1:]) or any(lead * r != row[deg] * c
+                                     for r, c in zip(row, f_ints)):
+            return False
+    h = f
+    for gj in g:
+        if len(h) == 1:
+            break
+        h = _poly_gcd(h, gj)
+    return len(h) == 1
+
+
+def _trimmed(poly: Sequence) -> Poly:
+    """A coefficient list without its trailing zeros, as Fractions."""
+    poly = [Fraction(c) for c in poly]
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return tuple(poly)
+
+
+def _scaled(poly: Poly) -> List[int]:
+    """Rational coefficients times the lcm of their denominators."""
+    d = lcm(*(c.denominator for c in poly))
+    return [c.numerator * (d // c.denominator) for c in poly]
 
 
 def _rank_one(rows) -> bool:
@@ -526,7 +655,12 @@ def classify(a: GNLA, max_degree: int = 10, *,
     degenerate short-circuit, rational rank 1 witness search (complete
     on the pencil class, see rank1_witness), then the minor ideal over
     the closure, whose nontrivial zero means infinite type (layer_dims
-    stays None).  Only when the ideal has the trivial zero alone, or hit
+    stays None).  On the paper's metabelian class, where the theorem
+    says infinite, a pencil stage miss is first certified by
+    _closure_certificate: the verdict is closure with algebraic_witness
+    (f, g) checked exactly, and the minor ideal runs only when no column
+    of the pfaffian adjugate qualifies.  Only when the ideal has the
+    trivial zero alone, or hit
     its Groebner degree cap, does the prolongation iteration run: to
     size the finite prolongation, or as the fallback that a vanishing
     layer still settles.  A cap abort that the
@@ -544,10 +678,15 @@ def classify(a: GNLA, max_degree: int = 10, *,
 
     # the witness search and the minor ideal read one integer span
     span = _degree1_span(a)
-    w = _rank1_witness(a, span[1], a.depth == 2 and a.layer_dim(2) == 2)
+    w, pf = _rank1_witness(a, span[1],
+                           a.depth == 2 and a.layer_dim(2) == 2)
     if w is not None:
         return TypeVerdict(kind="infinite", witness=w,
                            certificate="rational_witness")
+    certificate = _closure_certificate(a, span[1], pf) if pf else None
+    if certificate is not None:
+        return TypeVerdict(kind="infinite", certificate="closure",
+                           algebraic_witness=certificate)
 
     ideal = PolynomialIdeal(_minors(span, "y"), degree_cap=degree_cap)
     cap = None

@@ -12,7 +12,7 @@ shapes each kind's template, and one writer, _pencil_pair, skew-embeds
 templates block-diagonally.  The module ends with a catalog of named
 algebras used throughout the tests and the CLI.  It imports only
 algebra and linalg, so its checkers (special_extension, _pfaffian,
-_interpolated, _poly_divmod and _rational_roots) run without the
+_interpolated, _poly_divmod, _poly_gcd and _rational_roots) run without the
 prolongation solver or the Groebner code.
 """
 
@@ -101,10 +101,18 @@ class Cochain2:
 
     values maps a basis pair (i, j) with i < j of the base algebra to a
     length-s coefficient tuple over the module basis Y_1..Y_s; missing
-    pairs are zero.  Only storage and sign bookkeeping live here.
+    pairs are zero, and a pair out of order or listed twice is refused.
+    Only storage and sign bookkeeping live here.
     """
     s: int
     values: Tuple[Tuple[Tuple[int, int], Vector], ...]
+
+    def __post_init__(self):
+        pairs = [pair for pair, _ in self.values]
+        if any(i >= j for i, j in pairs):
+            raise ValueError("cochain keys must satisfy i < j")
+        if len(set(pairs)) != len(pairs):
+            raise ValueError("cochain keys must be distinct")
 
     @classmethod
     def from_dict(cls, s: int, mapping) -> "Cochain2":
@@ -836,6 +844,15 @@ def _poly_divmod(f: Sequence, g: Sequence):
     return q, f
 
 
+def _poly_gcd(f: Sequence, g: Sequence) -> Sequence:
+    """A greatest common divisor of coefficient lists, constant term
+    first and without trailing zeros, f nonzero: the last nonzero
+    Euclidean remainder."""
+    while g:
+        f, g = g, _poly_divmod(f, g)[1]
+    return f
+
+
 def _poly_value(f: Sequence, x: Fraction) -> Fraction:
     out = Fraction(0)
     for c in reversed(f):
@@ -872,11 +889,9 @@ def _rational_roots(coeffs: Sequence) -> List[Fraction]:
     roots = [Fraction(0)] if low else []
     f = f[low:]
     if len(f) > 3:
-        # divide out gcd(f, f'), the last nonzero Euclidean remainder
-        g, r = f, [k * c for k, c in enumerate(f)][1:]
-        while r:
-            g, r = r, _poly_divmod(g, r)[1]
-        f = _poly_divmod(f, g)[0]
+        # divide out gcd(f, f')
+        derivative = [k * c for k, c in enumerate(f)][1:]
+        f = _poly_divmod(f, _poly_gcd(f, derivative))[0]
     den = lcm(*(c.denominator for c in f))
     f = [c.numerator * (den // c.denominator) for c in f]
     content = gcd(*f)

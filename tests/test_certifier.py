@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import signal
@@ -54,7 +55,17 @@ from gnla import (
 )
 import gnla.algebra
 import gnla.certifier
-from gnla.certifier import _degree1_span, _matrix_span, _minors
+from gnla.certifier import (
+    _adjugate_column,
+    _closure_certificate,
+    _closure_certified,
+    _degree1_span,
+    _matrix_span,
+    _member,
+    _minors,
+    _pencil_forms,
+    _pencil_witness,
+)
 from gnla.constructions import _module_covector
 from test_algebra import reference_quotient
 
@@ -164,6 +175,38 @@ def in_pencil_class(a):
     rep = validate(a)
     return (rep.structural_ok and rep.checks["nondegenerate"]
             and a.depth == 2 and a.layer_dim(2) == 2)
+
+
+def sympy_certificate_holds(a, certificate):
+    """Whether an algebraic witness (f, g) holds by sympy over QQ[t],
+    with the bracket forms B_1, B_2 on g_-1: g is zero off g_-1, deg f >=
+    1, f divides Pf(B_1 + t B_2) (f^2 divides the determinant, which is
+    the pfaffian squared, and QQ[t] is a UFD), every row of
+    (B_1 + t B_2) g is 0 mod f, and gcd(f, g) = 1."""
+    t = sympy.Symbol("t")
+
+    def poly(coeffs):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(coeffs)] or [0], t,
+                          domain="QQ")
+    f, g = certificate
+    pos1 = a.layer_positions(1)
+    n = len(pos1)
+    if any(g[p] for p in range(a.dim) if p not in pos1):
+        return False
+    forms = [sympy.Matrix([[sympy.Rational(a.pair_bracket(p, q)[w])
+                            for q in pos1] for p in pos1])
+             for w in a.layer_positions(2)]
+    det = sympy.Poly(sympy.interpolate(
+        [(k, (forms[0] + k * forms[1]).det()) for k in range(n + 1)], t),
+        t, domain="QQ")
+    fp, gs = poly(f), [poly(g[p]) for p in pos1]
+    rows = [sum((sympy.Poly(forms[0][r, c] + t * forms[1][r, c], t,
+                            domain="QQ") * gs[c] for c in range(n)),
+                sympy.Poly(0, t, domain="QQ")) for r in range(n)]
+    return (fp.degree() >= 1 and det.rem(fp ** 2).is_zero
+            and all(row.rem(fp).is_zero for row in rows)
+            and functools.reduce(sympy.Poly.gcd, gs, fp).degree() == 0)
 
 
 def sympy_pencil_has_rational_point(a):
@@ -364,8 +407,9 @@ def test_pencil_stage_is_complete_on_random_two_step_algebras():
     """Seeded random 2-step algebras with dim g_-2 = 2: for odd n_1 every
     one classifies rational_witness with rank 1.  Where the pencil stage
     misses (even n_1), sympy finds no rational zero of the pencil's
-    determinant form, the square of the pfaffian form, and the minor
-    ideal still has a nontrivial zero."""
+    determinant form, the square of the pfaffian form, the minor ideal
+    still has a nontrivial zero, and sympy re-checks the algebraic
+    witness of the closure verdict."""
     rng = random.Random(7211)
     missed = 0
     for n1 in (3, 4, 5, 6, 7) * 4:
@@ -380,6 +424,7 @@ def test_pencil_stage_is_complete_on_random_two_step_algebras():
             assert v.certificate == "closure", n1
             assert not sympy_pencil_has_rational_point(a), n1
             assert not only_trivial_zero(minor_ideal(a)), n1
+            assert sympy_certificate_holds(a, v.algebraic_witness), n1
             missed += 1
     assert missed > 0
 
@@ -421,8 +466,102 @@ def test_pencil_stage_takes_the_zero_at_infinity():
 
 def test_closure_example_stays_closure_at_default_budgets():
     # det(B1 + t B2) = (20t^2 + 33t + 3)^2 has irrational roots only
-    v = classify(closure_example())
+    a = closure_example()
+    v = classify(a)
     assert (v.kind, v.certificate, v.witness) == ("infinite", "closure", None)
+    f, g = v.algebraic_witness
+    assert f == (3, 33, 20)
+    assert sympy_certificate_holds(a, (f, g))
+    # no Groebner basis is built, so its degree cap no longer applies
+    assert classify(a, degree_cap=1) == v
+
+
+def test_closure_certificate_check_rejects_a_perturbed_g_or_f():
+    """The in-package check accepts the certificate classify returns and
+    refuses it after any one coefficient of g moves, with a non-dividing
+    f of the same degree or of higher degree, with a constant f, and
+    with g = 0: on closure_example and seeded pencils with n_1 = 6, 8."""
+    rng = random.Random(2617)
+    algebras = [closure_example()]
+    while len(algebras) < 5:
+        a = random_two_step(rng, 6 + 2 * (len(algebras) % 2))
+        if classify(a).certificate == "closure":
+            algebras.append(a)
+    for a in algebras:
+        f, g = classify(a).algebraic_witness
+        big_p, big_q = _pencil_forms(_degree1_span(a)[1])
+        g1 = [g[p] for p in a.layer_positions(1)]
+        assert _closure_certified(big_p, big_q, f, g1), a.name
+        # every column of the adjugate qualifies on these pencils
+        n = len(g1)
+        members = [_member(big_p, big_q, 1, t) for t in range(n // 2)]
+        for i in range(n):
+            assert _closure_certified(big_p, big_q, f,
+                                      _adjugate_column(members, i)), i
+        for j, gj in enumerate(g1):
+            for d in range(len(gj)):
+                bad = list(g1)
+                bad[j] = gj[:d] + (gj[d] + 1,) + gj[d + 1:]
+                assert not _closure_certified(big_p, big_q, f, bad)
+        times_t_plus_1 = tuple(x + y for x, y in zip((0,) + f, f + (0,)))
+        for bad_f in ((f[0] + 1,) + f[1:], times_t_plus_1, f[:1], (1, 1)):
+            assert not _closure_certified(big_p, big_q, bad_f, g1), bad_f
+        assert not _closure_certified(big_p, big_q, f, [()] * len(g1))
+
+
+def test_pfaffian_square_falls_back_to_the_minor_ideal(monkeypatch):
+    """diag(B, B), B the pencil P_0 = e_12 + e_34, Q_0 = e_13 - e_24 with
+    Pf(P_0 + tQ_0) = 1 + t^2: the pfaffian form is (1 + t^2)^2, the rank
+    drops by 4 at t = +-i, so every sub-pfaffian of side 6 vanishes there
+    and no column of the adjugate qualifies.  classify then takes the
+    minor ideal, unchanged, and still says infinite over the closure."""
+    z = Fraction(0)
+    b1 = [[z] * 8 for _ in range(8)]
+    b2 = [[z] * 8 for _ in range(8)]
+    for off in (0, 4):
+        for b, entries in ((b1, ((0, 1, 1), (2, 3, 1))),
+                           (b2, ((0, 2, 1), (1, 3, -1)))):
+            for i, j, c in entries:
+                b[off + i][off + j], b[off + j][off + i] = (Fraction(c),
+                                                            Fraction(-c))
+    a = metabelian_from_pencil([Matrix(b1), Matrix(b2)])
+    assert in_pencil_class(a)
+    t = sympy.Symbol("t")
+    det = (sympy.Matrix(b1) + t * sympy.Matrix(b2)).det()
+    assert sympy.expand(det - (1 + t ** 2) ** 4) == 0
+    span = _degree1_span(a)
+    w, pf = _pencil_witness(a, span[1])
+    assert w is None and pf in ((1, 0, 2, 0, 1), (-1, 0, -2, 0, -1))
+    assert _closure_certificate(a, span[1], pf) is None
+    calls = []
+    monkeypatch.setattr(gnla.certifier, "_minors",
+                        lambda *args: calls.append(1) or _minors(*args))
+    v = classify(a)
+    assert (v.kind, v.certificate, v.witness, v.algebraic_witness) == (
+        "infinite", "closure", None, None)
+    assert calls == [1]
+
+
+def test_metabelian_closure_verdicts_run_no_groebner(monkeypatch):
+    """On seeded pencil algebras with n_1 in {4, 6, 8, 10}, every verdict
+    is infinite, each closure verdict carries an algebraic witness, and
+    neither _minors nor only_trivial_zero runs once."""
+    calls = []
+    for name in ("_minors", "only_trivial_zero"):
+        original = getattr(gnla.certifier, name)
+        monkeypatch.setattr(gnla.certifier, name,
+                            lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    rng = random.Random(2606)
+    closures = set()
+    for n1 in (4, 6, 8, 10) * 3:
+        v = classify(random_two_step(rng, n1))
+        assert v.kind == "infinite", n1
+        if v.certificate == "closure":
+            assert v.algebraic_witness is not None, n1
+            closures.add(n1)
+    assert calls == []
+    assert closures == {4, 6, 8, 10}
 
 
 def test_catalog_verdicts_and_cli_bytes_are_the_ladder_witnesses(

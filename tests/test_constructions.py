@@ -194,6 +194,23 @@ def test_cochain_as_dict_drops_zero_values():
     assert c.as_dict() == {(1, 2): (1, 0)}
 
 
+def test_cochain_refuses_pairs_out_of_order_or_repeated():
+    """A Cochain2 built directly holds each pair i < j at most once, as
+    from_dict does: the pair (Z, Y) of heisenberg dim 3 written as
+    (2, 1), or (1, 1), is refused where it is built, not later by
+    special_extension as a pair of total degree below -s."""
+    a = heis3()
+    for pair in ((2, 1), (1, 1)):
+        with pytest.raises(ValueError, match="i < j"):
+            Cochain2(s=3, values=((pair, (0, 0, 1)),))
+    with pytest.raises(ValueError, match="distinct"):
+        Cochain2(s=3, values=(((1, 2), (0, 0, 1)), ((1, 2), (0, 0, 2))))
+    cocycle = Cochain2(s=3, values=(((1, 2), (0, 0, 1)),))
+    assert cocycle == Cochain2.from_dict(3, {(1, 2): (0, 0, 1)})
+    ext = special_extension(ExtensionData.from_adapted_base(a, 3, cocycle))
+    assert validate(ext).all_passed
+
+
 # --- extension data and the extension builder -------------------------------
 
 def test_extension_data_validation():
