@@ -3,18 +3,17 @@
 The public scalars are fractions.Fraction.  Ranks, kernels and echelon
 forms feed classification verdicts downstream, so every elimination step
 must be exact; floats are rejected at the door.  Every rank, RREF,
-kernel, solve, inverse, intersection and determinant runs on one core,
-which works on integers only: sparse {column: int} rows, reduced
-fraction-free with row content reduction (Bareiss 1968), forward and
-back.  Fraction rows are scaled to integers once, where they enter the
-core; a caller that builds its rows as integers (the Leibniz systems,
-the Groebner row reduction) hands them over as they are.  The inverse
-is one reduction of [U | I] for the integer rows U (_inverse), shared by
-Matrix.inverse and change_basis, which read their scales back.  The core's
-output is the unique RREF, kept sparse as the rows' nonzero (column,
-value) entries (_rref_rows): subspaces are stored by it, so equal ones
-compare equal, and Matrix.rref, solve and Subspace.basis densify it only
-at the API boundary.  A kernel takes one elimination, with its
+kernel, solve, inverse and determinant runs on one core, which works on
+integers only: sparse {column: int} rows, reduced fraction-free with row
+content reduction (Bareiss 1968), forward and back.  Fraction rows are
+scaled to integers once, where they enter the core; a caller that
+builds its rows as integers (the Leibniz systems, the Groebner row
+reduction) hands them over as they are.  The inverse is one reduction
+of [U | I] for the integer rows U (_inverse), which change_basis reads
+with its scales.  The core's output is the unique RREF, kept sparse as
+the rows' nonzero (column, value) entries (_rref_rows): subspaces are
+stored by it, so equal ones compare equal, and solve and Subspace.basis
+densify it only at the API boundary.  A kernel takes one elimination, with its
 unknowns keyed in reverse: so reduced, each pivot row reaches only free
 columns below its pivot, and the vectors read off the free columns
 already are the RREF.  The read-off stays integer (_kernel_rows), each
@@ -183,7 +182,7 @@ def _inverse(rows, n: int):
     """The inverse of the n x n integer matrix with sparse {col: int} rows
     without zeros, which it owns, from one reduction of [U | I]: for each
     row c of U^-1, ({k: int}, lead) with U^-1[c][k] = row[k] / lead.
-    Raises ValueError when U is singular."""
+    Raises ValueError when U is singular.  Its one caller is change_basis."""
     for i, r in enumerate(rows):
         r[n + i] = 1
     cols, reduced = _reduced(rows)
@@ -267,7 +266,9 @@ class Frozen:
 
 
 class Matrix(Frozen):
-    """Immutable dense matrix over Fraction."""
+    """Immutable dense matrix over Fraction.  The package reads none of
+    scale, + and det; they stay because the bench harness checks
+    det_pencil and pfaffian against them and times Matrix.det."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -290,62 +291,15 @@ class Matrix(Frozen):
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
         return cls([[0] * ncols for _ in range(nrows)])
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(frac(e) for e in c) for c in cols]
-        if not cols:
-            return cls([])
-        height = len(cols[0])
-        if any(len(c) != height for c in cols):
-            raise ValueError("ragged columns")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(height)])
-
     def __getitem__(self, key):
         i, j = key
         return self.rows[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         return Matrix([[a + b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            cols = other.ncols
-            return Matrix([[sum(self.rows[i][k] * other.rows[k][j]
-                                for k in range(self.ncols))
-                            for j in range(cols)]
-                           for i in range(self.nrows)])
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
@@ -369,13 +323,6 @@ class Matrix(Frozen):
     def flatten(self) -> Vector:
         return tuple(a for r in self.rows for a in r)
 
-    def rref(self):
-        """The RREF, zero rows last, and its pivots, from _rref_rows."""
-        sparse = _rref_rows(self.rows)
-        rows = [_densified(r, self.ncols) for r in sparse]
-        rows += [zero_vector(self.ncols)] * (self.nrows - len(rows))
-        return Matrix._trusted(tuple(rows)), tuple(r[0][0] for r in sparse)
-
     def rank(self) -> int:
         return _rank(self.rows)
 
@@ -383,19 +330,6 @@ class Matrix(Frozen):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         return _det(self.rows)
-
-    def inverse(self) -> "Matrix":
-        """A^-1 = U^-1 S for the integer rows U = S A, S the row scales."""
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        scaled = [_integer_row(r) for r in self.rows]
-        inv = _inverse([r for r, _ in scaled], n)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for c, (r, lead) in enumerate(inv):
-            for k, v in r.items():
-                rows[c][k] = Fraction(v * scaled[k][1], lead)
-        return Matrix._trusted(tuple(map(tuple, rows)))
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -424,14 +358,6 @@ class Subspace(Frozen):
                 raise ValueError("ambient dimension mismatch")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", _rref_rows(vecs))
-
-    @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(n, ())
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, [unit_vector(n, i) for i in range(n)])
 
     @property
     def basis(self) -> Tuple[Vector, ...]:
@@ -466,14 +392,6 @@ class Subspace(Frozen):
         if any(a != 0 for a in residual):
             return None
         return tuple(coeffs)
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, self.basis + other.basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        return intersect(self, other)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -619,22 +537,3 @@ def _combined(coeffs: Subspace, basis, n: int) -> Subspace:
         sums.append(tuple((j, v[j]) for j in sorted(v) if v[j]))
     return Subspace._trusted(n, tuple(sums))
 
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space.
-
-    A vector lies in both spans iff it can be written over both bases:
-    the kernel of the rows {k: a_k[i]} + {dim a + l: -b_l[i]} holds the
-    matching coefficient pairs, each led in its a-part (b is independent).
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    n = a.ambient_dim
-    rows = [{} for _ in range(n)]
-    for k, r in enumerate(a._rows):
-        for i, e in r:
-            rows[i][k] = e
-    for k, r in enumerate(b._rows, a.dim):
-        for i, e in r:
-            rows[i][k] = -e
-    return _combined(_kernel(rows, a.dim + b.dim), a._rows, n)

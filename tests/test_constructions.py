@@ -14,6 +14,7 @@ from cases import (
     signed_permutation,
     witness_cases,
 )
+from dense import identity
 from gnla import (
     CATALOG_NAMES,
     Cochain2,
@@ -519,7 +520,7 @@ def test_h2_0_representatives_build():
 
 def test_h2_0_point_base_is_rigid():
     base = point()
-    w = Subspace.zero(1)
+    w = Subspace(1)
     for s in (2, 3, 4):
         dim, reps = h2_0(base, w, s)
         assert dim == 0
@@ -856,8 +857,8 @@ def test_pfaffian_matches_reference_elimination():
         rows = [[int(x * d) for x in row] for row in b.rows]
         assert Fraction(_pfaffian(rows), d ** (n // 2)) == want
         if n and n % 2 == 0:
-            swaps += b[0, 1] == 0 and any(b.row(0))
-            zero_rows += not any(b.row(0))
+            swaps += b[0, 1] == 0 and any(b.rows[0])
+            zero_rows += not any(b.rows[0])
     assert swaps >= 20 and zero_rows >= 20
     assert pfaffian(Matrix([])) == reference_pfaffian(Matrix([])) == 1
     assert _pfaffian([]) == 1
@@ -1321,7 +1322,8 @@ def reference_h2_0(base, w, s):
     if n2 == 0:
         return 0, []
     rank_d1 = Matrix(d1_rows).rank() if d1_rows else 0
-    kernel = kernel_basis(Matrix(d2_rows)) if d2_rows else Subspace.full(n2)
+    kernel = (kernel_basis(Matrix(d2_rows)) if d2_rows
+              else Subspace(n2, identity(n2).rows))
     dim = kernel.dim - rank_d1
     cols = list(zip(*d1_rows))
     rows = cols + list(kernel.basis)

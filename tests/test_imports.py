@@ -6,14 +6,17 @@ standard library; the package API is pinned, and each re-exported
 module's __all__ lists only names that the module itself defines."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import gnla
-from gnla import GNLA, GradedMap, Matrix, Polynomial, Subspace
+import gnla.linalg
+from gnla import GNLA, GradedMap, Matrix, Polynomial, Subspace, pfaffian
 from gnla.linalg import Frozen
 
 PACKAGE = Path(gnla.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def names_read(tree):
@@ -182,14 +185,64 @@ def dense_solve_calls(sources):
     return sorted(found)
 
 
+# The dense matrix algebra that linalg no longer defines: the package
+# reads none of it, and the tests keep their references in tests/dense.py.
+DELETED_DENSE = {
+    Matrix: {"identity", "from_columns", "row", "column", "columns",
+             "transpose", "__sub__", "__neg__", "__mul__", "__rmul__",
+             "rref", "inverse"},
+    Subspace: {"full", "zero", "__add__", "intersect"},
+    gnla.linalg: {"intersect"},
+}
+
+
 def test_only_linalg_solves_densely():
-    """A dense solve is an augmented elimination per right-hand side, and
-    Matrix.from_columns builds the dense matrix it runs on; the package
-    reads its systems off the sparse core instead (a quotient, say, is a
-    change of basis and a split), so no module but linalg calls either."""
+    """A dense solve is an augmented elimination per right-hand side; the
+    package reads its systems off the sparse core instead (a quotient,
+    say, is a change of basis and a split), so no module but linalg calls
+    solve, and none calls a column builder such as from_columns.  Nor
+    does linalg define again the dense algebra it dropped: products,
+    transposes, dense RREF and inverse, subspace sums and intersection."""
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert dense_solve_calls(sources) == []
+    for owner, names in DELETED_DENSE.items():
+        assert not names & set(dir(owner)), owner
+
+
+def tracer_targets(source):
+    """The (module, attribute path) of each entry of the top-level TARGETS
+    tuple of a tracer source: the second and third items, by which the
+    tracer finds each function it times and rebinds it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS"
+                for t in node.targets):
+            return [(e.elts[1].value, e.elts[2].value)
+                    for e in node.value.elts]
+    return []
+
+
+def test_benchmark_read_surface_resolves():
+    """bench/tracer.py rebinds every TARGETS function by module and
+    attribute path, and bench/workloads.py checks det_pencil and the
+    pfaffian with Matrix.scale, + and det, which the package itself does
+    not call: a deletion that drops one of these names breaks the
+    benchmark and no other tier-1 test."""
+    targets = tracer_targets((BENCH / "tracer.py").read_text())
+    assert {("gnla.linalg", "Matrix.det"), ("gnla.linalg", "solve"),
+            ("gnla.linalg", "Matrix.rank")} <= set(targets)
+    for module, attr in targets:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attr)
+    b1 = Matrix([[0, 1], [-1, 0]])
+    b2 = Matrix([[0, 2], [-2, 0]])
+    assert (b1 + b2.scale(3)).det() == 49
+    m = Matrix([[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6],
+                [-3, -5, -6, 0]])
+    assert pfaffian(m) ** 2 == m.det() == 64
 
 
 def test_dense_solve_call_detector():

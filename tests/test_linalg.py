@@ -5,19 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from dense import from_columns, identity, intersect, mul, reference_rref
 from gnla import catalog, prolong_layer, prolongation
 from gnla import Polynomial, change_basis, classify, parse_algebra
 from gnla.linalg import (
     Matrix,
     Subspace,
+    _densified,
     _integer_kernel,
     _integer_row,
+    _inverse,
     _kernel,
     _kernel_rows,
     _reduced,
+    _rref_rows,
     frac,
     independent_rows,
-    intersect,
     kernel_basis,
     solve,
     unit_vector,
@@ -47,37 +50,6 @@ def det_naive(m):
     return total
 
 
-def reference_rref(rows):
-    """Dense Fraction Gauss-Jordan: leftmost pivot, rows top down.  The
-    elimination gnla used before its integer core; an oracle only."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [e / inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
-
-
 def random_rational_rows(rng, nrows, ncols, max_den, density):
     """Sparse rational rows; some repeat or combine earlier rows."""
     rows = []
@@ -98,12 +70,12 @@ def random_rational_rows(rng, nrows, ncols, max_den, density):
 
 
 def dense_rref(rows):
-    """Matrix.rref as (nonzero rows, pivot columns), the reference's form;
-    the zero rows it appends are checked and dropped."""
-    reduced, pivots = Matrix(rows).rref()
-    got = [list(r) for r in reduced.rows]
-    assert not any(e for r in got[len(pivots):] for e in r)
-    return got[:len(pivots)], list(pivots)
+    """_rref_rows densified as (nonzero rows, pivot columns), the
+    reference's form."""
+    ncols = len(rows[0]) if rows else 0
+    sparse = _rref_rows(rows)
+    return ([list(_densified(r, ncols)) for r in sparse],
+            [r[0][0] for r in sparse])
 
 
 def test_rref_core_matches_reference_gauss_jordan():
@@ -170,13 +142,15 @@ def test_rref_of_a_prolongation_system_matches_sympy(monkeypatch):
     m = Matrix([[row.get(ncols - 1 - j, 0) for j in range(ncols)]
                 for row in rows])
     assert (m.nrows, m.ncols) == (28, 48)
-    reduced, pivots = m.rref()
+    reduced, pivots = dense_rref(m.rows)
     oracle, oracle_pivots = sympy.Matrix(
         [[sympy.Rational(e.numerator, e.denominator) for e in row]
          for row in m.rows]).rref()
-    assert pivots == oracle_pivots
-    assert [[Fraction(int(e.p), int(e.q)) for e in oracle.row(i)]
-            for i in range(m.nrows)] == [list(r) for r in reduced.rows]
+    assert tuple(pivots) == oracle_pivots
+    want = [[Fraction(int(e.p), int(e.q)) for e in oracle.row(i)]
+            for i in range(m.nrows)]
+    assert want[:len(pivots)] == reduced
+    assert not any(e for r in want[len(pivots):] for e in r)
 
 
 def test_frac_accepts_common_inputs():
@@ -200,37 +174,51 @@ def test_matrix_shape_and_indexing():
     m = Matrix([[1, 2, 3], [4, 5, 6]])
     assert (m.nrows, m.ncols) == (2, 3)
     assert m[1, 2] == 6
-    assert m.row(0) == (1, 2, 3)
-    assert m.column(1) == (2, 5)
-    assert m.transpose().rows == ((1, 4), (2, 5), (3, 6))
+    assert m.rows == ((1, 2, 3), (4, 5, 6))
+    assert all(type(e) is Fraction for e in m.flatten())
     assert m.flatten() == (1, 2, 3, 4, 5, 6)
+    assert (Matrix([]).nrows, Matrix([]).ncols) == (0, 0)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        Matrix([[1, 2], [3]])
 
 
 def test_matrix_from_columns_round_trip():
+    """The test-side column builder transposes: built from the rows of m,
+    it gives the transpose, and twice, m again."""
     m = Matrix([[1, 2], [3, 4], [5, 6]])
-    assert Matrix.from_columns(list(m.columns())) == m
+    assert from_columns(m.rows).rows == ((1, 3, 5), (2, 4, 6))
+    assert from_columns(from_columns(m.rows).rows) == m
+    assert from_columns([]) == Matrix([])
 
 
 def test_matrix_arithmetic():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[0, 1], [1, 0]])
     assert (a + b).rows == ((1, 3), (4, 4))
-    assert (a - b).rows == ((1, 1), (2, 4))
-    assert (-a).rows == ((-1, -2), (-3, -4))
-    assert (a * b).rows == ((2, 1), (4, 3))
-    assert a.scale(2) == 2 * a
+    assert (a + b.scale(-1)).rows == ((1, 1), (2, 4))
+    assert a.scale(Fraction(-1, 2)).rows == ((Fraction(-1, 2), -1),
+                                              (Fraction(-3, 2), -2))
+    assert a.scale(2) == a + a
+    assert mul(a, b).rows == ((2, 1), (4, 3))
     assert a.apply((1, 0)) == (1, 3)
+    with pytest.raises(TypeError):
+        a.scale(0.5)
 
 
 def test_matrix_mul_shape_check():
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        Matrix([[1, 2]]) + Matrix([[1], [2]])
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        Matrix([[1, 2]]).apply((1, 2, 3))
     with pytest.raises(ValueError):
-        Matrix([[1, 2]]) * Matrix([[1, 2]])
+        mul(Matrix([[1, 2]]), Matrix([[1, 2]]))
 
 
 def test_identity_and_zero():
-    i3 = Matrix.identity(3)
+    i3 = identity(3)
     z = Matrix.zero(2, 3)
-    assert i3 * i3 == i3
+    assert mul(i3, i3) == i3
+    assert z.rows == ((0, 0, 0),) * 2
     assert z.is_zero()
     assert not i3.is_zero()
 
@@ -272,15 +260,22 @@ def test_is_skew_matches_the_definition():
 
 
 def test_rref_is_idempotent_and_pivots_are_unit_columns():
+    """_rref_rows of its own rows, sparse or densified, is the same; each
+    row is led by a 1 in increasing columns, lists no zero entry, and its
+    pivot column is zero in every other row."""
     rng = random.Random(7)
     for _ in range(30):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        r, pivots = m.rref()
-        r2, pivots2 = r.rref()
-        assert r == r2
-        assert pivots == pivots2
+        got = _rref_rows(m.rows)
+        assert _rref_rows([dict(r) for r in got]) == got
+        reduced, pivots = dense_rref(m.rows)
+        assert _rref_rows(reduced) == got
+        assert pivots == sorted(set(pivots))
+        for r in got:
+            assert r[0][1] == 1 and all(e for _, e in r)
+            assert [j for j, _ in r] == sorted(j for j, _ in r)
         for k, c in enumerate(pivots):
-            col = r.column(c)
+            col = [row[c] for row in reduced]
             assert col[k] == 1
             assert all(col[i] == 0 for i in range(len(col)) if i != k)
 
@@ -289,7 +284,7 @@ def test_rank_matches_transpose_rank():
     rng = random.Random(11)
     for _ in range(30):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == from_columns(m.rows).rank()
 
 
 def test_det_against_laplace():
@@ -321,7 +316,7 @@ def test_det_multiplicative():
         n = rng.randint(2, 4)
         a = random_matrix(rng, n, n)
         b = random_matrix(rng, n, n)
-        assert (a * b).det() == a.det() * b.det()
+        assert mul(a, b).det() == a.det() * b.det()
 
 
 def test_det_rejects_rectangular():
@@ -329,28 +324,58 @@ def test_det_rejects_rectangular():
         Matrix([[1, 2, 3], [4, 5, 6]]).det()
 
 
+def rational_inverse(rows):
+    """The inverse of square Fraction rows from linalg._inverse, read
+    back as change_basis reads it: A^-1 = U^-1 S for the integer rows
+    U = S A, S the row scales."""
+    n = len(rows)
+    scaled = [_integer_row(r) for r in rows]
+    inv = _inverse([r for r, _ in scaled], n)
+    return Matrix([[Fraction(r.get(k, 0) * scaled[k][1], lead)
+                    for k in range(n)] for r, lead in inv])
+
+
 def test_inverse():
+    """_inverse of seeded integer matrices equals sympy's inverse, each
+    row over its integer lead, and a singular matrix raises."""
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(13)
-    found = 0
+    found = singular = 0
     while found < 15:
-        n = rng.randint(2, 4)
-        m = random_matrix(rng, n, n)
-        if m.det() == 0:
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        want = sympy.Matrix(rows)
+        sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        if want.det() == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                _inverse(sparse, n)
             continue
         found += 1
-        assert m * m.inverse() == Matrix.identity(n)
-        assert m.inverse() * m == Matrix.identity(n)
+        got = _inverse(sparse, n)
+        assert all(type(lead) is int and lead for _, lead in got)
+        assert [[Fraction(r.get(k, 0), lead) for k in range(n)]
+                for r, lead in got] == [
+            [Fraction(int(e.p), int(e.q)) for e in want.inv().row(i)]
+            for i in range(n)]
+        assert mul(Matrix(rows), rational_inverse(rows)) == identity(n)
+    assert singular > 0
 
 
 def test_inverse_singular_raises():
-    with pytest.raises(ValueError):
-        Matrix([[1, 2], [2, 4]]).inverse()
+    """A singular matrix raises, whether its rank falls short in the
+    first column, in a later one or at a zero row."""
+    for rows in ([{0: 1, 1: 2}, {0: 2, 1: 4}], [{1: 1}, {1: 3}],
+                 [{0: 1}, {}]):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            _inverse(rows, 2)
 
 
 def test_inverse_matches_reference_gauss_jordan():
     """Random sparse rational matrices, singular ones included, and the
-    empty one: the inverse is the right half of the reference RREF of
-    [A | I], and a singular matrix keeps its message."""
+    empty one: the inverse read back from _inverse is the right half of
+    the reference RREF of [A | I], and a singular matrix keeps its
+    message."""
     rng = random.Random(331)
     singular = 0
     for trial in range(150):
@@ -363,11 +388,11 @@ def test_inverse_matches_reference_gauss_jordan():
         if pivots != list(range(n)):
             singular += 1
             with pytest.raises(ValueError, match="^matrix is singular$"):
-                Matrix(a).inverse()
+                rational_inverse(a)
             continue
-        got = Matrix(a).inverse()
+        got = rational_inverse(a)
         assert got.rows == tuple(tuple(r[n:]) for r in reduced)
-        assert got * Matrix(a) == Matrix.identity(n)
+        assert mul(got, Matrix(a)) == identity(n)
     assert 20 <= singular <= 130
 
 
@@ -404,7 +429,7 @@ def kernel_cases(rng):
     """Seeded rational matrices: zero matrices (every column free), zero
     rows among others, full column rank, wide and tall shapes, and
     denominators up to 10**6."""
-    cases = [Matrix([[0] * 5] * 3), Matrix([[0]]), Matrix.identity(4)]
+    cases = [Matrix([[0] * 5] * 3), Matrix([[0]]), identity(4)]
     for nrows, ncols in [(1, 1), (1, 6), (6, 1), (3, 9), (9, 3), (8, 8),
                          (12, 20), (20, 12)]:
         for max_den in (1, 7, 10 ** 6):
@@ -454,7 +479,8 @@ def test_kernel_takes_dict_rows_like_dense_rows():
             sparse[0][m.ncols - 1] = sparse[0].get(m.ncols - 1, Fraction(0))
         assert _kernel(sparse, m.ncols) == _kernel(m.rows, m.ncols)
         assert _kernel(sparse, m.ncols) == kernel_basis(m)
-    assert _kernel([], 4) == _kernel([{}, {}], 4) == Subspace.full(4)
+    assert (_kernel([], 4) == _kernel([{}, {}], 4)
+            == Subspace(4, identity(4).rows))
 
 
 def test_kernel_eliminates_once(monkeypatch):
@@ -608,11 +634,11 @@ def test_subspace_sum_and_intersection_dims():
                          for _ in range(rng.randint(0, n))])
         b = Subspace(n, [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
                          for _ in range(rng.randint(0, n))])
-        both = a.intersect(b)
-        assert (a + b).dim + both.dim == a.dim + b.dim
+        both = intersect(a, b)
+        assert Subspace(n, a.basis + b.basis).dim + both.dim == a.dim + b.dim
         for v in both.basis:
             assert a.contains(v) and b.contains(v)
-        assert both == intersect(a, b)
+        assert both == intersect(b, a)
 
 
 def reference_intersect(a, b):
@@ -622,7 +648,7 @@ def reference_intersect(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
+        return Subspace(a.ambient_dim)
     n = a.ambient_dim
     cols = [list(v) for v in a.basis] + [[-e for e in v] for v in b.basis]
     stacked = Matrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
@@ -652,25 +678,29 @@ def test_intersect_matches_reference():
                                           rng.randint(1, 2))
                                  for _ in range(n)] for _ in range(k)])
         pick = t % 5
-        a = Subspace.zero(n) if pick == 1 else span()
-        b = Subspace.full(n) if pick == 2 else a if pick == 3 else span()
+        a = Subspace(n) if pick == 1 else span()
+        b = (Subspace(n, identity(n).rows) if pick == 2
+             else a if pick == 3 else span())
         got = intersect(a, b)
         assert got.basis == reference_intersect(a, b).basis
         assert got.basis == Subspace(n, got.basis).basis
-        assert got == a.intersect(b) == b.intersect(a)
+        assert got == intersect(b, a)
         nonzero += got.dim > 0
     assert nonzero > 50
     with pytest.raises(ValueError):
-        intersect(Subspace.zero(2), Subspace.zero(3))
+        intersect(Subspace(2), Subspace(3))
 
 
 def test_subspace_zero_and_full():
-    z = Subspace.zero(4)
-    f = Subspace.full(4)
+    z = Subspace(4)
+    f = Subspace(4, identity(4).rows)
     assert z.dim == 0 and f.dim == 4
-    assert f.contains((1, 2, 3, 4))
-    assert z.intersect(f) == z
-    assert (z + f) == f
+    assert z.basis == () and f.basis == identity(4).rows
+    assert f.contains((1, 2, 3, 4)) and not z.contains((0, 0, 1, 0))
+    assert z.coordinates((0, 0, 0, 0)) == ()
+    assert f.coordinates((1, 2, 3, 4)) == (1, 2, 3, 4)
+    assert intersect(z, f) == z
+    assert Subspace(4, z.basis + f.basis) == f
 
 
 def round_trips(obj):
@@ -682,7 +712,7 @@ def test_matrix_and_subspace_copy_and_pickle():
     """Copies, deep copies and pickle round trips are equal, still
     immutable, and keep a subspace's RREF rows whether or not its dense
     basis was read."""
-    for m in (Matrix([[1, Fraction(2, 3)], [0, -5]]), Matrix.identity(2),
+    for m in (Matrix([[1, Fraction(2, 3)], [0, -5]]), identity(2),
               Matrix([])):
         for twin in round_trips(m):
             assert twin == m and twin.rows == m.rows
@@ -691,7 +721,7 @@ def test_matrix_and_subspace_copy_and_pickle():
                 twin.nrows = 3
     for read in (False, True):
         for s in (Subspace(4, [(1, 2, 0, Fraction(1, 3)), (0, 0, 1, -1)]),
-                  Subspace.full(3), Subspace.zero(2)):
+                  Subspace(3, identity(3).rows), Subspace(2)):
             if read:
                 s.basis
             for twin in round_trips(s):

@@ -16,6 +16,7 @@ from cases import (
     signed_permutation,
     table_cases,
 )
+from dense import from_columns, identity
 from gnla import (
     GNLA,
     ExtensionData,
@@ -93,7 +94,8 @@ def reference_h0(a):
                 image_rows(x_idx, w, 1, block, i + 1)
                 rows.extend(r for r in block if any(c != 0 for c in r))
 
-    sol = kernel_basis(Matrix(rows)) if rows else Subspace.full(total)
+    sol = (kernel_basis(Matrix(rows)) if rows
+           else Subspace(total, identity(total).rows))
     mats = [Matrix([row[i * n1:(i + 1) * n1] for i in range(n1)])
             for row in sol.basis]
     return MatrixSubspace.from_matrices(n1, mats)
@@ -151,7 +153,7 @@ def reference_prolong_layer(a, k, lower):
                 if b is None or b.nrows == 0:
                     cols.append(zero_vector(tgt))
                 else:
-                    cols.append(b.column(q_idx))
+                    cols.append(tuple(r[q_idx] for r in b.rows))
         return cols
 
     rows = []
@@ -208,7 +210,7 @@ def reference_prolong_layer(a, k, lower):
     if rows:
         sol = kernel_basis(Matrix(rows))
     else:
-        sol = Subspace.full(total)
+        sol = Subspace(total, identity(total).rows)
 
     maps = []
     for flat in sol.basis:
@@ -389,7 +391,7 @@ def reference_leibniz_failures(a, lower, phi):
         b = phi.block(i)
         if b is None or b.nrows == 0:
             return k - i, ()
-        return k - i, b.column(idx)
+        return k - i, tuple(r[idx] for r in b.rows)
 
     def act(d, val, pos):
         """[value in degree d piece, e_pos]; returns (degree, coords)."""
@@ -788,9 +790,9 @@ def reference_h0_combination(a):
     deeper = [tuple(e for i in range(2, a.depth + 1) if i in g.blocks
                     for e in g.blocks[i].flatten()) for g in maps]
     if maps and deeper[0]:
-        combos = kernel_basis(Matrix.from_columns(deeper)).basis
+        combos = kernel_basis(from_columns(deeper)).basis
     else:
-        combos = Subspace.full(len(maps)).basis
+        combos = identity(len(maps)).rows
     firsts = [g.blocks[1].flatten() for g in maps if 1 in g.blocks]
     mats = []
     for c in combos:
