@@ -18,8 +18,6 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib.metadata import PackageNotFoundError
-from importlib.metadata import version as _pkg_version
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import GNLA, validate
@@ -31,10 +29,10 @@ from .constructions import (
     JacobiViolation,
     NotGenerated,
     NotSkew,
-    PencilSpec,
     _MAX_DIM,
     _NUMERAL,
     _NUMERAL_RE,
+    _adapted_base,
     _check_extension_size,
     algebra_from_pencil_spec,
     catalog,
@@ -42,7 +40,6 @@ from .constructions import (
     special_extension,
 )
 from .groebner import CapExceeded
-from .linalg import Subspace
 from .prolongation import classify_by_iteration
 
 __all__ = [
@@ -51,10 +48,8 @@ __all__ = [
     "serialize_algebra", "serialize_cocycle",
 ]
 
-try:
-    VERSION = _pkg_version("gnla")
-except PackageNotFoundError:  # running from a source tree
-    VERSION = "0.1.0"
+# the one version string; tests/test_cli.py holds it to pyproject.toml
+VERSION = "0.1.0"
 
 
 class DocumentError(Exception):
@@ -214,15 +209,13 @@ def serialize_algebra(a: GNLA) -> str:
 def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
     """Parse cocycle lines `a L j = c` and `b L1 L2 k = c`.
 
-    An `a` line gives the component on (X, L) where X is the first
-    degree -1 basis vector of the base; `b` lines cover pairs away from
-    the transversal.  j and k index the module basis Y_1..Y_s.
+    An `a` line gives the component on (X, L) where X is the
+    transversal of the adapted base (constructions._adapted_base); `b`
+    lines cover pairs away from it.  j and k index the module basis
+    Y_1..Y_s.
     """
     _check_extension_size(base, s)
-    pos1 = base.layer_positions(1)
-    if not pos1:
-        raise ValueError("base has no degree -1 layer")
-    xpos = pos1[0]
+    xpos, _ = _adapted_base(base)
     index = {lbl: i for i, lbl in enumerate(base.labels)}
     values: Dict[Tuple[int, int], List[Fraction]] = {}
     taken: Dict[Tuple[int, int, int], int] = {}
@@ -276,10 +269,7 @@ def parse_cocycle(text: str, base: GNLA, s: int) -> Cochain2:
 
 
 def serialize_cocycle(c: Cochain2, base: GNLA) -> str:
-    pos1 = base.layer_positions(1)
-    if not pos1:
-        raise ValueError("base has no degree -1 layer")
-    xpos = pos1[0]
+    xpos, _ = _adapted_base(base)
     lines = []
     for (i, j), val in c.values:
         for t, coeff in enumerate(val):
@@ -405,15 +395,22 @@ def _load(path: str) -> GNLA:
         return parse_algebra(fh.read())
 
 
-def _require_valid(a: GNLA) -> Optional[int]:
+class _Refused(Exception):
+    """The command has said why on stderr; run() returns 1."""
+
+
+def _load_valid(path: str) -> GNLA:
+    """_load, refusing an algebra that fails a structural check with one
+    `gnla:` line per failed check."""
+    a = _load(path)
     rep = validate(a)
     if not rep.structural_ok:
         for kind, wit in rep.failures:
             if kind != "nondegenerate":
                 print("gnla: %s check failed at %r" % (kind, wit),
                       file=sys.stderr)
-        return 1
-    return None
+        raise _Refused
+    return a
 
 
 def _write_doc(args, doc: str) -> None:
@@ -455,10 +452,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_prolong(args) -> int:
-    a = _load(args.file)
-    bad = _require_valid(a)
-    if bad:
-        return bad
+    a = _load_valid(args.file)
     start = time.monotonic()
     it = classify_by_iteration(a, max_degree=args.max_degree)
     report = Report(
@@ -475,10 +469,7 @@ def cmd_prolong(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    a = _load(args.file)
-    bad = _require_valid(a)
-    if bad:
-        return bad
+    a = _load_valid(args.file)
     start = time.monotonic()
     v = classify(a, max_degree=args.max_degree, degree_cap=args.degree_cap)
     report = _report_from_verdict(a, v, elapsed=time.monotonic() - start)
@@ -487,23 +478,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    params = {}
-    for item in args.param or ():
+    items = args.param or ()
+    for item in items:
         if "=" not in item:
             print("gnla: --param needs k=v, got %r" % item, file=sys.stderr)
             return 2
-        key, val = item.split("=", 1)
-        params[key] = int(val) if val.lstrip("-").isdigit() else val
-    a = catalog(args.name, **params)
+    # each value stays text: catalog's family table types it
+    a = catalog(args.name, **dict(item.split("=", 1) for item in items))
     _write_doc(args, serialize_algebra(a))
     return 0
 
 
 def cmd_extend(args) -> int:
-    base = _load(args.file)
-    bad = _require_valid(base)
-    if bad:
-        return bad
+    base = _load_valid(args.file)
     with open(args.cocycle, "r", encoding="utf-8") as fh:
         cocycle = parse_cocycle(fh.read(), base, args.s)
     data = ExtensionData.from_adapted_base(base, args.s, cocycle)
@@ -513,13 +500,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    base = _load(args.file)
-    bad = _require_valid(base)
-    if bad:
-        return bad
-    pos1 = base.layer_positions(1)
-    w = Subspace(base.dim, [base.basis_vector(p) for p in pos1[1:]])
-    dim, reps = h2_0(base, w, args.s)
+    base = _load_valid(args.file)
+    dim, reps = h2_0(base, _adapted_base(base)[1], args.s)
     rep_lines = [serialize_cocycle(c, base).splitlines() for c in reps]
     if args.json:
         payload = {
@@ -542,8 +524,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_pencil(args) -> int:
-    spec = PencilSpec.parse(args.blocks)
-    a = algebra_from_pencil_spec(spec)
+    a = algebra_from_pencil_spec(args.blocks)
     _write_doc(args, serialize_algebra(a))
     return 0
 
@@ -647,6 +628,8 @@ def run(argv: Sequence[str]) -> int:
                     print("gnla: warning: %s" % w.message, file=sys.stderr)
     except DocumentError as exc:
         print("gnla: %s" % exc, file=sys.stderr)
+        return 1
+    except _Refused:
         return 1
     except OSError as exc:
         print("gnla: %s" % exc, file=sys.stderr)

@@ -180,6 +180,19 @@ def _check_hyperplane(base: GNLA, w: Subspace) -> None:
         raise ValueError("hyperplane must have codimension 1 in degree -1")
 
 
+def _adapted_base(base: GNLA) -> Tuple[int, Subspace]:
+    """The adapted-base convention of from_adapted_base and of the
+    CLI's cocycle documents: the transversal X is the first degree -1
+    basis vector and W is the span of the others.  X's position and W."""
+    pos1 = base.layer_positions(1)
+    if not pos1:
+        raise ValueError("base has no degree -1 layer")
+    # unit vectors in increasing position order are already an RREF
+    one = Fraction(1)
+    return pos1[0], Subspace._trusted(
+        base.dim, tuple(((p, one),) for p in pos1[1:]))
+
+
 def _default_transversal(base: GNLA, w: Subspace) -> Vector:
     for p in base.layer_positions(1):
         cand = base.basis_vector(p)
@@ -362,15 +375,11 @@ class ExtensionData:
     @classmethod
     def from_adapted_base(cls, base: GNLA, s: int,
                           cocycle: Optional[Cochain2] = None) -> "ExtensionData":
-        """Convention used by the CLI and the decomposition round trip:
-        the transversal is the first degree -1 basis vector and W is the
-        span of the remaining ones."""
-        pos1 = base.layer_positions(1)
-        if not pos1:
-            raise ValueError("base has no degree -1 layer")
-        x = base.basis_vector(pos1[0])
-        w = Subspace(base.dim, [base.basis_vector(p) for p in pos1[1:]])
-        return cls(base=base, covector_kernel=w, transversal=x, s=s,
+        """The extension data of the adapted base (_adapted_base), used
+        by the CLI and the decomposition round trip."""
+        xpos, w = _adapted_base(base)
+        return cls(base=base, covector_kernel=w,
+                   transversal=base.basis_vector(xpos), s=s,
                    cocycle=cocycle if cocycle is not None else Cochain2.zero(s))
 
     def canonicalized(self) -> "ExtensionData":
@@ -709,6 +718,9 @@ def algebra_from_pencil_spec(spec: Union[PencilSpec, str],
     """
     if isinstance(spec, str):
         spec = PencilSpec.parse(spec)
+    elif not isinstance(spec, PencilSpec):
+        raise ValueError('pencil blocks must be a PencilSpec or a block '
+                         'list like "M:1,F:2", not %r' % (spec,))
     (b1, b2), labels = assemble_pencil(spec)
     mats = [(b1, b2)[i]
             for i in independent_rows([b1.flatten(), b2.flatten()])]
@@ -1134,6 +1146,8 @@ def catalog(name: str, **params) -> GNLA:
     goursat (n >= 2), heisenberg (odd dim >= 3), mixedjet (k >= 2),
     nontrivial6, free2step3, kgen (k >= 3), and from_pencil with a
     blocks specification (a PencilSpec or a string like "M:1,F:2").
+    _FAMILIES types each value, so text is enough, as the CLI passes
+    it: a sized family reads its size with int().
     """
     if name not in _FAMILIES:
         raise ValueError("unknown catalog name %r" % name)

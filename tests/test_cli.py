@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 import gnla
 import gnla.cli
 from gnla import (
+    Cochain2,
     DocumentError,
     DuplicateBracket,
     ExtensionData,
@@ -20,6 +22,7 @@ from gnla import (
     GradingViolation,
     PencilSpec,
     Report,
+    Subspace,
     UnknownLabel,
     catalog,
     decompose_special_extension,
@@ -33,6 +36,7 @@ from gnla import (
     validate,
 )
 from gnla.cli import DocumentSyntaxError as DocSyntaxError
+from gnla.constructions import _adapted_base
 
 HEIS3_DOC = """\
 algebra heis3
@@ -192,6 +196,28 @@ def test_parse_cocycle_errors():
                                   "line %d" % (last, first))
     with pytest.raises(ValueError, match="base has no degree -1 layer"):
         parse_cocycle("", GNLA("deep", [("A", -2)], {}), 2)
+
+
+def test_adapted_base_is_one_rule_for_extensions_and_cocycles():
+    """The transversal X is the first degree -1 basis vector and W the
+    span of the others, for the extension data and both cocycle
+    grammars; each refuses a base without a degree -1 layer."""
+    base = catalog("heisenberg", dim=5)  # X1 X2 Y1 Y2 Z
+    xpos, w = _adapted_base(base)
+    data = ExtensionData.from_adapted_base(base, 2)
+    assert xpos == 0 and data.transversal == base.basis_vector(0)
+    assert w == data.covector_kernel == Subspace(
+        5, [base.basis_vector(p) for p in (1, 2, 3)])
+    c = parse_cocycle("a Y1 2 = 3\nb X2 Y2 2 = 1\n", base, 2)
+    assert c.as_dict() == {(0, 2): (0, 3), (1, 3): (0, 1)}
+    assert serialize_cocycle(c, base) == "a Y1 2 = 3\nb X2 Y2 2 = 1\n"
+    deep = GNLA("deep", [("A", -2)], {})
+    for call in (lambda: _adapted_base(deep),
+                 lambda: ExtensionData.from_adapted_base(deep, 2),
+                 lambda: parse_cocycle("", deep, 2),
+                 lambda: serialize_cocycle(Cochain2.zero(2), deep)):
+        with pytest.raises(ValueError, match="base has no degree -1 layer"):
+            call()
 
 
 def test_cocycle_round_trip():
@@ -594,15 +620,67 @@ def test_run_version(capsys):
     assert gnla.__version__ == gnla.cli.VERSION
 
 
-def module_entry(cwd, *argv):
-    """Run `python -W error -m gnla ARGV` with this package's source on
-    the path."""
+def pyproject_version():
+    """[project] version of pyproject.toml, read without tomllib, which
+    Python 3.10 lacks."""
+    text = (Path(__file__).resolve().parent.parent
+            / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text,
+                        re.M | re.S).group(1)
+    return re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1)
+
+
+def test_version_is_the_pyproject_version():
+    assert gnla.__version__ == pyproject_version()
+
+
+def python_in(cwd, *argv, paths=()):
+    """Run `python -W error ARGV` with this package's source, then paths,
+    first on the path."""
     src = str(Path(gnla.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-W", "error", "-m", "gnla",
-                           *argv], capture_output=True, text=True,
-                          cwd=cwd, env=env, timeout=60)
+        filter(None, [src, *paths, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", *argv],
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          timeout=60)
+
+
+def module_entry(cwd, *argv, paths=()):
+    """Run `python -W error -m gnla ARGV` with this package's source on
+    the path."""
+    return python_in(cwd, "-m", "gnla", *argv, paths=paths)
+
+
+def test_version_ignores_an_installed_distribution(tmp_path):
+    """The running code names its version, whatever gnla distribution the
+    path holds: a gnla-9.9.9.dist-info leaves --version and the JSON
+    report at the pyproject version."""
+    site = tmp_path / "site"
+    (site / "gnla-9.9.9.dist-info").mkdir(parents=True)
+    (site / "gnla-9.9.9.dist-info" / "METADATA").write_text(
+        "Metadata-Version: 2.1\nName: gnla\nVersion: 9.9.9\n",
+        encoding="utf-8")
+    f = write(tmp_path, "heis3.alg", HEIS3_DOC)
+    version = pyproject_version()
+    done = module_entry(tmp_path, "--version", paths=[str(site)])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "gnla %s\n" % version, "")
+    done = module_entry(tmp_path, "classify", f, "--json",
+                        paths=[str(site)])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["version"] == version
+
+
+def test_import_reads_no_distribution_metadata(tmp_path):
+    """A fresh `import gnla` adds no importlib.metadata module; the set
+    before the import is the baseline, as a site .pth file may load it."""
+    done = python_in(tmp_path, "-c", (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gnla\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.startswith('importlib.metadata')))\n"))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_module_entry_runs_the_cli_without_warnings(tmp_path, capsys):

@@ -1203,6 +1203,23 @@ def test_catalog_errors_name_the_first_failed_check():
     assert catalog("goursat", n="4") == catalog("goursat", n=4)
 
 
+def test_pencil_blocks_that_are_no_block_list_are_a_value_error():
+    """from_pencil's blocks are a PencilSpec or a block list: an integer
+    raises a ValueError naming the expected form, not AttributeError.
+    The other families read their sizes from text as from integers."""
+    for call in (lambda: catalog("from_pencil", blocks=3),
+                 lambda: algebra_from_pencil_spec(3),
+                 lambda: algebra_from_pencil_spec(None)):
+        with pytest.raises(ValueError, match='block list like "M:1,F:2"'):
+            call()
+    assert catalog("from_pencil", blocks="M:1,F:2") == (
+        algebra_from_pencil_spec(PencilSpec.parse("M:1,F:2")))
+    for name, key, size in [("goursat", "n", 3), ("heisenberg", "dim", 5),
+                            ("mixedjet", "k", 2), ("kgen", "k", 4)]:
+        assert (catalog(name, **{key: str(size)})
+                == catalog(name, **{key: size})), name
+
+
 def test_catalog_entries_validate():
     entries = [("goursat", {"n": 3}), ("goursat", {"n": 6}),
                ("heisenberg", {"dim": 3}), ("heisenberg", {"dim": 7}),

@@ -2,10 +2,11 @@
 
 Generated algebras and cochains must survive serialize then parse
 unchanged, and line-level mutations of valid `.alg` and `.coc` documents
-must either parse or raise a located DocumentError.  `gnla classify` and
-`gnla pencil` on hostile input end with a documented exit code, under a
-time bound.  Runs are derandomized and bounded, so the suite stays
-deterministic.
+must either parse or raise a located DocumentError.  `gnla classify`,
+`gnla pencil` and `gnla catalog` (every family, a fixed list of hostile
+parameter values) on hostile input end with a documented exit code,
+under a time bound.  Runs are derandomized and bounded, so the suite
+stays deterministic.
 """
 
 import re
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from cases import CATALOG_CASES
 from gnla import (
+    CATALOG_NAMES,
     GNLA,
     Cochain2,
     DocumentError,
@@ -29,6 +31,7 @@ from gnla import (
     serialize_algebra,
     serialize_cocycle,
 )
+from gnla.constructions import _FAMILIES
 
 FUZZ = settings(derandomize=True, database=None, max_examples=60,
                 deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -287,3 +290,29 @@ def test_run_classify_on_hostile_two_step_documents(tmp_path, capsys, doc):
     code = bounded_run(["classify", str(path), "--max-degree", "2"])
     capsys.readouterr()
     assert code in (0, 1, 2, 3), doc
+
+
+# ASCII, signed and non-ASCII digits, 20-digit numbers, empty text,
+# fractions and block lists
+PARAM_VALUES = ["3", "7", "-3", "+5", "\u0663", "\u00b2", "007",
+                "12345678901234567890", "-12345678901234567890", "", "1/2",
+                "-7/3", "M:1,F:2", "E:1:a=1/2,M:2", "M:0,F:1", "x"]
+
+
+def test_run_catalog_on_hostile_parameters_ends_with_an_exit_code(capsys):
+    """`gnla catalog NAME --param K=V` with each family's own key and a
+    foreign one exits 0, 1 or 2 within the bound: 0 with a document
+    that parses, otherwise `gnla:` lines on stderr and nothing on
+    stdout.  An integer-looking block list is text like any other."""
+    for name in CATALOG_NAMES:
+        for key in filter(None, (_FAMILIES[name][1], "foreign")):
+            for value in PARAM_VALUES:
+                argv = ["catalog", name, "--param", "%s=%s" % (key, value)]
+                code = bounded_run(argv)
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), argv
+                if code == 0:
+                    assert parse_algebra(out).dim > 0, argv
+                else:
+                    assert out == "" and err.startswith("gnla: "), argv
+                assert "Traceback" not in err, argv
