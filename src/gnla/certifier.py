@@ -16,15 +16,14 @@ The rational search is exact.  On the paper's metabelian class, a
 nondegenerate algebra of depth 2 whose degree -2 layer is 2-dimensional,
 rank ad y = 1 iff y is in the kernel of a member sB_1 + tB_2 of the
 pencil of bracket forms, so the search takes the kernels at the rational
-zeros of the pfaffian form and is complete.  A miss leaves f(t) =
-Pf(B_1 + tB_2) with no rational zero, and classify certifies the
-paper's theorem there without Groebner: a column g(t) of the pfaffian
-adjugate, checked exactly to give (B_1 + tB_2) g = 0 mod f with
-gcd(f, g) = 1, is a nonzero kernel vector at every root of f.  Only when
-no column qualifies does the minor ideal decide.  Elsewhere the search
-tries the basis matrices of the span, then
-the rational points of the line through each pair, read off the first
-2x2 minor of the line that is not identically zero (a binary
+zeros of the pfaffian form and is complete.  A miss leaves Pf(B_1 +
+tB_2) with no rational zero, and classify certifies the paper's theorem
+there at any budget: a column g(t) of the pfaffian adjugate and a
+factor f of the pfaffian form, checked exactly to give (B_1 + tB_2) g
+= 0 mod f with gcd(f, g) = 1, make g a nonzero kernel vector at every
+root of f.  Elsewhere the search tries the basis matrices of the span,
+then the rational points of the line through each pair, read off the
+first 2x2 minor of the line that is not identically zero (a binary
 quadratic).  Roots of integer polynomials come from the one helper
 constructions._rational_roots.
 
@@ -37,6 +36,7 @@ order: _span_point (or the pencil stage on its two rows), then _minors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +59,7 @@ from .constructions import (
     Cochain2,
     _interpolated,
     _pfaffian,
+    _poly_divmod,
     _poly_gcd,
     _rational_roots,
 )
@@ -116,8 +117,9 @@ class TypeVerdict:
     the paper's metabelian class carries algebraic_witness = (f, g):
     coefficient tuples over t, constant term first, of f and of each
     full coordinate of g, such that g(alpha) is a witness at every root
-    alpha of f (see _closure_certificate); elsewhere it is None and the
-    minor ideal's nontrivial zero is the certificate.
+    alpha of f, a factor of the pfaffian form (see _closure_certificate);
+    elsewhere it is None and the minor ideal's nontrivial zero is the
+    certificate.
     """
     kind: str
     total_dim: Optional[int] = None
@@ -224,27 +226,21 @@ def rank1_witness(a: GNLA) -> Optional[Vector]:
     a valid nondegenerate algebra of depth 2 with dim g_-2 = 2, the
     pencil stage of _pencil_witness follows; it is complete there, so
     None proves that no rational witness exists.  Elsewhere it is
-    _span_point over the degree -1 ad matrices, so a None answer is not
-    a proof of absence.
+    _span_witness, so a None answer is not a proof of absence.
     """
-    pencil = a.depth == 2 and a.layer_dim(2) == 2
-    if pencil:
+    ints = _degree1_span(a)[1]
+    if a.depth == 2 and a.layer_dim(2) == 2:
         rep = validate(a)
-        pencil = rep.structural_ok and rep.checks["nondegenerate"]
-    return _rank1_witness(a, _degree1_span(a)[1], pencil)[0]
+        if rep.structural_ok and rep.checks["nondegenerate"]:
+            return _pencil_witness(a, ints)[0]
+    return _span_witness(a, ints)
 
 
-def _rank1_witness(a: GNLA, ints: Ints,
-                   pencil: bool) -> Tuple[Optional[Vector], Poly]:
-    """rank1_witness on the integer degree -1 ad matrices, told whether
-    the algebra is in the pencil class (valid, nondegenerate, depth 2,
-    dim g_-2 = 2), with the pfaffian form the pencil stage interpolated
-    (empty where it formed none)."""
-    if pencil:
-        return _pencil_witness(a, ints)
+def _span_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
+    """_span_point over the integer degree -1 ad matrices, last declared
+    first, as a vector of the algebra."""
     coeffs = _span_point(ints[::-1])
-    return (None if coeffs is None
-            else a.embed_layer(1, coeffs[::-1])), ()
+    return None if coeffs is None else a.embed_layer(1, coeffs[::-1])
 
 
 def _pencil_witness(a: GNLA, ints: Ints) -> Tuple[Optional[Vector], Poly]:
@@ -311,28 +307,40 @@ def _member(big_p, big_q, s: int, t: int) -> List[List[int]]:
 
 
 def _closure_certificate(a: GNLA, ints: Ints,
-                         pf: Poly) -> Optional[Tuple[Poly, Tuple[Poly, ...]]]:
+                         pf: Poly) -> Tuple[Poly, Tuple[Poly, ...]]:
     """The algebraic witness (f, g) of a pencil algebra with no rational
-    witness, g in full coordinates, or None when no column of the
-    pfaffian adjugate qualifies.
+    witness, g in full coordinates, given the pfaffian form pf =
+    Pf(P + tQ) that _pencil_witness interpolated (no rational root).
 
-    f is the pfaffian form Pf(P + tQ) that _pencil_witness interpolated
-    (degree n_1/2, no rational root), g the first column of the pfaffian
-    adjugate that _closure_certified accepts.  Every column fails when
-    all sub-pfaffians share a root with f, as where the rank of P + tQ
-    drops by 4 at the roots of h and f = h^2.
+    (pf, g) for the first column g of the pfaffian adjugate that
+    _closure_certified accepts.  A column fails when h = gcd(pf, g) is
+    not constant, as where the rank of P + tQ drops by 4; then, first
+    rejected column first, (pf/h, g/h) for h made monic (Euclid's h can
+    carry a huge scale), certified unless pf/h is constant, since
+    (P + tQ) g = pf e_i.  Some column is not: if pf divided the
+    adjugate, of determinant pf^(n_1 - 2), pf were a unit.
     """
     big_p, big_q = _pencil_forms(ints)
     n = len(big_p)
     members = [_member(big_p, big_q, 1, t) for t in range(n // 2)]
-    for i in range(n):
-        g = _adjugate_column(members, i)
-        if _closure_certified(big_p, big_q, pf, g):
-            full: List[Poly] = [()] * a.dim
-            for p, gj in zip(a.layer_positions(1), g):
-                full[p] = gj
-            return pf, tuple(full)
-    return None
+
+    def candidates():
+        columns = []
+        for i in range(n):
+            columns.append(_adjugate_column(members, i))
+            yield pf, columns[-1]
+        for g in columns:
+            h = functools.reduce(_poly_gcd, g, pf)
+            h = [c / h[-1] for c in h]
+            yield (_poly_divmod(pf, h)[0],
+                   [_poly_divmod(gj, h)[0] for gj in g])
+
+    f, g = next(c for c in candidates()
+                if _closure_certified(big_p, big_q, *c))
+    full: List[Poly] = [()] * a.dim
+    for p, gj in zip(a.layer_positions(1), g):
+        full[p] = _trimmed(gj)
+    return _trimmed(f), tuple(full)
 
 
 def _adjugate_column(members: List[List[List[int]]], i: int) -> List[Poly]:
@@ -365,15 +373,18 @@ def _closure_certified(big_p, big_q, f: Sequence,
     It does when deg f >= 1, every row of (P + tQ) g is 0 mod f, and
     gcd(f, g_1, .., g_n) = 1: at any root alpha of f, g(alpha) is then a
     nonzero kernel vector of P + alpha Q, and nondegeneracy over Q (so
-    over C) makes its adjoint rank 1.  With f and g scaled to integers,
-    a row of degree at most deg f (the only degree accepted) is 0 mod f
-    iff lc(f) row = row[deg f] f, integer cross-multiplication with no
-    division; the gcd is Euclid's over Q by _poly_gcd.
+    over C) makes its adjoint rank 1.  With f and g scaled to integers
+    by one lcm, a row of degree at most deg f (the only degree
+    accepted) is 0 mod f iff lc(f) row = row[deg f] f, integer
+    cross-multiplication with no division; the gcd is Euclid's over Q by
+    _poly_gcd.
     """
     f, g = _trimmed(f), [_trimmed(gj) for gj in g]
     if len(f) < 2 or not any(g):
         return False
-    f_ints, g_ints = _scaled(f), [_scaled(gj) for gj in g]
+    d = lcm(*(c.denominator for poly in (f, *g) for c in poly))
+    f_ints, *g_ints = [[c.numerator * (d // c.denominator) for c in poly]
+                       for poly in (f, *g)]
     deg, lead = len(f) - 1, f_ints[-1]
     width = max(deg, *map(len, g_ints)) + 1
     for rp, rq in zip(big_p, big_q):
@@ -385,12 +396,7 @@ def _closure_certified(big_p, big_q, f: Sequence,
         if any(row[deg + 1:]) or any(lead * r != row[deg] * c
                                      for r, c in zip(row, f_ints)):
             return False
-    h = f
-    for gj in g:
-        if len(h) == 1:
-            break
-        h = _poly_gcd(h, gj)
-    return len(h) == 1
+    return len(functools.reduce(_poly_gcd, g, f)) == 1
 
 
 def _trimmed(poly: Sequence) -> Poly:
@@ -399,12 +405,6 @@ def _trimmed(poly: Sequence) -> Poly:
     while poly and poly[-1] == 0:
         poly.pop()
     return tuple(poly)
-
-
-def _scaled(poly: Poly) -> List[int]:
-    """Rational coefficients times the lcm of their denominators."""
-    d = lcm(*(c.denominator for c in poly))
-    return [c.numerator * (d // c.denominator) for c in poly]
 
 
 def _rank_one(rows) -> bool:
@@ -652,19 +652,17 @@ def classify(a: GNLA, max_degree: int = 10, *,
     """Decide finite or infinite type, or report an honest inconclusive.
 
     Pipeline, in the order of the criterion that decides the type:
-    degenerate short-circuit, rational rank 1 witness search (complete
-    on the pencil class, see rank1_witness), then the minor ideal over
-    the closure, whose nontrivial zero means infinite type (layer_dims
-    stays None).  On the paper's metabelian class, where the theorem
-    says infinite, a pencil stage miss is first certified by
-    _closure_certificate: the verdict is closure with algebraic_witness
-    (f, g) checked exactly, and the minor ideal runs only when no column
-    of the pfaffian adjugate qualifies.  Only when the ideal has the
-    trivial zero alone, or hit
-    its Groebner degree cap, does the prolongation iteration run: to
-    size the finite prolongation, or as the fallback that a vanishing
-    layer still settles.  A cap abort that the
-    iteration does not settle is inconclusive with the reason noted.
+    degenerate short-circuit, then rational rank 1 witness search.  On
+    the paper's metabelian class (depth 2, dim g_-2 = 2) the pencil
+    stage is complete, and a miss is certified at any budget by
+    _closure_certificate: closure with algebraic_witness (f, g).
+    Elsewhere a miss goes to the minor ideal over the closure, whose
+    nontrivial zero means infinite type (layer_dims stays None).  Only
+    when the ideal has the trivial zero alone, or hit its Groebner
+    degree cap, does the prolongation iteration run: to size the finite
+    prolongation, or as the fallback that a vanishing layer still
+    settles.  A cap abort that the iteration does not settle is
+    inconclusive with the reason noted.
     """
     rep = validate(a)
     if not rep.structural_ok:
@@ -678,15 +676,17 @@ def classify(a: GNLA, max_degree: int = 10, *,
 
     # the witness search and the minor ideal read one integer span
     span = _degree1_span(a)
-    w, pf = _rank1_witness(a, span[1],
-                           a.depth == 2 and a.layer_dim(2) == 2)
+    if a.depth == 2 and a.layer_dim(2) == 2:
+        w, pf = _pencil_witness(a, span[1])
+        if w is None:
+            return TypeVerdict(kind="infinite", certificate="closure",
+                               algebraic_witness=_closure_certificate(
+                                   a, span[1], pf))
+    else:
+        w = _span_witness(a, span[1])
     if w is not None:
         return TypeVerdict(kind="infinite", witness=w,
                            certificate="rational_witness")
-    certificate = _closure_certificate(a, span[1], pf) if pf else None
-    if certificate is not None:
-        return TypeVerdict(kind="infinite", certificate="closure",
-                           algebraic_witness=certificate)
 
     ideal = PolynomialIdeal(_minors(span, "y"), degree_cap=degree_cap)
     cap = None

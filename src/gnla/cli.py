@@ -399,16 +399,24 @@ class _Refused(Exception):
     """The command has said why on stderr; run() returns 1."""
 
 
+_FAILED_AT = {"grading": "[%s,%s]", "jacobi": "(%s, %s, %s)",
+              "generated": "layer -%d"}
+
+
+def _failed_check(kind: str, wit: tuple) -> str:
+    """The one wording of a failed structural check at its witness."""
+    return "%s: FAIL at %s" % (kind, _FAILED_AT[kind] % wit)
+
+
 def _load_valid(path: str) -> GNLA:
     """_load, refusing an algebra that fails a structural check with one
-    `gnla:` line per failed check."""
+    `gnla:` line per failure."""
     a = _load(path)
     rep = validate(a)
     if not rep.structural_ok:
         for kind, wit in rep.failures:
             if kind != "nondegenerate":
-                print("gnla: %s check failed at %r" % (kind, wit),
-                      file=sys.stderr)
+                print("gnla: " + _failed_check(kind, wit), file=sys.stderr)
         raise _Refused
     return a
 
@@ -431,16 +439,8 @@ def cmd_check(args) -> int:
     for kind, wit in rep.failures:
         witnesses.setdefault(kind, wit)
     for kind in ("grading", "jacobi", "generated"):
-        if rep.checks[kind]:
-            print("%s: ok" % kind)
-        else:
-            wit = witnesses.get(kind)
-            if kind == "jacobi":
-                print("jacobi: FAIL at (%s)" % ", ".join(wit))
-            elif kind == "grading":
-                print("grading: FAIL at [%s,%s]" % wit)
-            else:
-                print("generated: FAIL at layer -%d" % wit)
+        print("%s: ok" % kind if rep.checks[kind]
+              else _failed_check(kind, witnesses[kind]))
     if rep.checks["nondegenerate"]:
         print("degenerate: no")
     else:

@@ -4,7 +4,7 @@ import random
 import signal
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 import pytest
 import sympy
@@ -67,7 +67,7 @@ from gnla.certifier import (
     _pencil_forms,
     _pencil_witness,
 )
-from gnla.constructions import _module_covector
+from gnla.constructions import _module_covector, _poly_gcd
 from test_algebra import reference_quotient
 
 
@@ -511,49 +511,182 @@ def test_closure_certificate_check_rejects_a_perturbed_g_or_f():
         assert not _closure_certified(big_p, big_q, f, [()] * len(g1))
 
 
-def test_pfaffian_square_falls_back_to_the_minor_ideal(monkeypatch):
-    """diag(B, B), B the pencil P_0 = e_12 + e_34, Q_0 = e_13 - e_24 with
-    Pf(P_0 + tQ_0) = 1 + t^2: the pfaffian form is (1 + t^2)^2, the rank
-    drops by 4 at t = +-i, so every sub-pfaffian of side 6 vanishes there
-    and no column of the adjugate qualifies.  classify then takes the
-    minor ideal, unchanged, and still says infinite over the closure."""
-    z = Fraction(0)
-    b1 = [[z] * 8 for _ in range(8)]
-    b2 = [[z] * 8 for _ in range(8)]
-    for off in (0, 4):
-        for b, entries in ((b1, ((0, 1, 1), (2, 3, 1))),
-                           (b2, ((0, 2, 1), (1, 3, -1)))):
+# B: P_0 = e_12 + e_34, Q_0 = e_13 - e_24, with Pf(P_0 + tQ_0) = 1 + t^2
+SQUARE_BLOCK = (((0, 1, 1), (2, 3, 1)), ((0, 2, 1), (1, 3, -1)))
+
+
+def companion_block(c1, c0):
+    """The 4x4 pencil block ([[0, I], [-I, 0]], [[0, C], [-C^t, 0]]) as
+    (i, j, c) entries, C the companion matrix of t^2 + c1 t + c0; its
+    pfaffian form is +-det(I + tC) = +-(1 - c1 t + c0 t^2)."""
+    return (((0, 2, 1), (1, 3, 1)),
+            ((0, 3, -c0), (1, 2, 1), (1, 3, -c1)))
+
+
+def block_pencil(blocks, rng=None):
+    """The metabelian algebra of the block sum of 4x4 pencil blocks, in
+    a seeded dense degree -1 basis when rng is given."""
+    n = 4 * len(blocks)
+    forms = [[[Fraction(0)] * n for _ in range(n)] for _ in range(2)]
+    for off, block in zip(range(0, n, 4), blocks):
+        for form, entries in zip(forms, block):
             for i, j, c in entries:
-                b[off + i][off + j], b[off + j][off + i] = (Fraction(c),
-                                                            Fraction(-c))
-    a = metabelian_from_pencil([Matrix(b1), Matrix(b2)])
+                form[off + i][off + j] = Fraction(c)
+                form[off + j][off + i] = Fraction(-c)
+    a = metabelian_from_pencil([Matrix(m) for m in forms])
+    if rng is None:
+        return a
+    while True:
+        change = [[Fraction(rng.randint(-2, 2)) for _ in range(n)]
+                  for _ in range(n)]
+        if Matrix(change).det() != 0:
+            break
+    return change_basis(a, [a.embed_layer(1, row) for row in change]
+                        + [a.basis_vector(p) for p in a.layer_positions(2)],
+                        ["U%d" % p for p in range(a.dim)])
+
+
+def block_sum_pencils():
+    """Block sums with no rational witness: diag(B, B) and diag(B, B, B),
+    each plain and in a seeded dense degree -1 basis, then seeded sums
+    of 2 or 3 companion blocks of irreducible quadratics, most with a
+    block repeated, plain or in a dense basis.  Where a block repeats,
+    the rank of the pencil drops by 4 at the roots of its factor, and in
+    a plain sum each column of the adjugate vanishes at the roots of
+    another block's factor: there no column passes undivided."""
+    rng = random.Random(2909)
+    out = []
+    for k in (2, 3):
+        out += [block_pencil([SQUARE_BLOCK] * k),
+                block_pencil([SQUARE_BLOCK] * k, rng)]
+    # t^2 + c1 t + c0 is irreducible when its discriminant is no square
+    quadratics = [(c1, c0) for c1 in range(-3, 4) for c0 in range(-3, 4)
+                  if c1 * c1 - 4 * c0 < 0
+                  or isqrt(c1 * c1 - 4 * c0) ** 2 != c1 * c1 - 4 * c0]
+    for k in range(8):
+        blocks = [companion_block(*rng.choice(quadratics))
+                  for _ in range(2 + k % 2)]
+        if k % 4:
+            blocks[-1] = blocks[0]
+        out.append(block_pencil(blocks, rng if k % 2 else None))
+    return out
+
+
+def test_pfaffian_square_is_certified_by_the_divided_adjugate_column():
+    """diag(B, B): the pfaffian form is (1 + t^2)^2 and the rank drops by
+    4 at t = +-i, so every sub-pfaffian of side 6 vanishes there and no
+    column of the adjugate passes undivided.  The first column divided
+    by its common factor certifies f = 1 + t^2.  On every pencil of
+    block_sum_pencils the certificate is a divided column, and the
+    verdict is infinite with a certificate that sympy accepts, also at
+    degree_cap=0, with integer coefficients."""
+    a = block_pencil([SQUARE_BLOCK] * 2)
     assert in_pencil_class(a)
     t = sympy.Symbol("t")
-    det = (sympy.Matrix(b1) + t * sympy.Matrix(b2)).det()
-    assert sympy.expand(det - (1 + t ** 2) ** 4) == 0
+    big_b1, big_b2 = [sympy.Matrix([[sympy.Rational(
+        a.pair_bracket(p, q)[w]) for q in a.layer_positions(1)]
+        for p in a.layer_positions(1)]) for w in a.layer_positions(2)]
+    assert sympy.expand((big_b1 + t * big_b2).det() - (1 + t ** 2) ** 4) == 0
     span = _degree1_span(a)
     w, pf = _pencil_witness(a, span[1])
     assert w is None and pf in ((1, 0, 2, 0, 1), (-1, 0, -2, 0, -1))
-    assert _closure_certificate(a, span[1], pf) is None
-    calls = []
-    monkeypatch.setattr(gnla.certifier, "_minors",
-                        lambda *args: calls.append(1) or _minors(*args))
-    v = classify(a)
-    assert (v.kind, v.certificate, v.witness, v.algebraic_witness) == (
-        "infinite", "closure", None, None)
-    assert calls == [1]
+    big_p, big_q = _pencil_forms(span[1])
+    members = [_member(big_p, big_q, 1, k) for k in range(4)]
+    assert not any(_closure_certified(big_p, big_q, pf,
+                                      _adjugate_column(members, i))
+                   for i in range(8))
+    f = _closure_certificate(a, span[1], pf)[0]
+    assert f in ((1, 0, 1), (-1, 0, -1))
+    assert not sympy_pencil_has_rational_point(a)
+    for b in block_sum_pencils():
+        v = classify(b, degree_cap=0)
+        assert (v.kind, v.certificate, v.witness) == (
+            "infinite", "closure", None), b.name
+        # each takes the division: f is a proper factor of the pfaffian form
+        f, g = v.algebraic_witness
+        assert 3 <= len(f) <= b.layer_dim(1) // 2, b.name
+        # the pfaffians are integer polynomials, and so are their
+        # quotients by the monic gcd
+        assert all(c.denominator == 1 for poly in (f,) + g for c in poly)
+        assert sympy_certificate_holds(b, v.algebraic_witness), b.name
+        assert classify(b) == v, b.name
+
+
+def test_an_undivided_column_wins_over_an_earlier_divided_one():
+    """diag of the companion blocks of t^2 + 1 and t^2 + t + 1, in the
+    degree -1 basis e_1 - e_5, e_5, e_3, e_4, e_2, e_6, e_7, e_8: the new
+    first coordinate vanishes on the kernel at the roots of the second
+    block's factor, so column 0 of the adjugate shares that factor with
+    the pfaffian form, while the second coordinate is nonzero on every
+    kernel and column 1 passes undivided.  The certificate is column 1
+    with the whole pfaffian form, not column 0 divided: a column that
+    passes undivided is taken first."""
+    a = block_pencil([companion_block(0, 1), companion_block(1, 1)])
+    vecs = [tuple(Fraction(int(k == 0) - int(k == 4)) for k in range(a.dim))]
+    vecs += [a.basis_vector(p) for p in (4, 2, 3, 1, 5, 6, 7, 8, 9)]
+    b = change_basis(a, vecs, ["U%d" % p for p in range(a.dim)])
+    span = _degree1_span(b)
+    w, pf = _pencil_witness(b, span[1])
+    assert w is None and len(pf) == 5
+    big_p, big_q = _pencil_forms(span[1])
+    members = [_member(big_p, big_q, 1, k) for k in range(4)]
+    col0, col1 = (_adjugate_column(members, i) for i in (0, 1))
+    assert len(functools.reduce(_poly_gcd, col0, pf)) == 3
+    assert not _closure_certified(big_p, big_q, pf, col0)
+    assert _closure_certified(big_p, big_q, pf, col1)
+    v = classify(b)
+    pos1 = b.layer_positions(1)
+    assert v.algebraic_witness[0] == pf
+    assert [v.algebraic_witness[1][p] for p in pos1] == col1
+    assert sympy_certificate_holds(b, v.algebraic_witness)
+
+
+def test_closure_certificate_check_scales_g_over_one_denominator():
+    """The check reads g over the lcm of all its denominators: on
+    closure_example it rejects g_j / k_j for k = (1, 2, 3, 5), which
+    sympy refuses too, and accepts g / 3.  It accepts the divided
+    certificate of every pencil of block_sum_pencils, and that certificate
+    over 2 and over 3, where the entries of g come to have different
+    denominators."""
+    a = closure_example()
+    f, g = classify(a).algebraic_witness
+    big_p, big_q = _pencil_forms(_degree1_span(a)[1])
+    g1 = [g[p] for p in a.layer_positions(1)]
+    bad = [tuple(c / k for c in gj) for gj, k in zip(g1, (1, 2, 3, 5))]
+    assert not _closure_certified(big_p, big_q, f, bad)
+    full = list(g)
+    for p, gj in zip(a.layer_positions(1), bad):
+        full[p] = gj
+    assert not sympy_certificate_holds(a, (f, tuple(full)))
+    assert _closure_certified(big_p, big_q, f,
+                              [tuple(c / 3 for c in gj) for gj in g1])
+    mixed = 0
+    for b in block_sum_pencils():
+        f, g = classify(b).algebraic_witness
+        big_p, big_q = _pencil_forms(_degree1_span(b)[1])
+        g1 = [g[p] for p in b.layer_positions(1)]
+        assert _closure_certified(big_p, big_q, f, g1), b.name
+        for k in (2, 3):
+            scaled = [tuple(c / k for c in gj) for gj in g1]
+            assert _closure_certified(big_p, big_q, f, scaled), b.name
+            mixed += len({lcm(*(c.denominator for c in gj))
+                          for gj in scaled}) > 1
+    assert mixed > 0
 
 
 def test_metabelian_closure_verdicts_run_no_groebner(monkeypatch):
-    """On seeded pencil algebras with n_1 in {4, 6, 8, 10}, every verdict
-    is infinite, each closure verdict carries an algebraic witness, and
-    neither _minors nor only_trivial_zero runs once."""
+    """On seeded pencil algebras with n_1 in {4, 6, 8, 10}, and on the
+    block_sum_pencils at degree_cap=0, every
+    verdict is infinite, each closure verdict carries an algebraic
+    witness, and neither _minors, only_trivial_zero nor the
+    prolongation iteration runs once."""
     calls = []
-    for name in ("_minors", "only_trivial_zero"):
+    for name in ("_minors", "only_trivial_zero", "classify_by_iteration"):
         original = getattr(gnla.certifier, name)
         monkeypatch.setattr(gnla.certifier, name,
-                            lambda *args, name=name, original=original:
-                            calls.append(name) or original(*args))
+                            lambda *args, name=name, original=original,
+                            **kwargs: calls.append(name)
+                            or original(*args, **kwargs))
     rng = random.Random(2606)
     closures = set()
     for n1 in (4, 6, 8, 10) * 3:
@@ -562,8 +695,12 @@ def test_metabelian_closure_verdicts_run_no_groebner(monkeypatch):
         if v.certificate == "closure":
             assert v.algebraic_witness is not None, n1
             closures.add(n1)
-    assert calls == []
     assert closures == {4, 6, 8, 10}
+    for b in block_sum_pencils():
+        v = classify(b, max_degree=0, degree_cap=0)
+        assert (v.kind, v.certificate) == ("infinite", "closure"), b.name
+        assert v.algebraic_witness is not None, b.name
+    assert calls == []
 
 
 def test_catalog_verdicts_and_cli_bytes_are_the_ladder_witnesses(
@@ -1040,7 +1177,7 @@ def test_minors_match_reference_builder():
 
 
 def test_classify_closure_example_at_default_budgets():
-    """The minor ideal settles the closure verdict before any layer is
+    """The closure certificate settles the verdict before any layer is
     built, so no layer dims come with it."""
     v = classify(closure_example())
     assert (v.kind, v.certificate) == ("infinite", "closure")

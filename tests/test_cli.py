@@ -299,6 +299,24 @@ def test_run_check_jacobi_failure(tmp_path, capsys):
     assert "result: invalid" in out
 
 
+def test_check_and_refusals_word_a_failed_check_alike(tmp_path, capsys):
+    """`gnla check` and a command that refuses an invalid algebra print a
+    failed structural check in one wording, the refusal with `gnla: `
+    in front on stderr."""
+    bad = write(tmp_path, "bad.alg", JACOBI_BAD_DOC)
+    flat = write(tmp_path, "z.alg", "algebra z\nbasis Z:-2\n")
+    for f, command in ((bad, ["classify"]), (flat, ["cohomology", "--s", "2"])):
+        assert run(["check", f]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if ": FAIL at " in line]
+        assert run([command[0], f] + command[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["gnla: " + line
+                                             for line in failed]
+    assert failed == ["generated: FAIL at layer -2"]
+
+
 def test_run_check_degenerate_is_reported_not_fatal(tmp_path, capsys):
     doc = "algebra d\nbasis X:-1 Y:-1 Q:-1 W:-2\nbracket [X,Y] = 1 W\n"
     f = write(tmp_path, "d.alg", doc)
@@ -493,7 +511,7 @@ def test_run_cohomology(tmp_path, capsys):
     # a base without a degree -1 layer is not generated by it
     flat = write(tmp_path, "z.alg", "algebra z\nbasis Z:-2\n")
     assert run(["cohomology", flat, "--s", "2"]) == 1
-    assert "generated check failed" in capsys.readouterr().err
+    assert "gnla: generated: FAIL at layer -2\n" == capsys.readouterr().err
 
 
 def test_run_cohomology_output_feeds_extend(tmp_path, capsys):
