@@ -16,7 +16,6 @@ and ask bracket_terms for those pairs alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -180,8 +179,7 @@ def bracket(a: GNLA, x: Sequence, y: Sequence) -> Vector:
     return _densified(_bracket_support(a, _support(x), _support(y)).items(), n)
 
 
-@dataclass(frozen=True)
-class AdMatrix:
+class AdMatrix(Frozen):
     """The matrix of ad y = [y, .] on the whole algebra, fixed basis."""
     element: Vector
     matrix: Matrix
@@ -257,8 +255,7 @@ def layer(a: GNLA, i: int) -> Subspace:
         a.dim, tuple(((p, one),) for p in a.layer_positions(i)))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Frozen):
     checks: Dict[str, bool]
     failures: Tuple[Tuple[str, tuple], ...]
     layer_dims: Tuple[int, ...]

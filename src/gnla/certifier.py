@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
@@ -71,6 +70,7 @@ from .groebner import (
     only_trivial_zero,
 )
 from .linalg import (
+    Frozen,
     Matrix,
     MatrixSubspace,
     Vector,
@@ -106,8 +106,7 @@ class WitnessInvalid(Exception):
 Poly = Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class TypeVerdict:
+class TypeVerdict(Frozen):
     """Outcome of the classification pipeline.
 
     kind is one of finite, infinite, degenerate_infinite, inconclusive.
@@ -374,10 +373,11 @@ def _closure_certified(big_p, big_q, f: Sequence,
     gcd(f, g_1, .., g_n) = 1: at any root alpha of f, g(alpha) is then a
     nonzero kernel vector of P + alpha Q, and nondegeneracy over Q (so
     over C) makes its adjoint rank 1.  With f and g scaled to integers
-    by one lcm, a row of degree at most deg f (the only degree
-    accepted) is 0 mod f iff lc(f) row = row[deg f] f, integer
-    cross-multiplication with no division; the gcd is Euclid's over Q by
-    _poly_gcd.
+    by one lcm, a row is 0 mod f iff its pseudo-remainder is 0: from its
+    top degree down to deg f, the row is scaled by lc(f) and its top
+    term cancelled with a multiple of f, integers only.  A row of degree
+    at most deg f, as every row of an adjugate column's certificate,
+    takes one such step.  The gcd is Euclid's over Q by _poly_gcd.
     """
     f, g = _trimmed(f), [_trimmed(gj) for gj in g]
     if len(f) < 2 or not any(g):
@@ -393,8 +393,12 @@ def _closure_certified(big_p, big_q, f: Sequence,
             for d, c in enumerate(gj):
                 row[d] += x * c
                 row[d + 1] += z * c
-        if any(row[deg + 1:]) or any(lead * r != row[deg] * c
-                                     for r, c in zip(row, f_ints)):
+        for top in range(width - 1, deg - 1, -1):
+            if row[top]:
+                c, row = row[top], [lead * r for r in row]
+                for k, x in enumerate(f_ints, top - deg):
+                    row[k] -= c * x
+        if any(row):
             return False
     return len(functools.reduce(_poly_gcd, g, f)) == 1
 
@@ -558,8 +562,7 @@ def rank1_derivation_from_witness(a: GNLA, y: Sequence) -> GradedMap:
     return d
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Frozen):
     """Output of decompose_special_extension.
 
     quotient is the base algebra on the surviving generators; the ideal

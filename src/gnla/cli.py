@@ -16,7 +16,6 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,6 +39,7 @@ from .constructions import (
     special_extension,
 )
 from .groebner import CapExceeded
+from .linalg import Frozen
 from .prolongation import classify_by_iteration
 
 __all__ = [
@@ -293,9 +293,9 @@ def _fmt_vec(v) -> str:
     return "[" + ", ".join(str(Fraction(c)) for c in v) + "]"
 
 
-@dataclass
-class Report:
-    """One classification or prolongation result, serializable both ways."""
+class Report(Frozen):
+    """One classification or prolongation result, serializable both ways;
+    equality and hash leave out elapsed."""
     algebra: str
     dims: Tuple[int, ...]
     depth: int
@@ -305,7 +305,8 @@ class Report:
     layers: Optional[Tuple[int, ...]] = None
     note: Optional[str] = None
     version: str = VERSION
-    elapsed: Optional[float] = field(default=None, compare=False)
+    elapsed: Optional[float] = None
+    _uncompared = ("elapsed",)
 
     def to_dict(self) -> dict:
         verdict = {
@@ -403,20 +404,24 @@ _FAILED_AT = {"grading": "[%s,%s]", "jacobi": "(%s, %s, %s)",
               "generated": "layer -%d"}
 
 
-def _failed_check(kind: str, wit: tuple) -> str:
-    """The one wording of a failed structural check at its witness."""
-    return "%s: FAIL at %s" % (kind, _FAILED_AT[kind] % wit)
+def _failed_checks(rep) -> Dict[str, str]:
+    """The one wording of each failed structural check, at its first
+    witness, in the order grading, jacobi, generated."""
+    first = {}
+    for kind, wit in rep.failures:
+        first.setdefault(kind, wit)
+    return {kind: "%s: FAIL at %s" % (kind, at % first[kind])
+            for kind, at in _FAILED_AT.items() if not rep.checks[kind]}
 
 
 def _load_valid(path: str) -> GNLA:
     """_load, refusing an algebra that fails a structural check with one
-    `gnla:` line per failure."""
+    `gnla:` line per failed check, as `gnla check` words it."""
     a = _load(path)
     rep = validate(a)
     if not rep.structural_ok:
-        for kind, wit in rep.failures:
-            if kind != "nondegenerate":
-                print("gnla: " + _failed_check(kind, wit), file=sys.stderr)
+        for line in _failed_checks(rep).values():
+            print("gnla: " + line, file=sys.stderr)
         raise _Refused
     return a
 
@@ -435,17 +440,14 @@ def cmd_check(args) -> int:
     print("algebra: %s" % a.name)
     print("dims: %s" % list(a.layer_dims()))
     print("depth: %d" % a.depth)
-    witnesses = {}
-    for kind, wit in rep.failures:
-        witnesses.setdefault(kind, wit)
-    for kind in ("grading", "jacobi", "generated"):
-        print("%s: ok" % kind if rep.checks[kind]
-              else _failed_check(kind, witnesses[kind]))
+    failed = _failed_checks(rep)
+    for kind in _FAILED_AT:
+        print(failed.get(kind, "%s: ok" % kind))
     if rep.checks["nondegenerate"]:
         print("degenerate: no")
     else:
-        print("degenerate: yes (central witness: %s)"
-              % _fmt_vec(witnesses["nondegenerate"][0]))
+        central = next(w for k, w in rep.failures if k == "nondegenerate")
+        print("degenerate: yes (central witness: %s)" % _fmt_vec(central[0]))
     ok = rep.structural_ok
     print("result: %s" % ("ok" if ok else "invalid"))
     return 0 if ok else 1

@@ -22,7 +22,6 @@ import copy
 import re
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, isqrt, lcm
@@ -30,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import GNLA, _jacobi_failures, change_basis, layer, validate
 from .linalg import (
+    Frozen,
     Matrix,
     MatrixSubspace,
     Subspace,
@@ -95,8 +95,7 @@ class NotGenerated(Exception):
     """The degree -2 layer is not spanned by brackets of generators."""
 
 
-@dataclass(frozen=True)
-class Cochain2:
+class Cochain2(Frozen):
     """An alternating 2-cochain with values in the graded module V.
 
     values maps a basis pair (i, j) with i < j of the base algebra to a
@@ -339,8 +338,7 @@ def coboundary(base: GNLA, w: Subspace, s: int, f: Dict[int, object],
     return _cochain_from_slots(base, s, c2, coeffs)
 
 
-@dataclass(frozen=True)
-class ExtensionData:
+class ExtensionData(Frozen):
     """Input of a special extension.
 
     covector_kernel is the hyperplane W inside the degree -1 layer of
@@ -604,8 +602,7 @@ def metabelian_from_pencil(mats: Sequence[Matrix],
     return GNLA(name, basis, brackets)
 
 
-@dataclass(frozen=True)
-class PencilSpec:
+class PencilSpec(Frozen):
     """A skew pencil described by canonical blocks in listed order.
 
     Each entry is ("M", m), ("E", (e, a)) or ("F", f).  The minimal
@@ -791,8 +788,7 @@ def _pfaffian(rows: List[List[int]]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class PencilForm:
+class PencilForm(Frozen):
     """det(l1 B1 + l2 B2) as a homogeneous binary form.
 
     coefficients[k] multiplies l1^(side-k) l2^k.  rational_roots lists
@@ -1004,8 +1000,7 @@ def p_y_subspace(p_space: MatrixSubspace, y: Sequence) -> Tuple[MatrixSubspace, 
     return sub, p_space.dim - sub.dim
 
 
-@dataclass(frozen=True)
-class ElementaryH0:
+class ElementaryH0(Frozen):
     """Closed form data for h0 of an elementary pencil block."""
     kind: str
     param: int

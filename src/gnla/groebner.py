@@ -18,12 +18,11 @@ printed form; normal_form still returns the exact remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Frozen, _integer_row, _reduced, frac
 
@@ -438,19 +437,15 @@ def _interreduce(basis: List[Polynomial]) -> List[Polynomial]:
     return out
 
 
-@dataclass
-class PolynomialIdeal:
-    """An ideal with a lazily computed reduced Groebner basis."""
+class PolynomialIdeal(Frozen):
+    """An ideal with a lazily computed reduced Groebner basis, kept in the
+    lazy slot _groebner; generators may be given as any iterable."""
+    __slots__ = ("_groebner",)
     generators: Tuple[Polynomial, ...]
     degree_cap: int = 12
-    _groebner: Optional[Tuple[Polynomial, ...]] = field(
-        default=None, repr=False, compare=False)
 
-    def __init__(self, generators: Iterable[Polynomial],
-                 degree_cap: int = 12):
-        self.generators = tuple(generators)
-        self.degree_cap = degree_cap
-        self._groebner = None
+    def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -459,10 +454,13 @@ class PolynomialIdeal:
         return ()
 
     def groebner(self) -> Tuple[Polynomial, ...]:
-        if self._groebner is None:
-            self._groebner = tuple(
+        try:
+            return self._groebner
+        except AttributeError:
+            basis = tuple(
                 buchberger(self.generators, degree_cap=self.degree_cap))
-        return self._groebner
+            object.__setattr__(self, "_groebner", basis)
+            return basis
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self.groebner()).is_zero()
@@ -493,7 +491,7 @@ def only_trivial_zero(ideal: PolynomialIdeal) -> bool:
     nvars = len(ideal.variables)
     if not gens:
         return nvars == 0
-    gb = ideal._groebner
+    gb = getattr(ideal, "_groebner", None)
     if gb is None:
         reduced = _row_reduced(gens)
         if (max(g.total_degree() for g in gens) <= ideal.degree_cap

@@ -24,9 +24,11 @@ read-off.  Every other caller's rows, dense or {col: value}, reach it
 through _reversed_rows, the one other place that writes the numbering.
 A kernel's pass stops once the pivots cover the unknowns, as a rank's
 stops at its bound.  Frozen is the one base of the package's immutable
-slotted values (Matrix, Subspace, GNLA, GradedMap and Polynomial): it
-refuses assignment, builds trusted instances and restores copied or
-pickled slots.  MatrixSubspace, a space of square matrices stored as the
+slotted values (Matrix, Subspace, GNLA, GradedMap and Polynomial) and of
+its records, such as TypeVerdict: it refuses assignment, builds trusted
+instances and restores copied or pickled slots, and it gives a record
+its constructor, equality, hash and repr from the fields its class body
+declares.  MatrixSubspace, a space of square matrices stored as the
 Subspace of their flattened entries, is h0's type and the checkers'
 input; it lives here so that the checkers need not import the
 prolongation solver.  This module imports no other module of the
@@ -35,7 +37,6 @@ package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -231,23 +232,112 @@ def _densified(entries, n: int) -> Vector:
     return tuple(v)
 
 
-class Frozen:
+class _Declared(type):
+    """The metaclass of Frozen: it turns the names a class body annotates
+    into its fields, before the class is made, while slots can still be
+    given."""
+
+    def __new__(mcs, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        defaults = {f: namespace.pop(f) for f in fields if f in namespace}
+        slots = namespace["__slots__"] = (
+            fields + tuple(namespace.get("__slots__", ())))
+        cls = super().__new__(mcs, name, bases, namespace)
+        cls._fields, cls._defaults = fields, defaults
+        cls._compared = tuple(f for f in fields
+                              if f not in namespace.get("_uncompared", ()))
+        cls._setters = tuple(vars(cls)[s].__set__ for s in slots)
+        cls._puts = tuple(zip(fields, cls._setters))
+        return cls
+
+
+class Frozen(metaclass=_Declared):
     """Base of the package's immutable slotted values.
 
-    Assignment raises "<class name> is immutable".  A subclass declares
-    its own __slots__; _trusted fills them in declaration order on a new
-    instance, and a lazy cache is a slot left unset (or None) until its
-    first read writes it with object.__setattr__.  Copy, deepcopy and
-    pickle take the default slot state, every slot that is set, and
-    write it back through __setstate__, so a built cache travels too.
+    A record declares its fields once, by annotating names in its class
+    body in order, each followed by its default if it has one.  They
+    become its first slots; a __slots__ in the body lists its other
+    slots, which follow.  The constructor takes the fields positionally
+    or by keyword, with the defaults, as a function with the fields as
+    its parameters would, and raises a TypeError naming the argument at
+    fault for a call that does not fit; then it runs __post_init__, the
+    record's checks.  repr is "Name(field=value, ...)" over the fields.
+    Equality and hash read the tuple of the fields, all of them but those
+    the body names in _uncompared; a value of another class is never
+    equal.
+    Nothing is generated or compiled when a class is made: these methods
+    read the field names and defaults that _Declared stores on it.  The
+    values that build their own slots (Matrix, Subspace, GNLA, GradedMap
+    and Polynomial) declare no fields and define their own constructor,
+    equality and hash.
+
+    Assignment raises "<class name> is immutable".  _trusted fills the
+    slots in order on a new instance.  A lazy cache is a slot that is
+    not a field, left unset (or None) until its first read writes it
+    with object.__setattr__; it takes no part in equality, hash or repr.
+    Copy, deepcopy and pickle take the default slot state, every slot
+    that is set, and write it back through __setstate__, so a built
+    cache travels too.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._setters = tuple(cls.__dict__[name].__set__
-                             for name in cls.__dict__["__slots__"])
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        values = {**cls._defaults, **kwargs}
+        if args:
+            if len(args) > len(fields) or not kwargs.keys().isdisjoint(
+                    fields[:len(args)]):
+                raise cls._call_error(args, kwargs)
+            values.update(zip(fields, args))
+        try:
+            for name, put in cls._puts:
+                put(self, values[name])
+        except KeyError:
+            raise cls._call_error(args, kwargs) from None
+        if len(values) != len(fields):
+            raise cls._call_error(args, kwargs)
+        self.__post_init__()
+
+    @classmethod
+    def _call_error(cls, args, kwargs) -> TypeError:
+        """The TypeError of a constructor call that does not fit the
+        fields: it names the first unknown or repeated keyword, else the
+        surplus of positional arguments, else the first missing field."""
+        call, fields = "%s()" % cls.__qualname__, cls._fields
+        for key in kwargs:
+            if key not in fields:
+                return TypeError("%s got an unexpected keyword argument %r"
+                                 % (call, key))
+            if fields.index(key) < len(args):
+                return TypeError("%s got multiple values for argument %r"
+                                 % (call, key))
+        if len(args) > len(fields):
+            return TypeError("%s takes at most %d arguments, %d were given"
+                             % (call, len(fields), len(args)))
+        return TypeError("%s missing required argument %r" % (call, next(
+            f for f in fields[len(args):]
+            if f not in kwargs and f not in cls._defaults)))
+
+    def __post_init__(self):
+        """A record's checks, run once its fields are set: none here."""
+
+    def _values(self) -> tuple:
+        """The values of the compared fields, in order."""
+        return tuple([getattr(self, f) for f in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -486,8 +576,7 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     return tuple(x)
 
 
-@dataclass(frozen=True)
-class MatrixSubspace:
+class MatrixSubspace(Frozen):
     """A subspace of square matrices with an RREF basis over flat entries."""
     side: int
     basis: Tuple[Matrix, ...]

@@ -27,9 +27,7 @@ only algebra and linalg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -116,8 +114,8 @@ class GradedMap(Frozen):
         return "GradedMap(degree=%r, blocks=%r)" % (self.degree, self.blocks)
 
 
-@dataclass(frozen=True)
-class ProlongationLayer:
+class ProlongationLayer(Frozen):
+    __slots__ = ("_column_view",)
     degree: int
     maps: Tuple[GradedMap, ...]
 
@@ -125,13 +123,17 @@ class ProlongationLayer:
     def dim(self) -> int:
         return len(self.maps)
 
-    @cached_property
+    @property
     def _columns(self) -> Dict[Tuple[int, int], List]:
         """The column view: for each (block i, source column x), the
         nonzero entries of that column over all maps as the groups of
         _grouped, one per target row r, read off the maps' integer
-        entries on first read.  Not a field: equality, hash and repr read
-        the maps alone."""
+        entries on first read and kept in the lazy slot _column_view.
+        Not a field: equality, hash and repr read the maps alone."""
+        try:
+            return self._column_view
+        except AttributeError:
+            pass
         by_row: Dict[Tuple[int, int], Dict[int, List]] = {}
         places = {}
         for m, psi in enumerate(self.maps):
@@ -145,7 +147,9 @@ class ProlongationLayer:
                 i, r, x = place[u]
                 by_row.setdefault((i, x), {}).setdefault(r, []).append(
                     (m, v, den))
-        return {col: _grouped(rows) for col, rows in by_row.items()}
+        view = {col: _grouped(rows) for col, rows in by_row.items()}
+        object.__setattr__(self, "_column_view", view)
+        return view
 
 
 def _grouped(by_row: Dict[int, List]) -> List:
@@ -434,8 +438,7 @@ def h0_as_graded_map(a: GNLA, m: Matrix) -> GradedMap:
     return GradedMap(degree=0, blocks=blocks)
 
 
-@dataclass(frozen=True)
-class IterationVerdict:
+class IterationVerdict(Frozen):
     kind: str                       # "finite" or "inconclusive"
     layer_dims: Tuple[int, ...]
     total_dim: Optional[int]

@@ -674,6 +674,39 @@ def test_closure_certificate_check_scales_g_over_one_denominator():
     assert mixed > 0
 
 
+def test_closure_certificate_check_reduces_rows_above_deg_f():
+    """A row of (P + tQ) g of degree above deg f is reduced mod f, not
+    refused.  On closure_example, f put in the zero entry of classify's
+    g, and t^2 f added to every entry, give certificates that sympy
+    accepts, and so does the check.  That g with 1 added to the new
+    entry, and with f replaced by f + t, which does not divide the
+    rows, is refused by both."""
+    a = closure_example()
+    f, g = classify(a).algebraic_witness
+    big_p, big_q = _pencil_forms(_degree1_span(a)[1])
+    pos1 = a.layer_positions(1)
+
+    def plus(u, v):
+        n = max(len(u), len(v))
+        return tuple(Fraction(0) + (u[k] if k < len(u) else 0)
+                     + (v[k] if k < len(v) else 0) for k in range(n))
+
+    zero = [p for p in pos1 if not g[p]]
+    assert zero
+    with_f = tuple(plus(gj, f) if p == zero[0] else gj
+                   for p, gj in enumerate(g))
+    shifted = tuple(plus(gj, (0, 0) + tuple(f)) if p in pos1 else gj
+                    for p, gj in enumerate(g))
+    perturbed = tuple(plus(gj, (1,)) if p == zero[0] else gj
+                      for p, gj in enumerate(with_f))
+    other_f = plus(f, (0, 1))
+    for cert, holds in (((f, with_f), True), ((f, shifted), True),
+                        ((f, perturbed), False), ((other_f, with_f), False)):
+        assert sympy_certificate_holds(a, cert) == holds, cert
+        assert _closure_certified(big_p, big_q, cert[0],
+                                  [cert[1][p] for p in pos1]) == holds, cert
+
+
 def test_metabelian_closure_verdicts_run_no_groebner(monkeypatch):
     """On seeded pencil algebras with n_1 in {4, 6, 8, 10}, and on the
     block_sum_pencils at degree_cap=0, every

@@ -53,6 +53,20 @@ bracket [X,Z3] = 1 Z4
 bracket [Z1,Z2] = 1 Z3
 """
 
+# the chain of JACOBI_BAD_DOC twice, so Jacobi fails on two triples
+JACOBI_TWICE_DOC = """\
+algebra bad_twice
+basis X:-1 Z1:-1 U:-1 V1:-1 Z2:-2 V2:-2 Z3:-3 V3:-3 Z4:-4 V4:-4
+bracket [X,Z1] = 1 Z2
+bracket [X,Z2] = 1 Z3
+bracket [X,Z3] = 1 Z4
+bracket [Z1,Z2] = 1 Z3
+bracket [U,V1] = 1 V2
+bracket [U,V2] = 1 V3
+bracket [U,V3] = 1 V4
+bracket [V1,V2] = 1 V3
+"""
+
 
 # --- document grammar ---------------------------------------------------------
 
@@ -302,10 +316,12 @@ def test_run_check_jacobi_failure(tmp_path, capsys):
 def test_check_and_refusals_word_a_failed_check_alike(tmp_path, capsys):
     """`gnla check` and a command that refuses an invalid algebra print a
     failed structural check in one wording, the refusal with `gnla: `
-    in front on stderr."""
+    in front on stderr, and each at the check's first witness only."""
     bad = write(tmp_path, "bad.alg", JACOBI_BAD_DOC)
+    twice = write(tmp_path, "twice.alg", JACOBI_TWICE_DOC)
     flat = write(tmp_path, "z.alg", "algebra z\nbasis Z:-2\n")
-    for f, command in ((bad, ["classify"]), (flat, ["cohomology", "--s", "2"])):
+    for f, command in ((bad, ["classify"]), (twice, ["classify"]),
+                       (flat, ["cohomology", "--s", "2"])):
         assert run(["check", f]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines()
                   if ": FAIL at " in line]
@@ -314,6 +330,8 @@ def test_check_and_refusals_word_a_failed_check_alike(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.splitlines() == ["gnla: " + line
                                              for line in failed]
+        if f == twice:
+            assert failed == ["jacobi: FAIL at (X, Z1, Z2)"]
     assert failed == ["generated: FAIL at layer -2"]
 
 

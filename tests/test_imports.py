@@ -2,18 +2,33 @@
 module-level function and class is exported or used, only linalg.Frozen
 decides immutability, only linalg solves densely, each module imports
 only the package modules below it and the package imports only the
-standard library; the package API is pinned, and each re-exported
-module's __all__ lists only names that the module itself defines."""
+standard library, neither dataclasses nor cached_property among it; the
+package API is pinned, and each re-exported module's __all__ lists only
+names that the module itself defines."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import gnla
 import gnla.linalg
 from gnla import GNLA, GradedMap, Matrix, Polynomial, Subspace, pfaffian
-from gnla.linalg import Frozen
+from gnla.algebra import AdMatrix, ValidationReport
+from gnla.certifier import DecompositionResult, TypeVerdict
+from gnla.cli import Report
+from gnla.constructions import (
+    Cochain2,
+    ElementaryH0,
+    ExtensionData,
+    PencilForm,
+    PencilSpec,
+)
+from gnla.groebner import PolynomialIdeal
+from gnla.linalg import Frozen, MatrixSubspace
+from gnla.prolongation import IterationVerdict, ProlongationLayer
 
 PACKAGE = Path(gnla.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -132,11 +147,19 @@ def immutability_hooks(sources):
                   if isinstance(item, ast.FunctionDef) and item.name in hooks)
 
 
+RECORDS = {
+    AdMatrix, ValidationReport, TypeVerdict, DecompositionResult, Report,
+    Cochain2, ExtensionData, PencilSpec, PencilForm, ElementaryH0,
+    PolynomialIdeal, MatrixSubspace, ProlongationLayer, IterationVerdict,
+}
+
+
 def test_only_the_frozen_base_decides_immutability():
     """Assignment, copy and pickle are decided once, by linalg.Frozen: no
     other class of the package defines their hooks, and every subclass
-    of Frozen, the five slotted values among them, declares __slots__ in
-    its own body, so its instances have no __dict__ to bypass them."""
+    of Frozen, the five slotted values and the 14 records among them,
+    has __slots__ of its own, so its instances have no __dict__ to
+    bypass them."""
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert immutability_hooks(sources) == [
@@ -148,6 +171,7 @@ def test_only_the_frozen_base_decides_immutability():
         subclasses.append(cls)
         stack.extend(cls.__subclasses__())
     assert {GNLA, GradedMap, Matrix, Polynomial, Subspace} <= set(subclasses)
+    assert RECORDS <= set(subclasses)
     for cls in subclasses:
         assert "__slots__" in vars(cls), cls.__name__
         assert not hasattr(object.__new__(cls), "__dict__"), cls.__name__
@@ -335,6 +359,63 @@ def test_package_imports_only_the_standard_library():
     sources = {path.name: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert non_stdlib_imports(sources) == []
+
+
+def record_machinery_imports(sources):
+    """The (module, line, imported) of each import of dataclasses or of
+    functools.cached_property, over module file names mapped to their
+    text."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found += [(module, node.lineno, alias.name)
+                          for alias in node.names
+                          if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found += [(module, node.lineno, node.module + "." + alias.name)
+                          for alias in node.names
+                          if node.module == "dataclasses"
+                          or (node.module, alias.name)
+                          == ("functools", "cached_property")]
+    return sorted(found)
+
+
+def test_record_machinery_detector():
+    sources = {"a.py": ("import dataclasses as dc, functools\n"
+                        "from functools import cached_property, reduce\n"
+                        "from dataclasses import field\n"
+                        "from .dataclasses import dataclass\n")}
+    assert record_machinery_imports(sources) == [
+        ("a.py", 1, "dataclasses"), ("a.py", 2, "functools.cached_property"),
+        ("a.py", 3, "dataclasses.field")]
+
+
+def test_records_need_neither_dataclasses_nor_cached_property():
+    """linalg.Frozen builds the records and their lazy slots, so no
+    module imports dataclasses, which generates and compiles methods
+    from source text for each class it makes, or cached_property."""
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert record_machinery_imports(sources) == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """A fresh `import gnla` under -W error adds none of dataclasses and
+    the inspect, ast and dis it would load to sys.modules; the set
+    before the import is the baseline, as a site .pth file may load
+    some."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys\n"
+         "before = set(sys.modules)\n"
+         "import gnla\n"
+         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}\n"
+         "             & (set(sys.modules) - before)))\n"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 IMPORTING_SOURCES = {

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import pickle
 import random
@@ -646,7 +645,8 @@ def test_h0_and_iteration_verdicts_copy_and_pickle():
                 assert special_extension(ExtensionData.from_adapted_base(
                     twin.quotient, len(twin.ideal_basis),
                     twin.cocycle)) == d.adapted
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError,
+                                   match="DecompositionResult is immutable"):
                     twin.quotient = a
                 with pytest.raises(AttributeError, match="GNLA is immutable"):
                     twin.adapted.name = "renamed"
@@ -655,7 +655,7 @@ def test_h0_and_iteration_verdicts_copy_and_pickle():
                 with pytest.raises(AttributeError, match="GNLA is immutable"):
                     twin.base.name = "renamed"
             else:
-                assert (twin._groebner is None) == (obj is unread)
+                assert hasattr(twin, "_groebner") == (obj is read)
                 assert twin.groebner() == basis
                 with pytest.raises(AttributeError,
                                    match="Polynomial is immutable"):
