@@ -1,23 +1,29 @@
 """Graded nilpotent Lie algebras presented by structure constants.
 
 An algebra is stored as an ordered basis of (label, degree) pairs with
-negative degrees, together with the nonzero brackets [e_i, e_j] for
-i < j.  Antisymmetry is implied by that storage convention, and it lives
-in one place: GNLA builds once a signed table of [e_i, e_j] for both
-orders, and every reader of the structure constants asks it through
-GNLA.bracket_terms.  Basis order is the declaration order of the input;
-every matrix, witness vector and report downstream is expressed in it.
+negative degrees and one integer table of its structure constants: for
+each basis pair (i, j), i != j, the nonzero terms (k, v) of [e_i, e_j]
+= sum_k (v / den) e_k, signed for both orders, over den, the least
+positive integer that makes every constant integral.  Antisymmetry
+lives in that table, and equality and hash read it.  The public
+constructor (and so parse_algebra) normalises its input to it once;
+change_basis, _split and special_extension write it through the trusted
+GNLA._from_integers.  Basis order is the declaration order of the
+input; every matrix, witness vector and report downstream is expressed
+in it.
 
-Vectors stay dense tuples of Fractions at the API, but the structure
-constants are read sparsely: bracket, ad_matrix, change_basis and the
-checks of validate visit only the nonzero coordinates of their inputs
-and ask bracket_terms for those pairs alone.
+Vectors stay dense tuples of Fractions at the API, but every reader in
+the package reads the integer table at the nonzero coordinates of its
+inputs: bracket, the rows of ad y and of the central conditions, the
+checks of validate (whose rank rows go to the elimination core as they
+are) and change_basis, whose core takes integer columns.  brackets and
+bracket_terms are the Fraction view of the table, built on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -26,6 +32,7 @@ from .linalg import (
     Subspace,
     Vector,
     _densified,
+    _echelon,
     _integer_row,
     _inverse,
     _kernel,
@@ -44,14 +51,18 @@ __all__ = [
 class GNLA(Frozen):
     """A graded nilpotent Lie algebra given by structure constants.
 
-    brackets maps a pair (i, j) with i < j to a tuple of (k, coefficient)
-    entries meaning [e_i, e_j] = sum_k c e_k; bracket_terms reads it for
-    either order.  Instances are immutable; validation is a separate,
-    side-effect-free pass (see validate).
+    The stored form is _table, {i: {j: terms}} with terms the nonzero
+    (k, v) integer entries of [e_i, e_j] = sum_k (v / _den) e_k in
+    increasing k, for both orders, and _den, their least positive
+    denominator.  brackets maps a pair (i, j) with i < j to the Fraction
+    terms of [e_i, e_j], built from the table on first read in the lazy
+    slot _brackets, and bracket_terms reads them for either order.
+    Instances are immutable; validation is a separate, side-effect-free
+    pass (see validate).
     """
 
-    __slots__ = ("name", "labels", "degrees", "brackets", "_terms",
-                 "_layer_positions", "_depth")
+    __slots__ = ("name", "labels", "degrees", "_table", "_den",
+                 "_layer_positions", "_depth", "_brackets")
 
     def __init__(self, name: str, basis: Sequence[Tuple[str, int]],
                  brackets: Dict[Tuple[int, int], Sequence[Tuple[int, object]]]):
@@ -62,7 +73,7 @@ class GNLA(Frozen):
         if any(d >= 0 for d in degrees):
             raise ValueError("basis degrees must be negative")
         n = len(labels)
-        normalized: Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]] = {}
+        normalized: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
         for (i, j), terms in brackets.items():
             if not (0 <= i < j < n):
                 raise ValueError("bracket indices out of range or not i < j")
@@ -73,24 +84,51 @@ class GNLA(Frozen):
                 c = frac(c)
                 if c:
                     acc[k] = acc[k] + c if k in acc else c
-            entries = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+            entries = [(k, acc[k]) for k in sorted(acc) if acc[k]]
             if entries:
-                normalized[(i, j)] = entries
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "brackets", normalized)
-        terms = dict(normalized)
-        for (i, j), entries in normalized.items():
-            terms[j, i] = tuple((k, -c) for k, c in entries)
-        object.__setattr__(self, "_terms", terms)
+                normalized[i, j] = entries
+        den = lcm(*[c.denominator for terms in normalized.values()
+                    for _, c in terms])
+        self._fill(name, labels, degrees, {
+            pair: tuple((k, c.numerator * (den // c.denominator))
+                        for k, c in terms)
+            for pair, terms in normalized.items()}, den)
+
+    @classmethod
+    def _from_integers(cls, name: str, labels: Tuple, degrees: Tuple[int, ...],
+                       upper: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]],
+                       den: int = 1) -> "GNLA":
+        """The algebra on the given labels and degrees whose [e_i, e_j],
+        i < j, has the nonzero integer terms upper[i, j], in increasing
+        k, over the positive den, all taken as is; one gcd makes den the
+        least.  Distinct labels are the one thing it checks."""
+        if len(set(labels)) != len(labels):
+            raise ValueError("duplicate basis labels")
+        if den != 1:
+            g = gcd(den, *[v for terms in upper.values() for _, v in terms])
+            if g != 1:
+                den //= g
+                upper = {pair: tuple((k, v // g) for k, v in terms)
+                         for pair, terms in upper.items()}
+        obj = object.__new__(cls)
+        obj._fill(name, labels, degrees, upper, den)
+        return obj
+
+    def _fill(self, name, labels, degrees, upper, den) -> None:
+        """Set the slots from the i < j terms over their least den; the
+        table gets both orders."""
+        table: Dict[int, Dict[int, tuple]] = {}
+        for (i, j), terms in upper.items():
+            table.setdefault(i, {})[j] = terms
+            table.setdefault(j, {})[i] = tuple((k, -v) for k, v in terms)
         by_layer: Dict[int, List[int]] = {}
         for pos, d in enumerate(degrees):
             by_layer.setdefault(-d, []).append(pos)
-        object.__setattr__(self, "_layer_positions",
-                           {i: tuple(ps) for i, ps in by_layer.items()})
-        object.__setattr__(self, "_depth",
-                           max((-d for d in degrees), default=0))
+        for put, value in zip(self._setters, (
+                name, labels, degrees, table, den,
+                {i: tuple(ps) for i, ps in by_layer.items()},
+                max((-d for d in degrees), default=0))):
+            put(self, value)
 
     @property
     def dim(self) -> int:
@@ -119,9 +157,26 @@ class GNLA(Frozen):
     def basis_vector(self, pos: int) -> Vector:
         return unit_vector(self.dim, pos)
 
+    @property
+    def brackets(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]]:
+        """{(i, j): Fraction terms of [e_i, e_j]} for i < j, in increasing
+        pair order: the Fraction view of the table, built on first read."""
+        try:
+            return self._brackets
+        except AttributeError:
+            pass
+        den = self._den
+        view = {(i, j): tuple((k, Fraction(v, den)) for k, v in terms)
+                for i, j, terms in self._upper()}
+        object.__setattr__(self, "_brackets", view)
+        return view
+
     def bracket_terms(self, i: int, j: int) -> Tuple[Tuple[int, Fraction], ...]:
-        """The nonzero (k, c) terms of [e_i, e_j] = sum c e_k, any i, j."""
-        return self._terms.get((i, j), ())
+        """The nonzero (k, c) terms of [e_i, e_j] = sum c e_k, any i, j,
+        read off the Fraction view."""
+        if i > j:
+            return tuple((k, -c) for k, c in self.brackets.get((j, i), ()))
+        return self.brackets.get((i, j), ())
 
     def pair_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] as a full coordinate vector, any i, j."""
@@ -138,45 +193,56 @@ class GNLA(Frozen):
             out[p] = frac(c)
         return tuple(out)
 
+    def _upper(self) -> Tuple:
+        """The table's (i, j, terms) for i < j, in increasing pair order."""
+        return tuple(sorted((i, j, t) for i, row in self._table.items()
+                            for j, t in row.items() if i < j))
+
     def __eq__(self, other):
         return (isinstance(other, GNLA)
                 and self.labels == other.labels
                 and self.degrees == other.degrees
-                and self.brackets == other.brackets)
+                and self._den == other._den
+                and self._table == other._table)
 
     def __hash__(self):
-        return hash((self.labels, self.degrees,
-                     tuple(sorted(self.brackets.items()))))
+        return hash((self.labels, self.degrees, self._den, self._upper()))
 
     def __repr__(self):
         return "GNLA(%r, dim=%d, depth=%d)" % (self.name, self.dim, self.depth)
 
 
-def _support(v: Vector) -> List[Tuple[int, Fraction]]:
-    """The nonzero (position, coordinate) pairs of a vector."""
-    return [(i, c) for i, c in enumerate(v) if c]
-
-
-def _bracket_support(a: GNLA, xs, ys) -> Dict[int, Fraction]:
-    """[x, y] as {k: coefficient} from the supports of x and y; entries
-    that cancel stay in the dict as zeros."""
-    out: Dict[int, Fraction] = {}
+def _bracket_support(a: GNLA, xs, ys) -> Dict[int, object]:
+    """den [x, y] as {k: value}, den the table's, from the (position,
+    value) pairs of x and y, read off the table rows at the support of
+    x; entries that cancel stay in the dict as zeros."""
+    table = a._table
+    out: Dict[int, object] = {}
     for i, xi in xs:
-        for j, yj in ys:
-            s = xi * yj
-            for k, c in a.bracket_terms(i, j):
-                out[k] = out.get(k, 0) + s * c
+        row = table.get(i)
+        if row:
+            for j, yj in ys:
+                terms = row.get(j)
+                if terms:
+                    s = xi * yj
+                    for k, v in terms:
+                        out[k] = out.get(k, 0) + s * v
     return out
 
 
 def bracket(a: GNLA, x: Sequence, y: Sequence) -> Vector:
-    """Bilinear extension of the structure constants to coordinate vectors."""
+    """Bilinear extension of the structure constants to coordinate
+    vectors: one integer sum over the supports of x and y, scaled to
+    integers, each nonzero coordinate made a Fraction once."""
     x = vector(x)
     y = vector(y)
     n = a.dim
     if len(x) != n or len(y) != n:
         raise ValueError("coordinate vectors must have the full dimension")
-    return _densified(_bracket_support(a, _support(x), _support(y)).items(), n)
+    (u, s), (w, t) = _integer_row(x), _integer_row(y)
+    den = a._den * s * t
+    return _densified([(k, Fraction(v, den)) for k, v in _bracket_support(
+        a, u.items(), w.items()).items() if v], n)
 
 
 class AdMatrix(Frozen):
@@ -192,52 +258,48 @@ class AdMatrix(Frozen):
 def ad_matrix(a: GNLA, y: Sequence) -> AdMatrix:
     y = vector(y)
     n = a.dim
+    ints, den = _ad_rows(a, y)
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for k, row in _ad_rows(a, y).items():
-        for j, c in row.items():
-            rows[k][j] = c
+    for k, row in ints.items():
+        for j, v in row.items():
+            rows[k][j] = Fraction(v, den)
     return AdMatrix(element=y,
                     matrix=Matrix._trusted(tuple(map(tuple, rows))))
 
 
-def _ad_rows(a: GNLA, y: Vector) -> Dict[int, Dict[int, Fraction]]:
-    """The nonzero rows of ad y for y supported on the degree -1 layer, as
-    {k: {j: c}}, c the e_k coefficient of [y, e_j], read off the bracket
-    table at the support of y."""
+def _ad_rows(a: GNLA, y: Vector) -> Tuple[Dict[int, Dict[int, int]], int]:
+    """The nonzero rows of ad y for y supported on the degree -1 layer,
+    as integers over one positive denominator: ({k: {j: v}}, den), v / den
+    the e_k coefficient of [y, e_j], read off the table rows at the
+    support of y scaled to integers."""
     if len(y) != a.dim:
         raise ValueError("coordinate vector must have the full dimension")
-    deg1 = set(a.layer_positions(1))
-    if any(c != 0 and p not in deg1 for p, c in enumerate(y)):
+    u, s = _integer_row(y)
+    if any(a.degrees[p] != -1 for p in u):
         raise ValueError("element is not supported on the degree -1 layer")
-    rows: Dict[int, Dict[int, Fraction]] = {}
-    for i, yi in _support(y):
-        for j in range(a.dim):
-            for k, c in a.bracket_terms(i, j):
+    table = a._table
+    rows: Dict[int, Dict[int, int]] = {}
+    for i, yi in u.items():
+        for j, terms in table.get(i, {}).items():
+            for k, v in terms:
                 row = rows.setdefault(k, {})
-                row[j] = row.get(j, 0) + yi * c
-    rows = {k: {j: c for j, c in row.items() if c} for k, row in rows.items()}
-    return {k: row for k, row in rows.items() if row}
+                row[j] = row.get(j, 0) + yi * v
+    rows = {k: {j: v for j, v in row.items() if v} for k, row in rows.items()}
+    return {k: row for k, row in rows.items() if row}, s * a._den
 
 
-def _kernel_within(rows, n: int, positions: Sequence[int]) -> Subspace:
-    """The solutions in n unknowns, rows dense or {col: value}, that
-    vanish off the given positions: one more row {q: 1} per q outside."""
-    return _kernel(list(rows) + [{q: 1} for q in range(n)
-                                 if q not in positions], n)
-
-
-def _central_rows(a: GNLA, positions: Sequence[int]) -> List[Dict[int, Fraction]]:
+def _central_rows(a: GNLA, positions: Sequence[int]) -> List[Dict[int, int]]:
     """The conditions [x, e_j] = 0 for every j on x in span(e_p : p in
-    positions): one sparse row {p: c} per (j, k), c the e_k coefficient
-    of [e_p, e_j]."""
-    rows = []
-    for j in range(a.dim):
-        by_target: Dict[int, Dict[int, Fraction]] = {}
-        for p in positions:
-            for k, c in a.bracket_terms(p, j):
-                by_target.setdefault(k, {})[p] = c
-        rows.extend(by_target.values())
-    return rows
+    positions), in increasing j: one sparse integer row {p: v} per
+    (j, k), v the table's e_k entry of [e_p, e_j]."""
+    table = a._table
+    by_j: Dict[int, Dict[int, Dict[int, int]]] = {}
+    for p in positions:
+        for j, terms in table.get(p, {}).items():
+            by_target = by_j.setdefault(j, {})
+            for k, v in terms:
+                by_target.setdefault(k, {})[p] = v
+    return [row for j in sorted(by_j) for row in by_j[j].values()]
 
 
 def center(a: GNLA) -> Subspace:
@@ -256,10 +318,14 @@ def layer(a: GNLA, i: int) -> Subspace:
 
 
 class ValidationReport(Frozen):
+    """The four checks of validate.  checks[name] says whether check
+    name passed, which failures already records, so equality and hash
+    leave checks out."""
     checks: Dict[str, bool]
     failures: Tuple[Tuple[str, tuple], ...]
     layer_dims: Tuple[int, ...]
     depth: int
+    _uncompared = ("checks",)
 
     @property
     def structural_ok(self) -> bool:
@@ -277,21 +343,21 @@ def _jacobi_failures(a: GNLA) -> List[Tuple[str, str, str]]:
     Jacobi sum over the cyclic (p, q, r) of (i, j, k) is nonzero, in
     increasing (i, j, k) order.
 
-    Only nonzero compositions are visited: each term c e_m of [e_p, e_q]
-    and d e_l of [e_m, e_r], for distinct p, q, r in cyclic order, adds
-    c * d to the e_l coefficient of the sum of the sorted triple.
+    Only nonzero compositions of the integer table are visited: each
+    term c e_m of [e_p, e_q] and d e_l of [e_m, e_r], for distinct p, q,
+    r in cyclic order, adds c * d to the e_l entry of the sum of the
+    sorted triple, den^2 times its coefficient.
     """
-    right: Dict[int, List] = {}
-    for (m, r), terms in a._terms.items():
-        right.setdefault(m, []).append((r, terms))
-    sums: Dict[Tuple[int, int, int], Dict[int, Fraction]] = {}
-    for (p, q), terms in a._terms.items():
-        for m, c in terms:
-            for r, outer in right.get(m, ()):
-                if p < q < r or q < r < p or r < p < q:
-                    total = sums.setdefault(tuple(sorted((p, q, r))), {})
-                    for l, d in outer:
-                        total[l] = total.get(l, 0) + c * d
+    table = a._table
+    sums: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+    for p, row in table.items():
+        for q, terms in row.items():
+            for m, c in terms:
+                for r, outer in table.get(m, {}).items():
+                    if p < q < r or q < r < p or r < p < q:
+                        total = sums.setdefault(tuple(sorted((p, q, r))), {})
+                        for l, d in outer:
+                            total[l] = total.get(l, 0) + c * d
     return [tuple(a.labels[x] for x in triple) for triple in sorted(sums)
             if any(sums[triple].values())]
 
@@ -303,14 +369,18 @@ def validate(a: GNLA) -> ValidationReport:
     jacobi:        [[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on all basis triples
     generated:     each layer m_{-i-1} is spanned by [m_{-1}, m_{-i}]
     nondegenerate: no nonzero central element of degree -1
+
+    Every check reads the integer table; the rank rows of the last two
+    are its rows, which go to the elimination as they are.
     """
     failures: List[Tuple[str, tuple]] = []
-    n = a.dim
+    table = a._table
+    degrees = a.degrees
 
     grading_ok = True
-    for (i, j), terms in sorted(a.brackets.items()):
-        want = a.degrees[i] + a.degrees[j]
-        if any(a.degrees[k] != want for k, _ in terms):
+    for i, j, terms in a._upper():
+        want = degrees[i] + degrees[j]
+        if any(degrees[k] != want for k, _ in terms):
             grading_ok = False
             failures.append(("grading", (a.labels[i], a.labels[j])))
 
@@ -321,23 +391,26 @@ def validate(a: GNLA) -> ValidationReport:
     # [m_{-1}, m_{-i}] spans the coordinate space m_{-i-1} exactly when
     # every bracket lies in it and their rank is its dimension
     generated_ok = True
+    pos1 = a.layer_positions(1)
     for i in range(1, a.depth):
         target = a.layer_positions(i + 1)
-        spanned = [dict(a.bracket_terms(p, q))
-                   for p in a.layer_positions(1)
-                   for q in a.layer_positions(i)]
+        spanned = [dict(terms) for p in pos1
+                   for q, terms in table.get(p, {}).items()
+                   if degrees[q] == -i]
         if (any(k not in target for r in spanned for k in r)
-                or _rank(spanned, len(target)) != len(target)):
+                or len(_echelon(spanned, len(target))[0]) != len(target)):
             generated_ok = False
             failures.append(("generated", (i + 1,)))
 
     # the central degree -1 vectors are wanted only as a witness
-    pos1 = a.layer_positions(1)
-    rows = _central_rows(a, pos1)
-    nondegenerate_ok = _rank(rows, len(pos1)) == len(pos1)
+    nondegenerate_ok = (len(_echelon(_central_rows(a, pos1), len(pos1))[0])
+                        == len(pos1))
     if not nondegenerate_ok:
+        index = {p: i for i, p in enumerate(pos1)}
+        central = _kernel([{index[p]: v for p, v in r.items()}
+                           for r in _central_rows(a, pos1)], len(pos1))
         failures.append(("nondegenerate",
-                         (_kernel_within(rows, n, pos1).basis[0],)))
+                         (a.embed_layer(1, central.basis[0]),)))
 
     return ValidationReport(
         checks={"grading": grading_ok, "jacobi": jacobi_ok,
@@ -352,11 +425,8 @@ def change_basis(a: GNLA, vectors: Sequence[Sequence], labels: Sequence[str],
     """Rewrite the algebra in a new basis given in old coordinates.
 
     Every new basis vector must be homogeneous; the new degrees are read
-    off from the supports.  The work is on integers: each v_j is scaled
-    to its integer column u_j = d_j v_j, so P^-1 = D U^-1 comes from one
-    elimination of [U | I], and the structure constants are scaled over
-    one common denominator.  Each new bracket coefficient is one integer
-    sum over the supports, made a Fraction once.
+    off from the supports.  Each v_j is scaled to its integer column by
+    _integer_row, and _change_basis does the rest on integers.
     """
     n = a.dim
     vecs = [vector(v) for v in vectors]
@@ -364,7 +434,25 @@ def change_basis(a: GNLA, vectors: Sequence[Sequence], labels: Sequence[str],
         raise ValueError("need exactly dim basis vectors and labels")
     if any(len(v) != n for v in vecs):
         raise ValueError("new basis vectors must have the full dimension")
-    columns = [_integer_row(v) for v in vecs]
+    return _change_basis(a, [_integer_row(v) for v in vecs], labels,
+                         name or a.name)
+
+
+def _change_basis(a: GNLA, columns: Sequence[Tuple[Dict[int, int], int]],
+                  labels: Sequence, name: str) -> GNLA:
+    """The algebra in the basis v_j = u_j / d_j, for the integer columns
+    (u_j, d_j): u_j a {position: int} dict without zeros, d_j > 0.
+
+    P^-1 = D U^-1 comes from one elimination of [U | I] (_inverse), over
+    one lead L, the lcm of the leads of its rows.  [v_i, v_j] is one
+    integer sum w over the supports of u_i and u_j through the table,
+    over d_i d_j den, carried to the new basis by P^-1; every new
+    constant is then an integer over M = c^2 den L, c the lcm of the d_j,
+    which _from_integers reduces once.  The sums visit only the nonzero
+    table entries at the support of each u_i, each paired with the
+    columns whose support holds its second index.
+    """
+    n = a.dim
     degrees = []
     for u, _ in columns:
         degs = {a.degrees[p] for p in u}
@@ -375,61 +463,71 @@ def change_basis(a: GNLA, vectors: Sequence[Sequence], labels: Sequence[str],
     for j, (u, _) in enumerate(columns):
         for i, x in u.items():
             rows[i][j] = x
-    # P^-1 = D U^-1: the new coordinates of the old e_k are d_r U^-1[r][k],
-    # over the lead of inverse row r
+    # the columns whose support holds each position, before _inverse
+    # takes the rows
+    holders = [list(row.items()) for row in rows]
+    # the new coordinates of the old e_k: d_r U^-1[r][k] = inv_cols[k][r] / L
+    inverse = _inverse(rows, n)
+    lead = lcm(*[row_lead for _, row_lead in inverse])
     inv_cols: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    leads = []
-    for r, (row, lead) in enumerate(_inverse(rows, n)):
+    for r, (row, row_lead) in enumerate(inverse):
+        f = columns[r][1] * (lead // row_lead)
         for k, v in row.items():
-            inv_cols[k].append((r, columns[r][1] * v))
-        leads.append(lead)
-    # the structure constants as integers over their common denominator e
-    e = lcm(*(c.denominator for terms in a.brackets.values()
-              for _, c in terms))
-    table = {pair: [(k, c.numerator * (e // c.denominator)) for k, c in terms]
-             for pair, terms in a._terms.items()}
-    # GNLA sorts the terms
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w: Dict[int, int] = {}
-            for p, x in columns[i][0].items():
-                for q, y in columns[j][0].items():
-                    s = x * y
-                    for k, c in table.get((p, q), ()):
-                        w[k] = w.get(k, 0) + s * c
+            inv_cols[k].append((r, f * v))
+    c = lcm(*[d for _, d in columns])
+    scales = [c // d for _, d in columns]
+    table = a._table
+    upper = {}
+    for i, (ui, _) in enumerate(columns):
+        # w[j] = d_i d_j den [v_i, v_j] in the old basis, for j > i
+        w: Dict[int, Dict[int, int]] = {}
+        for p, x in ui.items():
+            for q, terms in table.get(p, {}).items():
+                for j, y in holders[q]:
+                    if j > i:
+                        wj = w.setdefault(j, {})
+                        s = x * y
+                        for k, v in terms:
+                            wj[k] = wj.get(k, 0) + s * v
+        for j, wj in w.items():
             new: Dict[int, int] = {}
-            for k, wk in w.items():
+            for k, wk in wj.items():
                 if wk:
                     for r, v in inv_cols[k]:
                         new[r] = new.get(r, 0) + wk * v
-            den = columns[i][1] * columns[j][1] * e
-            terms = [(r, Fraction(v, den * leads[r]))
-                     for r, v in new.items() if v]
+            f = scales[i] * scales[j]
+            terms = tuple((r, v * f) for r, v in sorted(new.items()) if v)
             if terms:
-                brackets[(i, j)] = terms
-    return GNLA(name or a.name,
-                list(zip(labels, degrees)), brackets)
+                upper[i, j] = terms
+    return GNLA._from_integers(name, tuple(labels), tuple(degrees), upper,
+                               c * c * a._den * lead)
 
 
 def _split(adapted: GNLA, kept: Sequence[int], labels: Sequence[str],
            name: str) -> Tuple[GNLA, Dict[Tuple[int, int], list]]:
     """Adapted cut to the basis positions kept, increasing, labelled
-    labels: the algebra with each bracket cut to its kept components, and
-    for each of its pairs the list of the components that escape, at the
-    other positions in increasing order."""
+    labels: the algebra with each bracket cut to its kept components, on
+    the integer table, and for each of its pairs the list of the
+    components that escape, at the other positions in increasing order."""
     index = {p: i for i, p in enumerate(kept)}
     rest = [p for p in range(adapted.dim) if p not in index]
-    brackets, escaped = {}, {}
-    for (p, q), terms in adapted.brackets.items():
-        if p in index and q in index:
-            terms = dict(terms)
-            pair = (index[p], index[q])
-            brackets[pair] = [(index[k], c) for k, c in terms.items()
-                              if k in index]
-            escaped[pair] = [terms.get(k, 0) for k in rest]
-    basis = [(lbl, adapted.degrees[p]) for lbl, p in zip(labels, kept)]
-    return GNLA(name, basis, brackets), escaped
+    den = adapted._den
+    upper, escaped = {}, {}
+    for p, row in adapted._table.items():
+        if p not in index:
+            continue
+        for q, terms in row.items():
+            if p < q and q in index:
+                pair = (index[p], index[q])
+                cut = tuple((index[k], v) for k, v in terms if k in index)
+                if cut:
+                    upper[pair] = cut
+                values = dict(terms)
+                escaped[pair] = [Fraction(values[k], den) if k in values
+                                 else 0 for k in rest]
+    return GNLA._from_integers(
+        name, tuple(labels), tuple(adapted.degrees[p] for p in kept),
+        upper, den), escaped
 
 
 def quotient(a: GNLA, ideal: Subspace, representatives: Sequence[Sequence],
@@ -449,18 +547,22 @@ def quotient(a: GNLA, ideal: Subspace, representatives: Sequence[Sequence],
                          "dimension")
     if any(len({a.degrees[p] for p, _ in r}) != 1 for r in ideal._rows):
         raise ValueError("ideal is not graded")
-    if any(len({a.degrees[p] for p, _ in _support(v)}) != 1 for v in reps):
+    columns = [_integer_row(v) for v in reps]
+    if any(len({a.degrees[p] for p in u}) != 1 for u, _ in columns):
         raise ValueError("representatives must be homogeneous")
-    spanned = [dict(r) for r in ideal._rows]
-    spanned += [_bracket_support(a, [(j, 1)], r)
-                for j in range(n) for r in ideal._rows]
+    ideal_columns = [_integer_row(dict(r)) for r in ideal._rows]
+    spanned = [u for u, _ in ideal_columns]
+    spanned += [_bracket_support(a, [(j, 1)], u.items())
+                for j in range(n) for u, _ in ideal_columns]
     if _rank(spanned, ideal.dim + 1) > ideal.dim:
         raise ValueError("subspace is not an ideal")
+    complement = ValueError("representatives do not complement the ideal")
+    if len(reps) + ideal.dim != n:
+        raise complement
     try:
         # on checked vectors it fails only when they are not a basis
-        adapted = change_basis(a, reps + list(ideal.basis), range(n))
+        adapted = _change_basis(a, columns + ideal_columns, range(n), a.name)
     except ValueError:
-        raise ValueError("representatives do not complement the ideal") \
-            from None
+        raise complement from None
     return _split(adapted, range(len(reps)), labels,
                   name or (a.name + "_quotient"))[0]

@@ -30,8 +30,16 @@ constructions._rational_roots.
 Both questions about a span of matrices, a rational rank 1 element and
 a rank 1 point over the closure, read the one integer form (den, ints)
 of _integer_span, built for the degree -1 ad span straight from the
-bracket table.  classify and spencer_subspace_check ask them in one
-order: _span_point (or the pencil stage on its two rows), then _minors.
+integer bracket table.  classify and spencer_subspace_check ask them in
+one order: _span_point (or the pencil stage on its two rows), then
+_minors.
+
+The paper's decomposition of an infinite type algebra, a special
+extension by a commutative ideal, is built from a rational witness by
+decompose_special_extension on the same integer table: its chain and
+checks are sparse integer rows, one kernel of ad y serves both the
+centraliser check and the hyperplane W, and the adapted basis goes to
+the core of change_basis as integer columns.
 """
 
 from __future__ import annotations
@@ -39,19 +47,16 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     GNLA,
     _ad_rows,
     _bracket_support,
     _central_rows,
-    _kernel_within,
+    _change_basis,
     _split,
-    _support,
-    bracket,
-    change_basis,
     validate,
 )
 from .constructions import (
@@ -75,12 +80,11 @@ from .linalg import (
     MatrixSubspace,
     Vector,
     _densified,
-    _kernel,
+    _echelon,
+    _integer_row,
     _kernel_rows,
     _rank,
     _reversed_rows,
-    independent_rows,
-    is_zero_vector,
     vector,
 )
 from .prolongation import (
@@ -133,32 +137,43 @@ class TypeVerdict(Frozen):
 Ints = List[List[List[int]]]
 
 
-def _integer_span(t: int, entries) -> Tuple[int, Ints]:
-    """(den, ints) for t matrices with nonzero entries {(k, r, c): x}:
-    den is the lcm of the denominators and ints[k] is den times matrix
-    k, cut to the rows and columns that some matrix uses, in order."""
-    den = lcm(*{x.denominator for x in entries.values()})
+def _integer_span(t: int, entries, den: int) -> Tuple[int, Ints]:
+    """(den, ints) for t matrices with nonzero entries {(k, r, c): x / den},
+    x an integer: ints[k] is den times matrix k, cut to the rows and
+    columns that some matrix uses, in order."""
     rows = {r: i for i, r in enumerate(sorted({r for _, r, _ in entries}))}
     cols = {c: i for i, c in enumerate(sorted({c for _, _, c in entries}))}
     ints = [[[0] * len(cols) for _ in rows] for _ in range(t)]
     for (k, r, c), x in entries.items():
-        ints[k][rows[r]][cols[c]] = x.numerator * (den // x.denominator)
+        ints[k][rows[r]][cols[c]] = x
     return den, ints
 
 
 def _matrix_span(mats: Sequence[Matrix]) -> Tuple[int, Ints]:
-    """The integer span of a list of matrices."""
+    """The integer span of a list of matrices, over the lcm of the
+    denominators of their entries."""
+    entries = {(k, r, c): x for k, m in enumerate(mats)
+               for r, row in enumerate(m.rows) for c, x in enumerate(row) if x}
+    den = lcm(*{x.denominator for x in entries.values()})
     return _integer_span(len(mats), {
-        (k, r, c): x for k, m in enumerate(mats)
-        for r, row in enumerate(m.rows) for c, x in enumerate(row) if x})
+        key: x.numerator * (den // x.denominator)
+        for key, x in entries.items()}, den)
 
 
 def _degree1_span(a: GNLA) -> Tuple[int, Ints]:
     """The integer span of ad e_p over the degree -1 basis, declaration
-    order: entry (k, j) of ad e_p is the e_k coefficient of [e_p, e_j]."""
-    return _integer_span(a.layer_dim(1), {
-        (i, k, j): c for i, p in enumerate(a.layer_positions(1))
-        for j in range(a.dim) for k, c in a.bracket_terms(p, j)})
+    order: entry (k, j) of ad e_p is the e_k coefficient of [e_p, e_j].
+    Its entries are the table's, and their least denominator is the
+    table's den over one gcd with them."""
+    table = a._table
+    entries = {(i, k, j): v for i, p in enumerate(a.layer_positions(1))
+               for j, terms in table.get(p, {}).items() for k, v in terms}
+    den = a._den
+    g = gcd(den, *entries.values())
+    if g != 1:
+        den //= g
+        entries = {key: v // g for key, v in entries.items()}
+    return _integer_span(a.layer_dim(1), entries, den)
 
 
 def _minors(span: Tuple[int, Ints], prefix: str) -> List[Polynomial]:
@@ -518,14 +533,14 @@ def spencer_subspace_check(a_space: MatrixSubspace) -> bool:
 
 
 def _moved_transversal(a: GNLA, y: Vector) -> Tuple[List[dict], int]:
-    """The nonzero rows of ad y, sparse, and the first degree -1 basis
-    position that y moves.
+    """The nonzero rows of ad y, sparse integer multiples of them, and the
+    first degree -1 basis position that y moves.
 
     Raises WitnessInvalid unless rank ad y = 1 on a nondegenerate
     algebra.  The rank check stops at rank 2; a failure is reported with
     the full rank.
     """
-    rows = list(_ad_rows(a, y).values())
+    rows = list(_ad_rows(a, y)[0].values())
     if _rank(rows, 2) != 1:
         raise WitnessInvalid("rank ad y is %d, not 1" % _rank(rows))
     pos1 = a.layer_positions(1)
@@ -550,7 +565,7 @@ def rank1_derivation_from_witness(a: GNLA, y: Sequence) -> GradedMap:
     y = vector(y)
     ad_rows, x_pos = _moved_transversal(a, y)
     row = ad_rows[0]
-    xi = [row.get(p, 0) / row[x_pos] for p in a.layer_positions(1)]
+    xi = [Fraction(row.get(p, 0), row[x_pos]) for p in a.layer_positions(1)]
     y1 = a.layer_coordinates(1, y)
     block1 = Matrix([[y_r * xi_c for xi_c in xi] for y_r in y1])
     d = h0_as_graded_map(a, block1)
@@ -591,51 +606,70 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
     bracket of two base elements X, Z_j splits there in two (_split, as in
     quotient): its X/Z components are the quotient bracket and its Y
     components the degree 0 cocycle value.
+
+    The work is on the integer table.  The chain is a list of sparse
+    integer columns (u_i, d_i), y_i = u_i / d_i, and the checks run on
+    sparse integer rows.  One kernel of ad y serves the centraliser
+    check and W: ad y is graded, so the rows of its RREF are homogeneous
+    and W is the rows supported on the degree -1 layer.  The adapted
+    basis goes to _change_basis as integer columns.
     """
     y = vector(y)
     ad_rows, x_pos = _moved_transversal(a, y)
     n = a.dim
-    x_vec = a.basis_vector(x_pos)
 
     # the grading ends the chain within dim steps; without it, a chain
     # longer than the dimension is dependent
-    chain: List[Vector] = [y]
+    chain = [_integer_row(y)]
     while True:
-        nxt = bracket(a, x_vec, chain[-1])
-        if is_zero_vector(nxt):
+        u, d = chain[-1]
+        nxt = {k: v for k, v in _bracket_support(
+            a, [(x_pos, 1)], u.items()).items() if v}
+        if not nxt:
             break
         if len(chain) == n:
             raise WitnessInvalid("chain vectors are dependent")
-        chain.append(nxt)
+        g = gcd(d * a._den, *nxt.values())
+        chain.append(({k: v // g for k, v in nxt.items()}, d * a._den // g))
     s = len(chain)
-    if len(independent_rows(chain)) != s:
+    if _rank([u for u, _ in chain]) != s:
         raise WitnessInvalid("chain vectors are dependent")
-    # the span V of the chain is an ideal when no [e_j, y_i] raises its rank
-    supports = [_support(yi) for yi in chain]
-    if len(independent_rows(chain + [_bracket_support(a, [(j, 1)], ys)
-                                     for j in range(n)
-                                     for ys in supports])) != s:
+    # the span V of the chain is an ideal when no [y_i, e_j] raises its
+    # rank: one row per j with [e_q, e_j] != 0 for some q that y_i holds
+    images = []
+    for u, _ in chain:
+        by_j: Dict[int, Dict[int, int]] = {}
+        for q, c in u.items():
+            for j, terms in a._table.get(q, {}).items():
+                row = by_j.setdefault(j, {})
+                for k, v in terms:
+                    row[k] = row.get(k, 0) + c * v
+        images += by_j.values()
+    if _rank([u for u, _ in chain] + images, s + 1) > s:
         raise WitnessInvalid("chain span is not an ideal")
-    for xs in supports:
-        for ys in supports:
-            if any(_bracket_support(a, xs, ys).values()):
+    for u, _ in chain:
+        for w, _ in chain:
+            if any(_bracket_support(a, u.items(), w.items()).values()):
                 raise WitnessInvalid("chain span is not commutative")
-    for ws in _kernel(ad_rows, n)._rows:
-        for ys in supports:
-            if any(_bracket_support(a, ws, ys).values()):
+    kernel = _kernel_rows(_reversed_rows(ad_rows, n), n)
+    for entries, _ in kernel:
+        for u, _ in chain:
+            if any(_bracket_support(a, entries, u.items()).values()):
                 raise WitnessInvalid("kernel of ad y does not centralize the chain")
 
-    w_deg1 = _kernel_within(ad_rows, n, a.layer_positions(1))
-    rows = [x_vec] + chain + list(w_deg1.basis)
-    rows += [a.basis_vector(p) for i in range(2, a.depth + 1)
-             for p in a.layer_positions(i)]
-    adapted_vectors = [rows[i] for i in independent_rows(rows)]
-    if len(adapted_vectors) != n:
+    columns = [({x_pos: 1}, 1)] + chain
+    columns += [(dict(entries), d) for entries, d in kernel
+                if all(a.degrees[p] == -1 for p, _ in entries)]
+    columns += [({p: 1}, 1) for i in range(2, a.depth + 1)
+                for p in a.layer_positions(i)]
+    # each kept when independent of those before it
+    _, trail = _echelon([dict(u) for u, _ in columns])
+    picked = [col for col, (c, _, _) in zip(columns, trail) if c is not None]
+    if len(picked) != n:
         raise WitnessInvalid("adapted basis does not span")
     labels = (["X"] + ["Y%d" % (i + 1) for i in range(s)]
               + ["Z%d" % (i + 1) for i in range(n - 1 - s)])
-    adapted = change_basis(a, adapted_vectors, labels,
-                           name=a.name + "_adapted")
+    adapted = _change_basis(a, picked, labels, a.name + "_adapted")
 
     reps = [0] + list(range(1 + s, n))
     base, escaped = _split(adapted, reps, [labels[p] for p in reps],
@@ -643,11 +677,13 @@ def decompose_special_extension(a: GNLA, y: Sequence) -> DecompositionResult:
 
     return DecompositionResult(
         quotient=base,
-        ideal_basis=tuple(chain),
+        ideal_basis=tuple(_densified([(k, Fraction(v, d))
+                                      for k, v in u.items()], n)
+                          for u, d in chain),
         cocycle=Cochain2.from_dict(s, escaped),
         adapted=adapted,
         witness=y,
-        transversal=x_vec)
+        transversal=a.basis_vector(x_pos))
 
 
 def classify(a: GNLA, max_degree: int = 10, *,

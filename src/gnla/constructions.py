@@ -3,13 +3,16 @@
 A special extension glues a commutative graded ideal V with
 one-dimensional layers onto a base algebra n; the brackets escaping the
 base are a degree 0 two-cocycle, and inequivalent extensions are
-classified by the degree 0 part of H^2(n, V).  One slot rule, _slots,
-lists the cochain slots of every degree, and one Chevalley-Eilenberg
-formula, _differential, writes both d1 and d2.  Skew matrix pencils give
-the metabelian (2-step) examples, assembled from canonical blocks (the
-minimal indices M and elementary divisors E and F): one table, _BLOCKS,
-shapes each kind's template, and one writer, _pencil_pair, skew-embeds
-templates block-diagonally.  The module ends with a catalog of named
+classified by the degree 0 part of H^2(n, V).  special_extension writes
+the extension's integer bracket table directly and moves it to the
+adapted basis through the core of change_basis, on integer columns.
+One slot rule, _slots, lists the cochain slots of every degree, and one
+Chevalley-Eilenberg formula, _differential, writes both d1 and d2 off
+the integer table.  Skew matrix pencils give the metabelian (2-step)
+examples, assembled from canonical blocks (the minimal indices M and
+elementary divisors E and F): one table, _BLOCKS, shapes each kind's
+template, and one writer, _pencil_pair, skew-embeds templates
+block-diagonally.  The module ends with a catalog of named
 algebras used throughout the tests and the CLI.  It imports only
 algebra and linalg, so its checkers (special_extension, _pfaffian,
 _interpolated, _poly_divmod, _poly_gcd and _rational_roots) run without the
@@ -27,7 +30,7 @@ from itertools import combinations
 from math import factorial, gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import GNLA, _jacobi_failures, change_basis, layer, validate
+from .algebra import GNLA, _change_basis, _jacobi_failures, validate
 from .linalg import (
     Frozen,
     Matrix,
@@ -36,6 +39,7 @@ from .linalg import (
     Vector,
     _combined,
     _det,
+    _integer_row,
     _kernel,
     _kernel_rows,
     _reversed_rows,
@@ -43,7 +47,6 @@ from .linalg import (
     frac,
     independent_rows,
     is_zero_vector,
-    unit_vector,
     vector,
     zero_vector,
 )
@@ -169,13 +172,13 @@ def _module_covector(base: GNLA, w: Subspace, x_vec: Vector) -> Vector:
 
 
 def _check_hyperplane(base: GNLA, w: Subspace) -> None:
-    n1 = base.layer_dim(1)
-    deg1 = layer(base, 1)
+    """Refuse a W that is not a hyperplane of the degree -1 layer, read
+    off the supports of its RREF rows."""
     if w.ambient_dim != base.dim:
         raise ValueError("hyperplane must live in the base coordinates")
-    if any(not deg1.contains(b) for b in w.basis):
+    if any(base.degrees[p] != -1 for r in w._rows for p, _ in r):
         raise ValueError("hyperplane must sit inside the degree -1 layer")
-    if w.dim != n1 - 1:
+    if w.dim != base.layer_dim(1) - 1:
         raise ValueError("hyperplane must have codimension 1 in degree -1")
 
 
@@ -218,12 +221,14 @@ def _differential(base: GNLA, alpha: Vector, s: int, q: int):
 
     e_ti acting on the module by alpha(e_ti) times the shift.  A slot out
     of order is read with the sign of its sorting; a repeated slot, or
-    one deeper than s, reads as zero.
+    one deeper than s, reads as zero.  The brackets are the base's
+    integer table, so each row is den times that of d_q, den the table's.
     """
     cols, slots = _slots(base, s, q), _slots(base, s, q + 1)
     index = {t: i for i, t in enumerate(cols)}
-    # alpha(e_p) with its sign at an even and at an odd place of t
-    acting = {p: (a, -a) for p, a in enumerate(alpha) if a}
+    table, den = base._table, base._den
+    # den alpha(e_p) with its sign at an even and at an odd place of t
+    acting = {p: (a * den, -a * den) for p, a in enumerate(alpha) if a}
     pairs = [(i, j, (i + j) % 2) for j in range(q + 1) for i in range(j)]
     rows = []
     for t in slots:
@@ -234,7 +239,7 @@ def _differential(base: GNLA, alpha: Vector, s: int, q: int):
             if col is not None:
                 row[col] = acting[p][i % 2]
         for i, j, odd in pairs:
-            terms = base.bracket_terms(t[i], t[j])
+            terms = table.get(t[i], {}).get(t[j])
             if not terms:
                 continue
             rest = t[:i] + t[i + 1:j] + t[j + 1:]
@@ -263,7 +268,8 @@ def _degree0_complex(base: GNLA, w: Subspace, s: int,
 
     Returns (alpha, c1, c2, image): the covector, the 1- and 2-cochain
     slots, and image[i] the coboundary of the unit 1-cochain on slot
-    c1[i] as a sparse {c2 slot: value} row, d1 transposed.
+    c1[i] as a sparse {c2 slot: value} row, d1 transposed, times the
+    base's den (see _differential).
     """
     _check_hyperplane(base, w)
     if x_vec is None:
@@ -335,7 +341,7 @@ def coboundary(base: GNLA, w: Subspace, s: int, f: Dict[int, object],
         c = frac(c)
         for idx, v in image[c1_index[p]].items():
             coeffs[idx] += c * v
-    return _cochain_from_slots(base, s, c2, coeffs)
+    return _cochain_from_slots(base, s, c2, [c / base._den for c in coeffs])
 
 
 class ExtensionData(Frozen):
@@ -362,7 +368,7 @@ class ExtensionData(Frozen):
         x = vector(self.transversal)
         if len(x) != self.base.dim:
             raise ValueError("transversal has the wrong length")
-        if not layer(self.base, 1).contains(x):
+        if any(c and d != -1 for c, d in zip(x, self.base.degrees)):
             raise ValueError("transversal must have degree -1")
         if self.covector_kernel.contains(x):
             raise ValueError("transversal lies in the hyperplane")
@@ -409,12 +415,14 @@ def special_extension(data: ExtensionData) -> GNLA:
     X is the transversal, the Y_i span the attached commutative ideal
     with deg Y_i = -i, and the Z_j run through the remaining base basis
     (the RREF basis of the hyperplane, then the deeper layers).  The
-    extension is first written in the base coordinates followed by
-    Y_1..Y_s: a base bracket of degree -k picks up the cocycle's value
-    on Y_k, and e_p acts on the module by alpha(e_p) times the shift
-    Y_i -> Y_{i+1}, alpha the covector with kernel W and alpha(X) = 1.
-    change_basis then moves it to the adapted basis, so [X, Y_i] =
-    Y_{i+1} and the Y_i commute with each other and with every Z_j.
+    extension's integer table is first written in the base coordinates
+    followed by Y_1..Y_s, over one denominator: a base bracket of
+    degree -k picks up the cocycle's value on Y_k, and e_p acts on the
+    module by alpha(e_p) times the shift Y_i -> Y_{i+1}, alpha the
+    covector with kernel W and alpha(X) = 1.  The core of change_basis
+    then moves it to the adapted basis, given as integer columns, so
+    [X, Y_i] = Y_{i+1} and the Y_i commute with each other and with
+    every Z_j.
     The cocycle is checked in the base as given, so a DegreeViolation
     names the caller's labels.  The Jacobi identity of the result is
     checked exhaustively.
@@ -435,31 +443,37 @@ def special_extension(data: ExtensionData) -> GNLA:
     deg = base.degrees
     c2 = _slots(base, s, 2)
     slots = _cocycle_slot_vector(base, s, data.cocycle, c2)
-
-    # base positions, then Y_1..Y_s at n..n+s-1; labels need only differ
-    basis = [("e%d" % p, d) for p, d in enumerate(deg)]
-    basis += [("e%d" % (n + i), -(i + 1)) for i in range(s)]
-    brackets = {pq: list(terms) for pq, terms in base.brackets.items()}
-    for (p, q), c in zip(c2, slots):
-        if c != 0:
-            brackets.setdefault((p, q), []).append(
-                (n - deg[p] - deg[q] - 1, c))
     alpha = _module_covector(base, w, data.transversal)
-    for p in range(n):
-        if alpha[p] != 0:
-            for i in range(n, n + s - 1):
-                brackets[(p, i)] = [(i + 1, alpha[p])]
 
-    pad = zero_vector(s)
-    vectors = [data.transversal + pad]
-    vectors += [unit_vector(n + s, n + i) for i in range(s)]
-    vectors += [v + pad for v in w.basis]
-    vectors += [base.basis_vector(p) + pad for i in range(2, base.depth + 1)
+    # the integer table on the base positions, then Y_1..Y_s at
+    # n..n+s-1, over one denominator e; labels need only differ
+    e = lcm(base._den, *[c.denominator for c in slots + list(alpha) if c])
+    f = e // base._den
+    upper = {(p, q): [(k, v * f) for k, v in terms]
+             for p, row in base._table.items()
+             for q, terms in row.items() if p < q}
+    for (p, q), c in zip(c2, slots):
+        if c:
+            upper.setdefault((p, q), []).append(
+                (n - deg[p] - deg[q] - 1, c.numerator * (e // c.denominator)))
+    for p, a in enumerate(alpha):
+        if a:
+            v = a.numerator * (e // a.denominator)
+            for i in range(n, n + s - 1):
+                upper[p, i] = [(i + 1, v)]
+    ext = GNLA._from_integers(
+        base.name + "_ext", tuple("e%d" % p for p in range(n + s)),
+        deg + tuple(-(i + 1) for i in range(s)),
+        {pair: tuple(terms) for pair, terms in upper.items()}, e)
+
+    columns = [_integer_row(data.transversal)]
+    columns += [({n + i: 1}, 1) for i in range(s)]
+    columns += [_integer_row(dict(r)) for r in w._rows]
+    columns += [({p: 1}, 1) for i in range(2, base.depth + 1)
                 for p in base.layer_positions(i)]
     labels = (["X"] + ["Y%d" % i for i in range(1, s + 1)]
               + ["Z%d" % j for j in range(1, n)])
-    out = change_basis(GNLA(base.name + "_ext", basis, brackets), vectors,
-                       labels)
+    out = _change_basis(ext, columns, labels, ext.name)
     broken = _jacobi_failures(out)
     if broken:
         raise JacobiViolation(broken[0])

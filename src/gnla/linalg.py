@@ -69,7 +69,9 @@ def zero_vector(n: int) -> Vector:
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    v = [Fraction(0)] * n
+    v[i] = Fraction(1)
+    return tuple(v)
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -467,19 +469,25 @@ class Subspace(Frozen):
         return self.coordinates(v) is not None
 
     def coordinates(self, v: Sequence) -> Optional[Vector]:
-        """Coefficients of v over the RREF basis, or None if v is outside."""
+        """Coefficients of v over the RREF basis, or None if v is outside:
+        the support of v reduced by the rows led in it, sparsely."""
         v = vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        residual = list(v)
+        residual = {j: e for j, e in enumerate(v) if e}
         coeffs = []
+        zero = Fraction(0)
         for row in self._rows:
-            c = residual[row[0][0]]
+            c = residual.get(row[0][0], zero)
             coeffs.append(c)
-            if c != 0:
+            if c:
                 for j, e in row:
-                    residual[j] -= c * e
-        if any(a != 0 for a in residual):
+                    r = residual.get(j, 0) - c * e
+                    if r:
+                        residual[j] = r
+                    else:
+                        del residual[j]
+        if residual:
             return None
         return tuple(coeffs)
 

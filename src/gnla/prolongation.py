@@ -225,10 +225,12 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
     # the coordinate of each basis position within its layer
     index = {p: x for i in range(1, mu + 1)
              for x, p in enumerate(a.layer_positions(i))}
+    table, tden = a._table, a._den
 
-    def bracket_terms(p: int, q: int, t: int) -> List[Tuple[int, Fraction]]:
-        """[e_p, e_q] as nonzero (coordinate, value) pairs in layer t."""
-        return [(index[r], c) for r, c in a.bracket_terms(p, q)
+    def bracket_terms(p: int, q: int, t: int) -> List[Tuple[int, int]]:
+        """[e_p, e_q] as nonzero (coordinate, int) pairs in layer t, the
+        table's integers over tden."""
+        return [(index[r], v) for r, v in table.get(p, {}).get(q, ())
                 if a.degrees[r] == -t]
 
     # For [phi(e_p), e_q] with phi(e_p) in the graded piece of degree d,
@@ -246,9 +248,8 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
             if d < 0:
                 by_row: Dict[int, List] = {}
                 for m, p in enumerate(a.layer_positions(-d)):
-                    for r, c in bracket_terms(p, q, j - d):
-                        by_row.setdefault(r, []).append(
-                            (m, c.numerator, c.denominator))
+                    for r, v in bracket_terms(p, q, j - d):
+                        by_row.setdefault(r, []).append((m, v, tden))
                 groups = _grouped(by_row)
             else:
                 groups = lower[d]._columns.get((j, index[q]), [])
@@ -268,13 +269,13 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
             if tdim == 0:
                 continue
             # phi([e_p, e_q]) term, in every row: the constants of
-            # [e_p, e_q] in layer i + j as integers over bden
+            # [e_p, e_q] in layer i + j as integers over their least bden
             constants = bracket_terms(p, q, i + j) if i + j in offsets else []
             scale: Dict[int, int] = {}
             if constants:
-                bden = lcm(*[c.denominator for _, c in constants])
-                constants = [(x, c.numerator * (bden // c.denominator))
-                             for x, c in constants]
+                g = gcd(tden, *[v for _, v in constants])
+                bden = tden // g
+                constants = [(x, v // g) for x, v in constants]
                 scale = dict.fromkeys(range(tdim), bden)
             # -[phi(e_p), e_q] term: phi(e_p) is the p-column of block i;
             # -[e_p, phi(e_q)] = +[phi(e_q), e_p] term likewise; each with
@@ -355,11 +356,13 @@ def leibniz_failures(a: GNLA, lower: Sequence[ProlongationLayer],
 
     Evaluates both sides on concrete basis vectors, independently of the
     assembled solver system: phi and the lower maps are read column by
-    column off their sparse entries, and no dense block is built.
-    Returns the offending label pairs.
+    column off their sparse entries, and no dense block is built.  The
+    structure constants are the integer table, so each side is summed
+    den times over, den the table's.  Returns the offending label pairs.
     """
     k = phi.degree
     mu = a.depth
+    table, den = a._table, a._den
     index = {p: x for i in range(1, mu + 1)
              for x, p in enumerate(a.layer_positions(i))}
     phi_cols = _sparse_columns(phi)
@@ -367,16 +370,17 @@ def leibniz_failures(a: GNLA, lower: Sequence[ProlongationLayer],
 
     def add_action(d: int, val: Dict[int, Fraction], pos: int, sign: int,
                    out: Dict[int, Fraction]) -> None:
-        """out += sign [v, e_pos] for v in the degree d piece with
+        """out += den sign [v, e_pos] for v in the degree d piece with
         coordinates val, in the degree d - deg(e_pos) target."""
         j = -a.degrees[pos]
         if d < 0:
             positions = a.layer_positions(-d)
             for m, c in val.items():
-                for t, w in a.bracket_terms(positions[m], pos):
+                for t, w in table.get(positions[m], {}).get(pos, ()):
                     if a.degrees[t] == d - j:
                         out[index[t]] = out.get(index[t], 0) + sign * c * w
             return
+        sign *= den
         for m, c in val.items():
             cols = lower_cols.get((d, m))
             if cols is None:
@@ -394,7 +398,7 @@ def leibniz_failures(a: GNLA, lower: Sequence[ProlongationLayer],
                 continue
             # phi([e_p, e_q]) - [phi(e_p), e_q] + [phi(e_q), e_p]
             diff: Dict[int, Fraction] = {}
-            for t, w in a.bracket_terms(p, q):
+            for t, w in table.get(p, {}).get(q, ()):
                 if a.degrees[t] == -(i + j):
                     for r, v in phi_cols.get((i + j, index[t]), {}).items():
                         diff[r] = diff.get(r, 0) + w * v

@@ -6,12 +6,35 @@ that the oracles still use live here.  The inverse is the right half of
 a dense Fraction Gauss-Jordan reduction of [A | I], independent of the
 package's integer core; intersect is the sparse intersection the package
 carried before its callers went, kept as it was.
+
+The decomposition round trip as gnla built it before its structure
+constants became an integer table is kept here too: bracket sums dense
+Fraction vectors over the Fraction view of the table, change_basis maps
+dense brackets back by the reference inverse, and
+decompose_special_extension, split and special_extension are the
+package's former Fraction builders on top of them.
 """
 
 from fractions import Fraction
 
-from gnla import Matrix, Subspace
-from gnla.linalg import _combined, _kernel
+from gnla import GNLA, Matrix, Subspace
+from gnla.algebra import _jacobi_failures
+from gnla.certifier import DecompositionResult, WitnessInvalid, _moved_transversal
+from gnla.constructions import (
+    Cochain2,
+    JacobiViolation,
+    _cocycle_slot_vector,
+    _module_covector,
+    _slots,
+)
+from gnla.linalg import (
+    _combined,
+    _kernel,
+    independent_rows,
+    unit_vector,
+    vector,
+    zero_vector,
+)
 
 
 def identity(n):
@@ -101,3 +124,156 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         for i, e in r:
             rows[i][k] = -e
     return _combined(_kernel(rows, a.dim + b.dim), a._rows, n)
+
+
+def bracket(a, x, y):
+    """[x, y] with both dense vectors scanned in full, read off the
+    Fraction view of the structure constants."""
+    x = tuple(Fraction(c) for c in x)
+    y = tuple(Fraction(c) for c in y)
+    out = [Fraction(0)] * a.dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            for k, c in a.bracket_terms(i, j):
+                out[k] += xi * yj * c
+    return tuple(out)
+
+
+def change_basis(a, vectors, labels, name=None):
+    """The algebra in a new homogeneous basis: dense brackets of the new
+    vectors, each mapped back by a dense P^-1 product."""
+    n = a.dim
+    vecs = [tuple(Fraction(c) for c in v) for v in vectors]
+    if len(vecs) != n or len(labels) != n:
+        raise ValueError("need exactly dim basis vectors and labels")
+    degrees = []
+    for v in vecs:
+        degs = {a.degrees[p] for p, c in enumerate(v) if c != 0}
+        if len(degs) != 1:
+            raise ValueError("new basis vectors must be homogeneous")
+        degrees.append(degs.pop())
+    p_inv = inverse(from_columns(vecs))
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = bracket(a, vecs[i], vecs[j])
+            if any(w):
+                brackets[(i, j)] = [(k, c) for k, c in
+                                    enumerate(p_inv.apply(w)) if c != 0]
+    return GNLA(name or a.name, list(zip(labels, degrees)), brackets)
+
+
+def split(adapted, kept, labels, name):
+    """The algebra cut to the kept positions, and the components of each
+    of its brackets that escape, read off the Fraction view."""
+    index = {p: i for i, p in enumerate(kept)}
+    rest = [p for p in range(adapted.dim) if p not in index]
+    brackets, escaped = {}, {}
+    for (p, q), terms in adapted.brackets.items():
+        if p in index and q in index:
+            terms = dict(terms)
+            pair = (index[p], index[q])
+            brackets[pair] = [(index[k], c) for k, c in terms.items()
+                              if k in index]
+            escaped[pair] = [terms.get(k, 0) for k in rest]
+    basis = [(lbl, adapted.degrees[p]) for lbl, p in zip(labels, kept)]
+    return GNLA(name, basis, brackets), escaped
+
+
+def decompose_special_extension(a, y):
+    """The decomposition on dense Fraction vectors: the chain by bracket,
+    the ideal, commutativity and centraliser checks on dense brackets,
+    the kernel of the dense ad y and a second kernel for its degree -1
+    part, and the adapted algebra by the reference change_basis."""
+    y = vector(y)
+    _, x_pos = _moved_transversal(a, y)
+    n = a.dim
+    x_vec = a.basis_vector(x_pos)
+    units = [a.basis_vector(j) for j in range(n)]
+    ad_rows = list(zip(*[bracket(a, y, e) for e in units]))
+
+    chain = [y]
+    while True:
+        nxt = bracket(a, x_vec, chain[-1])
+        if not any(nxt):
+            break
+        if len(chain) == n:
+            raise WitnessInvalid("chain vectors are dependent")
+        chain.append(nxt)
+    s = len(chain)
+    if len(independent_rows(chain)) != s:
+        raise WitnessInvalid("chain vectors are dependent")
+    if len(independent_rows(chain + [bracket(a, e, yi) for e in units
+                                     for yi in chain])) != s:
+        raise WitnessInvalid("chain span is not an ideal")
+    for yi in chain:
+        for yj in chain:
+            if any(bracket(a, yi, yj)):
+                raise WitnessInvalid("chain span is not commutative")
+    for w in _kernel(ad_rows, n).basis:
+        for yi in chain:
+            if any(bracket(a, w, yi)):
+                raise WitnessInvalid(
+                    "kernel of ad y does not centralize the chain")
+
+    pos1 = a.layer_positions(1)
+    w_deg1 = _kernel(ad_rows + [units[q] for q in range(n) if q not in pos1],
+                     n)
+    rows = [x_vec] + chain + list(w_deg1.basis)
+    rows += [a.basis_vector(p) for i in range(2, a.depth + 1)
+             for p in a.layer_positions(i)]
+    adapted_vectors = [rows[i] for i in independent_rows(rows)]
+    if len(adapted_vectors) != n:
+        raise WitnessInvalid("adapted basis does not span")
+    labels = (["X"] + ["Y%d" % (i + 1) for i in range(s)]
+              + ["Z%d" % (i + 1) for i in range(n - 1 - s)])
+    adapted = change_basis(a, adapted_vectors, labels,
+                           name=a.name + "_adapted")
+    reps = [0] + list(range(1 + s, n))
+    base, escaped = split(adapted, reps, [labels[p] for p in reps],
+                          a.name + "_base")
+    return DecompositionResult(
+        quotient=base, ideal_basis=tuple(chain),
+        cocycle=Cochain2.from_dict(s, escaped), adapted=adapted,
+        witness=y, transversal=x_vec)
+
+
+def special_extension(data):
+    """The extension written as a Fraction algebra in the base
+    coordinates followed by Y_1..Y_s, then moved to the adapted basis by
+    the reference change_basis on dense vectors."""
+    base, w, s = data.base, data.covector_kernel, data.s
+    n = base.dim
+    deg = base.degrees
+    c2 = _slots(base, s, 2)
+    slots = _cocycle_slot_vector(base, s, data.cocycle, c2)
+    basis = [("e%d" % p, d) for p, d in enumerate(deg)]
+    basis += [("e%d" % (n + i), -(i + 1)) for i in range(s)]
+    brackets = {pq: list(terms) for pq, terms in base.brackets.items()}
+    for (p, q), c in zip(c2, slots):
+        if c != 0:
+            brackets.setdefault((p, q), []).append(
+                (n - deg[p] - deg[q] - 1, c))
+    alpha = _module_covector(base, w, data.transversal)
+    for p in range(n):
+        if alpha[p] != 0:
+            for i in range(n, n + s - 1):
+                brackets[(p, i)] = [(i + 1, alpha[p])]
+    pad = zero_vector(s)
+    vectors = [data.transversal + pad]
+    vectors += [unit_vector(n + s, n + i) for i in range(s)]
+    vectors += [v + pad for v in w.basis]
+    vectors += [base.basis_vector(p) + pad for i in range(2, base.depth + 1)
+                for p in base.layer_positions(i)]
+    labels = (["X"] + ["Y%d" % i for i in range(1, s + 1)]
+              + ["Z%d" % j for j in range(1, n)])
+    out = change_basis(GNLA(base.name + "_ext", basis, brackets), vectors,
+                       labels)
+    broken = _jacobi_failures(out)
+    if broken:
+        raise JacobiViolation(broken[0])
+    return out

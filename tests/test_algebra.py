@@ -12,7 +12,9 @@ from cases import (
     table_cases,
     witness_cases,
 )
-from dense import from_columns, identity, intersect, inverse
+from dense import bracket as reference_bracket
+from dense import change_basis as reference_change_basis
+from dense import from_columns, identity, intersect
 from gnla import (
     GNLA,
     AdMatrix,
@@ -24,9 +26,11 @@ from gnla import (
     catalog,
     center,
     change_basis,
+    classify,
     decompose_special_extension,
     kernel_basis,
     layer,
+    parse_algebra,
     quotient,
     rank1_witness,
     serialize_algebra,
@@ -35,6 +39,7 @@ from gnla import (
     validate,
     vector,
 )
+from gnla.algebra import _split
 from gnla.linalg import independent_rows
 
 
@@ -449,52 +454,11 @@ def test_center_matches_reference():
                        for j in range(a.dim))
 
 
-def reference_bracket(a, x, y):
-    """bracket as it read the structure constants before the sparse
-    reads: both dense vectors scanned in full; an oracle only."""
-    x = tuple(Fraction(c) for c in x)
-    y = tuple(Fraction(c) for c in y)
-    out = [Fraction(0)] * a.dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            for k, c in a.bracket_terms(i, j):
-                out[k] += xi * yj * c
-    return tuple(out)
-
-
 def reference_ad_matrix(a, y):
     """ad y from n dense reference_bracket columns."""
     y = tuple(Fraction(c) for c in y)
     cols = [reference_bracket(a, y, a.basis_vector(j)) for j in range(a.dim)]
     return AdMatrix(element=y, matrix=from_columns(cols))
-
-
-def reference_change_basis(a, vectors, labels, name=None):
-    """change_basis before the sparse reads: dense brackets of the new
-    vectors, each mapped back by a dense P^-1 product."""
-    n = a.dim
-    vecs = [tuple(Fraction(c) for c in v) for v in vectors]
-    if len(vecs) != n or len(labels) != n:
-        raise ValueError("need exactly dim basis vectors and labels")
-    degrees = []
-    for v in vecs:
-        degs = {a.degrees[p] for p, c in enumerate(v) if c != 0}
-        if len(degs) != 1:
-            raise ValueError("new basis vectors must be homogeneous")
-        degrees.append(degs.pop())
-    p_inv = inverse(from_columns(vecs))
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = reference_bracket(a, vecs[i], vecs[j])
-            if any(w):
-                brackets[(i, j)] = [(k, c) for k, c in
-                                    enumerate(p_inv.apply(w)) if c != 0]
-    return GNLA(name or a.name, list(zip(labels, degrees)), brackets)
 
 
 def reference_layer(a, i):
@@ -693,7 +657,8 @@ def test_validate_matches_reference():
 
 
 def test_validate_rank_checks_stop_at_their_exact_bound(monkeypatch):
-    """The generated and nondegenerate passes stop once their rank reaches
+    """The generated and nondegenerate passes, which hand the table's rows
+    to the elimination as they are, stop once their rank reaches
     len(target) and len(pos1), bounds no rank can pass; the reports equal
     those of passes that read every row, on the catalog, the pencils,
     random 2-step, non-generated and degenerate algebras."""
@@ -705,14 +670,119 @@ def test_validate_rank_checks_stop_at_their_exact_bound(monkeypatch):
     bounded = [validate(a) for a in cases]
     bounds = []
 
-    def full_rank(rows, bound=None):
+    def full_echelon(rows, bound=None):
         bounds.append(bound)
-        return linalg._rank(rows)
+        return linalg._echelon(rows)
 
-    monkeypatch.setattr(algebra, "_rank", full_rank)
+    monkeypatch.setattr(algebra, "_echelon", full_echelon)
     kinds = set()
     for a, rep in zip(cases, bounded):
         assert validate(a) == rep, a.name
         kinds.update(kind for kind, _ in rep.failures)
     assert {"generated", "nondegenerate"} <= kinds
     assert bounds and None not in bounds
+
+
+def mixed():
+    """A 2-step algebra whose constants have the denominators 2, 3 and
+    6: [X, Y] = 3/2 Z + 1/3 W, [X, U] = -5/6 Z, [Y, U] = 2 W."""
+    return GNLA("mixed", [("X", -1), ("Y", -1), ("U", -1), ("Z", -2),
+                          ("W", -2)],
+                {(0, 1): [(3, Fraction(3, 2)), (4, Fraction(1, 3))],
+                 (0, 2): [(3, Fraction(-5, 6))], (1, 2): [(4, 2)]})
+
+
+def stored(a):
+    return a.labels, a.degrees, a._den, a._table
+
+
+def test_every_builder_gives_the_one_stored_form():
+    """The public constructor however the constants are written,
+    parse_algebra, change_basis, quotient and _split all give the same
+    integer table over the least denominator, 6 here: equal algebras
+    with equal hashes."""
+    a = mixed()
+    assert a._den == 6
+    assert a._table[0][1] == ((3, 9), (4, 2)) and a._table[1][0] == (
+        (3, -9), (4, -2))
+    basis = list(zip(a.labels, a.degrees))
+    written = GNLA("written", basis, {
+        (0, 1): [(4, "1/3"), (3, 1), (3, Fraction(1, 2)), (2, 0)],
+        (0, 2): [(3, "-10/12")], (1, 2): [(4, 4), (4, -2)], (2, 3): []})
+    parsed = parse_algebra(serialize_algebra(a))
+    text = parse_algebra("algebra text\nbasis X:-1 Y:-1 U:-1 Z:-2 W:-2\n"
+                         "bracket [Y,X] = -6/4 Z + -2/6 W\n"
+                         "bracket [X,U] = -5/6 Z\nbracket [U,Y] = -2 W\n")
+    units = [a.basis_vector(p) for p in range(a.dim)]
+    same = change_basis(a, units, a.labels)
+    scales = (2, Fraction(1, 3), 5, Fraction(7, 2), 1)
+    scaled = change_basis(a, [[c * x for x in v] for c, v in
+                              zip(scales, units)], a.labels)
+    assert scaled._den != a._den
+    back = change_basis(scaled, [[x / c for x in v] for c, v in
+                                 zip(scales, units)], a.labels)
+    # a with a central degree -2 vector C the brackets also reach, over
+    # the denominators 2, 3, 5 and 6
+    big = GNLA("big", basis + [("C", -2)], {
+        (0, 1): [(3, Fraction(3, 2)), (4, Fraction(1, 3)),
+                 (5, Fraction(7, 5))],
+        (0, 2): [(3, Fraction(-5, 6))], (1, 2): [(4, 2), (5, -1)]})
+    assert big._den == 30
+    ideal = Subspace(big.dim, [big.basis_vector(5)])
+    quot = quotient(big, ideal, [big.basis_vector(p) for p in range(5)],
+                    a.labels)
+    cut, escaped = _split(big, range(5), a.labels, "cut")
+    assert escaped[0, 1] == [Fraction(7, 5)] and escaped[1, 2] == [-1]
+    for b in (written, parsed, text, same, back, quot, cut):
+        assert stored(b) == stored(a), b.name
+        assert b == a and hash(b) == hash(a), b.name
+        assert b.brackets == a.brackets, b.name
+
+
+def test_brackets_is_the_fraction_view_of_the_input():
+    """brackets holds the input's Fractions, mixed denominators and the
+    3/2 constant included, and bracket_terms their signs in both orders;
+    both are built from the integer table on first read."""
+    a = mixed()
+    assert not hasattr(a, "_brackets")
+    assert a.brackets == {
+        (0, 1): ((3, Fraction(3, 2)), (4, Fraction(1, 3))),
+        (0, 2): ((3, Fraction(-5, 6)),), (1, 2): ((4, Fraction(2)),)}
+    assert all(type(c) is Fraction for terms in a.brackets.values()
+               for _, c in terms)
+    assert a.bracket_terms(1, 0) == ((3, Fraction(-3, 2)),
+                                     (4, Fraction(-1, 3)))
+    assert a.bracket_terms(3, 4) == () and a.bracket_terms(0, 0) == ()
+    assert hasattr(a, "_brackets")
+    assert a == mixed() and hash(a) == hash(mixed())
+
+
+def test_classify_and_the_round_trip_read_only_the_integer_table():
+    """validate, classify, the decomposition and the rebuilt extension of
+    a witness algebra with rational constants build no Fraction view."""
+    rng = random.Random(9108)
+    for a in [catalog("nontrivial6"), rescaled(rng, catalog("heisenberg",
+                                                           dim=5))]:
+        assert validate(a).all_passed
+        verdict = classify(a)
+        d = decompose_special_extension(a, verdict.witness)
+        rebuilt = special_extension(ExtensionData.from_adapted_base(
+            d.quotient, len(d.ideal_basis), d.cocycle))
+        assert rebuilt == d.adapted
+        for b in (a, d.quotient, d.adapted, rebuilt):
+            assert not hasattr(b, "_brackets")
+
+
+def test_validation_reports_hash_and_compare_by_their_failures():
+    """A report is hashable; checks, which the failures decide, stays
+    readable by name and out of equality and hash."""
+    reports = {}
+    for a in table_cases(9109):
+        rep = validate(a)
+        assert rep == validate(a) and hash(rep) == hash(validate(a))
+        kinds = {kind for kind, _ in rep.failures}
+        assert rep.checks == {name: name not in kinds for name in (
+            "grading", "jacobi", "generated", "nondegenerate")}, a.name
+        reports.setdefault(rep, []).append(a.name)
+    assert len(reports) > 1
+    assert validate(heis3()) in reports

@@ -16,8 +16,11 @@ from cases import (
     full_block_change,
     random_two_step,
     signed_permutation,
+    table_cases,
     witness_cases,
 )
+from dense import decompose_special_extension as dense_decompose_special_extension
+from dense import special_extension as dense_special_extension
 from dense import from_columns, identity, intersect
 from gnla import (
     GNLA,
@@ -68,7 +71,7 @@ from gnla.certifier import (
     _pencil_witness,
 )
 from gnla.constructions import _module_covector, _poly_gcd
-from test_algebra import reference_quotient
+from test_algebra import random_homogeneous_basis, reference_quotient
 
 
 def degenerate_example():
@@ -898,6 +901,58 @@ def test_decompose_ideal_is_commutative_and_stable():
         # one-dimensional layers starting from the witness
         assert v.contains(w)
         assert len(d.ideal_basis) == d.cocycle.s
+
+
+def round_trip_cases():
+    """(algebra, rational witness) for every valid nondegenerate algebra
+    of table_cases(1234), which holds the catalog sweep, and of seeded
+    random 2-step algebras, each also in a seeded basis with rational
+    entries where the witness search finds one, and each witness also
+    times a seeded rational."""
+    rng = random.Random(9311)
+    algebras = table_cases(1234)
+    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5, 6, 7, 8) * 2]
+    cases = []
+    for a in algebras:
+        rep = validate(a)
+        if not (rep.structural_ok and rep.checks["nondegenerate"]):
+            continue
+        moved = change_basis(a, random_homogeneous_basis(rng, a, (1, 2, 3)),
+                             ["U%d" % p for p in range(a.dim)])
+        for b in (a, moved):
+            w = rank1_witness(b)
+            if w is not None:
+                c = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
+                cases += [(b, w), (b, tuple(c * x for x in w))]
+    return cases
+
+
+def assert_same_algebra(got, want):
+    """Equal as documents and as stored forms, with equal hashes."""
+    assert serialize_algebra(got) == serialize_algebra(want)
+    assert got == want and hash(got) == hash(want)
+
+
+def test_decomposition_round_trip_matches_the_dense_oracle():
+    """The integer decomposition and extension give what the dense
+    Fraction builders of tests/dense.py give: the same
+    DecompositionResult, repr included, and the same rebuilt algebra,
+    which is the adapted one."""
+    cases = round_trip_cases()
+    assert len(cases) >= 300
+    assert sum(b.labels[0] == "U0" for b, _ in cases) >= 150
+    assert sum(b._den > 1 for b, _ in cases) >= 100
+    for a, w in cases:
+        got = decompose_special_extension(a, w)
+        want = dense_decompose_special_extension(a, w)
+        assert got == want and repr(got) == repr(want), a.name
+        assert_same_algebra(got.quotient, want.quotient)
+        assert_same_algebra(got.adapted, want.adapted)
+        data = ExtensionData.from_adapted_base(
+            got.quotient, len(got.ideal_basis), got.cocycle)
+        rebuilt = special_extension(data)
+        assert_same_algebra(rebuilt, dense_special_extension(data))
+        assert rebuilt == got.adapted, a.name
 
 
 def test_decompose_adapted_is_isomorphic():

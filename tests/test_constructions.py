@@ -14,6 +14,7 @@ from cases import (
     signed_permutation,
     witness_cases,
 )
+from dense import special_extension as dense_special_extension
 from dense import identity
 from gnla import (
     CATALOG_NAMES,
@@ -46,6 +47,7 @@ from gnla import (
     pencil_block,
     pfaffian,
     rank1_witness,
+    serialize_algebra,
     solve,
     special_extension,
     spencer_subspace_check,
@@ -445,12 +447,53 @@ def test_special_extension_matches_reference_on_moved_bases():
         moved += 1
         got = extension_outcome(special_extension, data)
         assert got == extension_outcome(reference_special_extension, data)
+        assert got == extension_outcome(dense_special_extension, data)
         assert_complex_matches_reference(complex_rng, data)
         kind = got[0] if isinstance(got, tuple) else "built"
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds.get("built", 0) >= 20, kinds
     assert kinds.get("JacobiViolation", 0) >= 20, kinds
     assert kinds.get("DegreeViolation", 0) >= 5, kinds
+
+
+def test_special_extension_matches_the_dense_oracle_on_a_rational_hyperplane():
+    """heisenberg5 rescaled to the constants 3/2, 6 and 1/3, a hyperplane
+    whose RREF rows are not unit vectors, a Fraction transversal and
+    cocycles with rational values, s = 2 and 3: the integer build gives
+    the document and stored form of the dense build of tests/dense.py,
+    as does its canonical form, and the result validates."""
+    base = change_basis(catalog("heisenberg", dim=5), [
+        (2, 0, 0, 0, 0), (0, Fraction(3, 4), 0, 0, 0), (0, 0, 1, 0, 0),
+        (0, 0, 0, Fraction(2, 3), 0), (0, 0, 0, 0, Fraction(4, 3))],
+        ["A", "B", "C", "D", "E"], "rescaled")
+    assert base.brackets == {(0, 2): ((4, Fraction(3, 2)),),
+                             (1, 3): ((4, Fraction(3, 8)),)}
+    w = Subspace(5, [(1, 0, 0, Fraction(1, 2), 0),
+                     (0, 1, 0, Fraction(-2, 3), 0), (0, 0, 1, 3, 0)])
+    assert all(len(r) == 2 for r in w._rows)
+    x = (Fraction(1, 2), 0, 0, Fraction(-5, 3), 0)
+    built = 0
+    for s in (2, 3):
+        # a rational combination of the cocycles for this transversal
+        c2, _, d2 = _differential(base, _module_covector(base, w, x), s, 2)
+        cocycles = kernel_basis(Matrix([[row.get(i, 0) for i in range(
+            len(c2))] for row in d2] or [[0] * len(c2)])).basis
+        assert len(cocycles) >= 2
+        coeffs = [sum(c * v[i] for c, v in zip(
+            (Fraction(3, 2), Fraction(-2, 7), 5), cocycles))
+            for i in range(len(c2))]
+        cocycle = _cochain_from_slots(base, s, c2, coeffs)
+        assert any(c.denominator > 1 for _, val in cocycle.values
+                   for c in val)
+        data = ExtensionData(base=base, covector_kernel=w, transversal=x,
+                             s=s, cocycle=cocycle)
+        for d in (data, data.canonicalized()):
+            got, want = special_extension(d), dense_special_extension(d)
+            assert serialize_algebra(got) == serialize_algebra(want)
+            assert got == want and hash(got) == hash(want)
+            assert validate(got).all_passed
+            built += 1
+    assert built == 4
 
 
 def test_canonicalized_removes_coboundary_part():

@@ -7,7 +7,8 @@ import pytest
 
 from dense import from_columns, identity, intersect, mul, reference_rref
 from gnla import catalog, prolong_layer, prolongation
-from gnla import Polynomial, change_basis, classify, parse_algebra
+from gnla import (Polynomial, change_basis, classify, parse_algebra,
+                  serialize_algebra)
 from gnla.linalg import (
     Matrix,
     Subspace,
@@ -737,15 +738,29 @@ def test_matrix_and_subspace_copy_and_pickle():
     moved = change_basis(catalog("goursat", n=4), [
         (1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, Fraction(1, 3))],
         ["A", "B", "C", "D"])
-    for a in (catalog("nontrivial6"), parsed, moved):
-        verdict = classify(a)
-        for twin in round_trips(a):
-            assert twin == a and twin.name == a.name
-            assert twin.brackets == a.brackets and twin._terms == a._terms
-            assert twin.layer_dims() == a.layer_dims()
-            assert classify(twin) == verdict
-            with pytest.raises(AttributeError, match="GNLA is immutable"):
-                twin.name = "renamed"
+    moved_back = [(1, 0, 0, 0), (0, Fraction(1, 2), 0, 0), (0, 0, 5, 0),
+                  (0, 0, 0, Fraction(3, 7))]
+    # their integer tables travel whether or not the Fraction view was
+    # read, and classify reads none of it
+    for read in (False, True):
+        for a in (catalog("nontrivial6"), parse_algebra(serialize_algebra(
+                parsed)), change_basis(moved, moved_back, "abcd")):
+            verdict = classify(a)
+            if read:
+                a.brackets, a.bracket_terms(1, 0)
+            twins = round_trips(a)
+            assert [hasattr(b, "_brackets") for b in [a] + twins] == [read] * 4
+            for twin in twins:
+                assert twin == a and twin.name == a.name
+                assert hash(twin) == hash(a)
+                assert (twin._table, twin._den) == (a._table, a._den)
+                assert twin.brackets == a.brackets
+                assert twin.bracket_terms(1, 0) == a.bracket_terms(1, 0)
+                assert twin.layer_dims() == a.layer_dims()
+                assert classify(twin) == verdict
+                with pytest.raises(AttributeError,
+                                   match="GNLA is immutable"):
+                    twin.name = "renamed"
     for read in (False, True):
         p = Polynomial(("x", "y"), {(2, 0): Fraction(1, 2), (1, 1): -3,
                                     (0, 0): Fraction(2, 7)})

@@ -69,7 +69,7 @@ FIELDS = {
     prolongation.IterationVerdict: [
         "kind", "layer_dims", "total_dim", "layers"],
 }
-UNCOMPARED = {cli.Report: {"elapsed"}}
+UNCOMPARED = {algebra.ValidationReport: {"checks"}, cli.Report: {"elapsed"}}
 
 
 def twin_of(cls):
