@@ -44,7 +44,7 @@ from .linalg import (
 
 __all__ = [
     "GNLA", "AdMatrix", "ValidationReport", "ad_matrix", "bracket",
-    "center", "change_basis", "layer", "quotient", "validate",
+    "change_basis", "quotient", "validate",
 ]
 
 
@@ -300,21 +300,6 @@ def _central_rows(a: GNLA, positions: Sequence[int]) -> List[Dict[int, int]]:
             for k, v in terms:
                 by_target.setdefault(k, {})[p] = v
     return [row for j in sorted(by_j) for row in by_j[j].values()]
-
-
-def center(a: GNLA) -> Subspace:
-    """{x : [x, e_j] = 0 for every j}."""
-    return _kernel(_central_rows(a, range(a.dim)), a.dim)
-
-
-def layer(a: GNLA, i: int) -> Subspace:
-    """The coordinate subspace spanned by the degree -i basis elements."""
-    if i <= 0:
-        raise ValueError("layer index must be positive")
-    # unit vectors in increasing position order are already an RREF
-    one = Fraction(1)
-    return Subspace._trusted(
-        a.dim, tuple(((p, one),) for p in a.layer_positions(i)))
 
 
 class ValidationReport(Frozen):

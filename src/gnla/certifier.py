@@ -97,7 +97,7 @@ from .prolongation import (
 __all__ = [
     "DecompositionResult", "TypeVerdict", "WitnessInvalid", "classify",
     "decompose_special_extension", "minor_ideal",
-    "rank1_derivation_from_witness", "rank1_in_span", "rank1_witness",
+    "rank1_derivation_from_witness", "rank1_witness",
     "spencer_subspace_check",
 ]
 
@@ -479,11 +479,10 @@ def _line_point(a: List[List[int]], b: List[List[int]]) -> Optional[Fraction]:
     return None
 
 
-def _span_point(ints: Ints, combo_budget: int = 0) -> Optional[Vector]:
+def _span_point(ints: Ints) -> Optional[Vector]:
     """The coefficients of a rank 1 element of the span of integer
     matrices A_k, or None: a single matrix, then the first rational
-    point A_i + q A_j of the line through each pair (by _line_point),
-    then, if 3^t <= combo_budget, the {-1,0,1} combinations."""
+    point A_i + q A_j of the line through each pair (by _line_point)."""
     t = len(ints)
     for i, m in enumerate(ints):
         if _rank_one(m):
@@ -493,27 +492,7 @@ def _span_point(ints: Ints, combo_budget: int = 0) -> Optional[Vector]:
         if q is not None:
             return tuple(Fraction(1) if k == i else q if k == j
                          else Fraction(0) for k in range(t))
-    if t and 3 ** t <= combo_budget:
-        for signs in itertools.product((-1, 0, 1), repeat=t):
-            if not any(signs) or next(s for s in signs if s) < 0:
-                continue
-            used = [(s, m) for s, m in zip(signs, ints) if s]
-            if _rank_one([sum(s * m[r][c] for s, m in used)
-                          for c in range(len(row))]
-                         for r, row in enumerate(ints[0])):
-                return tuple(Fraction(s) for s in signs)
     return None
-
-
-def rank1_in_span(mats: Sequence[Matrix], *,
-                  combo_budget: int = 30000) -> Optional[Vector]:
-    """Search the span of the given matrices for a rank 1 element.
-
-    _span_point on the integer span of the matrices, with the {-1,0,1}
-    stage while the budget allows.  Returns the coefficient vector or
-    None (not a proof of absence).
-    """
-    return _span_point(_matrix_span(mats)[1], combo_budget)
 
 
 def spencer_subspace_check(a_space: MatrixSubspace) -> bool:
@@ -560,7 +539,9 @@ def rank1_derivation_from_witness(a: GNLA, y: Sequence) -> GradedMap:
     sends x to y, kills W and kills every deeper layer.  Raises
     WitnessInvalid unless rank ad y = 1.  Every row of ad y is then a
     multiple of the first, so the covector xi with kernel W and xi(x) = 1
-    is that row on the degree -1 layer over its entry at x.
+    is that row on the degree -1 layer over its entry at x.  The package
+    does not call it yet; the planned h0 route to finite type and the
+    prolongations of pairs (m, g0) build on it.
     """
     y = vector(y)
     ad_rows, x_pos = _moved_transversal(a, y)

@@ -21,7 +21,6 @@ prolongation solver or the Groebner code.
 
 from __future__ import annotations
 
-import copy
 import re
 import warnings
 from bisect import bisect_left
@@ -34,16 +33,13 @@ from .algebra import GNLA, _change_basis, _jacobi_failures, validate
 from .linalg import (
     Frozen,
     Matrix,
-    MatrixSubspace,
     Subspace,
     Vector,
-    _combined,
     _det,
     _integer_row,
     _kernel,
     _kernel_rows,
     _reversed_rows,
-    _rref_rows,
     frac,
     independent_rows,
     is_zero_vector,
@@ -52,12 +48,11 @@ from .linalg import (
 )
 
 __all__ = [
-    "CATALOG_NAMES", "Cochain2", "DegreeViolation", "ElementaryH0",
-    "ExtensionData", "JacobiViolation", "NotGenerated", "NotSkew",
-    "PencilForm", "PencilSpec", "algebra_from_pencil_spec",
-    "assemble_pencil", "catalog", "coboundary", "det_pencil",
-    "h0_elementary", "h2_0", "metabelian_from_pencil", "p_y_subspace",
-    "pencil_block", "pfaffian", "special_extension",
+    "CATALOG_NAMES", "Cochain2", "DegreeViolation", "ExtensionData",
+    "JacobiViolation", "NotGenerated", "NotSkew", "PencilForm",
+    "PencilSpec", "algebra_from_pencil_spec", "assemble_pencil",
+    "catalog", "det_pencil", "h2_0", "metabelian_from_pencil",
+    "pfaffian", "special_extension",
 ]
 
 # the most basis vectors a catalog, pencil, parsed or extension algebra
@@ -256,8 +251,7 @@ def _differential(base: GNLA, alpha: Vector, s: int, q: int):
     return cols, slots, rows
 
 
-def _degree0_complex(base: GNLA, w: Subspace, s: int,
-                     x_vec: Optional[Vector] = None):
+def _degree0_complex(base: GNLA, w: Subspace, s: int):
     """The module action and d1 of the degree 0 cochain complex.
 
     The module V has basis Y_1..Y_s with Y_j in degree -j; the degree -1
@@ -272,9 +266,7 @@ def _degree0_complex(base: GNLA, w: Subspace, s: int,
     base's den (see _differential).
     """
     _check_hyperplane(base, w)
-    if x_vec is None:
-        x_vec = _default_transversal(base, w)
-    alpha = _module_covector(base, w, x_vec)
+    alpha = _module_covector(base, w, _default_transversal(base, w))
     c1, c2, d1 = _differential(base, alpha, s, 1)
     image: List[Dict[int, Fraction]] = [{} for _ in c1]
     for idx, row in enumerate(d1):
@@ -321,29 +313,6 @@ def _cocycle_slot_vector(base: GNLA, s: int, cocycle: Cochain2,
     return vec
 
 
-def coboundary(base: GNLA, w: Subspace, s: int, f: Dict[int, object],
-               x_vec: Optional[Vector] = None) -> Cochain2:
-    """The 2-cocycle d1 f of a degree 0 1-cochain.
-
-    f maps a basis position p to the coefficient of f(e_p) over the
-    module vector in degree deg(e_p); positions outside the base or too
-    deep for the module are rejected.  Useful for building extensions
-    that are guaranteed trivial up to the recorded basis change.
-    """
-    _, c1, c2, image = _degree0_complex(base, w, s, x_vec)
-    c1_index = {p: i for i, (p,) in enumerate(c1)}
-    coeffs = [Fraction(0)] * len(c2)
-    for p, c in f.items():
-        if not 0 <= p < base.dim:
-            raise ValueError("position %d outside the base" % p)
-        if p not in c1_index:
-            raise ValueError("position %d is too deep for the module" % p)
-        c = frac(c)
-        for idx, v in image[c1_index[p]].items():
-            coeffs[idx] += c * v
-    return _cochain_from_slots(base, s, c2, [c / base._den for c in coeffs])
-
-
 class ExtensionData(Frozen):
     """Input of a special extension.
 
@@ -385,28 +354,6 @@ class ExtensionData(Frozen):
         return cls(base=base, covector_kernel=w,
                    transversal=base.basis_vector(xpos), s=s,
                    cocycle=cocycle if cocycle is not None else Cochain2.zero(s))
-
-    def canonicalized(self) -> "ExtensionData":
-        """Reduce the cocycle modulo coboundaries.
-
-        The result builds an isomorphic extension: subtracting d1 f
-        amounts to moving each base lift u to u + f(u).  The reduction
-        eliminates the coefficients on the pivot slots of the coboundary
-        space, which absorbs every removable constant.
-        """
-        _, _, c2, image = _degree0_complex(
-            self.base, self.covector_kernel, self.s, self.transversal)
-        vec = _cocycle_slot_vector(self.base, self.s, self.cocycle, c2)
-        for row in _rref_rows(image):
-            factor = vec[row[0][0]]
-            if factor != 0:
-                for j, c in row:
-                    vec[j] -= factor * c
-        # only the cocycle changes, at the same s: a copy, not re-checked
-        out = copy.copy(self)
-        object.__setattr__(out, "cocycle",
-                           _cochain_from_slots(self.base, self.s, c2, vec))
-        return out
 
 
 def special_extension(data: ExtensionData) -> GNLA:
@@ -558,17 +505,6 @@ def _pencil_pair(templates) -> Tuple[Matrix, Matrix]:
                         rows[j][i] = -c
         off += p + len(block[0][0])
     return tuple(Matrix._trusted(tuple(map(tuple, rows))) for rows in pair)
-
-
-def pencil_block(kind: str, param) -> Tuple[Matrix, Matrix]:
-    """One canonical skew pencil block as a matrix pair (B1, B2).
-
-    B1 collects the mu-coefficients and B2 the lambda-coefficients of
-    the rectangular template: kind "M" takes an integer m >= 0 and gives
-    a (2m+1)-sided pair, "E" takes (e, a) with e >= 1, "F" takes an
-    integer f >= 1; E and F have side 2e and 2f.
-    """
-    return _pencil_pair([_template(kind, param)])
 
 
 def metabelian_from_pencil(mats: Sequence[Matrix],
@@ -995,69 +931,6 @@ def det_pencil(b1: Matrix, b2: Matrix) -> PencilForm:
                       identically_zero=False, rational_roots=tuple(roots))
 
 
-def p_y_subspace(p_space: MatrixSubspace, y: Sequence) -> Tuple[MatrixSubspace, int]:
-    """The subspace of pencil forms annihilated by a vector, with its
-    codimension: { B in P : i_y B = 0 } and dim P - dim P_y.
-
-    The codimension equals the rank of ad y in the metabelian algebra
-    built from any basis of P.
-    """
-    y = vector(y)
-    side = p_space.side
-    if len(y) != side:
-        raise ValueError("vector length must equal the pencil side")
-    images = [m.apply(y) for m in p_space.basis]
-    rows = [{k: w[r] for k, w in enumerate(images) if w[r]}
-            for r in range(side)]
-    sub = MatrixSubspace._from_span(side, _combined(
-        _kernel(rows, p_space.dim), p_space.span._rows, side * side))
-    return sub, p_space.dim - sub.dim
-
-
-class ElementaryH0(Frozen):
-    """Closed form data for h0 of an elementary pencil block."""
-    kind: str
-    param: int
-    side: int
-    dim: int
-    description: str
-    rank1_element: Matrix
-
-
-# h0_elementary per kind: the parameter, dim h0 = times * param + plus, h0
-_H0_FORMS = {
-    "M": ("m", (2, 1), "scalar x on the diagonal blocks (x, -x) plus a "
-                       "(m+1) x m Toeplitz corner"),
-    "F": ("r", (3, 0), "three r x r upper triangular Toeplitz blocks"),
-}
-
-
-def h0_elementary(kind: str, param: int) -> ElementaryH0:
-    """Closed-form h0 dimension for an elementary block, with an
-    explicit rank 1 element inside it.
-
-    For "M" with parameter m the space is x on the first m+1 diagonal
-    entries, -x on the last m, plus a full (m+1) x m Toeplitz corner:
-    dimension 2m+1.  For "F" with parameter r it is three r x r upper
-    triangular Toeplitz blocks: dimension 3r.  E blocks reduce to F by a
-    linear change of the pencil parameters and are rejected here.  In
-    both cases the top-right matrix unit is a rank 1 nilpotent element,
-    which is what makes these algebras infinite type.
-    """
-    param = int(param)
-    if kind not in _H0_FORMS:
-        raise ValueError("closed forms cover kinds M and F only")
-    name, (times, plus), description = _H0_FORMS[kind]
-    if param < 1:
-        raise ValueError("%s closed form needs %s >= 1" % (kind, name))
-    side = 2 * param + sum(_BLOCKS[kind][2][:2])
-    e = Matrix([[Fraction(1) if (i, j) == (0, side - 1) else Fraction(0)
-                 for j in range(side)] for i in range(side)])
-    return ElementaryH0(kind=kind, param=param, side=side,
-                        dim=times * param + plus, description=description,
-                        rank1_element=e)
-
-
 # ---------------------------------------------------------------------------
 # Catalog
 
@@ -1156,7 +1029,8 @@ def catalog(name: str, **params) -> GNLA:
     nontrivial6, free2step3, kgen (k >= 3), and from_pencil with a
     blocks specification (a PencilSpec or a string like "M:1,F:2").
     _FAMILIES types each value, so text is enough, as the CLI passes
-    it: a sized family reads its size with int().
+    it: a sized family reads its size with int(), and a value that is no
+    integer is a ValueError naming the family and the parameter.
     """
     if name not in _FAMILIES:
         raise ValueError("unknown catalog name %r" % name)
@@ -1171,7 +1045,11 @@ def catalog(name: str, **params) -> GNLA:
         raise ValueError("missing parameter %r for %s" % (key, name))
     value = params[key]
     if extra is not None:
-        value = int(value)
+        try:
+            value = int(value)
+        except (TypeError, ValueError):
+            raise ValueError("%s: %s must be an integer"
+                             % (name, key)) from None
         if value + extra > _MAX_DIM:
             raise ValueError("%s: %s too large, more than %d basis vectors"
                              % (name, key, _MAX_DIM))

@@ -136,23 +136,6 @@ class Polynomial(Frozen):
         exp = self._lexp()
         return exp, Fraction(self._ints[exp], self._scale)
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        """The value at a point n_i/d, summed in integers: a term C/D of
-        degree k adds C * prod n_i^e_i * d^(top - k), over D * d^top."""
-        point = [frac(p) for p in point]
-        d = lcm(*(x.denominator for x in point))
-        nums = [x.numerator * (d // x.denominator) for x in point]
-        top = self.total_degree()
-        total = 0
-        for exp, v in self._ints.items():
-            k = top
-            for n, e in zip(nums, exp):
-                if e:
-                    v *= n ** e
-                    k -= e
-            total += v * d ** k if k else v
-        return Fraction(total, self._scale * d ** top)
-
     def _binop(self, other, sign):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.variables, other)

@@ -564,13 +564,15 @@ def _kernel(rows, ncols: int) -> Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """The solution space {v : Mv = 0} with its RREF basis."""
+    """The solution space {v : Mv = 0} with its RREF basis.  The package
+    calls _kernel; this stays because the bench harness times it."""
     return _kernel(m.rows, m.ncols)
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     """A particular solution of Mx = b, free variables zero, read off the
-    RREF rows of [M | b]; None when the b column is a pivot."""
+    RREF rows of [M | b]; None when the b column is a pivot.  The package
+    does not call it; it stays because the bench harness times it."""
     b = vector(b)
     if len(b) != m.nrows:
         raise ValueError("shape mismatch")
@@ -616,21 +618,3 @@ def _unflattened(seg: Sequence, nrows: int, ncols: int) -> Matrix:
     """The nrows x ncols matrix whose rows concatenate to seg."""
     return Matrix._trusted(tuple(tuple(seg[r * ncols:(r + 1) * ncols])
                                  for r in range(nrows)))
-
-
-def _combined(coeffs: Subspace, basis, n: int) -> Subspace:
-    """The span of the sums sum_k c_k basis[k] over the basis vectors c of
-    coeffs, for basis the sparse rows of an RREF of n-vectors and each c
-    led within it.  A sum reads c_k at the pivot of basis[k], so the sums
-    are RREF rows.  Entries of c past the basis are ignored."""
-    sums = []
-    for c in coeffs._rows:
-        v = {}
-        for k, ck in c:
-            if k >= len(basis):
-                break
-            for j, e in basis[k]:
-                v[j] = v.get(j, 0) + ck * e
-        sums.append(tuple((j, v[j]) for j in sorted(v) if v[j]))
-    return Subspace._trusted(n, tuple(sums))
-

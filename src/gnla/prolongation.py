@@ -410,7 +410,9 @@ def leibniz_failures(a: GNLA, lower: Sequence[ProlongationLayer],
 
 
 def der0(a: GNLA) -> List[GradedMap]:
-    """Basis of the degree-preserving derivations of the algebra."""
+    """Basis of the degree-preserving derivations of the algebra.  The
+    package does not call it yet; it is the g0 = der0 of the planned
+    prolongations of pairs (m, g0)."""
     return list(prolong_layer(a, 0, []).maps)
 
 

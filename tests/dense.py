@@ -5,7 +5,14 @@ column builder, the identity, the inverse and the subspace intersection
 that the oracles still use live here.  The inverse is the right half of
 a dense Fraction Gauss-Jordan reduction of [A | I], independent of the
 package's integer core; intersect is the sparse intersection the package
-carried before its callers went, kept as it was.
+carried before its callers went, kept as it was, with the sum of
+coefficient rows over an RREF basis that it reads (combined).
+
+The references that stand in for public names the package dropped
+because only tests read them are kept here too: reference_evaluate (a
+polynomial's value at a point), reference_pencil_block (one canonical
+skew pencil block) and h0_closed_form (dim h0 and a rank 1 element of
+h0 for a single M or F block).
 
 The decomposition round trip as gnla built it before its structure
 constants became an integer table is kept here too: bracket sums dense
@@ -28,8 +35,8 @@ from gnla.constructions import (
     _slots,
 )
 from gnla.linalg import (
-    _combined,
     _kernel,
+    frac,
     independent_rows,
     unit_vector,
     vector,
@@ -123,7 +130,24 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     for k, r in enumerate(b._rows, a.dim):
         for i, e in r:
             rows[i][k] = -e
-    return _combined(_kernel(rows, a.dim + b.dim), a._rows, n)
+    return combined(_kernel(rows, a.dim + b.dim), a._rows, n)
+
+
+def combined(coeffs: Subspace, basis, n: int) -> Subspace:
+    """The span of the sums sum_k c_k basis[k] over the basis vectors c of
+    coeffs, for basis the sparse rows of an RREF of n-vectors and each c
+    led within it.  A sum reads c_k at the pivot of basis[k], so the sums
+    are RREF rows.  Entries of c past the basis are ignored."""
+    sums = []
+    for c in coeffs._rows:
+        v = {}
+        for k, ck in c:
+            if k >= len(basis):
+                break
+            for j, e in basis[k]:
+                v[j] = v.get(j, 0) + ck * e
+        sums.append(tuple((j, v[j]) for j in sorted(v) if v[j]))
+    return Subspace._trusted(n, tuple(sums))
 
 
 def bracket(a, x, y):
@@ -277,3 +301,84 @@ def special_extension(data):
     if broken:
         raise JacobiViolation(broken[0])
     return out
+
+
+def reference_evaluate(p, point):
+    """The value of a Polynomial at a point, term by term in Fractions."""
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        v = c
+        for x, e in zip(point, exp):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def _reference_skew_embed(q_rows, p, q):
+    side = p + q
+    rows = [[Fraction(0)] * side for _ in range(side)]
+    for i in range(p):
+        for j in range(q):
+            c = q_rows[i][j]
+            if c != 0:
+                rows[i][p + j] = c
+                rows[p + j][i] = -c
+    return Matrix._trusted(tuple(map(tuple, rows)))
+
+
+def reference_pencil_block(kind, param):
+    """One canonical skew pencil block as a matrix pair (B1, B2), B1 the
+    mu- and B2 the lambda-coefficients of its template, each kind's
+    template written out by hand: "M" takes m >= 0 and gives side 2m+1,
+    "E" takes (e, a) with e >= 1 and "F" takes f >= 1, of side 2e and
+    2f."""
+    if kind == "M":
+        m = int(param)
+        if m < 0:
+            raise ValueError("M block needs m >= 0")
+        p, q = m + 1, m
+        mu = [[Fraction(1) if i + j == m else Fraction(0)
+               for j in range(q)] for i in range(p)]
+        lam = [[Fraction(1) if i + j == m - 1 else Fraction(0)
+                for j in range(q)] for i in range(p)]
+        return _reference_skew_embed(mu, p, q), _reference_skew_embed(lam, p, q)
+    if kind == "E":
+        try:
+            e, a = param
+        except TypeError:
+            raise ValueError("E block needs a pair (e, a)") from None
+        e = int(e)
+        a = frac(a)
+        if e < 1:
+            raise ValueError("E block needs e >= 1")
+        mu = [[Fraction(1) if i + j == e - 1 else Fraction(0)
+               for j in range(e)] for i in range(e)]
+        lam = [[a if i + j == e - 1 else
+                (Fraction(1) if i + j == e else Fraction(0))
+                for j in range(e)] for i in range(e)]
+        return _reference_skew_embed(mu, e, e), _reference_skew_embed(lam, e, e)
+    if kind == "F":
+        f = int(param)
+        if f < 1:
+            raise ValueError("F block needs f >= 1")
+        mu = [[Fraction(1) if i + j == f else Fraction(0)
+               for j in range(f)] for i in range(f)]
+        lam = [[Fraction(1) if i + j == f - 1 else Fraction(0)
+                for j in range(f)] for i in range(f)]
+        return _reference_skew_embed(mu, f, f), _reference_skew_embed(lam, f, f)
+    raise ValueError("unknown pencil block kind %r" % kind)
+
+
+def h0_closed_form(kind, param):
+    """dim h0 and a rank 1 element of h0 for the pencil algebra of one
+    block kind:param, kind M or F, from the closed forms.  For M:m (side
+    2m+1) h0 is x on the first m+1 diagonal entries and -x on the last m,
+    plus a full (m+1) x m Toeplitz corner: dimension 2m+1.  For F:r (side
+    2r) it is three r x r upper triangular Toeplitz blocks: dimension 3r.
+    In both the top-right matrix unit is a rank 1 nilpotent element,
+    which is what makes these algebras infinite type."""
+    side, dim = {"M": (2 * param + 1, 2 * param + 1),
+                 "F": (2 * param, 3 * param)}[kind]
+    unit = Matrix([[int((i, j) == (0, side - 1)) for j in range(side)]
+                   for i in range(side)])
+    return dim, unit

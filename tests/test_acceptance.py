@@ -8,6 +8,7 @@ criteria survived.
 import random
 from fractions import Fraction
 
+from dense import h0_closed_form, reference_evaluate
 from gnla import (
     GNLA,
     Polynomial,
@@ -20,7 +21,6 @@ from gnla import (
     decompose_special_extension,
     ExtensionData,
     h0,
-    h0_elementary,
     h2_0,
     minor_ideal,
     normal_form,
@@ -160,11 +160,12 @@ def test_criterion_6_h0_closed_forms():
                         ("F", 1), ("F", 2), ("F", 3)]:
         a = algebra_from_pencil_spec("%s:%d" % (kind, param))
         space = h0(a)
-        expected = 2 * param + 1 if kind == "M" else 3 * param
-        closed = h0_elementary(kind, param)
-        if space.dim != expected or closed.dim != expected:
+        expected, unit = h0_closed_form(kind, param)
+        if space.dim != expected:
             failures.append("%s%d dim %d != %d" % (kind, param, space.dim,
                                                    expected))
+        if not space.contains(unit):
+            failures.append("%s%d misses the rank 1 unit" % (kind, param))
         if not spencer_subspace_check(space):
             failures.append("%s%d spencer check failed" % (kind, param))
     _report(6, not failures, "; ".join(failures))
@@ -279,7 +280,7 @@ def test_criterion_9_groebner_membership_and_point_search():
         trivial = only_trivial_zero(ideal)
         zero = None
         for pt in projective_points(nvars):
-            if all(g.evaluate(pt) == 0 for g in gens):
+            if all(reference_evaluate(g, pt) == 0 for g in gens):
                 zero = pt
                 break
         if zero is not None:

@@ -24,12 +24,10 @@ from gnla import (
     ad_matrix,
     bracket,
     catalog,
-    center,
     change_basis,
     classify,
     decompose_special_extension,
     kernel_basis,
-    layer,
     parse_algebra,
     quotient,
     rank1_witness,
@@ -39,8 +37,8 @@ from gnla import (
     validate,
     vector,
 )
-from gnla.algebra import _split
-from gnla.linalg import independent_rows
+from gnla.algebra import _central_rows, _split
+from gnla.linalg import _kernel, independent_rows
 
 
 def heis3():
@@ -145,19 +143,17 @@ def test_ad_matrix_requires_degree_minus_one_support():
         ad_matrix(a, (0, 0, 1))
 
 
+def central_kernel(a):
+    """The kernel of the central conditions on every basis position: the
+    center, as validate's nondegeneracy check reads it on degree -1."""
+    return _kernel(_central_rows(a, range(a.dim)), a.dim)
+
+
 def test_center_of_heisenberg():
     a = heis3()
-    z = center(a)
+    z = central_kernel(a)
     assert z.dim == 1
     assert z.contains((0, 0, 1))
-
-
-def test_layer_subspace():
-    a = catalog("nontrivial6")
-    l1 = layer(a, 1)
-    assert l1.dim == a.layer_dim(1)
-    with pytest.raises(ValueError):
-        layer(a, 0)
 
 
 def test_validate_catalog_entries_are_clean():
@@ -350,9 +346,10 @@ def test_quotient_matches_reference():
     quotients = []
     for a in catalog_algebras():
         deep = a.layer_positions(a.depth)
-        assert intersect(center(a), layer(a, a.depth)) == layer(a, a.depth)
+        ideal = reference_layer(a, a.depth)
+        assert intersect(reference_center(a), ideal) == ideal
         reps = [a.basis_vector(p) for p in range(a.dim) if p not in deep]
-        quotients.append((a, layer(a, a.depth), reps))
+        quotients.append((a, ideal, reps))
     for a, w in witness_cases(9006):
         d = decompose_special_extension(a, w)
         chain = list(d.ideal_basis)
@@ -447,7 +444,7 @@ def test_bracket_terms_is_the_signed_table():
 def test_center_matches_reference():
     """The sparse center equals the dense reference, basis for basis."""
     for a in table_cases(8102):
-        got = center(a)
+        got = central_kernel(a)
         assert got.basis == reference_center(a).basis, a.name
         for z in got.basis:
             assert all(not any(bracket(a, z, a.basis_vector(j)))
@@ -630,16 +627,6 @@ def test_rational_constants_round_trip_through_the_decomposition():
         assert rebuilt == d.adapted, a.name
         done += 1
     assert done >= 30
-
-
-def test_layer_is_the_coordinate_subspace():
-    for a in table_cases(9104):
-        for i in range(1, a.depth + 2):
-            got = layer(a, i)
-            assert got == reference_layer(a, i), (a.name, i)
-            assert got.basis == reference_layer(a, i).basis
-        with pytest.raises(ValueError):
-            layer(a, 0)
 
 
 def test_validate_matches_reference():

@@ -390,6 +390,24 @@ def test_run_catalog_unknown_name(tmp_path, capsys):
     assert "unknown catalog name" in capsys.readouterr().err
 
 
+def test_non_integer_catalog_size_names_the_family_and_parameter(capsys):
+    """A size that int() refuses, a 5000-digit one among them, is one
+    gnla: line naming the family and the parameter, without the value,
+    and exit 2."""
+    huge = "9" * 5000
+    for family, key, value in (("heisenberg", "dim", "abc"),
+                               ("goursat", "n", "1.5"), ("kgen", "k", huge),
+                               ("mixedjet", "k", "")):
+        argv = ["catalog", family, "--param", "%s=%s" % (key, value)]
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "gnla: %s: %s must be an integer\n" % (
+            family, key), argv
+    with pytest.raises(ValueError, match="^goursat: n must be an integer$"):
+        catalog("goursat", n=None)
+
+
 def test_huge_catalog_and_pencil_sizes_are_prompt_located_errors(capsys):
     """A catalog family or a pencil whose algebra would have more than
     256 basis vectors is refused before anything is built, so the run

@@ -15,7 +15,7 @@ from cases import (
     witness_cases,
 )
 from dense import special_extension as dense_special_extension
-from dense import identity
+from dense import h0_closed_form, identity, reference_pencil_block
 from gnla import (
     CATALOG_NAMES,
     Cochain2,
@@ -35,16 +35,12 @@ from gnla import (
     bracket,
     catalog,
     change_basis,
-    coboundary,
     decompose_special_extension,
     det_pencil,
     h0,
-    h0_elementary,
     h2_0,
     kernel_basis,
     metabelian_from_pencil,
-    p_y_subspace,
-    pencil_block,
     pfaffian,
     rank1_witness,
     serialize_algebra,
@@ -62,10 +58,12 @@ from gnla.constructions import (
     _default_transversal,
     _differential,
     _module_covector,
+    _pencil_pair,
     _slots,
+    _template,
 )
 from gnla import constructions
-from gnla.linalg import frac, independent_rows, vector
+from gnla.linalg import independent_rows, vector
 
 
 def heis3():
@@ -321,24 +319,15 @@ def test_cocycle_pair_outside_the_base_is_rejected_on_a_moved_basis():
 
 def test_negative_positions_are_outside_the_base():
     """A negative position does not wrap to the end of the basis: a
-    cocycle pair with one is outside the base in special_extension and
-    canonicalized, and so is a coboundary position outside range(dim)."""
+    cocycle pair with one is outside the base in special_extension."""
     a = heis3()
     for pair in ((-1, 0), (-3, -2), (1, 3)):
         data = ExtensionData.from_adapted_base(
             a, 3, Cochain2.from_dict(3, {pair: (0, 1, 0)}))
-        message = "cocycle pair (%d, %d) outside the base" % pair
-        for call in (special_extension, ExtensionData.canonicalized):
-            with pytest.raises(ValueError) as exc:
-                call(data)
-            assert str(exc.value) == message
-    w = Subspace(3, [a.basis_vector(1)])
-    for p in (-1, 3, 7):
         with pytest.raises(ValueError) as exc:
-            coboundary(a, w, 3, {p: 1})
-        assert str(exc.value) == "position %d outside the base" % p
-    with pytest.raises(ValueError, match="position 2 is too deep"):
-        coboundary(a, w, 1, {2: 1})
+            special_extension(data)
+        assert str(exc.value) == (
+            "cocycle pair (%d, %d) outside the base" % pair)
 
 
 def test_module_length_is_checked_before_the_base():
@@ -406,7 +395,7 @@ def random_moved_extension_data(rng, base):
                 values[pq] = tuple(u + c * v for u, v in zip(old, val))
         f = {p: rng.randint(-3, 3) for p in range(base.dim)
              if -deg[p] <= s and rng.random() < 0.5}
-        for pq, val in coboundary(base, w, s, f, x).values:
+        for pq, val in reference_coboundary(base, w, s, f, x).values:
             old = values.get(pq, (0,) * s)
             values[pq] = tuple(u + v for u, v in zip(old, val))
     else:
@@ -430,7 +419,6 @@ def test_special_extension_matches_reference_on_moved_bases():
     the same algebra, or the same exception and Jacobi triple; and the
     degree 0 complex of each case matches its dense reference."""
     rng = random.Random(6007)
-    complex_rng = random.Random(6011)
     bases = [heis3(), catalog("heisenberg", dim=5), catalog("goursat", n=4),
              catalog("mixedjet", k=2), catalog("nontrivial6"),
              catalog("free2step3"), catalog("kgen", k=3),
@@ -448,7 +436,8 @@ def test_special_extension_matches_reference_on_moved_bases():
         got = extension_outcome(special_extension, data)
         assert got == extension_outcome(reference_special_extension, data)
         assert got == extension_outcome(dense_special_extension, data)
-        assert_complex_matches_reference(complex_rng, data)
+        assert h2_0(base, data.covector_kernel, data.s) == reference_h2_0(
+            base, data.covector_kernel, data.s)
         kind = got[0] if isinstance(got, tuple) else "built"
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds.get("built", 0) >= 20, kinds
@@ -487,7 +476,10 @@ def test_special_extension_matches_the_dense_oracle_on_a_rational_hyperplane():
                    for c in val)
         data = ExtensionData(base=base, covector_kernel=w, transversal=x,
                              s=s, cocycle=cocycle)
-        for d in (data, data.canonicalized()):
+        canonical = ExtensionData(base=base, covector_kernel=w,
+                                  transversal=x, s=s,
+                                  cocycle=reference_canonicalized(data))
+        for d in (data, canonical):
             got, want = special_extension(d), dense_special_extension(d)
             assert serialize_algebra(got) == serialize_algebra(want)
             assert got == want and hash(got) == hash(want)
@@ -497,14 +489,16 @@ def test_special_extension_matches_the_dense_oracle_on_a_rational_hyperplane():
 
 
 def test_canonicalized_removes_coboundary_part():
+    """The reference reduction modulo coboundaries keeps the one class
+    coefficient, is a projection, and the reduced cocycle builds."""
     coc = Cochain2.from_dict(3, {(0, 1): (0, 5, 0), (0, 2): (0, 0, 7),
                                  (1, 2): (0, 0, 2)})
-    data = ExtensionData.from_adapted_base(heis3(), 3, coc)
-    red = data.canonicalized()
-    assert red.cocycle.as_dict() == {(1, 2): (0, 0, 2)}
-    # reduction is a projection
-    assert red.canonicalized().cocycle == red.cocycle
-    assert validate(special_extension(red)).all_passed
+    red = reference_canonicalized(
+        ExtensionData.from_adapted_base(heis3(), 3, coc))
+    assert red.as_dict() == {(1, 2): (0, 0, 2)}
+    data = ExtensionData.from_adapted_base(heis3(), 3, red)
+    assert reference_canonicalized(data) == red
+    assert validate(special_extension(data)).all_passed
 
 
 def test_coboundary_cocycles_build_trivial_extensions():
@@ -512,7 +506,7 @@ def test_coboundary_cocycles_build_trivial_extensions():
     base = heis3()
     w = Subspace(3, [(0, 1, 0)])
     f = {1: 3, 2: -2}
-    beta = coboundary(base, w, 3, f)
+    beta = reference_coboundary(base, w, 3, f)
     assert beta.as_dict() == {(0, 1): (0, 5, 0), (0, 2): (0, 0, -2)}
     m_beta = special_extension(ExtensionData.from_adapted_base(base, 3, beta))
     m_zero = special_extension(ExtensionData.from_adapted_base(base, 3))
@@ -527,15 +521,8 @@ def test_coboundary_cocycles_build_trivial_extensions():
                vec(Z1=1, Y1=-3), vec(Z2=1, Y2=2)]
     assert change_basis(m_beta, vectors, list(m_beta.labels)) == m_zero
     # and canonicalization kills it outright
-    red = ExtensionData.from_adapted_base(base, 3, beta).canonicalized()
-    assert red.cocycle.is_zero()
-
-
-def test_coboundary_rejects_deep_positions():
-    base = catalog("goursat", n=4)
-    w = Subspace(4, [(0, 1, 0, 0)])
-    with pytest.raises(ValueError):
-        coboundary(base, w, 2, {3: 1})  # degree -3 exceeds the module
+    assert reference_canonicalized(
+        ExtensionData.from_adapted_base(base, 3, beta)).is_zero()
 
 
 # --- degree zero cohomology --------------------------------------------------
@@ -572,58 +559,6 @@ def test_h2_0_point_base_is_rigid():
 
 # --- pencils -----------------------------------------------------------------
 
-def _reference_skew_embed(q_rows, p, q):
-    side = p + q
-    rows = [[Fraction(0)] * side for _ in range(side)]
-    for i in range(p):
-        for j in range(q):
-            c = q_rows[i][j]
-            if c != 0:
-                rows[i][p + j] = c
-                rows[p + j][i] = -c
-    return Matrix._trusted(tuple(map(tuple, rows)))
-
-
-def reference_pencil_block(kind, param):
-    """pencil_block with each kind's templates written out by hand and
-    embedded one block at a time."""
-    if kind == "M":
-        m = int(param)
-        if m < 0:
-            raise ValueError("M block needs m >= 0")
-        p, q = m + 1, m
-        mu = [[Fraction(1) if i + j == m else Fraction(0)
-               for j in range(q)] for i in range(p)]
-        lam = [[Fraction(1) if i + j == m - 1 else Fraction(0)
-                for j in range(q)] for i in range(p)]
-        return _reference_skew_embed(mu, p, q), _reference_skew_embed(lam, p, q)
-    if kind == "E":
-        try:
-            e, a = param
-        except TypeError:
-            raise ValueError("E block needs a pair (e, a)") from None
-        e = int(e)
-        a = frac(a)
-        if e < 1:
-            raise ValueError("E block needs e >= 1")
-        mu = [[Fraction(1) if i + j == e - 1 else Fraction(0)
-               for j in range(e)] for i in range(e)]
-        lam = [[a if i + j == e - 1 else
-                (Fraction(1) if i + j == e else Fraction(0))
-                for j in range(e)] for i in range(e)]
-        return _reference_skew_embed(mu, e, e), _reference_skew_embed(lam, e, e)
-    if kind == "F":
-        f = int(param)
-        if f < 1:
-            raise ValueError("F block needs f >= 1")
-        mu = [[Fraction(1) if i + j == f else Fraction(0)
-               for j in range(f)] for i in range(f)]
-        lam = [[Fraction(1) if i + j == f - 1 else Fraction(0)
-                for j in range(f)] for i in range(f)]
-        return _reference_skew_embed(mu, f, f), _reference_skew_embed(lam, f, f)
-    raise ValueError("unknown pencil block kind %r" % kind)
-
-
 def _reference_block_diag(blocks):
     side = sum(b.nrows for b in blocks)
     zero = (Fraction(0),)
@@ -656,6 +591,12 @@ def reference_assemble_pencil(spec):
             labels)
 
 
+def one_block(kind, param):
+    """The pencil pair of one block, written by the builder of block
+    lists."""
+    return _pencil_pair([_template(kind, param)])
+
+
 def built(fn, *args):
     """The repr of fn(*args) or the type and message of what it raised,
     with the messages of the warnings it issued."""
@@ -681,7 +622,7 @@ def test_pencil_builders_match_the_reference_builders():
     bad = [("M", -1), ("F", -2), ("E", (-1, 1)), ("E", (2, "x")), ("Q", 1)]
     for kind, param in blocks + bad + [
             ("E", 3), ("E", (1, 2.5)), ("M", "x"), ("F", None), ("m", 1)]:
-        assert (built(pencil_block, kind, param)
+        assert (built(one_block, kind, param)
                 == built(reference_pencil_block, kind, param)), (kind, param)
     errors = 0
     for _ in range(60):
@@ -692,27 +633,28 @@ def test_pencil_builders_match_the_reference_builders():
         errors += type(got[0]) is tuple
     assert 10 < errors < 50
 
+
 def test_pencil_block_m1():
-    b1, b2 = pencil_block("M", 1)
+    b1, b2 = one_block("M", 1)
     assert b1 == Matrix([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
     assert b2 == Matrix([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
 
 
 def test_pencil_block_f1():
-    b1, b2 = pencil_block("F", 1)
+    b1, b2 = one_block("F", 1)
     assert b1 == Matrix.zero(2, 2)
     assert b2 == Matrix([[0, 1], [-1, 0]])
 
 
 def test_pencil_block_e1():
-    b1, b2 = pencil_block("E", (1, 0))
+    b1, b2 = one_block("E", (1, 0))
     assert b1 == Matrix([[0, 1], [-1, 0]])
     assert b2 == Matrix.zero(2, 2)
 
 
 def test_pencil_blocks_are_skew():
     for kind, param in [("M", 1), ("M", 3), ("F", 2), ("E", (2, 1))]:
-        b1, b2 = pencil_block(kind, param)
+        b1, b2 = one_block(kind, param)
         assert b1.is_skew() and b2.is_skew()
         assert b1.nrows == b1.ncols == b2.nrows
 
@@ -739,7 +681,7 @@ def test_metabelian_common_kernel_warns_degenerate():
 
 
 def test_metabelian_structure():
-    b1, b2 = pencil_block("M", 1)
+    b1, b2 = reference_pencil_block("M", 1)
     a = metabelian_from_pencil([b1, b2], ["A", "B", "C"], "m1")
     assert a.layer_dims() == (3, 2)
     # brackets read off the forms: [u, v] = (B1(u,v), B2(u,v))
@@ -924,7 +866,7 @@ def test_integer_pfaffian_makes_no_fraction(monkeypatch):
 
 
 def test_det_pencil_m_block_is_identically_zero():
-    b1, b2 = pencil_block("M", 1)
+    b1, b2 = reference_pencil_block("M", 1)
     form = det_pencil(b1, b2)
     assert form.identically_zero
     assert all(c == 0 for c in form.coefficients)
@@ -1109,7 +1051,7 @@ def test_det_pencil_is_prompt_on_huge_eigenvalues():
 def test_p_y_subspace():
     a = heis3()
     space = h0(a)
-    sub, codim = p_y_subspace(space, (0, 1))
+    sub, codim = reference_p_y_subspace(space, (0, 1))
     assert (space.dim, sub.dim, codim) == (3, 1, 2)
     for m in sub.basis:
         assert all(c == 0 for c in m.apply((0, 1)))
@@ -1117,7 +1059,7 @@ def test_p_y_subspace():
 
 def test_p_y_codim_equals_ad_rank_on_pencils():
     """For the bracket forms of a 2-step algebra, cutting by y has the
-    same codimension as the rank of ad y."""
+    same codimension as the rank of ad y, P_y from the reference."""
     rng = random.Random(71)
     for text in ("M:1", "M:2", "F:2", "M:1,F:1"):
         a = algebra_from_pencil_spec(text)
@@ -1133,7 +1075,7 @@ def test_p_y_codim_equals_ad_rank_on_pencils():
             y1 = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n1))
             if all(c == 0 for c in y1):
                 continue
-            _, codim = p_y_subspace(space, y1)
+            _, codim = reference_p_y_subspace(space, y1)
             assert codim == ad_matrix(a, a.embed_layer(1, y1)).rank
 
 
@@ -1160,52 +1102,17 @@ def reference_p_y_subspace(p_space, y):
     return sub, p_space.dim - sub.dim
 
 
-def test_p_y_subspace_matches_reference():
-    """Same basis, span and codimension as the dense route on the h0
-    spaces of the catalog pencils, the zero space and the bracket forms
-    of a pencil, at seeded y including y = 0."""
-    rng = random.Random(8088)
-    spaces = [h0(algebra_from_pencil_spec(b)) for b in PENCIL_BLOCKS]
-    spaces.append(MatrixSubspace.from_matrices(3, []))
-    spaces.append(MatrixSubspace.from_matrices(
-        3, list(pencil_block("M", 1))))
-    cut = 0
-    for space in spaces:
-        for t in range(6):
-            y = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-                 for _ in range(space.side)]
-            if t == 0:
-                y = [0] * space.side
-            got, codim = p_y_subspace(space, y)
-            want, want_codim = reference_p_y_subspace(space, y)
-            assert (got.basis, got.span, codim) == \
-                (want.basis, want.span, want_codim)
-            assert got.span == Subspace(space.side ** 2, got.span.basis)
-            cut += codim > 0
-    assert cut > 40
-    with pytest.raises(ValueError):
-        p_y_subspace(spaces[0], (1,))
-
-
 def test_h0_elementary_matches_direct_computation():
+    """h0 of the single M and F blocks has the closed-form dimension and
+    holds the closed forms' rank 1 element."""
     for kind, param in [("M", 1), ("M", 2), ("M", 3),
                         ("F", 1), ("F", 2), ("F", 3)]:
-        e = h0_elementary(kind, param)
-        a = algebra_from_pencil_spec("%s:%d" % (kind, param))
-        space = h0(a)
-        assert space.side == e.side
-        assert space.dim == e.dim
-        assert e.dim == (2 * param + 1 if kind == "M" else 3 * param)
-        assert e.rank1_element.rank() == 1
-        assert space.contains(e.rank1_element)
+        dim, unit = h0_closed_form(kind, param)
+        space = h0(algebra_from_pencil_spec("%s:%d" % (kind, param)))
+        assert (space.side, space.dim) == (unit.nrows, dim)
+        assert unit.rank() == 1
+        assert space.contains(unit)
         assert spencer_subspace_check(space)
-
-
-def test_h0_elementary_rejections():
-    with pytest.raises(ValueError):
-        h0_elementary("E", 1)
-    with pytest.raises(ValueError):
-        h0_elementary("M", 0)
 
 
 # --- catalog ------------------------------------------------------------------
@@ -1224,8 +1131,7 @@ def test_catalog_errors_name_the_first_failed_check():
             ("goursat", {"extra": 1},
              "unexpected parameters ['extra'] for goursat"),
             ("goursat", {}, "missing parameter 'n' for goursat"),
-            ("goursat", {"n": "x"},
-             "invalid literal for int() with base 10: 'x'"),
+            ("goursat", {"n": "x"}, "goursat: n must be an integer"),
             ("goursat", {"n": 257},
              "goursat: n too large, more than 256 basis vectors"),
             ("mixedjet", {"k": 254},
@@ -1424,57 +1330,15 @@ def reference_canonicalized(data):
     return _cochain_from_slots(data.base, data.s, c2, vec)
 
 
-def outcome(call, *args):
-    """The value of a call, or the type and message of what it raised."""
-    try:
-        return call(*args)
-    except (ValueError, DegreeViolation) as exc:
-        return type(exc).__name__, str(exc)
-
-
-def assert_complex_matches_reference(rng, data):
-    """h2_0, coboundary and canonicalized of one ExtensionData against
-    the dense reference."""
-    base, w, s, x = (data.base, data.covector_kernel, data.s,
-                     data.transversal)
-    got = h2_0(base, w, s)
-    assert got == reference_h2_0(base, w, s), base.name
-    f = {p: rng.randint(-3, 3) for p in range(base.dim)
-         if rng.random() < 0.6}
-    assert (outcome(coboundary, base, w, s, f, x)
-            == outcome(reference_coboundary, base, w, s, f, x)), base.name
-    assert (outcome(lambda: data.canonicalized().cocycle)
-            == outcome(reference_canonicalized, data)), base.name
-    return got[0]
-
-
 def test_degree0_complex_matches_reference():
-    """The catalog, the 12 pencils, seeded random 2-step algebras and a
-    signed permutation of each: for s = 2..4 on the adapted hyperplane
-    with an h2_0 plus coboundary cocycle, and on one random moved
-    hyperplane."""
-    rng = random.Random(7019)
-    algebras = catalog_algebras()
-    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5) * 2]
-    algebras += [signed_permutation(rng, a) for a in algebras]
+    """h2_0 equals its dense reference on every valid graded base of the
+    reference tests for s = 2..4, on the adapted hyperplane and on one
+    random moved hyperplane."""
     positive = 0
-    for a in algebras:
-        for s in (2, 3, 4):
-            data = ExtensionData.from_adapted_base(a, s)
-            reps = h2_0(a, data.covector_kernel, s)[1]
-            values = {}
-            for rep in reps + [coboundary(a, data.covector_kernel, s, {
-                    p: rng.randint(-2, 2) for p in range(a.dim)
-                    if -a.degrees[p] <= s})]:
-                c = rng.randint(-2, 2)
-                for pq, val in rep.values:
-                    old = values.get(pq, (0,) * s)
-                    values[pq] = tuple(u + c * v for u, v in zip(old, val))
-            data = ExtensionData.from_adapted_base(
-                a, s, Cochain2.from_dict(s, values))
-            positive += assert_complex_matches_reference(rng, data) > 0
-        assert_complex_matches_reference(
-            rng, random_moved_extension_data(rng, a))
+    for a, w, _, s in complex_cases(7019, (2, 3, 4)):
+        got = h2_0(a, w, s)
+        assert got == reference_h2_0(a, w, s), a.name
+        positive += got[0] > 0
     assert positive >= 10
 
 
@@ -1532,51 +1396,10 @@ def test_d2_after_d1_is_zero():
     assert nonzero > 100
 
 
-def test_canonicalized_copies_without_revalidating(monkeypatch):
-    """canonicalized keeps the checked base, hyperplane, transversal and
-    s, and changes only the cocycle: no validate call, and the cocycle of
-    the dense reference."""
-    rng = random.Random(7020)
-    algebras = catalog_algebras()
-    algebras += [random_two_step(rng, n1) for n1 in (3, 4, 5)]
-    algebras += [signed_permutation(rng, a) for a in algebras]
-    cases = []
-    for a in algebras:
-        data = ExtensionData.from_adapted_base(a, 3)
-        values = {}
-        for rep in h2_0(a, data.covector_kernel, 3)[1] + [coboundary(
-                a, data.covector_kernel, 3, {
-                    p: rng.randint(-2, 2) for p in range(a.dim)
-                    if -a.degrees[p] <= 3})]:
-            for pq, val in rep.values:
-                old = values.get(pq, (0,) * 3)
-                values[pq] = tuple(u + v for u, v in zip(old, val))
-        cases.append(ExtensionData.from_adapted_base(
-            a, 3, Cochain2.from_dict(3, values)))
-        cases.append(random_moved_extension_data(rng, a))
-    calls = []
-    real = constructions.validate
-    monkeypatch.setattr(constructions, "validate",
-                        lambda a: calls.append(a) or real(a))
-    changed = 0
-    for data in cases:
-        red = outcome(data.canonicalized)
-        want = outcome(reference_canonicalized, data)
-        if not isinstance(red, ExtensionData):
-            assert red == want, data.base.name
-            continue
-        assert red.cocycle == want, data.base.name
-        assert (red.base, red.covector_kernel, red.transversal, red.s) == (
-            data.base, data.covector_kernel, data.transversal, data.s)
-        changed += red.cocycle != data.cocycle
-    assert calls == []
-    assert changed >= 10
-
-
 def test_degree0_complex_matches_reference_off_the_grading():
     """A bracket with a term on one of its own slots makes d1 write one
-    C^2 slot twice; ExtensionData refuses such a base, h2_0 and
-    coboundary do not, and both sides of h2_0 see d2 d1 != 0 alike."""
+    C^2 slot twice; ExtensionData refuses such a base, h2_0 does not, and
+    both sides of h2_0 see d2 d1 != 0 alike."""
     a = GNLA("ungraded", [("A", -1), ("B", -1), ("C", -2)],
              {(0, 1): [(0, 2), (1, 1), (2, -1)]})
     w = Subspace(3, [a.basis_vector(1)])
@@ -1587,10 +1410,5 @@ def test_degree0_complex_matches_reference_off_the_grading():
         except AssertionError:
             return "d2 d1 != 0"
 
-    for x in (a.basis_vector(0), (1, 1, 0)):
-        for s in (2, 3, 4):
-            assert h2_0_outcome(h2_0, s) == h2_0_outcome(reference_h2_0, s)
-            f = {0: 2, 1: -1, 2: 3}
-            assert (coboundary(a, w, s, f, x)
-                    == reference_coboundary(a, w, s, f, x))
-            assert coboundary(a, w, s, f, x).as_dict()[(0, 1)] != (0,) * s
+    for s in (2, 3, 4):
+        assert h2_0_outcome(h2_0, s) == h2_0_outcome(reference_h2_0, s)
