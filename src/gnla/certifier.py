@@ -21,11 +21,12 @@ tB_2) with no rational zero, and classify certifies the paper's theorem
 there at any budget: a column g(t) of the pfaffian adjugate and a
 factor f of the pfaffian form, checked exactly to give (B_1 + tB_2) g
 = 0 mod f with gcd(f, g) = 1, make g a nonzero kernel vector at every
-root of f.  Elsewhere the search tries the basis matrices of the span,
-then the rational points of the line through each pair, read off the
-first 2x2 minor of the line that is not identically zero (a binary
-quadratic).  Roots of integer polynomials come from the one helper
-constructions._rational_roots.
+root of f; f, g and their gcd are integer polynomials, in the form of
+constructions, up to the verdict.  Elsewhere the search tries the basis
+matrices of the span, then the rational points of the line through each
+pair, read off the first 2x2 minor of the line that is not identically
+zero (a binary quadratic).  Roots of integer polynomials come from the
+one helper constructions._rational_roots.
 
 Both questions about a span of matrices, a rational rank 1 element and
 a rank 1 point over the closure, read the one integer form (den, ints)
@@ -66,6 +67,7 @@ from .constructions import (
     _poly_divmod,
     _poly_gcd,
     _rational_roots,
+    _trim,
 )
 from .groebner import (
     CapExceeded,
@@ -106,7 +108,8 @@ class WitnessInvalid(Exception):
     """The supplied element does not have a rank 1 adjoint."""
 
 
-# a polynomial in t as its coefficients, constant term first
+# a polynomial in t, constant term first: the Fraction view of a verdict,
+# and the integer form the pencil stages compute in (see constructions)
 Poly = Tuple[Fraction, ...]
 
 
@@ -257,11 +260,11 @@ def _span_witness(a: GNLA, ints: Ints) -> Optional[Vector]:
     return None if coeffs is None else a.embed_layer(1, coeffs[::-1])
 
 
-def _pencil_witness(a: GNLA, ints: Ints) -> Tuple[Optional[Vector], Poly]:
+def _pencil_witness(a: GNLA, ints: Ints) -> Tuple[Optional[Vector], List[int]]:
     """The rational rank 1 witness of a valid nondegenerate algebra of
-    depth 2 with dim g_-2 = 2, or None when it has none, and the
+    depth 2 with dim g_-2 = 2, or None when it has none, and the integer
     pfaffian form Pf(P + tQ) when it was interpolated (even n_1 and no
-    basis vector a witness), else ().
+    basis vector a witness), else [].
 
     The integer ad matrices are cut to the 2 rows of g_-2 and the n_1
     columns of g_-1, so their rows give P = den B_1 and Q = den B_2, the
@@ -270,14 +273,14 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Tuple[Optional[Vector], Poly]:
     and that (s:t) is rational when y is.  The basis vectors come first,
     last declared first: e_i is a witness iff rows i of P and Q are
     dependent.  Then the pencil: sP + tQ is singular at (1:0) for odd
-    n_1; for even n_1 the pfaffian form Pf(P + tQ), the integer
-    pfaffians of P + tQ at t = 0..n_1/2 interpolated (P and Q are skew
-    by construction), is identically zero (take (1:0)) or has its rational
-    roots, plus (0:1) when its degree drops.  Nondegeneracy makes every
-    nonzero kernel vector a witness, so the first RREF kernel vector of
-    the integer rows at the first candidate is one, read off as integers
-    over one denominator; each is still checked to give rank 1.  On a
-    miss the form is nonzero, of degree n_1/2, with no rational root.
+    n_1; for even n_1 the pfaffian form Pf(P + tQ) (by _pfaffian_form;
+    P and Q are skew by construction) is identically zero (take (1:0))
+    or has its rational roots, plus (0:1) when its degree drops.
+    Nondegeneracy makes every nonzero kernel vector a witness, so the
+    first RREF kernel vector of the integer rows at the first candidate
+    is one, read off as integers over one denominator; each is still
+    checked to give rank 1.  On a miss the form is nonzero, of degree
+    n_1/2, with no rational root.
     """
     pos1 = a.layer_positions(1)
     n = len(pos1)
@@ -286,17 +289,17 @@ def _pencil_witness(a: GNLA, ints: Ints) -> Tuple[Optional[Vector], Poly]:
     big_p, big_q = _pencil_forms(ints)
     for i in reversed(range(n)):
         if _rank_one([big_p[i], big_q[i]]):
-            return a.basis_vector(pos1[i]), ()
+            return a.basis_vector(pos1[i]), []
 
     candidates = [(1, 0)]
-    pf: Poly = ()
+    pf: List[int] = []
     if n % 2 == 0:
-        pf = _interpolated([_pfaffian(_member(big_p, big_q, 1, t))
-                            for t in range(n // 2 + 1)])
-        if any(pf):
+        pf = _pfaffian_form([_member(big_p, big_q, 1, t)
+                             for t in range(n // 2 + 1)])
+        if pf:
             candidates = [(t.denominator, t.numerator)
                           for t in _rational_roots(pf)]
-            if pf[-1] == 0:
+            if len(pf) <= n // 2:
                 candidates.append((0, 1))
     for s, t in candidates:
         coords, den = _kernel_rows(
@@ -320,19 +323,28 @@ def _member(big_p, big_q, s: int, t: int) -> List[List[int]]:
             for rp, rq in zip(big_p, big_q)]
 
 
+def _pfaffian_form(members) -> List[int]:
+    """Pf(M(t)) of integer skew rows M(t) affine in t, from its pfaffians
+    at t = 0, 1, .. (one more than its degree).  Its coefficients are
+    integers, so _interpolated's denominator divides them exactly."""
+    poly, den = _interpolated([_pfaffian(m) for m in members])
+    return [c // den for c in poly]
+
+
 def _closure_certificate(a: GNLA, ints: Ints,
-                         pf: Poly) -> Tuple[Poly, Tuple[Poly, ...]]:
+                         pf: List[int]) -> Tuple[Poly, Tuple[Poly, ...]]:
     """The algebraic witness (f, g) of a pencil algebra with no rational
-    witness, g in full coordinates, given the pfaffian form pf =
+    witness, g in full coordinates, given the integer pfaffian form pf =
     Pf(P + tQ) that _pencil_witness interpolated (no rational root).
 
     (pf, g) for the first column g of the pfaffian adjugate that
     _closure_certified accepts.  A column fails when h = gcd(pf, g) is
     not constant, as where the rank of P + tQ drops by 4; then, first
-    rejected column first, (pf/h, g/h) for h made monic (Euclid's h can
-    carry a huge scale), certified unless pf/h is constant, since
-    (P + tQ) g = pf e_i.  Some column is not: if pf divided the
-    adjugate, of determinant pf^(n_1 - 2), pf were a unit.
+    rejected column first, (pf/h, g/h) for h made monic, certified unless
+    pf/h is constant, since (P + tQ) g = pf e_i.  Some column is not: if
+    pf divided the adjugate, of determinant pf^(n_1 - 2), pf were a unit.
+    With h primitive, pf/h and g/h are exact integer quotients, and the
+    division by h made monic is one final scaling of them by lc(h).
     """
     big_p, big_q = _pencil_forms(ints)
     n = len(big_p)
@@ -342,47 +354,45 @@ def _closure_certificate(a: GNLA, ints: Ints,
         columns = []
         for i in range(n):
             columns.append(_adjugate_column(members, i))
-            yield pf, columns[-1]
+            yield 1, pf, columns[-1]
         for g in columns:
             h = functools.reduce(_poly_gcd, g, pf)
-            h = [c / h[-1] for c in h]
-            yield (_poly_divmod(pf, h)[0],
+            yield (h[-1], _poly_divmod(pf, h)[0],
                    [_poly_divmod(gj, h)[0] for gj in g])
 
-    f, g = next(c for c in candidates()
-                if _closure_certified(big_p, big_q, *c))
+    scale, f, g = next(c for c in candidates()
+                       if _closure_certified(big_p, big_q, *c[1:]))
     full: List[Poly] = [()] * a.dim
     for p, gj in zip(a.layer_positions(1), g):
-        full[p] = _trimmed(gj)
-    return _trimmed(f), tuple(full)
+        full[p] = tuple(Fraction(scale * c) for c in gj)
+    return tuple(Fraction(scale * c) for c in f), tuple(full)
 
 
-def _adjugate_column(members: List[List[List[int]]], i: int) -> List[Poly]:
+def _adjugate_column(members: Ints, i: int) -> List[List[int]]:
     """Column i of the pfaffian adjugate of P + tQ, side n_1 = 2m, from
     its integer rows at t = 0..m-1.
 
     The expansion of a pfaffian along row i gives (P + tQ) g = Pf e_i
     for g_j = (-1)^(i+j+1+[j<i]) Pf(P + tQ without rows and columns i,
     j), 0-based, and g_i = 0: row k != i expands a pfaffian with two
-    equal rows.  Each g_j has degree below m, so it is the interpolation
-    of its integer _pfaffian at the m points.
+    equal rows.  Each g_j has degree below m, so _pfaffian_form reads it
+    off the m points as an integer polynomial.
     """
     n = len(members[0])
-    g: List[Poly] = []
+    g: List[List[int]] = []
     for j in range(n):
         keep = [k for k in range(n) if k != i and k != j]
         sign = (-1) ** (i + j + 1 + (j < i))
-        g.append(() if j == i else _trimmed(_interpolated(
-            [sign * _pfaffian([[m[r][c] for c in keep] for r in keep])
-             for m in members])))
+        g.append([] if j == i else [sign * c for c in _pfaffian_form(
+            [[m[r][c] for c in keep] for r in keep] for m in members)])
     return g
 
 
 def _closure_certified(big_p, big_q, f: Sequence,
                        g: Sequence[Sequence]) -> bool:
-    """Whether (f, g), rational coefficient lists over t with constant
-    term first and g on the g_-1 coordinates, certifies a rank 1 point
-    of the nondegenerate pencil P + tQ over the closure.
+    """Whether (f, g), integer or rational coefficient lists over t with
+    constant term first and g on the g_-1 coordinates, certifies a rank
+    1 point of the nondegenerate pencil P + tQ over the closure.
 
     It does when deg f >= 1, every row of (P + tQ) g is 0 mod f, and
     gcd(f, g_1, .., g_n) = 1: at any root alpha of f, g(alpha) is then a
@@ -392,15 +402,14 @@ def _closure_certified(big_p, big_q, f: Sequence,
     top degree down to deg f, the row is scaled by lc(f) and its top
     term cancelled with a multiple of f, integers only.  A row of degree
     at most deg f, as every row of an adjugate column's certificate,
-    takes one such step.  The gcd is Euclid's over Q by _poly_gcd.
+    takes one such step.  The gcd is the integer one of _poly_gcd.
     """
-    f, g = _trimmed(f), [_trimmed(gj) for gj in g]
-    if len(f) < 2 or not any(g):
-        return False
     d = lcm(*(c.denominator for poly in (f, *g) for c in poly))
-    f_ints, *g_ints = [[c.numerator * (d // c.denominator) for c in poly]
-                       for poly in (f, *g)]
-    deg, lead = len(f) - 1, f_ints[-1]
+    f_ints, *g_ints = [_trim([c.numerator * (d // c.denominator)
+                              for c in poly]) for poly in (f, *g)]
+    if len(f_ints) < 2 or not any(g_ints):
+        return False
+    deg, lead = len(f_ints) - 1, f_ints[-1]
     width = max(deg, *map(len, g_ints)) + 1
     for rp, rq in zip(big_p, big_q):
         row = [0] * width
@@ -415,15 +424,7 @@ def _closure_certified(big_p, big_q, f: Sequence,
                     row[k] -= c * x
         if any(row):
             return False
-    return len(functools.reduce(_poly_gcd, g, f)) == 1
-
-
-def _trimmed(poly: Sequence) -> Poly:
-    """A coefficient list without its trailing zeros, as Fractions."""
-    poly = [Fraction(c) for c in poly]
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
+    return len(functools.reduce(_poly_gcd, g_ints, f_ints)) == 1
 
 
 def _rank_one(rows) -> bool:

@@ -14,9 +14,13 @@ elementary divisors E and F): one table, _BLOCKS, shapes each kind's
 template, and one writer, _pencil_pair, skew-embeds templates
 block-diagonally.  The module ends with a catalog of named
 algebras used throughout the tests and the CLI.  It imports only
-algebra and linalg, so its checkers (special_extension, _pfaffian,
-_interpolated, _poly_divmod, _poly_gcd and _rational_roots) run without the
-prolongation solver or the Groebner code.
+algebra and linalg, so its checkers (special_extension, _pfaffian and the
+univariate helpers) run without the prolongation solver or the Groebner
+code.  Those helpers hold a polynomial in t as a list of ints, constant
+term first and without trailing zeros, over one positive denominator
+where its scale matters: _interpolated, the pseudo-division
+_poly_divmod, the primitive pseudo-remainder gcd _poly_gcd and
+_rational_roots make no Fraction but the roots and det_pencil's form.
 """
 
 from __future__ import annotations
@@ -590,20 +594,22 @@ class PencilSpec(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "PencilSpec":
-        """Parse a compact block list like "M:1,F:2,E:1:a=0"."""
+        """Parse a compact block list like "M:1,F:2,E:1:a=0".  An error
+        quotes the token at fault, cut to its first 40 characters."""
         blocks = []
         for token in text.split(","):
             token = token.strip()
             if not token:
                 continue
+            cut = token if len(token) <= 40 else token[:40] + "..."
             parts = token.split(":")
             kind = parts[0].strip().upper()
             if kind not in ("M", "E", "F") or len(parts) < 2:
-                raise ValueError("bad pencil block %r" % token)
+                raise ValueError("bad pencil block %r" % cut)
             try:
                 size = int(parts[1])
             except ValueError:
-                raise ValueError("bad block size in %r" % token) from None
+                raise ValueError("bad block size in %r" % cut) from None
             if kind == "E":
                 a = Fraction(0)
                 if len(parts) == 3:
@@ -611,18 +617,18 @@ class PencilSpec(Frozen):
                     # the .alg numeral only: Fraction also takes 1e999999999
                     if not (tail.startswith("a=")
                             and _NUMERAL_RE.fullmatch(tail[2:])):
-                        raise ValueError("bad E parameter in %r" % token)
+                        raise ValueError("bad E parameter in %r" % cut)
                     try:
                         a = Fraction(tail[2:])
                     except (ValueError, ZeroDivisionError):
-                        raise ValueError(
-                            "bad E parameter in %r" % token) from None
+                        raise ValueError("bad E parameter in %r"
+                                         % cut) from None
                 elif len(parts) > 3:
-                    raise ValueError("bad pencil block %r" % token)
+                    raise ValueError("bad pencil block %r" % cut)
                 blocks.append(("E", (size, a)))
             else:
                 if len(parts) != 2:
-                    raise ValueError("bad pencil block %r" % token)
+                    raise ValueError("bad pencil block %r" % cut)
                 blocks.append((kind, size))
         if not blocks:
             raise ValueError("empty pencil specification")
@@ -752,108 +758,105 @@ class PencilForm(Frozen):
     rational_roots: Tuple[Tuple[Fraction, Fraction], ...]
 
 
-def _interpolated(values: Sequence) -> Tuple[Fraction, ...]:
-    """The coefficients, constant term first, of the polynomial of degree
-    below len(values) that takes values[t] at t = 0, 1, ...
+def _trim(f: List[int]) -> List[int]:
+    """f with its trailing zeros popped in place."""
+    while f and not f[-1]:
+        f.pop()
+    return f
 
-    Newton's forward differences on integers: over the lcm d of the
-    values' denominators the differences D_k of d values are integers,
-    and with L = (m - 1)!, L d p(t) = sum_k D_k (L / k!) t (t - 1) ...
-    (t - k + 1) expands, Horner-style from the top, to integer monomial
-    coefficients, each made a Fraction over L d once.
+
+def _primitive(f: Sequence[int]) -> List[int]:
+    """A nonzero f over its positive content, so every sign is kept."""
+    c = gcd(*f)
+    return [x // c for x in f]
+
+
+def _interpolated(values: Sequence[int]) -> Tuple[List[int], int]:
+    """(poly, den): the polynomial of degree below m = len(values) that
+    takes the integer values[t] at t = 0..m-1, over den = (m - 1)!.
+
+    Newton's forward differences D_k of the values are integers, and
+    den p(t) = sum_k D_k (den / k!) t (t - 1) ... (t - k + 1) expands,
+    Horner-style from the top, to integer monomial coefficients.
     """
-    m = len(values)
-    if not m:
-        return ()
-    values = [frac(v) for v in values]
-    d = lcm(*(v.denominator for v in values))
-    diffs = [v.numerator * (d // v.denominator) for v in values]
-    newton = []
-    for k in range(m):
+    newton, diffs = [], list(values)
+    while diffs:
         newton.append(diffs[0])
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    big_l = factorial(m - 1)
-    # q_k = D_k L / k! + (t - k) q_{k+1}, from k = m - 1 down to 0
+    big_l = factorial(max(len(values) - 1, 0))
+    # q_k = D_k den / k! + (t - k) q_{k+1}, from k = m - 1 down to 0
     poly: List[int] = []
-    for k in reversed(range(m)):
+    for k in reversed(range(len(values))):
         shifted = [0] + poly
         for i, c in enumerate(poly):
             shifted[i] -= k * c
         shifted[0] += newton[k] * (big_l // factorial(k))
         poly = shifted
-    den = big_l * d
-    return tuple(Fraction(c, den) for c in poly)
+    return _trim(poly), big_l
 
 
-def _poly_divmod(f: Sequence, g: Sequence):
-    """Quotient and remainder of coefficient lists, constant term first,
-    as Fractions; g has a nonzero last entry and the remainder no
-    trailing zeros."""
-    f = [Fraction(c) for c in f]
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(f) >= len(g):
-        c = f[-1] / g[-1]
-        shift = len(f) - len(g)
+def _poly_divmod(f: Sequence[int], g: Sequence[int]):
+    """Integer pseudo-division by g != 0: (q, r) with s f = q g + r, deg r
+    < deg g and s > 0, since a step whose top term lc(g) does not divide
+    first scales r and q by |lc(g)|; r has the signs of the remainder
+    over Q.  Where g is primitive and divides f, s = 1 (Gauss's lemma)."""
+    r, lead = list(f), g[-1]
+    q = [0] * max(len(r) - len(g) + 1, 0)
+    while len(r) >= len(g):
+        if r[-1] % lead:
+            r, q = [abs(lead) * c for c in r], [abs(lead) * c for c in q]
+        c, shift = r[-1] // lead, len(r) - len(g)
         q[shift] = c
         for k, x in enumerate(g):
-            f[shift + k] -= c * x
-        while f and f[-1] == 0:
-            f.pop()
-    return q, f
+            r[shift + k] -= c * x
+        _trim(r)
+    return q, r
 
 
-def _poly_gcd(f: Sequence, g: Sequence) -> Sequence:
-    """A greatest common divisor of coefficient lists, constant term
-    first and without trailing zeros, f nonzero: the last nonzero
-    Euclidean remainder."""
+def _poly_gcd(f: Sequence[int], g: Sequence[int]) -> List[int]:
+    """A primitive gcd of integer polynomials, f nonzero: the last term of
+    the primitive pseudo-remainder sequence (Collins, J. ACM 14, 1967;
+    Knuth, TAOCP 2, 4.6.1), each an associate of Euclid's remainder."""
+    f = _primitive(f)
     while g:
+        g = _primitive(g)
         f, g = g, _poly_divmod(f, g)[1]
     return f
 
 
-def _poly_value(f: Sequence, x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _poly_value(f: Sequence[int], p: int, q: int) -> int:
+    """q^deg(f) f(p/q) for q > 0: of the sign of f(p/q), zero at a root."""
+    out, power = 0, 1
     for c in reversed(f):
-        out = out * x + c
+        out, power = out * p + c * power, power * q
     return out
 
 
-def _sign_changes(seq: Sequence[Sequence], x: Fraction) -> int:
-    signs = [v > 0 for v in (_poly_value(f, x) for f in seq) if v]
-    return sum(1 for u, w in zip(signs, signs[1:]) if u != w)
+def _rational_roots(coeffs: Sequence[int]) -> List[Fraction]:
+    """The distinct rational roots, increasing, of the nonzero integer
+    polynomial sum coeffs[k] t^k, found without factoring an integer.
 
-
-def _rational_roots(coeffs: Sequence) -> List[Fraction]:
-    """The distinct rational roots, increasing, of the nonzero polynomial
-    sum coeffs[k] t^k with rational coefficients, found without
-    factoring an integer.
-
-    A root 0 is read off the low coefficients, and the rest is scaled to
-    a primitive integer polynomial.  Up to degree 2 the roots come from
-    math.isqrt of the discriminant.  Past it, the real roots of the
-    squarefree part f are isolated exactly by a Sturm sequence, and each
-    isolating interval is bisected below width 1/(2 lc^2), lc the
-    leading coefficient of f.  A rational root p/q of f has q | lc, and
-    two fractions with denominators at most |lc| lie 1/lc^2 apart or
-    more, so limit_denominator(|lc|) of the midpoint is the only
-    candidate and one exact evaluation decides it.
+    A root 0 is read off the low coefficients, and the rest made
+    squarefree (divided exactly by its primitive gcd with its
+    derivative) and primitive, f.  Up to degree 2 the roots come from
+    math.isqrt of the discriminant.  Past it, a Sturm sequence of integer
+    pseudo-remainders, read at dyadic points, isolates the real roots of
+    f, and each interval is bisected below width 1/(2 lc^2), lc = lc(f).
+    A rational root p/q of f has q | lc, and two fractions with
+    denominators at most |lc| lie 1/lc^2 apart or more, so
+    limit_denominator(|lc|) of the midpoint is the only candidate and
+    one exact evaluation decides it.
     """
-    f = [Fraction(c) for c in coeffs]
-    while f and f[-1] == 0:
-        f.pop()
+    f = _trim(list(coeffs))
     if not f:
         raise ValueError("the zero polynomial vanishes everywhere")
     low = next(k for k, c in enumerate(f) if c)
     roots = [Fraction(0)] if low else []
     f = f[low:]
     if len(f) > 3:
-        # divide out gcd(f, f')
         derivative = [k * c for k, c in enumerate(f)][1:]
         f = _poly_divmod(f, _poly_gcd(f, derivative))[0]
-    den = lcm(*(c.denominator for c in f))
-    f = [c.numerator * (den // c.denominator) for c in f]
-    content = gcd(*f)
-    f = [c // content for c in f]
+    f = _primitive(f)
     if len(f) == 2:
         roots.append(Fraction(-f[0], f[1]))
     elif len(f) == 3:
@@ -862,73 +865,66 @@ def _rational_roots(coeffs: Sequence) -> List[Fraction]:
         s = isqrt(disc) if disc >= 0 else -1
         if s * s == disc:
             roots += {Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)}
-    elif len(f) > 3:
-        roots += _isolated_rational_roots(f)
-    return sorted(set(roots))
-
-
-def _isolated_rational_roots(f: List[int]) -> List[Fraction]:
-    """The rational roots of a squarefree integer polynomial of degree 3
-    or more, by Sturm isolation and bisection (see _rational_roots)."""
+    if len(f) < 4:
+        return sorted(set(roots))
+    # f is squarefree, so its Sturm sequence ends in a nonzero constant
     seq = [f, [k * c for k, c in enumerate(f)][1:]]
-    while True:
-        r = _poly_divmod(seq[-2], seq[-1])[1]
-        if not r:
-            break
-        seq.append([-c for c in r])
+    while len(seq[-1]) > 1:
+        seq.append(_primitive([-c for c in _poly_divmod(*seq[-2:])[1]]))
+
+    def changes(p: int, q: int) -> int:
+        signs = [v > 0 for v in (_poly_value(s, p, q) for s in seq) if v]
+        return sum(1 for u, w in zip(signs, signs[1:]) if u != w)
+
     lc = abs(f[-1])
     # Cauchy: every root lies strictly inside (-bound, bound)
-    bound = Fraction(2 + max(abs(c) for c in f[:-1]) // lc)
-    width = Fraction(1, 2 * lc * lc)
-    roots = []
-    # (lo, hi, changes at lo, changes at hi): the interval (lo, hi] holds
-    # exactly changes(lo) - changes(hi) distinct roots
-    todo = [(-bound, bound, _sign_changes(seq, -bound),
-             _sign_changes(seq, bound))]
+    bound = 2 + max(abs(c) for c in f[:-1]) // lc
+    # (lo, hi, k, changes at lo, changes at hi): the interval (lo/2^k,
+    # hi/2^k] holds exactly changes(lo) - changes(hi) distinct roots
+    todo = [(-bound, bound, 0, changes(-bound, 1), changes(bound, 1))]
     while todo:
-        lo, hi, vlo, vhi = todo.pop()
+        lo, hi, k, vlo, vhi = todo.pop()
         if vlo == vhi:
             continue
-        mid = (lo + hi) / 2
-        if vlo - vhi == 1 and hi - lo < width:
-            x = mid.limit_denominator(lc)
-            if _poly_value(f, x) == 0:
+        # the midpoint is (lo + hi) / 2^(k + 1)
+        if vlo - vhi == 1 and 2 * lc * lc * (hi - lo) < 1 << k:
+            x = Fraction(lo + hi, 1 << (k + 1)).limit_denominator(lc)
+            if _poly_value(f, x.numerator, x.denominator) == 0:
                 roots.append(x)
             continue
-        vmid = _sign_changes(seq, mid)
-        todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-    return roots
+        vmid = changes(lo + hi, 1 << (k + 1))
+        todo += [(2 * lo, lo + hi, k + 1, vlo, vmid),
+                 (lo + hi, 2 * hi, k + 1, vmid, vhi)]
+    # a candidate may be the root of a neighbouring interval, found twice
+    return sorted(set(roots))
 
 
 def det_pencil(b1: Matrix, b2: Matrix) -> PencilForm:
     """Exact coefficients of det(l1 B1 + l2 B2) plus its rational roots.
 
-    The form is recovered by interpolation at l1 = 1, l2 = 0..n, from
-    integer determinants and integer differences; roots come from
-    _rational_roots of the dehomogenized polynomial, with (0, 1)
-    appended when l1 divides the form.
+    Over the common denominator den of B1 and B2, det(B1 + t B2) = det(P
+    + t Q) / den^n for integer P and Q, interpolated at t = 0..n from
+    integer determinants; roots come from _rational_roots of that integer
+    polynomial, with (0, 1) appended when l1 divides the form.
     """
     n = b1.nrows
     if (b1.nrows, b1.ncols) != (b2.nrows, b2.ncols) or b1.nrows != b1.ncols:
         raise ValueError("pencil matrices must be square of one side")
-    # over one common denominator den, det(B1 + t B2) is
-    # det(P + t Q) / den^n for the integer matrices P = den B1, Q = den B2
     den = lcm(*(x.denominator for m in (b1, b2) for row in m.rows
                 for x in row))
     int1, int2 = ([[x.numerator * (den // x.denominator) for x in row]
                    for row in m.rows] for m in (b1, b2))
-    dets = [_det([[x + t * y for x, y in zip(r1, r2)]
-                  for r1, r2 in zip(int1, int2)]) / den ** n
-            for t in range(n + 1)]
-    coeffs = _interpolated(dets)
-    if all(c == 0 for c in coeffs):
-        return PencilForm(side=n, coefficients=coeffs,
-                          identically_zero=True, rational_roots=())
-    roots = [(Fraction(1), t) for t in _rational_roots(coeffs)]
-    if coeffs[-1] == 0:
+    poly, big_l = _interpolated([int(_det([[x + t * y for x, y in zip(r1, r2)]
+                                           for r1, r2 in zip(int1, int2)]))
+                                 for t in range(n + 1)])
+    scale = big_l * den ** n
+    coeffs = tuple(Fraction(c, scale) for c in poly)
+    coeffs += (Fraction(0),) * (n + 1 - len(poly))
+    roots = [(Fraction(1), t) for t in _rational_roots(poly)] if poly else []
+    if 0 < len(poly) <= n:
         roots.append((Fraction(0), Fraction(1)))
-    return PencilForm(side=n, coefficients=coeffs,
-                      identically_zero=False, rational_roots=tuple(roots))
+    return PencilForm(side=n, coefficients=coeffs, identically_zero=not poly,
+                      rational_roots=tuple(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -1029,8 +1025,9 @@ def catalog(name: str, **params) -> GNLA:
     nontrivial6, free2step3, kgen (k >= 3), and from_pencil with a
     blocks specification (a PencilSpec or a string like "M:1,F:2").
     _FAMILIES types each value, so text is enough, as the CLI passes
-    it: a sized family reads its size with int(), and a value that is no
-    integer is a ValueError naming the family and the parameter.
+    it: a sized family takes an int or integer text (read with int()),
+    and any other value, a bool or a float included, is a ValueError
+    naming the family and the parameter.
     """
     if name not in _FAMILIES:
         raise ValueError("unknown catalog name %r" % name)
@@ -1045,11 +1042,13 @@ def catalog(name: str, **params) -> GNLA:
         raise ValueError("missing parameter %r for %s" % (key, name))
     value = params[key]
     if extra is not None:
-        try:
-            value = int(value)
-        except (TypeError, ValueError):
-            raise ValueError("%s: %s must be an integer"
-                             % (name, key)) from None
+        if isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                value = None
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError("%s: %s must be an integer" % (name, key))
         if value + extra > _MAX_DIM:
             raise ValueError("%s: %s too large, more than %d basis vectors"
                              % (name, key, _MAX_DIM))

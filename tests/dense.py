@@ -14,6 +14,13 @@ polynomial's value at a point), reference_pencil_block (one canonical
 skew pencil block) and h0_closed_form (dim h0 and a rank 1 element of
 h0 for a single M or F block).
 
+The univariate helpers as gnla wrote them over Fractions, before a
+polynomial in t became an integer list, are kept here too:
+reference_interpolated (one Vandermonde solve), reference_trimmed,
+reference_poly_divmod (division over Q),
+reference_poly_gcd (Euclid over Q), reference_poly_value and
+reference_rational_roots (Sturm isolation on Fraction points).
+
 The decomposition round trip as gnla built it before its structure
 constants became an integer table is kept here too: bracket sums dense
 Fraction vectors over the Fraction view of the table, change_basis maps
@@ -23,8 +30,9 @@ package's former Fraction builders on top of them.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
-from gnla import GNLA, Matrix, Subspace
+from gnla import GNLA, Matrix, Subspace, solve
 from gnla.algebra import _jacobi_failures
 from gnla.certifier import DecompositionResult, WitnessInvalid, _moved_transversal
 from gnla.constructions import (
@@ -382,3 +390,110 @@ def h0_closed_form(kind, param):
     unit = Matrix([[int((i, j) == (0, side - 1)) for j in range(side)]
                    for i in range(side)])
     return dim, unit
+
+
+def reference_interpolated(values):
+    """The interpolation coefficients by one Vandermonde solve, as gnla
+    computed them before Newton's differences.  An oracle only."""
+    m = len(values)
+    vrows = [[Fraction(t) ** k for k in range(m)] for t in range(m)]
+    return tuple(solve(Matrix(vrows), values))
+
+
+def reference_trimmed(poly):
+    """A coefficient list without its trailing zeros, as Fractions."""
+    poly = [Fraction(c) for c in poly]
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return tuple(poly)
+
+
+def reference_poly_divmod(f, g):
+    """Quotient and remainder over Q of coefficient lists, constant term
+    first; g has a nonzero last entry and the remainder no trailing
+    zeros."""
+    f = [Fraction(c) for c in f]
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g):
+        c = f[-1] / g[-1]
+        shift = len(f) - len(g)
+        q[shift] = c
+        for k, x in enumerate(g):
+            f[shift + k] -= c * x
+        while f and f[-1] == 0:
+            f.pop()
+    return q, f
+
+
+def reference_poly_gcd(f, g):
+    """A gcd over Q, f nonzero: the last nonzero Euclidean remainder."""
+    while g:
+        f, g = g, reference_poly_divmod(f, g)[1]
+    return f
+
+
+def reference_poly_value(f, x):
+    out = Fraction(0)
+    for c in reversed(f):
+        out = out * x + c
+    return out
+
+
+def _reference_sign_changes(seq, x):
+    signs = [v > 0 for v in (reference_poly_value(f, x) for f in seq) if v]
+    return sum(1 for u, w in zip(signs, signs[1:]) if u != w)
+
+
+def reference_rational_roots(coeffs):
+    """The distinct rational roots, increasing, of a nonzero polynomial
+    with rational coefficients: a root 0 off the low coefficients, the
+    squarefree part by Euclid over Q, scaled to a primitive integer
+    polynomial, isqrt up to degree 2, and past it Sturm isolation with
+    Fraction points and limit_denominator(|lc|) of each narrow
+    interval's midpoint."""
+    f = list(reference_trimmed(coeffs))
+    if not f:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    low = next(k for k, c in enumerate(f) if c)
+    roots = [Fraction(0)] if low else []
+    f = f[low:]
+    if len(f) > 3:
+        derivative = [k * c for k, c in enumerate(f)][1:]
+        f = reference_poly_divmod(f, reference_poly_gcd(f, derivative))[0]
+    den = lcm(*(c.denominator for c in f))
+    f = [c.numerator * (den // c.denominator) for c in f]
+    content = gcd(*f)
+    f = [c // content for c in f]
+    if len(f) == 2:
+        roots.append(Fraction(-f[0], f[1]))
+    elif len(f) == 3:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:
+            roots += {Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)}
+    elif len(f) > 3:
+        seq = [f, [k * c for k, c in enumerate(f)][1:]]
+        while True:
+            r = reference_poly_divmod(seq[-2], seq[-1])[1]
+            if not r:
+                break
+            seq.append([-c for c in r])
+        lc = abs(f[-1])
+        bound = Fraction(2 + max(abs(c) for c in f[:-1]) // lc)
+        width = Fraction(1, 2 * lc * lc)
+        todo = [(-bound, bound, _reference_sign_changes(seq, -bound),
+                 _reference_sign_changes(seq, bound))]
+        while todo:
+            lo, hi, vlo, vhi = todo.pop()
+            if vlo == vhi:
+                continue
+            mid = (lo + hi) / 2
+            if vlo - vhi == 1 and hi - lo < width:
+                x = mid.limit_denominator(lc)
+                if reference_poly_value(f, x) == 0:
+                    roots.append(x)
+                continue
+            vmid = _reference_sign_changes(seq, mid)
+            todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(set(roots))

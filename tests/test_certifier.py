@@ -22,6 +22,12 @@ from cases import (
 from dense import decompose_special_extension as dense_decompose_special_extension
 from dense import special_extension as dense_special_extension
 from dense import from_columns, identity, intersect, reference_evaluate
+from dense import (
+    reference_interpolated,
+    reference_poly_divmod,
+    reference_poly_gcd,
+    reference_trimmed,
+)
 from gnla import (
     GNLA,
     Cochain2,
@@ -46,6 +52,7 @@ from gnla import (
     metabelian_from_pencil,
     minor_ideal,
     only_trivial_zero,
+    parse_algebra,
     rank1_derivation_from_witness,
     rank1_witness,
     run,
@@ -69,7 +76,7 @@ from gnla.certifier import (
     _pencil_witness,
     _span_point,
 )
-from gnla.constructions import _module_covector, _poly_gcd
+from gnla.constructions import _module_covector, _pfaffian, _poly_gcd
 from test_algebra import (
     random_homogeneous_basis,
     reference_layer,
@@ -592,7 +599,7 @@ def test_pfaffian_square_is_certified_by_the_divided_adjugate_column():
     assert sympy.expand((big_b1 + t * big_b2).det() - (1 + t ** 2) ** 4) == 0
     span = _degree1_span(a)
     w, pf = _pencil_witness(a, span[1])
-    assert w is None and pf in ((1, 0, 2, 0, 1), (-1, 0, -2, 0, -1))
+    assert w is None and tuple(pf) in ((1, 0, 2, 0, 1), (-1, 0, -2, 0, -1))
     big_p, big_q = _pencil_forms(span[1])
     members = [_member(big_p, big_q, 1, k) for k in range(4)]
     assert not any(_closure_certified(big_p, big_q, pf,
@@ -623,7 +630,8 @@ def test_an_undivided_column_wins_over_an_earlier_divided_one():
     the pfaffian form, while the second coordinate is nonzero on every
     kernel and column 1 passes undivided.  The certificate is column 1
     with the whole pfaffian form, not column 0 divided: a column that
-    passes undivided is taken first."""
+    passes undivided is taken first.  The pfaffian form and the columns
+    are integer polynomials, read here through their Fraction view."""
     a = block_pencil([companion_block(0, 1), companion_block(1, 1)])
     vecs = [tuple(Fraction(int(k == 0) - int(k == 4)) for k in range(a.dim))]
     vecs += [a.basis_vector(p) for p in (4, 2, 3, 1, 5, 6, 7, 8, 9)]
@@ -639,8 +647,9 @@ def test_an_undivided_column_wins_over_an_earlier_divided_one():
     assert _closure_certified(big_p, big_q, pf, col1)
     v = classify(b)
     pos1 = b.layer_positions(1)
-    assert v.algebraic_witness[0] == pf
-    assert [v.algebraic_witness[1][p] for p in pos1] == col1
+    assert v.algebraic_witness[0] == tuple(map(Fraction, pf))
+    assert ([v.algebraic_witness[1][p] for p in pos1]
+            == [tuple(map(Fraction, gj)) for gj in col1])
     assert sympy_certificate_holds(b, v.algebraic_witness)
 
 
@@ -675,6 +684,87 @@ def test_closure_certificate_check_scales_g_over_one_denominator():
             mixed += len({lcm(*(c.denominator for c in gj))
                           for gj in scaled}) > 1
     assert mixed > 0
+
+
+# the CI step "Metabelian closure without Groebner": diag(B, B), whose
+# pfaffian form is (1 + t^2)^2
+SQUARE_PENCIL = """algebra square_pencil
+basis X1:-1 X2:-1 X3:-1 X4:-1 X5:-1 X6:-1 X7:-1 X8:-1 W1:-2 W2:-2
+bracket [X1,X2] = 1 W1
+bracket [X1,X3] = 1 W2
+bracket [X2,X4] = -1 W2
+bracket [X3,X4] = 1 W1
+bracket [X5,X6] = 1 W1
+bracket [X5,X7] = 1 W2
+bracket [X6,X8] = -1 W2
+bracket [X7,X8] = 1 W1
+"""
+
+
+def reference_closure_certificate(a):
+    """The certificate as gnla chose it over Fractions: the pfaffian form
+    and every adjugate column interpolated by the Vandermonde reference
+    from integer pfaffians; candidates each column with the whole form,
+    then each column and the form divided by their monic Euclidean gcd
+    over Q; the first that _closure_certified accepts."""
+    big_p, big_q = _pencil_forms(_degree1_span(a)[1])
+    n = len(big_p)
+
+    def form(mats):
+        return list(reference_trimmed(reference_interpolated(
+            [_pfaffian(m) for m in mats])))
+
+    pf = form([_member(big_p, big_q, 1, t) for t in range(n // 2 + 1)])
+    members = [_member(big_p, big_q, 1, t) for t in range(n // 2)]
+    columns = []
+    for i in range(n):
+        g = []
+        for j in range(n):
+            keep = [k for k in range(n) if k not in (i, j)]
+            sign = (-1) ** (i + j + 1 + (j < i))
+            g.append([] if j == i else [sign * c for c in form(
+                [[m[r][c] for c in keep] for r in keep] for m in members)])
+        columns.append(g)
+    candidates = [(pf, g) for g in columns]
+    for g in columns:
+        h = functools.reduce(reference_poly_gcd, g, pf)
+        h = [c / h[-1] for c in h]
+        candidates.append((reference_poly_divmod(pf, h)[0],
+                           [reference_poly_divmod(gj, h)[0] for gj in g]))
+    f, g = next(c for c in candidates if _closure_certified(big_p, big_q, *c))
+    full = [()] * a.dim
+    for p, gj in zip(a.layer_positions(1), g):
+        full[p] = reference_trimmed(gj)
+    return reference_trimmed(f), tuple(full)
+
+
+def test_closure_certificate_values_are_pinned():
+    """The values of the certificate, not only its validity:
+    closure_example's (f, g) and the square pencil's, as literals, both
+    as Fraction tuples; and on closure_example, the square pencil, every
+    pencil of block_sum_pencils and seeded pencils with n_1 = 4, 6, 8,
+    the certificate equals, in value and repr, the one the Fraction
+    references choose, which sympy accepts."""
+    def fr(*cs):
+        return tuple(Fraction(c) for c in cs)
+
+    a = closure_example()
+    assert classify(a).algebraic_witness == (
+        fr(3, 33, 20), ((), fr(2, 3), fr(-2, -3), fr(3, -2), (), ()))
+    square = parse_algebra(SQUARE_PENCIL)
+    assert classify(square, degree_cap=0).algebraic_witness == (
+        fr(1, 0, 1), ((), fr(1), fr(0, 1)) + ((),) * 7)
+    rng = random.Random(3319)
+    seeded = []
+    while len(seeded) < 8:
+        b = random_two_step(rng, (4, 6, 8)[len(seeded) % 3])
+        if classify(b).certificate == "closure":
+            seeded.append(b)
+    for b in [a, square] + block_sum_pencils() + seeded:
+        got = classify(b, degree_cap=0).algebraic_witness
+        want = reference_closure_certificate(b)
+        assert got == want and repr(got) == repr(want), b.name
+        assert sympy_certificate_holds(b, got), b.name
 
 
 def test_closure_certificate_check_reduces_rows_above_deg_f():

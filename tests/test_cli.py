@@ -408,6 +408,26 @@ def test_non_integer_catalog_size_names_the_family_and_parameter(capsys):
         catalog("goursat", n=None)
 
 
+def test_an_oversized_pencil_block_is_echoed_cut(capsys):
+    """A block token that int() or Fraction refuses, 5000 digits long,
+    is one short gnla: line that quotes the token's first 40 characters,
+    through pencil and through catalog from_pencil, with exit 2.  A short
+    token is quoted whole."""
+    huge = "9" * 5000
+    for token, message in (
+            ("M:" + huge, "bad block size in %r" % ("M:" + "9" * 38 + "...")),
+            ("Q:" + huge, "bad pencil block %r" % ("Q:" + "9" * 38 + "...")),
+            ("E:1:a=" + huge,
+             "bad E parameter in %r" % ("E:1:a=" + "9" * 34 + "...")),
+            ("M:x", "bad block size in 'M:x'")):
+        for argv in (["pencil", "--blocks", token],
+                     ["catalog", "from_pencil", "--param", "blocks=" + token]):
+            assert run(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "gnla: %s\n" % message, argv
+
+
 def test_huge_catalog_and_pencil_sizes_are_prompt_located_errors(capsys):
     """A catalog family or a pencil whose algebra would have more than
     256 basis vectors is refused before anything is built, so the run

@@ -2,7 +2,7 @@ import random
 import signal
 import warnings
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -10,12 +10,20 @@ import sympy
 from cases import (
     PENCIL_BLOCKS,
     catalog_algebras,
+    fraction_constructions,
     random_two_step,
     signed_permutation,
     witness_cases,
 )
 from dense import special_extension as dense_special_extension
 from dense import h0_closed_form, identity, reference_pencil_block
+from dense import (
+    reference_interpolated,
+    reference_poly_divmod,
+    reference_poly_gcd,
+    reference_rational_roots,
+    reference_trimmed,
+)
 from gnla import (
     CATALOG_NAMES,
     Cochain2,
@@ -59,6 +67,10 @@ from gnla.constructions import (
     _differential,
     _module_covector,
     _pencil_pair,
+    _poly_divmod,
+    _poly_gcd,
+    _poly_value,
+    _rational_roots,
     _slots,
     _template,
 )
@@ -912,18 +924,13 @@ def reference_det_pencil(b1, b2):
     return tuple(solve(Matrix(vrows), dets))
 
 
-def reference_interpolated(values):
-    """The interpolation coefficients by one Vandermonde solve, as gnla
-    computed them before Newton's differences.  An oracle only."""
-    m = len(values)
-    vrows = [[Fraction(t) ** k for k in range(m)] for t in range(m)]
-    return tuple(solve(Matrix(vrows), values))
-
-
 def test_interpolated_matches_vandermonde_solve():
     """Fraction values with distinct denominators, all-zero values, int
     values, every length from 1 to 12, and the pfaffian values
-    Pf(B1 + t B2), t = 0..side/2, of every catalog pencil."""
+    Pf(B1 + t B2), t = 0..side/2, of every catalog pencil.  _interpolated
+    takes integers, so each case goes in over the lcm d of its
+    denominators, and the Fraction view of (poly, den) over d, padded
+    with zeros to the length of the values, is the solve's answer."""
     rng = random.Random(619)
     cases = [[Fraction(0)] * m for m in range(1, 13)]
     for m in range(1, 13):
@@ -937,10 +944,15 @@ def test_interpolated_matches_vandermonde_solve():
         cases.append([pfaffian(b1 + b2.scale(t))
                       for t in range(b1.nrows // 2 + 1)])
     for values in cases:
-        got = _interpolated(values)
-        assert got == reference_interpolated(values), values
-        assert all(type(c) is Fraction for c in got)
-    assert _interpolated([]) == reference_interpolated([]) == ()
+        d = lcm(*(Fraction(v).denominator for v in values))
+        poly, den = _interpolated([int(v * d) for v in values])
+        assert all(type(c) is int for c in poly) and den > 0
+        assert not poly or poly[-1], values
+        view = [Fraction(c, den * d) for c in poly]
+        view += [0] * (len(values) - len(poly))
+        assert tuple(view) == reference_interpolated(values), values
+    assert _interpolated([]) == ([], 1)
+    assert reference_interpolated([]) == ()
 
 
 def test_det_pencil_matches_reference_composition():
@@ -1028,6 +1040,155 @@ def test_rational_roots_match_sympy():
     assert constructions._rational_roots([5]) == []
     with pytest.raises(ValueError):
         constructions._rational_roots([0, 0])
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def planted_factor(rng):
+    """One integer factor, constant term first: a linear factor d t - n
+    (a rational root n/d, 0 among them), an irreducible quadratic with
+    real or complex roots, or an irreducible cubic t^3 - p."""
+    kind = rng.choice(("linear", "linear", "zero", "real", "complex",
+                       "cubic"))
+    if kind == "linear":
+        return [-rng.randint(-9, 9), rng.randint(1, 6)]
+    if kind == "zero":
+        return [0, 1]
+    if kind == "real":
+        return [-rng.choice((2, 3, 5, 7)), 0, 1]
+    if kind == "complex":
+        return [rng.randint(1, 5), rng.randint(-1, 1), 1]
+    return [-rng.choice((2, 3, 5)), 0, 0, rng.choice((1, 1, 2))]
+
+
+def planted_polynomial(rng, factors):
+    """The product of factors planted factors, each squared with
+    probability 1/4, times a seeded integer scale."""
+    f = [rng.choice((1, -1, 2, -3, 6))]
+    for _ in range(factors):
+        factor = planted_factor(rng)
+        f = poly_mul(f, factor)
+        if rng.random() < 0.25:
+            f = poly_mul(f, factor)
+    return f
+
+
+def planted_pairs(seed, count=150):
+    """Seeded (f, g) with a planted common factor (sometimes constant),
+    degrees up to about 12: repeated factors, rational and zero roots,
+    irreducible quadratics and cubics."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        common = planted_polynomial(rng, rng.randint(0, 2))
+        f = poly_mul(planted_polynomial(rng, rng.randint(1, 3)), common)
+        g = poly_mul(planted_polynomial(rng, rng.randint(0, 2)), common)
+        pairs.append((f, g))
+    return pairs
+
+
+def as_sympy(coeffs, t):
+    return sympy.Poly(sum(sympy.Integer(c) * t ** k
+                          for k, c in enumerate(coeffs)), t, domain="QQ")
+
+
+def test_integer_polynomial_helpers_match_sympy():
+    """On seeded integer polynomials with planted factors: _poly_gcd is a
+    primitive associate of sympy's gcd (same degree, so the same answer
+    to coprimality); _poly_divmod by it is exact with remainder []; the
+    pseudo-division by any g gives s f = q g + r with s a positive power
+    of |lc(g)| and r s times sympy's remainder; _interpolated at
+    t = 0..m-1 gives the polynomial over its denominator, also for values
+    that no integer polynomial takes; and _rational_roots are sympy's
+    rational roots.  Every path is met: squarefree parts of degree 3 and
+    more (Sturm), repeated factors, planted rational roots and the root
+    0."""
+    t = sympy.Symbol("t")
+    rng = random.Random(3307)
+    seen = {"sturm": 0, "repeated": 0, "rooted": 0, "zero": 0, "coprime": 0}
+    for f, g in planted_pairs(3301):
+        sf, sg = as_sympy(f, t), as_sympy(g, t)
+        want = sympy.gcd(sf, sg)
+        h = _poly_gcd(f, g)
+        assert all(type(c) is int for c in h) and h[-1] != 0
+        assert gcd(*h) == 1 and as_sympy(h, t).monic() == want.monic()
+        seen["coprime"] += len(h) == 1
+        for u in (f, g):
+            q, r = _poly_divmod(u, h)
+            assert r == [] and as_sympy(q, t) * as_sympy(h, t) == as_sympy(
+                u, t)
+        q, r = _poly_divmod(f, g)
+        assert len(r) < len(g) and (not r or r[-1] != 0)
+        lhs = as_sympy(q, t) * sg + as_sympy(r, t)
+        scale = lhs.LC() / sf.LC()
+        assert scale > 0 and lhs == sf * scale
+        assert as_sympy(r, t) == sf.rem(sg) * scale
+        power = scale
+        while power != 1:
+            assert power % abs(g[-1]) == 0, (f, g)
+            power /= abs(g[-1])
+        roots = _rational_roots(f)
+        assert roots == sympy_rational_roots(f), f
+        seen["sturm"] += sf.sqf_part().degree() >= 3
+        seen["repeated"] += sf.sqf_part().degree() < sf.degree()
+        seen["rooted"] += any(roots)
+        seen["zero"] += Fraction(0) in roots
+        m = rng.randint(1, 9)
+        values = ([_poly_value(f, x, 1) for x in range(m)]
+                  if len(f) <= m else
+                  [rng.randint(-10 ** 6, 10 ** 6) for _ in range(m)])
+        poly, den = _interpolated(values)
+        want = sympy.Poly(sympy.interpolate(list(enumerate(values)), t)
+                          if m > 1 else values[0], t, domain="QQ")
+        assert as_sympy(poly, t) * sympy.Rational(1, den) == want
+        if len(f) <= m:
+            assert [Fraction(c, den) for c in poly] == f
+    assert min(seen.values()) >= 10, seen
+
+
+def test_integer_polynomial_helpers_match_the_fraction_references():
+    """The integer helpers against the Fraction bodies they replaced (the
+    references of tests/dense.py), on the planted pairs: the same
+    rational roots, a gcd of the same monic form, the same exact
+    quotient, a pseudo-remainder that is a positive multiple of the
+    remainder over Q, and the same interpolation; _poly_gcd,
+    _poly_divmod, _interpolated and _poly_value make no Fraction."""
+    sturm = 0
+    for f, g in planted_pairs(3311):
+        assert _rational_roots(f) == reference_rational_roots(f), f
+        sturm += len(f) > 4
+        h = _poly_gcd(f, g)
+        want = reference_poly_gcd(f, g)
+        assert (reference_trimmed([Fraction(c, h[-1]) for c in h])
+                == reference_trimmed([Fraction(c, 1) / want[-1]
+                                      for c in want]))
+        assert (reference_trimmed(_poly_divmod(f, h)[0])
+                == reference_trimmed(reference_poly_divmod(f, h)[0]))
+        r = _poly_divmod(f, g)[1]
+        ref = reference_poly_divmod(f, g)[1]
+        assert len(r) == len(ref)
+        if r:
+            s = Fraction(r[-1]) / ref[-1]
+            assert s > 0 and reference_trimmed(r) == tuple(c * s
+                                                           for c in ref)
+        values = [_poly_value(g, x, 1) for x in range(len(f))]
+        poly, den = _interpolated(values)
+        view = [Fraction(c, den) for c in poly]
+        view += [0] * (len(values) - len(poly))
+        assert tuple(view) == reference_interpolated(values)
+        with fraction_constructions() as made:
+            _poly_gcd(f, g)
+            _poly_divmod(f, g)
+            _interpolated(values)
+            _poly_value(f, 3, 7)
+        assert made == [0]
+    assert sturm >= 50
 
 
 def test_det_pencil_is_prompt_on_huge_eigenvalues():
@@ -1150,6 +1311,22 @@ def test_catalog_errors_name_the_first_failed_check():
             catalog(name, **params)
         assert str(exc.value) == message
     assert catalog("goursat", n="4") == catalog("goursat", n=4)
+
+
+def test_catalog_refuses_a_size_that_is_neither_an_int_nor_integer_text():
+    """A float, a bool, a Fraction or None is no size, even where int()
+    would truncate it to one: each is the family's integer error, and
+    nothing is built.  An int and integer text still build."""
+    for name, key, value in (("heisenberg", "dim", 7.9),
+                             ("heisenberg", "dim", 7.0),
+                             ("goursat", "n", 4.7), ("goursat", "n", True),
+                             ("kgen", "k", Fraction(5)),
+                             ("mixedjet", "k", None)):
+        with pytest.raises(ValueError) as exc:
+            catalog(name, **{key: value})
+        assert str(exc.value) == "%s: %s must be an integer" % (name, key)
+    for value in (7, "7", " 7 ", "+7"):
+        assert catalog("heisenberg", dim=value).dim == 7
 
 
 def test_pencil_blocks_that_are_no_block_list_are_a_value_error():
