@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
     Frozen,
@@ -347,35 +347,32 @@ def _jacobi_failures(a: GNLA) -> List[Tuple[str, str, str]]:
             if any(sums[triple].values())]
 
 
-def validate(a: GNLA) -> ValidationReport:
-    """Run the four structural checks and collect explicit witnesses.
+def _structural_failures(a: GNLA) -> Iterator[Tuple[str, tuple]]:
+    """The failures of the three structural checks, grading, Jacobi and
+    generation, in that order, each ("check", witness), yielded as each
+    check finds them; none when the integer table is a graded Lie algebra
+    generated by its degree -1 layer.  validate reports them all, and the
+    Leibniz systems of the prolongation drop the rows that generation
+    makes redundant only when there is none, which they read off the
+    first: a check after a failure does not run for them.
 
-    grading:       every stored coefficient respects deg [x,y] = deg x + deg y
-    jacobi:        [[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on all basis triples
-    generated:     each layer m_{-i-1} is spanned by [m_{-1}, m_{-i}]
-    nondegenerate: no nonzero central element of degree -1
+    grading:   every stored coefficient respects deg [x,y] = deg x + deg y
+    jacobi:    [[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on all basis triples
+    generated: each layer m_{-i-1} is spanned by [m_{-1}, m_{-i}]
 
-    Every check reads the integer table; the rank rows of the last two
-    are its rows, which go to the elimination as they are.
+    The rank rows of the last are the table's rows, which go to the
+    elimination as they are.
     """
-    failures: List[Tuple[str, tuple]] = []
     table = a._table
     degrees = a.degrees
-
-    grading_ok = True
     for i, j, terms in a._upper():
         want = degrees[i] + degrees[j]
         if any(degrees[k] != want for k, _ in terms):
-            grading_ok = False
-            failures.append(("grading", (a.labels[i], a.labels[j])))
-
-    broken = _jacobi_failures(a)
-    jacobi_ok = not broken
-    failures.extend(("jacobi", triple) for triple in broken)
-
+            yield "grading", (a.labels[i], a.labels[j])
+    for triple in _jacobi_failures(a):
+        yield "jacobi", triple
     # [m_{-1}, m_{-i}] spans the coordinate space m_{-i-1} exactly when
     # every bracket lies in it and their rank is its dimension
-    generated_ok = True
     pos1 = a.layer_positions(1)
     for i in range(1, a.depth):
         target = a.layer_positions(i + 1)
@@ -384,9 +381,21 @@ def validate(a: GNLA) -> ValidationReport:
                    if degrees[q] == -i]
         if (any(k not in target for r in spanned for k in r)
                 or len(_echelon(spanned, len(target))[0]) != len(target)):
-            generated_ok = False
-            failures.append(("generated", (i + 1,)))
+            yield "generated", (i + 1,)
 
+
+def validate(a: GNLA) -> ValidationReport:
+    """Run the four structural checks and collect explicit witnesses:
+    grading, Jacobi and generation are _structural_failures, and
+
+    nondegenerate: no nonzero central element of degree -1
+
+    is a rank of the table's rows as well, which go to the elimination
+    as they are.
+    """
+    failures = list(_structural_failures(a))
+    failed = {name for name, _ in failures}
+    pos1 = a.layer_positions(1)
     # the central degree -1 vectors are wanted only as a witness
     nondegenerate_ok = (len(_echelon(_central_rows(a, pos1), len(pos1))[0])
                         == len(pos1))
@@ -398,8 +407,10 @@ def validate(a: GNLA) -> ValidationReport:
                          (a.embed_layer(1, central.basis[0]),)))
 
     return ValidationReport(
-        checks={"grading": grading_ok, "jacobi": jacobi_ok,
-                "generated": generated_ok, "nondegenerate": nondegenerate_ok},
+        checks={"grading": "grading" not in failed,
+                "jacobi": "jacobi" not in failed,
+                "generated": "generated" not in failed,
+                "nondegenerate": nondegenerate_ok},
         failures=tuple(failures),
         layer_dims=a.layer_dims(),
         depth=a.depth)

@@ -33,6 +33,7 @@ from .constructions import (
     _NUMERAL_RE,
     _adapted_base,
     _check_extension_size,
+    _quoted,
     algebra_from_pencil_spec,
     catalog,
     h2_0,
@@ -483,7 +484,8 @@ def cmd_catalog(args) -> int:
     items = args.param or ()
     for item in items:
         if "=" not in item:
-            print("gnla: --param needs k=v, got %r" % item, file=sys.stderr)
+            print("gnla: --param needs k=v, got %s" % _quoted(item),
+                  file=sys.stderr)
             return 2
     # each value stays text: catalog's family table types it
     a = catalog(args.name, **dict(item.split("=", 1) for item in items))

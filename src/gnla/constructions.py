@@ -68,6 +68,15 @@ _NUMERAL = r"-?\d+(?:/\d+)?"
 _NUMERAL_RE = re.compile(_NUMERAL)
 
 
+def _quoted(text) -> str:
+    """How an error quotes a value from the user: its repr, a string cut
+    to its first 40 characters with "..." appended, so that a huge token
+    is not echoed."""
+    if isinstance(text, str) and len(text) > 40:
+        text = text[:40] + "..."
+    return repr(text)
+
+
 def _check_extension_size(base: GNLA, s: int) -> None:
     """Refuse s < 2 or an extension of more than _MAX_DIM basis vectors."""
     if s < 2:
@@ -595,21 +604,21 @@ class PencilSpec(Frozen):
     @classmethod
     def parse(cls, text: str) -> "PencilSpec":
         """Parse a compact block list like "M:1,F:2,E:1:a=0".  An error
-        quotes the token at fault, cut to its first 40 characters."""
+        quotes the token at fault through _quoted."""
         blocks = []
         for token in text.split(","):
             token = token.strip()
             if not token:
                 continue
-            cut = token if len(token) <= 40 else token[:40] + "..."
+            quoted = _quoted(token)
             parts = token.split(":")
             kind = parts[0].strip().upper()
             if kind not in ("M", "E", "F") or len(parts) < 2:
-                raise ValueError("bad pencil block %r" % cut)
+                raise ValueError("bad pencil block %s" % quoted)
             try:
                 size = int(parts[1])
             except ValueError:
-                raise ValueError("bad block size in %r" % cut) from None
+                raise ValueError("bad block size in %s" % quoted) from None
             if kind == "E":
                 a = Fraction(0)
                 if len(parts) == 3:
@@ -617,18 +626,18 @@ class PencilSpec(Frozen):
                     # the .alg numeral only: Fraction also takes 1e999999999
                     if not (tail.startswith("a=")
                             and _NUMERAL_RE.fullmatch(tail[2:])):
-                        raise ValueError("bad E parameter in %r" % cut)
+                        raise ValueError("bad E parameter in %s" % quoted)
                     try:
                         a = Fraction(tail[2:])
                     except (ValueError, ZeroDivisionError):
-                        raise ValueError("bad E parameter in %r"
-                                         % cut) from None
+                        raise ValueError("bad E parameter in %s"
+                                         % quoted) from None
                 elif len(parts) > 3:
-                    raise ValueError("bad pencil block %r" % cut)
+                    raise ValueError("bad pencil block %s" % quoted)
                 blocks.append(("E", (size, a)))
             else:
                 if len(parts) != 2:
-                    raise ValueError("bad pencil block %r" % cut)
+                    raise ValueError("bad pencil block %s" % quoted)
                 blocks.append((kind, size))
         if not blocks:
             raise ValueError("empty pencil specification")
@@ -914,8 +923,8 @@ def det_pencil(b1: Matrix, b2: Matrix) -> PencilForm:
                 for x in row))
     int1, int2 = ([[x.numerator * (den // x.denominator) for x in row]
                    for row in m.rows] for m in (b1, b2))
-    poly, big_l = _interpolated([int(_det([[x + t * y for x, y in zip(r1, r2)]
-                                           for r1, r2 in zip(int1, int2)]))
+    poly, big_l = _interpolated([_det([[x + t * y for x, y in zip(r1, r2)]
+                                       for r1, r2 in zip(int1, int2)])
                                  for t in range(n + 1)])
     scale = big_l * den ** n
     coeffs = tuple(Fraction(c, scale) for c in poly)
@@ -1030,12 +1039,12 @@ def catalog(name: str, **params) -> GNLA:
     naming the family and the parameter.
     """
     if name not in _FAMILIES:
-        raise ValueError("unknown catalog name %r" % name)
+        raise ValueError("unknown catalog name %s" % _quoted(name))
     build, key, extra = _FAMILIES[name]
     unexpected = set(params) - {key}
     if unexpected:
-        raise ValueError("unexpected parameters %s for %s"
-                         % (sorted(unexpected), name))
+        raise ValueError("unexpected parameters [%s] for %s" % (", ".join(
+            _quoted(k) for k in sorted(unexpected)), name))
     if key is None:
         return build()
     if key not in params:

@@ -89,34 +89,16 @@ def _integer_row(row):
     return {j: e.numerator * (s // e.denominator) for j, e in entries}, s
 
 
-def _eliminate(p, c, r):
-    """r <- (b/g) r - (a/g) p for a = r[c], b = p[c], g = gcd(a, b), then
-    divided by the gcd of its entries; returns (r, b/g, that gcd)."""
-    a, b = r[c], p[c]
-    g = gcd(a, b)
-    a //= g
-    b //= g
-    if b != 1:
-        r = {j: b * v for j, v in r.items()}
-    for j, v in p.items():
-        w = r.get(j, 0) - a * v
-        if w:
-            r[j] = w
-        else:
-            del r[j]
-    content = gcd(*r.values()) if r else 1
-    if content != 1:
-        r = {j: v // content for j, v in r.items()}
-    return r, b, content
-
-
 def _echelon(rows, bound=None):
     """Fraction-free forward elimination (Bareiss 1968, with row content
     reduction) on sparse {col: int} rows without zero entries, which it
     owns: a row may be changed in place or kept as a pivot row.
 
     Each input row is reduced by the pivot rows of the rows before it
-    until its leading column is new or it vanishes.
+    until its leading column is new or it vanishes.  One step at the
+    leading column c of r, against the pivot row p led there, is
+    r <- (b/g) r - (a/g) p for a = r[c], b = p[c] and g = gcd(a, b),
+    then r divided by the gcd of its entries, its content.
     Returns ({pivot column: integer row}, trail), where trail holds one
     (pivot column or None, num, den) per input row: its final row is
     num/den times the input row plus a combination of the rows before it.
@@ -125,10 +107,9 @@ def _echelon(rows, bound=None):
     """
     pivots = {}
     trail = []
-    for row in rows:
+    for r in rows:
         if len(pivots) == bound:
             break
-        r = row
         num = den = 1
         c = None
         while r:
@@ -137,11 +118,25 @@ def _echelon(rows, bound=None):
             if p is None:
                 pivots[c] = r
                 break
-            r, b, content = _eliminate(p, c, r)
+            a, b = r[c], p[c]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
             if b != 1:
+                r = {j: b * v for j, v in r.items()}
                 num *= b
-            if content != 1:
-                den *= content
+            for j, v in p.items():
+                w = r.get(j, 0) - a * v
+                if w:
+                    r[j] = w
+                else:
+                    del r[j]
+            if r:
+                content = gcd(*r.values())
+                if content != 1:
+                    r = {j: v // content for j, v in r.items()}
+                    den *= content
         trail.append((c if r else None, num, den))
     return pivots, trail
 
@@ -165,18 +160,35 @@ def _reduced(rows, bound=None):
     columns in increasing order, {pivot column: integer row}).
 
     This is the package's one elimination: the forward pass of _echelon,
-    then back-substitution the same way from the highest pivot down.
-    Divided by its pivot entry, each row is a row of the unique RREF.
-    Given a bound no rank can exceed, such as the number of columns, the
-    forward pass stops once the pivots reach it: the rows it leaves are
-    in the span of the pivot rows.
+    then back-substitution by the same step from the highest pivot down,
+    each row cleared at the pivot columns past its own.  Divided by its
+    pivot entry, each row is a row of the unique RREF.  Given a bound no
+    rank can exceed, such as the number of columns, the forward pass
+    stops once the pivots reach it: the rows it leaves are in the span of
+    the pivot rows.
     """
     pivots, _ = _echelon(rows, bound)
     cols = sorted(pivots)
     for c in reversed(cols):
         r = pivots[c]
         for c2 in [j for j in r if j != c and j in pivots]:
-            r, _, _ = _eliminate(pivots[c2], c2, r)
+            p = pivots[c2]
+            a, b = r[c2], p[c2]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if b != 1:
+                r = {j: b * v for j, v in r.items()}
+            for j, v in p.items():
+                w = r.get(j, 0) - a * v
+                if w:
+                    r[j] = w
+                else:
+                    del r[j]
+            content = gcd(*r.values())
+            if content != 1:
+                r = {j: v // content for j, v in r.items()}
         pivots[c] = r
     return cols, pivots
 
@@ -195,22 +207,27 @@ def _inverse(rows, n: int):
              reduced[c][c]) for c in cols]
 
 
-def _det(rows) -> Fraction:
+def _det(rows):
     """The determinant of square rows, Fraction or int entries, from the
     forward pass: the sign of the row order times the product of the
     pivots, over the scales that made the rows integers and the row
-    scales the pass applied."""
+    scales the pass applied.  It is the exact int when every entry is
+    integral, the determinant of an integer matrix being one, and a
+    Fraction otherwise."""
     scaled = [_integer_row(r) for r in rows]
     pivots, trail = _echelon([r for r, _ in scaled])
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    order = [c for c, _, _ in trail]
-    inversions = sum(1 for i in range(len(order)) for j in range(i)
-                     if order[j] > order[i])
-    num = prod(r[c] for c, r in pivots.items())
-    num *= prod(d for _, _, d in trail)
-    den = prod(n for _, n, _ in trail) * prod(s for _, s in scaled)
-    return Fraction(-num if inversions % 2 else num, den)
+    num = 0
+    if len(pivots) == len(rows):
+        order = [c for c, _, _ in trail]
+        inversions = sum(1 for i in range(len(order)) for j in range(i)
+                         if order[j] > order[i])
+        num = prod(r[c] for c, r in pivots.items())
+        num *= prod(d for _, _, d in trail)
+        if inversions % 2:
+            num = -num
+    den = prod(n for _, n, _ in trail)
+    scale = prod(s for _, s in scaled)
+    return num // den if scale == 1 else Fraction(num, den * scale)
 
 
 def _rref_rows(rows):
@@ -421,7 +438,7 @@ class Matrix(Frozen):
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return _det(self.rows)
+        return Fraction(_det(self.rows))
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows

@@ -13,7 +13,9 @@ Leibniz rows to the next degree's system, and no Fraction is made on
 the way.  Each row is a {key: int} dict with its unknowns numbered in
 reverse, the order the elimination works in, the identity's row scaled
 by the lcm of its denominators, built from action groups cached once per
-(degree, basis vector); the rows go as built into the integer kernel of
+(degree, basis vector).  On a graded Lie algebra that m_{-1} generates,
+the basis pairs whose rows the other rows imply build none (see
+_leibniz_system).  The rows go as built into the integer kernel of
 linalg, which reads each RREF row off as integers over its least
 positive denominator.  Those integer rows are the stored form of the
 layer's maps; a map's Fraction entries and dense blocks are built only
@@ -28,12 +30,14 @@ only algebra and linalg.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import GNLA
-from .linalg import (Frozen, Matrix, MatrixSubspace, _integer_kernel,
-                     _integer_row, _kernel_rows, _unflattened)
+from .algebra import GNLA, _structural_failures
+from .linalg import (Frozen, Matrix, MatrixSubspace, _echelon,
+                     _integer_kernel, _integer_row, _kernel_rows,
+                     _unflattened)
 
 __all__ = [
     "GradedMap", "IterationVerdict", "ProlongationLayer",
@@ -196,13 +200,40 @@ def _block_shapes(a: GNLA, lower: Sequence[ProlongationLayer],
     return tuple(shapes)
 
 
+def _cyclic_onto(a: GNLA) -> bool:
+    """Whether the cyclic map R: L^3 m_{-1} -> m_{-2} (x) m_{-1},
+    x^y^w -> [x,y] (x) w - [x,w] (x) y + [y,w] (x) x, is onto, for an
+    algebra that passes the grading check.  Never when C(n1, 3) < n1 n2;
+    else one rank of its images of the basis triples, made as the rank
+    asks for them, which stops once it reaches n1 n2.  The image of a
+    triple writes each of its three terms at a different second factor,
+    so its entries are the table's integers as they are."""
+    pos1 = a.layer_positions(1)
+    n1 = len(pos1)
+    full = n1 * a.layer_dim(2)
+    if comb(n1, 3) < full:
+        return False
+    index = {p: x for x, p in enumerate(a.layer_positions(2))}
+    brackets = [a._table.get(p, {}) for p in pos1]
+
+    def images():
+        for x, y, w in combinations(range(n1), 3):
+            image = {}
+            for u, v, o, sign in ((x, y, w, 1), (x, w, y, -1), (y, w, x, 1)):
+                for r, c in brackets[u].get(pos1[v], ()):
+                    image[index[r] * n1 + o] = sign * c
+            yield image
+
+    return len(_echelon(images(), full)[0]) == full
+
+
 def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
     """The degree k Leibniz system as (rows, block shapes, total).
 
     The total unknowns are the entries of all blocks of a candidate map,
     flattened block after block in the order of the shapes, each block
-    row-major; each basis pair (e_p, e_q) contributes the rows of
-    phi([e_p,e_q]) - [phi(e_p), e_q] - [e_p, phi(e_q)] = 0
+    row-major; a basis pair (e_p, e_q) contributes the rows of
+    D(e_p, e_q) = phi([e_p,e_q]) - [phi(e_p), e_q] - [e_p, phi(e_q)] = 0
     expressed in the target of degree k - deg_p - deg_q, all but those
     with no nonzero entry.  Each row is a sparse {key: int} dict with
     unknown u at key total - 1 - u, the reversed numbering _kernel_rows
@@ -211,6 +242,27 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
     row, since they read different blocks or columns, so the scale is
     the lcm of at most three denominators: that of the constants of
     [e_p, e_q], and that of the row's group in each action.
+
+    When the algebra passes the grading, Jacobi and generated checks
+    (_structural_failures), two kinds of pairs add no rows, because the
+    rows of the others imply theirs; every other table gets the rows of
+    every pair.  On such an algebra m acts on V = m + g_0 + ... + g_{k-1}
+    by the bracket as a module: Jacobi gives the module identity on m,
+    and the Leibniz identity of each lower map gives it on that map.  phi
+    is a 1-cochain of m in V with d phi = -D, so that dD = 0:
+    D([x,y],w) - D([x,w],y) + D([y,w],x)
+        = [x, D(y,w)] - [y, D(x,w)] + [w, D(x,y)].
+    - Pairs of two degrees <= -2.  If D(x, .) = 0 for every x of degree
+      -1, the set {a : D(a, .) = 0} contains m_{-1} and, by dD = 0 at
+      (a, b, c), it is closed under brackets; m is generated by m_{-1},
+      so it is all of m.  The rows of the pairs with a degree -1 vector
+      thus imply D = 0.
+    - On depth 2, the pairs of m_{-1} with m_{-2}, when the cyclic map R
+      of _cyclic_onto is onto.  If D vanishes on m_{-1} x m_{-1}, dD = 0
+      at x, y, w in m_{-1} gives D([x,y],w) - D([x,w],y) + D([y,w],x)
+      = 0: D read on m_{-2} (x) m_{-1} vanishes on the image of R, all of
+      it.  Those pairs have a target only from k = 1 on, and the check
+      runs only where they do.
     """
     n = a.dim
     mu = a.depth
@@ -222,16 +274,34 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
         offsets[i] = total
         srcs[i] = src
         total += tgt * src
-    # the coordinate of each basis position within its layer
+    # the source layer of each basis position, and its coordinate there
+    layer = [-d for d in a.degrees]
     index = {p: x for i in range(1, mu + 1)
              for x, p in enumerate(a.layer_positions(i))}
     table, tden = a._table, a._den
 
-    def bracket_terms(p: int, q: int, t: int) -> List[Tuple[int, int]]:
-        """[e_p, e_q] as nonzero (coordinate, int) pairs in layer t, the
-        table's integers over tden."""
-        return [(index[r], v) for r, v in table.get(p, {}).get(q, ())
-                if a.degrees[r] == -t]
+    # partners[i][j]: the target dimension of the rows of a pair of
+    # source layers i and j, for the pairs whose rows are built
+    partners: Dict[int, Dict[int, int]] = {i: {} for i in range(1, mu + 1)}
+    for i in partners:
+        for j in range(1, mu + 1):
+            if k - i - j >= -mu:
+                tdim = _target_dim(a, lower, k - i - j)
+                if tdim:
+                    partners[i][j] = tdim
+    deep = [(i, j) for i in partners for j in partners[i] if min(i, j) > 1]
+    mixed = [(i, j) for i in partners for j in partners[i]
+             if mu == 2 and {i, j} == {1, 2}]
+    if (deep or mixed) and next(_structural_failures(a), None) is None:
+        if mixed and _cyclic_onto(a):
+            deep += mixed
+        for i, j in deep:
+            del partners[i][j]
+
+    def bracket_terms(terms, t: int) -> List[Tuple[int, int]]:
+        """The table's terms of one bracket in layer t, as nonzero
+        (coordinate, int) pairs over tden."""
+        return [(index[r], v) for r, v in terms if layer[r] == t]
 
     # For [phi(e_p), e_q] with phi(e_p) in the graded piece of degree d,
     # the action on e_q is linear in the coordinates of phi(e_p).
@@ -244,11 +314,12 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
         for d < 0, the column view of the layer g_d otherwise."""
         groups = actions.get((d, q))
         if groups is None:
-            j = -a.degrees[q]
+            j = layer[q]
             if d < 0:
                 by_row: Dict[int, List] = {}
                 for m, p in enumerate(a.layer_positions(-d)):
-                    for r, v in bracket_terms(p, q, j - d):
+                    for r, v in bracket_terms(table.get(p, {}).get(q, ()),
+                                              j - d):
                         by_row.setdefault(r, []).append((m, v, tden))
                 groups = _grouped(by_row)
             else:
@@ -259,31 +330,33 @@ def _leibniz_system(a: GNLA, k: int, lower: Sequence[ProlongationLayer]):
     last = total - 1
     rows: List[Dict[int, int]] = []
     for p in range(n):
-        i = -a.degrees[p]
+        i = layer[p]
+        targets = partners[i]
+        if not targets:
+            continue
+        brackets = table.get(p, {})
+        # phi(e_p) is the p-column of block i: the key of its first unknown
+        pkey = last - offsets[i] - index[p] if i in offsets else None
         for q in range(p + 1, n):
-            j = -a.degrees[q]
-            tdeg = k - i - j
-            if tdeg < 0 and -tdeg > mu:
-                continue
-            tdim = _target_dim(a, lower, tdeg)
-            if tdim == 0:
+            j = layer[q]
+            tdim = targets.get(j)
+            if tdim is None:
                 continue
             # phi([e_p, e_q]) term, in every row: the constants of
             # [e_p, e_q] in layer i + j as integers over their least bden
-            constants = bracket_terms(p, q, i + j) if i + j in offsets else []
+            constants = (bracket_terms(brackets.get(q, ()), i + j)
+                         if i + j in offsets else [])
             scale: Dict[int, int] = {}
             if constants:
                 g = gcd(tden, *[v for _, v in constants])
                 bden = tden // g
                 constants = [(x, v // g) for x, v in constants]
                 scale = dict.fromkeys(range(tdim), bden)
-            # -[phi(e_p), e_q] term: phi(e_p) is the p-column of block i;
-            # -[e_p, phi(e_q)] = +[phi(e_q), e_p] term likewise; each with
-            # the key of its column's first unknown
+            # -[phi(e_p), e_q] term; -[e_p, phi(e_q)] = +[phi(e_q), e_p]
+            # term likewise, each with the key of its column's first unknown
             terms = []
-            if i in offsets:
-                terms.append((action(k - i, q), last - offsets[i] - index[p],
-                              srcs[i], -1))
+            if pkey is not None:
+                terms.append((action(k - i, q), pkey, srcs[i], -1))
             if j in offsets:
                 terms.append((action(k - j, p), last - offsets[j] - index[q],
                               srcs[j], 1))
@@ -426,7 +499,9 @@ def h0(a: GNLA) -> MatrixSubspace:
     kernel over the n1^2 columns left is the space in its RREF basis.
     In the system's reversed numbering those unknowns hold the last n1^2
     keys, which shifted down by the rest are already the reversed keys of
-    the cut system.
+    the cut system.  The pairs of two degrees <= -2 that the system may
+    leave out would give empty rows here: all their unknowns sit in the
+    deeper blocks.
     """
     n1 = a.layer_dim(1)
     rows, _, total = _leibniz_system(a, 0, [])

@@ -5,6 +5,7 @@ Each test prints a single `criterion N: PASS/FAIL` line (run pytest with
 criteria survived.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -223,20 +224,36 @@ def test_criterion_9_groebner_membership_and_point_search():
         return sorted(vals)
 
     vals = height_values(5)
+    # every value is a numerator over q, the lcm of the denominators
+    q = math.lcm(*[v.denominator for v in vals])
+    numerators = [int(v * q) for v in vals]
 
     def projective_points(nvars):
-        # last nonzero coordinate 1, every lower stratum included
+        # last nonzero coordinate 1, every lower stratum included; each
+        # point as the integer numerators of its coordinates over q
         for lead in range(nvars - 1, -1, -1):
             def rec(k):
                 if k == 0:
                     yield ()
                     return
                 for rest in rec(k - 1):
-                    for v in vals:
+                    for v in numerators:
                         yield rest + (v,)
             for head in rec(lead):
-                yield head + (Fraction(1),) + (Fraction(0),) * (
-                    nvars - lead - 1)
+                yield head + (q,) + (0,) * (nvars - lead - 1)
+
+    def scaled_value(quadratic, point):
+        # q^2 g(p / q) for the homogeneous quadratic g with the integer
+        # terms (c, i, j) of c x_i x_j, at the numerators p
+        return sum(c * point[i] * point[j] for c, i, j in quadratic)
+
+    def integer_terms(g):
+        out = []
+        for e, c in g.terms.items():
+            assert sum(e) == 2 and c.denominator == 1
+            i, j = [v for v, n in enumerate(e) for _ in range(n)]
+            out.append((c.numerator, i, j))
+        return out
 
     failures = []
     searched = 0
@@ -278,10 +295,19 @@ def test_criterion_9_groebner_membership_and_point_search():
                     failures.append("ideal %d: s-poly (%d,%d) survives"
                                     % (t, i, j))
         trivial = only_trivial_zero(ideal)
+        quadratics = [integer_terms(g) for g in gens]
         zero = None
-        for pt in projective_points(nvars):
-            if all(reference_evaluate(g, pt) == 0 for g in gens):
-                zero = pt
+        for n, pt in enumerate(projective_points(nvars)):
+            if n < 50:
+                # the integer value agrees with the Fraction one
+                at = tuple(Fraction(v, q) for v in pt)
+                for g, quadratic in zip(gens, quadratics):
+                    if scaled_value(quadratic, pt) != q * q * (
+                            reference_evaluate(g, at)):
+                        failures.append("ideal %d: value at %s" % (t, at))
+            if all(scaled_value(quadratic, pt) == 0
+                   for quadratic in quadratics):
+                zero = tuple(Fraction(v, q) for v in pt)
                 break
         if zero is not None:
             searched += 1

@@ -428,6 +428,49 @@ def test_an_oversized_pencil_block_is_echoed_cut(capsys):
             assert captured.err == "gnla: %s\n" % message, argv
 
 
+def test_an_oversized_catalog_name_is_echoed_cut(capsys):
+    """A 5000-character catalog name is one short gnla: line that quotes
+    its first 40 characters, with exit 2; a short one is quoted whole."""
+    for name in ("x" * 5000, "nosuch"):
+        assert run(["catalog", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gnla: unknown catalog name %r\n" % (
+            name if len(name) <= 40 else name[:40] + "...")
+        assert len(captured.err) < 200
+
+
+def test_an_oversized_parameter_name_is_echoed_cut(capsys):
+    """A 5000-character --param name is one short gnla: line that quotes
+    its first 40 characters, with exit 2; short names are quoted whole,
+    as a sorted list."""
+    huge = "x" * 5000
+    for params, quoted in (([huge], "'%s...'" % huge[:40]),
+                           (["foo", "bar"], "'bar', 'foo'")):
+        argv = ["catalog", "heisenberg"]
+        for key in params:
+            argv += ["--param", key + "=1"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gnla: unexpected parameters [%s] for heisenberg\n" % quoted)
+        assert len(captured.err) < 200
+
+
+def test_an_oversized_parameter_without_a_value_is_echoed_cut(capsys):
+    """A 5000-character --param item without "=" is one short gnla: line
+    that quotes its first 40 characters, with exit 2; a short one is
+    quoted whole."""
+    for item in ("x" * 5000, "dim"):
+        assert run(["catalog", "heisenberg", "--param", item]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gnla: --param needs k=v, got %r\n" % (
+            item if len(item) <= 40 else item[:40] + "...")
+        assert len(captured.err) < 200
+
+
 def test_huge_catalog_and_pencil_sizes_are_prompt_located_errors(capsys):
     """A catalog family or a pencil whose algebra would have more than
     256 basis vectors is refused before anything is built, so the run

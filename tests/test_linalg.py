@@ -13,6 +13,7 @@ from gnla.linalg import (
     Matrix,
     Subspace,
     _densified,
+    _det,
     _integer_kernel,
     _integer_row,
     _inverse,
@@ -142,7 +143,10 @@ def test_rref_of_a_prolongation_system_matches_sympy(monkeypatch):
     # unknown j sits at key ncols - 1 - j
     m = Matrix([[row.get(ncols - 1 - j, 0) for j in range(ncols)]
                 for row in rows])
-    assert (m.nrows, m.ncols) == (28, 48)
+    # the 6 pairs of degree -1 vectors, 4 rows each in m_{-1}; the cyclic
+    # map of m_{-1} onto m_{-2} (x) m_{-1} is onto, so the 4 pairs of a
+    # degree -1 vector with Z add no rows
+    assert (m.nrows, m.ncols) == (24, 48)
     reduced, pivots = dense_rref(m.rows)
     oracle, oracle_pivots = sympy.Matrix(
         [[sympy.Rational(e.numerator, e.denominator) for e in row]
@@ -309,6 +313,25 @@ def test_det_against_sympy_and_laplace():
             assert m.det() == Fraction(int(want.p), int(want.q))
             if 1 <= n <= 6:
                 assert m.det() == det_naive(m)
+
+
+def test_det_of_integer_rows_is_the_exact_int():
+    """_det gives an int on rows of ints, singular ones included, equal to
+    the Laplace expansion, and a Fraction once an entry is not integral;
+    Matrix.det gives a Fraction either way."""
+    rng = random.Random(41)
+    for n in range(1, 6):
+        for _ in range(8):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.25:
+                rows[-1] = list(rows[0])
+            value = _det(rows)
+            assert type(value) is int
+            assert value == det_naive(Matrix(rows))
+            assert type(Matrix(rows).det()) is Fraction
+            assert Matrix(rows).det() == value
+    half = _det([[Fraction(1, 2), 0], [0, 4]])
+    assert type(half) is Fraction and half == 2
 
 
 def test_det_multiplicative():

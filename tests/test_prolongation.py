@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -15,7 +16,7 @@ from cases import (
     signed_permutation,
     table_cases,
 )
-from dense import from_columns, identity
+from dense import from_columns, identity, reference_rref
 from gnla import (
     GNLA,
     ExtensionData,
@@ -37,6 +38,7 @@ from gnla import (
     prolong_layer,
     prolongation,
     special_extension,
+    validate,
 )
 from gnla.linalg import _integer_row, unit_vector, zero_vector
 from gnla.prolongation import (
@@ -103,7 +105,8 @@ def reference_h0(a):
 def reference_prolong_layer(a, k, lower):
     """The dense Leibniz system builder gnla used before its rows were
     sparse dicts, verbatim except that it also returns its dense Fraction
-    system rows and drops annotations.  An oracle only.
+    system rows with the basis pair (p, q) of each, and drops
+    annotations.  It builds the rows of every pair.  An oracle only.
 
     Compute the degree k layer from the layers 0 .. k-1.
 
@@ -156,6 +159,7 @@ def reference_prolong_layer(a, k, lower):
         return cols
 
     rows = []
+    pairs = []
     for p in range(n):
         i = -a.degrees[p]
         for q in range(p + 1, n):
@@ -203,9 +207,10 @@ def reference_prolong_layer(a, k, lower):
 
             if touched:
                 rows.extend(block_rows)
+                pairs.extend([(p, q)] * tdim)
 
     if total == 0:
-        return ProlongationLayer(degree=k, maps=()), []
+        return ProlongationLayer(degree=k, maps=()), [], []
     if rows:
         sol = kernel_basis(Matrix(rows))
     else:
@@ -219,14 +224,74 @@ def reference_prolong_layer(a, k, lower):
             blocks[i] = Matrix([flat[off + r * src: off + (r + 1) * src]
                                 for r in range(tgt)])
         maps.append(GradedMap(degree=k, blocks=blocks))
-    return ProlongationLayer(degree=k, maps=tuple(maps)), rows
+    return ProlongationLayer(degree=k, maps=tuple(maps)), rows, pairs
+
+
+def cyclic_rank(a):
+    """The rank of R: L^3 m_{-1} -> m_{-2} (x) m_{-1}, x^y^w -> [x,y] (x) w
+    - [x,w] (x) y + [y,w] (x) x, from its dense Fraction rows on the basis
+    triples by reference_rref.  An oracle only."""
+    pos1 = a.layer_positions(1)
+    n1, n2 = len(pos1), a.layer_dim(2)
+    rows = []
+    for x, y, w in itertools.combinations(range(n1), 3):
+        row = [Fraction(0)] * (n2 * n1)
+        for u, v, o, sign in ((x, y, w, 1), (x, w, y, -1), (y, w, x, 1)):
+            coords = a.layer_coordinates(2, a.pair_bracket(pos1[u], pos1[v]))
+            for r, c in enumerate(coords):
+                row[r * n1 + o] += sign * c
+        rows.append(row)
+    return len(reference_rref(rows)[1]) if rows else 0
+
+
+def skipped_degrees(a, k):
+    """The degree pairs {i, j} of the basis pairs (e_p, e_q) of degrees -i
+    and -j whose rows the degree k Leibniz system leaves out, restated
+    from its docstring: none unless validate's grading, Jacobi and
+    generated checks pass; then every pair of two degrees <= -2, and on
+    depth 2 from k = 1 on the pairs of degrees -1 and -2 when R has rank
+    n1 n2.  Read each pair as a frozenset of its two degrees."""
+    if not validate(a).structural_ok:
+        return set()
+    skipped = {frozenset((i, j)) for i in range(2, a.depth + 1)
+               for j in range(2, a.depth + 1)}
+    if (a.depth == 2 and k >= 1
+            and cyclic_rank(a) == a.layer_dim(1) * a.layer_dim(2)):
+        skipped.add(frozenset((1, 2)))
+    return skipped
+
+
+def kept_rows(a, k, rows, pairs):
+    """The nonzero rows of reference_prolong_layer that the degree k
+    Leibniz system builds: those of the pairs skipped_degrees keeps."""
+    skipped = skipped_degrees(a, k)
+    return [r for r, (p, q) in zip(rows, pairs) if any(r) and frozenset(
+        (-a.degrees[p], -a.degrees[q])) not in skipped]
+
+
+# valid Lie algebras that m_{-1} does not generate: a central Z beside
+# [X1, X2] = Y, and a degree -3 U beside [X1, Y] = Z
+NOT_GENERATED = (
+    GNLA("notgen2", [("X1", -1), ("X2", -1), ("Y", -2), ("Z", -2)],
+         {(0, 1): [(2, 1)]}),
+    GNLA("notgen3", [("X1", -1), ("X2", -1), ("X3", -1), ("Y", -2),
+                     ("Z", -3), ("U", -3)],
+         {(0, 1): [(3, 1)], (0, 3): [(4, 1)]}),
+)
 
 
 def test_prolong_layer_matches_the_dense_builder(monkeypatch):
-    """Equal maps, block by block, and as many system rows as the dense
-    builder has nonzero rows, at degrees 0-2 on every catalog algebra,
-    every pencil and seeded random 2-step algebras, and on a signed
-    permutation of each; each chain is fed its own lower layers."""
+    """Equal maps, block by block, to the dense builder over every pair,
+    and as many system rows as it has nonzero rows in the pairs that
+    skipped_degrees keeps, each chain fed its own lower layers.  At
+    degrees 0-2, and 3 up to dim 6, on every catalog algebra, every
+    pencil, seeded random 2-step algebras and a signed permutation of
+    each, and a table whose bracket leaves the grading.  Then on the rest
+    of table_cases (random 2-step algebras with n1 = 6, dense basis
+    changes and tables that fail validate), random 2-step algebras with
+    n1 = 7 and 8 and a signed permutation of each, and valid algebras
+    that m_{-1} does not generate: through g3 up to dim 6, g2 up to dim 9
+    and g1 beyond.  Rows are left out on most of these systems."""
     rows_seen = []
     kernel = prolongation._kernel_rows
 
@@ -243,18 +308,93 @@ def test_prolong_layer_matches_the_dense_builder(monkeypatch):
     algebras.append(GNLA("ungraded", [("X1", -1), ("X2", -1), ("X3", -1),
                                       ("Y", -2)],
                          {(0, 1): [(3, 1), (2, 1)], (0, 2): [(3, 2)]}))
-    for a in algebras:
+    chains = [(a, 4 if a.dim <= 6 else 3) for a in algebras]
+    # table_cases starts with the catalog algebras and the pencils
+    rng = random.Random(4273)
+    randoms = [random_two_step(rng, n1) for n1 in (7, 8)]
+    more = (table_cases(1234)[len(catalog_algebras()):] + randoms
+            + [signed_permutation(rng, a) for a in randoms]
+            + list(NOT_GENERATED))
+    chains += [(a, 4 if a.dim <= 6 else 3 if a.dim <= 9 else 2)
+               for a in more]
+    left_out = 0
+    for a, degrees in chains:
         layers, ref_layers = [], []
-        for k in range(3):
+        for k in range(degrees):
             rows_seen.clear()
             lay = prolong_layer(a, k, layers)
-            ref, ref_rows = reference_prolong_layer(a, k, ref_layers)
+            ref, ref_rows, pairs = reference_prolong_layer(a, k, ref_layers)
             assert [g.blocks for g in lay.maps] == [
                 g.blocks for g in ref.maps], (a.name, k)
-            assert sum(rows_seen) == sum(1 for r in ref_rows if any(r)), (
-                a.name, k)
+            kept = len(kept_rows(a, k, ref_rows, pairs))
+            assert sum(rows_seen) == kept, (a.name, k)
+            left_out += kept < sum(1 for r in ref_rows if any(r))
             layers.append(lay)
             ref_layers.append(ref)
+    assert left_out > 100
+
+
+def test_cyclic_map_decides_the_mixed_pairs():
+    """_cyclic_onto agrees with the dense rank of R: not onto on
+    heisenberg3 and free2step3, whose g1 systems keep the rows of the
+    pairs of m_{-1} with m_{-2}, and onto on heisenberg5 and the pencil
+    M:2,F:2, whose g1 systems have none of them, g1 as the dense
+    builder's over every pair either way."""
+    for a, onto in ((catalog("heisenberg", dim=3), False),
+                    (catalog("free2step3"), False),
+                    (catalog("heisenberg", dim=5), True),
+                    (catalog("from_pencil", blocks="M:2,F:2"), True)):
+        full = a.layer_dim(1) * a.layer_dim(2)
+        assert prolongation._cyclic_onto(a) is onto, a.name
+        assert (cyclic_rank(a) == full) is onto, a.name
+        g0 = prolong_layer(a, 0, [])
+        ref0 = reference_prolong_layer(a, 0, [])[0]
+        rows, _, _ = _leibniz_system(a, 1, [g0])
+        ref, ref_rows, pairs = reference_prolong_layer(a, 1, [ref0])
+        mixed = [r for r, (p, q) in zip(ref_rows, pairs) if any(r)
+                 and {a.degrees[p], a.degrees[q]} == {-1, -2}]
+        assert mixed, a.name
+        kept = [r for r in ref_rows if any(r)]
+        assert len(rows) == len(kept) - (len(mixed) if onto else 0), a.name
+        assert prolong_layer(a, 1, [g0]).maps == ref.maps, a.name
+
+
+def test_rows_are_left_out_only_on_generated_lie_algebras():
+    """One case per branch of the check that guards the rules: a table
+    that breaks only the grading (ungraded), one that breaks only Jacobi
+    (bad) and
+    one that m_{-1} does not generate (notgen2) keep the rows of every
+    pair, rows of pairs the rules name among them, and a generated Lie
+    algebra (free2step3) leaves those out; the layer is the dense
+    builder's over every pair each time."""
+    bad = [a for a in table_cases(1234) if a.name == "bad"]
+    # [A, C] = B leaves the grading, and Jacobi holds
+    ungraded = GNLA("ungraded", [("A", -1), ("B", -1), ("C", -2)],
+                    {(0, 1): [(2, 1)], (0, 2): [(1, 1)]})
+    for a, k, checks in ((ungraded, 1, ("grading",)),
+                         (bad[0], 1, ("jacobi",)),
+                         (NOT_GENERATED[0], 2, ("generated",)),
+                         (catalog("free2step3"), 2, ())):
+        report = validate(a)
+        assert [c for c in ("grading", "jacobi", "generated")
+                if not report.checks[c]] == list(checks), a.name
+        layers, ref_layers = [], []
+        for d in range(k):
+            layers.append(prolong_layer(a, d, layers))
+            ref_layers.append(reference_prolong_layer(a, d, ref_layers)[0])
+        rows, _, _ = _leibniz_system(a, k, layers)
+        ref, ref_rows, pairs = reference_prolong_layer(a, k, ref_layers)
+        named = [r for r, (p, q) in zip(ref_rows, pairs) if any(r) and (
+            a.degrees[p] < -1 > a.degrees[q]
+            or {a.degrees[p], a.degrees[q]} == {-1, -2})]
+        assert named, a.name
+        nonzero = sum(1 for r in ref_rows if any(r))
+        if checks:
+            assert len(rows) == nonzero, a.name
+        else:
+            assert len(rows) < nonzero, a.name
+        assert len(rows) == len(kept_rows(a, k, ref_rows, pairs)), a.name
+        assert prolong_layer(a, k, layers).maps == ref.maps, a.name
 
 
 def dense_column_view(layer):
@@ -510,8 +650,9 @@ def test_non_integer_constants_reach_the_integer_rows():
     """Algebras rescaled by 1/2, 3/5, ... and a dense basis change have
     non-integer structure constants, in some bracket with distinct
     denominators.  Through g2, every Leibniz row has int values and equals
-    _integer_row of the dense builder's nonzero row in the same place,
-    keyed in reverse, the layers equal the dense builder's, the column
+    _integer_row of the dense builder's nonzero row in the same place
+    among those of the pairs that skipped_degrees keeps, keyed in reverse,
+    the layers equal the dense builder's, the column
     view equals the one read off the dense blocks, and every map passes
     the Leibniz check."""
     scales = [Fraction(1, 2), Fraction(3, 5), Fraction(-2), Fraction(7, 3),
@@ -533,8 +674,8 @@ def test_non_integer_constants_reach_the_integer_rows():
         layers, ref_layers = [], []
         for k in range(3):
             rows, _, total = _leibniz_system(a, k, layers)
-            ref, ref_rows = reference_prolong_layer(a, k, ref_layers)
-            ref_rows = [r for r in ref_rows if any(r)]
+            ref, ref_rows, pairs = reference_prolong_layer(a, k, ref_layers)
+            ref_rows = kept_rows(a, k, ref_rows, pairs)
             assert all(type(v) is int and v for r in rows
                        for v in r.values()), (a.name, k)
             assert rows == [
